@@ -54,14 +54,13 @@ class DualRoutingIndex:
         return self.new_index.route_insertion(query)
 
     def insertion_assignments(
-        self, query: STSQuery, h1_memo=None
+        self, query: STSQuery
     ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
         """Per-pair insertion placement, through the new strategy only.
 
         Exposing this keeps insertions assignment-aware while the old
         strategy drains: workers register only their routed ``(cell,
-        keyword)`` pairs instead of full posting footprints.  The caller's
-        H1 memo is ignored — H1 is not static across the strategy pair.
+        keyword)`` pairs instead of full posting footprints.
         """
         return self.new_index.posting_assignments(query)
 

@@ -56,36 +56,6 @@ class MigrationExperimentResult:
     throughput_after: float
 
 
-def _run_stream(
-    cluster: Cluster,
-    tuples,
-    batch_size: int,
-    *,
-    adjust_every: int = 0,
-    local_adjuster=None,
-    global_adjuster=None,
-):
-    """Replay ``tuples`` on the cluster via the configured execution path.
-
-    With ``adjust_every > 0`` the closed-loop driver runs the attached
-    adjusters at window barriers (identically on either path).
-    """
-    if batch_size > 1:
-        return cluster.run_batched(
-            tuples,
-            batch_size=batch_size,
-            adjust_every=adjust_every,
-            local_adjuster=local_adjuster,
-            global_adjuster=global_adjuster,
-        )
-    return cluster.run(
-        tuples,
-        adjust_every=adjust_every,
-        local_adjuster=local_adjuster,
-        global_adjuster=global_adjuster,
-    )
-
-
 def _merge_adjustment_reports(history) -> AdjustmentReport:
     """Aggregate the triggered rounds of a closed-loop run into one report.
 
@@ -165,10 +135,9 @@ def _build_imbalanced_cluster(
     )
     cluster = Cluster(plan, config)
     try:
-        _run_stream(
-            cluster,
+        cluster.run_batched(
             stream.tuples(num_objects),
-            batch_size,
+            batch_size=batch_size,
             adjust_every=adjust_every,
             local_adjuster=local_adjuster,
         )
@@ -190,7 +159,7 @@ def _buckets_during_migration(
 ) -> Tuple[LatencyBuckets, float]:
     """Latency buckets of the post-adjustment period, migration delay included."""
     cluster.reset_period()
-    _run_stream(cluster, stream.tuples(num_objects), batch_size)
+    cluster.run_batched(stream.tuples(num_objects), batch_size=batch_size)
     report = cluster.report()
     tracker = cluster.latency_tracker()
     rng = random.Random(seed)
@@ -331,7 +300,7 @@ def run_drift_experiment(
         merger_backend=merger_backend,
     )
     with Cluster(plan, cluster_config) as cluster:
-        _run_stream(cluster, stream.tuples(objects_per_phase), batch_size)
+        cluster.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
 
         adjuster = LocalLoadAdjuster(selector_by_name("GR", seed=seed), sigma=sigma)
         triggered = 0
@@ -342,16 +311,15 @@ def run_drift_experiment(
             style_map.flip(flip_fraction, drift_rng)
             if adjust and adjust_every > 0:
                 seen = len(adjuster.history)
-                _run_stream(
-                    cluster,
+                cluster.run_batched(
                     stream.tuples(objects_per_phase),
-                    batch_size,
+                    batch_size=batch_size,
                     adjust_every=adjust_every,
                     local_adjuster=adjuster,
                 )
                 new_reports = adjuster.history[seen:]
             else:
-                _run_stream(cluster, stream.tuples(objects_per_phase), batch_size)
+                cluster.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
                 new_reports = [adjuster.adjust(cluster)] if adjust else []
             for report in new_reports:
                 if report.triggered:
@@ -361,7 +329,7 @@ def run_drift_experiment(
 
         # Final measurement period: throughput after all drift has happened.
         cluster.reset_period()
-        final = _run_stream(cluster, stream.tuples(objects_per_phase), batch_size)
+        final = cluster.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
     return DriftExperimentResult(
         adjusted=adjust,
         throughput=final.throughput,

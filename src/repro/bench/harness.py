@@ -278,21 +278,14 @@ def run_experiment(partitioner_name: str, config: ExperimentConfig) -> Experimen
 
     started = time.perf_counter()
     try:
-        if scaled.batch_size > 1:
-            report = cluster.run_batched(
-                stream.tuples(scaled.num_objects),
-                batch_size=scaled.batch_size,
-                adjust_every=scaled.adjust_every,
-                local_adjuster=local_adjuster,
-                global_adjuster=global_adjuster,
-            )
-        else:
-            report = cluster.run(
-                stream.tuples(scaled.num_objects),
-                adjust_every=scaled.adjust_every,
-                local_adjuster=local_adjuster,
-                global_adjuster=global_adjuster,
-            )
+        # batch_size <= 1 replays on the per-tuple reference (Cluster.run).
+        report = cluster.run_batched(
+            stream.tuples(scaled.num_objects),
+            batch_size=scaled.batch_size,
+            adjust_every=scaled.adjust_every,
+            local_adjuster=local_adjuster,
+            global_adjuster=global_adjuster,
+        )
     except BaseException:
         # A failed replay must not leak multiprocess worker processes;
         # on success the caller owns the cluster (ExperimentResult.close).

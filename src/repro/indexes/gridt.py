@@ -113,9 +113,8 @@ class GridTIndex:
     """Dispatcher-side routing index with per-cell H1/H2 hash maps."""
 
     #: Cells whose H2 map has at least this many posting keywords are worth
-    #: memoising in the batched object router; below it the direct
-    #: intersection is cheaper than the cache bookkeeping.  Kept in sync
-    #: with the inlined copy in ``Cluster._process_batch_fast``.
+    #: memoising in :meth:`route_cell`; below it the direct intersection is
+    #: cheaper than the cache bookkeeping.
     ROUTE_CACHE_MIN_H2 = 16
     #: Size bound of :attr:`route_cache`; the memo is flushed wholesale when
     #: it grows past this (entries are cheap to recompute, and an unbounded
@@ -144,14 +143,14 @@ class GridTIndex:
         self._cells: Dict[CellCoord, GridTCell] = {}
         self._statistics = term_statistics
         self.object_filtering = object_filtering
-        #: (cell, frozenset-of-terms) -> (cell version, worker tuple); the
-        #: batched object router memoises decisions here.
+        #: (cell, frozenset-of-terms) -> (cell version, worker tuple);
+        #: :meth:`route_cell` memoises decisions here.
         self._route_cache: Dict[Tuple[CellCoord, FrozenSet[str]], Tuple[int, Tuple[int, ...]]] = {}
         #: Hot-loop profiling counters (:mod:`repro.runtime.profiling`);
-        #: ``None`` — the default — keeps routing at one guarded flush
-        #: per batch.  Assigned by whoever owns the index (the cluster's
-        #: inline router or a dispatch-shard replica) when profiling is
-        #: enabled; the index never creates it.
+        #: ``None`` — the default — keeps routing at a few ``is None``
+        #: checks per object.  Assigned by whoever owns the index (the
+        #: cluster's inline router or a dispatch-shard replica) when
+        #: profiling is enabled; the index never creates it.
         self.profile: Optional["RouteCounters"] = None
 
     # ------------------------------------------------------------------
@@ -365,17 +364,72 @@ class GridTIndex:
             prof.fallback_routes += 1
         return {cell.default_worker} if cell.default_worker is not None else set()
 
+    def route_cell(self, coord: CellCoord, terms: FrozenSet[str]) -> Tuple[int, ...]:
+        """Sorted workers for an object with ``terms`` in cell ``coord``.
+
+        The batched form of the :meth:`route_object` decision (empty tuple
+        means "discard"), shared by :meth:`route_object_batch` and the
+        cluster's fused window scan.  Content-routed decisions are memoised
+        per ``(cell, term set)`` in :attr:`route_cache`; every entry is
+        stamped with the cell's ``version`` counter so H2 updates
+        invalidate stale entries lazily instead of flushing the whole
+        cache.
+        """
+        prof = self.profile
+        cell = self._cells.get(coord)
+        if prof is not None:
+            prof.cells_probed += 1
+        if cell is None:
+            if prof is not None:
+                prof.fallback_routes += 1
+            return ()
+        if cell.term_workers is None and not self.object_filtering:
+            if prof is not None:
+                prof.fallback_routes += 1
+            default = cell.default_worker
+            return (default,) if default is not None else ()
+        h2 = cell.h2
+        if not h2:
+            if prof is not None:
+                prof.fallback_routes += 1
+            return ()
+        if prof is not None:
+            prof.probes += 1
+        # Memoising pays off only for cells with substantial H2 maps; for
+        # small cells the direct intersection is cheaper than the cache
+        # bookkeeping.
+        use_cache = len(h2) >= self.ROUTE_CACHE_MIN_H2
+        if use_cache:
+            cache = self._route_cache
+            cache_key = (coord, terms)
+            cached = cache.get(cache_key)
+            version = cell.version
+            if cached is not None and cached[0] == version:
+                if prof is not None:
+                    prof.cache_hits += 1
+                return cached[1]
+        if prof is not None:
+            prof.cache_misses += 1
+        # The keys-view intersection runs at C speed; most objects hit no
+        # posting keyword at all and are discarded right here.
+        hits = terms & h2.keys()
+        if not hits:
+            decision: Tuple[int, ...] = ()
+        else:
+            workers: Set[int] = set()
+            for term in hits:
+                workers.update(h2[term])
+            decision = tuple(sorted(workers))
+        if use_cache:
+            if len(cache) >= self.ROUTE_CACHE_LIMIT:
+                cache.clear()
+            cache[cache_key] = (version, decision)
+        return decision
+
     def route_object_batch(
         self, objects: Sequence[SpatioTextualObject]
     ) -> List[Tuple[int, ...]]:
-        """Route a window of objects in one pass (batched engine).
-
-        Returns one sorted worker tuple per object (empty tuple means
-        "discard").  Routing decisions are memoised per ``(cell, term set)``
-        in :attr:`route_cache`; every entry is stamped with the cell's
-        ``version`` counter so H2 updates between windows invalidate stale
-        entries lazily instead of flushing the whole cache.
-        """
+        """One :meth:`route_cell` decision per object of a run, in order."""
         grid = self._grid
         bounds = grid.bounds
         min_x = bounds.min_x
@@ -384,22 +438,9 @@ class GridTIndex:
         cell_h = grid.cell_height
         max_col = grid.columns - 1
         max_row = grid.rows - 1
-        cells_get = self._cells.get
-        cache = self._route_cache
-        if len(cache) > self.ROUTE_CACHE_LIMIT:
-            cache.clear()
-        cache_min_h2 = self.ROUTE_CACHE_MIN_H2
-        filtering = self.object_filtering
+        route_cell = self.route_cell
         decisions: List[Tuple[int, ...]] = []
         append = decisions.append
-        # Profiling accumulates into plain locals unconditionally — integer
-        # adds are cheaper than a per-object attribute test — and flushes
-        # once per batch behind the guard (the RL007 profiling seam).
-        prof_cells = 0
-        prof_probes = 0
-        prof_hits = 0
-        prof_misses = 0
-        prof_fallback = 0
         for obj in objects:
             location = obj.location
             col = int((location.x - min_x) / cell_w)
@@ -412,58 +453,7 @@ class GridTIndex:
                 row = 0
             elif row > max_row:
                 row = max_row
-            coord = (col, row)
-            cell = cells_get(coord)
-            prof_cells += 1
-            if cell is None:
-                prof_fallback += 1
-                append(())
-                continue
-            if cell.term_workers is None and not filtering:
-                prof_fallback += 1
-                default = cell.default_worker
-                append((default,) if default is not None else ())
-                continue
-            h2 = cell.h2
-            if not h2:
-                prof_fallback += 1
-                append(())
-                continue
-            terms = obj.terms
-            # Memoising pays off only for cells with substantial H2 maps;
-            # for small cells the direct intersection is cheaper than the
-            # cache bookkeeping.
-            use_cache = len(h2) >= cache_min_h2
-            prof_probes += 1
-            if use_cache:
-                cache_key = (coord, terms)
-                cached = cache.get(cache_key)
-                version = cell.version
-                if cached is not None and cached[0] == version:
-                    prof_hits += 1
-                    append(cached[1])
-                    continue
-            prof_misses += 1
-            # The keys-view intersection runs at C speed; most objects hit
-            # no posting keyword at all and are discarded right here.
-            hits = terms & h2.keys()
-            if not hits:
-                decision: Tuple[int, ...] = ()
-            else:
-                workers: Set[int] = set()
-                for term in hits:
-                    workers.update(h2[term])
-                decision = tuple(sorted(workers))
-            if use_cache:
-                cache[cache_key] = (version, decision)
-            append(decision)
-        prof = self.profile
-        if prof is not None:
-            prof.cells_probed += prof_cells
-            prof.probes += prof_probes
-            prof.cache_hits += prof_hits
-            prof.cache_misses += prof_misses
-            prof.fallback_routes += prof_fallback
+            append(route_cell((col, row), obj.terms))
         return decisions
 
     def _posting_assignments(self, query: STSQuery) -> List[Tuple[CellCoord, str, int]]:
@@ -476,17 +466,12 @@ class GridTIndex:
         return self.posting_assignments(query)[0]
 
     def posting_assignments(
-        self,
-        query: STSQuery,
-        h1_memo: Optional[Dict[Tuple[CellCoord, str], int]] = None,
+        self, query: STSQuery
     ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
         """``(cell, posting keyword, worker)`` triples plus the probed cell count.
 
         The cell count is the number of grid cells overlapping the query
-        region — the quantity the dispatcher cost model charges for.  An
-        optional ``h1_memo`` caches resolved ``(cell, keyword) -> worker``
-        H1 lookups across queries; it is only sound while H1 is static
-        (i.e. between migrations), which is how the batched engine uses it.
+        region — the quantity the dispatcher cost model charges for.
 
         Posting keywords are visited in sorted order so the assignment
         *sequence* (not just its content) is identical on every replica of
@@ -500,29 +485,15 @@ class GridTIndex:
         for coord in coords:
             cell = cells_get(coord)
             for key in posting_keys:
-                if h1_memo is not None:
-                    memo_key = (coord, key)
-                    worker = h1_memo.get(memo_key)
-                    if worker is None:
-                        worker = cell.lookup_h1(key) if cell is not None else None
-                        if worker is not None:
-                            h1_memo[memo_key] = worker
-                        else:
-                            # Fallback decisions depend on the mutable set of
-                            # known workers — never memoise them.
-                            worker = self._fallback_worker(key)
-                else:
-                    worker = cell.lookup_h1(key) if cell is not None else None
-                    if worker is None:
-                        worker = self._fallback_worker(key)
+                worker = cell.lookup_h1(key) if cell is not None else None
+                if worker is None:
+                    worker = self._fallback_worker(key)
                 if worker is not None:
                     assignments.append((coord, key, worker))
         return assignments, len(coords)
 
     def insertion_assignments(
-        self,
-        query: STSQuery,
-        h1_memo: Optional[Dict[Tuple[CellCoord, str], int]] = None,
+        self, query: STSQuery
     ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
         """The insertion-routing surface: where a *new* query is placed.
 
@@ -532,7 +503,7 @@ class GridTIndex:
         deletions (which still go through :meth:`posting_assignments` /
         ``route_deletion``) consult both.
         """
-        return self.posting_assignments(query, h1_memo)
+        return self.posting_assignments(query)
 
     def insertion_plan_apply(
         self, query: STSQuery

@@ -34,7 +34,6 @@ from .dispatch import (
     DispatchHost,
     FabricDispatch,
     InProcessDispatch,
-    MultiprocessDispatch,
     make_dispatch,
 )
 from .dispatcher import DispatcherNode, RoutingDecision
@@ -60,7 +59,6 @@ from .merge import (
     MERGE_BACKENDS,
     MergeBackend,
     MergeHost,
-    MultiprocessMerge,
     SINK_KINDS,
     SinkSpec,
     SubscriberSink,
@@ -95,7 +93,6 @@ from .transport import (
     FabricTransport,
     InProcessTransport,
     MergerStats,
-    MultiprocessTransport,
     StatsReport,
     Transport,
     TransportError,
@@ -130,8 +127,6 @@ __all__ = [
     "MERGE_BACKENDS",
     "MergeBackend",
     "MergeHost",
-    "MultiprocessDispatch",
-    "MultiprocessMerge",
     "make_dispatch",
     "make_merge",
     "LatencyBuckets",
@@ -140,7 +135,6 @@ __all__ = [
     "MergerNode",
     "MergerStats",
     "MigrationRecord",
-    "MultiprocessTransport",
     "RoleHost",
     "SINK_KINDS",
     "SinkSpec",

@@ -14,28 +14,52 @@ derives
 * **memory**: analytic footprints of the dispatcher routing index and the
   worker GI2 indexes (Figures 9 and 10).
 
-Two execution paths replay a stream:
+A stream is replayed by the per-tuple reference or by the batched engine:
 
 * :meth:`Cluster.process` / :meth:`Cluster.run` — the per-tuple
-  *reference* path.  Every tuple goes through dispatcher routing, worker
-  handling and merger delivery one at a time; this is the implementation
-  the equivalence tests pin the semantics to.
+  *reference*.  Every tuple goes through :meth:`DispatcherNode.route`
+  (:meth:`GridTIndex.route_object`), worker handling and merger delivery
+  one at a time; this is the implementation the equivalence tests pin the
+  semantics to, and the CLI default.
 * :meth:`Cluster.process_batch` / :meth:`Cluster.run_batched` — the
   *batched engine*.  The stream is consumed in windows (``--batch-size``
-  on the CLI); inside a window, runs of consecutive objects are routed in
-  one pass through :meth:`GridTIndex.route_object_batch` (which memoises
-  decisions per ``(cell, term set)`` with version-stamped entries), the
-  routed objects are grouped by destination worker and matched via
-  :meth:`GI2Index.match_batch` (amortising posting-list purge/setup per
-  cell), and match results are delivered to the mergers in bulk.  Query
-  insertions and deletions are barriers: they are applied in stream order
-  at their original position, so a batched run produces the same
-  throughput, worker loads, fanout and match counts as the per-tuple run
-  — batching changes wall-clock cost, never simulated semantics.
-  Deletion routing reuses the ``(cell, keyword, worker)`` assignments
-  remembered from the query's insertion (the keyword choice is
-  deterministic, Section IV-C); the caches are invalidated whenever a
-  migration or a routing-index swap changes H1.
+  on the CLI) and every window runs through **one** deferred-barrier
+  executor (:meth:`Cluster._execute_window`): objects are routed,
+  charged and grouped per destination worker in a single arrival scan
+  and matched via :meth:`GI2Index.match_batch` (amortising posting-list
+  purge/setup per cell); a query update applies to the routing index at
+  its stream position but defers its worker-side effect, acting as a
+  barrier only for objects in grid cells it touches; match results reach
+  the mergers in bulk.  A batched run therefore produces the same
+  throughput, worker loads, fanout and match counts as the per-tuple
+  run — batching changes wall-clock cost, never simulated semantics.
+  (Unaligned grids and dual routing during a global adjustment take
+  :meth:`Cluster.process_batch`'s strict-barrier fallback instead.)
+
+Each routing rule is written once: the object decision (H2 probe,
+version-stamped ``(cell, term set)`` memo, fallback) is
+:meth:`GridTIndex.route_cell`; the update plan (insertion plan, its reuse
+at deletion — the keyword choice is deterministic, Section IV-C — and the
+H2 delta) is :func:`repro.runtime.dispatch.plan_update`, whose plan cache
+is dropped whenever a migration or a routing-index swap changes H1.
+
+The executor has two *routing sources*, selected by
+``ClusterConfig.dispatch_backend``.  With ``"inline"`` (default) the
+coordinator applies the two rules itself, fused into the arrival scan.
+With ``"inprocess"`` / ``"multiprocess"`` / ``"socket"`` the window is
+partitioned across ``num_dispatchers`` dispatcher shards
+(:mod:`repro.runtime.dispatch`), each owning a replica of the routing
+index: shards apply the same two rules to their slice (every replica
+applies every update), the coordinator merges the position-tagged replies
+into a ``RoutedWindow`` and the executor reads decisions and plans off it
+instead — reports stay byte-identical to inline routing
+(``tests/test_dispatch.py``, ``tests/test_window_executor.py``) while the
+fabric backends route window ``K+1`` while the workers still match window
+``K``.  A per-tuple replay on a sharded backend is a window of one through
+the same protocol and executor.  Out-of-band H1 mutations (migrations,
+splits, index swaps) bump a routing version via
+:meth:`Cluster.invalidate_routing_caches`; the replicas re-sync from the
+coordinator's authoritative index before the next routed window.
 
 Either path talks to its workers exclusively through the pluggable
 transport layer (:mod:`repro.runtime.transport`): routed work ships as
@@ -47,23 +71,6 @@ reference semantics); ``backend="multiprocess"`` on
 :class:`ClusterConfig` hosts each worker in its own OS process, with the
 coordinator shipping every worker's window batch before collecting any
 reply so matching runs on all cores (see docs/ARCHITECTURE.md).
-
-Routing itself can likewise leave the coordinator:
-``ClusterConfig.dispatch_backend`` selects the sharded dispatch stage
-(:mod:`repro.runtime.dispatch`).  With ``"inline"`` (default) the
-coordinator routes every tuple exactly as described above.  With
-``"inprocess"`` or ``"multiprocess"`` the window is partitioned across
-``num_dispatchers`` dispatcher shards, each owning a replica of the
-routing index: shards route their slice (applying every query update so
-replicas stay in sync), the coordinator merges the position-tagged
-replies back into stream order and replays the same deferred-barrier
-segmentation — reports stay byte-identical to inline routing
-(``tests/test_dispatch.py``) while the multiprocess backend routes
-window ``K+1`` on the shards while the workers still match window ``K``.
-Out-of-band H1 mutations (migrations, splits, index swaps) bump a
-routing version via :meth:`Cluster.invalidate_routing_caches`; the
-replicas are re-synced from the coordinator's authoritative index before
-the next routed window.
 
 Result delivery is the third pluggable tier
 (:mod:`repro.runtime.merge`, ``ClusterConfig.merger_backend``): match
@@ -103,8 +110,8 @@ from ..indexes.gridt import GridTIndex
 from ..partitioning.base import PartitionPlan, WorkloadSample
 from ..workload.stream import iter_windows
 from .checkpoint import CheckpointStore, RecoveryEvent, RecoveryReport
-from .dispatch import DispatchBackend, RoutedWindow, group_triples, make_dispatch
-from .dispatcher import DispatcherNode, RoutingDecision
+from .dispatch import DispatchBackend, RoutedWindow, make_dispatch, plan_update
+from .dispatcher import DispatcherNode
 from .fabric import FaultPlan, TransportError, load_manifest
 from .protocol import barrier_context, mutates_routing
 from .merge import MergeBackend, SinkSpec, make_merge
@@ -527,10 +534,9 @@ class Cluster:
         self._object_fanout_total = 0
         self._query_fanout_total = 0
         self.migrations: List[MigrationRecord] = []
-        # Batched-engine caches: resolved H1 lookups and per-query insertion
-        # plans (reused when the deletion arrives).  Both are only valid
-        # while H1 is static; invalidate_routing_caches() drops them.
-        self._h1_memo: Dict[Tuple[CellCoord, str], int] = {}
+        # Window-executor cache: per-query insertion plans (reused when the
+        # deletion arrives).  Only valid while H1 is static;
+        # invalidate_routing_caches() drops it.
         self._insertion_assignments: Dict[
             int, Tuple[Dict[int, List[Tuple[CellCoord, str]]], int]
         ] = {}
@@ -607,7 +613,6 @@ class Cluster:
         (or memory report) re-syncs them from the authoritative index.
         """
         self._routing_version += 1
-        self._h1_memo.clear()
         self._insertion_assignments.clear()
         clear = getattr(self.routing_index, "clear_route_caches", None)
         if clear is not None:
@@ -623,9 +628,8 @@ class Cluster:
     def _sharded_routing(self) -> bool:
         """Whether routing currently runs on the dispatch shards.
 
-        Requires a sharded backend, a plain aligned gridt index (the same
-        precondition as the deferred-barrier fast path — the shard merge
-        replays that segmentation).  Other deployments (dual routing
+        Requires a sharded backend and the window executor's precondition,
+        a plain aligned gridt index.  Other deployments (dual routing
         during a global drain, unaligned grids) route inline on the
         coordinator; every inline update then marks the replicas stale so
         they re-sync when sharding resumes.
@@ -647,53 +651,31 @@ class Cluster:
         if self._dispatch is not None:
             self._routing_version += 1
 
-    def _route_tuple_sharded(
-        self, slot: int, item: StreamTuple, dispatcher: DispatcherNode
-    ) -> RoutingDecision:
-        """Route one tuple on its dispatch shard (per-tuple sharded path).
-
-        The shard owning dispatcher slot ``slot`` computes the decision on
-        its replica (updates are broadcast so every replica applies the H2
-        delta); the coordinator charges the matching
-        :class:`DispatcherNode` with the Definition-1 routing cost and
-        applies the update's plan to its authoritative index — exactly
-        what :meth:`DispatcherNode.route` does inline, so the per-tuple
-        reference semantics carry over byte for byte.
-        """
-        self._ensure_dispatch_synced()
-        assert self._dispatch is not None
-        routed = self._dispatch.route_tuple(slot, item)
-        tuple_cost = DispatcherNode.TUPLE_COST
-        probe_cost = DispatcherNode.PROBE_COST
-        if item.kind is TupleKind.OBJECT:
-            terms = len(item.payload.terms)
-            cost = tuple_cost + probe_cost * (terms if terms > 1 else 1)
-            discarded = not routed.workers
-            dispatcher.account_objects(1, 1 if discarded else 0, cost)
-            return RoutingDecision(workers=routed.workers, cost=cost, discarded=discarded)
-        cells = routed.cells
-        cost = tuple_cost + probe_cost * (cells if cells > 1 else 1)
-        per_worker = routed.plan
-        assert per_worker is not None
-        if item.kind is TupleKind.INSERT:
-            dispatcher.account_insertion(cost)
-            self.routing_index.apply_insertion(
-                (coord, key, worker)
-                for worker, pairs in per_worker.items()
-                for coord, key in pairs
-            )
-            return RoutingDecision(workers=routed.workers, cost=cost, assignments=per_worker)
-        dispatcher.account_deletion(cost)
-        self.routing_index.apply_deletion_pairs(per_worker)
-        return RoutingDecision(workers=routed.workers, cost=cost)
-
-    def _submit_window(self, items: Sequence[StreamTuple]) -> Tuple[int, int]:
-        """Reserve the window's dispatcher slots and submit it to the shards."""
-        self._ensure_dispatch_synced()
-        assert self._dispatch is not None
+    def _reserve_slots(self, count: int) -> int:
+        """Reserve ``count`` round-robin dispatcher slots; returns the first."""
         base = self._next_dispatcher
-        self._next_dispatcher = (base + len(items)) % len(self.dispatchers)
-        return self._dispatch.submit_window(items, base), base
+        self._next_dispatcher = (base + count) % len(self.dispatchers)
+        return base
+
+    def _submit_window(self, items: Sequence[StreamTuple], base: int) -> int:
+        """Submit one window (first dispatcher slot ``base``) to the synced shards."""
+        self._ensure_dispatch_synced()
+        assert self._dispatch is not None
+        return self._dispatch.submit_window(items, base)
+
+    def _process_on_shards(self, item: StreamTuple, slot: int, trace: bool) -> Set[int]:
+        """Per-tuple replay on the dispatch shards: a window of one.
+
+        The tuple rides the window protocol and the window executor from
+        the slot :meth:`process` reserved, so the shards need no per-tuple
+        wire protocol.  Returns the workers that handled it.
+        """
+        assert self._dispatch is not None
+        routed = self._dispatch.collect_window(self._submit_window((item,), slot))
+        self._execute_window((item,), slot, routed, trace)
+        if item.kind is TupleKind.OBJECT:
+            return self.workers.keys() & routed.decisions[0]
+        return self.workers.keys() & routed.plans[0][1]
 
     # ------------------------------------------------------------------
     # Tuple processing (per-tuple reference path)
@@ -707,7 +689,7 @@ class Cluster:
         dispatcher = self.dispatchers[slot]
         self._next_dispatcher = (slot + 1) % len(self.dispatchers)
         if self._sharded_routing():
-            decision = self._route_tuple_sharded(slot, item, dispatcher)
+            return self._process_on_shards(item, slot, trace)
         else:
             decision = dispatcher.route(item)
             if item.kind is not TupleKind.OBJECT:
@@ -849,7 +831,7 @@ class Cluster:
         if batch_size <= 1:
             return self.run(tuples, trace=trace)
         dispatch = self._dispatch
-        if dispatch is None or not dispatch.supports_pipelining:
+        if dispatch is None or not dispatch.supports_pipelining or not self._sharded_routing():
             for window in iter_windows(tuples, batch_size):
                 self.process_batch(window, trace=trace)
             return self.report()
@@ -860,27 +842,22 @@ class Cluster:
         # is ever in flight, and K's worker ops still ship before K+1's.
         pending: Optional[Tuple[Sequence[StreamTuple], int, int]] = None
         for window in iter_windows(tuples, batch_size):
-            if not self._sharded_routing():
-                if pending is not None:
-                    items, base, seq = pending
-                    self._apply_routed_window(
-                        items, base, dispatch.collect_window(seq), trace
-                    )
-                    pending = None
-                self.process_batch(window, trace=trace)
-                continue
-            if pending is None:
-                seq, base = self._submit_window(window)
-                pending = (window, base, seq)
-                continue
-            items, prev_base, prev_seq = pending
-            routed = dispatch.collect_window(prev_seq)
-            seq, base = self._submit_window(window)
+            if pending is not None:
+                items, prev_base, prev_seq = pending
+                routed = dispatch.collect_window(prev_seq)
+            base = self._reserve_slots(len(window))
+            seq = self._submit_window(window, base)
+            if pending is not None:
+                self._span_open(len(items))
+                self._execute_window(items, prev_base, routed, trace)
+                self._span_close()
             pending = (window, base, seq)
-            self._apply_routed_window(items, prev_base, routed, trace)
         if pending is not None:
             items, base, seq = pending
-            self._apply_routed_window(items, base, dispatch.collect_window(seq), trace)
+            routed = dispatch.collect_window(seq)
+            self._span_open(len(items))
+            self._execute_window(items, base, routed, trace)
+            self._span_close()
         return self.report()
 
     # ------------------------------------------------------------------
@@ -1261,29 +1238,37 @@ class Cluster:
         deployments (unaligned grids, dual routing during a global
         adjustment) every update is a strict barrier.
         """
+        self._span_open(len(items))
         if self._cells_aligned and type(self.routing_index) is GridTIndex:
+            base = self._reserve_slots(len(items))
+            routed: Optional[RoutedWindow] = None
             if self._dispatch is not None:
-                seq, base = self._submit_window(items)
-                self._apply_routed_window(
-                    items, base, self._dispatch.collect_window(seq), trace
-                )
-            else:
-                self._process_batch_fast(items, trace)
-            return
-        pending: List = []
-        object_kind = TupleKind.OBJECT
-        for item in items:
-            if item.kind is object_kind:
-                pending.append(item.payload)
-            else:
-                if pending:
-                    self._process_object_run(pending, trace)
-                    pending = []
-                self._process_update(item, trace)
-        if pending:
-            self._process_object_run(pending, trace)
+                routed = self._dispatch.collect_window(self._submit_window(items, base))
+            self._execute_window(items, base, routed, trace)
+        else:
+            # Strict barriers: object runs in bulk, every update through
+            # the per-tuple reference path at its stream position.
+            pending: List = []
+            object_kind = TupleKind.OBJECT
+            for item in items:
+                if item.kind is object_kind:
+                    pending.append(item.payload)
+                else:
+                    if pending:
+                        self._process_object_run(pending, trace)
+                        pending = []
+                    self.process(item, trace=trace)
+            if pending:
+                self._process_object_run(pending, trace)
+        self._span_close()
 
-    def _process_batch_fast(self, items: Sequence[StreamTuple], trace: bool) -> None:
+    def _execute_window(
+        self,
+        items: Sequence[StreamTuple],
+        base: int,
+        routed: Optional[RoutedWindow],
+        trace: bool,
+    ) -> None:
         """Deferred-barrier window execution over an aligned gridt index.
 
         Correctness argument: an update's observable effect — H2 postings
@@ -1293,16 +1278,25 @@ class Cluster:
         whether it executes before or after them, so it is executed in the
         current bulk run; an object whose cell *is* touched flushes the
         window segment first (objects, then the deferred updates in stream
-        order).  Per-tuple dispatcher round-robin, costs, counters and
-        traces are all assigned by original stream position.
+        order).  Per-tuple dispatcher round-robin (from slot ``base``),
+        costs, counters and traces are all assigned by original stream
+        position.
+
+        Only two steps depend on where routing ran.  With ``routed is
+        None`` the coordinator routes inline, fused into this scan: an
+        object's decision comes from :meth:`GridTIndex.route_cell`, an
+        update's plan from :func:`~repro.runtime.dispatch.plan_update`.
+        Otherwise both are read off the position-tagged
+        :class:`~repro.runtime.dispatch.RoutedWindow` the dispatch shards
+        produced, and each update's H2 delta is replayed on the
+        coordinator's authoritative index (pure increments, no H1
+        probing), so adjusters and migrations keep observing exact
+        routing state.
         """
-        self._span_open(len(items))
         routing = self.routing_index
         count = len(items)
         dispatchers = self.dispatchers
         num_dispatchers = len(dispatchers)
-        base = self._next_dispatcher
-        self._next_dispatcher = (base + count) % num_dispatchers
 
         grid = routing.grid
         bounds = grid.bounds
@@ -1335,28 +1329,16 @@ class Cluster:
         touched: Set[CellCoord] = set()
         touched_synced = 0
 
+        decisions = routed.decisions if routed is not None else None
+        plans = routed.plans if routed is not None else None
         insertion_cache = self._insertion_assignments
+        route_cell = routing.route_cell
         object_kind = TupleKind.OBJECT
-        insert_kind = TupleKind.INSERT
         tuple_cost = DispatcherNode.TUPLE_COST
         probe_cost = DispatcherNode.PROBE_COST
         workers_map = self.workers
-        cells_get = routing.cells().get
-        route_cache = routing.route_cache
-        if len(route_cache) > GridTIndex.ROUTE_CACHE_LIMIT:
-            route_cache.clear()
-        cache_min_h2 = GridTIndex.ROUTE_CACHE_MIN_H2
-        filtering = routing.object_filtering
         window_objects = 0
         window_fanout = 0
-        # Inline-routing profiling mirrors GridTIndex.route_object_batch:
-        # plain locals accumulated unconditionally, flushed once per window
-        # behind the guard (the RL007 profiling seam).
-        prof_cells = 0
-        prof_probes = 0
-        prof_hits = 0
-        prof_misses = 0
-        prof_fallback = 0
 
         for position, item in enumerate(items):
             if item.kind is object_kind:
@@ -1374,15 +1356,12 @@ class Cluster:
                     row = max_row
                 coord = (col, row)
                 window_objects += 1
-                # Routing and dispatcher accounting are fused into the
-                # arrival scan: H2 was already updated by every earlier
+                # Inline routing and dispatcher accounting are fused into
+                # the arrival scan: H2 was already updated by every earlier
                 # update in the window, so the decision equals the
                 # sequential one.  Only *matched* objects need the
                 # worker-side barrier below; discarded objects never reach
                 # a worker and bypass the deferral machinery entirely.
-                # The decision rule below is an inlined copy of
-                # GridTIndex.route_object / route_object_batch — any change
-                # to the routing semantics must be mirrored in all three.
                 slot = (base + position) % num_dispatchers
                 terms = obj.terms
                 n_terms = len(terms)
@@ -1391,43 +1370,9 @@ class Cluster:
                 dispatcher_objects[slot] += 1
                 if trace_costs is not None:
                     trace_costs[position] = cost
-                cell = cells_get(coord)
-                prof_cells += 1
-                decision: Tuple[int, ...] = ()
-                if cell is None:
-                    prof_fallback += 1
-                elif cell.term_workers is None and not filtering:
-                    prof_fallback += 1
-                    default = cell.default_worker
-                    if default is not None:
-                        decision = (default,)
-                else:
-                    h2 = cell.h2
-                    if h2:
-                        prof_probes += 1
-                        use_cache = len(h2) >= cache_min_h2
-                        cached_decision = None
-                        if use_cache:
-                            cache_key = (coord, terms)
-                            entry = route_cache.get(cache_key)
-                            version = cell.version
-                            if entry is not None and entry[0] == version:
-                                cached_decision = entry[1]
-                        if cached_decision is not None:
-                            prof_hits += 1
-                            decision = cached_decision
-                        else:
-                            prof_misses += 1
-                            hits = terms & h2.keys()
-                            if hits:
-                                workers: Set[int] = set()
-                                for term in hits:
-                                    workers.update(h2[term])
-                                decision = tuple(sorted(workers))
-                            if use_cache:
-                                route_cache[cache_key] = (version, decision)
-                    else:
-                        prof_fallback += 1
+                decision = (
+                    route_cell(coord, terms) if decisions is None else decisions[position]
+                )
                 if not decision:
                     dispatcher_discarded[slot] += 1
                     continue
@@ -1479,39 +1424,33 @@ class Cluster:
                         else:
                             group.append(local)
             else:
-                payload = item.payload
-                query = payload.query
                 # H2 applies immediately: pending objects were already
                 # routed at their arrival, and later objects must see the
                 # updated H2 — exactly the sequential routing order.  Only
                 # the worker-side (GI2) effect is deferred to the flush.
-                if item.kind is insert_kind:
-                    per_worker, cells = routing.insertion_plan_apply(query)
-                    insertion_cache[query.query_id] = (per_worker, cells)
-                    is_insert = True
+                if plans is None:
+                    is_insert, per_worker, cells = plan_update(
+                        routing, insertion_cache, item
+                    )
                 else:
-                    cached = insertion_cache.pop(query.query_id, None)
-                    if cached is not None:
-                        per_worker, cells = cached
+                    is_insert, per_worker, cells = plans[position]
+                    if is_insert:
+                        routing.apply_insertion(
+                            (coord, key, worker)
+                            for worker, pairs in per_worker.items()
+                            for coord, key in pairs
+                        )
                     else:
-                        triples, cells = routing.posting_assignments(query)
-                        per_worker = group_triples(triples)
-                    routing.apply_deletion_pairs(per_worker)
-                    is_insert = False
-                pending_updates.append((position, is_insert, payload, per_worker, cells))
+                        routing.apply_deletion_pairs(per_worker)
+                pending_updates.append(
+                    (position, is_insert, item.payload, per_worker, cells)
+                )
         self._flush_fast(
             pending_positions, pending_objects, pending_coords, pending_groups,
             pending_updates, base,
             dispatcher_update_costs, dispatcher_insertions, dispatcher_deletions,
             trace_costs, trace_workers,
         )
-        route_prof = routing.profile
-        if route_prof is not None:
-            route_prof.cells_probed += prof_cells
-            route_prof.probes += prof_probes
-            route_prof.cache_hits += prof_hits
-            route_prof.cache_misses += prof_misses
-            route_prof.fallback_routes += prof_fallback
         self._objects += window_objects
         self._tuples_processed += window_objects
         self._object_fanout_total += window_fanout
@@ -1541,7 +1480,6 @@ class Cluster:
                 trace_costs,
                 trace_workers,
             )
-        self._span_close()
 
     def _flush_fast(
         self,
@@ -1607,24 +1545,11 @@ class Cluster:
                         batch_ops[worker_id] = [DeleteById(query_id)]
                     else:
                         ops.append(DeleteById(query_id))
-        replies: Dict[int, List[Optional[MatchResults]]]
+        replies: Dict[int, List[Optional[MatchResults]]] = {}
         if batch_ops:
-            batches = {
-                worker_id: RouteBatch(ops) for worker_id, ops in batch_ops.items()
-            }
-            span = self._span_state
-            if span is not None and self._telemetry is not None:
-                started_ms = self._telemetry.now_ms()
-                replies = self.transport.exchange(batches)
-                if span.match_started_ms < 0:
-                    span.match_started_ms = started_ms
-                span.match_ms += self._telemetry.now_ms() - started_ms
-                if len(batch_ops) > span.match_endpoints:
-                    span.match_endpoints = len(batch_ops)
-            else:
-                replies = self.transport.exchange(batches)
-        else:
-            replies = {}
+            replies = self._exchange(
+                {worker_id: RouteBatch(ops) for worker_id, ops in batch_ops.items()}
+            )
 
         if groups:
             all_results: List[MatchResult] = []
@@ -1685,191 +1610,22 @@ class Cluster:
                 assert trace_workers is not None
                 trace_workers[position] = worker_items
 
-    def _apply_routed_window(
-        self,
-        items: Sequence[StreamTuple],
-        base: int,
-        routed: RoutedWindow,
-        trace: bool,
-    ) -> None:
-        """Consume one window the dispatch shards routed (sharded engine).
-
-        The deferred-barrier twin of :meth:`_process_batch_fast`: this
-        scan replays exactly the same segmentation, flush schedule,
-        dispatcher accounting and traces, but consumes the position-tagged
-        decisions and update plans of a merged
-        :class:`~repro.runtime.dispatch.RoutedWindow` instead of probing
-        the routing index — the routing work already happened on the
-        shards.  Any change to the segmentation rules must be mirrored in
-        both methods.  Update plans are also applied to the coordinator's
-        authoritative index here (pure H2 increments, no H1 probing), so
-        adjusters and migrations keep observing exact routing state.
-        """
-        self._span_open(len(items))
-        routing = self.routing_index
-        count = len(items)
-        dispatchers = self.dispatchers
-        num_dispatchers = len(dispatchers)
-
-        grid = routing.grid
-        bounds = grid.bounds
-        min_x = bounds.min_x
-        min_y = bounds.min_y
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        max_col = grid.columns - 1
-        max_row = grid.rows - 1
-
-        trace_costs: Optional[List[float]] = [0.0] * count if trace else None
-        trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
-            [None] * count if trace else None
-        )
-        dispatcher_costs = [0.0] * num_dispatchers
-        dispatcher_objects = [0] * num_dispatchers
-        dispatcher_discarded = [0] * num_dispatchers
-        dispatcher_update_costs = [0.0] * num_dispatchers
-        dispatcher_insertions = [0] * num_dispatchers
-        dispatcher_deletions = [0] * num_dispatchers
-
-        pending_positions: List[int] = []
-        pending_objects: List = []
-        pending_coords: List[CellCoord] = []
-        pending_groups: Dict[int, List[int]] = {}
-        pending_updates: List[Tuple] = []
-        object_cells: Set[CellCoord] = set()
-        touched: Set[CellCoord] = set()
-        touched_synced = 0
-
-        decisions = routed.decisions
-        plans = routed.plans
-        object_kind = TupleKind.OBJECT
-        tuple_cost = DispatcherNode.TUPLE_COST
-        probe_cost = DispatcherNode.PROBE_COST
-        workers_map = self.workers
-        apply_insertion = routing.apply_insertion
-        apply_deletion_pairs = routing.apply_deletion_pairs
-        window_objects = 0
-        window_fanout = 0
-
-        for position, item in enumerate(items):
-            if item.kind is object_kind:
-                obj = item.payload
-                window_objects += 1
-                slot = (base + position) % num_dispatchers
-                n_terms = len(obj.terms)
-                cost = tuple_cost + probe_cost * (n_terms if n_terms > 1 else 1)
-                dispatcher_costs[slot] += cost
-                dispatcher_objects[slot] += 1
-                if trace_costs is not None:
-                    trace_costs[position] = cost
-                decision = decisions[position]
-                if not decision:
-                    dispatcher_discarded[slot] += 1
-                    continue
-                location = obj.location
-                col = int((location.x - min_x) / cell_w)
-                row = int((location.y - min_y) / cell_h)
-                if col < 0:
-                    col = 0
-                elif col > max_col:
-                    col = max_col
-                if row < 0:
-                    row = 0
-                elif row > max_row:
-                    row = max_row
-                coord = (col, row)
-                if touched_synced < len(pending_updates):
-                    touched_add = touched.add
-                    for update in pending_updates[touched_synced:]:
-                        for pairs in update[3].values():
-                            for pair in pairs:
-                                touched_add(pair[0])
-                    touched_synced = len(pending_updates)
-                if coord in touched:
-                    if touched.isdisjoint(object_cells):
-                        self._flush_fast(
-                            [], [], [], {}, pending_updates, base,
-                            dispatcher_update_costs,
-                            dispatcher_insertions, dispatcher_deletions,
-                            trace_costs, trace_workers,
-                        )
-                    else:
-                        self._flush_fast(
-                            pending_positions, pending_objects, pending_coords,
-                            pending_groups, pending_updates, base,
-                            dispatcher_update_costs, dispatcher_insertions,
-                            dispatcher_deletions, trace_costs, trace_workers,
-                        )
-                        pending_positions = []
-                        pending_objects = []
-                        pending_coords = []
-                        pending_groups = {}
-                        object_cells = set()
-                    pending_updates = []
-                    touched = set()
-                    touched_synced = 0
-                local = len(pending_objects)
-                pending_positions.append(position)
-                pending_objects.append(obj)
-                pending_coords.append(coord)
-                object_cells.add(coord)
-                for worker_id in decision:
-                    if worker_id in workers_map:
-                        window_fanout += 1
-                        group = pending_groups.get(worker_id)
-                        if group is None:
-                            pending_groups[worker_id] = [local]
-                        else:
-                            group.append(local)
-            else:
-                is_insert, per_worker, cells = plans[position]
-                # The shard already routed the update; replay the H2 delta
-                # on the authoritative index (increments only, no probes).
-                if is_insert:
-                    apply_insertion(
-                        (coord, key, worker)
-                        for worker, pairs in per_worker.items()
-                        for coord, key in pairs
-                    )
-                else:
-                    apply_deletion_pairs(per_worker)
-                pending_updates.append(
-                    (position, is_insert, item.payload, per_worker, cells)
-                )
-        self._flush_fast(
-            pending_positions, pending_objects, pending_coords, pending_groups,
-            pending_updates, base,
-            dispatcher_update_costs, dispatcher_insertions, dispatcher_deletions,
-            trace_costs, trace_workers,
-        )
-        self._objects += window_objects
-        self._tuples_processed += window_objects
-        self._object_fanout_total += window_fanout
-        for slot in range(num_dispatchers):
-            if dispatcher_objects[slot]:
-                dispatchers[slot].account_objects(
-                    dispatcher_objects[slot],
-                    dispatcher_discarded[slot],
-                    dispatcher_costs[slot],
-                )
-            if dispatcher_insertions[slot] or dispatcher_deletions[slot]:
-                dispatchers[slot].account_updates(
-                    dispatcher_insertions[slot],
-                    dispatcher_deletions[slot],
-                    dispatcher_update_costs[slot],
-                )
-        if trace:
-            assert trace_costs is not None and trace_workers is not None
-            rotated = [
-                dispatchers[(base + offset) % num_dispatchers].dispatcher_id
-                for offset in range(num_dispatchers)
-            ]
-            self._traces.extend(
-                islice(cycle(rotated), count),
-                trace_costs,
-                trace_workers,
-            )
-        self._span_close()
+    def _exchange(
+        self, batches: Dict[int, RouteBatch]
+    ) -> Dict[int, List[Optional[MatchResults]]]:
+        """One transport exchange, timed into the open window span's match hop."""
+        span = self._span_state
+        hub = self._telemetry
+        if span is None or hub is None:
+            return self.transport.exchange(batches)
+        started_ms = hub.now_ms()
+        replies = self.transport.exchange(batches)
+        if span.match_started_ms < 0:
+            span.match_started_ms = started_ms
+        span.match_ms += hub.now_ms() - started_ms
+        if len(batches) > span.match_endpoints:
+            span.match_endpoints = len(batches)
+        return replies
 
     def _process_object_run(self, objects: Sequence, trace: bool) -> None:
         """Route, match and merge a run of consecutive objects in bulk."""
@@ -1927,7 +1683,7 @@ class Cluster:
         worker_cost_lists: List[List[Tuple[int, float]]] = [[] for _ in range(count)]
         all_results: List[MatchResult] = []
         produced = 0
-        replies = self.transport.exchange(
+        replies = self._exchange(
             {
                 worker_id: RouteBatch(
                     (MatchObjects([objects[p] for p in positions]),)
@@ -1957,95 +1713,6 @@ class Cluster:
                     object_costs[position],
                     worker_cost_lists[position],
                 )
-
-    def _process_update(self, item: StreamTuple, trace: bool) -> None:
-        """Apply one insertion/deletion at its stream position (batched path).
-
-        Mirrors :meth:`process` for update tuples but reuses the cluster's
-        H1 memo and remembers insertion assignments so the matching
-        deletion routes without re-probing the grid.
-        """
-        dispatcher = self.dispatchers[self._next_dispatcher]
-        self._next_dispatcher = (self._next_dispatcher + 1) % len(self.dispatchers)
-        routing = self.routing_index
-        assignments_fn = getattr(routing, "posting_assignments", None)
-        if assignments_fn is None:
-            # Routing structures without the detailed surface: fall back to
-            # the reference per-tuple path for this update.
-            self._next_dispatcher = (
-                self._next_dispatcher - 1 + len(self.dispatchers)
-            ) % len(self.dispatchers)
-            self.process(item, trace=trace)
-            return
-
-        query = item.payload.query  # type: ignore[union-attr]
-        tuple_cost = DispatcherNode.TUPLE_COST
-        probe_cost = DispatcherNode.PROBE_COST
-        if item.kind is TupleKind.INSERT:
-            triples, cells = assignments_fn(query, self._h1_memo)
-            routing.apply_insertion(triples)
-            per_worker = group_triples(triples)
-            self._insertion_assignments[query.query_id] = (per_worker, cells)
-        else:
-            cached = self._insertion_assignments.pop(query.query_id, None)
-            if cached is not None:
-                per_worker, cells = cached
-            else:
-                triples, cells = assignments_fn(query, self._h1_memo)
-                per_worker = group_triples(triples)
-            routing.apply_deletion_pairs(per_worker)
-        # Inline update while shard replicas exist (sharded dispatch falls
-        # back inline on unaligned deployments): mark the replicas stale.
-        self._mark_routing_mutated()
-        cost = tuple_cost + probe_cost * (cells if cells > 1 else 1)
-
-        workers_map = self.workers
-        worker_costs: List[Tuple[int, float]] = []
-        handled = 0
-        cells_aligned = self._cells_aligned
-        cost_model = self.config.cost_model
-        log = self._update_log if self._checkpoints is not None else None
-        if item.kind is TupleKind.INSERT:
-            dispatcher.account_insertion(cost)
-            self.transport.exchange(
-                {
-                    worker_id: RouteBatch(
-                        (InsertQuery(item.payload, per_worker[worker_id], cells_aligned),)
-                    )
-                    for worker_id in sorted(per_worker)
-                    if worker_id in workers_map
-                }
-            )
-            for worker_id in sorted(per_worker):
-                if worker_id not in workers_map:
-                    continue
-                if log is not None:
-                    log.append(
-                        (worker_id, QueryAssignment(query, tuple(per_worker[worker_id]), True))
-                    )
-                handled += 1
-                worker_costs.append((worker_id, cost_model.insert_handling))
-            self._insertions += 1
-            self._query_fanout_total += handled
-        else:
-            dispatcher.account_deletion(cost)
-            self.transport.exchange(
-                {
-                    worker_id: RouteBatch((DeleteQuery(item.payload),))
-                    for worker_id in sorted(per_worker)
-                    if worker_id in workers_map
-                }
-            )
-            for worker_id in sorted(per_worker):
-                if worker_id not in workers_map:
-                    continue
-                if log is not None:
-                    log.append((worker_id, query.query_id))
-                worker_costs.append((worker_id, cost_model.delete_handling))
-            self._deletions += 1
-        self._tuples_processed += 1
-        if trace:
-            self._traces.append(dispatcher.dispatcher_id, cost, worker_costs)
 
     # ------------------------------------------------------------------
     # Merger tier (delivery, dedup accounting, subscriber sinks)

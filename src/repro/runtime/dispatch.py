@@ -86,9 +86,7 @@ __all__ = [
     "DispatchHost",
     "FabricDispatch",
     "InProcessDispatch",
-    "MultiprocessDispatch",
     "RoutedWindow",
-    "TupleRouting",
     "make_dispatch",
 ]
 
@@ -154,40 +152,6 @@ class WindowRouting:
 
 
 @dataclass(slots=True)
-class RouteProbe:
-    """Coordinator→shard: route one object (per-tuple reference path).
-
-    Objects go only to their owner shard, as the same compact probe the
-    windowed path ships.
-    """
-
-    x: float
-    y: float
-    terms: Any
-
-
-@dataclass(slots=True)
-class RouteUpdate:
-    """Coordinator→shard: route one query update (per-tuple path).
-
-    Broadcast so every replica applies the H2 delta; only the owner
-    (``owner=True``) returns the routing plan.
-    """
-
-    item: StreamTuple
-    owner: bool
-
-
-@dataclass(slots=True)
-class TupleRouting:
-    """Shard→coordinator reply to :class:`RouteTuple`."""
-
-    workers: Tuple[int, ...]
-    plan: Optional[WorkerPlan]
-    cells: int
-
-
-@dataclass(slots=True)
 class SyncRoutingIndex:
     """Coordinator→shard: replace the replica with a pickled snapshot."""
 
@@ -227,6 +191,31 @@ def group_triples(
         else:
             pairs.append((coord, key))
     return per_worker
+
+
+def plan_update(
+    index: Any, plan_cache: Dict[int, Tuple[WorkerPlan, int]], item: StreamTuple
+) -> Tuple[bool, WorkerPlan, int]:
+    """Plan one query update on ``index`` and apply its H2 delta.
+
+    Returns ``(is_insert, per-worker plan, probed cells)``.  An
+    insertion's plan is remembered in ``plan_cache`` and reused when the
+    matching deletion arrives (the keyword choice is deterministic,
+    Section IV-C); the cache's owner drops it whenever H1 changes.
+    """
+    query = item.payload.query
+    if item.kind is TupleKind.INSERT:
+        per_worker, cells = index.insertion_plan_apply(query)
+        plan_cache[query.query_id] = (per_worker, cells)
+        return True, per_worker, cells
+    cached = plan_cache.pop(query.query_id, None)
+    if cached is not None:
+        per_worker, cells = cached
+    else:
+        triples, cells = index.posting_assignments(query)
+        per_worker = group_triples(triples)
+    index.apply_deletion_pairs(per_worker)
+    return False, per_worker, cells
 
 
 def _split_window(
@@ -306,7 +295,6 @@ class _ShardRouter:
         plans: List[Tuple[int, bool, WorkerPlan, int]] = []
         cache = self.insertion_plans
         route_batch = index.route_object_batch
-        insert_kind = TupleKind.INSERT
         oi = 0
         total = len(objects)
         for upos, item in updates:
@@ -322,20 +310,7 @@ class _ShardRouter:
                     ),
                 ):
                     decisions.append((position, decision))
-            query = item.payload.query
-            if item.kind is insert_kind:
-                per_worker, cells = index.insertion_plan_apply(query)
-                cache[query.query_id] = (per_worker, cells)
-                is_insert = True
-            else:
-                cached = cache.pop(query.query_id, None)
-                if cached is not None:
-                    per_worker, cells = cached
-                else:
-                    triples, cells = index.posting_assignments(query)
-                    per_worker = group_triples(triples)
-                index.apply_deletion_pairs(per_worker)
-                is_insert = False
+            is_insert, per_worker, cells = plan_update(index, cache, item)
             if (base + upos) % self.num_shards == self.shard_id:
                 plans.append((upos, is_insert, per_worker, cells))
         if oi < total:
@@ -349,37 +324,6 @@ class _ShardRouter:
                 decisions.append((position, decision))
         return decisions, plans
 
-    def route_probe(self, x: float, y: float, terms: Any) -> TupleRouting:
-        """Route one object (per-tuple reference path)."""
-        index = self.index
-        if index is None:
-            raise TransportError("dispatch shard %d routed before sync" % self.shard_id)
-        workers = index.route_object(_RoutingProbe(Point(x, y), terms))
-        return TupleRouting(tuple(sorted(workers)), None, 0)
-
-    def route_update(self, item: StreamTuple, owner: bool) -> TupleRouting:
-        """Route one query update (per-tuple reference path).
-
-        Mirrors ``DispatcherNode.route`` on the replica: insertions place
-        and record their posting assignments, deletions recompute them
-        (the per-tuple path never caches, matching the serial reference)
-        — identical decisions, identical plans.
-        """
-        index = self.index
-        if index is None:
-            raise TransportError("dispatch shard %d routed before sync" % self.shard_id)
-        query = item.payload.query
-        if item.kind is TupleKind.INSERT:
-            triples, cells = index.insertion_assignments(query)
-            index.apply_insertion(triples)
-        else:
-            triples, cells = index.posting_assignments(query)
-            index.apply_deletion(triples)
-        per_worker = group_triples(triples)
-        return TupleRouting(
-            tuple(sorted(per_worker)), per_worker if owner else None, cells
-        )
-
     def memory_bytes(self) -> int:
         return self.index.memory_bytes() if self.index is not None else 0
 
@@ -392,9 +336,9 @@ class DispatchBackend:
 
     The cluster drives it with a strict window protocol: ``sync`` (when
     the routing version moved), ``submit_window``, ``collect_window`` —
-    at most one window outstanding — plus ``route_tuple`` on the per-tuple
-    path, ``barrier`` at adjustment fences and ``shard_memory`` for the
-    Figure 9 per-dispatcher memory report.
+    at most one window outstanding; a per-tuple replay submits windows of
+    one — plus ``barrier`` at adjustment fences and ``shard_memory`` for
+    the Figure 9 per-dispatcher memory report.
     """
 
     backend_name = "abstract"
@@ -416,10 +360,6 @@ class DispatchBackend:
 
     def collect_window(self, seq: int) -> RoutedWindow:
         """Gather and merge the shard replies of window ``seq``."""
-        raise NotImplementedError
-
-    def route_tuple(self, slot: int, item: StreamTuple) -> TupleRouting:
-        """Route one tuple on the shard owning dispatcher slot ``slot``."""
         raise NotImplementedError
 
     def barrier(self) -> int:
@@ -537,20 +477,6 @@ class InProcessDispatch(DispatchBackend):
     def collect_window(self, seq: int) -> RoutedWindow:
         return self._routed.pop(seq)
 
-    def route_tuple(self, slot: int, item: StreamTuple) -> TupleRouting:
-        owner = slot % self.num_shards
-        if item.kind is TupleKind.OBJECT:
-            obj = item.payload
-            location = obj.location
-            return self._routers[owner].route_probe(location.x, location.y, obj.terms)
-        result: Optional[TupleRouting] = None
-        for router in self._routers:
-            routed = router.route_update(item, router.shard_id == owner)
-            if router.shard_id == owner:
-                result = routed
-        assert result is not None
-        return result
-
     def barrier(self) -> int:
         # Routing is synchronous: every submitted window was already
         # collected, so the fence reduces to bumping the epoch.
@@ -613,10 +539,6 @@ class DispatchHost(RoleHost):
                 message.objects, message.updates, message.base
             )
             return WindowRouting(message.seq, decisions, plans)
-        if kind is RouteProbe:
-            return router.route_probe(message.x, message.y, message.terms)
-        if kind is RouteUpdate:
-            return router.route_update(message.item, message.owner)
         if kind is SyncRoutingIndex:
             router.sync(pickle.loads(message.payload))
             return True
@@ -692,22 +614,6 @@ class FabricDispatch(DispatchBackend):
                 )
         return self._merge(replies[shard_id] for shard_id in sorted(replies))
 
-    def route_tuple(self, slot: int, item: StreamTuple) -> TupleRouting:
-        owner = slot % self.num_shards
-        if item.kind is TupleKind.OBJECT:
-            obj = item.payload
-            location = obj.location
-            return self._fleet.request(
-                owner, RouteProbe(location.x, location.y, obj.terms)
-            )
-        replies = self._fleet.exchange(
-            {
-                shard_id: RouteUpdate(item, shard_id == owner)
-                for shard_id in sorted(self._fleet.endpoint_ids)
-            }
-        )
-        return replies[owner]
-
     def barrier(self) -> int:
         return self._fleet.barrier()
 
@@ -752,11 +658,6 @@ class FabricDispatch(DispatchBackend):
             self.close()
         except Exception:
             pass
-
-
-#: Backwards-compatible name: the process-per-shard deployment is a
-#: FabricDispatch whose fleet was spawned locally.
-MultiprocessDispatch = FabricDispatch
 
 
 #: Registry of the selectable dispatch backends (``--dispatch-backend``).

@@ -142,16 +142,6 @@ class DispatcherNode:
         self.objects_routed += routed
         self.objects_discarded += discarded
 
-    def account_insertion(self, cost: float) -> None:
-        self.busy_cost += cost
-        self._last_tuple_cost = cost
-        self.insertions_routed += 1
-
-    def account_deletion(self, cost: float) -> None:
-        self.busy_cost += cost
-        self._last_tuple_cost = cost
-        self.deletions_routed += 1
-
     def account_updates(self, insertions: int, deletions: int, total_cost: float) -> None:
         """Charge a window's worth of update routing decisions in one call."""
         self.busy_cost += total_cost

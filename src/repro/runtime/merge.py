@@ -94,7 +94,6 @@ __all__ = [
     "MemorySink",
     "MergeBackend",
     "MergeHost",
-    "MultiprocessMerge",
     "NullSink",
     "SINK_KINDS",
     "SinkSpec",
@@ -556,11 +555,6 @@ class FabricMerge(MergeBackend):
             self.close()
         except Exception:
             pass
-
-
-#: Backwards-compatible name: the process-per-shard deployment is a
-#: FabricMerge whose fleet was spawned locally.
-MultiprocessMerge = FabricMerge
 
 
 #: Registry of the selectable merger backends (``--merger-backend``).

@@ -83,8 +83,6 @@ MESSAGE_ROUTING: Mapping[str, Tuple[str, ...]] = {
     ),
     "dispatcher": (
         "RouteWindow",
-        "RouteProbe",
-        "RouteUpdate",
         "SyncRoutingIndex",
         "ShardMemoryRequest",
         "TelemetryDrain",
@@ -119,7 +117,6 @@ REPLY_MESSAGES: Tuple[str, ...] = (
     "RemoteError",
     "StatsReport",
     "TelemetryBatch",
-    "TupleRouting",
     "WindowRouting",
     "WorkerSnapshot",
 )

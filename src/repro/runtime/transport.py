@@ -102,7 +102,6 @@ __all__ = [
     "MergerReset",
     "MergerStats",
     "MergerStatsRequest",
-    "MultiprocessTransport",
     "RemoteCallable",
     "RemoteError",
     "RouteBatch",
@@ -904,11 +903,6 @@ class FabricTransport(Transport):
             self.close()
         except Exception:
             pass
-
-
-#: Backwards-compatible name: the process-per-worker deployment is a
-#: FabricTransport whose fleet was spawned locally.
-MultiprocessTransport = FabricTransport
 
 
 #: Registry of the selectable transport backends (``--backend`` on the CLI).

@@ -58,11 +58,13 @@ def run_once(
     adjust_every=0,
     local_adjuster=None,
     batch_size=64,
+    gi2_granularity=64,
 ):
     """One batched run; returns (report, delivered-set, cluster-telemetry)."""
     config = ClusterConfig(
         num_dispatchers=2,
         num_workers=4,
+        gi2_granularity=gi2_granularity,
         backend=backend,
         dispatch_backend=dispatch_backend,
         merger_backend=merger_backend,
@@ -227,11 +229,19 @@ class TestTelemetryServer:
 # Cluster integration: spans, gauges, timeline content
 # ----------------------------------------------------------------------
 class TestClusterTelemetry:
-    def test_every_window_traced_with_all_three_hops(self, tmp_path):
+    # A worker grid that differs from the routing grid (64) sends every
+    # window through process_batch's strict-barrier fallback.
+    @pytest.mark.parametrize(
+        "gi2_granularity", [64, 32], ids=["aligned", "strict-barrier-fallback"]
+    )
+    def test_every_window_traced_with_all_three_hops(self, tmp_path, gi2_granularity):
         plan, tuples = make_chaos_workload()
         path = str(tmp_path / "t.jsonl")
         report, _, events, text = run_once(
-            plan, tuples, telemetry=TelemetrySpec(path=path)
+            plan,
+            tuples,
+            telemetry=TelemetrySpec(path=path),
+            gi2_granularity=gi2_granularity,
         )
         spans = [event for event in events if isinstance(event, WindowSpan)]
         expected_windows = -(-len(tuples) // 64)  # ceil(len / batch_size)
@@ -241,6 +251,8 @@ class TestClusterTelemetry:
             assert [hop.stage for hop in span.hops] == ["route", "match", "merge"]
             assert [hop.tier for hop in span.hops] == ["dispatcher", "worker", "merger"]
             assert all(hop.elapsed_ms >= 0.0 for hop in span.hops)
+        # Worker exchanges are timed into the match hop on either path.
+        assert any(span.hops[1].elapsed_ms > 0.0 for span in spans)
         # Window extents tile the stream.
         assert spans[0].base == 0
         assert spans[-1].base + spans[-1].size == len(tuples)
