@@ -1,19 +1,21 @@
-"""RL006 — telemetry events are protocol-registered and pickle-safe.
+"""RL006 — observability events are protocol-registered and pickle-safe.
 
 Invariant: every subclass of ``TelemetryEvent`` (the typed event
-vocabulary of :mod:`repro.runtime.telemetry`) is classified in the
-protocol registry of :mod:`repro.runtime.protocol` *and* satisfies the
-RL003 pickle-safety traversal.  Telemetry events cross two boundaries
-the other rules do not fully cover: gauge samples ride ``TelemetryBatch``
-replies over the fabric (so they must pickle), and every event — spans
-and lifecycle marks included — is serialised into the telemetry JSONL
-sink and rebuilt by ``repro report``.  An unregistered event type would
-let the vocabulary drift away from the registry RL001 audits; an
-unpicklable field would fail deep inside ``pickle.dumps`` in whichever
-endpoint first answers a drain.
+vocabulary of :mod:`repro.runtime.telemetry`) and of ``ProfileEvent``
+(the counter-snapshot vocabulary of :mod:`repro.runtime.profiling`) is
+classified in the protocol registry of :mod:`repro.runtime.protocol`
+*and* satisfies the RL003 pickle-safety traversal.  These events cross
+two boundaries the other rules do not fully cover: profile snapshots
+ride ``Observation`` replies over the fabric (so they must pickle), and
+every telemetry event — spans and lifecycle marks included — is
+serialised into the telemetry JSONL sink and rebuilt by ``repro
+report``.  An unregistered event type would let the vocabulary drift
+away from the registry RL001 audits; an unpicklable field would fail
+deep inside ``pickle.dumps`` in whichever endpoint first answers an
+``Observe``.
 
-Mechanics: the rule locates the module that defines the
-``TelemetryEvent`` base class, computes the transitive subclass set by
+Mechanics: for each vocabulary the rule locates the module that defines
+its base class, computes the transitive subclass set by
 base-name closure within that module, then (1) reports every event class
 missing from the union of the registry's categories (``MESSAGE_ROUTING``,
 ``FABRIC_MESSAGES``, ``REPLY_MESSAGES``, ``PAYLOAD_DATACLASSES``,
@@ -36,8 +38,8 @@ from .rl003_pickle import PickleSafetyRule
 
 __all__ = ["TelemetryProtocolRule"]
 
-#: Name of the event base class anchoring the vocabulary.
-_BASE_CLASS = "TelemetryEvent"
+#: Base class anchoring each event vocabulary -> its label in findings.
+_BASE_CLASSES = {"TelemetryEvent": "telemetry", "ProfileEvent": "profiling"}
 
 
 def _base_names(class_def: ast.ClassDef) -> Set[str]:
@@ -53,10 +55,16 @@ def _base_names(class_def: ast.ClassDef) -> Set[str]:
 
 class TelemetryProtocolRule(Rule):
     rule_id = "RL006"
-    summary = "telemetry events are registry-classified and pickle-safe"
+    summary = "telemetry and profile events are registry-classified and pickle-safe"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        events = list(self._event_classes(project))
+        for base, label in _BASE_CLASSES.items():
+            yield from self._check_vocabulary(project, base, label)
+
+    def _check_vocabulary(
+        self, project: Project, base: str, label: str
+    ) -> Iterator[Finding]:
+        events = list(self._event_classes(project, base))
         if not events:
             return
         classified = self._classified_names(project)
@@ -69,10 +77,10 @@ class TelemetryProtocolRule(Rule):
                     path=source.display_path,
                     line=class_def.lineno,
                     column=class_def.col_offset + 1,
-                    message="telemetry event %s is not classified in the "
+                    message="%s event %s is not classified in the "
                     "protocol registry (add it to REPLY_MESSAGES, "
                     "PAYLOAD_DATACLASSES or INTERNAL_DATACLASSES in "
-                    "repro.runtime.protocol)" % class_def.name,
+                    "repro.runtime.protocol)" % (label, class_def.name),
                 )
             for finding in pickle_rule._check_dataclass(
                 project, class_def.name, class_def.name, visited
@@ -80,22 +88,22 @@ class TelemetryProtocolRule(Rule):
                 yield replace(
                     finding,
                     rule=self.rule_id,
-                    message="telemetry event is not pickle/JSONL-safe: "
-                    + finding.message,
+                    message="%s event is not pickle/JSONL-safe: %s"
+                    % (label, finding.message),
                 )
 
     @staticmethod
     def _event_classes(
-        project: Project,
+        project: Project, base: str
     ) -> Iterator[Tuple[SourceFile, ast.ClassDef]]:
-        """Subclasses of ``TelemetryEvent`` in the module defining it."""
+        """Subclasses of ``base`` in the module defining it."""
         for source in project.files:
             class_defs: List[ast.ClassDef] = [
                 node for node in source.tree.body if isinstance(node, ast.ClassDef)
             ]
-            if not any(node.name == _BASE_CLASS for node in class_defs):
+            if not any(node.name == base for node in class_defs):
                 continue
-            event_names = {_BASE_CLASS}
+            event_names = {base}
             changed = True
             while changed:
                 changed = False
@@ -106,7 +114,7 @@ class TelemetryProtocolRule(Rule):
                         event_names.add(class_def.name)
                         changed = True
             for class_def in class_defs:
-                if class_def.name != _BASE_CLASS and class_def.name in event_names:
+                if class_def.name != base and class_def.name in event_names:
                     yield source, class_def
 
     @staticmethod

@@ -1,50 +1,31 @@
-"""RL007 — profiling counters are protocol-safe and hot loops stay timer-free.
+"""RL007 — the index hot loops stay timer-free.
 
-Two invariants guard the hot-loop profiling layer (docs/PROFILING.md):
+Invariant (docs/PROFILING.md): the index hot loops never call wall-clock
+timers.  Profiling of ``indexes/gi2.py`` and ``indexes/gridt.py`` is
+counter-based by design: plain integer accumulation in the loop, one
+guarded flush per batch (the "profiling seam").  A
+``time.perf_counter()`` in those files would put a syscall on the
+per-object path and break the perturbation-freedom guarantee (profiling
+on/off runs must stay byte-identical), so any timer call there is
+flagged — wall-clock attribution belongs to the sampling profiler in
+:mod:`repro.runtime.profiling`, which runs on its own thread.  (The
+``ProfileEvent`` vocabulary itself is audited by RL006, beside the
+telemetry events.)
 
-1. Every subclass of ``ProfileEvent`` (the counter-snapshot vocabulary of
-   :mod:`repro.runtime.profiling`) is classified in the protocol registry
-   of :mod:`repro.runtime.protocol` *and* satisfies the RL003
-   pickle-safety traversal.  Counter snapshots ride ``TelemetryBatch``
-   replies over the fabric when the coordinator drains a ``ProfileDrain``,
-   so an unregistered or unpicklable event would either drift out of the
-   registry RL001 audits or fail deep inside ``pickle.dumps`` in whichever
-   endpoint first answers the drain.
-
-2. The index hot loops never call wall-clock timers.  Profiling of
-   ``indexes/gi2.py`` and ``indexes/gridt.py`` is counter-based by design:
-   plain integer accumulation in the loop, one guarded flush per batch
-   (the "profiling seam").  A ``time.perf_counter()`` in those files would
-   put a syscall on the per-object path and break the perturbation-freedom
-   guarantee (profiling on/off runs must stay byte-identical), so any
-   timer call there is flagged — wall-clock attribution belongs to the
-   sampling profiler in :mod:`repro.runtime.profiling`, which runs on its
-   own thread.
-
-Mechanics: check 1 clones RL006's approach — locate the module defining
-the ``ProfileEvent`` base, compute the transitive subclass set by
-base-name closure, then report unclassified names and re-label RL003's
-transitive pickle walk.  Check 2 scans every file whose basename is
-``gi2.py`` or ``gridt.py`` for calls to ``time.perf_counter`` /
-``time.monotonic`` / ``time.process_time`` / ``time.time`` (attribute or
-from-imported form).
+Mechanics: the rule scans every file whose basename is ``gi2.py`` or
+``gridt.py`` for calls to ``time.perf_counter`` / ``time.monotonic`` /
+``time.process_time`` / ``time.time`` (attribute or from-imported form).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import replace
 from pathlib import PurePath
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional
 
-from .framework import Finding, Project, Rule, SourceFile
-from .rl001_protocol import _registry_tables
-from .rl003_pickle import PickleSafetyRule
+from .framework import Finding, Project, Rule
 
 __all__ = ["ProfilingDisciplineRule"]
-
-#: Name of the counter-snapshot base class anchoring the vocabulary.
-_BASE_CLASS = "ProfileEvent"
 
 #: Files whose hot loops must stay timer-free.
 _HOT_LOOP_FILES = ("gi2.py", "gridt.py")
@@ -55,17 +36,6 @@ _TIMER_ATTRS = ("perf_counter", "monotonic", "process_time", "time")
 #: From-imported names that read a clock (a bare ``time()`` call is too
 #: ambiguous to flag; the attribute form covers ``time.time()``).
 _TIMER_NAMES = ("perf_counter", "monotonic", "process_time")
-
-
-def _base_names(class_def: ast.ClassDef) -> Set[str]:
-    """Trailing names of every base class expression."""
-    names: Set[str] = set()
-    for base in class_def.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-    return names
 
 
 def _timer_call_name(node: ast.Call) -> Optional[str]:
@@ -85,44 +55,9 @@ def _timer_call_name(node: ast.Call) -> Optional[str]:
 
 class ProfilingDisciplineRule(Rule):
     rule_id = "RL007"
-    summary = "profiling events registry-classified; index hot loops timer-free"
+    summary = "index hot loops (gi2.py, gridt.py) are timer-free"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        yield from self._check_events(project)
-        yield from self._check_hot_loops(project)
-
-    # -- check 1: ProfileEvent subclasses registered and pickle-safe ----
-    def _check_events(self, project: Project) -> Iterator[Finding]:
-        events = list(self._event_classes(project))
-        if not events:
-            return
-        classified = self._classified_names(project)
-        pickle_rule = PickleSafetyRule()
-        visited: Set[str] = set()
-        for source, class_def in events:
-            if classified is not None and class_def.name not in classified:
-                yield Finding(
-                    rule=self.rule_id,
-                    path=source.display_path,
-                    line=class_def.lineno,
-                    column=class_def.col_offset + 1,
-                    message="profiling event %s is not classified in the "
-                    "protocol registry (add it to REPLY_MESSAGES, "
-                    "PAYLOAD_DATACLASSES or INTERNAL_DATACLASSES in "
-                    "repro.runtime.protocol)" % class_def.name,
-                )
-            for finding in pickle_rule._check_dataclass(
-                project, class_def.name, class_def.name, visited
-            ):
-                yield replace(
-                    finding,
-                    rule=self.rule_id,
-                    message="profiling event is not pickle/JSONL-safe: "
-                    + finding.message,
-                )
-
-    # -- check 2: no wall-clock timers in the index hot loops -----------
-    def _check_hot_loops(self, project: Project) -> Iterator[Finding]:
         for source in project.files:
             if PurePath(source.display_path).name not in _HOT_LOOP_FILES:
                 continue
@@ -143,53 +78,3 @@ class ProfilingDisciplineRule(Rule):
                     "wall-clock attribution belongs to the sampling "
                     "profiler in repro.runtime.profiling" % name,
                 )
-
-    @staticmethod
-    def _event_classes(
-        project: Project,
-    ) -> Iterator[Tuple[SourceFile, ast.ClassDef]]:
-        """Subclasses of ``ProfileEvent`` in the module defining it."""
-        for source in project.files:
-            class_defs: List[ast.ClassDef] = [
-                node for node in source.tree.body if isinstance(node, ast.ClassDef)
-            ]
-            if not any(node.name == _BASE_CLASS for node in class_defs):
-                continue
-            event_names = {_BASE_CLASS}
-            changed = True
-            while changed:
-                changed = False
-                for class_def in class_defs:
-                    if class_def.name in event_names:
-                        continue
-                    if _base_names(class_def) & event_names:
-                        event_names.add(class_def.name)
-                        changed = True
-            for class_def in class_defs:
-                if class_def.name != _BASE_CLASS and class_def.name in event_names:
-                    yield source, class_def
-
-    @staticmethod
-    def _classified_names(project: Project) -> Optional[Set[str]]:
-        """Union of every registry category, or None without a registry."""
-        for source in project.files:
-            tables = _registry_tables(source)
-            if "MESSAGE_ROUTING" not in tables:
-                continue
-            classified: Set[str] = set()
-            routing = tables.get("MESSAGE_ROUTING")
-            if isinstance(routing, dict):
-                for messages in routing.values():
-                    if isinstance(messages, (tuple, list)):
-                        classified.update(str(message) for message in messages)
-            for table_name in (
-                "FABRIC_MESSAGES",
-                "REPLY_MESSAGES",
-                "PAYLOAD_DATACLASSES",
-                "INTERNAL_DATACLASSES",
-            ):
-                extra = tables.get(table_name)
-                if isinstance(extra, (tuple, list)):
-                    classified.update(str(entry) for entry in extra)
-            return classified
-        return None

@@ -79,6 +79,7 @@ from .profiling import (
 from .telemetry import (
     GaugeSample,
     LifecycleEvent,
+    Observation,
     SpanHop,
     TelemetryEvent,
     TelemetryHub,
@@ -92,8 +93,6 @@ from .telemetry import (
 from .transport import (
     FabricTransport,
     InProcessTransport,
-    MergerStats,
-    StatsReport,
     Transport,
     TransportError,
     TRANSPORT_BACKENDS,
@@ -133,8 +132,8 @@ __all__ = [
     "LatencyTracker",
     "LifecycleEvent",
     "MergerNode",
-    "MergerStats",
     "MigrationRecord",
+    "Observation",
     "RoleHost",
     "SINK_KINDS",
     "SinkSpec",
@@ -162,7 +161,6 @@ __all__ = [
     "RunReport",
     "SnapshotAssignments",
     "SpanHop",
-    "StatsReport",
     "TelemetryEvent",
     "TelemetryHub",
     "TelemetryServer",

@@ -118,20 +118,25 @@ from .merge import MergeBackend, SinkSpec, make_merge
 from .merger import MergerNode
 from .metrics import LatencyBuckets, LatencyTracker, RunReport, utilization_latency
 from .profiling import (
+    DedupProfile,
+    MatchProfile,
     ProfileReport,
     ProfilingSpec,
     RouteCounters,
+    RouteProfile,
     StackSampler,
 )
 from .telemetry import (
     GaugeSample,
     LifecycleEvent,
+    Observation,
     SpanHop,
     TelemetryEvent,
     TelemetryHub,
     TelemetrySpec,
     TierTimeseries,
     WindowSpan,
+    gauge_sample,
 )
 from .transport import (
     DeleteById,
@@ -141,9 +146,7 @@ from .transport import (
     MatchObjects,
     MatchOne,
     MatchResults,
-    MergerStats,
     RouteBatch,
-    StatsReport,
     Transport,
     make_transport,
 )
@@ -157,6 +160,11 @@ __all__ = [
     "MigrationRecord",
     "PeriodSampleCollector",
 ]
+
+
+#: One observation of every tier: (workers, dispatch shards, mergers),
+#: each keyed by ascending endpoint id.
+_Snapshot = Tuple[Dict[int, Observation], Dict[int, Observation], Dict[int, Observation]]
 
 
 class LocalAdjusterLike(Protocol):
@@ -266,7 +274,7 @@ class ClusterConfig:
     #: default — disables it entirely (one ``is None`` check per window /
     #: batch).  When set, deterministic cost counters attach to the three
     #: hot paths (GI2 matching, GridT routing, merger dedup) and
-    #: :meth:`Cluster.profile_report` drains them coordinator-side;
+    #: :meth:`Cluster.profile_report` reads them coordinator-side;
     #: ``sample=True`` additionally runs the wall-clock stack sampler in
     #: the coordinator process.  Like telemetry, profiling never perturbs
     #: a report — counters are pure counts outside the Definition-1
@@ -503,7 +511,7 @@ class Cluster:
         # The transport owns the worker fleet: in-process workers are real
         # WorkerNode objects, fabric workers are per-endpoint proxies.
         # Coordinator code only ever talks to them through the transport's
-        # exchange()/stats surface or through the handles in self.workers.
+        # exchange()/observe() surface or through the handles in self.workers.
         try:
             self.transport: Transport = make_transport(
                 self.config.backend,
@@ -1791,30 +1799,35 @@ class Cluster:
         if state.seq % max(1, hub.spec.sample_every) == 0:
             self._drain_gauges(state.seq)
 
-    def _drain_gauges(self, seq: int) -> None:
-        """Pull one gauge sample per endpoint of every tier into the hub.
+    def _observe(self) -> _Snapshot:
+        """Observe every endpoint once: workers, dispatch shards, mergers.
 
-        Worker and merger gauges come from their backends (role hosts
-        answer a ``TelemetryDrain``; the in-process backends synthesise
-        identical samples locally).  Dispatcher gauges overlay the
-        coordinator's authoritative Definition-1 busy accounting on the
-        shard replicas' memory/cache-depth samples, and the coordinator
-        itself contributes a sample (its relayed-result depth).  Purely
-        read-only — a drained run's report is byte-identical to an
-        undrained one.
+        The one read of remote state — one ``Observe`` round trip per
+        endpoint (the in-process backends build identical observations
+        locally); reports, gauges, load/memory reports and the profile
+        are all views of it.  Purely read-only — an observed run's
+        report is byte-identical to an unobserved one.
+        """
+        workers = self.transport.observe()
+        shards = self._dispatch.observe() if self._dispatch is not None else {}
+        return workers, shards, self._merge.observe()
+
+    def _drain_gauges(self, seq: int, snapshot: Optional[_Snapshot] = None) -> None:
+        """Record one gauge sample per endpoint of every tier in the hub.
+
+        Worker and merger gauges are their observations.  Dispatcher
+        gauges overlay the coordinator's authoritative Definition-1
+        busy accounting on the shard replicas' memory/cache depth, and
+        the coordinator itself contributes a sample (its relayed-result
+        depth).
         """
         hub = self._telemetry
         if hub is None:
             return
-        samples: List[GaugeSample] = list(self.transport.drain_telemetry())
-        shard_samples: Dict[int, GaugeSample] = {}
-        if self._dispatch is not None:
-            shard_samples = {
-                sample.endpoint_id: sample
-                for sample in self._dispatch.drain_telemetry()
-            }
+        workers, shards, mergers = snapshot if snapshot is not None else self._observe()
+        samples: List[GaugeSample] = [gauge_sample(o) for o in workers.values()]
         for dispatcher in self.dispatchers:
-            shard = shard_samples.get(dispatcher.dispatcher_id)
+            shard = shards.get(dispatcher.dispatcher_id)
             samples.append(
                 GaugeSample(
                     tier="dispatcher",
@@ -1824,7 +1837,7 @@ class Cluster:
                     depth=shard.depth if shard is not None else 0,
                 )
             )
-        samples.extend(self._merge.drain_telemetry())
+        samples.extend(gauge_sample(o) for o in mergers.values())
         samples.append(
             GaugeSample(
                 tier="coordinator",
@@ -1884,20 +1897,20 @@ class Cluster:
         """Per-shard merger handles.
 
         Real :class:`MergerNode` objects under the in-process backend;
-        fresh :class:`~repro.runtime.transport.MergerStats` snapshots
+        fresh :class:`~repro.runtime.telemetry.Observation` snapshots
         (``delivered`` / ``duplicates`` / ``busy_cost``) under the
         multiprocess backend.
         """
         return self._merge.merger_handles()
 
-    def merger_stats(self) -> Dict[int, MergerStats]:
-        """One :class:`MergerStats` per merger shard, sorted by merger id.
+    def merger_stats(self) -> Dict[int, Observation]:
+        """One :class:`Observation` per merger shard, sorted by merger id.
 
         On the multiprocess backend the request rides the shard inboxes,
         so it observes every delivery enqueued before it — reading stats
         after an ``exchange`` returned is always consistent.
         """
-        return self._merge.merger_stats()
+        return self._merge.observe()
 
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         """Drain every merger shard's sink buffer (memory sinks)."""
@@ -1906,23 +1919,21 @@ class Cluster:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def worker_stats(self) -> Dict[int, StatsReport]:
-        """One :class:`StatsReport` per worker, fetched over the transport."""
-        return self.transport.worker_stats()
+    def worker_stats(self) -> Dict[int, Observation]:
+        """One :class:`Observation` per worker, fetched over the transport."""
+        return self.transport.observe()
 
     def saturation_throughput(
         self,
         *,
-        _stats: Optional[Dict[int, StatsReport]] = None,
-        _merger_stats: Optional[Dict[int, MergerStats]] = None,
+        _stats: Optional[Dict[int, Observation]] = None,
+        _merger_stats: Optional[Dict[int, Observation]] = None,
     ) -> float:
         """Tuples per second when the bottleneck process is saturated."""
         if self._tuples_processed == 0:
             return 0.0
-        stats = _stats if _stats is not None else self.transport.worker_stats()
-        merger_stats = (
-            _merger_stats if _merger_stats is not None else self._merge.merger_stats()
-        )
+        stats = _stats if _stats is not None else self.worker_stats()
+        merger_stats = _merger_stats if _merger_stats is not None else self.merger_stats()
         unit = self.config.cost_unit_seconds
         busy_seconds = [d.busy_cost * unit for d in self.dispatchers]
         busy_seconds += [s.busy_cost * unit for s in stats.values()]
@@ -1933,7 +1944,7 @@ class Cluster:
         return self._tuples_processed / bottleneck
 
     def _process_utilizations(
-        self, input_rate: float, stats: Dict[int, StatsReport]
+        self, input_rate: float, stats: Dict[int, Observation]
     ) -> Tuple[Dict[int, float], Dict[int, float]]:
         """Utilisation of each dispatcher and worker at ``input_rate`` tuples/s."""
         if self._tuples_processed == 0 or input_rate <= 0.0:
@@ -1952,8 +1963,8 @@ class Cluster:
         self,
         input_rate: Optional[float] = None,
         *,
-        _stats: Optional[Dict[int, StatsReport]] = None,
-        _merger_stats: Optional[Dict[int, MergerStats]] = None,
+        _stats: Optional[Dict[int, Observation]] = None,
+        _merger_stats: Optional[Dict[int, Observation]] = None,
     ) -> LatencyTracker:
         """Per-tuple latencies (ms) at the given input rate.
 
@@ -1965,7 +1976,7 @@ class Cluster:
         count = len(traces)
         if count == 0:
             return tracker
-        stats = _stats if _stats is not None else self.transport.worker_stats()
+        stats = _stats if _stats is not None else self.worker_stats()
         if input_rate is None:
             input_rate = self.config.latency_load_fraction * self.saturation_throughput(
                 _stats=stats, _merger_stats=_merger_stats
@@ -2000,11 +2011,13 @@ class Cluster:
     def worker_load_report(self) -> LoadReport:
         return LoadReport(
             worker_loads={
-                worker_id: s.load for worker_id, s in self.transport.worker_stats().items()
+                worker_id: s.load for worker_id, s in self.worker_stats().items()
             }
         )
 
-    def dispatcher_memory_report(self) -> Dict[int, int]:
+    def dispatcher_memory_report(
+        self, *, _shards: Optional[Dict[int, Observation]] = None
+    ) -> Dict[int, int]:
         """Routing-structure bytes per dispatcher (Figure 9).
 
         Inline dispatch charges the analytic estimate of the coordinator's
@@ -2013,17 +2026,19 @@ class Cluster:
         re-sync if the routing version moved) — byte-identical values when
         the replicas are in sync, which ``tests/test_dispatch.py`` pins.
         """
-        if self._dispatch is not None:
-            self._ensure_dispatch_synced()
-            memory = self._dispatch.shard_memory()
-            return {shard: memory[shard] for shard in sorted(memory)}
+        dispatch = self._dispatch
+        if dispatch is not None:
+            if _shards is None or dispatch.synced_version != self._routing_version:
+                self._ensure_dispatch_synced()
+                _shards = dispatch.observe()
+            return {shard: o.memory_bytes for shard, o in _shards.items()}
         # Every inline dispatcher references the same routing index, so
         # the O(cells x postings) estimate is computed once and fanned out.
         estimate = self.routing_index.memory_bytes()
         return {d.dispatcher_id: estimate for d in self.dispatchers}
 
     def _delivery_latency(
-        self, input_rate: float, merger_stats: Dict[int, MergerStats]
+        self, input_rate: float, merger_stats: Dict[int, Observation]
     ) -> Tuple[float, LatencyBuckets]:
         """End-to-end notification latency of the delivered results.
 
@@ -2063,22 +2078,22 @@ class Cluster:
     def report(self, input_rate: Optional[float] = None) -> RunReport:
         """Build the full :class:`RunReport` for the processed stream.
 
-        Worker-side numbers (loads, busy time, memory) arrive as one
-        :class:`StatsReport` per worker over the transport, merger-side
-        numbers as one :class:`MergerStats` per shard over the merge
-        backend — each fetched once per report whichever backend hosts
-        the tier.
+        Every remote number (worker loads, busy time and memory, shard
+        replica memory, merger counters) comes from one
+        :class:`Observation` per endpoint — each tier asked once per
+        report whichever backend hosts it, telemetry on or off (shard
+        replicas left stale by a trailing adjustment are re-synced and
+        asked again for ``dispatcher_memory``).
         """
-        if self._telemetry is not None:
-            # Final cross-tier gauge cut so a run's last partial sampling
-            # interval is still visible in the timeseries and the JSONL.
-            self._drain_gauges(self._window_seq)
-        stats = self.transport.worker_stats()
-        merger_stats = self._merge.merger_stats()
+        snapshot = self._observe()
+        stats, shards, merger_stats = snapshot
+        # Final cross-tier gauge cut (same replies as the report) so a
+        # run's last partial sampling interval is still visible in the
+        # timeseries and the JSONL.
+        self._drain_gauges(self._window_seq, snapshot)
+        throughput = self.saturation_throughput(_stats=stats, _merger_stats=merger_stats)
         if input_rate is None:
-            rate = self.config.latency_load_fraction * self.saturation_throughput(
-                _stats=stats, _merger_stats=merger_stats
-            )
+            rate = self.config.latency_load_fraction * throughput
         else:
             rate = input_rate
         tracker = self.latency_tracker(rate, _stats=stats, _merger_stats=merger_stats)
@@ -2091,12 +2106,12 @@ class Cluster:
             objects_processed=self._objects,
             insertions_processed=self._insertions,
             deletions_processed=self._deletions,
-            throughput=self.saturation_throughput(_stats=stats, _merger_stats=merger_stats),
+            throughput=throughput,
             mean_latency_ms=tracker.mean,
             p95_latency_ms=tracker.percentile(95.0),
             latency_buckets=buckets,
             worker_loads={worker_id: s.load for worker_id, s in stats.items()},
-            dispatcher_memory=self.dispatcher_memory_report(),
+            dispatcher_memory=self.dispatcher_memory_report(_shards=shards),
             worker_memory={worker_id: s.memory_bytes for worker_id, s in stats.items()},
             matches_produced=self._matches_produced,
             matches_delivered=sum(s.delivered for s in merger_stats.values()),
@@ -2121,30 +2136,34 @@ class Cluster:
     # Hot-loop profiling (repro profile)
     # ------------------------------------------------------------------
     def profile_report(self) -> Optional[ProfileReport]:
-        """Drain every tier's hot-loop counters; ``None`` when profiling is off.
+        """Every tier's hot-loop counters; ``None`` when profiling is off.
 
-        One :class:`~repro.runtime.profiling.MatchProfile` per worker over
-        the transport, one :class:`~repro.runtime.profiling.RouteProfile`
-        per routing replica — the coordinator's inline counters first
-        (endpoint ``-1``), then the dispatch shards — and one
-        :class:`~repro.runtime.profiling.DedupProfile` per merger shard
-        over the merge backend.  Draining is read-only, so it can run
-        any number of times (e.g. before and after an adjustment round)
-        without perturbing a report.
+        The ``profile`` fields of one observation per endpoint: one
+        :class:`~repro.runtime.profiling.MatchProfile` per worker, one
+        :class:`~repro.runtime.profiling.RouteProfile` per routing
+        replica — the coordinator's inline counters first (endpoint
+        ``-1``), then the dispatch shards — and one
+        :class:`~repro.runtime.profiling.DedupProfile` per merger shard.
+        Observing is read-only, so it can run any number of times (e.g.
+        before and after an adjustment round) without perturbing a report.
         """
         profiling = self.config.profiling
         if profiling is None or not profiling.enabled:
             return None
-        routers = []
+        workers, shards, mergers = self._observe()
+        routers: List[RouteProfile] = []
         inline = getattr(self.routing_index, "profile", None)
         if inline is not None:
             routers.append(inline.event(-1))
-        if self._dispatch is not None:
-            routers.extend(self._dispatch.drain_profile())
+        routers.extend(o.profile for o in shards.values() if isinstance(o.profile, RouteProfile))
         return ProfileReport(
-            matchers=tuple(self.transport.drain_profile()),
+            matchers=tuple(
+                o.profile for o in workers.values() if isinstance(o.profile, MatchProfile)
+            ),
             routers=tuple(routers),
-            mergers=tuple(self._merge.drain_profile()),
+            mergers=tuple(
+                o.profile for o in mergers.values() if isinstance(o.profile, DedupProfile)
+            ),
         )
 
     def profile_stacks(self) -> Optional[List[str]]:

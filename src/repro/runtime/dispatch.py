@@ -77,8 +77,8 @@ from .fabric import (
     spawn_fleet,
     spawn_socket_fleet,
 )
-from .profiling import ProfileDrain, RouteCounters, RouteProfile
-from .telemetry import GaugeSample, TelemetryBatch, TelemetryDrain
+from .profiling import RouteCounters
+from .telemetry import Observation, Observe
 
 __all__ = [
     "DISPATCH_BACKENDS",
@@ -157,11 +157,6 @@ class SyncRoutingIndex:
 
     payload: bytes
     version: int
-
-
-@dataclass(slots=True)
-class ShardMemoryRequest:
-    """Coordinator→shard: measure the replica's routing-structure memory."""
 
 
 @dataclass(slots=True)
@@ -337,8 +332,8 @@ class DispatchBackend:
     The cluster drives it with a strict window protocol: ``sync`` (when
     the routing version moved), ``submit_window``, ``collect_window`` —
     at most one window outstanding; a per-tuple replay submits windows of
-    one — plus ``barrier`` at adjustment fences and ``shard_memory`` for
-    the Figure 9 per-dispatcher memory report.
+    one — plus ``barrier`` at adjustment fences and ``observe`` for the
+    Figure 9 per-dispatcher memory report, the gauges and the profile.
     """
 
     backend_name = "abstract"
@@ -366,8 +361,16 @@ class DispatchBackend:
         """Fence every shard with a new AdjustBarrier epoch."""
         raise NotImplementedError
 
-    def shard_memory(self) -> Dict[int, int]:
-        """Measured routing-structure bytes per shard replica (Figure 9)."""
+    def observe(self) -> Dict[int, Observation]:
+        """One :class:`Observation` per shard replica, ascending shard order.
+
+        ``memory_bytes`` is the measured routing-structure size of the
+        replica (Figure 9), ``depth`` its insertion-plan cache; the
+        coordinator overlays the Definition-1 dispatcher busy cost
+        (tracked on its own :class:`DispatcherNode` accounting) on the
+        gauges it records.  Best-effort on the fabric backends: empty
+        while a pipelined window is in flight.
+        """
         raise NotImplementedError
 
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
@@ -375,25 +378,6 @@ class DispatchBackend:
 
         The in-process reference has no transport to fault; default no-op.
         """
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        """One gauge sample per shard replica, in ascending shard order.
-
-        Shard-side gauges carry replica memory and route-cache depth;
-        the coordinator overlays the Definition-1 dispatcher busy cost
-        (tracked on its own :class:`DispatcherNode` accounting) before
-        recording, so one sample tells the whole dispatcher story.
-        """
-        raise NotImplementedError
-
-    def drain_profile(self) -> List[RouteProfile]:
-        """One profile event per profiling shard, ascending shard order.
-
-        Empty when profiling is off (and, on the fabric backends, while
-        a pipelined window is in flight — same best-effort contract as
-        :meth:`drain_telemetry`).
-        """
-        raise NotImplementedError
 
     def close(self) -> None:
         """Release backend resources (terminates shard processes)."""
@@ -483,39 +467,25 @@ class InProcessDispatch(DispatchBackend):
         self._epoch += 1
         return self._epoch
 
-    def shard_memory(self) -> Dict[int, int]:
-        return {router.shard_id: router.memory_bytes() for router in self._routers}
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        return [_shard_gauge(router) for router in self._routers]
-
-    def drain_profile(self) -> List[RouteProfile]:
-        return [
-            event for router in self._routers for event in _shard_profile(router)
-        ]
+    def observe(self) -> Dict[int, Observation]:
+        return {router.shard_id: _observe_dispatcher(router) for router in self._routers}
 
 
-def _shard_profile(router: "_ShardRouter") -> Tuple[RouteProfile, ...]:
-    """The shard's profile events — empty when profiling is off."""
-    counters = router.profile
-    if counters is None:
-        return ()
-    return (counters.event(router.shard_id),)
-
-
-def _shard_gauge(router: "_ShardRouter") -> GaugeSample:
-    """One telemetry gauge sample from live shard state (read-only).
+def _observe_dispatcher(router: "_ShardRouter") -> Observation:
+    """One dispatch shard's observation from live state (read-only).
 
     A shard replica does no Definition-1 cost accounting (the
     coordinator charges dispatcher busy cost itself, identically on
     every backend), so ``busy_cost`` is filled in coordinator-side.
     """
-    return GaugeSample(
+    counters = router.profile
+    return Observation(
         tier="dispatcher",
         endpoint_id=router.shard_id,
         busy_cost=0.0,
         memory_bytes=router.memory_bytes(),
         depth=len(router.insertion_plans),
+        profile=counters.event(router.shard_id) if counters is not None else None,
     )
 
 
@@ -542,12 +512,8 @@ class DispatchHost(RoleHost):
         if kind is SyncRoutingIndex:
             router.sync(pickle.loads(message.payload))
             return True
-        if kind is ShardMemoryRequest:
-            return router.memory_bytes()
-        if kind is TelemetryDrain:
-            return TelemetryBatch(router.shard_id, (_shard_gauge(router),))
-        if kind is ProfileDrain:
-            return TelemetryBatch(router.shard_id, _shard_profile(router))
+        if kind is Observe:
+            return _observe_dispatcher(router)
         raise TransportError("unknown dispatch message %r" % (message,))
 
 
@@ -617,35 +583,16 @@ class FabricDispatch(DispatchBackend):
     def barrier(self) -> int:
         return self._fleet.barrier()
 
-    def shard_memory(self) -> Dict[int, int]:
-        return self._fleet.broadcast(ShardMemoryRequest())
-
-    def drain_telemetry(self) -> List[GaugeSample]:
+    def observe(self) -> Dict[int, Observation]:
         if self._inflight is not None:
             # A routed window is outstanding (pipelined engine): a
-            # replied drain now would desync the request/reply pairing.
-            # Telemetry is best-effort — the coordinator still records
-            # its own dispatcher busy accounting, and shard gauges
-            # appear at the next quiescent drain (barrier / report).
-            return []
-        batches = self._fleet.broadcast(TelemetryDrain())
-        return [
-            sample
-            for shard_id in sorted(batches)
-            for sample in batches[shard_id].events
-        ]
-
-    def drain_profile(self) -> List[RouteProfile]:
-        if self._inflight is not None:
-            # Same best-effort contract as drain_telemetry: never desync
-            # the request/reply pairing of a pipelined window.
-            return []
-        batches = self._fleet.broadcast(ProfileDrain())
-        return [
-            event
-            for shard_id in sorted(batches)
-            for event in batches[shard_id].events
-        ]
+            # replied request now would desync the request/reply pairing.
+            # Observation is best-effort — the coordinator still records
+            # its own dispatcher busy accounting, and shard state
+            # appears at the next quiescent point (barrier / report).
+            return {}
+        replies = self._fleet.broadcast(Observe())
+        return {shard_id: replies[shard_id] for shard_id in sorted(replies)}
 
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
         self._fleet.install_fault_plan(faults)

@@ -22,7 +22,7 @@ before it could be deduplicated.  This module makes the tier real:
     each shard owns an **inbox** (a ``multiprocessing.SimpleQueue``)
     carrying the data plane
     (:class:`~repro.runtime.transport.DeliverResults`) and the control
-    plane (stats, period resets, adjustment fences, sink drains), with
+    plane (observations, period resets, adjustment fences, sink drains), with
     replies on a per-shard pipe; ``SimpleQueue.put`` writes synchronously
     in the calling thread, so a control message enqueued after a delivery
     is guaranteed to be processed after it — the inbox ordering *is* the
@@ -51,8 +51,8 @@ callable.  Sink work is real I/O, deliberately outside the simulated
 Reports are byte-identical across merger backends
 (``tests/test_merge.py``): delivered/duplicate counts and busy cost are
 multiset-invariant in the arrival order of a shard's results, and every
-stat read is fenced through the inbox.  (The only order-sensitive state
-is dedup-window *eviction*, which needs more than ``dedup_window``
+``Observe`` read is fenced through the inbox.  (The only order-sensitive
+state is dedup-window *eviction*, which needs more than ``dedup_window``
 distinct keys per shard to begin — far beyond any equivalence test.)
 """
 
@@ -74,16 +74,8 @@ from .fabric import (
     spawn_socket_fleet,
 )
 from .merger import MergerNode
-from .profiling import DedupProfile, ProfileDrain
-from .telemetry import GaugeSample, TelemetryBatch, TelemetryDrain
-from .transport import (
-    DeliverResults,
-    MergerReset,
-    MergerStats,
-    MergerStatsRequest,
-    SinkDrain,
-    ship_results,
-)
+from .telemetry import Observation, Observe
+from .transport import DeliverResults, MergerReset, SinkDrain, ship_results
 
 __all__ = [
     "CallbackSink",
@@ -243,38 +235,24 @@ def build_sink(spec: SinkSpec, merger_id: int) -> SubscriberSink:
     return CallbackSink(spec.callback)
 
 
-def _merger_stats(merger: MergerNode) -> MergerStats:
-    return MergerStats(
-        merger_id=merger.merger_id,
-        busy_cost=merger.busy_cost,
-        received=merger.received,
-        delivered=merger.delivered,
-        duplicates=merger.duplicates,
-        memory_bytes=merger.memory_bytes(),
-    )
-
-
-def _merger_profile(merger: MergerNode) -> Tuple[DedupProfile, ...]:
-    """The shard's profile events — empty when profiling is off."""
-    counters = merger.profile
-    if counters is None:
-        return ()
-    return (counters.event(merger.merger_id),)
-
-
-def _merger_gauge(merger: MergerNode) -> GaugeSample:
-    """One telemetry gauge sample from live merger state (read-only).
+def _observe_merger(merger: MergerNode) -> Observation:
+    """One merger shard's observation from live state (read-only).
 
     ``depth`` is the live dedup-window population — the bounded state a
     future merger re-shard would hand off (droppable: at worst
     duplicates, never losses).
     """
-    return GaugeSample(
+    counters = merger.profile
+    return Observation(
         tier="merger",
         endpoint_id=merger.merger_id,
         busy_cost=merger.busy_cost,
         memory_bytes=merger.memory_bytes(),
         depth=merger.dedup_population(),
+        received=merger.received,
+        delivered=merger.delivered,
+        duplicates=merger.duplicates,
+        profile=counters.event(merger.merger_id) if counters is not None else None,
     )
 
 
@@ -285,8 +263,8 @@ class MergeBackend:
     """Coordinator-side surface of the merger/delivery tier.
 
     The cluster drives it with ``deliver`` (coordinator-side delivery of
-    results it received over the worker transport), ``merger_stats`` for
-    the reports, ``barrier`` at adjustment fences, ``reset_period`` /
+    results it received over the worker transport), ``observe`` for the
+    reports, ``barrier`` at adjustment fences, ``reset_period`` /
     ``drain_sinks`` and ``worker_endpoints`` — the per-shard inboxes
     handed to the multiprocess worker transport for direct shipping
     (``None`` when the tier lives in the coordinator's interpreter or
@@ -300,14 +278,18 @@ class MergeBackend:
         """Partition ``results`` across the shards and deliver them."""
         raise NotImplementedError
 
-    def merger_stats(self) -> Dict[int, MergerStats]:
-        """One :class:`MergerStats` per shard, keyed (and merged) by
-        ascending merger id so reports never depend on reply order."""
+    def observe(self) -> Dict[int, Observation]:
+        """One :class:`Observation` per shard, keyed (and merged) by
+        ascending merger id so reports never depend on reply order.
+
+        Read-only: observing never touches the busy/delivered counters
+        reports derive from (the telemetry invariant).
+        """
         raise NotImplementedError
 
     def merger_handles(self) -> List[Any]:
         """Per-shard handles: real :class:`MergerNode` objects in process,
-        :class:`MergerStats` snapshots for remote shards — either exposes
+        :class:`Observation` snapshots for remote shards — either exposes
         ``delivered`` / ``duplicates`` / ``busy_cost``."""
         raise NotImplementedError
 
@@ -332,21 +314,6 @@ class MergeBackend:
 
         The in-process reference has no transport to fault; default no-op.
         """
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        """One gauge sample per merger shard, in ascending shard order.
-
-        Read-only: draining never touches the busy/delivered counters
-        reports derive from (the telemetry invariant).
-        """
-        raise NotImplementedError
-
-    def drain_profile(self) -> List[DedupProfile]:
-        """One profile event per profiling shard, ascending shard order.
-
-        Empty when profiling is off; read-only like telemetry.
-        """
-        raise NotImplementedError
 
     def close(self) -> None:
         """Release backend resources (terminates merger processes)."""
@@ -393,8 +360,8 @@ class InProcessMerge(MergeBackend):
             lambda merger_id, batch: self.mergers[merger_id].handle_many(batch),
         )
 
-    def merger_stats(self) -> Dict[int, MergerStats]:
-        return {merger.merger_id: _merger_stats(merger) for merger in self.mergers}
+    def observe(self) -> Dict[int, Observation]:
+        return {merger.merger_id: _observe_merger(merger) for merger in self.mergers}
 
     def merger_handles(self) -> List[Any]:
         return list(self.mergers)
@@ -410,14 +377,6 @@ class InProcessMerge(MergeBackend):
 
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         return {merger.merger_id: merger.sink.drain() for merger in self.mergers}
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        return [_merger_gauge(merger) for merger in self.mergers]
-
-    def drain_profile(self) -> List[DedupProfile]:
-        return [
-            event for merger in self.mergers for event in _merger_profile(merger)
-        ]
 
     def close(self) -> None:
         for merger in self.mergers:
@@ -452,17 +411,13 @@ class MergeHost(RoleHost):
         if kind is DeliverResults:
             merger.handle_many(message.results)
             return None
-        if kind is MergerStatsRequest:
-            return _merger_stats(merger)
+        if kind is Observe:
+            return _observe_merger(merger)
         if kind is MergerReset:
             merger.reset_period()
             return True
         if kind is SinkDrain:
             return merger.sink.drain()
-        if kind is TelemetryDrain:
-            return TelemetryBatch(merger.merger_id, (_merger_gauge(merger),))
-        if kind is ProfileDrain:
-            return TelemetryBatch(merger.merger_id, _merger_profile(merger))
         raise TransportError("unknown merge message %r" % (message,))
 
     def close(self) -> None:
@@ -509,14 +464,14 @@ class FabricMerge(MergeBackend):
     def worker_endpoints(self) -> Optional[Sequence[Any]]:
         return self._fleet.data_endpoints()
 
-    def merger_stats(self) -> Dict[int, MergerStats]:
-        stats = self._fleet.broadcast(MergerStatsRequest())
+    def observe(self) -> Dict[int, Observation]:
+        replies = self._fleet.broadcast(Observe())
         # Merged sorted by merger id (the same determinism rule the worker
-        # tier applies to StatsReport).
-        return {merger_id: stats[merger_id] for merger_id in sorted(stats)}
+        # tier applies to its observations).
+        return {merger_id: replies[merger_id] for merger_id in sorted(replies)}
 
     def merger_handles(self) -> List[Any]:
-        return list(self.merger_stats().values())
+        return list(self.observe().values())
 
     def barrier(self) -> int:
         return self._fleet.barrier()
@@ -527,22 +482,6 @@ class FabricMerge(MergeBackend):
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         drained = self._fleet.broadcast(SinkDrain())
         return {merger_id: drained[merger_id] for merger_id in sorted(drained)}
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        batches = self._fleet.broadcast(TelemetryDrain())
-        return [
-            sample
-            for merger_id in sorted(batches)
-            for sample in batches[merger_id].events
-        ]
-
-    def drain_profile(self) -> List[DedupProfile]:
-        batches = self._fleet.broadcast(ProfileDrain())
-        return [
-            event
-            for merger_id in sorted(batches)
-            for event in batches[merger_id].events
-        ]
 
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
         self._fleet.install_fault_plan(faults)

@@ -6,7 +6,7 @@ per-tuple latency (Figure 8, including the <100 ms / 100 ms–1 s / >1 s
 buckets of Figures 12(c) and 15), memory of dispatchers and workers
 (Figures 9 and 10), and migration cost/time (Figures 12–14).  The classes
 here accumulate those measurements during a simulated run; worker-side
-numbers arrive as :class:`~repro.runtime.transport.StatsReport` messages
+numbers arrive as :class:`~repro.runtime.telemetry.Observation` replies
 whichever transport backend hosts the workers.
 """
 

@@ -26,12 +26,11 @@ backend matrix).
 
 Counters live next to the state they observe (``GI2Index.profile``,
 ``GridTIndex.profile``, ``MergerNode.profile`` — ``None`` when
-profiling is off) and are drained coordinator-side over the existing
-control channels: the coordinator broadcasts :class:`ProfileDrain` (a
-``__telemetry_control__`` message, exempt from chaos fault counting like
-:class:`~repro.runtime.telemetry.TelemetryDrain`) and each role host
-replies with a :class:`~repro.runtime.telemetry.TelemetryBatch` of
-frozen profile events.
+profiling is off) and reach the coordinator as the ``profile`` field of
+each endpoint's :class:`~repro.runtime.telemetry.Observation` — the same
+read-only reply to :class:`~repro.runtime.telemetry.Observe` (a
+``__telemetry_control__`` message, exempt from chaos fault counting)
+that reports and gauges are built from.
 
 The optional **sampling profiler** (:class:`StackSampler`) is the
 wall-clock half: a daemon thread snapshots every thread's Python stack
@@ -52,23 +51,20 @@ from __future__ import annotations
 import sys
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "DedupCounters",
     "DedupProfile",
     "MatchCounters",
     "MatchProfile",
-    "ProfileDrain",
     "ProfileEvent",
     "ProfileReport",
     "ProfilingSpec",
     "RouteCounters",
     "RouteProfile",
     "StackSampler",
-    "decode_profile_event",
-    "encode_profile_event",
     "profile_text",
 ]
 
@@ -77,7 +73,7 @@ __all__ = [
 # The typed profile-event vocabulary
 # ----------------------------------------------------------------------
 class ProfileEvent:
-    """Base class of every profile event (lint rule RL007 anchors here)."""
+    """Base class of every profile event (lint rule RL006 anchors here)."""
 
     __slots__ = ()
 
@@ -136,19 +132,6 @@ class DedupProfile(ProfileEvent):
     lookups: int
     duplicates: int
     evictions: int
-
-
-@dataclass(slots=True)
-class ProfileDrain:
-    """Coordinator→endpoint: report your profile counters.
-
-    A replied control message, handled by every role host.  The
-    ``__telemetry_control__`` marker (read by ``Fleet._maybe_inject``)
-    keeps it out of the chaos harness's fault send counters — the same
-    perturbation-freedom exemption :class:`TelemetryDrain` carries.
-    """
-
-    __telemetry_control__ = True
 
 
 # ----------------------------------------------------------------------
@@ -252,36 +235,6 @@ class ProfileReport:
     matchers: Tuple[MatchProfile, ...]
     routers: Tuple[RouteProfile, ...]
     mergers: Tuple[DedupProfile, ...]
-
-
-# ----------------------------------------------------------------------
-# JSON encoding (same shape as the telemetry JSONL: an "event" tag + fields)
-# ----------------------------------------------------------------------
-_EVENT_TYPES = {
-    "match": MatchProfile,
-    "route": RouteProfile,
-    "dedup": DedupProfile,
-}
-
-
-def encode_profile_event(event: ProfileEvent) -> Dict[str, Any]:
-    """One profile event as a JSON-able dict (tagged with its kind)."""
-    for tag, cls in _EVENT_TYPES.items():
-        if type(event) is cls:
-            payload = asdict(event)  # type: ignore[call-overload]
-            payload["event"] = tag
-            return payload
-    raise TypeError("unknown profile event %r" % (event,))
-
-
-def decode_profile_event(payload: Mapping[str, Any]) -> ProfileEvent:
-    """Rebuild a profile event from its encoded dict."""
-    data = dict(payload)
-    tag = data.pop("event", None)
-    cls = _EVENT_TYPES.get(tag)
-    if cls is None:
-        raise ValueError("unknown profile event tag %r" % (tag,))
-    return cls(**data)
 
 
 # ----------------------------------------------------------------------

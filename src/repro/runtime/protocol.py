@@ -71,30 +71,24 @@ PROTOCOL_MODULES: Tuple[str, ...] = (
 MESSAGE_ROUTING: Mapping[str, Tuple[str, ...]] = {
     "worker": (
         "RouteBatch",
-        "StatsRequest",
+        "Observe",
         "CellStatsRequest",
         "WorkerCall",
         "InstallQueries",
         "ExtractCells",
         "ExtractKeywords",
         "SnapshotAssignments",
-        "TelemetryDrain",
-        "ProfileDrain",
     ),
     "dispatcher": (
         "RouteWindow",
         "SyncRoutingIndex",
-        "ShardMemoryRequest",
-        "TelemetryDrain",
-        "ProfileDrain",
+        "Observe",
     ),
     "merger": (
         "DeliverResults",
-        "MergerStatsRequest",
+        "Observe",
         "MergerReset",
         "SinkDrain",
-        "TelemetryDrain",
-        "ProfileDrain",
     ),
 }
 
@@ -112,18 +106,17 @@ FABRIC_MESSAGES: Tuple[str, ...] = ("Shutdown", "AdjustBarrier", "Init")
 REPLY_MESSAGES: Tuple[str, ...] = (
     "BarrierAck",
     "MatchResults",
-    "MergerStats",
+    "Observation",
     "RemoteCallable",
     "RemoteError",
-    "StatsReport",
-    "TelemetryBatch",
     "WindowRouting",
     "WorkerSnapshot",
 )
 
 #: Dataclasses that cross the wire only inside another message (worker
-#: ops inside a RouteBatch, sink specs inside an Init handshake).  They
-#: are pickle-checked (RL003) like the messages that carry them.
+#: ops inside a RouteBatch, sink specs inside an Init handshake, profile
+#: counters inside an Observation).  They are pickle-checked (RL003)
+#: like the messages that carry them.
 PAYLOAD_DATACLASSES: Tuple[str, ...] = (
     "MatchOne",
     "MatchObjects",
@@ -132,7 +125,6 @@ PAYLOAD_DATACLASSES: Tuple[str, ...] = (
     "DeleteQuery",
     "DeleteById",
     "SinkSpec",
-    "GaugeSample",
     "MatchProfile",
     "RouteProfile",
     "DedupProfile",
@@ -152,6 +144,7 @@ INTERNAL_DATACLASSES: Tuple[str, ...] = (
     "TelemetrySpec",
     "SpanHop",
     "WindowSpan",
+    "GaugeSample",
     "LifecycleEvent",
     "ProfilingSpec",
     "ProfileReport",

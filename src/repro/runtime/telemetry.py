@@ -10,14 +10,14 @@ telemetry a first-class subsystem of the pipeline:
   :class:`SpanHop` per stage with monotonic timestamps), built
   coordinator-side where all three hops are orchestrated.
 * **Per-tier gauge samples** — every role host (worker, dispatcher
-  shard, merger shard) answers a :class:`TelemetryDrain` control message
-  with a :class:`TelemetryBatch` of :class:`GaugeSample` events (busy
-  cost, queue/structure depth, memory); the in-process reference
-  backends synthesise identical samples from their local nodes.  Drains
-  ride the existing control channels at quiescent points (window
-  boundaries, ``AdjustBarrier`` fences, report time) — the "dedicated
-  low-priority channel" of the design: no new socket, no interleaving
-  with data-plane traffic.
+  shard, merger shard) answers the one :class:`Observe` control message
+  with one :class:`Observation` (busy cost, queue/structure depth,
+  memory, plus what reports and the profiler read), which
+  :func:`gauge_sample` views as a :class:`GaugeSample` coordinator-side;
+  the in-process reference backends build identical observations from
+  their local nodes.  Observations ride the existing control channels at
+  quiescent points (window boundaries, ``AdjustBarrier`` fences, report
+  time), so a report and the gauges beside it come from the same replies.
 * **Lifecycle events** — adjustment rounds, checkpoints, recoveries and
   endpoint deaths (:class:`LifecycleEvent`).
 
@@ -30,9 +30,9 @@ and a Prometheus-style text exposition (:func:`telemetry_text`,
 
 **Perturbation-freedom invariant.**  Telemetry is off by default and
 must never change a delivered report: every report number derives from
-Definition-1 simulated cost accounting, which :class:`TelemetryDrain`
-handling only *reads*; and telemetry control messages carry the
-``__telemetry_control__`` marker, which exempts them from the chaos
+Definition-1 simulated cost accounting, which :class:`Observe`
+handling only *reads*; and :class:`Observe` carries the
+``__telemetry_control__`` marker, which exempts it from the chaos
 harness's fault-injection send counters (``Fleet._maybe_inject``) — so
 faults fire at the exact same data-plane send whether telemetry is on
 or off.  Wall-clock timestamps appear *only* inside telemetry events,
@@ -63,12 +63,14 @@ from typing import (
     Tuple,
 )
 
+from .profiling import ProfileEvent
+
 __all__ = [
     "GaugeSample",
     "LifecycleEvent",
+    "Observation",
+    "Observe",
     "SpanHop",
-    "TelemetryBatch",
-    "TelemetryDrain",
     "TelemetryEvent",
     "TelemetryHub",
     "TelemetryServer",
@@ -77,6 +79,7 @@ __all__ = [
     "WindowSpan",
     "decode_event",
     "encode_event",
+    "gauge_sample",
     "read_events",
     "render_timeline",
     "telemetry_text",
@@ -92,9 +95,8 @@ class TelemetryEvent:
 
     Lint rule RL006 enforces that every subclass is classified in the
     protocol registry (:mod:`repro.runtime.protocol`) and is
-    transitively pickle-safe — gauge samples cross process boundaries
-    inside :class:`TelemetryBatch` replies, and every event must encode
-    to the JSONL sink.
+    transitively pickle-safe — every event must encode to the JSONL
+    sink ``repro report`` reads back.
     """
 
     __slots__ = ()
@@ -133,7 +135,7 @@ class WindowSpan(TelemetryEvent):
 
 @dataclass(slots=True, frozen=True)
 class GaugeSample(TelemetryEvent):
-    """One endpoint's live state at a drain point.
+    """One endpoint's live state at an observation point.
 
     ``busy_cost`` is the endpoint's Definition-1 simulated busy counter
     (the same number reports are built from — telemetry only reads it);
@@ -141,7 +143,7 @@ class GaugeSample(TelemetryEvent):
     queries for a worker, route-cache entries for a dispatch shard,
     dedup-window keys for a merger shard, coordinator-relayed result
     hops for the coordinator.  ``seq`` tags the window (or barrier)
-    the sample was drained at; it is stamped coordinator-side.
+    the sample was taken at; it is stamped coordinator-side.
     """
 
     tier: str
@@ -166,25 +168,48 @@ class LifecycleEvent(TelemetryEvent):
 
 
 @dataclass(slots=True)
-class TelemetryDrain:
-    """Coordinator→endpoint: report your gauge sample(s).
+class Observe:
+    """Coordinator→endpoint: report your state right now.
 
-    A replied control message, handled by every role host.  The
-    ``__telemetry_control__`` marker (read by ``Fleet._maybe_inject``)
-    keeps it out of the chaos harness's fault send counters — the
-    perturbation-freedom invariant depends on faults counting only
-    data-plane traffic.
+    The one replied observation request, handled by every role host.
+    The ``__telemetry_control__`` marker (read by ``Fleet._maybe_inject``)
+    keeps it out of the chaos harness's fault send counters — faults
+    must count only data-plane traffic (perturbation-freedom).
     """
 
     __telemetry_control__ = True
 
 
-@dataclass(slots=True)
-class TelemetryBatch:
-    """Endpoint→coordinator reply: the drained telemetry events."""
+@dataclass(slots=True, frozen=True)
+class Observation:
+    """Endpoint→coordinator: what reports, adjusters, gauges and the
+    profiler read of one endpoint.  The first five fields are
+    :class:`GaugeSample`'s (a dispatch shard's ``busy_cost`` is 0 — the
+    coordinator charges dispatcher cost itself); ``load`` is the worker's
+    period load, ``received`` / ``delivered`` / ``duplicates`` the merger's
+    period counters, ``profile`` is ``None`` when profiling is off."""
 
+    tier: str
     endpoint_id: int
-    events: Tuple[GaugeSample, ...]
+    busy_cost: float
+    memory_bytes: int
+    depth: int
+    load: float = 0.0
+    received: int = 0
+    delivered: int = 0
+    duplicates: int = 0
+    profile: Optional[ProfileEvent] = None
+
+
+def gauge_sample(observation: Observation) -> GaugeSample:
+    """The gauge view of one observation (``seq`` is stamped on record)."""
+    return GaugeSample(
+        tier=observation.tier,
+        endpoint_id=observation.endpoint_id,
+        busy_cost=observation.busy_cost,
+        memory_bytes=observation.memory_bytes,
+        depth=observation.depth,
+    )
 
 
 @dataclass(frozen=True)
@@ -192,7 +217,7 @@ class TelemetrySpec:
     """Configuration of the telemetry subsystem (picklable, inert).
 
     ``ClusterConfig.telemetry`` is ``None`` by default — telemetry is
-    strictly opt-in.  ``sample_every`` throttles per-window gauge drains
+    strictly opt-in.  ``sample_every`` throttles per-window gauge samples
     (1 = every window); spans and lifecycle events are never throttled.
     """
 
@@ -257,9 +282,16 @@ class TierTimeseries:
 
     def __init__(self) -> None:
         self._series: Dict[Tuple[str, int], List[GaugeSample]] = {}
+        #: tier -> its most recent drain.  A drain holds one sample per live
+        #: endpoint at one seq, so a repeated endpoint or a new seq opens the next.
+        self._latest: Dict[str, Dict[int, GaugeSample]] = {}
 
     def add(self, sample: GaugeSample) -> None:
         self._series.setdefault((sample.tier, sample.endpoint_id), []).append(sample)
+        drain = self._latest.setdefault(sample.tier, {})
+        if sample.endpoint_id in drain or any(s.seq != sample.seq for s in drain.values()):
+            drain.clear()
+        drain[sample.endpoint_id] = sample
 
     def __len__(self) -> int:
         return sum(len(samples) for samples in self._series.values())
@@ -274,17 +306,14 @@ class TierTimeseries:
         return list(self._series.get((tier, endpoint_id), ()))
 
     def latest(self, tier: str) -> Dict[int, GaugeSample]:
-        """The newest sample per endpoint of ``tier``."""
-        return {
-            endpoint: self._series[(tier, endpoint)][-1]
-            for endpoint in self.endpoints(tier)
-            if self._series[(tier, endpoint)]
-        }
+        """The tier's most recent drain, by endpoint — an endpoint that
+        died (and was discarded) before it is no longer reported."""
+        return dict(sorted(self._latest.get(tier, {}).items()))
 
     def busy_fractions(self, tier: str) -> Dict[int, float]:
         """Each endpoint's share of the tier's total busy cost (sums to 1).
 
-        Computed over the newest sample per endpoint; an idle tier
+        Computed over the tier's most recent drain; an idle tier
         (zero total busy) reports uniform shares, so a controller can
         always treat the result as a probability distribution.
         """

@@ -31,8 +31,6 @@ The message vocabulary mirrors the Storm streams of the paper:
   multiprocess deployment workers ship these directly to the merger
   shards (:mod:`repro.runtime.merge`) and the coordinator only ever sees
   the per-object costs — no result round trip through the coordinator.
-* :class:`MergerStats` — merger→coordinator: per-period busy cost and
-  delivered/duplicate counts the reports read.
 * :class:`InstallQueries` / :class:`ExtractCells` /
   :class:`ExtractKeywords` — the Section V migration protocol: the
   coordinator pulls per-query ``(cell, posting keyword)`` assignments out
@@ -40,9 +38,11 @@ The message vocabulary mirrors the Storm streams of the paper:
 * :class:`AdjustBarrier` — the closed-loop adjustment fence: before an
   adjustment round mutates routing state, every worker acknowledges the
   epoch, guaranteeing all previously shipped work has been applied.
-* :class:`StatsReport` — worker→coordinator: the per-period load,
-  busy-time, memory and population numbers the reports and the Section V
-  adjusters read.
+* :class:`~repro.runtime.telemetry.Observe` →
+  :class:`~repro.runtime.telemetry.Observation` — the one read-only
+  round trip every tier answers: the per-period load, busy-time, memory
+  and population numbers the reports, the Section V adjusters, the
+  telemetry gauges and the profiler read.
 
 Every backend produces byte-identical
 :class:`~repro.runtime.metrics.RunReport` values on the same stream
@@ -78,8 +78,7 @@ from .fabric import (
     spawn_fleet,
     spawn_socket_fleet,
 )
-from .profiling import MatchProfile, ProfileDrain
-from .telemetry import GaugeSample, TelemetryBatch, TelemetryDrain
+from .telemetry import Observation, Observe
 from .worker import QueryAssignment, WorkerNode
 
 __all__ = [
@@ -100,16 +99,12 @@ __all__ = [
     "MatchOne",
     "MatchResults",
     "MergerReset",
-    "MergerStats",
-    "MergerStatsRequest",
     "RemoteCallable",
     "RemoteError",
     "RouteBatch",
     "Shutdown",
     "SinkDrain",
     "SnapshotAssignments",
-    "StatsReport",
-    "StatsRequest",
     "Transport",
     "TransportError",
     "WorkerCall",
@@ -266,23 +261,6 @@ def ship_results(
 
 
 @dataclass(slots=True)
-class MergerStatsRequest:
-    """Ask a merger shard for its :class:`MergerStats`."""
-
-
-@dataclass(slots=True)
-class MergerStats:
-    """Merger→coordinator: the per-period numbers the reports consume."""
-
-    merger_id: int
-    busy_cost: float
-    received: int
-    delivered: int
-    duplicates: int
-    memory_bytes: int
-
-
-@dataclass(slots=True)
 class MergerReset:
     """Start a new measurement period on a merger shard (acked)."""
 
@@ -315,22 +293,6 @@ class ExtractKeywords:
 
     cell: CellCoord
     keywords: Sequence[str]
-
-
-@dataclass(slots=True)
-class StatsRequest:
-    """Ask a worker for its :class:`StatsReport`."""
-
-
-@dataclass(slots=True)
-class StatsReport:
-    """Worker→coordinator: the numbers reports and adjusters consume."""
-
-    worker_id: int
-    busy_cost: float
-    load: float
-    memory_bytes: int
-    query_count: int
 
 
 @dataclass(slots=True)
@@ -433,33 +395,18 @@ def execute_ops(
     return replies
 
 
-def _worker_stats(worker: WorkerNode) -> StatsReport:
-    return StatsReport(
-        worker_id=worker.worker_id,
-        busy_cost=worker.busy_cost,
-        load=worker.load(),
-        memory_bytes=worker.memory_bytes(),
-        query_count=worker.query_count,
-    )
-
-
-def _worker_gauge(worker: WorkerNode) -> GaugeSample:
-    """One telemetry gauge sample from live worker state (read-only)."""
-    return GaugeSample(
+def _observe_worker(worker: WorkerNode) -> Observation:
+    """One worker's observation from live state (read-only)."""
+    counters = worker.index.profile
+    return Observation(
         tier="worker",
         endpoint_id=worker.worker_id,
         busy_cost=worker.busy_cost,
         memory_bytes=worker.memory_bytes(),
         depth=worker.query_count,
+        load=worker.load(),
+        profile=counters.event(worker.worker_id) if counters is not None else None,
     )
-
-
-def _worker_profile(worker: WorkerNode) -> Tuple[MatchProfile, ...]:
-    """The worker's profile events — empty when profiling is off."""
-    counters = worker.index.profile
-    if counters is None:
-        return ()
-    return (counters.event(worker.worker_id),)
 
 
 def _resolve_call(worker: WorkerNode, message: WorkerCall) -> Any:
@@ -498,8 +445,13 @@ class Transport:
         """
         raise NotImplementedError
 
-    def worker_stats(self) -> Dict[int, StatsReport]:
-        """One :class:`StatsReport` per worker, keyed by worker id."""
+    def observe(self) -> Dict[int, Observation]:
+        """One :class:`Observation` per worker, in ascending worker-id order.
+
+        A read-only snapshot: observing never touches the Definition-1
+        busy counters reports derive from, so an observed run's report
+        is byte-identical to an unobserved one (the telemetry invariant).
+        """
         raise NotImplementedError
 
     def barrier(self) -> int:
@@ -531,23 +483,6 @@ class Transport:
 
         The in-process reference has no transport to fault; default no-op.
         """
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        """One gauge sample per worker, in ascending worker-id order.
-
-        A read-only snapshot: draining never touches the Definition-1
-        busy counters reports derive from, so a drained run's report is
-        byte-identical to an undrained one (the telemetry invariant).
-        """
-        raise NotImplementedError
-
-    def drain_profile(self) -> List[MatchProfile]:
-        """One profile event per profiling worker, ascending worker id.
-
-        Empty when profiling is off; read-only like telemetry, so
-        draining never perturbs a report.
-        """
-        raise NotImplementedError
 
     def discard_worker(self, worker_id: int) -> None:
         """Drop a dead worker from the fleet (the recovery path).
@@ -585,11 +520,11 @@ class InProcessTransport(Transport):
             for worker_id, batch in batches.items()
         }
 
-    def worker_stats(self) -> Dict[int, StatsReport]:
+    def observe(self) -> Dict[int, Observation]:
         # Sorted by worker id so report merges never depend on the order
         # the worker fleet happened to be enumerated in.
         return {
-            worker_id: _worker_stats(self.workers[worker_id])
+            worker_id: _observe_worker(self.workers[worker_id])
             for worker_id in sorted(self.workers)
         }
 
@@ -613,16 +548,6 @@ class InProcessTransport(Transport):
             worker_id: self.workers[worker_id].snapshot_assignments()
             for worker_id in sorted(self.workers)
         }
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        return [_worker_gauge(self.workers[worker_id]) for worker_id in sorted(self.workers)]
-
-    def drain_profile(self) -> List[MatchProfile]:
-        return [
-            event
-            for worker_id in sorted(self.workers)
-            for event in _worker_profile(self.workers[worker_id])
-        ]
 
     def discard_worker(self, worker_id: int) -> None:
         self.workers.pop(worker_id, None)
@@ -675,8 +600,8 @@ class WorkerHost(RoleHost):
         worker = self.worker
         if kind is RouteBatch:
             return execute_ops(worker, message.ops, self._deliver)
-        if kind is StatsRequest:
-            return _worker_stats(worker)
+        if kind is Observe:
+            return _observe_worker(worker)
         if kind is CellStatsRequest:
             return worker.cell_stats()
         if kind is WorkerCall:
@@ -691,10 +616,6 @@ class WorkerHost(RoleHost):
             return WorkerSnapshot(
                 worker.worker_id, tuple(worker.snapshot_assignments())
             )
-        if kind is TelemetryDrain:
-            return TelemetryBatch(worker.worker_id, (_worker_gauge(worker),))
-        if kind is ProfileDrain:
-            return TelemetryBatch(worker.worker_id, _worker_profile(worker))
         raise TransportError("unknown message %r" % (message,))
 
 
@@ -836,12 +757,12 @@ class FabricTransport(Transport):
     ) -> Dict[int, List[Optional[MatchResults]]]:
         return self._fleet.exchange(batches)
 
-    def worker_stats(self) -> Dict[int, StatsReport]:
-        stats = self._fleet.broadcast(StatsRequest())
+    def observe(self) -> Dict[int, Observation]:
+        replies = self._fleet.broadcast(Observe())
         # Replies are gathered in whatever order the fleet is polled;
         # re-key sorted by worker id so downstream merges are deterministic
         # regardless of reply arrival order.
-        return {worker_id: stats[worker_id] for worker_id in sorted(stats)}
+        return {worker_id: replies[worker_id] for worker_id in sorted(replies)}
 
     def barrier(self) -> int:
         return self._fleet.barrier()
@@ -864,22 +785,6 @@ class FabricTransport(Transport):
 
     def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
         self._fleet.install_fault_plan(faults)
-
-    def drain_telemetry(self) -> List[GaugeSample]:
-        batches = self._fleet.broadcast(TelemetryDrain())
-        return [
-            sample
-            for worker_id in sorted(batches)
-            for sample in batches[worker_id].events
-        ]
-
-    def drain_profile(self) -> List[MatchProfile]:
-        batches = self._fleet.broadcast(ProfileDrain())
-        return [
-            event
-            for worker_id in sorted(batches)
-            for event in batches[worker_id].events
-        ]
 
     def discard_worker(self, worker_id: int) -> None:
         """Drop a dead endpoint and re-align the surviving channels.

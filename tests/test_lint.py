@@ -449,7 +449,7 @@ class TestRL005:
 
 
 # ----------------------------------------------------------------------
-# RL006 — telemetry events registered and pickle-safe
+# RL006 — telemetry and profile events registered and pickle-safe
 # ----------------------------------------------------------------------
 _RL006_BAD = """
     from dataclasses import dataclass
@@ -492,6 +492,46 @@ _RL006_GOOD = """
 """
 
 
+_RL006_PROFILE_BAD = """
+    from dataclasses import dataclass
+    from typing import Callable
+
+    MESSAGE_ROUTING = {"worker": ()}
+    PAYLOAD_DATACLASSES = ("GoodProfile",)
+
+    class ProfileEvent:
+        __slots__ = ()
+
+    @dataclass(frozen=True)
+    class GoodProfile(ProfileEvent):
+        endpoint_id: int
+        on_flush: Callable[[], None]
+
+    @dataclass(frozen=True)
+    class RogueProfile(ProfileEvent):
+        endpoint_id: int
+"""
+
+_RL006_PROFILE_GOOD = """
+    from dataclasses import dataclass
+
+    MESSAGE_ROUTING = {"worker": ()}
+    PAYLOAD_DATACLASSES = ("GoodProfile", "NestedProfile")
+
+    class ProfileEvent:
+        __slots__ = ()
+
+    @dataclass(frozen=True)
+    class GoodProfile(ProfileEvent):
+        endpoint_id: int
+        matches: int
+
+    @dataclass(frozen=True)
+    class NestedProfile(GoodProfile):
+        candidates: int = 0
+"""
+
+
 class TestRL006:
     RULES = (TelemetryProtocolRule(),)
 
@@ -507,6 +547,19 @@ class TestRL006:
         # Also proves transitive subclasses (NestedSpan via GoodSpan)
         # are discovered by the base-name closure.
         assert lint_source(tmp_path, _RL006_GOOD, self.RULES) == []
+
+    def test_flags_unregistered_and_unpicklable_profile_events(self, tmp_path):
+        findings = lint_source(tmp_path, _RL006_PROFILE_BAD, self.RULES)
+        assert len(findings) == 2
+        messages = " ".join(finding.message for finding in findings)
+        assert "RogueProfile is not classified" in messages
+        assert "GoodProfile.on_flush" in messages
+        assert all(finding.rule == "RL006" for finding in findings)
+
+    def test_passes_registered_picklable_profile_events(self, tmp_path):
+        # Also proves transitive subclasses (NestedProfile via
+        # GoodProfile) are discovered by the base-name closure.
+        assert lint_source(tmp_path, _RL006_PROFILE_GOOD, self.RULES) == []
 
     def test_ignores_projects_without_telemetry(self, tmp_path):
         assert lint_source(tmp_path, "X = 1\n", self.RULES) == []
@@ -531,65 +584,32 @@ class TestRL006:
         )
         assert names <= registered
 
+    def test_real_profiling_events_are_registered(self):
+        # Drift guard against the real tree: every ProfileEvent subclass
+        # the runtime defines must be classified in the registry.
+        import repro.runtime.profiling as profiling_module
+
+        names = {
+            name
+            for name, value in vars(profiling_module).items()
+            if isinstance(value, type)
+            and issubclass(value, profiling_module.ProfileEvent)
+            and value is not profiling_module.ProfileEvent
+        }
+        assert names == {"MatchProfile", "RouteProfile", "DedupProfile"}
+        registered = (
+            set(protocol.REPLY_MESSAGES)
+            | set(protocol.PAYLOAD_DATACLASSES)
+            | set(protocol.INTERNAL_DATACLASSES)
+        )
+        assert names <= registered
+
 
 # ----------------------------------------------------------------------
-# RL007 — profiling counters registered; index hot loops timer-free
+# RL007 — index hot loops timer-free
 # ----------------------------------------------------------------------
-_RL007_BAD = """
-    from dataclasses import dataclass
-    from typing import Callable
-
-    MESSAGE_ROUTING = {"worker": ()}
-    PAYLOAD_DATACLASSES = ("GoodProfile",)
-
-    class ProfileEvent:
-        __slots__ = ()
-
-    @dataclass(frozen=True)
-    class GoodProfile(ProfileEvent):
-        endpoint_id: int
-        on_flush: Callable[[], None]
-
-    @dataclass(frozen=True)
-    class RogueProfile(ProfileEvent):
-        endpoint_id: int
-"""
-
-_RL007_GOOD = """
-    from dataclasses import dataclass
-
-    MESSAGE_ROUTING = {"worker": ()}
-    PAYLOAD_DATACLASSES = ("GoodProfile", "NestedProfile")
-
-    class ProfileEvent:
-        __slots__ = ()
-
-    @dataclass(frozen=True)
-    class GoodProfile(ProfileEvent):
-        endpoint_id: int
-        matches: int
-
-    @dataclass(frozen=True)
-    class NestedProfile(GoodProfile):
-        candidates: int = 0
-"""
-
-
 class TestRL007:
     RULES = (ProfilingDisciplineRule(),)
-
-    def test_flags_unregistered_and_unpicklable_events(self, tmp_path):
-        findings = lint_source(tmp_path, _RL007_BAD, self.RULES)
-        assert len(findings) == 2
-        messages = " ".join(finding.message for finding in findings)
-        assert "RogueProfile is not classified" in messages
-        assert "GoodProfile.on_flush" in messages
-        assert all(finding.rule == "RL007" for finding in findings)
-
-    def test_passes_registered_picklable_events(self, tmp_path):
-        # Also proves transitive subclasses (NestedProfile via
-        # GoodProfile) are discovered by the base-name closure.
-        assert lint_source(tmp_path, _RL007_GOOD, self.RULES) == []
 
     def test_flags_timer_in_hot_loop_file(self, tmp_path):
         source = """
@@ -626,26 +646,6 @@ class TestRL007:
 
     def test_ignores_projects_without_profiling(self, tmp_path):
         assert lint_source(tmp_path, "X = 1\n", self.RULES) == []
-
-    def test_real_profiling_events_are_registered(self):
-        # Drift guard against the real tree: every ProfileEvent subclass
-        # the runtime defines must be classified in the registry.
-        import repro.runtime.profiling as profiling_module
-
-        names = {
-            name
-            for name, value in vars(profiling_module).items()
-            if isinstance(value, type)
-            and issubclass(value, profiling_module.ProfileEvent)
-            and value is not profiling_module.ProfileEvent
-        }
-        assert names == {"MatchProfile", "RouteProfile", "DedupProfile"}
-        registered = (
-            set(protocol.REPLY_MESSAGES)
-            | set(protocol.PAYLOAD_DATACLASSES)
-            | set(protocol.INTERNAL_DATACLASSES)
-        )
-        assert names <= registered
 
 
 # ----------------------------------------------------------------------

@@ -357,7 +357,7 @@ class TestMergerMechanics:
                 cluster.run_batched(tuples, batch_size=128)
                 stats = cluster.merger_stats()
             assert list(stats) == [0, 1, 2]
-            assert all(stats[m].merger_id == m for m in stats)
+            assert all(stats[m].endpoint_id == m for m in stats)
 
     def test_barrier_epochs_advance(self):
         plan, _ = make_duplication_workload(num_objects=0)

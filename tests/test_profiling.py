@@ -36,8 +36,6 @@ from repro.runtime.profiling import (
     ProfilingSpec,
     RouteProfile,
     StackSampler,
-    decode_profile_event,
-    encode_profile_event,
     profile_text,
 )
 
@@ -225,24 +223,8 @@ class TestPerturbationFreedom:
 
 
 # ----------------------------------------------------------------------
-# Codec, renderer, sampler
+# Renderer, sampler
 # ----------------------------------------------------------------------
-class TestCodec:
-    def test_round_trip_every_event_type(self):
-        events = [
-            MatchProfile(2, 10, 300, 40, 5),
-            RouteProfile(-1, 100, 80, 60, 20, 20),
-            DedupProfile(0, 50, 12, 3),
-        ]
-        for event in events:
-            payload = json.loads(json.dumps(encode_profile_event(event)))
-            assert decode_profile_event(payload) == event
-
-    def test_unknown_event_type_rejected(self):
-        with pytest.raises(ValueError):
-            decode_profile_event({"event": "mystery"})
-
-
 class TestProfileText:
     def test_renders_all_sections_and_inline_label(self, workload):
         plan, tuples = workload

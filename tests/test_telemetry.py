@@ -26,8 +26,9 @@ from test_transport import require_loopback
 from repro.adjustment import GreedySelector, LocalLoadAdjuster
 from repro.cli import main as cli_main
 from repro.runtime import Cluster, ClusterConfig
-from repro.runtime.fabric import FaultPlan, FaultSpec
+from repro.runtime.fabric import FaultPlan, FaultSpec, Fleet
 from repro.runtime.merge import SinkSpec
+from repro.runtime.profiling import ProfilingSpec
 from repro.runtime.telemetry import (
     GaugeSample,
     LifecycleEvent,
@@ -137,6 +138,7 @@ class TestTierTimeseries:
         series.add(GaugeSample("worker", 0, 1.0, 10, 1, seq=1))
         series.add(GaugeSample("worker", 1, 3.0, 10, 1, seq=1))
         series.add(GaugeSample("worker", 0, 2.0, 20, 2, seq=2))
+        series.add(GaugeSample("worker", 1, 3.0, 10, 1, seq=2))
         assert series.tiers() == ["worker"]
         assert series.endpoints("worker") == [0, 1]
         assert [sample.seq for sample in series.series("worker", 0)] == [1, 2]
@@ -144,6 +146,25 @@ class TestTierTimeseries:
         fractions = series.busy_fractions("worker")
         assert fractions[0] == pytest.approx(0.4)
         assert fractions[1] == pytest.approx(0.6)
+
+    def test_latest_covers_only_the_most_recent_drain(self):
+        # Worker 1 dies after the seq-1 drain: its last sample stays in
+        # the history but no longer counts as live state.  A second drain
+        # at the same seq (window close, then the barrier) is told apart
+        # by the repeated endpoint.
+        series = TierTimeseries()
+        for endpoint in (0, 1, 2):
+            series.add(GaugeSample("worker", endpoint, 1.0, 10, 1, seq=1))
+        series.add(GaugeSample("merger", 0, 5.0, 10, 1, seq=1))
+        for seq in (2, 2):
+            series.add(GaugeSample("worker", 0, 3.0, 10, 1, seq=seq))
+            series.add(GaugeSample("worker", 2, 1.0, 10, 1, seq=seq))
+        assert sorted(series.latest("worker")) == [0, 2]
+        assert series.busy_fractions("worker") == {0: 0.75, 2: 0.25}
+        assert series.endpoints("worker") == [0, 1, 2]
+        assert len(series.series("worker", 1)) == 1
+        # Other tiers keep their own most recent drain.
+        assert sorted(series.latest("merger")) == [0]
 
     def test_idle_tier_reports_uniform_fractions(self):
         series = TierTimeseries()
@@ -389,6 +410,106 @@ class TestPerturbationFreedom:
             if isinstance(event, LifecycleEvent) and event.kind == "endpoint_death"
         )
         assert death.tier == "worker" and death.endpoint_id == 1
+        # The discarded worker is gone from the live view: the newest
+        # gauges, the Prometheus text and the rendered utilisation table
+        # cover the survivors only.
+        assert 'tier="worker",endpoint="0"' in on[3]
+        assert 'tier="worker",endpoint="1"' not in on[3]
+        timeline = render_timeline(on[2])
+        worker_row = next(
+            line for line in timeline.splitlines() if line.startswith("worker ")
+        )
+        assert worker_row.split()[1] == "3"
+        assert " 1:" not in worker_row
+
+
+# ----------------------------------------------------------------------
+# One Observe -> Observation round trip per endpoint
+# ----------------------------------------------------------------------
+@needs_cores
+class TestSingleRoundTrip:
+    """Reports, gauges and the profile are views of one observation."""
+
+    @pytest.fixture
+    def cluster(self):
+        plan, tuples = make_chaos_workload()
+        config = ClusterConfig(
+            num_dispatchers=2,
+            num_workers=4,
+            backend="multiprocess",
+            dispatch_backend="multiprocess",
+            merger_backend="multiprocess",
+            telemetry=TelemetrySpec(),
+            profiling=ProfilingSpec(),
+        )
+        with Cluster(plan, config) as cluster:
+            cluster.run_batched(tuples, batch_size=64)
+            yield cluster
+
+    @pytest.fixture
+    def broadcasts(self, monkeypatch):
+        """Every ``Fleet.broadcast``: (message type, endpoints addressed)."""
+        seen = []
+        broadcast = Fleet.broadcast
+
+        def spy(fleet, message):
+            seen.append((type(message).__name__, tuple(fleet.endpoint_ids)))
+            return broadcast(fleet, message)
+
+        monkeypatch.setattr(Fleet, "broadcast", spy)
+        return seen
+
+    def test_report_is_one_observe_per_endpoint(self, cluster, broadcasts):
+        recorded = len(cluster.telemetry_events())
+        report = cluster.report()
+        # workers, dispatch shards, mergers: asked once each, one type.
+        assert broadcasts == [
+            ("Observe", (0, 1, 2, 3)),
+            ("Observe", (0, 1)),
+            ("Observe", (0, 1)),
+        ]
+        # The gauges that report recorded are the report's own numbers.
+        gauges = [
+            event
+            for event in cluster.telemetry_events()[recorded:]
+            if isinstance(event, GaugeSample)
+        ]
+        by_tier = {
+            tier: {g.endpoint_id: g for g in gauges if g.tier == tier}
+            for tier in ("worker", "dispatcher", "merger")
+        }
+        assert sorted(by_tier["worker"]) == [0, 1, 2, 3]
+        assert sorted(by_tier["merger"]) == [0, 1]
+        for endpoint, gauge in by_tier["worker"].items():
+            assert gauge.memory_bytes == report.worker_memory[endpoint]
+        for endpoint, gauge in by_tier["dispatcher"].items():
+            assert gauge.memory_bytes == report.dispatcher_memory[endpoint]
+        for endpoint, gauge in by_tier["merger"].items():
+            assert gauge.busy_cost == report.merger_busy[endpoint]
+
+    def test_profile_report_is_the_profile_of_one_observation(self, cluster, broadcasts):
+        profile = cluster.profile_report()
+        assert [kind for kind, _ in broadcasts] == ["Observe"] * 3
+        workers = cluster.transport.observe()
+        shards = cluster._dispatch.observe()
+        mergers = cluster._merge.observe()
+        assert profile.matchers == tuple(o.profile for o in workers.values())
+        # (routers[0] is the coordinator's own inline counters, endpoint -1.)
+        assert profile.routers[1:] == tuple(o.profile for o in shards.values())
+        assert profile.mergers == tuple(o.profile for o in mergers.values())
+        assert sum(event.matches for event in profile.matchers) > 0
+
+    def test_dispatch_observe_yields_to_a_window_in_flight(self, cluster, broadcasts):
+        dispatch = cluster._dispatch
+        _, tuples = make_chaos_workload()
+        seq = cluster._submit_window(tuples[:64], 0)
+        del broadcasts[:]
+        # A replied request now would pair with the routed window's reply.
+        assert dispatch.observe() == {}
+        assert broadcasts == []
+        routed = dispatch.collect_window(seq)
+        assert sorted(list(routed.decisions) + list(routed.plans)) == list(range(64))
+        assert sorted(dispatch.observe()) == [0, 1]
 
 
 # ----------------------------------------------------------------------

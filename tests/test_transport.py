@@ -232,7 +232,8 @@ class TestTransportMechanics:
 
     def test_failed_exchange_drains_other_workers(self):
         """A failing worker must not leave other replies queued on the pipes."""
-        from repro.runtime.transport import RouteBatch, StatsReport
+        from repro.runtime.telemetry import Observation
+        from repro.runtime.transport import RouteBatch
 
         plan, _ = make_workload(num_objects=0)
         config = ClusterConfig(num_dispatchers=1, num_workers=2, backend="multiprocess")
@@ -242,9 +243,9 @@ class TestTransportMechanics:
                 transport.exchange({0: RouteBatch(("not-an-op",)), 1: RouteBatch(())})
             # Worker 1's (empty) reply was consumed, so the pipes are still
             # in protocol sync and later requests see fresh replies.
-            stats = transport.worker_stats()
+            stats = transport.observe()
             assert set(stats) == {0, 1}
-            assert all(isinstance(entry, StatsReport) for entry in stats.values())
+            assert all(isinstance(entry, Observation) for entry in stats.values())
 
     def test_close_is_idempotent_and_ends_workers(self):
         plan, _ = make_workload(num_objects=0)
@@ -267,7 +268,7 @@ class TestTransportMechanics:
             assert len(processes) == 2
             assert all(process.is_alive() for process in processes)
             assert cluster.transport.barrier() == 1
-            stats = cluster.transport.worker_stats()
+            stats = cluster.transport.observe()
             assert set(stats) == {0, 1}
         finally:
             cluster.close()
