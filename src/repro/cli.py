@@ -28,8 +28,9 @@ Eight subcommands cover the workflows a downstream user needs most often::
   annotations) from the JSONL a ``run --telemetry-path`` wrote.
 * ``profile`` — replay one workload with the hot-loop cost counters
   enabled and print the per-tier attribution table (postings scanned,
-  route-cache hits, dedup lookups — docs/PROFILING.md); with
-  ``--stacks-path`` also run the sampling profiler and write
+  route-cache hits, dedup lookups — docs/PROFILING.md) plus, for every
+  out-of-process tier, the messages and bytes the coordinator moved;
+  with ``--stacks-path`` also run the sampling profiler and write
   collapsed-stack lines for flamegraph tooling.
 * ``bench-report`` — render the per-metric perf trajectory recorded in
   ``BENCH_HISTORY.jsonl`` by the ``benchmarks/`` perf gates and flag
@@ -522,6 +523,17 @@ def _command_profile(args: argparse.Namespace, out) -> int:
             "routers": [asdict(event) for event in profile.routers],
             "mergers": [asdict(event) for event in profile.mergers],
         }
+        if profile.wire:
+            payload["wire"] = {
+                tier: {
+                    "tuples": profile.tuples,
+                    "endpoints": [
+                        {"endpoint_id": endpoint_id, **stats._asdict()}
+                        for endpoint_id, stats in endpoints.items()
+                    ],
+                }
+                for tier, endpoints in profile.wire.items()
+            }
         if stacks is not None:
             payload["samples"] = sum(int(line.rsplit(" ", 1)[1]) for line in stacks)
         out.write(json.dumps(payload, indent=2, sort_keys=True))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .text import TermStatistics
 
@@ -127,6 +127,10 @@ class BooleanExpression:
         expression (the hot routing/indexing paths recompute it for every
         insertion, deletion and posting otherwise).  Callers must treat the
         returned set as read-only.
+
+        The memo is process-local: it never crosses a pickle (see
+        :meth:`__getstate__`), so a received expression recomputes it on
+        first use against the receiving process's own statistics.
         """
         cached = getattr(self, "_posting_cache", None)
         if cached is not None and cached[0] is statistics:
@@ -143,6 +147,15 @@ class BooleanExpression:
         # hashing are unaffected.
         object.__setattr__(self, "_posting_cache", (statistics, keys))
         return keys
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the declared fields only (the fabric's wire contract).
+
+        ``_posting_cache`` holds a reference to the whole
+        :class:`TermStatistics`; shipping ``__dict__`` would drag it
+        behind every routed query.
+        """
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
     # ------------------------------------------------------------------
     # Introspection helpers

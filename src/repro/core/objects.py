@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Iterable, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
 
 from .expression import BooleanExpression
 from .geometry import Point, Rect
@@ -127,7 +127,8 @@ class STSQuery:
         keyword payload; it only needs to be *consistent* across queries so
         that relative migration costs are meaningful.  The query is
         immutable, so the value is memoised (the adjusters recompute cell
-        sizes every measurement period).
+        sizes every measurement period).  The memo is process-local: it
+        never crosses a pickle (see :meth:`__getstate__`).
         """
         cached = getattr(self, "_size_cache", None)
         if cached is not None:
@@ -138,6 +139,10 @@ class STSQuery:
         # hashing are unaffected.
         object.__setattr__(self, "_size_cache", size)
         return size
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the declared fields only (the fabric's wire contract)."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
 
 class TupleKind(Enum):

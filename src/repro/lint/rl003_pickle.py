@@ -19,6 +19,14 @@ proves the failures it can see, it does not guess).  Field *defaults*
 are also checked: a lambda default is unpicklable regardless of the
 annotation.
 
+Off-field memos: the default pickle of a dataclass ships ``__dict__``,
+not its fields.  A wire-reachable dataclass that stashes a memo with
+``object.__setattr__(self, "_cache", ...)`` under a name that is not one
+of its annotated fields therefore ships the memo — and whatever it
+references — behind every message that carries an instance.  Such a
+class must define ``__getstate__`` (or ``__reduce__`` /
+``__reduce_ex__``) so it pickles its declared state only.
+
 Large-buffer note (docs/STATIC_ANALYSIS.md): fields typed ``bytes`` /
 ``bytearray`` / ``memoryview`` are fine — protocol 5 ships them
 out-of-band (:func:`repro.runtime.fabric.pack_frame`), which is the
@@ -62,6 +70,9 @@ _UNPICKLABLE = {
     "Process": "process handles are process-local",
 }
 
+#: Methods that take over what a class pickles.
+_STATE_HOOKS = ("__getstate__", "__reduce__", "__reduce_ex__")
+
 
 def _atom_names(node: ast.expr) -> Set[str]:
     """Trailing names of every dotted atom in an annotation expression."""
@@ -91,7 +102,7 @@ def _atom_names(node: ast.expr) -> Set[str]:
 
 class PickleSafetyRule(Rule):
     rule_id = "RL003"
-    summary = "wire-crossing dataclass fields are transitively picklable"
+    summary = "wire-crossing dataclasses pickle transitively and ship declared fields only"
 
     def check(self, project: Project) -> Iterator[Finding]:
         wire_names = self._wire_dataclasses(project)
@@ -125,6 +136,7 @@ class PickleSafetyRule(Rule):
         if resolved is None:
             return
         source, class_def = resolved
+        yield from self._check_memos(source, class_def, root)
         for node in class_def.body:
             if not isinstance(node, ast.AnnAssign) or not isinstance(node.target, ast.Name):
                 continue
@@ -172,6 +184,38 @@ class PickleSafetyRule(Rule):
                             yield from self._check_dataclass(
                                 project, alias_atom, root, visited
                             )
+
+    def _check_memos(
+        self, source: SourceFile, class_def: ast.ClassDef, root: str
+    ) -> Iterator[Finding]:
+        """Off-field ``object.__setattr__`` memos need a ``__getstate__``."""
+        if any(
+            isinstance(node, ast.FunctionDef) and node.name in _STATE_HOOKS
+            for node in class_def.body
+        ):
+            return
+        declared = {
+            node.target.id
+            for node in class_def.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        }
+        via = "" if class_def.name == root else " (reached from wire message %s)" % root
+        for call in ast.walk(class_def):
+            if not isinstance(call, ast.Call) or dotted_name(call.func) != "object.__setattr__":
+                continue
+            if len(call.args) < 2 or not isinstance(call.args[1], ast.Constant):
+                continue
+            attribute = call.args[1].value
+            if isinstance(attribute, str) and attribute not in declared:
+                yield self.finding(
+                    source,
+                    call,
+                    "%s stores the off-field memo %r on a wire-crossing "
+                    "dataclass%s: the default pickle ships __dict__, so the "
+                    "memo and everything it references ride behind every "
+                    "message; define __getstate__ returning the declared "
+                    "fields only" % (class_def.name, attribute, via),
+                )
 
     def _check_default(
         self, source: SourceFile, default: ast.expr, class_name: str, field_name: str

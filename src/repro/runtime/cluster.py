@@ -112,7 +112,7 @@ from ..workload.stream import iter_windows
 from .checkpoint import CheckpointStore, RecoveryEvent, RecoveryReport
 from .dispatch import DispatchBackend, RoutedWindow, make_dispatch, plan_update
 from .dispatcher import DispatcherNode
-from .fabric import FaultPlan, TransportError, load_manifest
+from .fabric import FaultPlan, TransportError, WireStats, load_manifest
 from .protocol import barrier_context, mutates_routing
 from .merge import MergeBackend, SinkSpec, make_merge
 from .merger import MergerNode
@@ -1812,6 +1812,22 @@ class Cluster:
         shards = self._dispatch.observe() if self._dispatch is not None else {}
         return workers, shards, self._merge.observe()
 
+    def wire_stats(self) -> Dict[str, Dict[int, WireStats]]:
+        """Coordinator-side channel traffic per out-of-process tier.
+
+        ``tier -> endpoint id ->`` :class:`~repro.runtime.fabric.WireStats`
+        (messages and encoded bytes, both directions; queue-inbox
+        mergers count messages only).  In-process tiers have no channel
+        and are absent, so a fully in-process cluster answers ``{}``.
+        Reads local counters only — no message is sent.
+        """
+        tiers = {
+            "dispatcher": self._dispatch.wire_stats() if self._dispatch is not None else {},
+            "merger": self._merge.wire_stats(),
+            "worker": self.transport.wire_stats(),
+        }
+        return {tier: stats for tier, stats in tiers.items() if stats}
+
     def _drain_gauges(self, seq: int, snapshot: Optional[_Snapshot] = None) -> None:
         """Record one gauge sample per endpoint of every tier in the hub.
 
@@ -2164,6 +2180,8 @@ class Cluster:
             mergers=tuple(
                 o.profile for o in mergers.values() if isinstance(o.profile, DedupProfile)
             ),
+            wire=self.wire_stats(),
+            tuples=self._tuples_processed,
         )
 
     def profile_stacks(self) -> Optional[List[str]]:

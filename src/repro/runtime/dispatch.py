@@ -71,6 +71,7 @@ from .fabric import (
     Fleet,
     RoleHost,
     TransportError,
+    WireStats,
     assign_addresses,
     connect_fleet,
     register_role,
@@ -373,6 +374,10 @@ class DispatchBackend:
         """
         raise NotImplementedError
 
+    def wire_stats(self) -> Dict[int, WireStats]:
+        """Coordinator-side channel traffic per endpoint; empty in process."""
+        return {}
+
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
         """Arm injected faults on this backend's send path (chaos tests).
 
@@ -593,6 +598,9 @@ class FabricDispatch(DispatchBackend):
             return {}
         replies = self._fleet.broadcast(Observe())
         return {shard_id: replies[shard_id] for shard_id in sorted(replies)}
+
+    def wire_stats(self) -> Dict[int, WireStats]:
+        return self._fleet.wire_stats()
 
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
         self._fleet.install_fault_plan(faults)

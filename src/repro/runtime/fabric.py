@@ -63,7 +63,19 @@ import struct
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from multiprocessing.reduction import ForkingPickler
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 __all__ = [
     "AdjustBarrier",
@@ -84,6 +96,7 @@ __all__ = [
     "Shutdown",
     "SocketChannel",
     "TransportError",
+    "WireStats",
     "assign_addresses",
     "connect_fleet",
     "dump_message",
@@ -344,6 +357,15 @@ def load_message(read: Callable[[int], bytes]) -> Any:
 # ----------------------------------------------------------------------
 # Channels
 # ----------------------------------------------------------------------
+class WireStats(NamedTuple):
+    """What one channel has moved so far (messages and encoded bytes)."""
+
+    messages_sent: int
+    bytes_sent: int
+    messages_received: int
+    bytes_received: int
+
+
 class Channel:
     """One duplex typed-message link between coordinator and endpoint.
 
@@ -351,7 +373,21 @@ class Channel:
     bounds a wait so :meth:`Fleet.close` can drain without hanging on a
     dead or wedged endpoint.  ``recv`` raises :class:`EOFError` /
     :class:`OSError` when the peer is gone.
+
+    Every channel counts the messages it moves and, where it holds the
+    encoded frame itself (pipes, sockets), their bytes — always on, two
+    integer adds per message (:meth:`wire_stats`).
     """
+
+    messages_sent = 0
+    bytes_sent = 0
+    messages_received = 0
+    bytes_received = 0
+
+    def wire_stats(self) -> WireStats:
+        return WireStats(
+            self.messages_sent, self.bytes_sent, self.messages_received, self.bytes_received
+        )
 
     def send(self, message: Any) -> None:
         raise NotImplementedError
@@ -368,16 +404,27 @@ class Channel:
 
 
 class PipeChannel(Channel):
-    """A ``multiprocessing`` pipe connection (one process per endpoint)."""
+    """A ``multiprocessing`` pipe connection (one process per endpoint).
+
+    ``send``/``recv`` are ``Connection.send``/``recv`` taken apart — the
+    same ``ForkingPickler`` frames, so either end interoperates with a
+    plain connection — because the encoded frame is what gets counted.
+    """
 
     def __init__(self, connection: Any) -> None:
         self._connection = connection
 
     def send(self, message: Any) -> None:
-        self._connection.send(message)
+        payload = ForkingPickler.dumps(message)
+        self._connection.send_bytes(payload)
+        self.messages_sent += 1
+        self.bytes_sent += len(payload)
 
     def recv(self) -> Any:
-        return self._connection.recv()
+        payload = self._connection.recv_bytes()
+        self.messages_received += 1
+        self.bytes_received += len(payload)
+        return pickle.loads(payload)
 
     def poll(self, timeout: float) -> bool:
         return self._connection.poll(timeout)
@@ -397,7 +444,8 @@ class OutboxChannel(Channel):
     and replies come back on a dedicated one-way pipe.  ``put``
     serialises and writes synchronously in the calling thread, so a
     control message enqueued after a data message is dequeued after it:
-    the inbox ordering *is* the fence.
+    the inbox ordering *is* the fence.  The queue encodes internally, so
+    this channel counts messages only.
     """
 
     def __init__(self, inbox: Any, replies: Any) -> None:
@@ -406,9 +454,12 @@ class OutboxChannel(Channel):
 
     def send(self, message: Any) -> None:
         self.inbox.put(message)
+        self.messages_sent += 1
 
     def recv(self) -> Any:
-        return self._replies.recv()
+        reply = self._replies.recv()
+        self.messages_received += 1
+        return reply
 
     def poll(self, timeout: float) -> bool:
         return self._replies.poll(timeout)
@@ -452,10 +503,20 @@ class SocketChannel(Channel):
             pass
 
     def send(self, message: Any) -> None:
-        self._socket.sendall(dump_message(message))
+        frame = dump_message(message)
+        self._socket.sendall(frame)
+        self.messages_sent += 1
+        self.bytes_sent += len(frame)
+
+    def _read(self, size: int) -> bytes:
+        chunk = self._socket.recv(size)
+        self.bytes_received += len(chunk)
+        return chunk
 
     def recv(self) -> Any:
-        return load_message(self._socket.recv)
+        message = load_message(self._read)
+        self.messages_received += 1
+        return message
 
     def poll(self, timeout: float) -> bool:
         readable, _, _ = select.select([self._socket], [], [], timeout)
@@ -654,6 +715,13 @@ class Fleet:
         """Per-endpoint data-plane inboxes other producers may write to
         (the merger tier's direct worker→merger shipping), or ``None``."""
         return self._data_endpoints
+
+    def wire_stats(self) -> Dict[int, WireStats]:
+        """Coordinator-side traffic of every live endpoint's channel."""
+        return {
+            endpoint_id: channel.wire_stats()
+            for endpoint_id, channel in sorted(self._channels.items())
+        }
 
     # -- fault injection (testing seam) --------------------------------
     def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:

@@ -67,6 +67,7 @@ from .fabric import (
     Fleet,
     RoleHost,
     TransportError,
+    WireStats,
     assign_addresses,
     connect_fleet,
     register_role,
@@ -309,6 +310,10 @@ class MergeBackend:
         """Drain every shard's sink buffer, keyed by merger id."""
         raise NotImplementedError
 
+    def wire_stats(self) -> Dict[int, WireStats]:
+        """Coordinator-side channel traffic per endpoint; empty in process."""
+        return {}
+
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
         """Arm injected faults on this backend's send path (chaos tests).
 
@@ -482,6 +487,9 @@ class FabricMerge(MergeBackend):
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         drained = self._fleet.broadcast(SinkDrain())
         return {merger_id: drained[merger_id] for merger_id in sorted(drained)}
+
+    def wire_stats(self) -> Dict[int, WireStats]:
+        return self._fleet.wire_stats()
 
     def install_fault_plan(self, faults: Sequence[Any]) -> None:
         self._fleet.install_fault_plan(faults)

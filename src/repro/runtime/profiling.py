@@ -51,8 +51,10 @@ from __future__ import annotations
 import sys
 import threading
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from .fabric import WireStats
 
 __all__ = [
     "DedupCounters",
@@ -229,12 +231,19 @@ class ProfileReport:
     One :class:`MatchProfile` per worker, one :class:`RouteProfile` per
     routing replica (``-1`` = inline coordinator routing) and one
     :class:`DedupProfile` per merger shard, each in ascending endpoint
-    order.
+    order.  ``wire`` is :meth:`Cluster.wire_stats` — the coordinator's
+    channel traffic per out-of-process tier, empty for a fully
+    in-process cluster — and ``tuples`` the tuples processed in the
+    current measurement period, the base of the bytes-per-tuple column
+    (the channel counters cover the channels' lifetime, so the ratio is
+    a whole-run figure only when no ``reset_period`` intervened).
     """
 
     matchers: Tuple[MatchProfile, ...]
     routers: Tuple[RouteProfile, ...]
     mergers: Tuple[DedupProfile, ...]
+    wire: Mapping[str, Mapping[int, WireStats]] = field(default_factory=dict)
+    tuples: int = 0
 
 
 # ----------------------------------------------------------------------
@@ -313,6 +322,18 @@ def profile_text(report: ProfileReport) -> str:
                 _ratio(dedup.duplicates, dedup.lookups),
             )
         )
+    for tier, endpoints in report.wire.items():
+        lines.append("")
+        lines.append("wire (coordinator side): %s tier, %d tuples" % (tier, report.tuples))
+        lines.append(
+            "  %-8s %12s %14s %12s %14s %12s"
+            % ("endpoint", "msgs sent", "bytes sent", "msgs recv", "bytes recv", "sent B/tuple")
+        )
+        rows = [(_endpoint(endpoint_id), stats) for endpoint_id, stats in endpoints.items()]
+        rows.append(("total", WireStats(*map(sum, zip(*endpoints.values())))))
+        for label, stats in rows:
+            per_tuple = "%.1f" % (stats.bytes_sent / report.tuples) if report.tuples else "--"
+            lines.append("  %-8s %12d %14d %12d %14d %12s" % ((label,) + stats + (per_tuple,)))
     return "\n".join(lines) + "\n"
 
 

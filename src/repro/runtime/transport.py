@@ -72,6 +72,7 @@ from .fabric import (
     RoleHost,
     Shutdown,
     TransportError,
+    WireStats,
     assign_addresses,
     connect_fleet,
     register_role,
@@ -478,6 +479,10 @@ class Transport:
         """
         raise NotImplementedError
 
+    def wire_stats(self) -> Dict[int, WireStats]:
+        """Coordinator-side channel traffic per endpoint; empty in process."""
+        return {}
+
     def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
         """Arm injected faults on this backend's send path (chaos tests).
 
@@ -782,6 +787,9 @@ class FabricTransport(Transport):
             worker_id: list(snapshots[worker_id].assignments)
             for worker_id in sorted(snapshots)
         }
+
+    def wire_stats(self) -> Dict[int, WireStats]:
+        return self._fleet.wire_stats()
 
     def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
         self._fleet.install_fault_plan(faults)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from ..core.objects import STSQuery, StreamTuple
 from ..partitioning.base import WorkloadSample
@@ -88,7 +88,8 @@ class WorkloadStream:
         self._inserted_count = 0
         # Priority queue of (expiry_insertion_index, query_id, query).
         self._expiry_heap: List[Tuple[int, int, STSQuery]] = []
-        self._live: List[STSQuery] = []
+        #: Live queries by id, in insertion order (deletion is a dict pop).
+        self._live: Dict[int, STSQuery] = {}
         self._warmup: Optional[List[STSQuery]] = None
 
     # ------------------------------------------------------------------
@@ -110,17 +111,14 @@ class WorkloadStream:
         self._inserted_count += 1
         expiry = self._inserted_count + self._lifetime()
         heapq.heappush(self._expiry_heap, (expiry, query.query_id, query))
-        self._live.append(query)
+        self._live[query.query_id] = query
         return query
 
     def _expired_query(self) -> Optional[STSQuery]:
         """The next query due for deletion (oldest expiry first)."""
         while self._expiry_heap:
-            expiry, _, query = self._expiry_heap[0]
-            heapq.heappop(self._expiry_heap)
-            try:
-                self._live.remove(query)
-            except ValueError:
+            _, query_id, query = heapq.heappop(self._expiry_heap)
+            if self._live.pop(query_id, None) is None:
                 continue
             return query
         return None
@@ -135,7 +133,7 @@ class WorkloadStream:
         return list(self._warmup)
 
     def live_queries(self) -> List[STSQuery]:
-        return list(self._live)
+        return list(self._live.values())
 
     @property
     def live_query_count(self) -> int:

@@ -316,6 +316,61 @@ class TestRL003:
         findings = lint_source(tmp_path, source, self.RULES)
         assert any("lambda default" in finding.message for finding in findings)
 
+    # One template, four variants: the memo site is the same, what differs
+    # is whether the class is on the wire, declares the attribute, or
+    # takes over its own pickling.
+    _MEMO = """
+        from dataclasses import dataclass
+
+        MESSAGE_ROUTING = {"worker": (%(message)r,)}
+        ROLE_HOSTS = {}
+
+        @dataclass(frozen=True)
+        class Expr:
+            clauses: tuple
+            %(declared)s
+
+            def __post_init__(self):
+                object.__setattr__(self, "width", len(self.clauses))
+
+            def keys(self, statistics):
+                object.__setattr__(self, "_keys", (statistics, 1))
+                return 1
+            %(hook)s
+
+        @dataclass
+        class Insert:
+            expression: Expr
+
+        @dataclass
+        class Ping:
+            epoch: int
+    """
+    _GETSTATE = "def __getstate__(self): return {'clauses': self.clauses}"
+
+    def _lint_memo(self, tmp_path, message="Insert", declared="width: int = 0", hook=""):
+        source = self._MEMO % {"message": message, "declared": declared, "hook": hook}
+        return lint_source(tmp_path, source, self.RULES)
+
+    def test_flags_off_field_memo_without_getstate(self, tmp_path):
+        findings = self._lint_memo(tmp_path)
+        assert len(findings) == 1
+        message = findings[0].message
+        assert "Expr" in message and "'_keys'" in message
+        assert "reached from wire message Insert" in message
+
+    def test_passes_off_field_memo_with_getstate(self, tmp_path):
+        assert self._lint_memo(tmp_path, hook=self._GETSTATE) == []
+
+    def test_passes_off_field_memo_off_the_wire(self, tmp_path):
+        assert self._lint_memo(tmp_path, message="Ping") == []
+
+    def test_passes_setattr_of_declared_field(self, tmp_path):
+        # ``width`` is set through object.__setattr__ in __post_init__ in
+        # every variant and never flagged; declaring ``_keys`` clears the
+        # memo site too.
+        assert self._lint_memo(tmp_path, declared="width: int = 0; _keys: object = None") == []
+
 
 # ----------------------------------------------------------------------
 # RL004 — serve-loop discipline

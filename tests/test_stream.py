@@ -1,5 +1,6 @@
 """Unit tests for the mixed workload stream driver."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -89,3 +90,45 @@ class TestTupleStream:
         first = [item.kind for item in make_stream(seed=77).tuples(200)]
         second = [item.kind for item in make_stream(seed=77).tuples(200)]
         assert first == second
+
+
+def stream_digest(stream, num_objects):
+    """SHA-256 of the tuple sequence and of the final live-query order.
+
+    Ids come from process-global counters, so queries are named by their
+    insertion ordinal and objects by their content.
+    """
+    ordinals = {}
+    rows = []
+    for item in stream.tuples(num_objects):
+        if item.kind is TupleKind.OBJECT:
+            obj = item.payload
+            name = (obj.text, obj.location.x, obj.location.y)
+        else:
+            name = ordinals.setdefault(item.payload.query_id, len(ordinals))
+        rows.append((item.kind.value, name, item.arrival_time))
+    live = [ordinals[query.query_id] for query in stream.live_queries()]
+    return tuple(
+        hashlib.sha256(repr(part).encode()).hexdigest()[:16] for part in (rows, live)
+    )
+
+
+class TestStreamDigest:
+    """The generated stream is pinned element for element.
+
+    Every benchmark workload and seeded test is a function of this
+    sequence, so a generator optimisation must leave it — and the
+    ``live_queries()`` order — exactly as it was (the digests predate
+    the O(1) deletion in ``_expired_query``).
+    """
+
+    @pytest.mark.parametrize(
+        "group, objects_per_update, expected",
+        [
+            ("Q1", 5, ("a4c7fb4510859555", "793be5db26c3a5bd")),
+            ("Q3", 1, ("060d21bef895dab1", "4b61c16507e061fd")),
+        ],
+    )
+    def test_stream_matches_pinned_digest(self, group, objects_per_update, expected):
+        stream = make_stream(mu=300, group=group, objects_per_update=objects_per_update)
+        assert stream_digest(stream, 1500) == expected
