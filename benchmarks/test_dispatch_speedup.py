@@ -3,10 +3,10 @@
 Measures the *routing throughput* of the dispatch backends on a
 route-bound workload: a dense population of single-keyword subscriptions
 over a coarse grid, streamed objects carrying many high-entropy noise
-terms.  Every object pays full GridT routing (per-term H2 probes against
-large per-cell maps, route-cache bookkeeping defeated by the diverse term
-sets) while only a minority hits a posting keyword at all, so dispatcher
-routing — not worker matching — dominates the serial wall clock.
+terms.  Every object pays full GridT routing (an H2 intersection against
+large per-cell maps) while only a minority hits a posting keyword at all,
+so dispatcher routing — not worker matching — dominates the serial wall
+clock.
 Mixed-stream semantics (updates, barriers, adjustment, migrations) are
 pinned byte-identical across dispatch backends by
 ``tests/test_dispatch.py``; this file answers the scaling question only.
@@ -25,9 +25,7 @@ physically impossible.
 Timing protocol: per backend, one warm cluster (shard start-up, replica
 sync and warm-up insertions outside the clock), then one replay per
 pre-generated object stream with the minimum taken and garbage collection
-paused.  Each repeat replays a *distinct* stream so the route cache never
-serves a previous replay's decisions — every timed window pays real
-routing on both backends.
+paused.  Each repeat replays a *distinct* stream.
 """
 
 import gc
@@ -122,8 +120,7 @@ def _time_dispatch(plan, warmup, bodies, dispatch_backend):
     config = ClusterConfig(
         num_dispatchers=NUM_SHARDS,
         num_workers=NUM_WORKERS,
-        gi2_granularity=GRANULARITY,
-        gridt_granularity=GRANULARITY,
+        granularity=GRANULARITY,
         dispatch_backend=dispatch_backend,
     )
     best = None

@@ -131,8 +131,7 @@ def _time_merge(plan, warmup, warm_body, bodies, merger_backend):
     config = ClusterConfig(
         num_workers=NUM_WORKERS,
         num_mergers=NUM_MERGERS,
-        gi2_granularity=GRANULARITY,
-        gridt_granularity=GRANULARITY,
+        granularity=GRANULARITY,
         backend="multiprocess",
         merger_backend=merger_backend,
     )

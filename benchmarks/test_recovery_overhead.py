@@ -61,8 +61,7 @@ def _time_mode(plan, warmup, body, checkpoint_every):
     config = ClusterConfig(
         num_dispatchers=4,
         num_workers=NUM_WORKERS,
-        gi2_granularity=GRANULARITY,
-        gridt_granularity=GRANULARITY,
+        granularity=GRANULARITY,
         checkpoint_every=checkpoint_every,
     )
     best = None

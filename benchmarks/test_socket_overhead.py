@@ -64,8 +64,7 @@ def _time_backend(plan, warmup, body, backend):
     config = ClusterConfig(
         num_dispatchers=4,
         num_workers=NUM_WORKERS,
-        gi2_granularity=GRANULARITY,
-        gridt_granularity=GRANULARITY,
+        granularity=GRANULARITY,
         backend=backend,
     )
     best = None

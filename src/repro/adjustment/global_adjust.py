@@ -9,10 +9,11 @@ repartitioning, the new one serves newly registered queries.  Once the old
 population has shrunk (queries are continuously deleted by their owners)
 the remaining old queries are migrated and the old strategy is dropped.
 
-:class:`DualRoutingIndex` implements the two-strategy routing; objects and
-deletions consult both structures (a query may live under either), while
-insertions only use the new one.  :class:`GlobalAdjuster` decides when a
-repartitioning is worthwhile and drives the switch-over.
+:class:`DualRoutingIndex` implements the two-strategy routing; objects
+consult both structures (a query may live under either), insertions only
+use the new one, and a deletion updates the strategy that placed its
+query.  :class:`GlobalAdjuster` decides when a repartitioning is
+worthwhile and drives the switch-over.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ class DualRoutingIndex:
     def __init__(self, old_index: GridTIndex, new_index: GridTIndex) -> None:
         self.old_index = old_index
         self.new_index = new_index
+        #: Ids of the queries placed through the new strategy; every other
+        #: live query is owned by the old one.
+        self._new_query_ids: Set[int] = set()
 
     # -- routing -----------------------------------------------------------
     def route_object(self, obj: SpatioTextualObject) -> Set[int]:
@@ -51,7 +55,7 @@ class DualRoutingIndex:
 
     def route_insertion(self, query: STSQuery) -> Set[int]:
         """New queries are placed exclusively by the new strategy."""
-        return self.new_index.route_insertion(query)
+        return self.apply_insertion(self.insertion_assignments(query)[0])
 
     def insertion_assignments(
         self, query: STSQuery
@@ -62,6 +66,7 @@ class DualRoutingIndex:
         strategy drains: workers register only their routed ``(cell,
         keyword)`` pairs instead of full posting footprints.
         """
+        self._new_query_ids.add(query.query_id)
         return self.new_index.posting_assignments(query)
 
     def apply_insertion(self, triples) -> Set[int]:
@@ -69,8 +74,21 @@ class DualRoutingIndex:
         return self.new_index.apply_insertion(triples)
 
     def route_deletion(self, query: STSQuery) -> Set[int]:
-        """A deletion may concern an old or a new query; notify both."""
-        return self.old_index.route_deletion(query) | self.new_index.route_deletion(query)
+        """Decrement H2 in the strategy that placed the query, and only it.
+
+        H2 counts postings per ``(cell, keyword, worker)``, not per query,
+        so decrementing the other strategy too would erase the posting of
+        a different live query that shares the triple.  The other
+        strategy's workers are still notified: re-inserting a live
+        pre-drain query (streams re-yield their warm-up population)
+        registers it under both strategies.
+        """
+        owner, other = self.old_index, self.new_index
+        if query.query_id in self._new_query_ids:
+            self._new_query_ids.discard(query.query_id)
+            owner, other = other, owner
+        notified = {worker for _, _, worker in other.posting_assignments(query)[0]}
+        return owner.route_deletion(query) | notified
 
     # -- surface compatibility ----------------------------------------------
     @property
@@ -84,16 +102,11 @@ class DualRoutingIndex:
     def cells(self):
         return self.new_index.cells()
 
-    def migrate_cell(self, coord, from_worker: int, to_worker: int) -> None:
-        """A migration during a drain must repoint *both* strategies."""
-        self.migrate_cells((coord,), from_worker, to_worker)
-
     def migrate_cells(self, coords, from_worker: int, to_worker: int) -> None:
-        """Bulk variant of :meth:`migrate_cell` (same both-strategies rule)."""
+        """A migration during a drain must repoint *both* strategies."""
         coords = tuple(coords)
         self.new_index.migrate_cells(coords, from_worker, to_worker)
         self.old_index.migrate_cells(coords, from_worker, to_worker)
-        self.clear_route_caches()
 
     def split_cell_by_text(self, coord, term_assignment, default_worker=None) -> None:
         """A Phase I split during a drain must hit both structures.
@@ -105,12 +118,6 @@ class DualRoutingIndex:
         """
         self.new_index.split_cell_by_text(coord, term_assignment, default_worker)
         self.old_index.split_cell_by_text(coord, term_assignment, default_worker)
-        self.clear_route_caches()
-
-    def clear_route_caches(self) -> None:
-        """Flush both structures' object-routing memos (invalidation contract)."""
-        self.old_index.clear_route_caches()
-        self.new_index.clear_route_caches()
 
     def workers(self) -> Set[int]:
         return self.old_index.workers() | self.new_index.workers()
@@ -146,13 +153,11 @@ class GlobalAdjuster:
         partitioner: Partitioner,
         *,
         improvement_threshold: float = 0.1,
-        gridt_granularity: int = 64,
     ) -> None:
         """``improvement_threshold`` is the minimum relative reduction of the
         estimated total load that justifies a repartitioning."""
         self.partitioner = partitioner
         self.improvement_threshold = improvement_threshold
-        self.gridt_granularity = gridt_granularity
         self.pending_plan: Optional[PartitionPlan] = None
         self.history: List[RepartitionReport] = []
 
@@ -182,7 +187,7 @@ class GlobalAdjuster:
     def _begin_repartition(self, cluster: Cluster, new_plan: PartitionPlan) -> None:
         """Install the dual routing strategy (old queries keep their homes)."""
         old_index = cluster.routing_index
-        new_index = new_plan.to_gridt(self.gridt_granularity)
+        new_index = new_plan.to_gridt(cluster.config.granularity)
         cluster.replace_routing_index(DualRoutingIndex(old_index, new_index))
         cluster.plan = new_plan
         self.pending_plan = new_plan
@@ -223,11 +228,8 @@ class GlobalAdjuster:
         ] = {}
         holders: Dict[int, List[int]] = {}
         worker_pairs: Dict[int, Dict[int, List[Tuple[CellCoord, str]]]] = {}
-        new_grid = new_index.grid
-        grid_aligned: Dict[int, bool] = {}
         for worker_id in sorted(cluster.workers):
             worker = cluster.workers[worker_id]
-            grid_aligned[worker_id] = worker.index.grid == new_grid
             worker_pairs[worker_id] = worker.index.posting_pairs_by_query()
             for query in worker.index.queries():
                 holders.setdefault(query.query_id, []).append(worker_id)
@@ -240,11 +242,7 @@ class GlobalAdjuster:
             new_index.apply_insertion(triples)
         # 3. Build one reconciliation plan per worker: every replica ends
         #    at exactly its per-worker pairs, workers gaining a query
-        #    receive only those pairs.  The pair coordinates live on the
-        #    *routing* grid: they are installed verbatim only into
-        #    grid-aligned workers; an unaligned worker re-registers at
-        #    keyword granularity on its own grid (the same fallback the
-        #    dispatcher path uses when cells are unaligned).
+        #    receive only those pairs.
         removals: Dict[int, List[int]] = {wid: [] for wid in cluster.workers}
         pair_removals: Dict[int, List[Tuple[int, List[Tuple[CellCoord, str]]]]] = {
             wid: [] for wid in cluster.workers
@@ -253,9 +251,6 @@ class GlobalAdjuster:
             wid: [] for wid in cluster.workers
         }
         installs: Dict[int, List[QueryAssignment]] = {wid: [] for wid in cluster.workers}
-        reinserts: Dict[int, List[Tuple[STSQuery, List[str]]]] = {
-            wid: [] for wid in cluster.workers
-        }
         shipped_bytes = 0
         shipped_count = 0
         rehomed_queries = 0
@@ -265,9 +260,6 @@ class GlobalAdjuster:
                 expected = per_worker.get(worker_id)
                 if expected is None:
                     removals[worker_id].append(query_id)
-                    continue
-                if not grid_aligned[worker_id]:
-                    reinserts[worker_id].append((query, [key for _, key in expected]))
                     continue
                 expected_set = set(expected)
                 actual_set = set(worker_pairs[worker_id].get(query_id, ()))
@@ -282,12 +274,7 @@ class GlobalAdjuster:
             for worker_id, pairs in per_worker.items():
                 if worker_id in holding_set:
                     continue
-                if not grid_aligned[worker_id]:
-                    reinserts[worker_id].append((query, [key for _, key in pairs]))
-                else:
-                    installs[worker_id].append(
-                        QueryAssignment(query, tuple(sorted(pairs)), True)
-                    )
+                installs[worker_id].append(QueryAssignment(query, tuple(sorted(pairs)), True))
                 shipped_bytes += query.size_bytes()
                 shipped_count += 1
                 gained = True
@@ -300,14 +287,12 @@ class GlobalAdjuster:
                 or pair_removals[worker_id]
                 or pair_additions[worker_id]
                 or installs[worker_id]
-                or reinserts[worker_id]
             ):
                 cluster.workers[worker_id].reconcile_queries(
                     removals[worker_id],
                     pair_removals[worker_id],
                     pair_additions[worker_id],
                     installs[worker_id],
-                    reinserts[worker_id],
                 )
         if shipped_count:
             report.queries_migrated = rehomed_queries

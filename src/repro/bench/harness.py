@@ -245,8 +245,7 @@ def run_experiment(partitioner_name: str, config: ExperimentConfig) -> Experimen
         num_dispatchers=scaled.num_dispatchers,
         num_workers=scaled.num_workers,
         num_mergers=scaled.num_mergers,
-        gi2_granularity=scaled.granularity,
-        gridt_granularity=scaled.granularity,
+        granularity=scaled.granularity,
         latency_load_fraction=scaled.latency_load_fraction,
         backend=scaled.backend,
         dispatch_backend=scaled.dispatch_backend,

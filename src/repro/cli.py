@@ -28,7 +28,7 @@ Eight subcommands cover the workflows a downstream user needs most often::
   annotations) from the JSONL a ``run --telemetry-path`` wrote.
 * ``profile`` — replay one workload with the hot-loop cost counters
   enabled and print the per-tier attribution table (postings scanned,
-  route-cache hits, dedup lookups — docs/PROFILING.md) plus, for every
+  routing probes, dedup lookups — docs/PROFILING.md) plus, for every
   out-of-process tier, the messages and bytes the coordinator moved;
   with ``--stacks-path`` also run the sampling profiler and write
   collapsed-stack lines for flamegraph tooling.
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile", action="store_true",
             help="enable the hot-loop cost counters (docs/PROFILING.md): "
                  "postings scanned and candidates checked per worker, "
-                 "route-cache hits/misses per dispatcher, dedup lookups "
+                 "H2 probes/fallbacks per dispatcher, dedup lookups "
                  "per merger.  Observation-only like telemetry — the run "
                  "report is byte-identical with or without it.  'repro "
                  "profile' prints the attribution table; under 'run' the "

@@ -27,7 +27,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -144,62 +143,18 @@ class GI2Index:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def insert(
-        self,
-        query: STSQuery,
-        posting_plan: Optional[Mapping[str, Optional[Sequence[CellCoord]]]] = None,
-    ) -> int:
-        """Register a query; returns the number of postings created.
+    def insert(self, query: STSQuery) -> int:
+        """Register a query's full posting footprint: every posting keyword
+        in every cell overlapping its region.  Returns the postings created.
 
-        Without a ``posting_plan`` the query is posted under every posting
-        keyword in every cell overlapping its region.  With a plan — the
-        ``{posting keyword: cells}`` subset the dispatcher actually routed
-        to this worker — only those (cell, keyword) pairs are posted, so a
-        query replicated across several workers does not replicate its full
-        posting footprint on each of them.  A ``None`` cell list in the plan
-        means "every overlapping cell" (used when the dispatcher's routing
-        grid does not align with this index's grid).
+        Insertions routed by a dispatcher register only the routed subset,
+        through :meth:`insert_pairs`.
         """
-        if query.query_id in self._queries and query.query_id not in self._pending_deletions:
-            # Re-registration of a live query is a no-op (idempotent insert).
-            return 0
-        # A re-inserted query cancels a pending deletion.
-        self._pending_deletions.discard(query.query_id)
-        if posting_plan is None:
-            posting_keys = query.expression.posting_keywords(self._statistics)
-            overlapping = self._grid.cells_overlapping(query.region)
-            plan: List[Tuple[str, Sequence[CellCoord]]] = [
-                (key, overlapping) for key in posting_keys
-            ]
-        else:
-            overlapping = None
-            plan = []
-            for key, key_cells in posting_plan.items():
-                if key_cells is None:
-                    if overlapping is None:
-                        overlapping = self._grid.cells_overlapping(query.region)
-                    key_cells = overlapping
-                plan.append((key, key_cells))
-        created = 0
-        used_cells: Set[CellCoord] = set()
-        recorded: List[Tuple[CellCoord, str]] = []
-        cells_map = self._cells
-        for key, key_cells in plan:
-            for cell in key_cells:
-                inverted = cells_map.get(cell)
-                if inverted is None:
-                    inverted = InvertedIndex()
-                    cells_map[cell] = inverted
-                inverted.add(key, query.query_id)
-                recorded.append((cell, key))
-                created += 1
-                used_cells.add(cell)
-        for cell in used_cells:
-            self._cell_query_counts[cell] += 1
-        self._queries[query.query_id] = query
-        self._query_cells[query.query_id] = used_cells
-        self._query_postings[query.query_id] = recorded
-        return created
+        posting_keys = query.expression.posting_keywords(self._statistics)
+        overlapping = self._grid.cells_overlapping(query.region)
+        return self.insert_pairs(
+            query, [(cell, key) for cell in overlapping for key in posting_keys]
+        )
 
     def insert_pairs(self, query: STSQuery, pairs: Sequence[Tuple[CellCoord, str]]) -> int:
         """Register a query under explicit ``(cell, posting keyword)`` pairs.
@@ -207,12 +162,13 @@ class GI2Index:
         The lean entry point of the batched engine: the dispatcher already
         resolved exactly which (cell, keyword) postings this worker owns,
         so no grid arithmetic happens here.  Consecutive pairs for the same
-        cell reuse the resolved inverted index.  Equivalent to
-        :meth:`insert` with the corresponding ``posting_plan``.
+        cell reuse the resolved inverted index.
         """
         query_id = query.query_id
         if query_id in self._queries and query_id not in self._pending_deletions:
+            # Re-registration of a live query is a no-op (idempotent insert).
             return 0
+        # A re-inserted query cancels a pending deletion.
         self._pending_deletions.discard(query_id)
         cells_map = self._cells
         used_cells: Set[CellCoord] = set()
@@ -457,8 +413,7 @@ class GI2Index:
         object (no query updates happen inside a batch, so per-object
         results are order-independent); stale postings of each probed
         (cell, term) pair are purged once per batch instead of once per
-        object.  ``cells`` may carry precomputed grid cells (valid when the
-        caller's routing grid is aligned with this index's grid).
+        object.  ``cells`` may carry the objects' precomputed grid cells.
         """
         outcomes: List[Optional[MatchOutcome]] = [None] * len(objects)
         by_cell: Dict[CellCoord, List[int]] = {}

@@ -64,9 +64,6 @@ class GridTCell:
     #: H2: posting keyword -> worker id -> number of live queries posted
     #: under that keyword for that worker in this cell.
     h2: Dict[str, Dict[int, int]] = field(default_factory=dict)
-    #: Monotonic counter bumped whenever the routing state of the cell
-    #: changes; batched routing caches key their entries on it.
-    version: int = 0
 
     def lookup_h1(self, term: str) -> Optional[int]:
         """The worker owning ``term`` in this cell according to H1."""
@@ -90,7 +87,6 @@ class GridTCell:
     def add_posting(self, term: str, worker: int) -> None:
         owners = self.h2.setdefault(term, {})
         owners[worker] = owners.get(worker, 0) + 1
-        self.version += 1
 
     def remove_posting(self, term: str, worker: int) -> None:
         owners = self.h2.get(term)
@@ -103,7 +99,6 @@ class GridTCell:
                 self.h2.pop(term, None)
         else:
             owners[worker] = count - 1
-        self.version += 1
 
     def h2_entry_count(self) -> int:
         return sum(len(owners) for owners in self.h2.values())
@@ -111,15 +106,6 @@ class GridTCell:
 
 class GridTIndex:
     """Dispatcher-side routing index with per-cell H1/H2 hash maps."""
-
-    #: Cells whose H2 map has at least this many posting keywords are worth
-    #: memoising in :meth:`route_cell`; below it the direct intersection is
-    #: cheaper than the cache bookkeeping.
-    ROUTE_CACHE_MIN_H2 = 16
-    #: Size bound of :attr:`route_cache`; the memo is flushed wholesale when
-    #: it grows past this (entries are cheap to recompute, and an unbounded
-    #: memo would dominate resident memory on long runs).
-    ROUTE_CACHE_LIMIT = 1 << 18
 
     def __init__(
         self,
@@ -143,9 +129,6 @@ class GridTIndex:
         self._cells: Dict[CellCoord, GridTCell] = {}
         self._statistics = term_statistics
         self.object_filtering = object_filtering
-        #: (cell, frozenset-of-terms) -> (cell version, worker tuple);
-        #: :meth:`route_cell` memoises decisions here.
-        self._route_cache: Dict[Tuple[CellCoord, FrozenSet[str]], Tuple[int, Tuple[int, ...]]] = {}
         #: Hot-loop profiling counters (:mod:`repro.runtime.profiling`);
         #: ``None`` — the default — keeps routing at a few ``is None``
         #: checks per object.  Assigned by whoever owns the index (the
@@ -164,21 +147,6 @@ class GridTIndex:
     def term_statistics(self) -> Optional[TermStatistics]:
         return self._statistics
 
-    @property
-    def route_cache(self) -> Dict[Tuple[CellCoord, FrozenSet[str]], Tuple[int, Tuple[int, ...]]]:
-        """The (cell, term set) -> (version, decision) object-routing memo."""
-        return self._route_cache
-
-    def clear_route_caches(self) -> None:
-        """Flush the object-routing memo (part of the invalidation contract).
-
-        Version stamps already keep stale entries from being *served*; the
-        explicit flush after an H1 mutation stops them from lingering as
-        dead memory.  :meth:`Cluster.invalidate_routing_caches` calls this
-        on whatever routing structure is installed.
-        """
-        self._route_cache.clear()
-
     def cell(self, coord: CellCoord) -> GridTCell:
         """The cell at ``coord``, created on demand."""
         cell = self._cells.get(coord)
@@ -195,7 +163,6 @@ class GridTIndex:
         cell = self.cell(coord)
         cell.default_worker = worker_id
         cell.term_workers = None
-        cell.version += 1
 
     def set_cell_term_map(
         self,
@@ -215,7 +182,6 @@ class GridTIndex:
         cell = self.cell(coord)
         cell.term_workers = term_workers if share else dict(term_workers)
         cell.default_worker = default_worker
-        cell.version += 1
 
     @classmethod
     def from_assignments(
@@ -349,11 +315,7 @@ class GridTIndex:
                     prof.fallback_routes += 1
                 return set()
             if prof is not None:
-                # The single-object path never memoises, so every content
-                # probe counts as a cache miss (matching the batch path's
-                # below-threshold cells).
                 prof.probes += 1
-                prof.cache_misses += 1
             workers: Set[int] = set()
             for term in obj.terms:
                 owners = cell.h2.get(term)
@@ -369,11 +331,7 @@ class GridTIndex:
 
         The batched form of the :meth:`route_object` decision (empty tuple
         means "discard"), shared by :meth:`route_object_batch` and the
-        cluster's fused window scan.  Content-routed decisions are memoised
-        per ``(cell, term set)`` in :attr:`route_cache`; every entry is
-        stamped with the cell's ``version`` counter so H2 updates
-        invalidate stale entries lazily instead of flushing the whole
-        cache.
+        cluster's fused window scan.
         """
         prof = self.profile
         cell = self._cells.get(coord)
@@ -395,36 +353,15 @@ class GridTIndex:
             return ()
         if prof is not None:
             prof.probes += 1
-        # Memoising pays off only for cells with substantial H2 maps; for
-        # small cells the direct intersection is cheaper than the cache
-        # bookkeeping.
-        use_cache = len(h2) >= self.ROUTE_CACHE_MIN_H2
-        if use_cache:
-            cache = self._route_cache
-            cache_key = (coord, terms)
-            cached = cache.get(cache_key)
-            version = cell.version
-            if cached is not None and cached[0] == version:
-                if prof is not None:
-                    prof.cache_hits += 1
-                return cached[1]
-        if prof is not None:
-            prof.cache_misses += 1
         # The keys-view intersection runs at C speed; most objects hit no
         # posting keyword at all and are discarded right here.
         hits = terms & h2.keys()
         if not hits:
-            decision: Tuple[int, ...] = ()
-        else:
-            workers: Set[int] = set()
-            for term in hits:
-                workers.update(h2[term])
-            decision = tuple(sorted(workers))
-        if use_cache:
-            if len(cache) >= self.ROUTE_CACHE_LIMIT:
-                cache.clear()
-            cache[cache_key] = (version, decision)
-        return decision
+            return ()
+        workers: Set[int] = set()
+        for term in hits:
+            workers.update(h2[term])
+        return tuple(sorted(workers))
 
     def route_object_batch(
         self, objects: Sequence[SpatioTextualObject]
@@ -456,22 +393,14 @@ class GridTIndex:
             append(route_cell((col, row), obj.terms))
         return decisions
 
-    def _posting_assignments(self, query: STSQuery) -> List[Tuple[CellCoord, str, int]]:
-        """The (cell, posting keyword, worker) triples for a query.
-
-        This is the shared computation behind insertion and deletion
-        routing; determinism is guaranteed because the term statistics are
-        frozen at partitioning time.
-        """
-        return self.posting_assignments(query)[0]
-
     def posting_assignments(
         self, query: STSQuery
     ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
         """``(cell, posting keyword, worker)`` triples plus the probed cell count.
 
-        The cell count is the number of grid cells overlapping the query
-        region — the quantity the dispatcher cost model charges for.
+        Shared by insertion and deletion routing (deterministic: the term
+        statistics are frozen at partitioning time).  The cell count — grid
+        cells overlapping the region — is what the dispatcher is charged for.
 
         Posting keywords are visited in sorted order so the assignment
         *sequence* (not just its content) is identical on every replica of
@@ -545,7 +474,6 @@ class GridTIndex:
             for col in range(lo_col, hi_col + 1):
                 coord = (col, row)
                 cell = cells_get(coord)
-                posted = False
                 for key in keys_tuple:
                     if cell is not None:
                         term_workers = cell.term_workers
@@ -568,14 +496,11 @@ class GridTIndex:
                         cell.h2[key] = {worker: 1}
                     else:
                         owners[worker] = owners.get(worker, 0) + 1
-                    posted = True
                     pairs = per_worker.get(worker)
                     if pairs is None:
                         per_worker[worker] = [(coord, key)]
                     else:
                         pairs.append((coord, key))
-                if posted:
-                    cell.version += 1
         cells = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
         return per_worker, cells
 
@@ -604,7 +529,6 @@ class GridTIndex:
                         h2.pop(key, None)
                 else:
                     owners[worker] = count - 1
-                cell.version += 1
 
     def apply_insertion(self, assignments: Iterable[Tuple[CellCoord, str, int]]) -> Set[int]:
         """Record H2 postings for precomputed assignments; returns the workers."""
@@ -641,19 +565,15 @@ class GridTIndex:
 
     def route_insertion(self, query: STSQuery) -> Set[int]:
         """Route a query insertion and update H2; returns target workers."""
-        return self.apply_insertion(self._posting_assignments(query))
+        return self.apply_insertion(self.posting_assignments(query)[0])
 
     def route_deletion(self, query: STSQuery) -> Set[int]:
         """Route a query deletion and update H2; returns target workers."""
-        return self.apply_deletion(self._posting_assignments(query))
+        return self.apply_deletion(self.posting_assignments(query)[0])
 
     # ------------------------------------------------------------------
     # Dynamic adjustment support (Section V)
     # ------------------------------------------------------------------
-    def migrate_cell(self, coord: CellCoord, from_worker: int, to_worker: int) -> None:
-        """Repoint every reference to ``from_worker`` in a cell to ``to_worker``."""
-        self.migrate_cells((coord,), from_worker, to_worker)
-
     def migrate_cells(
         self, coords: Iterable[CellCoord], from_worker: int, to_worker: int
     ) -> None:
@@ -698,7 +618,6 @@ class GridTIndex:
                 if from_worker in owners:
                     count = owners.pop(from_worker)
                     owners[to_worker] = owners.get(to_worker, 0) + count
-            cell.version += 1
 
     def split_cell_by_text(
         self,
@@ -722,10 +641,9 @@ class GridTIndex:
                 continue
             total = sum(owners.values())
             cell.h2[term] = {target: total}
-        cell.version += 1
 
     def clear_h2(self) -> None:
-        """Drop every H2 posting (all cells), bumping cell versions.
+        """Drop every H2 posting (all cells).
 
         Used when the global adjuster finalises a repartition: the new
         index's H2 is rebuilt from scratch out of the surviving queries'
@@ -733,10 +651,7 @@ class GridTIndex:
         strategy originally routed each query.
         """
         for cell in self._cells.values():
-            if cell.h2:
-                cell.h2 = {}
-                cell.version += 1
-        self._route_cache.clear()
+            cell.h2 = {}
 
     # ------------------------------------------------------------------
     # Introspection

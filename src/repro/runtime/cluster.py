@@ -33,15 +33,15 @@ A stream is replayed by the per-tuple reference or by the batched engine:
   the mergers in bulk.  A batched run therefore produces the same
   throughput, worker loads, fanout and match counts as the per-tuple
   run — batching changes wall-clock cost, never simulated semantics.
-  (Unaligned grids and dual routing during a global adjustment take
+  (Dual routing during a global adjustment takes
   :meth:`Cluster.process_batch`'s strict-barrier fallback instead.)
 
-Each routing rule is written once: the object decision (H2 probe,
-version-stamped ``(cell, term set)`` memo, fallback) is
-:meth:`GridTIndex.route_cell`; the update plan (insertion plan, its reuse
-at deletion — the keyword choice is deterministic, Section IV-C — and the
-H2 delta) is :func:`repro.runtime.dispatch.plan_update`, whose plan cache
-is dropped whenever a migration or a routing-index swap changes H1.
+Each routing rule is written once: the object decision (H2 probe or
+fallback) is :meth:`GridTIndex.route_cell`; the update plan (insertion
+plan, its reuse at deletion — the keyword choice is deterministic, Section
+IV-C — and the H2 delta) is :func:`repro.runtime.dispatch.plan_update`,
+whose plan cache is dropped whenever a migration or a routing-index swap
+changes H1.
 
 The executor has two *routing sources*, selected by
 ``ClusterConfig.dispatch_backend``.  With ``"inline"`` (default) the
@@ -187,17 +187,17 @@ class ClusterConfig:
     """Sizing and calibration of the simulated cluster.
 
     The defaults mirror the paper's testbed: 4 dispatchers, 8 workers and
-    GI2/gridt granularity ``2^6``.  ``cost_unit_seconds`` converts the
-    abstract cost units of :class:`~repro.core.costmodel.CostModel` into
-    seconds; it was calibrated so that one object-handling unit corresponds
-    to a few tens of microseconds of Python matching work.
+    one cell granularity ``2^6`` for the gridt and GI2 indexes alike.
+    ``cost_unit_seconds`` converts the abstract cost units of
+    :class:`~repro.core.costmodel.CostModel` into seconds; it was
+    calibrated so that one object-handling unit corresponds to a few tens
+    of microseconds of Python matching work.
     """
 
     num_dispatchers: int = 4
     num_workers: int = 8
     num_mergers: int = 2
-    gi2_granularity: int = 64
-    gridt_granularity: int = 64
+    granularity: int = 64
     cost_model: CostModel = field(default_factory=CostModel)
     #: Seconds per cost unit.
     cost_unit_seconds: float = 20e-6
@@ -476,7 +476,7 @@ class Cluster:
         self.config = config if config is not None else ClusterConfig()
         self.plan = plan
         self.bounds: Rect = plan.bounds
-        self.routing_index: GridTIndex = plan.to_gridt(self.config.gridt_granularity)
+        self.routing_index: GridTIndex = plan.to_gridt(self.config.granularity)
         # Each dispatcher holds (a reference to) the routing structure; the
         # memory report charges a full copy per dispatcher, as in the paper.
         self.dispatchers: List[DispatcherNode] = [
@@ -517,7 +517,7 @@ class Cluster:
                 self.config.backend,
                 list(range(self.config.num_workers)),
                 bounds=self.bounds,
-                granularity=self.config.gi2_granularity,
+                granularity=self.config.granularity,
                 cost_model=self.config.cost_model,
                 term_statistics=plan.statistics,
                 merger_endpoints=self._merge.worker_endpoints(),
@@ -548,7 +548,6 @@ class Cluster:
         self._insertion_assignments: Dict[
             int, Tuple[Dict[int, List[Tuple[CellCoord, str]]], int]
         ] = {}
-        self._cells_aligned = self._compute_cells_aligned()
         # Sharded dispatch: shard replicas route off the coordinator; the
         # routing version stamps every out-of-band H1/H2 mutation so
         # _ensure_dispatch_synced() knows when to re-ship a snapshot.
@@ -598,37 +597,15 @@ class Cluster:
             self._sampler = StackSampler(profiling.sample_interval_ms)
             self._sampler.start()
 
-    def _compute_cells_aligned(self) -> bool:
-        """True when the routing grid matches the workers' GI2 grids.
-
-        When aligned, the dispatcher's ``(cell, keyword)`` assignments can
-        be installed verbatim into a worker's GI2 index; otherwise workers
-        fall back to registering routed keywords in every overlapping cell
-        of their own grid.
-        """
-        grid = getattr(self.routing_index, "grid", None)
-        if grid is None:
-            return False
-        return all(worker.index.grid == grid for worker in self.workers.values())
-
     def invalidate_routing_caches(self) -> None:
-        """Drop caches that assume a static H1 (call after H1 changes).
+        """Drop what assumes a static H1 (call after H1 changes).
 
-        The gridt object-route memo is version-guarded (H2 changes never
-        serve stale entries), but its stale entries would linger as dead
-        memory, so it is flushed here as well.  The routing version bump
-        marks every dispatch-shard replica stale; the next routed window
-        (or memory report) re-syncs them from the authoritative index.
+        The routing version bump marks every dispatch-shard replica stale
+        — the next routed window (or memory report) re-syncs them from the
+        authoritative index — and the insertion-plan cache is dropped.
         """
         self._routing_version += 1
         self._insertion_assignments.clear()
-        clear = getattr(self.routing_index, "clear_route_caches", None)
-        if clear is not None:
-            clear()
-        else:
-            cache = getattr(self.routing_index, "route_cache", None)
-            if cache is not None:
-                cache.clear()
 
     # ------------------------------------------------------------------
     # Sharded dispatch plumbing
@@ -637,16 +614,11 @@ class Cluster:
         """Whether routing currently runs on the dispatch shards.
 
         Requires a sharded backend and the window executor's precondition,
-        a plain aligned gridt index.  Other deployments (dual routing
-        during a global drain, unaligned grids) route inline on the
-        coordinator; every inline update then marks the replicas stale so
-        they re-sync when sharding resumes.
+        a plain gridt index.  Dual routing during a global drain routes
+        inline on the coordinator; every inline update then marks the
+        replicas stale so they re-sync when sharding resumes.
         """
-        return (
-            self._dispatch is not None
-            and self._cells_aligned
-            and type(self.routing_index) is GridTIndex
-        )
+        return self._dispatch is not None and type(self.routing_index) is GridTIndex
 
     def _ensure_dispatch_synced(self) -> None:
         """Re-ship the routing index to the shards if the version moved."""
@@ -719,18 +691,14 @@ class Cluster:
             if kind is TupleKind.OBJECT:
                 op = MatchOne(item.payload)
             elif kind is TupleKind.INSERT:
-                pairs = assignments.get(worker_id) if assignments is not None else None
-                op = InsertQuery(item.payload, pairs, self._cells_aligned)
+                assert assignments is not None
+                pairs = assignments[worker_id]
+                op = InsertQuery(item.payload, pairs)
                 if log is not None:
-                    # Exact-pairs registrations replay via install_queries
-                    # (which extends an existing registration); a
-                    # full-footprint insert (pairs unknown) replays as the
-                    # op itself — idempotent because every routed worker
-                    # registers the identical full footprint.
+                    # Replayed via install_queries, which extends an
+                    # existing registration.
                     log.append(
                         (worker_id, QueryAssignment(item.payload.query, tuple(pairs), True))
-                        if pairs is not None
-                        else (worker_id, op)
                     )
             else:
                 op = DeleteQuery(item.payload)
@@ -1134,28 +1102,19 @@ class Cluster:
             replayed += 1
             if isinstance(entry, QueryAssignment):
                 target_worker.install_queries([entry])
-            elif isinstance(entry, int):
-                self.transport.exchange({target: RouteBatch((DeleteById(entry),))})
             else:
-                self.transport.exchange({target: RouteBatch((entry,))})
+                self.transport.exchange({target: RouteBatch((DeleteById(entry),))})
             new_log.append((target, entry))
         self._update_log[:] = new_log
         # Routing remap: every cell that still names the dead worker —
         # as H1 default, term owner or H2 posting owner — moves to the
         # target wholesale.
         routing = self.routing_index
-        cells_remapped = 0
-        cells_fn = getattr(routing, "cells", None)
-        migrate_bulk = getattr(routing, "migrate_cells", None)
-        if cells_fn is not None and migrate_bulk is not None:
-            coords = [
-                coord
-                for coord, cell in cells_fn().items()
-                if worker_id in cell.workers()
-            ]
-            if coords:
-                migrate_bulk(coords, worker_id, target)
-                cells_remapped = len(coords)
+        coords = [
+            coord for coord, cell in routing.cells().items() if worker_id in cell.workers()
+        ]
+        routing.migrate_cells(coords, worker_id, target)
+        cells_remapped = len(coords)
         self.invalidate_routing_caches()
         event = RecoveryEvent(
             worker_id=worker_id,
@@ -1196,14 +1155,15 @@ class Cluster:
         adjuster (``adjust(cluster, sample)`` — a pending repartition is
         finalised, otherwise the period sample is checked), then starts a
         new load-measurement period so the next round observes only
-        post-adjustment traffic.  The cache-invalidation contract is
-        enforced by the mutators themselves: every H1 mutation the
-        adjusters can perform (``migrate_cells``, ``migrate_keywords``,
-        ``replace_routing_index``, a Phase I split) flushes the routing
-        caches, so an untriggered round leaves the batched engine's memos
-        warm.  Run-level accounting (busy time, traces, match counts) is
-        *not* cleared — the RunReport of a closed-loop run covers the
-        whole stream; use :meth:`reset_period` for a full reset.
+        post-adjustment traffic.  The invalidation contract is enforced
+        by the mutators themselves: every H1 mutation the adjusters can
+        perform (``migrate_cells``, ``migrate_keywords``,
+        ``replace_routing_index``, a Phase I split) bumps the routing
+        version and drops the insertion-plan cache, so an untriggered
+        round leaves the plan cache warm.  Run-level accounting (busy
+        time, traces, match counts) is *not* cleared — the RunReport of a
+        closed-loop run covers the whole stream; use :meth:`reset_period`
+        for a full reset.
 
         The round opens with the transport's ``AdjustBarrier`` fence:
         every worker acknowledges the new epoch before any adjuster reads
@@ -1236,18 +1196,17 @@ class Cluster:
     def process_batch(self, items: Sequence[StreamTuple], *, trace: bool = True) -> None:
         """Process one window of tuples through the batched engine.
 
-        When the routing grid and the worker grids are aligned (the default
-        deployment), updates are *deferred* within the window: an update
-        only acts as a barrier for objects falling into a grid cell it
-        actually touches, because both its H2 effect and its worker-side
-        posting effect are confined to those cells.  Objects in untouched
-        cells keep accumulating, so the bulk-matching runs stay close to
-        window-sized despite the 5:1 object/update interleaving.  On other
-        deployments (unaligned grids, dual routing during a global
-        adjustment) every update is a strict barrier.
+        Updates are *deferred* within the window: an update only acts as a
+        barrier for objects falling into a grid cell it actually touches,
+        because both its H2 effect and its worker-side posting effect are
+        confined to those cells.  Objects in untouched cells keep
+        accumulating, so the bulk-matching runs stay close to window-sized
+        despite the 5:1 object/update interleaving.  Under dual routing
+        (the drain of a global adjustment) every update is a strict
+        barrier instead.
         """
         self._span_open(len(items))
-        if self._cells_aligned and type(self.routing_index) is GridTIndex:
+        if type(self.routing_index) is GridTIndex:
             base = self._reserve_slots(len(items))
             routed: Optional[RoutedWindow] = None
             if self._dispatch is not None:
@@ -1277,7 +1236,7 @@ class Cluster:
         routed: Optional[RoutedWindow],
         trace: bool,
     ) -> None:
-        """Deferred-barrier window execution over an aligned gridt index.
+        """Deferred-barrier window execution over a plain gridt index.
 
         Correctness argument: an update's observable effect — H2 postings
         for routing, GI2 postings / pending deletions for matching — is
@@ -2247,7 +2206,7 @@ class Cluster:
         (*moved*); queries that also overlap cells staying behind keep
         their remaining pairs on the source (*copied*).  The dispatcher
         routing index is updated to point the migrated cells at the target
-        worker, and the batched engine's routing caches are invalidated.
+        worker, and the routing version is bumped.
         """
         source = self.workers[source_worker]
         target = self.workers[target_worker]
@@ -2257,12 +2216,7 @@ class Cluster:
         source.index.purge_cells(moving)
         shipped = source.extract_cells(moving)
         target.install_queries(shipped)
-        migrate_bulk = getattr(self.routing_index, "migrate_cells", None)
-        if migrate_bulk is not None:
-            migrate_bulk(moving, source_worker, target_worker)
-        else:
-            for cell in moving:
-                self.routing_index.migrate_cell(cell, source_worker, target_worker)
+        self.routing_index.migrate_cells(moving, source_worker, target_worker)
         self.invalidate_routing_caches()
         return self._record_migration(
             source_worker, target_worker, tuple(moving), shipped
@@ -2297,7 +2251,16 @@ class Cluster:
 
     @mutates_routing
     def replace_routing_index(self, routing_index: GridTIndex) -> None:
-        """Swap in a new routing structure (global load adjustment)."""
+        """Swap in a new routing structure (global load adjustment).
+
+        The workers' GI2 indexes hold ``(cell, posting keyword)`` pairs in
+        the cluster's grid, so a structure over any other grid is rejected.
+        """
+        if routing_index.grid != self.routing_index.grid:
+            raise ValueError(
+                "routing index grid %r differs from the cluster's %r"
+                % (routing_index.grid, self.routing_index.grid)
+            )
         # The inline-routing profile survives the swap: re-attach the old
         # index's counters so a run's profile covers the whole stream.
         old_profile = getattr(self.routing_index, "profile", None)
@@ -2307,7 +2270,6 @@ class Cluster:
         for dispatcher in self.dispatchers:
             dispatcher.routing_index = routing_index
         self.invalidate_routing_caches()
-        self._cells_aligned = self._compute_cells_aligned()
 
     def reset_load_measurement(self) -> None:
         """Start a new Section V measurement period, keeping run totals.

@@ -281,8 +281,8 @@ class _ShardRouter:
 
         Every update is applied to the replica at its stream position so
         later objects observe its H2 effect; runs of owned objects between
-        updates are routed through ``route_object_batch`` (the same code
-        path, route cache included, the serial batched engine uses).
+        updates are routed through ``route_object_batch`` (the same
+        ``route_cell`` rule the serial batched engine uses).
         """
         index = self.index
         if index is None:
@@ -407,19 +407,6 @@ class DispatchBackend:
                 plans[position] = (is_insert, per_worker, cells)
         return RoutedWindow(decisions, plans)
 
-    @staticmethod
-    def _snapshot(routing_index: Any) -> bytes:
-        """Pickle the coordinator's index once, route caches dropped.
-
-        The route cache is a memo (never observable), so flushing it on
-        the authoritative index before pickling keeps snapshots small
-        without changing behaviour.
-        """
-        clear = getattr(routing_index, "clear_route_caches", None)
-        if clear is not None:
-            clear()
-        return pickle.dumps(routing_index, protocol=pickle.HIGHEST_PROTOCOL)
-
 
 class InProcessDispatch(DispatchBackend):
     """Reference backend: shard replicas in the coordinator's interpreter.
@@ -445,7 +432,7 @@ class InProcessDispatch(DispatchBackend):
         self._epoch = 0
 
     def sync(self, routing_index: Any, version: int) -> None:
-        blob = self._snapshot(routing_index)
+        blob = pickle.dumps(routing_index, protocol=pickle.HIGHEST_PROTOCOL)
         for router in self._routers:
             router.sync(pickle.loads(blob))
         self.synced_version = version
@@ -552,7 +539,7 @@ class FabricDispatch(DispatchBackend):
     def sync(self, routing_index: Any, version: int) -> None:
         if self._inflight is not None:
             raise TransportError("cannot sync dispatch shards with a window in flight")
-        blob = self._snapshot(routing_index)
+        blob = pickle.dumps(routing_index, protocol=pickle.HIGHEST_PROTOCOL)
         self._fleet.broadcast(SyncRoutingIndex(blob, version))
         self.synced_version = version
 

@@ -95,26 +95,15 @@ class DispatcherNode:
         # delegating to the new strategy, so workers receive per-worker
         # (cell, keyword) plans — never full posting footprints — even
         # while the old strategy drains.
-        assignments_fn = getattr(index, "insertion_assignments", None)
-        if assignments_fn is None:
-            assignments_fn = getattr(index, "posting_assignments", None)
-        if assignments_fn is None:
-            # Routing structures without the detailed surface fall back to
-            # plain routing; workers then register the full posting plan.
-            workers = index.route_insertion(query)
-            cells = len(index.grid.cells_overlapping(query.region))
-            per_worker = None
-        else:
-            triples, cells = assignments_fn(query)
-            index.apply_insertion(triples)
-            per_worker = group_triples(triples)
-            workers = per_worker.keys()
+        triples, cells = index.insertion_assignments(query)
+        index.apply_insertion(triples)
+        per_worker = group_triples(triples)
         cost = self.TUPLE_COST + self.PROBE_COST * max(1, cells)
         self.busy_cost += cost
         self._last_tuple_cost = cost
         self.insertions_routed += 1
         return RoutingDecision(
-            workers=tuple(sorted(workers)), cost=cost, assignments=per_worker
+            workers=tuple(sorted(per_worker)), cost=cost, assignments=per_worker
         )
 
     def _route_deletion(self, deletion: QueryDeletion) -> RoutingDecision:

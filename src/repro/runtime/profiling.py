@@ -9,9 +9,9 @@ per-core inner loops actually did:
   number of cell probes, so selectivity of the term intersection and the
   region/expression filter is attributable per worker.
 * **GridT routing** (:meth:`repro.indexes.gridt.GridTIndex.route_object_batch`
-  and its inlined copies) — route-cache hits/misses, content-path probes
-  and fallback routes (missing cell / default-worker / empty H2) per
-  routing replica, so the cache's payoff and the H2 pressure are visible.
+  and :meth:`~repro.indexes.gridt.GridTIndex.route_cell`) — content-path
+  probes and fallback routes (missing cell / default-worker / empty H2)
+  per routing replica, so the H2 pressure is visible.
 * **Merger dedup** (:meth:`repro.runtime.merger.MergerNode.handle`) —
   dedup-set lookups, duplicates suppressed and window evictions per
   shard.
@@ -52,7 +52,7 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from .fabric import WireStats
 
@@ -104,9 +104,7 @@ class RouteProfile(ProfileEvent):
 
     ``endpoint_id`` is the dispatch shard id, or ``-1`` for the
     coordinator's inline routing (the ``inline`` dispatch backend and
-    the batched engine's fused arrival scan).  Invariants:
-    ``cache_hits + cache_misses == probes`` (every content-path probe
-    either hit the route-cache or computed — and counted — a miss) and
+    the batched engine's fused arrival scan).  Invariant:
     ``probes + fallback_routes == cells_probed`` (every routed object
     probes exactly one cell and takes exactly one of the two paths).
     """
@@ -114,9 +112,11 @@ class RouteProfile(ProfileEvent):
     endpoint_id: int
     cells_probed: int
     probes: int
-    cache_hits: int
-    cache_misses: int
     fallback_routes: int
+    #: Vestige of the deleted route memo, not a field: the frozen
+    #: ``benchmarks/e2e/bench.py`` reads this name to print
+    #: ``gridt.cache_hit_ratio``, which therefore stays 0.0.
+    cache_hits: ClassVar[int] = 0
 
 
 @dataclass(slots=True, frozen=True)
@@ -163,13 +163,11 @@ class MatchCounters:
 class RouteCounters:
     """Mutable GridT routing counters (plain ints; picklable)."""
 
-    __slots__ = ("cells_probed", "probes", "cache_hits", "cache_misses", "fallback_routes")
+    __slots__ = ("cells_probed", "probes", "fallback_routes")
 
     def __init__(self) -> None:
         self.cells_probed = 0
         self.probes = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.fallback_routes = 0
 
     def event(self, endpoint_id: int) -> RouteProfile:
@@ -177,8 +175,6 @@ class RouteCounters:
             endpoint_id=endpoint_id,
             cells_probed=self.cells_probed,
             probes=self.probes,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
             fallback_routes=self.fallback_routes,
         )
 
@@ -289,20 +285,16 @@ def profile_text(report: ProfileReport) -> str:
     lines.append("")
     lines.append("GridT routing (per replica; 'inline' = coordinator)")
     lines.append(
-        "  %-8s %12s %12s %12s %12s %12s %10s"
-        % ("replica", "cells", "probes", "cache hits", "misses", "fallback", "hit rate")
+        "  %-8s %12s %12s %12s" % ("replica", "cells", "probes", "fallback")
     )
     for route in report.routers:
         lines.append(
-            "  %-8s %12d %12d %12d %12d %12d %10s"
+            "  %-8s %12d %12d %12d"
             % (
                 _endpoint(route.endpoint_id),
                 route.cells_probed,
                 route.probes,
-                route.cache_hits,
-                route.cache_misses,
                 route.fallback_routes,
-                _ratio(route.cache_hits, route.probes),
             )
         )
     lines.append("")

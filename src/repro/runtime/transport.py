@@ -134,8 +134,7 @@ class MatchOne:
 class MatchObjects:
     """Match a run of objects in one bulk call (batched engine).
 
-    ``cells`` optionally carries the objects' precomputed routing-grid
-    cells (valid when the routing grid is aligned with the worker's grid).
+    ``cells`` optionally carries the objects' precomputed grid cells.
     """
 
     objects: Sequence[SpatioTextualObject]
@@ -146,14 +145,12 @@ class MatchObjects:
 class InsertQuery:
     """Register a routed query insertion (strict/per-tuple paths).
 
-    ``assignment`` is the list of ``(routing cell, posting keyword)``
-    pairs the dispatcher routed to this worker, or ``None`` for the full
-    posting footprint fallback.
+    ``assignment`` is the list of ``(cell, posting keyword)`` pairs the
+    dispatcher routed to this worker.
     """
 
     insertion: QueryInsertion
-    assignment: Optional[Sequence[Tuple[CellCoord, str]]] = None
-    cells_aligned: bool = False
+    assignment: Sequence[Tuple[CellCoord, str]]
 
 
 @dataclass(slots=True)
@@ -386,7 +383,7 @@ def execute_ops(
                 deliver(results)
                 replies.append(MatchResults((), (worker.last_tuple_cost,), len(results)))
         elif kind is InsertQuery:
-            worker.handle_insertion(op.insertion, op.assignment, cells_aligned=op.cells_aligned)
+            worker.handle_insertion(op.insertion, op.assignment)
             replies.append(None)
         elif kind is DeleteQuery:
             worker.handle_deletion(op.deletion)
@@ -636,20 +633,12 @@ class IndexProxy:
     Attribute access probes the remote kind once: a method answers with a
     :class:`RemoteCallable` marker and becomes a cached RPC-invoking
     callable; a plain attribute/property answers with its value (fetched
-    fresh on every access — it may be mutable).  ``grid`` is immutable per
-    worker and cached after the first fetch.
+    fresh on every access — it may be mutable).
     """
 
     def __init__(self, transport: "FabricTransport", worker_id: int) -> None:
         self._transport = transport
         self._worker_id = worker_id
-        self._grid = None
-
-    @property
-    def grid(self) -> Any:
-        if self._grid is None:
-            self._grid = self._transport.call(self._worker_id, ("index", "grid"), None)
-        return self._grid
 
     def __getattr__(self, name: str) -> Any:
         if name.startswith("_"):

@@ -9,7 +9,7 @@ cluster simulator can derive saturation throughput and latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.costmodel import CostModel, WorkerLoadCounters
 from ..core.geometry import Rect
@@ -70,33 +70,18 @@ class WorkerNode:
         self,
         insertion: QueryInsertion,
         assignment: Optional[Sequence[Tuple[CellCoord, str]]] = None,
-        *,
-        cells_aligned: bool = False,
     ) -> None:
         """(1) Query insertion: add the STS query to the in-memory index.
 
-        ``assignment`` is the list of ``(routing cell, posting keyword)``
-        pairs the dispatcher routed to this worker.  When given, the query
-        is registered only under those posting keywords — and, when
-        ``cells_aligned`` says the routing grid matches this worker's GI2
-        grid, only in those cells — instead of replicating its complete
-        posting footprint on every worker holding it.
+        ``assignment`` is the list of ``(cell, posting keyword)`` pairs the
+        dispatcher routed to this worker.  When given, the query is
+        registered under exactly those pairs instead of replicating its
+        complete posting footprint on every worker holding it.
         """
         if assignment is None:
             self.index.insert(insertion.query)
         else:
-            plan: Dict[str, Optional[List[CellCoord]]] = {}
-            if cells_aligned:
-                for coord, key in assignment:
-                    cells = plan.get(key)
-                    if cells is None:
-                        plan[key] = [coord]
-                    else:
-                        cells.append(coord)
-            else:
-                for _, key in assignment:
-                    plan[key] = None
-            self.index.insert(insertion.query, posting_plan=plan)
+            self.index.insert_pairs(insertion.query, assignment)
         self.counters.record_insertion()
         cost = self.cost_model.insert_handling
         self.busy_cost += cost
@@ -142,7 +127,7 @@ class WorkerNode:
         per-object costs and match results — but amortises posting-list
         setup through :meth:`GI2Index.match_batch` and accounts the load
         counters in bulk.  ``cells`` may carry the objects' precomputed
-        grid cells when the caller's grid is aligned with this index's.
+        grid cells.
         """
         outcomes = self.index.match_batch(objects, cells)
         results: List[MatchResult] = []
@@ -271,7 +256,6 @@ class WorkerNode:
         pair_removals: Sequence[Tuple[int, Sequence[Tuple[CellCoord, str]]]] = (),
         pair_additions: Sequence[Tuple[STSQuery, Sequence[Tuple[CellCoord, str]]]] = (),
         installs: Sequence[QueryAssignment] = (),
-        reinserts: Sequence[Tuple[STSQuery, Sequence[str]]] = (),
     ) -> int:
         """Apply one worker's whole reconciliation plan in a single call.
 
@@ -283,11 +267,9 @@ class WorkerNode:
         operations themselves are the same primitives the per-query path
         used.  ``removals`` drops queries that leave this worker entirely,
         ``pair_removals`` sheds stale pairs of queries staying, and
-        ``pair_additions`` adds their missing pairs.  ``installs``
-        registers gained queries under exactly their shipped pairs
-        (grid-aligned workers); ``reinserts`` re-registers queries at
-        keyword granularity — the unaligned-grid fallback — after dropping
-        any existing registration.  Returns the number of queries touched.
+        ``pair_additions`` adds their missing pairs, and ``installs``
+        registers gained queries under exactly their shipped pairs.
+        Returns the number of queries touched.
         """
         touched = len(removals) + len(pair_removals) + len(pair_additions)
         if removals:
@@ -296,12 +278,7 @@ class WorkerNode:
             self.index.remove_pairs(query_id, pairs)
         for query, pairs in pair_additions:
             self.index.add_pairs(query, pairs)
-        touched += self.install_queries(installs)
-        for query, keys in reinserts:
-            self.index.remove_queries([query.query_id])
-            self.index.insert(query, posting_plan={key: None for key in keys})
-            touched += 1
-        return touched
+        return touched + self.install_queries(installs)
 
     def install_queries(self, assignments: Iterable[QueryAssignment]) -> int:
         """Register migrated queries under exactly their shipped pairs.

@@ -94,7 +94,7 @@ class TestLocalAdjuster:
 
 
 class TestDualRoutingIndex:
-    def _index(self, worker):
+    def _index(self, worker, object_filtering=False):
         stats = TermStatistics()
         stats.add_document(["kobe", "music"])
         return GridTIndex.from_assignments(
@@ -102,6 +102,7 @@ class TestDualRoutingIndex:
             [(Rect(0, 0, 100, 100), None, worker)],
             granularity=8,
             term_statistics=stats,
+            object_filtering=object_filtering,
         )
 
     def test_insertions_go_to_new_index_only(self):
@@ -117,12 +118,22 @@ class TestDualRoutingIndex:
         obj = SpatioTextualObject.create("kobe", Point(15, 15))
         assert 0 in dual.route_object(obj)
 
-    def test_deletions_consult_both(self):
-        old, new = self._index(0), self._index(1)
+    def test_deletion_reaches_the_owning_strategy_only(self):
+        """Regression: deleting a pre-drain query must not erase the
+        new-strategy posting of a live query sharing (cell, keyword)."""
+        old, new = self._index(0, True), self._index(1, True)
         dual = DualRoutingIndex(old, new)
-        old_query = STSQuery.create("kobe", Rect(10, 10, 20, 20))
-        old.route_insertion(old_query)
-        assert dual.route_deletion(old_query) == {0, 1}
+        before = STSQuery.create("kobe", Rect(10, 10, 20, 20))
+        during = STSQuery.create("kobe", Rect(10, 10, 20, 20))
+        old.route_insertion(before)
+        dual.route_insertion(during)
+        obj = SpatioTextualObject.create("kobe", Point(15, 15))
+        assert dual.route_object(obj) == {0, 1}
+        # Both strategies' workers are notified; only the owner's H2 moves.
+        assert dual.route_deletion(before) == {0, 1}
+        assert dual.route_object(obj) == {1}
+        assert dual.route_deletion(during) == {0, 1}
+        assert dual.route_object(obj) == set()
 
     def test_memory_counts_both(self):
         old, new = self._index(0), self._index(1)

@@ -109,14 +109,6 @@ class TestEquivalence:
         )
         assert_equivalent(reference.run(tuples), batched.run_batched(tuples, batch_size=100))
 
-    def test_strict_path_on_unaligned_grids(self):
-        """gridt/GI2 granularity mismatch falls back to strict barriers."""
-        reference, batched, tuples = build_pair(
-            HybridPartitioner(), 400, gi2_granularity=32, gridt_granularity=64
-        )
-        assert not batched._cells_aligned
-        assert_equivalent(reference.run(tuples), batched.run_batched(tuples, batch_size=128))
-
     def test_batch_size_one_falls_back_to_reference(self):
         reference, batched, tuples = build_pair(HybridPartitioner(), 200)
         assert_equivalent(reference.run(tuples), batched.run_batched(tuples, batch_size=1))

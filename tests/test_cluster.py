@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Rect, STSQuery, StreamTuple, TupleKind
+from repro.indexes.gridt import GridTIndex
 from repro.partitioning import HybridPartitioner, KDTreeSpacePartitioner
 from repro.partitioning.base import PartitionPlan, PartitionUnit
 from repro.runtime import Cluster, ClusterConfig
@@ -157,9 +158,7 @@ class TestMigration:
             num_workers=2,
             bounds=bounds,
         )
-        config = ClusterConfig(
-            num_dispatchers=1, num_workers=2, gi2_granularity=8, gridt_granularity=8
-        )
+        config = ClusterConfig(num_dispatchers=1, num_workers=2, granularity=8)
         cluster = Cluster(plan, config)
         # Cell width is 12.5: `inside` lives entirely in cell (0, 0) while
         # `spanning` also overlaps cell (1, 0), which stays on the source.
@@ -193,3 +192,28 @@ class TestMigration:
             cluster.migrate_cells(source, target, cells)
         more = cluster.run(small_stream.tuples(200))
         assert more.objects_processed >= 400
+
+
+class TestReplaceRoutingIndex:
+    @pytest.mark.parametrize(
+        "bounds, granularity",
+        [(None, 32), (Rect(0.0, 0.0, 10.0, 10.0), 64)],
+        ids=["granularity", "bounds"],
+    )
+    def test_foreign_grid_is_rejected(self, small_stream, bounds, granularity):
+        cluster = build_cluster(small_stream, partitioner=HybridPartitioner())
+        tuples = list(small_stream.tuples(300))
+        cluster.run(tuples[:250])
+        routing = cluster.routing_index
+        foreign = GridTIndex(
+            bounds if bounds is not None else cluster.bounds,
+            granularity,
+            cluster.plan.statistics,
+        )
+        with pytest.raises(ValueError):
+            cluster.replace_routing_index(foreign)
+        assert cluster.routing_index is routing
+        report = cluster.run(tuples[250:])
+        assert report.tuples_processed == len(tuples)
+        # A structure over the cluster's own grid is accepted.
+        cluster.replace_routing_index(cluster.plan.to_gridt(cluster.config.granularity))

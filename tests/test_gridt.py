@@ -179,12 +179,12 @@ class TestObjectRouting:
 
 
 class TestDynamicAdjustmentHooks:
-    def test_migrate_cell_repoints_routing(self, stats):
+    def test_migrate_cells_repoints_routing(self, stats):
         index = make_index(stats)
         query = STSQuery.create("whatever", Rect(5, 5, 8, 8))
         index.route_insertion(query)
         cell = index.cell_for_point(Point(6, 6))
-        index.migrate_cell(cell, 0, 7)
+        index.migrate_cells([cell], 0, 7)
         obj = SpatioTextualObject.create("whatever", Point(6, 6))
         assert index.route_object(obj) == {7}
 
@@ -207,3 +207,24 @@ class TestDynamicAdjustmentHooks:
         for offset in range(20):
             index.route_insertion(STSQuery.create("kobe", Rect(60 + offset % 5, 10, 62 + offset % 5, 12)))
         assert index.memory_bytes() > before
+
+    def test_route_cell_tracks_every_mutation(self, stats):
+        """The same ``(cell, terms)`` probe answers the current routing state
+        after an insertion, a deletion, a migration and a text split."""
+        index = make_index(stats, object_filtering=True)
+        cell = index.cell_for_point(Point(6, 6))
+        terms = frozenset({"kobe", "music"})
+        q_kobe = STSQuery.create("kobe", Rect(5, 5, 8, 8))
+        q_music = STSQuery.create("music", Rect(5, 5, 8, 8))
+        assert index.route_cell(cell, terms) == ()
+        index.route_insertion(q_kobe)
+        index.insertion_plan_apply(q_music)
+        assert index.route_cell(cell, terms) == (0,)
+        index.migrate_cells([cell], 0, 7)
+        assert index.route_cell(cell, terms) == (7,)
+        index.split_cell_by_text(cell, {"kobe": 7, "music": 5}, default_worker=7)
+        assert index.route_cell(cell, terms) == (5, 7)
+        index.route_deletion(q_kobe)
+        assert index.route_cell(cell, terms) == (5,)
+        index.apply_deletion_pairs({5: [(cell, "music")]})
+        assert index.route_cell(cell, terms) == ()

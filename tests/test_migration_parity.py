@@ -12,10 +12,15 @@ mechanism the dispatcher uses at insertion time.  These tests pin down
   currently assigns to it;
 * closed-loop equivalence: ``run_batched`` with ``adjust_every`` produces
   the same simulated results as the per-tuple ``run`` under the same
-  adjustment schedule.
+  adjustment schedule;
+* ground truth: the delivered ``(query, object)`` pairs of an adjusted run
+  — local migrations, and the dual-routing drain of a global adjustment —
+  equal a brute-force ``STSQuery.matches`` replay.
 """
 
 import pytest
+
+from test_window_executor import brute_force
 
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
 from repro.core import (
@@ -26,7 +31,6 @@ from repro.core import (
     STSQuery,
     StreamTuple,
     TermStatistics,
-    TupleKind,
 )
 from repro.partitioning import (
     HybridPartitioner,
@@ -35,6 +39,8 @@ from repro.partitioning import (
     PartitionUnit,
 )
 from repro.runtime import Cluster, ClusterConfig, QueryAssignment, WorkerNode
+from repro.runtime.merge import SinkSpec
+from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
@@ -66,6 +72,22 @@ def posting_parity_violations(cluster):
             if extra:
                 violations.append((worker.worker_id, query.query_id, sorted(extra)))
     return violations
+
+
+def delivered_pairs(cluster):
+    """Drain the memory sinks into a set of ``(query id, object id)`` pairs."""
+    return {
+        (result.query_id, result.object_id)
+        for results in cluster.drain_sinks().values()
+        for result in results
+    }
+
+
+def dense_stream(group):
+    """A UK stream: ~15x the matches per object of the US fixtures."""
+    tweets = make_dataset("uk", seed=5)
+    queries = QueryGenerator(tweets, seed=6)
+    return WorkloadStream(tweets, queries, StreamConfig(mu=300, group=group), seed=7)
 
 
 def build_imbalanced_cluster(stream, num_workers=4):
@@ -394,46 +416,6 @@ class TestClosedLoopEquivalence:
         assert adjusted_report.matches_delivered == plain_report.matches_delivered
         assert adjusted_report.throughput > 0
 
-    def test_global_finalize_on_unaligned_grids_preserves_matching(self, q3_stream):
-        """Regression: finalize must not install routing-grid pairs into a
-        differently-grained worker GI2 index."""
-        sample = q3_stream.partitioning_sample(600)
-        poor_plan = MetricTextPartitioner().partition(sample, 4)
-        cluster = Cluster(
-            poor_plan,
-            ClusterConfig(
-                num_dispatchers=2, num_workers=4,
-                gi2_granularity=32, gridt_granularity=64,
-            ),
-        )
-        cluster.run(q3_stream.tuples(300))
-        adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.0)
-        check = adjuster.check(cluster, sample)
-        if not check.repartitioned:
-            pytest.skip("repartitioning not deemed beneficial on this sample")
-        cluster.run(q3_stream.tuples(200))
-        final = adjuster.finalize(cluster)
-        assert final.finalized
-        # Brute-force ground truth over a post-finalize continuation.
-        live = {
-            query.query_id: query
-            for worker in cluster.workers.values()
-            for query in worker.index.queries()
-        }
-        tuples = list(q3_stream.tuples(200))
-        expected = 0
-        for item in tuples:
-            if item.kind is TupleKind.INSERT:
-                live[item.payload.query_id] = item.payload.query
-            elif item.kind is TupleKind.DELETE:
-                live.pop(item.payload.query_id, None)
-            else:
-                expected += sum(1 for q in live.values() if q.matches(item.payload))
-        before = sum(m.delivered for m in cluster.mergers)
-        cluster.run(tuples)
-        after = sum(m.delivered for m in cluster.mergers)
-        assert after - before == expected
-
     def test_closed_loop_with_global_adjuster_runs(self, q3_stream):
         """The global adjuster participates in the closed loop end to end."""
         sample = q3_stream.partitioning_sample(600)
@@ -450,3 +432,68 @@ class TestClosedLoopEquivalence:
             # Once finalised, routing is single-strategy and parity holds.
             assert posting_parity_violations(cluster) == []
         assert adjuster.pending_plan is None or finalized == []
+
+
+class TestAdjustedRunsAgainstBruteForce:
+    """Delivered pairs of adjusted runs equal a brute-force replay."""
+
+    @pytest.mark.parametrize("batch_size", [1, 128], ids=["per-tuple", "batched"])
+    def test_local_adjustment_delivers_exactly_brute_force(self, batch_size):
+        """Hybrid plan + LocalLoadAdjuster: migrations ship routing-grid
+        ``(cell, keyword)`` pairs into the workers' GI2 grids verbatim."""
+        stream = dense_stream("Q1")
+        plan = HybridPartitioner().partition(stream.partitioning_sample(600), 8)
+        tuples = list(stream.tuples(1500))
+        config = ClusterConfig(
+            num_dispatchers=2, num_workers=8, sink=SinkSpec(kind="memory")
+        )
+        with Cluster(plan, config) as cluster:
+            cluster.run_batched(
+                tuples, batch_size=batch_size, adjust_every=400,
+                local_adjuster=LocalLoadAdjuster(GreedySelector(), sigma=1.2),
+            )
+            assert cluster.migrations
+            assert delivered_pairs(cluster) == brute_force(tuples)
+
+    @pytest.mark.parametrize("batch_size", [1, 128], ids=["per-tuple", "batched"])
+    def test_global_drain_delivers_exactly_brute_force(self, batch_size):
+        """Inserts, deletes and objects between ``check`` and ``finalize``.
+
+        The drain stream re-yields the warm-up insertions (live pre-drain
+        queries registered again under the new strategy) and carries one
+        crafted collision: a new query sharing region and expression — so
+        every ``(cell, keyword, worker)`` triple — with a pre-drain query
+        that is then deleted.
+        """
+        stream = dense_stream("Q3")
+        sample = stream.partitioning_sample(600)
+        plan = MetricTextPartitioner().partition(sample, 4)
+        config = ClusterConfig(
+            num_dispatchers=2, num_workers=4, sink=SinkSpec(kind="memory")
+        )
+        live = {}
+        with Cluster(plan, config) as cluster:
+            warm = list(stream.tuples(300))
+            cluster.run_batched(warm, batch_size=batch_size)
+            assert delivered_pairs(cluster) == brute_force(warm, live)
+            adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.0)
+            if not adjuster.check(cluster, sample).repartitioned:
+                pytest.skip("repartitioning not deemed beneficial on this sample")
+            before = stream.live_queries()[0]
+            during = STSQuery.create(before.expression, before.region)
+            hit = SpatioTextualObject.create(
+                " ".join(sorted(before.keywords())), before.region.center
+            )
+            drain = list(stream.tuples(600)) + [
+                StreamTuple.insert(during),
+                StreamTuple.delete(before),
+                StreamTuple.object(hit),
+            ]
+            cluster.run_batched(drain, batch_size=batch_size)
+            expected = brute_force(drain, live)
+            assert (during.query_id, hit.object_id) in expected
+            assert delivered_pairs(cluster) == expected
+            assert adjuster.finalize(cluster).finalized
+            after = list(stream.tuples(300))
+            cluster.run_batched(after, batch_size=batch_size)
+            assert delivered_pairs(cluster) == brute_force(after, live)

@@ -5,8 +5,7 @@ The acceptance contract of the profiling layer (docs/PROFILING.md):
 * **self-consistency** — the counters obey their arithmetic invariants:
   a worker scans at least as many postings as it checks candidates and
   checks at least as many candidates as it reports matches; a router's
-  cache hits and misses partition its probes, and probes plus fallback
-  routes partition the cells it probed; a merger's lookups split exactly
+  probes plus fallback routes partition the cells it probed; a merger's lookups split exactly
   into suppressed duplicates and delivered results;
 * **perturbation-freedom** — a run's :class:`RunReport` and delivered
   set are byte-identical with profiling on and off, on every backend
@@ -115,7 +114,6 @@ class TestCounterInvariants:
         assert len(inline) == 1
         event = inline[0]
         assert event.cells_probed > 0
-        assert event.cache_hits + event.cache_misses == event.probes
         assert event.probes + event.fallback_routes == event.cells_probed
 
     def test_sharded_route_counters(self, workload):
@@ -130,7 +128,6 @@ class TestCounterInvariants:
         assert [event.endpoint_id for event in shards] == [0, 1]
         for event in shards:
             assert isinstance(event, RouteProfile)
-            assert event.cache_hits + event.cache_misses == event.probes
             assert event.probes + event.fallback_routes == event.cells_probed
         # The shards route the same object stream the inline run did,
         # just split across replicas.
@@ -289,7 +286,7 @@ class TestProfileCommand:
                 >= matcher["matches"]
             )
         for router in payload["routers"]:
-            assert router["cache_hits"] + router["cache_misses"] == router["probes"]
+            assert router["probes"] + router["fallback_routes"] == router["cells_probed"]
 
     def test_stacks_path_writes_collapsed_stacks(self, tmp_path):
         stacks_path = tmp_path / "stacks.txt"

@@ -307,7 +307,7 @@ def test_checkpoint_roundtrip_restores_posting_parity(seed, start, length):
             fresh = WorkerNode(
                 worker_id,
                 plan.bounds,
-                granularity=config.gi2_granularity,
+                granularity=config.granularity,
                 term_statistics=plan.statistics,
             )
             fresh.install_queries(list(decoded.assignments[worker_id]))

@@ -23,7 +23,7 @@ import pytest
 from test_chaos import make_chaos_workload, needs_cores
 from test_transport import require_loopback
 
-from repro.adjustment import GreedySelector, LocalLoadAdjuster
+from repro.adjustment import DualRoutingIndex, GreedySelector, LocalLoadAdjuster
 from repro.cli import main as cli_main
 from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.fabric import FaultPlan, FaultSpec, Fleet
@@ -59,13 +59,12 @@ def run_once(
     adjust_every=0,
     local_adjuster=None,
     batch_size=64,
-    gi2_granularity=64,
+    dual_drain=False,
 ):
     """One batched run; returns (report, delivered-set, cluster-telemetry)."""
     config = ClusterConfig(
         num_dispatchers=2,
         num_workers=4,
-        gi2_granularity=gi2_granularity,
         backend=backend,
         dispatch_backend=dispatch_backend,
         merger_backend=merger_backend,
@@ -75,6 +74,10 @@ def run_once(
         telemetry=telemetry,
     )
     with Cluster(plan, config) as cluster:
+        if dual_drain:
+            cluster.replace_routing_index(
+                DualRoutingIndex(cluster.routing_index, plan.to_gridt(config.granularity))
+            )
         report = cluster.run_batched(
             tuples,
             batch_size=batch_size,
@@ -250,19 +253,19 @@ class TestTelemetryServer:
 # Cluster integration: spans, gauges, timeline content
 # ----------------------------------------------------------------------
 class TestClusterTelemetry:
-    # A worker grid that differs from the routing grid (64) sends every
-    # window through process_batch's strict-barrier fallback.
+    # Dual routing (the drain of a global adjustment) sends every window
+    # through process_batch's strict-barrier fallback.
     @pytest.mark.parametrize(
-        "gi2_granularity", [64, 32], ids=["aligned", "strict-barrier-fallback"]
+        "dual_drain", [False, True], ids=["deferred", "strict-barrier-fallback"]
     )
-    def test_every_window_traced_with_all_three_hops(self, tmp_path, gi2_granularity):
+    def test_every_window_traced_with_all_three_hops(self, tmp_path, dual_drain):
         plan, tuples = make_chaos_workload()
         path = str(tmp_path / "t.jsonl")
         report, _, events, text = run_once(
             plan,
             tuples,
             telemetry=TelemetrySpec(path=path),
-            gi2_granularity=gi2_granularity,
+            dual_drain=dual_drain,
         )
         spans = [event for event in events if isinstance(event, WindowSpan)]
         expected_windows = -(-len(tuples) // 64)  # ceil(len / batch_size)

@@ -83,9 +83,13 @@ def make_stream():
     return stream, one_window
 
 
-def brute_force(stream):
-    """Delivered pairs of a sequential replay: the semantics of record."""
-    live = {}
+def brute_force(stream, live=None):
+    """Delivered pairs of a sequential replay: the semantics of record.
+
+    ``live`` (query id -> query) carries the registered population across
+    calls and is updated in place.
+    """
+    live = {} if live is None else live
     pairs = set()
     for item in stream:
         if item.kind is TupleKind.OBJECT:
@@ -97,7 +101,7 @@ def brute_force(stream):
         elif item.kind is TupleKind.INSERT:
             live[item.payload.query.query_id] = item.payload.query
         else:
-            del live[item.payload.query.query_id]
+            live.pop(item.payload.query.query_id, None)
     return pairs
 
 
@@ -116,8 +120,7 @@ def replay(stream, *, dispatch, shards, windowed):
         num_dispatchers=shards,
         num_workers=2,
         num_mergers=1,
-        gi2_granularity=GRANULARITY,
-        gridt_granularity=GRANULARITY,
+        granularity=GRANULARITY,
         dispatch_backend=dispatch,
         sink=SinkSpec(kind="memory"),
     )
