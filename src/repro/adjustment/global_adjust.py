@@ -19,14 +19,13 @@ worthwhile and drives the switch-over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..core.objects import SpatioTextualObject, STSQuery
+from ..core.objects import STSQuery
 from ..indexes.grid import CellCoord
-from ..indexes.gridt import GridTIndex
+from ..indexes.gridt import GridTIndex, WorkerPlan, group_triples
 from ..partitioning.base import PartitionPlan, Partitioner, WorkloadSample
 from ..runtime.cluster import Cluster, MigrationRecord
-from ..runtime.dispatch import group_triples
 from ..runtime.worker import QueryAssignment
 
 __all__ = ["DualRoutingIndex", "GlobalAdjuster", "RepartitionReport"]
@@ -35,10 +34,11 @@ __all__ = ["DualRoutingIndex", "GlobalAdjuster", "RepartitionReport"]
 class DualRoutingIndex:
     """Routes with a new strategy while the old one drains.
 
-    The class exposes the same routing surface as
-    :class:`~repro.indexes.gridt.GridTIndex` (``route_object``,
-    ``route_insertion``, ``route_deletion``, ``grid``, ``memory_bytes``), so
-    dispatchers can use it transparently.
+    The class exposes the routing surface the cluster's two rules call on
+    a :class:`~repro.indexes.gridt.GridTIndex` (``route_cell``,
+    ``insertion_plan_apply``, ``deletion_plan_apply``, ``grid``,
+    ``memory_bytes``), so a drain window runs through the ordinary window
+    executor.
     """
 
     def __init__(self, old_index: GridTIndex, new_index: GridTIndex) -> None:
@@ -49,46 +49,44 @@ class DualRoutingIndex:
         self._new_query_ids: Set[int] = set()
 
     # -- routing -----------------------------------------------------------
-    def route_object(self, obj: SpatioTextualObject) -> Set[int]:
+    def route_cell(self, coord: CellCoord, terms: FrozenSet[str]) -> Tuple[int, ...]:
         """Objects must reach queries registered under either strategy."""
-        return self.old_index.route_object(obj) | self.new_index.route_object(obj)
+        old = self.old_index.route_cell(coord, terms)
+        new = self.new_index.route_cell(coord, terms)
+        if old and new:
+            return tuple(sorted({*old, *new}))
+        return old or new
 
-    def route_insertion(self, query: STSQuery) -> Set[int]:
+    def insertion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
         """New queries are placed exclusively by the new strategy."""
-        return self.apply_insertion(self.insertion_assignments(query)[0])
-
-    def insertion_assignments(
-        self, query: STSQuery
-    ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
-        """Per-pair insertion placement, through the new strategy only.
-
-        Exposing this keeps insertions assignment-aware while the old
-        strategy drains: workers register only their routed ``(cell,
-        keyword)`` pairs instead of full posting footprints.
-        """
         self._new_query_ids.add(query.query_id)
-        return self.new_index.posting_assignments(query)
+        return self.new_index.insertion_plan_apply(query)
 
-    def apply_insertion(self, triples) -> Set[int]:
-        """Record H2 postings for an insertion plan (new strategy only)."""
-        return self.new_index.apply_insertion(triples)
-
-    def route_deletion(self, query: STSQuery) -> Set[int]:
+    def deletion_plan_apply(
+        self, query: STSQuery, cached: Optional[Tuple[WorkerPlan, int]] = None
+    ) -> Tuple[WorkerPlan, int]:
         """Decrement H2 in the strategy that placed the query, and only it.
 
         H2 counts postings per ``(cell, keyword, worker)``, not per query,
         so decrementing the other strategy too would erase the posting of
-        a different live query that shares the triple.  The other
-        strategy's workers are still notified: re-inserting a live
+        a different live query that shares the triple.  The plan still
+        names the other strategy's workers and cells: re-inserting a live
         pre-drain query (streams re-yield their warm-up population)
-        registers it under both strategies.
+        registers it under both strategies.  ``cached`` is a
+        new-strategy insertion plan, so it only serves a query the new
+        strategy owns.
         """
         owner, other = self.old_index, self.new_index
         if query.query_id in self._new_query_ids:
             self._new_query_ids.discard(query.query_id)
             owner, other = other, owner
-        notified = {worker for _, _, worker in other.posting_assignments(query)[0]}
-        return owner.route_deletion(query) | notified
+        else:
+            cached = None
+        per_worker, cells = owner.deletion_plan_apply(query, cached)
+        plan = {worker: list(pairs) for worker, pairs in per_worker.items()}
+        for coord, key, worker in other.posting_assignments(query)[0]:
+            plan.setdefault(worker, []).append((coord, key))
+        return plan, cells
 
     # -- surface compatibility ----------------------------------------------
     @property
@@ -111,7 +109,7 @@ class DualRoutingIndex:
     def split_cell_by_text(self, coord, term_assignment, default_worker=None) -> None:
         """A Phase I split during a drain must hit both structures.
 
-        Objects consult both H2 maps (:meth:`route_object`), so leaving the
+        Objects consult both H2 maps (:meth:`route_cell`), so leaving the
         old strategy unsplit would keep routing the split cell's objects to
         the old owner while the worker-side postings moved — old-strategy
         queries in the cell would silently stop matching.

@@ -105,7 +105,7 @@ class ExperimentConfig:
     seed: int = 1
     latency_load_fraction: float = 0.6
     #: Tuples per execution window; 0 replays the stream tuple by tuple
-    #: (the reference path), >= 2 uses the batched engine.
+    #: (the per-tuple driver), >= 2 uses the batched engine.
     batch_size: int = 0
     #: Tuples between closed-loop adjustment rounds (Section V); 0 runs the
     #: stream without any dynamic adjustment.

@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--batch-size", type=int, default=0,
             help="tuples per execution window of the batched engine (docs/"
-                 "ARCHITECTURE.md, 'Batched engine'); 0 replays the stream "
-                 "tuple by tuple on the reference path (default: 0)")
+                 "ARCHITECTURE.md, 'Execution engines'); 0 replays the stream "
+                 "tuple by tuple on the per-tuple driver (default: 0)")
         sub.add_argument(
             "--adjust-every", type=int, default=0,
             help="tuples between closed-loop dynamic-adjustment rounds "
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     adjust_parser.add_argument(
         "--batch-size", type=int, default=0,
         help="tuples per execution window of the batched engine; 0 = "
-             "per-tuple reference path (default: 0)")
+             "per-tuple driver (default: 0)")
     adjust_parser.add_argument(
         "--adjust-every", type=int, default=0,
         help="run the adjustment closed-loop every this many tuples during "

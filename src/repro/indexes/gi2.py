@@ -165,11 +165,14 @@ class GI2Index:
         cell reuse the resolved inverted index.
         """
         query_id = query.query_id
-        if query_id in self._queries and query_id not in self._pending_deletions:
-            # Re-registration of a live query is a no-op (idempotent insert).
-            return 0
-        # A re-inserted query cancels a pending deletion.
-        self._pending_deletions.discard(query_id)
+        if query_id in self._queries:
+            if query_id not in self._pending_deletions:
+                # Re-registration of a live query is a no-op (idempotent insert).
+                return 0
+            # A re-inserted query cancels its pending deletion; the lazily
+            # deleted copy's physical postings go first, so the new
+            # registration is the only one.
+            self.remove_queries([query_id])
         cells_map = self._cells
         used_cells: Set[CellCoord] = set()
         last_coord: Optional[CellCoord] = None
@@ -213,11 +216,7 @@ class GI2Index:
         worker.  Returns the number of postings created.
         """
         query_id = query.query_id
-        if query_id in self._pending_deletions:
-            # A lazily deleted copy still has physical postings; drop them
-            # so the shipped registration starts from a clean slate.
-            self.remove_queries([query_id])
-        if query_id not in self._queries:
+        if query_id not in self._queries or query_id in self._pending_deletions:
             return self.insert_pairs(query, pairs)
         recorded = self._query_postings.setdefault(query_id, [])
         cells = self._query_cells.setdefault(query_id, set())
@@ -362,45 +361,9 @@ class GI2Index:
     # Matching
     # ------------------------------------------------------------------
     def match(self, obj: SpatioTextualObject) -> MatchOutcome:
-        """Find all live queries matched by ``obj``.
-
-        Only the cell containing the object is probed, and only the posting
-        lists of the object's own terms; lazy deletions encountered on the
-        way are purged.
-        """
-        cell = self._grid.cell_of(obj.location)
-        self._cell_object_counts[cell] += 1
-        prof = self.profile
-        if prof is not None:
-            prof.cells_probed += 1
-        inverted = self._cells.get(cell)
-        if inverted is None:
-            return MatchOutcome((), 0)
-        matched: Set[int] = set()
-        checks = 0
-        scanned = 0
-        for term in obj.terms:
-            postings = inverted.postings(term)
-            if not postings:
-                continue
-            if self._pending_deletions:
-                inverted.purge(term, self._purge_posting)
-                postings = inverted.postings(term)
-            scanned += len(postings)
-            for query_id in postings:
-                if query_id in matched:
-                    continue
-                query = self._queries.get(query_id)
-                if query is None:
-                    continue
-                checks += 1
-                if query.matches(obj):
-                    matched.add(query_id)
-        if prof is not None:
-            prof.postings_scanned += scanned
-            prof.candidates += checks
-            prof.matches += len(matched)
-        return MatchOutcome(tuple(sorted(matched)), checks)
+        """All live queries matched by ``obj``: :meth:`match_batch` on a
+        batch of one."""
+        return self.match_batch((obj,))[0]
 
     def match_batch(
         self,
@@ -409,11 +372,13 @@ class GI2Index:
     ) -> List[MatchOutcome]:
         """Match a batch of objects, amortising posting-list setup per cell.
 
-        Produces exactly the outcomes :meth:`match` would produce object by
-        object (no query updates happen inside a batch, so per-object
-        results are order-independent); stale postings of each probed
-        (cell, term) pair are purged once per batch instead of once per
-        object.  ``cells`` may carry the objects' precomputed grid cells.
+        Per object, only the cell containing it is probed, and only the
+        posting lists of its own terms; lazy deletions encountered on the
+        way are purged.  No query updates happen inside a batch, so
+        per-object results are order-independent and stale postings of
+        each probed (cell, term) pair are purged once per batch instead of
+        once per object.  ``cells`` may carry the objects' precomputed
+        grid cells.
         """
         outcomes: List[Optional[MatchOutcome]] = [None] * len(objects)
         by_cell: Dict[CellCoord, List[int]] = {}

@@ -47,7 +47,7 @@ from ..core.text import TermStatistics
 from .grid import CellCoord, UniformGrid
 from .kdt_tree import KdtTree
 
-__all__ = ["GridTIndex", "GridTCell"]
+__all__ = ["GridTIndex", "GridTCell", "WorkerPlan", "group_triples"]
 
 #: Sentinel distinguishing "not computed yet" from "no rewrite needed".
 _UNSET = object()
@@ -102,6 +102,22 @@ class GridTCell:
 
     def h2_entry_count(self) -> int:
         return sum(len(owners) for owners in self.h2.values())
+
+
+#: One update's per-worker ``(cell, posting keyword)`` routing plan.
+WorkerPlan = Dict[int, List[Tuple[CellCoord, str]]]
+
+
+def group_triples(triples: Iterable[Tuple[CellCoord, str, int]]) -> WorkerPlan:
+    """Group ``(cell, keyword, worker)`` triples into a per-worker plan."""
+    per_worker: WorkerPlan = {}
+    for coord, key, worker in triples:
+        pairs = per_worker.get(worker)
+        if pairs is None:
+            per_worker[worker] = [(coord, key)]
+        else:
+            pairs.append((coord, key))
+    return per_worker
 
 
 class GridTIndex:
@@ -288,50 +304,22 @@ class GridTIndex:
     # Routing
     # ------------------------------------------------------------------
     def route_object(self, obj: SpatioTextualObject) -> Set[int]:
-        """Workers that must receive ``obj``; empty set means "discard".
-
-        With ``object_filtering`` (PS2Stream) the object is routed through
-        H2: it is relevant exactly to the workers holding queries whose
-        posting keyword appears in the object's text within the object's
-        cell, and discarded otherwise.  Without filtering, the baseline
-        routing rules apply (see :meth:`__init__`).
-        """
-        prof = self.profile
-        coord = self._grid.cell_of(obj.location)
-        cell = self._cells.get(coord)
-        if prof is not None:
-            prof.cells_probed += 1
-        if cell is None:
-            if prof is not None:
-                prof.fallback_routes += 1
-            return set()
-        # Content-based routing (H2) applies to text-partitioned cells
-        # always — that is what "routing by text" means for the baselines —
-        # and to space-partitioned cells only when PS2Stream's object
-        # filtering is enabled.
-        if cell.term_workers is not None or self.object_filtering:
-            if not cell.h2:
-                if prof is not None:
-                    prof.fallback_routes += 1
-                return set()
-            if prof is not None:
-                prof.probes += 1
-            workers: Set[int] = set()
-            for term in obj.terms:
-                owners = cell.h2.get(term)
-                if owners:
-                    workers.update(owners)
-            return workers
-        if prof is not None:
-            prof.fallback_routes += 1
-        return {cell.default_worker} if cell.default_worker is not None else set()
+        """Workers that must receive ``obj`` (empty set means "discard"):
+        the single-object view of :meth:`route_cell`."""
+        return set(self.route_cell(self._grid.cell_of(obj.location), obj.terms))
 
     def route_cell(self, coord: CellCoord, terms: FrozenSet[str]) -> Tuple[int, ...]:
         """Sorted workers for an object with ``terms`` in cell ``coord``.
 
-        The batched form of the :meth:`route_object` decision (empty tuple
-        means "discard"), shared by :meth:`route_object_batch` and the
-        cluster's fused window scan.
+        The one object-routing rule (empty tuple means "discard"), applied
+        by both cluster drivers and the dispatch shards.  With
+        ``object_filtering`` (PS2Stream) the object is routed through H2:
+        it is relevant exactly to the workers holding queries whose
+        posting keyword appears in the object's text within the object's
+        cell, and discarded otherwise.  Content-based routing applies to
+        text-partitioned cells always — that is what "routing by text"
+        means for the baselines — and to space-partitioned cells only
+        when filtering is enabled (see :meth:`__init__`).
         """
         prof = self.profile
         cell = self._cells.get(coord)
@@ -424,19 +412,11 @@ class GridTIndex:
     def insertion_assignments(
         self, query: STSQuery
     ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
-        """The insertion-routing surface: where a *new* query is placed.
-
-        On a plain gridt index this is :meth:`posting_assignments`; the
-        :class:`~repro.adjustment.global_adjust.DualRoutingIndex` overrides
-        it to place insertions exclusively through the new strategy while
-        deletions (which still go through :meth:`posting_assignments` /
-        ``route_deletion``) consult both.
-        """
+        """Where a *new* query is placed: :meth:`posting_assignments` under
+        its insertion-side name (kept for callers that wrap it by name)."""
         return self.posting_assignments(query)
 
-    def insertion_plan_apply(
-        self, query: STSQuery
-    ) -> Tuple[Dict[int, List[Tuple[CellCoord, str]]], int]:
+    def insertion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
         """One-pass insertion routing fused with the H2 update (fast path).
 
         Computes the per-worker ``(cell, posting keyword)`` plan and records
@@ -465,7 +445,7 @@ class GridTIndex:
         hi_row = 0 if hi_row < 0 else (max_row if hi_row > max_row else hi_row)
         cells_map = self._cells
         cells_get = cells_map.get
-        per_worker: Dict[int, List[Tuple[CellCoord, str]]] = {}
+        per_worker: WorkerPlan = {}
         # Sorted keys keep the plan sequence replica-independent (see
         # posting_assignments); the single-key fast path needs no sort.
         single_key = next(iter(posting_keys)) if len(posting_keys) == 1 else None
@@ -504,9 +484,23 @@ class GridTIndex:
         cells = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
         return per_worker, cells
 
-    def apply_deletion_pairs(
-        self, per_worker: Dict[int, List[Tuple[CellCoord, str]]]
-    ) -> None:
+    def deletion_plan_apply(
+        self, query: STSQuery, cached: Optional[Tuple[WorkerPlan, int]] = None
+    ) -> Tuple[WorkerPlan, int]:
+        """Deletion twin of :meth:`insertion_plan_apply`: plan, then drop H2.
+
+        ``cached`` is the query's insertion plan when the caller still
+        holds it (the keyword choice is deterministic, so it is reused
+        instead of recomputed); otherwise the plan is
+        :meth:`posting_assignments` grouped by worker.
+        """
+        if cached is None:
+            triples, cells = self.posting_assignments(query)
+            cached = group_triples(triples), cells
+        self.apply_deletion_pairs(cached[0])
+        return cached
+
+    def apply_deletion_pairs(self, per_worker: WorkerPlan) -> None:
         """Remove H2 postings for a per-worker plan (fast path).
 
         Same effect as :meth:`GridTCell.remove_posting` per pair, with the

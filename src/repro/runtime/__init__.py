@@ -32,11 +32,11 @@ from .dispatch import (
     DISPATCH_BACKENDS,
     DispatchBackend,
     DispatchHost,
+    DispatcherLedger,
     FabricDispatch,
     InProcessDispatch,
     make_dispatch,
 )
-from .dispatcher import DispatcherNode, RoutingDecision
 from .fabric import (
     Channel,
     ClusterManifest,
@@ -111,7 +111,7 @@ __all__ = [
     "DISPATCH_BACKENDS",
     "DispatchBackend",
     "DispatchHost",
-    "DispatcherNode",
+    "DispatcherLedger",
     "FabricDispatch",
     "FabricMerge",
     "FabricTransport",
@@ -157,7 +157,6 @@ __all__ = [
     "StackSampler",
     "profile_text",
     "RecoveryReport",
-    "RoutingDecision",
     "RunReport",
     "SnapshotAssignments",
     "SpanHop",

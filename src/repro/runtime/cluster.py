@@ -14,34 +14,37 @@ derives
 * **memory**: analytic footprints of the dispatcher routing index and the
   worker GI2 indexes (Figures 9 and 10).
 
-A stream is replayed by the per-tuple reference or by the batched engine:
+A stream is replayed by one of two *drivers* that share one rule set and
+one worker-op vocabulary:
 
-* :meth:`Cluster.process` / :meth:`Cluster.run` — the per-tuple
-  *reference*.  Every tuple goes through :meth:`DispatcherNode.route`
-  (:meth:`GridTIndex.route_object`), worker handling and merger delivery
-  one at a time; this is the implementation the equivalence tests pin the
-  semantics to, and the CLI default.
+* :meth:`Cluster.process` / :meth:`Cluster.run` — the *per-tuple driver*
+  (the CLI default).  Every tuple is routed, shipped, matched and merged
+  one at a time, with no window bookkeeping.
 * :meth:`Cluster.process_batch` / :meth:`Cluster.run_batched` — the
-  *batched engine*.  The stream is consumed in windows (``--batch-size``
+  *batched driver*.  The stream is consumed in windows (``--batch-size``
   on the CLI) and every window runs through **one** deferred-barrier
   executor (:meth:`Cluster._execute_window`): objects are routed,
   charged and grouped per destination worker in a single arrival scan
-  and matched via :meth:`GI2Index.match_batch` (amortising posting-list
-  purge/setup per cell); a query update applies to the routing index at
-  its stream position but defers its worker-side effect, acting as a
-  barrier only for objects in grid cells it touches; match results reach
-  the mergers in bulk.  A batched run therefore produces the same
-  throughput, worker loads, fanout and match counts as the per-tuple
-  run — batching changes wall-clock cost, never simulated semantics.
-  (Dual routing during a global adjustment takes
-  :meth:`Cluster.process_batch`'s strict-barrier fallback instead.)
+  and matched in bulk (amortising posting-list purge/setup per cell); a
+  query update applies to the routing index at its stream position but
+  defers its worker-side effect, acting as a barrier only for objects in
+  grid cells it touches; match results reach the mergers in bulk.  A
+  batched run therefore produces the same throughput, worker loads,
+  fanout and match counts as the per-tuple run — batching changes
+  wall-clock cost, never simulated semantics.
 
-Each routing rule is written once: the object decision (H2 probe or
-fallback) is :meth:`GridTIndex.route_cell`; the update plan (insertion
-plan, its reuse at deletion — the keyword choice is deterministic, Section
-IV-C — and the H2 delta) is :func:`repro.runtime.dispatch.plan_update`,
-whose plan cache is dropped whenever a migration or a routing-index swap
-changes H1.
+Each rule is written once and both drivers call it: the object decision
+(H2 probe or fallback) is :meth:`GridTIndex.route_cell`; the update plan
+(insertion plan, its reuse at deletion — the keyword choice is
+deterministic, Section IV-C — and the H2 delta) is
+:func:`repro.runtime.dispatch.plan_update`, whose plan cache is dropped
+whenever a migration or a routing-index swap changes H1; what a worker
+is told is one of three ops — ``MatchObjects`` (a run of one per tuple),
+``InsertPairs``, ``DeleteById`` — so the per-worker ``RouteBatch`` of a
+per-tuple replay equals that of a window of one.  The dual index of a
+global adjustment's drain
+(:class:`~repro.adjustment.global_adjust.DualRoutingIndex`) implements the
+same routing surface, so a drain window is an ordinary window.
 
 The executor has two *routing sources*, selected by
 ``ClusterConfig.dispatch_backend``.  With ``"inline"`` (default) the
@@ -99,19 +102,24 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import cycle, islice
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
 
 from ..core.costmodel import CostModel, LoadReport
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, StreamTuple, TupleKind
 from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
-from ..indexes.gridt import GridTIndex
+from ..indexes.gridt import GridTIndex, WorkerPlan
 from ..partitioning.base import PartitionPlan, WorkloadSample
 from ..workload.stream import iter_windows
 from .checkpoint import CheckpointStore, RecoveryEvent, RecoveryReport
-from .dispatch import DispatchBackend, RoutedWindow, make_dispatch, plan_update
-from .dispatcher import DispatcherNode
+from .dispatch import (
+    DispatchBackend,
+    DispatcherLedger,
+    RoutedWindow,
+    make_dispatch,
+    plan_update,
+)
 from .fabric import FaultPlan, TransportError, WireStats, load_manifest
 from .protocol import barrier_context, mutates_routing
 from .merge import MergeBackend, SinkSpec, make_merge
@@ -140,14 +148,12 @@ from .telemetry import (
 )
 from .transport import (
     DeleteById,
-    DeleteQuery,
     InsertPairs,
-    InsertQuery,
     MatchObjects,
-    MatchOne,
     MatchResults,
     RouteBatch,
     Transport,
+    WorkerOp,
     make_transport,
 )
 from .worker import QueryAssignment, WorkerNode
@@ -477,11 +483,11 @@ class Cluster:
         self.plan = plan
         self.bounds: Rect = plan.bounds
         self.routing_index: GridTIndex = plan.to_gridt(self.config.granularity)
-        # Each dispatcher holds (a reference to) the routing structure; the
-        # memory report charges a full copy per dispatcher, as in the paper.
-        self.dispatchers: List[DispatcherNode] = [
-            DispatcherNode(index, self.routing_index)
-            for index in range(self.config.num_dispatchers)
+        # Every simulated dispatcher routes on the one routing structure
+        # above (the memory report charges a full copy each, as in the
+        # paper); what it owns is its Definition-1 cost ledger.
+        self.dispatchers: List[DispatcherLedger] = [
+            DispatcherLedger(index) for index in range(self.config.num_dispatchers)
         ]
         self._closed = False
         manifest = self.config.manifest
@@ -613,8 +619,8 @@ class Cluster:
     def _sharded_routing(self) -> bool:
         """Whether routing currently runs on the dispatch shards.
 
-        Requires a sharded backend and the window executor's precondition,
-        a plain gridt index.  Dual routing during a global drain routes
+        Requires a sharded backend and a plain gridt index: the shards do
+        not replicate the dual index of a global drain, which routes
         inline on the coordinator; every inline update then marks the
         replicas stale so they re-sync when sharding resumes.
         """
@@ -658,84 +664,75 @@ class Cluster:
         return self.workers.keys() & routed.plans[0][1]
 
     # ------------------------------------------------------------------
-    # Tuple processing (per-tuple reference path)
+    # Tuple processing (per-tuple driver)
     # ------------------------------------------------------------------
     def process(self, item: StreamTuple, *, trace: bool = True) -> Set[int]:
         """Run one tuple through dispatcher, workers and mergers.
 
-        Returns the set of workers that handled the tuple.
+        The per-tuple driver: no window bookkeeping, but the same two
+        routing rules, plan cache and worker ops as
+        :meth:`_execute_window` — each worker receives exactly the
+        ``RouteBatch`` a window of one would ship.  Returns the set of
+        workers that handled the tuple.
         """
         slot = self._next_dispatcher
-        dispatcher = self.dispatchers[slot]
         self._next_dispatcher = (slot + 1) % len(self.dispatchers)
         if self._sharded_routing():
             return self._process_on_shards(item, slot, trace)
-        else:
-            decision = dispatcher.route(item)
-            if item.kind is not TupleKind.OBJECT:
-                # Inline update while shard replicas exist: their H2 no
-                # longer matches the coordinator's, so mark them stale.
-                self._mark_routing_mutated()
+        dispatcher = self.dispatchers[slot]
+        routing = self.routing_index
+        workers_map = self.workers
+        payload = item.payload
         worker_costs: List[Tuple[int, float]] = []
-        handled: Set[int] = set()
-        results: List[MatchResult] = []
-        produced = 0
-        assignments = decision.assignments
-        kind = item.kind
-        known_workers = self.workers
-        batches: Dict[int, RouteBatch] = {}
-        log = self._update_log if self._checkpoints is not None else None
-        for worker_id in decision.workers:
-            if worker_id not in known_workers:
-                continue
-            if kind is TupleKind.OBJECT:
-                op = MatchOne(item.payload)
-            elif kind is TupleKind.INSERT:
-                assert assignments is not None
-                pairs = assignments[worker_id]
-                op = InsertQuery(item.payload, pairs)
-                if log is not None:
-                    # Replayed via install_queries, which extends an
-                    # existing registration.
-                    log.append(
-                        (worker_id, QueryAssignment(item.payload.query, tuple(pairs), True))
-                    )
-            else:
-                op = DeleteQuery(item.payload)
-                if log is not None:
-                    log.append((worker_id, item.payload.query_id))
-            batches[worker_id] = RouteBatch((op,))
-        if batches:
-            cost_model = self.config.cost_model
-            for worker_id, replies in self.transport.exchange(batches).items():
-                handled.add(worker_id)
-                if kind is TupleKind.OBJECT:
+        if item.kind is TupleKind.OBJECT:
+            cell = routing.grid.cell_of(payload.location)
+            terms = payload.terms
+            decision = routing.route_cell(cell, terms)
+            cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, len(terms))
+            dispatcher.account_objects(1, 0 if decision else 1, cost)
+            batches: Dict[int, RouteBatch] = {}
+            if decision:
+                batch = RouteBatch((MatchObjects((payload,), (cell,)),))
+                batches = {w: batch for w in decision if w in workers_map}
+            if batches:
+                results: List[MatchResult] = []
+                produced = 0
+                for worker_id, replies in self.transport.exchange(batches).items():
                     reply = replies[0]
                     assert reply is not None
                     results.extend(reply.results)
                     produced += reply.produced_count
-                    cost = reply.costs[0]
-                elif kind is TupleKind.INSERT:
-                    cost = cost_model.insert_handling
-                else:
-                    cost = cost_model.delete_handling
-                worker_costs.append((worker_id, cost))
-
-        if results or produced:
-            self._deliver_results(results, produced)
-
-        self._tuples_processed += 1
-        if item.kind is TupleKind.OBJECT:
+                    worker_costs.append((worker_id, reply.costs[0]))
+                self._deliver_results(results, produced)
             self._objects += 1
-            self._object_fanout_total += len(handled)
-        elif item.kind is TupleKind.INSERT:
-            self._insertions += 1
-            self._query_fanout_total += len(handled)
+            self._object_fanout_total += len(batches)
         else:
-            self._deletions += 1
+            is_insert, per_worker, cells = plan_update(
+                routing, self._insertion_assignments, item
+            )
+            # Idle shard replicas (dual drain) no longer match H2.
+            self._mark_routing_mutated()
+            cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, cells)
+            dispatcher.account_updates(int(is_insert), int(not is_insert), cost)
+            batches = {
+                worker_id: RouteBatch((op,))
+                for worker_id, op in self._update_ops(is_insert, payload, per_worker)
+            }
+            if batches:
+                self.transport.exchange(batches)
+            cost_model = self.config.cost_model
+            if is_insert:
+                handling = cost_model.insert_handling
+                self._insertions += 1
+                self._query_fanout_total += len(batches)
+            else:
+                handling = cost_model.delete_handling
+                self._deletions += 1
+            worker_costs.extend((worker_id, handling) for worker_id in batches)
+        self._tuples_processed += 1
         if trace:
-            self._traces.append(dispatcher.dispatcher_id, decision.cost, worker_costs)
-        return handled
+            self._traces.append(dispatcher.dispatcher_id, cost, worker_costs)
+        return set(batches)
 
     def run(
         self,
@@ -746,15 +743,15 @@ class Cluster:
         local_adjuster: Optional["LocalAdjusterLike"] = None,
         global_adjuster: Optional["GlobalAdjusterLike"] = None,
     ) -> RunReport:
-        """Process a tuple stream one tuple at a time (reference path).
+        """Process a tuple stream one tuple at a time.
 
         With ``adjust_every > 0`` the stream runs through the closed-loop
         driver: after every ``adjust_every`` tuples the attached adjusters
-        run one Section V round (see :meth:`run_adjustment`).  This is the
-        per-tuple reference the batched closed loop is equivalence-tested
-        against.  With ``checkpoint_every > 0`` on the config the driver
-        additionally snapshots worker assignments at window barriers (and
-        recovers dead workers from the latest snapshot).
+        run one Section V round (see :meth:`run_adjustment`); the batched
+        closed loop is equivalence-tested against this schedule.  With
+        ``checkpoint_every > 0`` on the config the driver additionally
+        snapshots worker assignments at window barriers (and recovers
+        dead workers from the latest snapshot).
         """
         if adjust_every > 0 or self._checkpoints is not None:
             return self._run_with_adjustment(
@@ -1201,32 +1198,15 @@ class Cluster:
         because both its H2 effect and its worker-side posting effect are
         confined to those cells.  Objects in untouched cells keep
         accumulating, so the bulk-matching runs stay close to window-sized
-        despite the 5:1 object/update interleaving.  Under dual routing
-        (the drain of a global adjustment) every update is a strict
-        barrier instead.
+        despite the 5:1 object/update interleaving.
         """
         self._span_open(len(items))
-        if type(self.routing_index) is GridTIndex:
-            base = self._reserve_slots(len(items))
-            routed: Optional[RoutedWindow] = None
-            if self._dispatch is not None:
-                routed = self._dispatch.collect_window(self._submit_window(items, base))
-            self._execute_window(items, base, routed, trace)
-        else:
-            # Strict barriers: object runs in bulk, every update through
-            # the per-tuple reference path at its stream position.
-            pending: List = []
-            object_kind = TupleKind.OBJECT
-            for item in items:
-                if item.kind is object_kind:
-                    pending.append(item.payload)
-                else:
-                    if pending:
-                        self._process_object_run(pending, trace)
-                        pending = []
-                    self.process(item, trace=trace)
-            if pending:
-                self._process_object_run(pending, trace)
+        base = self._reserve_slots(len(items))
+        routed: Optional[RoutedWindow] = None
+        if self._sharded_routing():
+            assert self._dispatch is not None
+            routed = self._dispatch.collect_window(self._submit_window(items, base))
+        self._execute_window(items, base, routed, trace)
         self._span_close()
 
     def _execute_window(
@@ -1236,7 +1216,7 @@ class Cluster:
         routed: Optional[RoutedWindow],
         trace: bool,
     ) -> None:
-        """Deferred-barrier window execution over a plain gridt index.
+        """Deferred-barrier window execution.
 
         Correctness argument: an update's observable effect — H2 postings
         for routing, GI2 postings / pending deletions for matching — is
@@ -1301,8 +1281,8 @@ class Cluster:
         insertion_cache = self._insertion_assignments
         route_cell = routing.route_cell
         object_kind = TupleKind.OBJECT
-        tuple_cost = DispatcherNode.TUPLE_COST
-        probe_cost = DispatcherNode.PROBE_COST
+        tuple_cost = DispatcherLedger.TUPLE_COST
+        probe_cost = DispatcherLedger.PROBE_COST
         workers_map = self.workers
         window_objects = 0
         window_fanout = 0
@@ -1399,6 +1379,8 @@ class Cluster:
                     is_insert, per_worker, cells = plan_update(
                         routing, insertion_cache, item
                     )
+                    # Idle shard replicas (dual drain) no longer match H2.
+                    self._mark_routing_mutated()
                 else:
                     is_insert, per_worker, cells = plans[position]
                     if is_insert:
@@ -1474,8 +1456,8 @@ class Cluster:
         """
         workers_map = self.workers
         num_dispatchers = len(self.dispatchers)
-        tuple_cost = DispatcherNode.TUPLE_COST
-        probe_cost = DispatcherNode.PROBE_COST
+        tuple_cost = DispatcherLedger.TUPLE_COST
+        probe_cost = DispatcherLedger.PROBE_COST
 
         batch_ops: Dict[int, List] = {}
         if groups:
@@ -1486,32 +1468,13 @@ class Cluster:
                         [coords[local] for local in locals_],
                     )
                 ]
-        log = self._update_log if self._checkpoints is not None else None
         for _, is_insert, payload, per_worker, _ in updates:
-            if is_insert:
-                query = payload.query
-                for worker_id, pairs in per_worker.items():
-                    if worker_id not in workers_map:
-                        continue
-                    if log is not None:
-                        log.append((worker_id, QueryAssignment(query, tuple(pairs), True)))
-                    ops = batch_ops.get(worker_id)
-                    if ops is None:
-                        batch_ops[worker_id] = [InsertPairs(query, pairs)]
-                    else:
-                        ops.append(InsertPairs(query, pairs))
-            else:
-                query_id = payload.query_id
-                for worker_id in per_worker:
-                    if worker_id not in workers_map:
-                        continue
-                    if log is not None:
-                        log.append((worker_id, query_id))
-                    ops = batch_ops.get(worker_id)
-                    if ops is None:
-                        batch_ops[worker_id] = [DeleteById(query_id)]
-                    else:
-                        ops.append(DeleteById(query_id))
+            for worker_id, op in self._update_ops(is_insert, payload, per_worker):
+                ops = batch_ops.get(worker_id)
+                if ops is None:
+                    batch_ops[worker_id] = [op]
+                else:
+                    ops.append(op)
         replies: Dict[int, List[Optional[MatchResults]]] = {}
         if batch_ops:
             replies = self._exchange(
@@ -1577,6 +1540,33 @@ class Cluster:
                 assert trace_workers is not None
                 trace_workers[position] = worker_items
 
+    def _update_ops(
+        self, is_insert: bool, payload: Any, per_worker: WorkerPlan
+    ) -> Iterator[Tuple[int, WorkerOp]]:
+        """One planned update's op per live destination worker, in plan order.
+
+        Shared by both drivers; each yielded op is also appended to the
+        update log (when checkpointing) for replay onto a recovery target.
+        """
+        workers_map = self.workers
+        log = self._update_log if self._checkpoints is not None else None
+        if is_insert:
+            query = payload.query
+            for worker_id, pairs in per_worker.items():
+                if worker_id in workers_map:
+                    if log is not None:
+                        # Replayed via install_queries, which extends an
+                        # existing registration.
+                        log.append((worker_id, QueryAssignment(query, tuple(pairs), True)))
+                    yield worker_id, InsertPairs(query, pairs)
+        else:
+            op = DeleteById(payload.query_id)
+            for worker_id in per_worker:
+                if worker_id in workers_map:
+                    if log is not None:
+                        log.append((worker_id, op.query_id))
+                    yield worker_id, op
+
     def _exchange(
         self, batches: Dict[int, RouteBatch]
     ) -> Dict[int, List[Optional[MatchResults]]]:
@@ -1593,93 +1583,6 @@ class Cluster:
         if len(batches) > span.match_endpoints:
             span.match_endpoints = len(batches)
         return replies
-
-    def _process_object_run(self, objects: Sequence, trace: bool) -> None:
-        """Route, match and merge a run of consecutive objects in bulk."""
-        routing = self.routing_index
-        route_batch = getattr(routing, "route_object_batch", None)
-        if route_batch is not None:
-            decisions = route_batch(objects)
-        else:
-            decisions = [tuple(sorted(routing.route_object(obj))) for obj in objects]
-
-        dispatchers = self.dispatchers
-        num_dispatchers = len(dispatchers)
-        start = self._next_dispatcher
-        count = len(objects)
-        tuple_cost = DispatcherNode.TUPLE_COST
-        probe_cost = DispatcherNode.PROBE_COST
-        dispatcher_costs = [0.0] * num_dispatchers
-        dispatcher_routed = [0] * num_dispatchers
-        dispatcher_discarded = [0] * num_dispatchers
-        object_costs: List[float] = []
-
-        workers_map = self.workers
-        groups: Dict[int, List[int]] = {}
-        valid_decisions: List[Tuple[int, ...]] = []
-        for position, (obj, decision) in enumerate(zip(objects, decisions)):
-            slot = (start + position) % num_dispatchers
-            terms = len(obj.terms)
-            cost = tuple_cost + probe_cost * (terms if terms > 1 else 1)
-            dispatcher_costs[slot] += cost
-            dispatcher_routed[slot] += 1
-            object_costs.append(cost)
-            if not decision:
-                dispatcher_discarded[slot] += 1
-                valid_decisions.append(())
-                continue
-            valid: List[int] = []
-            for worker_id in decision:
-                if worker_id in workers_map:
-                    valid.append(worker_id)
-                    group = groups.get(worker_id)
-                    if group is None:
-                        groups[worker_id] = [position]
-                    else:
-                        group.append(position)
-            valid_decisions.append(tuple(valid))
-        self._next_dispatcher = (start + count) % num_dispatchers
-        for slot in range(num_dispatchers):
-            if dispatcher_routed[slot]:
-                dispatchers[slot].account_objects(
-                    dispatcher_routed[slot], dispatcher_discarded[slot], dispatcher_costs[slot]
-                )
-
-        # Per-object worker costs, gathered from the per-worker group runs
-        # (one MatchObjects batch per worker, shipped over the transport).
-        worker_cost_lists: List[List[Tuple[int, float]]] = [[] for _ in range(count)]
-        all_results: List[MatchResult] = []
-        produced = 0
-        replies = self._exchange(
-            {
-                worker_id: RouteBatch(
-                    (MatchObjects([objects[p] for p in positions]),)
-                )
-                for worker_id, positions in groups.items()
-            }
-        )
-        for worker_id, positions in groups.items():
-            reply = replies[worker_id][0]
-            assert reply is not None
-            all_results.extend(reply.results)
-            produced += reply.produced_count
-            for position, cost in zip(positions, reply.costs):
-                worker_cost_lists[position].append((worker_id, cost))
-
-        if all_results or produced:
-            self._deliver_results(all_results, produced)
-
-        self._tuples_processed += count
-        self._objects += count
-        self._object_fanout_total += sum(len(decision) for decision in valid_decisions)
-        if trace:
-            traces = self._traces
-            for position in range(count):
-                traces.append(
-                    dispatchers[(start + position) % num_dispatchers].dispatcher_id,
-                    object_costs[position],
-                    worker_cost_lists[position],
-                )
 
     # ------------------------------------------------------------------
     # Merger tier (delivery, dedup accounting, subscriber sinks)
@@ -2267,8 +2170,6 @@ class Cluster:
         self.routing_index = routing_index
         if old_profile is not None:
             routing_index.profile = old_profile
-        for dispatcher in self.dispatchers:
-            dispatcher.routing_index = routing_index
         self.invalidate_routing_caches()
 
     def reset_load_measurement(self) -> None:

@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.geometry import Point
 from ..core.objects import StreamTuple, TupleKind
-from ..indexes.grid import CellCoord
+from ..indexes.gridt import WorkerPlan
 from .fabric import (
     Fleet,
     RoleHost,
@@ -85,14 +85,12 @@ __all__ = [
     "DISPATCH_BACKENDS",
     "DispatchBackend",
     "DispatchHost",
+    "DispatcherLedger",
     "FabricDispatch",
     "InProcessDispatch",
     "RoutedWindow",
     "make_dispatch",
 ]
-
-#: One update's per-worker ``(cell, posting keyword)`` routing plan.
-WorkerPlan = Dict[int, List[Tuple[CellCoord, str]]]
 
 #: The wire form of an object heading for routing: ``(position, x, y,
 #: terms)``.  Routing reads exactly an object's location and term set, so
@@ -175,43 +173,76 @@ class RoutedWindow:
     plans: Dict[int, Tuple[bool, WorkerPlan, int]]
 
 
-def group_triples(
-    triples: Iterable[Tuple[CellCoord, str, int]]
-) -> WorkerPlan:
-    """Group ``(cell, keyword, worker)`` triples into a per-worker plan."""
-    per_worker: WorkerPlan = {}
-    for coord, key, worker in triples:
-        pairs = per_worker.get(worker)
-        if pairs is None:
-            per_worker[worker] = [(coord, key)]
-        else:
-            pairs.append((coord, key))
-    return per_worker
-
-
 def plan_update(
     index: Any, plan_cache: Dict[int, Tuple[WorkerPlan, int]], item: StreamTuple
 ) -> Tuple[bool, WorkerPlan, int]:
     """Plan one query update on ``index`` and apply its H2 delta.
 
     Returns ``(is_insert, per-worker plan, probed cells)``.  An
-    insertion's plan is remembered in ``plan_cache`` and reused when the
-    matching deletion arrives (the keyword choice is deterministic,
-    Section IV-C); the cache's owner drops it whenever H1 changes.
+    insertion's plan is remembered in ``plan_cache`` and offered back to
+    the index when the matching deletion arrives (the keyword choice is
+    deterministic, Section IV-C); the cache's owner drops it whenever H1
+    changes.
     """
     query = item.payload.query
     if item.kind is TupleKind.INSERT:
-        per_worker, cells = index.insertion_plan_apply(query)
-        plan_cache[query.query_id] = (per_worker, cells)
+        per_worker, cells = plan_cache[query.query_id] = index.insertion_plan_apply(query)
         return True, per_worker, cells
-    cached = plan_cache.pop(query.query_id, None)
-    if cached is not None:
-        per_worker, cells = cached
-    else:
-        triples, cells = index.posting_assignments(query)
-        per_worker = group_triples(triples)
-    index.apply_deletion_pairs(per_worker)
+    per_worker, cells = index.deletion_plan_apply(
+        query, plan_cache.pop(query.query_id, None)
+    )
     return False, per_worker, cells
+
+
+class DispatcherLedger:
+    """Definition-1 accounting of one dispatcher (Section III-B).
+
+    Routing itself is :func:`plan_update` and
+    :meth:`~repro.indexes.gridt.GridTIndex.route_cell`, applied by the
+    cluster's drivers or by a dispatch shard; what every simulated
+    dispatcher keeps is the cost of the decisions charged to its
+    round-robin slot, so that a dispatcher can become the bottleneck,
+    exactly as the paper argues when motivating the gridt index over the
+    raw kdt-tree.
+    """
+
+    #: Cost (in the same units as the worker cost model) of one hash-map
+    #: probe in the gridt index.
+    PROBE_COST = 0.02
+    #: Fixed per-tuple overhead (deserialisation, cell lookup).
+    TUPLE_COST = 0.05
+
+    __slots__ = (
+        "dispatcher_id",
+        "busy_cost",
+        "objects_routed",
+        "objects_discarded",
+        "insertions_routed",
+        "deletions_routed",
+    )
+
+    def __init__(self, dispatcher_id: int) -> None:
+        self.dispatcher_id = dispatcher_id
+        self.reset_period()
+
+    def account_objects(self, routed: int, discarded: int, total_cost: float) -> None:
+        """Charge a batch of object routing decisions in one call."""
+        self.busy_cost += total_cost
+        self.objects_routed += routed
+        self.objects_discarded += discarded
+
+    def account_updates(self, insertions: int, deletions: int, total_cost: float) -> None:
+        """Charge a window's worth of update routing decisions in one call."""
+        self.busy_cost += total_cost
+        self.insertions_routed += insertions
+        self.deletions_routed += deletions
+
+    def reset_period(self) -> None:
+        self.busy_cost = 0.0
+        self.objects_routed = 0
+        self.objects_discarded = 0
+        self.insertions_routed = 0
+        self.deletions_routed = 0
 
 
 def _split_window(
@@ -368,7 +399,7 @@ class DispatchBackend:
         ``memory_bytes`` is the measured routing-structure size of the
         replica (Figure 9), ``depth`` its insertion-plan cache; the
         coordinator overlays the Definition-1 dispatcher busy cost
-        (tracked on its own :class:`DispatcherNode` accounting) on the
+        (tracked on its own :class:`DispatcherLedger` accounting) on the
         gauges it records.  Best-effort on the fabric backends: empty
         while a pipelined window is in flight.
         """

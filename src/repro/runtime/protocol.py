@@ -118,11 +118,8 @@ REPLY_MESSAGES: Tuple[str, ...] = (
 #: counters inside an Observation).  They are pickle-checked (RL003)
 #: like the messages that carry them.
 PAYLOAD_DATACLASSES: Tuple[str, ...] = (
-    "MatchOne",
     "MatchObjects",
-    "InsertQuery",
     "InsertPairs",
-    "DeleteQuery",
     "DeleteById",
     "SinkSpec",
     "MatchProfile",

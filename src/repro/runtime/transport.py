@@ -58,7 +58,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from ..core.costmodel import CostModel
 from ..core.geometry import Rect
-from ..core.objects import MatchResult, QueryDeletion, QueryInsertion, SpatioTextualObject, STSQuery
+from ..core.objects import MatchResult, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
@@ -87,17 +87,14 @@ __all__ = [
     "BarrierAck",
     "CellStatsRequest",
     "DeleteById",
-    "DeleteQuery",
     "DeliverResults",
     "ExtractCells",
     "ExtractKeywords",
     "FabricTransport",
     "InProcessTransport",
     "InsertPairs",
-    "InsertQuery",
     "InstallQueries",
     "MatchObjects",
-    "MatchOne",
     "MatchResults",
     "MergerReset",
     "RemoteCallable",
@@ -124,15 +121,8 @@ __all__ = [
 # Worker operations (the payload of a RouteBatch, applied in order)
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
-class MatchOne:
-    """Match a single object (per-tuple reference path)."""
-
-    obj: SpatioTextualObject
-
-
-@dataclass(slots=True)
 class MatchObjects:
-    """Match a run of objects in one bulk call (batched engine).
+    """Match a run of objects in one bulk call (a run of one per tuple).
 
     ``cells`` optionally carries the objects' precomputed grid cells.
     """
@@ -142,40 +132,22 @@ class MatchObjects:
 
 
 @dataclass(slots=True)
-class InsertQuery:
-    """Register a routed query insertion (strict/per-tuple paths).
-
-    ``assignment`` is the list of ``(cell, posting keyword)`` pairs the
-    dispatcher routed to this worker.
-    """
-
-    insertion: QueryInsertion
-    assignment: Sequence[Tuple[CellCoord, str]]
-
-
-@dataclass(slots=True)
 class InsertPairs:
-    """Register exactly the routed posting pairs (deferred-barrier path)."""
+    """Register a query under exactly the ``(cell, posting keyword)``
+    pairs the dispatcher routed to this worker."""
 
     query: STSQuery
     pairs: Sequence[Tuple[CellCoord, str]]
 
 
 @dataclass(slots=True)
-class DeleteQuery:
-    """Apply a routed query deletion (strict/per-tuple paths)."""
-
-    deletion: QueryDeletion
-
-
-@dataclass(slots=True)
 class DeleteById:
-    """Lazily delete a query by id (deferred-barrier path)."""
+    """Lazily delete a query by id."""
 
     query_id: int
 
 
-WorkerOp = Union[MatchOne, MatchObjects, InsertQuery, InsertPairs, DeleteQuery, DeleteById]
+WorkerOp = Union[MatchObjects, InsertPairs, DeleteById]
 
 
 @dataclass(slots=True)
@@ -349,7 +321,6 @@ def execute_ops(
     never round-trip through the coordinator.
     """
     replies: List[Optional[MatchResults]] = []
-    model = worker.cost_model
     for op in ops:
         kind = type(op)
         if kind is MatchObjects:
@@ -360,33 +331,10 @@ def execute_ops(
                 deliver(results)
                 replies.append(MatchResults((), tuple(costs), len(results)))
         elif kind is InsertPairs:
-            # Inlined WorkerNode.handle_insertion for pre-routed pairs (hot
-            # loop of the deferred-barrier engine): register the routed
-            # postings, count, and charge the fixed insertion cost.
-            worker.index.insert_pairs(op.query, op.pairs)
-            worker.counters.insertions += 1
-            worker.busy_cost += model.insert_handling
+            worker.handle_insertion(op.query, op.pairs)
             replies.append(None)
         elif kind is DeleteById:
-            # Inlined WorkerNode.handle_deletion (hot loop).
-            worker.index.delete(op.query_id)
-            worker.counters.deletions += 1
-            worker.busy_cost += model.delete_handling
-            replies.append(None)
-        elif kind is MatchOne:
-            results = worker.handle_object(op.obj)
-            if deliver is None:
-                replies.append(
-                    MatchResults(tuple(results), (worker.last_tuple_cost,), len(results))
-                )
-            else:
-                deliver(results)
-                replies.append(MatchResults((), (worker.last_tuple_cost,), len(results)))
-        elif kind is InsertQuery:
-            worker.handle_insertion(op.insertion, op.assignment)
-            replies.append(None)
-        elif kind is DeleteQuery:
-            worker.handle_deletion(op.deletion)
+            worker.handle_deletion(op.query_id)
             replies.append(None)
         else:
             raise TransportError("unknown worker op %r" % (op,))

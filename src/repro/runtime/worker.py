@@ -13,7 +13,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.costmodel import CostModel, WorkerLoadCounters
 from ..core.geometry import Rect
-from ..core.objects import MatchResult, QueryDeletion, QueryInsertion, SpatioTextualObject, STSQuery
+from ..core.objects import MatchResult, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from ..indexes.gi2 import CellStats, GI2Index
 from ..indexes.grid import CellCoord
@@ -61,14 +61,13 @@ class WorkerNode:
         self.counters = WorkerLoadCounters()
         #: Accumulated busy time in cost units (converted to seconds by the cluster).
         self.busy_cost = 0.0
-        self._last_tuple_cost = 0.0
 
     # ------------------------------------------------------------------
     # Operations (Section III-B, worker responsibilities)
     # ------------------------------------------------------------------
     def handle_insertion(
         self,
-        insertion: QueryInsertion,
+        query: STSQuery,
         assignment: Optional[Sequence[Tuple[CellCoord, str]]] = None,
     ) -> None:
         """(1) Query insertion: add the STS query to the in-memory index.
@@ -79,55 +78,33 @@ class WorkerNode:
         complete posting footprint on every worker holding it.
         """
         if assignment is None:
-            self.index.insert(insertion.query)
+            self.index.insert(query)
         else:
-            self.index.insert_pairs(insertion.query, assignment)
+            self.index.insert_pairs(query, assignment)
         self.counters.record_insertion()
-        cost = self.cost_model.insert_handling
-        self.busy_cost += cost
-        self._last_tuple_cost = cost
+        self.busy_cost += self.cost_model.insert_handling
 
-    def handle_deletion(self, deletion: QueryDeletion) -> None:
+    def handle_deletion(self, query_id: int) -> None:
         """(2) Query deletion: lazily remove the STS query from the index."""
-        self.index.delete(deletion.query_id)
+        self.index.delete(query_id)
         self.counters.record_deletion()
-        cost = self.cost_model.delete_handling
-        self.busy_cost += cost
-        self._last_tuple_cost = cost
+        self.busy_cost += self.cost_model.delete_handling
 
     def handle_object(self, obj: SpatioTextualObject) -> List[MatchResult]:
-        """(3) Matching: find the registered queries satisfied by ``obj``."""
-        outcome = self.index.match(obj)
-        self.counters.record_object(checks=outcome.checks, matches=len(outcome.query_ids))
-        cost = self.cost_model.object_handling + self.cost_model.match_check * outcome.checks
-        self.busy_cost += cost
-        self._last_tuple_cost = cost
-        results = []
-        for query_id in outcome.query_ids:
-            query = self.index.get_query(query_id)
-            subscriber = query.subscriber_id if query is not None else 0
-            results.append(
-                MatchResult(
-                    query_id=query_id,
-                    object_id=obj.object_id,
-                    subscriber_id=subscriber,
-                    worker_id=self.worker_id,
-                )
-            )
-        return results
+        """(3) Matching: the queries satisfied by ``obj`` — a batch of one."""
+        return self.handle_object_batch((obj,))[0]
 
     def handle_object_batch(
         self,
         objects: Sequence[SpatioTextualObject],
         cells: Optional[Sequence[CellCoord]] = None,
     ) -> Tuple[List[MatchResult], List[float]]:
-        """Match a batch of objects in one call (batched engine).
+        """Match a batch of objects in one call.
 
-        Equivalent to calling :meth:`handle_object` per object — identical
-        per-object costs and match results — but amortises posting-list
-        setup through :meth:`GI2Index.match_batch` and accounts the load
-        counters in bulk.  ``cells`` may carry the objects' precomputed
-        grid cells.
+        Returns the match results plus one Definition-1 cost per object;
+        posting-list setup is amortised through
+        :meth:`GI2Index.match_batch` and the load counters are accounted
+        in bulk.  ``cells`` may carry the objects' precomputed grid cells.
         """
         outcomes = self.index.match_batch(objects, cells)
         results: List[MatchResult] = []
@@ -163,14 +140,7 @@ class WorkerNode:
                 )
         self.counters.record_object_batch(len(objects), total_checks, total_matches)
         self.busy_cost += total_cost
-        if costs:
-            self._last_tuple_cost = costs[-1]
         return results, costs
-
-    @property
-    def last_tuple_cost(self) -> float:
-        """Cost charged for the most recent tuple (used for latency modelling)."""
-        return self._last_tuple_cost
 
     # ------------------------------------------------------------------
     # Load accounting and adjustment hooks

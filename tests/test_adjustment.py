@@ -105,18 +105,26 @@ class TestDualRoutingIndex:
             object_filtering=object_filtering,
         )
 
-    def test_insertions_go_to_new_index_only(self):
-        dual = DualRoutingIndex(self._index(0), self._index(1))
-        query = STSQuery.create("kobe", Rect(10, 10, 20, 20))
-        assert dual.route_insertion(query) == {1}
+    CELL = (1, 1)  # the 12.5-wide cell holding Point(15, 15)
 
-    def test_objects_consult_both(self):
+    def test_insertions_go_to_new_index_only(self):
         old, new = self._index(0), self._index(1)
         dual = DualRoutingIndex(old, new)
-        old_query = STSQuery.create("kobe", Rect(10, 10, 20, 20))
-        old.route_insertion(old_query)
+        query = STSQuery.create("kobe", Rect(10, 10, 20, 20))
+        per_worker, cells = dual.insertion_plan_apply(query)
+        assert set(per_worker) == {1}
+        assert cells == 4
+        assert old.h2_entry_count() == 0 and new.h2_entry_count() == 4
+
+    def test_objects_consult_both(self):
+        old, new = self._index(0, True), self._index(1, True)
+        dual = DualRoutingIndex(old, new)
+        old.route_insertion(STSQuery.create("kobe", Rect(10, 10, 20, 20)))
         obj = SpatioTextualObject.create("kobe", Point(15, 15))
-        assert 0 in dual.route_object(obj)
+        assert dual.grid.cell_of(obj.location) == self.CELL
+        assert dual.route_cell(self.CELL, obj.terms) == (0,)
+        new.route_insertion(STSQuery.create("kobe", Rect(10, 10, 20, 20)))
+        assert dual.route_cell(self.CELL, obj.terms) == (0, 1)
 
     def test_deletion_reaches_the_owning_strategy_only(self):
         """Regression: deleting a pre-drain query must not erase the
@@ -126,14 +134,18 @@ class TestDualRoutingIndex:
         before = STSQuery.create("kobe", Rect(10, 10, 20, 20))
         during = STSQuery.create("kobe", Rect(10, 10, 20, 20))
         old.route_insertion(before)
-        dual.route_insertion(during)
-        obj = SpatioTextualObject.create("kobe", Point(15, 15))
-        assert dual.route_object(obj) == {0, 1}
-        # Both strategies' workers are notified; only the owner's H2 moves.
-        assert dual.route_deletion(before) == {0, 1}
-        assert dual.route_object(obj) == {1}
-        assert dual.route_deletion(during) == {0, 1}
-        assert dual.route_object(obj) == set()
+        cached = dual.insertion_plan_apply(during)
+        terms = SpatioTextualObject.create("kobe", Point(15, 15)).terms
+        assert dual.route_cell(self.CELL, terms) == (0, 1)
+        # Both strategies' workers (and cells) are named; only the owner's
+        # H2 moves.  A cached new-strategy plan must not serve ``before``.
+        footprint = [(cell, "kobe") for cell in dual.grid.cells_overlapping(before.region)]
+        both = {0: footprint, 1: footprint}
+        assert dual.deletion_plan_apply(before, cached) == (both, 4)
+        assert dual.route_cell(self.CELL, terms) == (1,)
+        assert dual.deletion_plan_apply(during, cached) == (both, 4)
+        assert cached == ({1: footprint}, 4), "the cached plan is not mutated"
+        assert dual.route_cell(self.CELL, terms) == ()
 
     def test_memory_counts_both(self):
         old, new = self._index(0), self._index(1)

@@ -1,7 +1,7 @@
 """Equivalence tests for the batched execution engine.
 
 ``Cluster.run_batched`` must produce the same simulated results as the
-per-tuple reference path ``Cluster.run`` on the same stream: identical
+per-tuple driver ``Cluster.run`` on the same stream: identical
 throughput, worker loads, fanout and match counts (acceptance criterion of
 the batched-engine work), plus identical memory reports and latency
 statistics.  Batching may only change wall-clock cost, never semantics.

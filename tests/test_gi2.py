@@ -141,6 +141,36 @@ class TestDeletion:
         assert index.match(make_object("kobe", 5, 5)).query_ids == (query.query_id,)
 
 
+    def test_reinsert_while_deletion_pending_registers_once(self, stats):
+        """Regression: the lazily deleted copy's postings must not survive
+        beside the new registration (duplicate candidates, inflated memory)."""
+        query = make_query("kobe", Rect(0, 0, 5, 5))
+        probe = make_object("kobe", 1, 1)
+        fresh = GI2Index(BOUNDS, granularity=16, term_statistics=stats)
+        fresh.insert(query)
+        reinserted = GI2Index(BOUNDS, granularity=16, term_statistics=stats)
+        reinserted.insert(query)
+        reinserted.delete(query.query_id)
+        reinserted.insert(query)
+        assert reinserted.posting_count == fresh.posting_count
+        assert reinserted.memory_bytes() == fresh.memory_bytes()
+        assert reinserted.match(probe) == fresh.match(probe)
+        assert fresh.match(probe).checks == 1
+
+    def test_reinsert_under_different_pairs_drops_the_old_ones(self, index):
+        """Regression: a query re-inserted under other pairs while its
+        deletion is pending must stop matching in the cells it left."""
+        query = make_query("kobe", Rect(0, 0, 20, 5))
+        index.insert_pairs(query, [((0, 0), "kobe"), ((1, 0), "kobe")])
+        index.delete(query.query_id)
+        index.insert_pairs(query, [((2, 0), "kobe")])
+        assert index.posting_pairs_of_query(query.query_id) == [((2, 0), "kobe")]
+        assert index.match(make_object("kobe", 1, 1)).query_ids == ()  # cell (0, 0)
+        assert index.match(make_object("kobe", 14, 1)).query_ids == (query.query_id,)
+        assert index.remove_pairs(query.query_id, [((2, 0), "kobe")])
+        assert index.posting_count == 0
+
+
 class TestStatsAndMigration:
     def test_query_count_excludes_pending(self, index):
         queries = [make_query("kobe", Rect(0, 0, 100, 100)) for _ in range(4)]

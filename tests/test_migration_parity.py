@@ -20,12 +20,12 @@ mechanism the dispatcher uses at insertion time.  These tests pin down
 
 import pytest
 
+from test_batched import assert_equivalent
 from test_window_executor import brute_force
 
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
 from repro.core import (
     Point,
-    QueryInsertion,
     Rect,
     SpatioTextualObject,
     STSQuery,
@@ -120,7 +120,7 @@ class TestDispatchVsMigrationMemory:
         migrated = WorkerNode(1, BOUNDS, granularity=16)
         queries = self._queries()
         for query in queries:
-            dispatched.handle_insertion(QueryInsertion(query))
+            dispatched.handle_insertion(query)
             pairs = tuple(dispatched.index.posting_pairs_of_query(query.query_id))
             migrated.install_queries([QueryAssignment(query, pairs, True)])
         assert migrated.memory_bytes() == dispatched.memory_bytes()
@@ -132,8 +132,8 @@ class TestDispatchVsMigrationMemory:
         target = WorkerNode(2, BOUNDS, granularity=16)
         queries = self._queries()
         for query in queries:
-            reference.handle_insertion(QueryInsertion(query))
-            roundtrip.handle_insertion(QueryInsertion(query))
+            reference.handle_insertion(query)
+            roundtrip.handle_insertion(query)
         cells = set()
         for query in queries:
             cells |= roundtrip.index.cells_of_query(query.query_id)
@@ -455,15 +455,15 @@ class TestAdjustedRunsAgainstBruteForce:
             assert cluster.migrations
             assert delivered_pairs(cluster) == brute_force(tuples)
 
-    @pytest.mark.parametrize("batch_size", [1, 128], ids=["per-tuple", "batched"])
-    def test_global_drain_delivers_exactly_brute_force(self, batch_size):
+    def _run_global_drain(self, batch_size):
         """Inserts, deletes and objects between ``check`` and ``finalize``.
 
         The drain stream re-yields the warm-up insertions (live pre-drain
         queries registered again under the new strategy) and carries one
         crafted collision: a new query sharing region and expression — so
         every ``(cell, keyword, worker)`` triple — with a pre-drain query
-        that is then deleted.
+        that is then deleted.  Delivered pairs are checked against brute
+        force after every phase; returns the phases' reports.
         """
         stream = dense_stream("Q3")
         sample = stream.partitioning_sample(600)
@@ -474,7 +474,7 @@ class TestAdjustedRunsAgainstBruteForce:
         live = {}
         with Cluster(plan, config) as cluster:
             warm = list(stream.tuples(300))
-            cluster.run_batched(warm, batch_size=batch_size)
+            reports = [cluster.run_batched(warm, batch_size=batch_size)]
             assert delivered_pairs(cluster) == brute_force(warm, live)
             adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.0)
             if not adjuster.check(cluster, sample).repartitioned:
@@ -489,11 +489,25 @@ class TestAdjustedRunsAgainstBruteForce:
                 StreamTuple.delete(before),
                 StreamTuple.object(hit),
             ]
-            cluster.run_batched(drain, batch_size=batch_size)
+            reports.append(cluster.run_batched(drain, batch_size=batch_size))
             expected = brute_force(drain, live)
             assert (during.query_id, hit.object_id) in expected
             assert delivered_pairs(cluster) == expected
             assert adjuster.finalize(cluster).finalized
             after = list(stream.tuples(300))
-            cluster.run_batched(after, batch_size=batch_size)
+            reports.append(cluster.run_batched(after, batch_size=batch_size))
             assert delivered_pairs(cluster) == brute_force(after, live)
+        return reports
+
+    @pytest.mark.parametrize("batch_size", [1, 128], ids=["per-tuple", "batched"])
+    def test_global_drain_delivers_exactly_brute_force(self, batch_size):
+        self._run_global_drain(batch_size)
+
+    def test_global_drain_reports_agree_across_drivers(self):
+        """Check -> drain (with the collision) -> finalize: the per-tuple and
+        the batched driver report the same run after every phase."""
+        per_tuple = self._run_global_drain(1)
+        batched = self._run_global_drain(128)
+        assert len(per_tuple) == len(batched) == 3
+        for reference, report in zip(per_tuple, batched):
+            assert_equivalent(reference, report)

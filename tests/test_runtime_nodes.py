@@ -4,8 +4,6 @@ import pytest
 
 from repro.core import (
     Point,
-    QueryDeletion,
-    QueryInsertion,
     Rect,
     STSQuery,
     SpatioTextualObject,
@@ -13,8 +11,8 @@ from repro.core import (
     TermStatistics,
 )
 from repro.core.objects import MatchResult
-from repro.indexes.gridt import GridTIndex
-from repro.runtime import DispatcherNode, MergerNode, WorkerNode
+from repro.partitioning.base import PartitionPlan, PartitionUnit
+from repro.runtime import Cluster, ClusterConfig, DispatcherLedger, MergerNode, WorkerNode
 
 
 BOUNDS = Rect(0, 0, 100, 100)
@@ -28,20 +26,20 @@ def worker():
 class TestWorkerNode:
     def test_insertion_and_match(self, worker):
         query = STSQuery.create("kobe", Rect(0, 0, 50, 50))
-        worker.handle_insertion(QueryInsertion(query))
+        worker.handle_insertion(query)
         results = worker.handle_object(SpatioTextualObject.create("kobe scores", Point(10, 10)))
         assert [result.query_id for result in results] == [query.query_id]
         assert results[0].worker_id == 0
 
     def test_deletion_stops_matching(self, worker):
         query = STSQuery.create("kobe", Rect(0, 0, 50, 50))
-        worker.handle_insertion(QueryInsertion(query))
-        worker.handle_deletion(QueryDeletion(query))
+        worker.handle_insertion(query)
+        worker.handle_deletion(query.query_id)
         assert worker.handle_object(SpatioTextualObject.create("kobe", Point(10, 10))) == []
 
     def test_counters_and_load(self, worker):
         query = STSQuery.create("kobe", Rect(0, 0, 50, 50))
-        worker.handle_insertion(QueryInsertion(query))
+        worker.handle_insertion(query)
         worker.handle_object(SpatioTextualObject.create("kobe", Point(10, 10)))
         assert worker.counters.insertions == 1
         assert worker.counters.objects == 1
@@ -49,7 +47,7 @@ class TestWorkerNode:
         assert worker.busy_cost > 0
 
     def test_reset_period(self, worker):
-        worker.handle_insertion(QueryInsertion(STSQuery.create("kobe", Rect(0, 0, 5, 5))))
+        worker.handle_insertion(STSQuery.create("kobe", Rect(0, 0, 5, 5)))
         worker.reset_period()
         assert worker.load() == 0.0
         assert worker.busy_cost == 0.0
@@ -58,13 +56,13 @@ class TestWorkerNode:
 
     def test_match_results_carry_subscriber(self, worker):
         query = STSQuery.create("kobe", Rect(0, 0, 50, 50), subscriber_id=77)
-        worker.handle_insertion(QueryInsertion(query))
+        worker.handle_insertion(query)
         results = worker.handle_object(SpatioTextualObject.create("kobe", Point(1, 1)))
         assert results[0].subscriber_id == 77
 
     def test_extract_and_install_cells(self, worker):
         query = STSQuery.create("kobe", Rect(0, 0, 5, 5))
-        worker.handle_insertion(QueryInsertion(query))
+        worker.handle_insertion(query)
         cells = worker.index.cells_of_query(query.query_id)
         pairs_before = sorted(worker.index.posting_pairs_of_query(query.query_id))
         moved = worker.extract_cells(cells)
@@ -80,7 +78,7 @@ class TestWorkerNode:
     def test_partial_extract_keeps_remainder(self, worker):
         """A query spanning kept and migrated cells ships only the migrated pairs."""
         query = STSQuery.create("kobe", Rect(0, 0, 40, 5))
-        worker.handle_insertion(QueryInsertion(query))
+        worker.handle_insertion(query)
         cells = sorted(worker.index.cells_of_query(query.query_id))
         assert len(cells) > 1
         migrated = cells[: len(cells) // 2]
@@ -98,73 +96,68 @@ class TestWorkerNode:
         empty = worker.memory_bytes()
         for offset in range(20):
             worker.handle_insertion(
-                QueryInsertion(STSQuery.create("kobe AND retired", Rect(offset, 0, offset + 3, 3)))
+                STSQuery.create("kobe AND retired", Rect(offset, 0, offset + 3, 3))
             )
         assert worker.memory_bytes() > empty
 
-    def test_last_tuple_cost_tracks_operation(self, worker):
-        model = worker.cost_model
-        worker.handle_insertion(QueryInsertion(STSQuery.create("kobe", Rect(0, 0, 5, 5))))
-        assert worker.last_tuple_cost == pytest.approx(model.insert_handling)
-        worker.handle_object(SpatioTextualObject.create("nothing", Point(50, 50)))
-        assert worker.last_tuple_cost == pytest.approx(model.object_handling)
-
 
 class TestDispatcherNode:
-    def _index(self):
+    """The Definition-1 ledger, alone and behind ``Cluster.process``."""
+
+    def _cluster(self):
         stats = TermStatistics()
         stats.add_document(["kobe", "kobe", "music"])
-        return GridTIndex.from_assignments(
-            BOUNDS,
-            [(Rect(0, 0, 50, 100), None, 0), (Rect(50, 0, 100, 100), None, 1)],
-            granularity=10,
-            term_statistics=stats,
+        plan = PartitionPlan(
+            units=[
+                PartitionUnit(Rect(0, 0, 50, 100), None, 0),
+                PartitionUnit(Rect(50, 0, 100, 100), None, 1),
+            ],
+            num_workers=2,
+            bounds=BOUNDS,
+            statistics=stats,
+        )
+        return Cluster(
+            plan, ClusterConfig(num_dispatchers=1, num_workers=2, granularity=10)
         )
 
     def test_routes_objects_by_cell(self):
-        dispatcher = DispatcherNode(0, self._index())
-        decision = dispatcher.route(
+        cluster = self._cluster()
+        handled = cluster.process(
             StreamTuple.object(SpatioTextualObject.create("kobe", Point(10, 10)))
         )
-        assert decision.workers == (0,)
-        assert not decision.discarded
-        assert dispatcher.objects_routed == 1
+        assert handled == {0}
+        assert cluster.dispatchers[0].objects_routed == 1
+        assert cluster.dispatchers[0].objects_discarded == 0
 
     def test_routes_insertions_and_updates_h2(self):
-        index = self._index()
-        dispatcher = DispatcherNode(0, index)
+        cluster = self._cluster()
         query = STSQuery.create("kobe", Rect(60, 10, 70, 20))
-        decision = dispatcher.route(StreamTuple.insert(query))
-        assert decision.workers == (1,)
-        assert index.h2_entry_count() > 0
-        assert dispatcher.insertions_routed == 1
+        assert cluster.process(StreamTuple.insert(query)) == {1}
+        assert cluster.routing_index.h2_entry_count() > 0
+        assert cluster.dispatchers[0].insertions_routed == 1
 
     def test_routes_deletions(self):
-        index = self._index()
-        dispatcher = DispatcherNode(0, index)
+        cluster = self._cluster()
         query = STSQuery.create("kobe", Rect(60, 10, 70, 20))
-        dispatcher.route(StreamTuple.insert(query))
-        decision = dispatcher.route(StreamTuple.delete(query))
-        assert decision.workers == (1,)
-        assert index.h2_entry_count() == 0
+        cluster.process(StreamTuple.insert(query))
+        assert cluster.process(StreamTuple.delete(query)) == {1}
+        assert cluster.routing_index.h2_entry_count() == 0
+        assert cluster.dispatchers[0].deletions_routed == 1
 
     def test_busy_cost_accumulates(self):
-        dispatcher = DispatcherNode(0, self._index())
-        before = dispatcher.busy_cost
-        dispatcher.route(StreamTuple.object(SpatioTextualObject.create("kobe", Point(10, 10))))
-        assert dispatcher.busy_cost > before
+        ledger = DispatcherLedger(0)
+        ledger.account_objects(2, 1, 0.5)
+        ledger.account_updates(1, 1, 0.25)
+        assert ledger.busy_cost == pytest.approx(0.75)
+        assert (ledger.objects_routed, ledger.objects_discarded) == (2, 1)
+        assert (ledger.insertions_routed, ledger.deletions_routed) == (1, 1)
 
     def test_reset_period(self):
-        dispatcher = DispatcherNode(0, self._index())
-        dispatcher.route(StreamTuple.object(SpatioTextualObject.create("kobe", Point(10, 10))))
-        dispatcher.reset_period()
-        assert dispatcher.busy_cost == 0.0
-        assert dispatcher.objects_routed == 0
-
-    def test_memory_is_routing_index_size(self):
-        index = self._index()
-        dispatcher = DispatcherNode(0, index)
-        assert dispatcher.memory_bytes() == index.memory_bytes()
+        ledger = DispatcherLedger(0)
+        ledger.account_objects(1, 0, 0.5)
+        ledger.reset_period()
+        assert ledger.busy_cost == 0.0
+        assert ledger.objects_routed == 0
 
 
 class TestMergerNode:

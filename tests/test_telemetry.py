@@ -253,11 +253,9 @@ class TestTelemetryServer:
 # Cluster integration: spans, gauges, timeline content
 # ----------------------------------------------------------------------
 class TestClusterTelemetry:
-    # Dual routing (the drain of a global adjustment) sends every window
-    # through process_batch's strict-barrier fallback.
-    @pytest.mark.parametrize(
-        "dual_drain", [False, True], ids=["deferred", "strict-barrier-fallback"]
-    )
+    # Dual routing (the drain of a global adjustment) runs through the
+    # same window executor, routed inline.
+    @pytest.mark.parametrize("dual_drain", [False, True], ids=["deferred", "dual-drain"])
     def test_every_window_traced_with_all_three_hops(self, tmp_path, dual_drain):
         plan, tuples = make_chaos_workload()
         path = str(tmp_path / "t.jsonl")

@@ -247,6 +247,15 @@ class TestTransportMechanics:
             assert set(stats) == {0, 1}
             assert all(isinstance(entry, Observation) for entry in stats.values())
 
+    def test_unknown_worker_op_is_rejected(self):
+        """``execute_ops`` knows three op types; anything else is an error."""
+        from repro.runtime.transport import MatchObjects, execute_ops
+
+        plan, _ = make_workload(num_objects=0)
+        with Cluster(plan, ClusterConfig(num_workers=1)) as cluster:
+            with pytest.raises(TransportError, match="unknown worker op 'not-an-op'"):
+                execute_ops(cluster.workers[0], (MatchObjects(()), "not-an-op"))
+
     def test_close_is_idempotent_and_ends_workers(self):
         plan, _ = make_workload(num_objects=0)
         config = ClusterConfig(num_dispatchers=1, num_workers=2, backend="multiprocess")

@@ -14,9 +14,10 @@ branch —
 
 — and requires the sequence to be the same whichever routing source fed
 the executor: inline routing, ``inprocess`` dispatch shards (1 and 4), as
-one window and as windows of one (on shards that is the per-tuple replay,
-``Cluster.process``).  Delivered ``(query, object)`` pairs must equal a
-brute-force ``STSQuery.matches`` replay in stream order.
+one window and as windows of one — and requires the per-tuple driver
+(``Cluster.process``) to ship, op type for op type, what windows of one
+ship.  Delivered ``(query, object)`` pairs must equal a brute-force
+``STSQuery.matches`` replay in stream order.
 """
 
 import pytest
@@ -114,7 +115,7 @@ def describe(op):
     return ("delete", op.query_id)
 
 
-def replay(stream, *, dispatch, shards, windowed):
+def replay(stream, *, dispatch, shards, mode):
     """Replay on one routing source; returns (exchanged ops, delivered pairs)."""
     config = ClusterConfig(
         num_dispatchers=shards,
@@ -138,9 +139,9 @@ def replay(stream, *, dispatch, shards, windowed):
             return exchange(batches)
 
         cluster.transport.exchange = recording_exchange
-        if windowed:
+        if mode == "one-window":
             cluster.process_batch(stream)
-        elif dispatch == "inline":
+        elif mode == "windows-of-one":
             for item in stream:
                 cluster.process_batch([item])
         else:
@@ -158,21 +159,24 @@ def replay(stream, *, dispatch, shards, windowed):
 SOURCES = [("inline", 4), ("inprocess", 1), ("inprocess", 4)]
 
 
-@pytest.mark.parametrize("windowed", [True, False], ids=["one-window", "windows-of-one"])
-def test_routing_sources_ship_identical_ops(windowed):
+@pytest.mark.parametrize("mode", ["one-window", "windows-of-one", "per-tuple"])
+def test_routing_sources_ship_identical_ops(mode):
     stream, one_window = make_stream()
     expected_pairs = brute_force(stream)
     assert expected_pairs == {(1, 101), (2, 102), (3, 103), (4, 105), (4, 106)}
     runs = {
-        source: replay(stream, dispatch=source[0], shards=source[1], windowed=windowed)
+        source: replay(stream, dispatch=source[0], shards=source[1], mode=mode)
         for source in SOURCES
     }
     reference, _ = runs[SOURCES[0]]
-    if windowed:
+    if mode == "one-window":
         assert reference == one_window
     else:
         # One exchange per tuple that reaches a worker (104 is discarded).
         assert len(reference) == len(stream) - 1
+    if mode == "per-tuple":
+        windows_of_one, _ = replay(stream, dispatch="inline", shards=4, mode="windows-of-one")
+        assert reference == windows_of_one
     for source, (exchanges, delivered) in runs.items():
         assert exchanges == reference, source
         assert delivered == expected_pairs, source
