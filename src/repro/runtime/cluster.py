@@ -419,6 +419,32 @@ class _SpanState:
         self.match_endpoints = 0
 
 
+class _WindowRun:
+    """One window's flush-side accumulators, a local of ``_execute_window``.
+
+    Never cluster state: a window that aborts mid-scan cannot leak ops
+    into the next.  ``ops`` is ``None`` where a segment executes at its
+    own flush (in process); where an exchange is a round trip it collects
+    each worker's ordered ops for the window's single exchange, and
+    ``segments`` records for every flushed object run ``(positions,
+    groups, {worker: index of the run's MatchObjects in ops[worker]})``.
+    """
+
+    def __init__(
+        self, base: int, num_dispatchers: int, count: int, trace: bool, round_trip: bool
+    ) -> None:
+        self.base = base
+        self.update_costs = [0.0] * num_dispatchers
+        self.insertions = [0] * num_dispatchers
+        self.deletions = [0] * num_dispatchers
+        self.trace_costs: Optional[List[float]] = [0.0] * count if trace else None
+        self.trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
+            [None] * count if trace else None
+        )
+        self.ops: Optional[Dict[int, List[WorkerOp]]] = {} if round_trip else None
+        self.segments: List[Tuple[List[int], Dict[int, List[int]], Dict[int, int]]] = []
+
+
 class PeriodSampleCollector:
     """Workload sample of the current measurement period (closed loop).
 
@@ -1254,16 +1280,13 @@ class Cluster:
         max_col = grid.columns - 1
         max_row = grid.rows - 1
 
-        trace_costs: Optional[List[float]] = [0.0] * count if trace else None
-        trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
-            [None] * count if trace else None
+        window = _WindowRun(
+            base, num_dispatchers, count, trace, self.transport.exchange_round_trip
         )
+        trace_costs = window.trace_costs
         dispatcher_costs = [0.0] * num_dispatchers
         dispatcher_objects = [0] * num_dispatchers
         dispatcher_discarded = [0] * num_dispatchers
-        dispatcher_update_costs = [0.0] * num_dispatchers
-        dispatcher_insertions = [0] * num_dispatchers
-        dispatcher_deletions = [0] * num_dispatchers
 
         pending_positions: List[int] = []
         pending_objects: List = []
@@ -1336,18 +1359,11 @@ class Cluster:
                         # cell, so the queued updates can apply now while
                         # the object run keeps growing (every pending
                         # object is unaffected either way).
-                        self._flush_fast(
-                            [], [], [], {}, pending_updates, base,
-                            dispatcher_update_costs,
-                            dispatcher_insertions, dispatcher_deletions,
-                            trace_costs, trace_workers,
-                        )
+                        self._flush_fast(window, [], [], [], {}, pending_updates)
                     else:
                         self._flush_fast(
-                            pending_positions, pending_objects, pending_coords,
-                            pending_groups, pending_updates, base,
-                            dispatcher_update_costs, dispatcher_insertions,
-                            dispatcher_deletions, trace_costs, trace_workers,
+                            window, pending_positions, pending_objects,
+                            pending_coords, pending_groups, pending_updates,
                         )
                         pending_positions = []
                         pending_objects = []
@@ -1395,11 +1411,15 @@ class Cluster:
                     (position, is_insert, item.payload, per_worker, cells)
                 )
         self._flush_fast(
-            pending_positions, pending_objects, pending_coords, pending_groups,
-            pending_updates, base,
-            dispatcher_update_costs, dispatcher_insertions, dispatcher_deletions,
-            trace_costs, trace_workers,
+            window, pending_positions, pending_objects, pending_coords,
+            pending_groups, pending_updates,
         )
+        if window.ops:
+            # Round-trip transports: the window's one exchange, then every
+            # segment settles in flush order, as if it had shipped alone.
+            replies = self._exchange(window.ops)
+            for positions, groups, offsets in window.segments:
+                self._settle_segment(replies, positions, groups, offsets, window.trace_workers)
         self._objects += window_objects
         self._tuples_processed += window_objects
         self._object_fanout_total += window_fanout
@@ -1410,13 +1430,14 @@ class Cluster:
                     dispatcher_discarded[slot],
                     dispatcher_costs[slot],
                 )
-            if dispatcher_insertions[slot] or dispatcher_deletions[slot]:
+            if window.insertions[slot] or window.deletions[slot]:
                 dispatchers[slot].account_updates(
-                    dispatcher_insertions[slot],
-                    dispatcher_deletions[slot],
-                    dispatcher_update_costs[slot],
+                    window.insertions[slot],
+                    window.deletions[slot],
+                    window.update_costs[slot],
                 )
         if trace:
+            trace_workers = window.trace_workers
             assert trace_costs is not None and trace_workers is not None
             # Dispatcher ids repeat cyclically from ``base``; emit the whole
             # window's worth at C speed.
@@ -1432,34 +1453,36 @@ class Cluster:
 
     def _flush_fast(
         self,
+        window: _WindowRun,
         positions: List[int],
         objects: List,
         coords: List[CellCoord],
         groups: Dict[int, List[int]],
         updates: List[Tuple],
-        base: int,
-        dispatcher_update_costs: List[float],
-        dispatcher_insertions: List[int],
-        dispatcher_deletions: List[int],
-        trace_costs: Optional[List[float]],
-        trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]],
     ) -> None:
-        """Execute one deferred segment: bulk object matching, then updates.
+        """Flush one deferred segment: bulk object matching, then updates.
 
         Objects were already routed, charged to their dispatchers and
         grouped per worker during the arrival scan; here each worker's
-        segment is shipped as one ordered :class:`RouteBatch` over the
-        transport — the object group first, then the deferred updates in
-        stream order — and the match replies are merged deterministically.
-        On the multiprocess backend all batches go out before any reply is
-        read, so the workers' matching runs overlap on separate cores.
+        share of the segment becomes ordered ops — the object group
+        first, then the deferred updates in stream order.  In process
+        the segment is exchanged and settled right here, so its
+        deliveries leave while the scan goes on; where an exchange is a
+        round trip (``Transport.exchange_round_trip``) the ops join the
+        window's per-worker lists and :meth:`_execute_window` ships them
+        all at once, settling segment by segment in flush order.  Workers
+        see the same ops in the same order either way; the update
+        accounting below and the update log stay at flush time in both.
         """
         workers_map = self.workers
         num_dispatchers = len(self.dispatchers)
         tuple_cost = DispatcherLedger.TUPLE_COST
         probe_cost = DispatcherLedger.PROBE_COST
+        base = window.base
+        trace_costs = window.trace_costs
+        trace_workers = window.trace_workers
 
-        batch_ops: Dict[int, List] = {}
+        batch_ops: Dict[int, List[WorkerOp]] = {}
         if groups:
             for worker_id, locals_ in groups.items():
                 batch_ops[worker_id] = [
@@ -1475,35 +1498,28 @@ class Cluster:
                     batch_ops[worker_id] = [op]
                 else:
                     ops.append(op)
-        replies: Dict[int, List[Optional[MatchResults]]] = {}
-        if batch_ops:
-            replies = self._exchange(
-                {worker_id: RouteBatch(ops) for worker_id, ops in batch_ops.items()}
-            )
-
-        if groups:
-            all_results: List[MatchResult] = []
-            produced = 0
-            for worker_id, locals_ in groups.items():
-                reply = replies[worker_id][0]
-                assert reply is not None
-                if reply.results:
-                    all_results.extend(reply.results)
-                produced += reply.produced_count
-                if trace_workers is not None:
-                    for local, cost in zip(locals_, reply.costs):
-                        position = positions[local]
-                        entry = trace_workers[position]
-                        if entry is None:
-                            trace_workers[position] = [(worker_id, cost)]
-                        else:
-                            entry.append((worker_id, cost))
-            if all_results or produced:
-                self._deliver_results(all_results, produced)
+        span = self._span_state
+        if span is not None and len(batch_ops) > span.match_endpoints:
+            span.match_endpoints = len(batch_ops)
+        if window.ops is None:
+            if batch_ops:
+                replies = self._exchange(batch_ops)
+                if groups:
+                    self._settle_segment(
+                        replies, positions, groups, dict.fromkeys(groups, 0), trace_workers
+                    )
+        else:
+            offsets: Dict[int, int] = {}
+            for worker_id, ops in batch_ops.items():
+                shipped = window.ops.setdefault(worker_id, [])
+                offsets[worker_id] = len(shipped)
+                shipped.extend(ops)
+            if groups:
+                window.segments.append((positions, groups, offsets))
 
         # Coordinator-side accounting of the deferred updates.  Their
-        # worker-side effect (GI2 postings, load counters, busy time) was
-        # applied above through the exchange; the per-tuple costs are the
+        # worker-side effect (GI2 postings, load counters, busy time) is
+        # applied by the ops built above; the per-tuple costs are the
         # fixed Definition-1 constants, so traces need no round trip.
         cost_model = self.config.cost_model
         insert_cost = cost_model.insert_handling
@@ -1511,13 +1527,13 @@ class Cluster:
         for position, is_insert, payload, per_worker, cells in updates:
             slot = (base + position) % num_dispatchers
             cost = tuple_cost + probe_cost * (cells if cells > 1 else 1)
-            dispatcher_update_costs[slot] += cost
+            window.update_costs[slot] += cost
             worker_items: Optional[List[Tuple[int, float]]] = (
                 [] if trace_workers is not None else None
             )
             handled = 0
             if is_insert:
-                dispatcher_insertions[slot] += 1
+                window.insertions[slot] += 1
                 for worker_id in per_worker:
                     if worker_id not in workers_map:
                         continue
@@ -1527,7 +1543,7 @@ class Cluster:
                 self._insertions += 1
                 self._query_fanout_total += handled
             else:
-                dispatcher_deletions[slot] += 1
+                window.deletions[slot] += 1
                 for worker_id in per_worker:
                     if worker_id not in workers_map:
                         continue
@@ -1567,10 +1583,45 @@ class Cluster:
                         log.append((worker_id, op.query_id))
                     yield worker_id, op
 
+    def _settle_segment(
+        self,
+        replies: Dict[int, List[Optional[MatchResults]]],
+        positions: List[int],
+        groups: Dict[int, List[int]],
+        offsets: Dict[int, int],
+        trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]],
+    ) -> None:
+        """Merge one flushed object run's match replies, in group order.
+
+        ``offsets[worker]`` is the index of the run's ``MatchObjects`` op
+        — hence of its reply — in what that worker was shipped: 0 when
+        the segment was exchanged alone, its place in the window's op
+        list when the whole window went out as one batch.
+        """
+        all_results: List[MatchResult] = []
+        produced = 0
+        for worker_id, locals_ in groups.items():
+            reply = replies[worker_id][offsets[worker_id]]
+            assert reply is not None
+            if reply.results:
+                all_results.extend(reply.results)
+            produced += reply.produced_count
+            if trace_workers is not None:
+                for local, cost in zip(locals_, reply.costs):
+                    position = positions[local]
+                    entry = trace_workers[position]
+                    if entry is None:
+                        trace_workers[position] = [(worker_id, cost)]
+                    else:
+                        entry.append((worker_id, cost))
+        if all_results or produced:
+            self._deliver_results(all_results, produced)
+
     def _exchange(
-        self, batches: Dict[int, RouteBatch]
+        self, ops: Dict[int, List[WorkerOp]]
     ) -> Dict[int, List[Optional[MatchResults]]]:
         """One transport exchange, timed into the open window span's match hop."""
+        batches = {worker_id: RouteBatch(worker_ops) for worker_id, worker_ops in ops.items()}
         span = self._span_state
         hub = self._telemetry
         if span is None or hub is None:
@@ -1580,8 +1631,6 @@ class Cluster:
         if span.match_started_ms < 0:
             span.match_started_ms = started_ms
         span.match_ms += hub.now_ms() - started_ms
-        if len(batches) > span.match_endpoints:
-            span.match_endpoints = len(batches)
         return replies
 
     # ------------------------------------------------------------------

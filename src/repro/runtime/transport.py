@@ -380,6 +380,11 @@ class Transport:
 
     backend_name = "abstract"
     workers: Mapping[int, Any] = {}
+    #: Does an :meth:`exchange` block on a round trip to other processes?
+    #: Then the window executor ships a whole window per exchange instead
+    #: of one segment; a direct call is free and executes each segment at
+    #: its flush, which delivers its results earlier.
+    exchange_round_trip = False
 
     def exchange(
         self, batches: Mapping[int, RouteBatch]
@@ -680,6 +685,8 @@ class FabricTransport(Transport):
     pipe) and the ``socket`` deployment (``repro serve`` endpoints over
     TCP) — only the fleet construction differs.
     """
+
+    exchange_round_trip = True
 
     def __init__(self, fleet: Fleet) -> None:
         self._fleet = fleet

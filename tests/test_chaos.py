@@ -46,6 +46,7 @@ needs_cores = pytest.mark.skipif(
 )
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
+BATCH_SIZE = 64
 
 
 def make_chaos_workload(num_queries=120, num_objects=600, pairs=12, seed=7, workers=4):
@@ -102,7 +103,7 @@ def run_chaos(
     fault=None,
     checkpoint_every=0,
     adjust_every=0,
-    batch_size=64,
+    batch_size=BATCH_SIZE,
     workers=4,
     merger_backend="inprocess",
 ):
@@ -132,12 +133,14 @@ def run_chaos(
 def converged(reference, delivered, event):
     """Delivered sets modulo the recovery event's lost in-flight window.
 
-    A lost window's query inserts never reached any worker (reference
-    matches them; the recovered run cannot) and its deletions never
-    reached them either (the recovered run keeps matching a query the
-    reference dropped), so both sides are filtered by the lost query
-    ids; likewise the lost objects were never matched on the recovered
-    side.
+    The window's updates are in an unknown state on the recovered side:
+    the dead worker never applied them (its share is replayed from the
+    update log), while survivors may have — the fleet keeps submitting
+    a failed exchange's batches to them, and a remote exchange carries
+    the whole window.  The reference applied all of them.  Filtering
+    both sides by the lost query ids is what makes the comparison
+    sound; likewise the lost objects, which the recovered side never
+    delivered from the coordinator.
     """
     lost_queries = set(event.lost_query_ids)
     lost_objects = set(event.lost_object_ids)
@@ -177,7 +180,8 @@ class TestKillWorkerMidRun:
         event = recovery.events[0]
         assert event.worker_id == 1
         assert event.worker_id != event.target_worker
-        assert event.lost_tuples > 0
+        # At most one window is lost, whichever send the fault fires on.
+        assert 0 < event.lost_tuples <= BATCH_SIZE
         assert recovery.lost_tuples == event.lost_tuples
         assert not event.during_adjustment
         ref_set, rec_set = converged(reference, delivered, event)

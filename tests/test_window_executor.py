@@ -18,6 +18,11 @@ one window and as windows of one — and requires the per-tuple driver
 (``Cluster.process``) to ship, op type for op type, what windows of one
 ship.  Delivered ``(query, object)`` pairs must equal a brute-force
 ``STSQuery.matches`` replay in stream order.
+
+Where an exchange is a round trip (remote worker backends) the segments
+of a window travel together: one exchange per window whose per-worker
+ops are the concatenation, in flush order, of what the in-process
+executor ships segment by segment.
 """
 
 import pytest
@@ -26,6 +31,7 @@ from repro.core import Point, Rect, STSQuery, SpatioTextualObject, StreamTuple, 
 from repro.partitioning.base import PartitionPlan, PartitionUnit
 from repro.runtime import Cluster, ClusterConfig, SinkSpec
 from repro.runtime.transport import DeleteById, InsertPairs, MatchObjects
+from test_chaos import needs_cores
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 GRANULARITY = 4  # 25 x 25 cells; worker 0 owns columns 0-1, worker 1 columns 2-3
@@ -115,13 +121,14 @@ def describe(op):
     return ("delete", op.query_id)
 
 
-def replay(stream, *, dispatch, shards, mode):
+def replay(stream, *, dispatch, shards, mode, backend="inprocess"):
     """Replay on one routing source; returns (exchanged ops, delivered pairs)."""
     config = ClusterConfig(
         num_dispatchers=shards,
         num_workers=2,
         num_mergers=1,
         granularity=GRANULARITY,
+        backend=backend,
         dispatch_backend=dispatch,
         sink=SinkSpec(kind="memory"),
     )
@@ -180,3 +187,30 @@ def test_routing_sources_ship_identical_ops(mode):
     for source, (exchanges, delivered) in runs.items():
         assert exchanges == reference, source
         assert delivered == expected_pairs, source
+
+
+@needs_cores
+@pytest.mark.parametrize("mode", ["one-window", "windows-of-one", "per-tuple"])
+def test_remote_workers_get_one_batch_per_window(mode):
+    stream, one_window = make_stream()
+    exchanges, delivered = replay(
+        stream, dispatch="inline", shards=4, mode=mode, backend="multiprocess"
+    )
+    if mode == "one-window":
+        concatenated = {}
+        for segment in one_window:
+            for worker_id, ops in segment.items():
+                concatenated.setdefault(worker_id, []).extend(ops)
+        assert concatenated == {
+            0: [
+                ("insert", 1), ("insert", 3), ("match", 101, 103), ("insert", 4),
+                ("match", 105), ("delete", 1), ("match", 106),
+            ],
+            1: [("insert", 2), ("match", 102), ("delete", 2)],
+        }
+        assert exchanges == [concatenated]
+    else:
+        # A window of one has one segment: nothing to coalesce.
+        reference, _ = replay(stream, dispatch="inline", shards=4, mode=mode)
+        assert exchanges == reference
+    assert delivered == brute_force(stream)
