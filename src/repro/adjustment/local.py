@@ -118,18 +118,22 @@ class LocalLoadAdjuster:
         report.target_worker = target
 
         # Definition-3 cell statistics of the overloaded worker, shared by
-        # both phases; recomputed only when Phase I actually moved postings.
+        # both phases, and the load report (an ``Observe`` of every worker):
+        # each is read again only after a phase actually moved postings.
         stats = sorted(cluster.worker_cell_stats(source), key=lambda s: -s.load)
         if self.enable_phase1:
             report.phase1_splits = self._phase_one(cluster, source, target, report, stats)
             if report.phase1_splits:
                 stats = sorted(cluster.worker_cell_stats(source), key=lambda s: -s.load)
+                loads = cluster.worker_load_report()
 
-        loads = cluster.worker_load_report()
         if self._violated(loads):
+            shipped = len(report.records)
             self._phase_two(cluster, source, target, loads, report, stats)
+            if len(report.records) > shipped:
+                loads = cluster.worker_load_report()
 
-        report.imbalance_after = cluster.worker_load_report().imbalance
+        report.imbalance_after = loads.imbalance
         self.history.append(report)
         return report
 

@@ -7,10 +7,14 @@ inverted index of STS queries per cell:
 * within a cell, a pure-AND query is appended to the posting list of its
   least frequent keyword; a query with OR operators is appended once per
   conjunctive clause, keyed by that clause's least frequent keyword;
-* deletions are lazy: the id of a dropped query is recorded in a hash set
-  and physically removed the next time a posting list containing it is
-  traversed during object matching (or when :meth:`compact` is called,
-  e.g. before a migration).
+* deletions are lazy: a dropped query leaves the query table for a
+  *tombstone* (its recorded ``(cell, keyword)`` pairs) and its postings
+  stay where they are.  "Stale" is "id not in the query table" — the test
+  the candidate loop runs anyway — and a posting list in which matching
+  met a stale id is rewritten right after its traversal.  Postings no
+  object traverses again go in a :meth:`GI2Index.compact` sweep, which
+  :meth:`GI2Index.delete` runs once the deletions since the last sweep
+  outnumber the live queries.
 
 Matching an incoming object probes only the cell containing the object's
 location and only the posting lists of the object's own terms, then runs
@@ -24,9 +28,11 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -65,12 +71,19 @@ class CellStats:
         return cell_load(self.object_count, self.query_count)
 
 
-@dataclass(frozen=True)
-class MatchOutcome:
+class MatchOutcome(NamedTuple):
     """Result of matching one object: matching query ids plus probe cost."""
 
     query_ids: Tuple[int, ...]
     checks: int
+
+
+Pair = Tuple[CellCoord, str]
+#: A query-table value: the query, then what a candidate check reads —
+#: its region flattened to ``min_x, max_x, min_y, max_y`` and its clause
+#: when the expression is a single conjunction (``None`` for OR queries,
+#: which go through :meth:`BooleanExpression.matches`).
+QueryRecord = Tuple[STSQuery, float, float, float, float, Optional[FrozenSet[str]]]
 
 
 class GI2Index:
@@ -91,14 +104,19 @@ class GI2Index:
         """
         self._grid = UniformGrid(bounds, granularity, granularity)
         self._cells: Dict[CellCoord, InvertedIndex[int]] = {}
-        self._queries: Dict[int, STSQuery] = {}
+        #: The query table: live queries only.  A posting whose id is not
+        #: a key here is stale.
+        self._queries: Dict[int, QueryRecord] = {}
         self._query_cells: Dict[int, Set[CellCoord]] = {}
-        #: Exact ``(cell, posting keyword)`` registrations per query — the
-        #: assignment the dispatcher (or a migration) shipped to this
+        #: Exact ``(cell, posting keyword)`` registrations per live query —
+        #: the assignment the dispatcher (or a migration) shipped to this
         #: worker.  The migration machinery reads and moves postings at
         #: this granularity instead of re-deriving full query footprints.
-        self._query_postings: Dict[int, List[Tuple[CellCoord, str]]] = {}
-        self._pending_deletions: Set[int] = set()
+        self._query_postings: Dict[int, List[Pair]] = {}
+        #: Lazily deleted queries: the recorded pairs whose postings may
+        #: still be physically present.
+        self._tombstones: Dict[int, List[Pair]] = {}
+        self._unswept_deletions = 0
         self._statistics = term_statistics
         self._cell_query_counts: Counter = Counter()
         self._cell_object_counts: Counter = Counter()
@@ -118,27 +136,28 @@ class GI2Index:
     @property
     def query_count(self) -> int:
         """Number of live (non-deleted) queries resident in the index."""
-        return len(self._queries) - len(self._pending_deletions & self._queries.keys())
+        return len(self._queries)
 
     @property
     def pending_deletion_count(self) -> int:
-        return len(self._pending_deletions)
+        """Deleted queries not yet forgotten (their tombstones)."""
+        return len(self._tombstones)
 
     def __contains__(self, query_id: int) -> bool:
-        return query_id in self._queries and query_id not in self._pending_deletions
+        return query_id in self._queries
 
     def get_query(self, query_id: int) -> Optional[STSQuery]:
-        if query_id in self._pending_deletions:
-            return None
-        return self._queries.get(query_id)
+        record = self._queries.get(query_id)
+        return record[0] if record is not None else None
 
     def queries(self) -> List[STSQuery]:
         """All live queries (mainly for tests and migration)."""
-        return [
-            query
-            for query_id, query in self._queries.items()
-            if query_id not in self._pending_deletions
-        ]
+        return [record[0] for record in self._queries.values()]
+
+    def records(self) -> Dict[int, QueryRecord]:
+        """The query table itself (read-only for callers), query first —
+        the worker reads ``subscriber_id`` of a batch's matches off it."""
+        return self._queries
 
     # ------------------------------------------------------------------
     # Updates
@@ -156,7 +175,7 @@ class GI2Index:
             query, [(cell, key) for cell in overlapping for key in posting_keys]
         )
 
-    def insert_pairs(self, query: STSQuery, pairs: Sequence[Tuple[CellCoord, str]]) -> int:
+    def insert_pairs(self, query: STSQuery, pairs: Sequence[Pair]) -> int:
         """Register a query under explicit ``(cell, posting keyword)`` pairs.
 
         The lean entry point of the batched engine: the dispatcher already
@@ -166,13 +185,14 @@ class GI2Index:
         """
         query_id = query.query_id
         if query_id in self._queries:
-            if query_id not in self._pending_deletions:
-                # Re-registration of a live query is a no-op (idempotent insert).
-                return 0
-            # A re-inserted query cancels its pending deletion; the lazily
-            # deleted copy's physical postings go first, so the new
-            # registration is the only one.
-            self.remove_queries([query_id])
+            # Re-registration of a live query is a no-op (idempotent insert).
+            return 0
+        # A re-inserted query replaces its lazily deleted copy: that
+        # copy's physical postings go first, so the new registration is
+        # the only one.
+        deleted_copy = self._tombstones.pop(query_id, None)
+        if deleted_copy is not None:
+            self._drop_postings(query_id, deleted_copy)
         cells_map = self._cells
         used_cells: Set[CellCoord] = set()
         last_coord: Optional[CellCoord] = None
@@ -199,12 +219,21 @@ class GI2Index:
             inverted.note_appended(run)
         for cell in used_cells:
             self._cell_query_counts[cell] += 1
-        self._queries[query_id] = query
+        region = query.region
+        clauses = query.expression.clauses
+        self._queries[query_id] = (
+            query,
+            region.min_x,
+            region.max_x,
+            region.min_y,
+            region.max_y,
+            clauses[0] if len(clauses) == 1 else None,
+        )
         self._query_cells[query_id] = used_cells
         self._query_postings[query_id] = list(pairs)
         return created
 
-    def add_pairs(self, query: STSQuery, pairs: Sequence[Tuple[CellCoord, str]]) -> int:
+    def add_pairs(self, query: STSQuery, pairs: Sequence[Pair]) -> int:
         """Merge ``(cell, posting keyword)`` registrations into the index.
 
         The migration entry point: unlike :meth:`insert_pairs` (a no-op on a
@@ -216,10 +245,10 @@ class GI2Index:
         worker.  Returns the number of postings created.
         """
         query_id = query.query_id
-        if query_id not in self._queries or query_id in self._pending_deletions:
+        if query_id not in self._queries:
             return self.insert_pairs(query, pairs)
-        recorded = self._query_postings.setdefault(query_id, [])
-        cells = self._query_cells.setdefault(query_id, set())
+        recorded = self._query_postings[query_id]
+        cells = self._query_cells[query_id]
         cells_map = self._cells
         created = 0
         for coord, key in pairs:
@@ -235,127 +264,112 @@ class GI2Index:
             created += 1
         return created
 
-    def remove_pairs(
-        self, query_id: int, pairs: Iterable[Tuple[CellCoord, str]]
-    ) -> bool:
+    def remove_pairs(self, query_id: int, pairs: Iterable[Pair]) -> bool:
         """Drop specific ``(cell, posting keyword)`` registrations of a query.
 
         The inverse of :meth:`add_pairs`: the source side of a migration
-        sheds exactly the pairs it shipped.  When the query's last posting
-        goes, the query itself is removed from the index.  Returns ``True``
-        when the query left this index entirely.
+        sheds exactly the pairs it shipped (of a tombstone: the postings
+        that must not ship).  When the query's last posting goes, the
+        query — or its tombstone — is removed from the index.  Returns
+        ``True`` when it left this index entirely.
         """
-        recorded = self._query_postings.get(query_id)
+        live = query_id in self._queries
+        table = self._query_postings if live else self._tombstones
+        recorded = table.get(query_id)
         if not recorded:
             return False
         remove_set = set(pairs)
-        if not remove_set:
+        removed = [pair for pair in recorded if pair in remove_set]
+        if not removed:
             return False
-        pending = query_id in self._pending_deletions
-        kept: List[Tuple[CellCoord, str]] = []
-        touched_cells: Set[CellCoord] = set()
-        cells_get = self._cells.get
-        for pair in recorded:
-            if pair in remove_set:
-                coord, key = pair
-                inverted = cells_get(coord)
-                if inverted is not None:
-                    inverted.remove(key, query_id)
-                touched_cells.add(coord)
-            else:
-                kept.append(pair)
-        if len(kept) == len(recorded):
-            return False
+        self._drop_postings(query_id, removed)
+        kept = [pair for pair in recorded if pair not in remove_set]
         if kept:
-            remaining_cells = {coord for coord, _ in kept}
-            for coord in touched_cells - remaining_cells:
-                if coord in self._query_cells.get(query_id, ()):
-                    self._query_cells[query_id].discard(coord)
-                    if not pending and self._cell_query_counts[coord] > 0:
-                        self._cell_query_counts[coord] -= 1
-            self._query_postings[query_id] = kept
-            self._drop_cells_if_empty(touched_cells)
+            table[query_id] = kept
+            if live:
+                left = {coord for coord, _ in removed} - {coord for coord, _ in kept}
+                self._query_cells[query_id] -= left
+                self._release_cells(left)
             return False
-        for coord in self._query_cells.pop(query_id, set()):
-            if not pending and self._cell_query_counts[coord] > 0:
-                self._cell_query_counts[coord] -= 1
-        del self._query_postings[query_id]
-        self._queries.pop(query_id, None)
-        self._pending_deletions.discard(query_id)
-        self._drop_cells_if_empty(touched_cells)
+        del table[query_id]
+        if live:
+            del self._queries[query_id]
+            self._release_cells(self._query_cells.pop(query_id))
         return True
 
     def delete(self, query_id: int) -> bool:
-        """Lazily delete a query; returns ``True`` when the query was live."""
-        if query_id not in self._queries or query_id in self._pending_deletions:
+        """Lazily delete a query; returns ``True`` when the query was live.
+
+        The postings stay (no eager ``list.remove``); the query moves to a
+        tombstone.  Postings nothing traverses again would otherwise live
+        as long as the worker, so once the deletions since the last sweep
+        outnumber the queries that were live when this one arrived, the
+        index compacts — a trigger that depends only on this worker's own
+        update sequence, hence the same op under every driver.
+        """
+        live = len(self._queries)
+        if self._queries.pop(query_id, None) is None:
             return False
-        self._pending_deletions.add(query_id)
-        for cell in self._query_cells.get(query_id, ()):
-            if self._cell_query_counts[cell] > 0:
-                self._cell_query_counts[cell] -= 1
+        self._tombstones[query_id] = self._query_postings.pop(query_id)
+        self._release_cells(self._query_cells.pop(query_id))
+        self._unswept_deletions += 1
+        if self._unswept_deletions > live:
+            self.compact()
         return True
 
     def compact(self) -> int:
-        """Eagerly remove all pending deletions from every posting list.
+        """Eagerly remove every deleted query's postings and tombstone.
 
-        Returns the number of queries physically removed.  Called before a
-        migration so that only live queries are shipped.
+        Returns the number of queries physically removed.
         """
-        if not self._pending_deletions:
-            return 0
-        stale = set(self._pending_deletions)
-        for inverted in self._cells.values():
-            for term in list(inverted.terms()):
-                inverted.purge(term, stale.__contains__)
-        removed = 0
-        for query_id in stale:
-            if query_id in self._queries:
-                del self._queries[query_id]
-                self._query_cells.pop(query_id, None)
-                self._query_postings.pop(query_id, None)
-                removed += 1
-        self._pending_deletions.clear()
-        self._drop_empty_cells()
+        self._unswept_deletions = 0
+        tombstones = self._tombstones
+        cells_map = self._cells
+        stale_lists = dict.fromkeys(pair for pairs in tombstones.values() for pair in pairs)
+        for coord, key in stale_lists:
+            inverted = cells_map.get(coord)
+            if inverted is not None:
+                inverted.purge(key, tombstones.__contains__)
+                if inverted.entry_count == 0:
+                    del cells_map[coord]
+        removed = len(tombstones)
+        tombstones.clear()
         return removed
 
     def purge_cells(self, cells: Iterable[CellCoord]) -> int:
-        """Physically drop pending deletions' postings from ``cells`` only.
+        """Physically drop deleted queries' postings from ``cells`` only.
 
         The migration paths call this on the cells about to be handed over
         so that only live postings ship, without paying :meth:`compact`'s
-        full-index sweep on every adjustment round.  Returns the number of
-        pending queries touched.
+        full sweep on every adjustment round.  Returns the number of
+        tombstones touched.
         """
-        if not self._pending_deletions:
-            return 0
         moving = set(cells)
         touched = 0
-        for query_id in list(self._pending_deletions):
-            recorded = self._query_postings.get(query_id)
-            if not recorded:
-                continue
+        for query_id, recorded in list(self._tombstones.items()):
             pairs = [pair for pair in recorded if pair[0] in moving]
             if pairs:
                 self.remove_pairs(query_id, pairs)
                 touched += 1
         return touched
 
-    def _drop_empty_cells(self) -> None:
-        empty = [cell for cell, inverted in self._cells.items() if inverted.entry_count == 0]
-        for cell in empty:
-            del self._cells[cell]
-
-    def _drop_cells_if_empty(self, cells: Iterable[CellCoord]) -> None:
-        """Drop the given cells when emptied — O(touched), not O(all cells).
-
-        :meth:`remove_pairs` runs once per query during a migration, so the
-        full-index sweep of :meth:`_drop_empty_cells` would make adjustment
-        rounds quadratic.
-        """
+    def _release_cells(self, cells: Iterable[CellCoord]) -> None:
+        """One live query fewer in each of ``cells`` (Definition-3 counts)."""
+        counts = self._cell_query_counts
         for cell in cells:
-            inverted = self._cells.get(cell)
-            if inverted is not None and inverted.entry_count == 0:
-                del self._cells[cell]
+            if counts[cell] > 0:
+                counts[cell] -= 1
+
+    def _drop_postings(self, query_id: int, pairs: Iterable[Pair]) -> None:
+        """Physically remove ``query_id`` from the lists of ``pairs``; an
+        emptied cell goes with its last posting."""
+        cells_map = self._cells
+        for coord, key in pairs:
+            inverted = cells_map.get(coord)
+            if inverted is not None:
+                inverted.remove(key, query_id)
+                if inverted.entry_count == 0:
+                    del cells_map[coord]
 
     # ------------------------------------------------------------------
     # Matching
@@ -370,103 +384,88 @@ class GI2Index:
         objects: Sequence[SpatioTextualObject],
         cells: Optional[Sequence[CellCoord]] = None,
     ) -> List[MatchOutcome]:
-        """Match a batch of objects, amortising posting-list setup per cell.
+        """Match a batch of objects, in order, one pass per posting list.
 
         Per object, only the cell containing it is probed, and only the
-        posting lists of its own terms; lazy deletions encountered on the
-        way are purged.  No query updates happen inside a batch, so
-        per-object results are order-independent and stale postings of
-        each probed (cell, term) pair are purged once per batch instead of
-        once per object.  ``cells`` may carry the objects' precomputed
-        grid cells.
+        posting lists of its own terms.  A candidate costs one table
+        lookup: a miss is a stale posting (skipped, and its list rewritten
+        once the object's lists are traversed), a hit yields the flat
+        record the region + expression check reads.  ``cells`` may carry
+        the objects' precomputed grid cells.
         """
-        outcomes: List[Optional[MatchOutcome]] = [None] * len(objects)
-        by_cell: Dict[CellCoord, List[int]] = {}
-        cell_of = self._grid.cell_of
-        object_counts = self._cell_object_counts
-        for position, obj in enumerate(objects):
-            cell = cells[position] if cells is not None else cell_of(obj.location)
-            object_counts[cell] += 1
-            group = by_cell.get(cell)
-            if group is None:
-                by_cell[cell] = [position]
-            else:
-                group.append(position)
-        pending = self._pending_deletions
-        queries_get = self._queries.get
-        empty = MatchOutcome((), 0)
+        if cells is None:
+            cell_of = self._grid.cell_of
+            cells = [cell_of(obj.location) for obj in objects]
         prof = self.profile
         if prof is not None:
-            prof.cells_probed += len(by_cell)
-        for cell, positions in by_cell.items():
-            inverted = self._cells.get(cell)
+            prof.cells_probed += len(set(cells))
+        cells_map = self._cells
+        table = self._queries
+        table_get = table.get
+        object_counts = self._cell_object_counts
+        empty = MatchOutcome((), 0)
+        outcomes: List[MatchOutcome] = []
+        stale_terms: Set[str] = set()
+        for obj, cell in zip(objects, cells):
+            object_counts[cell] += 1
+            inverted = cells_map.get(cell)
             if inverted is None:
-                for position in positions:
-                    outcomes[position] = empty
+                outcomes.append(empty)
                 continue
             postings_map = inverted.postings_map()
-            purged: Set[str] = set()
-            for position in positions:
-                obj = objects[position]
-                # Intersect at C speed: only resident terms are probed, and
-                # each probed list is purged of stale postings once per batch.
-                hits = obj.terms & postings_map.keys()
-                if not hits:
-                    outcomes[position] = empty
-                    continue
-                if pending:
-                    for term in hits:
-                        if term not in purged:
-                            purged.add(term)
-                            inverted.purge(term, self._purge_posting)
-                    hits = obj.terms & postings_map.keys()
-                    if not hits:
-                        outcomes[position] = empty
+            terms = obj.terms
+            # Intersect at C speed: only resident terms are probed.
+            hits = terms & postings_map.keys()
+            if not hits:
+                outcomes.append(empty)
+                continue
+            matched: Set[int] = set()
+            checks = 0
+            location = obj.location
+            x = location.x
+            y = location.y
+            for term in hits:
+                for query_id in postings_map[term]:
+                    if query_id in matched:
                         continue
-                matched: Set[int] = set()
-                matched_add = matched.add
-                checks = 0
-                location = obj.location
-                x = location.x
-                y = location.y
-                terms = obj.terms
-                for term in hits:
-                    for query_id in postings_map[term]:
-                        if query_id in matched:
-                            continue
-                        query = queries_get(query_id)
-                        if query is None:
-                            continue
-                        checks += 1
-                        # Inlined STSQuery.matches: region containment plus
-                        # boolean expression, with the point unpacked once.
-                        region = query.region
-                        if (
-                            region.min_x <= x <= region.max_x
-                            and region.min_y <= y <= region.max_y
-                            and query.expression.matches(terms)
-                        ):
-                            matched_add(query_id)
-                if prof is not None:
-                    # Deterministic counts only, accumulated outside the
-                    # candidate loop (the profiling seam — RL007 keeps
-                    # wall-clock out of this file entirely).
-                    prof.postings_scanned += sum(
-                        len(postings_map[term]) for term in hits
+                    record = table_get(query_id)
+                    if record is None:
+                        stale_terms.add(term)
+                        continue
+                    checks += 1
+                    query, min_x, max_x, min_y, max_y, clause = record
+                    if (
+                        min_x <= x <= max_x
+                        and min_y <= y <= max_y
+                        and (
+                            clause <= terms
+                            if clause is not None
+                            else query.expression.matches(terms)
+                        )
+                    ):
+                        matched.add(query_id)
+            if stale_terms:
+                for term in stale_terms:
+                    inverted.rewrite(
+                        term, [query_id for query_id in postings_map[term] if query_id in table]
                     )
-                    prof.candidates += checks
-                    prof.matches += len(matched)
-                outcomes[position] = MatchOutcome(tuple(sorted(matched)), checks)
-        return outcomes  # type: ignore[return-value]
-
-    def _purge_posting(self, query_id: int) -> bool:
-        """Posting-list staleness check used during lazy deletion."""
-        if query_id in self._pending_deletions:
-            # The query may still have postings in other cells; it is fully
-            # forgotten only via compact().  Dropping it from this list is
-            # enough for matching correctness.
-            return True
-        return False
+                stale_terms.clear()
+                if not postings_map:
+                    del cells_map[cell]
+            if prof is not None:
+                # Deterministic counts only, accumulated outside the
+                # candidate loop (the profiling seam — RL007 keeps
+                # wall-clock out of this file entirely); stale postings
+                # are gone by now and do not count as scanned.
+                prof.postings_scanned += sum(
+                    len(postings_map.get(term, ())) for term in hits
+                )
+                prof.candidates += checks
+                prof.matches += len(matched)
+            outcomes.append(
+                MatchOutcome(tuple(sorted(matched) if len(matched) > 1 else matched), checks)
+            )
+        return outcomes
 
     # ------------------------------------------------------------------
     # Statistics, memory and migration support
@@ -484,15 +483,9 @@ class GI2Index:
         statistics every measurement period, so this path must stay cheap.
         """
         sizes: Dict[CellCoord, int] = {}
-        pending = self._pending_deletions
-        queries_get = self._queries.get
+        queries = self._queries
         for query_id, cells in self._query_cells.items():
-            if query_id in pending:
-                continue
-            query = queries_get(query_id)
-            if query is None:
-                continue
-            size = query.size_bytes()
+            size = queries[query_id][0].size_bytes()
             for cell in cells:
                 sizes[cell] = sizes.get(cell, 0) + size
         stats: List[CellStats] = []
@@ -512,10 +505,10 @@ class GI2Index:
         return stats
 
     def cells_of_query(self, query_id: int) -> Set[CellCoord]:
-        """The grid cells a registered query is posted in (empty when unknown)."""
-        return set(self._query_cells.get(query_id, set()))
+        """The grid cells a live query is posted in (empty when unknown)."""
+        return set(self._query_cells.get(query_id, ()))
 
-    def posting_pairs_of_query(self, query_id: int) -> List[Tuple[CellCoord, str]]:
+    def posting_pairs_of_query(self, query_id: int) -> List[Pair]:
         """The exact ``(cell, posting keyword)`` registrations of a query.
 
         This is the worker-side assignment the dispatcher (or a migration)
@@ -524,9 +517,7 @@ class GI2Index:
         """
         return list(self._query_postings.get(query_id, ()))
 
-    def posting_pairs_of_queries(
-        self, query_ids: Iterable[int]
-    ) -> Dict[int, List[Tuple[CellCoord, str]]]:
+    def posting_pairs_of_queries(self, query_ids: Iterable[int]) -> Dict[int, List[Pair]]:
         """Bulk :meth:`posting_pairs_of_query` for many queries at once.
 
         One call (hence one RPC round trip on a remote worker backend)
@@ -539,42 +530,32 @@ class GI2Index:
             for query_id in query_ids
         }
 
-    def posting_pairs_by_query(self) -> Dict[int, List[Tuple[CellCoord, str]]]:
+    def posting_pairs_by_query(self) -> Dict[int, List[Pair]]:
         """The ``(cell, posting keyword)`` registrations of every live query.
 
         The global adjuster's finalisation snapshot: everything it needs to
         reconcile this worker against a new strategy, fetched in a single
         round trip instead of one ``posting_pairs_of_query`` call per query.
-        Lazily deleted queries are excluded (they no longer ship anywhere).
         """
-        pending = self._pending_deletions
         return {
             query_id: list(recorded)
             for query_id, recorded in self._query_postings.items()
-            if query_id not in pending
         }
 
-    def iter_live_postings(self) -> Iterator[Tuple[STSQuery, Tuple[Tuple[CellCoord, str], ...]]]:
+    def iter_live_postings(self) -> Iterator[Tuple[STSQuery, Tuple[Pair, ...]]]:
         """Every live query with its recorded posting pairs, read-only.
 
         The checkpoint fast path: one pass over the recorded postings
         with no intermediate per-query dict or lookup round trips —
         :meth:`posting_pairs_by_query` plus :meth:`get_query` fused.
-        Queries pending lazy deletion are excluded, matching both.
         """
-        pending = self._pending_deletions
         queries = self._queries
         for query_id, recorded in self._query_postings.items():
-            if query_id in pending:
-                continue
-            query = queries.get(query_id)
-            if query is None:
-                continue
-            yield query, tuple(recorded)
+            yield queries[query_id][0], tuple(recorded)
 
     def extract_cell_assignments(
         self, cells: Iterable[CellCoord]
-    ) -> List[Tuple[STSQuery, List[Tuple[CellCoord, str]]]]:
+    ) -> List[Tuple[STSQuery, List[Pair]]]:
         """Live queries with postings in ``cells``, plus those postings.
 
         Read-only companion of :meth:`remove_pairs`: the migration source
@@ -583,74 +564,47 @@ class GI2Index:
         owns there — without mutating the index.
         """
         moving = set(cells)
-        result: List[Tuple[STSQuery, List[Tuple[CellCoord, str]]]] = []
-        pending = self._pending_deletions
+        result: List[Tuple[STSQuery, List[Pair]]] = []
+        queries = self._queries
         for query_id, recorded in self._query_postings.items():
-            if query_id in pending:
-                continue
             pairs = [pair for pair in recorded if pair[0] in moving]
-            if not pairs:
-                continue
-            query = self._queries.get(query_id)
-            if query is not None:
-                result.append((query, pairs))
+            if pairs:
+                result.append((queries[query_id][0], pairs))
         return result
 
     def queries_in_cell(self, cell: CellCoord) -> List[STSQuery]:
         """Live queries registered in ``cell`` (used for migration)."""
-        result = []
-        for query_id, cells in self._query_cells.items():
-            if cell in cells and query_id not in self._pending_deletions:
-                query = self._queries.get(query_id)
-                if query is not None:
-                    result.append(query)
-        return result
+        queries = self._queries
+        return [
+            queries[query_id][0]
+            for query_id, cells in self._query_cells.items()
+            if cell in cells
+        ]
 
     def remove_queries(self, query_ids: Iterable[int]) -> List[STSQuery]:
-        """Physically remove queries (eager), returning the removed ones.
+        """Physically remove queries (eager), returning the live ones removed.
 
-        Used by the migration machinery: the source worker extracts the
-        queries of the cells being handed over and ships them to the target
-        worker, which re-inserts them.
+        Used by the global adjuster's reconciliation for queries that
+        leave this worker entirely; a tombstoned id loses its remaining
+        postings and its tombstone.
         """
         removed: List[STSQuery] = []
-        ids = set(query_ids)
-        if not ids:
-            return removed
-        for query_id in ids:
-            query = self._queries.pop(query_id, None)
-            if query is None:
-                continue
-            was_pending = query_id in self._pending_deletions
-            self._pending_deletions.discard(query_id)
-            cells = self._query_cells.pop(query_id, set())
-            recorded = self._query_postings.pop(query_id, None)
-            if recorded is not None:
-                # The exact registrations are known: remove precisely them.
-                for cell, key in recorded:
-                    inverted = self._cells.get(cell)
-                    if inverted is not None:
-                        inverted.remove(key, query_id)
+        for query_id in dict.fromkeys(query_ids):
+            record = self._queries.pop(query_id, None)
+            if record is not None:
+                removed.append(record[0])
+                self._release_cells(self._query_cells.pop(query_id))
+                pairs = self._query_postings.pop(query_id)
             else:
-                for cell in cells:
-                    inverted = self._cells.get(cell)
-                    if inverted is not None:
-                        for term in list(inverted.terms()):
-                            inverted.remove(term, query_id)
-            for cell in cells:
-                if not was_pending and self._cell_query_counts[cell] > 0:
-                    self._cell_query_counts[cell] -= 1
-            if not was_pending:
-                removed.append(query)
-        self._drop_empty_cells()
+                pairs = self._tombstones.pop(query_id, ())
+            self._drop_postings(query_id, pairs)
         return removed
 
     def memory_bytes(self) -> int:
-        """Estimated resident memory of the index (queries + postings)."""
-        query_bytes = sum(
-            query.size_bytes()
-            for query_id, query in self._queries.items()
-        )
+        """Estimated resident memory of the index: the live queries plus
+        the physical postings (a deleted query's stale postings count
+        until a traversal or a sweep drops them)."""
+        query_bytes = sum(record[0].size_bytes() for record in self._queries.values())
         posting_bytes = sum(inverted.memory_bytes() for inverted in self._cells.values())
         cell_overhead = 96 * len(self._cells)
         return query_bytes + posting_bytes + cell_overhead

@@ -19,9 +19,10 @@ class InvertedIndex(Generic[T]):
     """Maps terms to lists of postings.
 
     Postings are arbitrary hashable payloads (the GI2 index stores query
-    ids).  Removal supports both eager deletion and the lazy-deletion
-    pattern from the paper, where stale entries are purged while a posting
-    list is being traversed.
+    ids).  Removal supports both eager deletion (:meth:`remove`) and the
+    lazy-deletion pattern from the paper, where the traversal of a posting
+    list finds its stale entries and the list is then rewritten without
+    them (:meth:`rewrite`).
     """
 
     def __init__(self) -> None:
@@ -63,17 +64,24 @@ class InvertedIndex(Generic[T]):
         return True
 
     def purge(self, term: str, is_stale: Callable[[T], bool]) -> int:
-        """Lazily delete stale entries from one posting list.
+        """Drop the entries of one posting list that ``is_stale`` flags.
 
-        ``is_stale`` is evaluated for each posting; stale ones are dropped.
-        Returns the number of removed entries.  This is the mechanism the
-        GI2 index uses while traversing a list during object matching.
+        Returns the number of removed entries.  The GI2 index sweeps the
+        lists of its deleted queries with this (:meth:`GI2Index.compact`).
         """
         postings = self._postings.get(term)
         if not postings:
             return 0
-        kept = [posting for posting in postings if not is_stale(posting)]
-        removed = len(postings) - len(kept)
+        return self.rewrite(term, [posting for posting in postings if not is_stale(posting)])
+
+    def rewrite(self, term: str, kept: List[T]) -> int:
+        """Replace ``term``'s posting list by its surviving entries ``kept``.
+
+        Settles the entry count and drops an emptied term; returns the
+        number of removed entries.  Lazy deletion ends here: GI2 matching
+        calls it on a list in which the traversal met a stale posting.
+        """
+        removed = len(self._postings[term]) - len(kept)
         if removed:
             self._entry_count -= removed
             if kept:

@@ -1919,17 +1919,25 @@ class Cluster:
         dispatcher_util_get = dispatcher_util.get
         worker_util_get = worker_util.get
         record = tracker.record
+        # A run charges a few hundred distinct (endpoint, cost) pairs over
+        # tens of thousands of tuples: price each pair once.
+        dispatcher_priced: Dict[Tuple[int, float], float] = {}
+        worker_priced: Dict[Tuple[int, float], float] = {}
         for index in range(count):
-            dispatcher_ms = utilization_latency(
-                hop_ms + dispatcher_costs[index] * unit_ms,
-                dispatcher_util_get(dispatcher_ids[index], 0.0),
-            )
+            key = (dispatcher_ids[index], dispatcher_costs[index])
+            dispatcher_ms = dispatcher_priced.get(key)
+            if dispatcher_ms is None:
+                dispatcher_ms = dispatcher_priced[key] = utilization_latency(
+                    hop_ms + key[1] * unit_ms, dispatcher_util_get(key[0], 0.0)
+                )
             worker_ms = 0.0
             for slot in range(offsets[index], offsets[index + 1]):
-                candidate = utilization_latency(
-                    hop_ms + worker_costs[slot] * unit_ms,
-                    worker_util_get(worker_ids[slot], 0.0),
-                )
+                key = (worker_ids[slot], worker_costs[slot])
+                candidate = worker_priced.get(key)
+                if candidate is None:
+                    candidate = worker_priced[key] = utilization_latency(
+                        hop_ms + key[1] * unit_ms, worker_util_get(key[0], 0.0)
+                    )
                 if candidate > worker_ms:
                     worker_ms = candidate
             record(dispatcher_ms + worker_ms)

@@ -5,8 +5,9 @@ multiple partitions) can produce the same (query, object) match more than
 once; the merger removes the duplicates before notifying subscribers
 (Section III-B).
 
-:class:`MergerNode` is the single-shard state machine; where it runs is
-decided by the merge backend (:mod:`repro.runtime.merge`): the
+:class:`MergerNode` is the single-shard state machine — one loop,
+:meth:`MergerNode.handle_many`, which every backend feeds whole batches;
+where it runs is decided by the merge backend (:mod:`repro.runtime.merge`): the
 ``inprocess`` backend hosts the nodes in the coordinator's interpreter,
 the ``multiprocess`` backend one per OS process with workers shipping
 results to the shards directly.  Delivered results are handed to an
@@ -75,36 +76,55 @@ class MergerNode:
 
     def handle(self, result: MatchResult) -> bool:
         """Process one match result; returns ``True`` when delivered."""
-        self.received += 1
-        self.busy_cost += self.RESULT_COST
-        key = result.key()
-        prof = self.profile
-        if prof is not None:
-            prof.lookups += 1
-        if key in self._seen:
-            if prof is not None:
-                prof.duplicates += 1
-            self.duplicates += 1
-            return False
-        self._seen.add(key)
-        self._order.append(key)
-        if len(self._order) > self._dedup_window:
-            oldest = self._order.popleft()
-            self._seen.discard(oldest)
-            if prof is not None:
-                prof.evictions += 1
-        self.delivered += 1
-        self._delivered_per_subscriber[result.subscriber_id] += 1
-        if self.sink is not None:
-            self.sink.deliver(result)
-        return True
+        return self.handle_many((result,)) == 1
 
     def handle_many(self, results: Iterable[MatchResult]) -> int:
-        """Process a batch of results; returns how many were delivered."""
-        delivered = 0
-        for result in results:
-            if self.handle(result):
-                delivered += 1
+        """Process a batch of results; returns how many were delivered.
+
+        The merger's one loop: state is bound to locals and the counters
+        are settled once per batch (in ``finally``, so a raising sink
+        leaves them where a per-result update would have).  ``busy_cost``
+        is still advanced result by result — a single
+        ``received * RESULT_COST`` would round differently and move the
+        reported ``merger_busy`` float.
+        """
+        seen = self._seen
+        seen_add = seen.add
+        order = self._order
+        order_append = order.append
+        window = self._dedup_window
+        per_subscriber = self._delivered_per_subscriber
+        deliver = self.sink.deliver if self.sink is not None else None
+        result_cost = self.RESULT_COST
+        busy_cost = self.busy_cost
+        received = duplicates = evictions = 0
+        try:
+            for result in results:
+                received += 1
+                busy_cost += result_cost
+                key = (result.query_id, result.object_id)  # result.key(), inlined
+                if key in seen:
+                    duplicates += 1
+                    continue
+                seen_add(key)
+                order_append(key)
+                if len(order) > window:
+                    seen.discard(order.popleft())
+                    evictions += 1
+                per_subscriber[result.subscriber_id] += 1
+                if deliver is not None:
+                    deliver(result)
+        finally:
+            delivered = received - duplicates
+            self.busy_cost = busy_cost
+            self.received += received
+            self.delivered += delivered
+            self.duplicates += duplicates
+            prof = self.profile
+            if prof is not None:
+                prof.lookups += received
+                prof.duplicates += duplicates
+                prof.evictions += evictions
         return delivered
 
     def deliveries_for(self, subscriber_id: int) -> int:

@@ -93,8 +93,12 @@ class LatencyTracker:
         if not self._latencies:
             return LatencyBuckets(1.0, 0.0, 0.0)
         total = len(self._latencies)
-        under = sum(1 for value in self._latencies if value < low)
-        over = sum(1 for value in self._latencies if value > high)
+        under = over = 0
+        for value in self._latencies:
+            if value < low:
+                under += 1
+            if value > high:
+                over += 1
         middle = total - under - over
         return LatencyBuckets(under / total, middle / total, over / total)
 

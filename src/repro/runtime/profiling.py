@@ -12,7 +12,7 @@ per-core inner loops actually did:
   and :meth:`~repro.indexes.gridt.GridTIndex.route_cell`) — content-path
   probes and fallback routes (missing cell / default-worker / empty H2)
   per routing replica, so the H2 pressure is visible.
-* **Merger dedup** (:meth:`repro.runtime.merger.MergerNode.handle`) —
+* **Merger dedup** (:meth:`repro.runtime.merger.MergerNode.handle_many`) —
   dedup-set lookups, duplicates suppressed and window evictions per
   shard.
 

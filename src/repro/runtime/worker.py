@@ -102,9 +102,8 @@ class WorkerNode:
         """Match a batch of objects in one call.
 
         Returns the match results plus one Definition-1 cost per object;
-        posting-list setup is amortised through
-        :meth:`GI2Index.match_batch` and the load counters are accounted
-        in bulk.  ``cells`` may carry the objects' precomputed grid cells.
+        the load counters are accounted in bulk.  ``cells`` may carry the
+        objects' precomputed grid cells.
         """
         outcomes = self.index.match_batch(objects, cells)
         results: List[MatchResult] = []
@@ -113,14 +112,13 @@ class WorkerNode:
         object_handling = model.object_handling
         match_check = model.match_check
         worker_id = self.worker_id
-        get_query = self.index.get_query
+        records = self.index.records()
         total_cost = 0.0
         total_checks = 0
         total_matches = 0
         results_append = results.append
         for obj, outcome in zip(objects, outcomes):
-            checks = outcome.checks
-            query_ids = outcome.query_ids
+            query_ids, checks = outcome
             total_checks += checks
             total_matches += len(query_ids)
             cost = object_handling + match_check * checks
@@ -128,13 +126,11 @@ class WorkerNode:
             costs.append(cost)
             object_id = obj.object_id
             for query_id in query_ids:
-                query = get_query(query_id)
-                subscriber = query.subscriber_id if query is not None else 0
                 results_append(
                     MatchResult(
                         query_id=query_id,
                         object_id=object_id,
-                        subscriber_id=subscriber,
+                        subscriber_id=records[query_id][0].subscriber_id,
                         worker_id=worker_id,
                     )
                 )

@@ -93,6 +93,39 @@ class TestLocalAdjuster:
         assert report.phase1_splits == 0
 
 
+class TestLoadReportReuse:
+    """A round re-reads the load report (an ``Observe`` of every worker)
+    only after a phase that moved postings."""
+
+    @staticmethod
+    def _spied_round(cluster, adjuster):
+        observes = []
+        observe = cluster.transport.observe
+        cluster.transport.observe = lambda: observes.append(1) or observe()
+        try:
+            report = adjuster.adjust(cluster)
+        finally:
+            del cluster.transport.observe
+        return report, len(observes)
+
+    def test_untriggered_round_reads_once(self, small_stream):
+        cluster = build_imbalanced_cluster(small_stream)
+        report, reads = self._spied_round(cluster, LocalLoadAdjuster(sigma=1000.0))
+        assert not report.triggered
+        assert reads == 1
+
+    @pytest.mark.parametrize("enable_phase1", [True, False])
+    def test_migrating_round_reads_once_per_phase_that_moved(self, small_stream, enable_phase1):
+        cluster = build_imbalanced_cluster(small_stream)
+        adjuster = LocalLoadAdjuster(sigma=1.2, enable_phase1=enable_phase1)
+        report, reads = self._spied_round(cluster, adjuster)
+        assert report.triggered and report.records
+        phase_two_moved = len(report.records) > report.phase1_splits
+        assert reads == 1 + bool(report.phase1_splits) + phase_two_moved
+        # What a read at the end of the round returns, as before.
+        assert report.imbalance_after == cluster.worker_load_report().imbalance
+
+
 class TestDualRoutingIndex:
     def _index(self, worker, object_filtering=False):
         stats = TermStatistics()

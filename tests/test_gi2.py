@@ -171,6 +171,246 @@ class TestDeletion:
         assert index.posting_count == 0
 
 
+def _posted(index, query_id):
+    """How many physical postings carry ``query_id``."""
+    return sum(
+        posting_list.count(query_id)
+        for inverted in index._cells.values()
+        for posting_list in inverted.postings_map().values()
+    )
+
+
+class TestPurgeOnTraversal:
+    """Lazy deletion: the postings stay until an object traverses their list."""
+
+    @pytest.fixture
+    def populated(self, index):
+        """Two stale ids beside a live one under ``kobe`` in cell (0, 0), a
+        stale-only ``storm`` list there, more stale postings in cell (5, 5),
+        and enough live queries elsewhere that no sweep fires."""
+        area = Rect(0, 0, 100, 100)
+        self.live = make_query("kobe", area)
+        self.stale = [make_query("kobe", area) for _ in range(2)]
+        self.stale_or = make_query("kobe OR storm", area)
+        for query in [self.live] + self.stale:
+            index.insert_pairs(query, [((0, 0), "kobe"), ((5, 5), "kobe")])
+        index.insert_pairs(self.stale_or, [((0, 0), "kobe"), ((0, 0), "storm")])
+        for _ in range(6):
+            index.insert_pairs(make_query("lebron", area), [((9, 9), "lebron")])
+        for query in self.stale + [self.stale_or]:
+            assert index.delete(query.query_id)
+        return index
+
+    def test_deletion_and_unrelated_objects_leave_postings(self, populated):
+        assert populated.pending_deletion_count == 3
+        assert populated.posting_count == 14
+        populated.match(make_object("kobe", 60, 60))  # another cell, no list there
+        populated.match(make_object("lebron retired", 1, 1))  # cell (0, 0), other terms
+        assert populated.posting_count == 14
+        assert populated.pending_deletion_count == 3
+
+    def test_first_traversal_drops_exactly_the_stale_entries(self, populated):
+        outcome = populated.match(make_object("kobe", 1, 1))
+        assert outcome == ((self.live.query_id,), 1)  # stale ids are not candidates
+        cell = populated._cells[(0, 0)]
+        assert cell.postings("kobe") == [self.live.query_id]
+        # The untraversed lists keep their stale postings ...
+        assert cell.postings("storm") == [self.stale_or.query_id]
+        assert len(populated._cells[(5, 5)].postings("kobe")) == 3
+        assert populated.posting_count == 14 - 3
+        assert cell.entry_count == 2
+        # ... and a tombstone stays until a sweep: it still lists them.
+        assert populated.pending_deletion_count == 3
+
+    def test_emptied_key_and_cell_disappear(self, populated):
+        assert populated.match(make_object("storm", 1, 1)) == ((), 0)
+        assert "storm" not in populated._cells[(0, 0)]
+        populated.remove_pairs(self.live.query_id, [((0, 0), "kobe")])
+        assert populated.match(make_object("kobe", 1, 1)) == ((), 0)
+        assert (0, 0) not in populated._cells
+        assert populated.match(make_object("kobe", 1, 1)) == ((), 0)
+
+    def test_batch_purges_each_list_once_and_keeps_object_order(self, populated):
+        probes = [make_object("kobe", 1, 1), make_object("storm", 2, 2), make_object("kobe", 35, 35)]
+        outcomes = populated.match_batch(probes, cells=[(0, 0), (0, 0), (5, 5)])
+        assert outcomes == [((self.live.query_id,), 1), ((), 0), ((self.live.query_id,), 1)]
+        assert populated.posting_count == 14 - 3 - 1 - 2
+
+    @pytest.mark.parametrize("forget", ["purge_cells", "remove_pairs", "remove_queries", "compact"])
+    def test_forgetting_a_tombstoned_id(self, populated, forget):
+        """Every eager path removes a deleted query's postings and tombstone."""
+        first, second = (query.query_id for query in self.stale)
+        if forget == "purge_cells":
+            assert populated.purge_cells([(0, 0)]) == 3
+            assert _posted(populated, first) == 1  # cell (5, 5) was not purged
+            assert populated.pending_deletion_count == 2  # stale_or lived in (0, 0) only
+            assert populated.purge_cells([(5, 5), (9, 9)]) == 2
+        elif forget == "remove_pairs":
+            assert not populated.remove_pairs(first, [((0, 0), "kobe")])
+            assert _posted(populated, first) == 1
+            assert populated.remove_pairs(first, [((5, 5), "kobe"), ((7, 7), "kobe")])
+            assert populated.remove_pairs(second, [((0, 0), "kobe"), ((5, 5), "kobe")])
+            assert populated.remove_pairs(
+                self.stale_or.query_id, [((0, 0), "kobe"), ((0, 0), "storm")]
+            )
+            assert not populated.remove_pairs(first, [((0, 0), "kobe")])
+        elif forget == "remove_queries":
+            ids = [first, second, self.stale_or.query_id, 424242]
+            assert populated.remove_queries(ids) == []  # none of them was live
+        else:
+            assert populated.compact() == 3
+        assert populated.pending_deletion_count == 0
+        assert populated.posting_count == 2 + 6
+        assert all(_posted(populated, query.query_id) == 0 for query in self.stale + [self.stale_or])
+        assert populated.match(make_object("kobe storm", 1, 1)) == ((self.live.query_id,), 1)
+
+    def test_forgotten_queries_stop_counting_as_memory(self, populated):
+        """``memory_bytes`` = live queries + physical postings (16 B each,
+        64 B per key, 96 B per cell); a deleted query leaves at delete()."""
+        live_bytes = sum(query.size_bytes() for query in populated.queries())
+        assert populated.memory_bytes() == live_bytes + 14 * 16 + 4 * 64 + 3 * 96
+        populated.compact()  # 6 stale postings and the emptied storm key go
+        assert populated.memory_bytes() == live_bytes + 8 * 16 + 3 * 64 + 3 * 96
+
+
+class TestSweep:
+    def test_insert_then_delete_rounds_stay_bounded(self, index):
+        """Regression: with no object to traverse them, deleted queries'
+        postings and tombstones used to stay for the life of the worker."""
+        area = Rect(0, 0, 30, 30)
+        residents = [make_query("kobe AND retired", area) for _ in range(10)]
+        for query in residents:
+            index.insert(query)
+        live_postings = index.posting_count
+        for _ in range(20):
+            batch = [make_query("lebron", area) for _ in range(7)]
+            for query in batch:
+                index.insert(query)
+            for query in batch:
+                index.delete(query.query_id)
+            assert index.pending_deletion_count <= index.query_count + 1
+            assert index.posting_count <= 2 * live_postings
+        assert index.query_count == 10
+        assert sorted(index.queries(), key=lambda q: q.query_id) == residents
+
+    def test_sweep_depends_on_the_update_sequence_only(self, stats):
+        """Objects in between move postings, never the sweep: two indexes fed
+        the same updates end in the same state whatever was matched."""
+        quiet = GI2Index(BOUNDS, granularity=16, term_statistics=stats)
+        busy = GI2Index(BOUNDS, granularity=16, term_statistics=stats)
+        queries = [make_query("kobe", Rect(0, 0, 40, 40)) for _ in range(12)]
+        for index in (quiet, busy):
+            for query in queries:
+                index.insert(query)
+        for query in queries[:9]:
+            quiet.delete(query.query_id)
+            busy.delete(query.query_id)
+            busy.match(make_object("kobe", 3, 3))
+            assert busy.pending_deletion_count == quiet.pending_deletion_count
+        assert quiet.posting_count > busy.posting_count  # busy's cell was traversed
+        for cell in busy.grid.cells_overlapping(Rect(0, 0, 40, 40)):
+            quiet.match_batch([make_object("kobe", 3, 3)], cells=[cell])
+            busy.match_batch([make_object("kobe", 3, 3)], cells=[cell])
+        assert (quiet.posting_count, quiet.memory_bytes()) == (busy.posting_count, busy.memory_bytes())
+
+
+class TestRandomisedInterleaving:
+    """insert_pairs / delete / re-insert / match_batch against brute force and
+    against the candidate rule written out straight."""
+
+    VOCABULARY = ["kobe", "retired", "lebron", "storm", "flood", "rain"]
+
+    def _random_query(self, rng, query_id=None):
+        x, y = rng.uniform(0, 80), rng.uniform(0, 80)
+        region = Rect(x, y, x + rng.uniform(1, 30), y + rng.uniform(1, 30))
+        clauses = [
+            rng.sample(self.VOCABULARY, rng.randint(1, 2)) for _ in range(rng.choice([1, 1, 2, 3]))
+        ]
+        expression = " OR ".join("(%s)" % " AND ".join(clause) for clause in clauses)
+        return make_query(expression, region, query_id=query_id)
+
+    def _random_pairs(self, rng, index, query):
+        """The full footprint under one arbitrary keyword per clause (any
+        member is a valid posting key; duplicates across clauses happen)."""
+        keys = [rng.choice(sorted(clause)) for clause in query.expression.clauses]
+        return [
+            (cell, key) for cell in index.grid.cells_overlapping(query.region) for key in keys
+        ]
+
+    @staticmethod
+    def _expected(live, obj, cell):
+        """The parent's candidate rule over the live postings of ``cell``:
+        skip an id already matched, (skip a stale id, uncounted,) count a
+        check, then test region and expression."""
+        lists = {}
+        for query, pairs in live.values():
+            for coord, key in pairs:
+                if coord == cell and key in obj.terms:
+                    lists.setdefault(key, []).append(query)
+        matched, checks = set(), 0
+        for posting_list in lists.values():
+            for query in posting_list:
+                if query.query_id in matched:
+                    continue
+                checks += 1
+                if query.matches(obj):
+                    matched.add(query.query_id)
+        return tuple(sorted(matched)), checks
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_and_checks(self, stats, seed):
+        import random
+
+        rng = random.Random(seed)
+        index = GI2Index(BOUNDS, granularity=8, term_statistics=stats)
+        live, deleted = {}, []
+        or_under_two_keys = 0
+        for step in range(600):
+            action = rng.random()
+            if action < 0.3 or not live:
+                if deleted and rng.random() < 0.4:
+                    # Re-insert a deleted id: another query, other pairs.
+                    query = self._random_query(rng, query_id=deleted.pop(rng.randrange(len(deleted))))
+                else:
+                    query = self._random_query(rng)
+                pairs = self._random_pairs(rng, index, query)
+                or_under_two_keys += len({key for _, key in pairs}) > 1
+                assert index.insert_pairs(query, pairs) == len(pairs)
+                assert index.insert_pairs(query, pairs[:1]) == 0  # live: idempotent
+                live[query.query_id] = (query, pairs)
+            elif action < 0.55:
+                query_id = rng.choice(sorted(live))
+                del live[query_id]
+                deleted.append(query_id)
+                assert index.delete(query_id) and not index.delete(query_id)
+            else:
+                objects = [
+                    make_object(
+                        " ".join(rng.sample(self.VOCABULARY, rng.randint(1, 4))),
+                        rng.uniform(0, 99),
+                        rng.uniform(0, 99),
+                    )
+                    for _ in range(rng.randint(1, 6))
+                ]
+                cells = [index.grid.cell_of(obj.location) for obj in objects]
+                outcomes = index.match_batch(objects, cells if rng.random() < 0.5 else None)
+                assert len(outcomes) == len(objects)
+                for obj, cell, outcome in zip(objects, cells, outcomes):
+                    brute = tuple(sorted(q.query_id for q, _ in live.values() if q.matches(obj)))
+                    assert outcome.query_ids == brute
+                    assert outcome == self._expected(live, obj, cell)
+            assert index.query_count == len(live)
+            # Every physical posting belongs to a live query or a tombstone.
+            assert index.posting_count <= sum(len(pairs) for _, pairs in live.values()) + sum(
+                len(pairs) for pairs in index._tombstones.values()
+            )
+        assert or_under_two_keys > 10
+        index.compact()
+        assert index.pending_deletion_count == 0
+        assert index.posting_count == sum(len(pairs) for _, pairs in live.values())
+        assert {query_id: pairs for query_id, (_, pairs) in live.items()} == index.posting_pairs_by_query()
+
+
 class TestStatsAndMigration:
     def test_query_count_excludes_pending(self, index):
         queries = [make_query("kobe", Rect(0, 0, 100, 100)) for _ in range(4)]

@@ -349,6 +349,46 @@ class TestMergerMechanics:
         assert merger.duplicates == 3
         assert merger.received == 8
 
+    def test_handle_many_equals_handle_one_by_one(self):
+        """One batch == the same results handled singly: counters, the
+        exact ``busy_cost`` float, sink order, eviction at the window edge."""
+        import random
+        from repro.core import MatchResult
+
+        rng = random.Random(11)
+        # 12 distinct keys over a window of 8: duplicates inside the window
+        # and re-deliveries of evicted keys both occur.
+        results = [
+            MatchResult(rng.randrange(4), rng.randrange(3), subscriber_id=rng.randrange(3))
+            for _ in range(400)
+        ]
+
+        class LogSink:
+            def __init__(self, log):
+                self.deliver = log.append
+
+        def merger_with_log():
+            log = []
+            return MergerNode(0, dedup_window=8, sink=LogSink(log), profiling=True), log
+
+        single, single_log = merger_with_log()
+        batched, batched_log = merger_with_log()
+        delivered = sum(single.handle(result) for result in results)
+        assert batched.handle_many(results[:150]) + batched.handle_many(
+            iter(results[150:])
+        ) == delivered
+        assert 0 < single.duplicates < len(results) and single.profile.evictions > 0
+        for name in ("received", "delivered", "duplicates", "busy_cost"):
+            assert getattr(batched, name) == getattr(single, name), name
+        # Advanced once per result: a single multiply would round differently.
+        assert single.busy_cost != len(results) * MergerNode.RESULT_COST
+        assert batched.profile.event(0) == single.profile.event(0)
+        assert batched_log == single_log
+        assert batched._seen == single._seen and batched._order == single._order
+        assert all(
+            batched.deliveries_for(s) == single.deliveries_for(s) > 0 for s in range(3)
+        )
+
     def test_merger_stats_sorted_by_id(self):
         plan, tuples = make_duplication_workload(num_objects=150)
         for merger in available_backends(MERGE_BACKENDS):
