@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.costmodel import CostModel
 from ..core.geometry import Rect
@@ -41,6 +42,9 @@ from .base import PartitionPlan, PartitionUnit, Partitioner, WorkloadSample
 from .text import balanced_term_assignment
 
 __all__ = ["HybridPartitioner", "HybridConfig"]
+
+#: ``(term weights, [(object, its posted terms)])`` — see :attr:`_Node.text_inputs`.
+_TextInputs = Tuple[Dict[str, float], List[Tuple[SpatioTextualObject, FrozenSet[str]]]]
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,16 @@ class _Node:
 
     ``terms is None`` for spatial nodes; text-split children carry the term
     subset they own.  Objects and queries are the sampled tuples that the
-    node would receive under Definition-2 routing.
+    node would receive under Definition-2 routing; ``query_keys[i]`` is the
+    posting-key set of ``queries[i]`` (the expression's own memo, read
+    only), looked up once for the root and handed down to every child.
+
+    Everything Algorithm 1 derives from a node depends on the node alone,
+    so it is derived once and kept here: the Definition-1 load, the inputs
+    of a text split that do not depend on the number of parts, and the
+    children of every split priced so far, per number of parts.  The
+    children the dynamic program priced are therefore the objects
+    PartitionNode installs.
     """
 
     __slots__ = (
@@ -74,10 +87,14 @@ class _Node:
         "terms",
         "objects",
         "queries",
+        "query_keys",
         "depth",
         "_object_counter",
         "_query_counter",
         "_load",
+        "_text_inputs",
+        "_text_children",
+        "_space_children",
     )
 
     def __init__(
@@ -85,17 +102,27 @@ class _Node:
         region: Rect,
         objects: List[SpatioTextualObject],
         queries: List[STSQuery],
+        statistics: Optional[TermStatistics] = None,
         terms: Optional[FrozenSet[str]] = None,
         depth: int = 0,
+        query_keys: Optional[List[AbstractSet[str]]] = None,
     ) -> None:
         self.region = region
         self.terms = terms
         self.objects = objects
         self.queries = queries
+        self.query_keys: List[AbstractSet[str]] = (
+            query_keys
+            if query_keys is not None
+            else [query.expression.posting_keywords(statistics) for query in queries]
+        )
         self.depth = depth
         self._object_counter: Optional[Counter] = None
         self._query_counter: Optional[Counter] = None
         self._load: Optional[float] = None
+        self._text_inputs: Optional[_TextInputs] = None
+        self._text_children: Dict[int, List[_Node]] = {}
+        self._space_children: Dict[int, List[_Node]] = {}
 
     # -- cached statistics ------------------------------------------------
     @property
@@ -128,10 +155,32 @@ class _Node:
         queries = {term: math.log1p(count) for term, count in self.query_counter.items()}
         return cosine_similarity(objects, queries)
 
-    def load(self, model: CostModel) -> float:
-        if self._load is None:
-            self._load = model.worker_load(len(self.objects), len(self.queries), 0)
-        return self._load
+    @property
+    def text_inputs(self) -> _TextInputs:
+        """What a text split of this node needs, whatever the number of parts.
+
+        The term weights handed to :func:`balanced_term_assignment` and,
+        per object, its *posted* terms: an object without any is forwarded
+        to no text slice (the dispatcher's H2 filtering, Section IV-C) and
+        is dropped here once.
+        """
+        if self._text_inputs is None:
+            object_counter = self.object_counter
+            vocabulary: Set[str] = set(object_counter) | set(self.query_counter)
+            if self.terms is not None:
+                vocabulary &= self.terms
+            posting_counts = Counter(chain.from_iterable(self.query_keys))
+            weights: Dict[str, float] = {}
+            for term in vocabulary:
+                frequency = float(object_counter.get(term, 0))
+                postings = float(posting_counts.get(term, 0))
+                weights[term] = frequency * (postings + 1.0) + frequency + postings + 1.0
+            posting_keys = frozenset(posting_counts)
+            posted = [
+                (obj, hits) for obj in self.objects if (hits := obj.terms & posting_keys)
+            ]
+            self._text_inputs = (weights, posted)
+        return self._text_inputs
 
     @property
     def object_count(self) -> int:
@@ -149,18 +198,10 @@ class HybridPartitioner(Partitioner):
 
     def __init__(self, config: Optional[HybridConfig] = None) -> None:
         self.config = config if config is not None else HybridConfig()
-        self._query_posting_keys: Dict[int, FrozenSet[str]] = {}
 
     # ------------------------------------------------------------------
     # Load estimation
     # ------------------------------------------------------------------
-    def _node_posting_terms(self, node: _Node) -> Set[str]:
-        """Posting keywords of the queries routed to ``node``."""
-        terms: Set[str] = set()
-        for query in node.queries:
-            terms |= self._query_posting_keys.get(query.query_id, frozenset())
-        return terms
-
     def _node_load(self, node: _Node) -> float:
         """Definition-1 load of a node under the deployed routing rules.
 
@@ -171,18 +212,9 @@ class HybridPartitioner(Partitioner):
         whose traffic the system actually discards.
         """
         if node._load is None:
-            posting_terms = self._node_posting_terms(node)
-            if posting_terms:
-                routed = 0
-                candidate_checks = 0
-                for obj in node.objects:
-                    hits = sum(1 for term in obj.terms if term in posting_terms)
-                    if hits:
-                        routed += 1
-                        candidate_checks += hits
-            else:
-                routed = 0
-                candidate_checks = 0
+            posting_terms: Set[str] = set()
+            posting_terms.update(*node.query_keys)
+            hits = [len(obj.terms & posting_terms) for obj in node.objects]
             # The interaction term uses the number of posting-list hits the
             # GI2 index would actually probe for the routed objects, not the
             # raw |O_i| * |Qi_i| product: the worker-side index prunes by
@@ -190,8 +222,8 @@ class HybridPartitioner(Partitioner):
             # work the workers really do.
             model = self.config.cost_model
             node._load = (
-                model.match_check * candidate_checks
-                + model.object_handling * routed
+                model.match_check * sum(hits)
+                + model.object_handling * (len(hits) - hits.count(0))
                 + model.insert_handling * len(node.queries)
             )
         return node._load
@@ -202,22 +234,17 @@ class HybridPartitioner(Partitioner):
     def partition(self, sample: WorkloadSample, num_workers: int) -> PartitionPlan:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        statistics = sample.term_statistics
-        self._query_posting_keys = {
-            query.query_id: frozenset(query.expression.posting_keywords(statistics))
-            for query in sample.insertions
-        }
-        root = _Node(sample.bounds, list(sample.objects), list(sample.insertions))
+        root = _Node(
+            sample.bounds, list(sample.objects), list(sample.insertions), sample.term_statistics
+        )
         text_nodes, space_nodes = self._phase_one(root)
 
         # Phase 2a: make sure there are at least ``num_workers`` leaf nodes.
         if len(text_nodes) + len(space_nodes) < num_workers:
-            allocation = self._compute_number_partitions(
-                text_nodes, space_nodes, num_workers, statistics
-            )
+            allocation = self._compute_number_partitions(text_nodes, space_nodes, num_workers)
             for node, parts in allocation.items():
                 if parts > 1:
-                    self._partition_node(node, text_nodes, space_nodes, parts, statistics)
+                    self._partition_node(node, text_nodes, space_nodes, parts)
 
         # Phase 2b: merge into partitions and enforce the balance constraint.
         partitions = self._merge_nodes_into_partitions(text_nodes, space_nodes, num_workers)
@@ -243,7 +270,7 @@ class HybridPartitioner(Partitioner):
                 break
             heaviest = max(candidates, key=lambda node: self._node_load(node))
             before = len(text_nodes) + len(space_nodes)
-            self._partition_node(heaviest, text_nodes, space_nodes, 2, statistics)
+            self._partition_node(heaviest, text_nodes, space_nodes, 2)
             if len(text_nodes) + len(space_nodes) == before:
                 break
             partitions = self._merge_nodes_into_partitions(text_nodes, space_nodes, num_workers)
@@ -324,18 +351,26 @@ class HybridPartitioner(Partitioner):
         return best
 
     def _spatial_children(self, node: _Node, regions: Sequence[Rect]) -> List[_Node]:
+        """One child per region: an object goes to the first region that
+        contains its location, a query to every region its range touches."""
         children = [
-            _Node(region, [], [], terms=node.terms, depth=node.depth + 1) for region in regions
+            _Node(region, [], [], terms=node.terms, depth=node.depth + 1, query_keys=[])
+            for region in regions
         ]
+        slots = [(child, *child.region.as_tuple()) for child in children]
         for obj in node.objects:
-            for child in children:
-                if child.region.contains_point(obj.location):
+            location = obj.location
+            x, y = location.x, location.y
+            for child, min_x, min_y, max_x, max_y in slots:
+                if min_x <= x <= max_x and min_y <= y <= max_y:
                     child.objects.append(obj)
                     break
-        for query in node.queries:
-            for child in children:
-                if child.region.intersects(query.region):
+        for query, keys in zip(node.queries, node.query_keys):
+            low_x, low_y, high_x, high_y = query.region.as_tuple()
+            for child, min_x, min_y, max_x, max_y in slots:
+                if not (max_x < low_x or high_x < min_x or max_y < low_y or high_y < min_y):
                     child.queries.append(query)
+                    child.query_keys.append(keys)
         return children
 
     # ------------------------------------------------------------------
@@ -347,7 +382,6 @@ class HybridPartitioner(Partitioner):
         text_nodes: List[_Node],
         space_nodes: List[_Node],
         parts: int,
-        statistics: TermStatistics,
     ) -> List[_Node]:
         """Split ``node`` into ``parts`` nodes in place (Algorithm 1, PartitionNode).
 
@@ -359,104 +393,80 @@ class HybridPartitioner(Partitioner):
         if parts <= 1:
             return [node]
         in_text = node in text_nodes
-        if in_text or node.terms is not None:
-            children = self._text_split(node, parts, statistics)
-            chosen_kind = "text"
-        else:
-            space_children = self._space_split(node, parts)
-            text_children = self._text_split(node, parts, statistics)
-            space_load = sum(self._node_load(child) for child in space_children)
-            text_load = sum(self._node_load(child) for child in text_children)
-            if space_children and (not text_children or space_load <= text_load):
-                children = space_children
-                chosen_kind = "space"
-            else:
-                children = text_children
-                chosen_kind = "text"
-        if not children or len(children) <= 1:
+        children = self._split_children(node, parts, in_text)
+        if len(children) <= 1:
             return [node]
         if in_text:
             text_nodes.remove(node)
         elif node in space_nodes:
             space_nodes.remove(node)
-        if chosen_kind == "text":
+        if children[0].terms is not None:
             text_nodes.extend(children)
         else:
             space_nodes.extend(children)
         return children
 
-    def _simulated_split_load(
-        self, node: _Node, parts: int, in_text: bool, statistics: TermStatistics
-    ) -> float:
-        """Load after splitting ``node`` into ``parts`` without mutating state.
+    def _split_children(self, node: _Node, parts: int, in_text: bool) -> List[_Node]:
+        """The children PartitionNode gives ``node`` for ``parts`` > 1 (may be empty)."""
+        text_children = self._text_split(node, parts)
+        if in_text or node.terms is not None:
+            return text_children
+        space_children = self._space_split(node, parts)
+        space_load = sum(self._node_load(child) for child in space_children)
+        text_load = sum(self._node_load(child) for child in text_children)
+        if space_children and (not text_children or space_load <= text_load):
+            return space_children
+        return text_children
+
+    def _simulated_split_load(self, node: _Node, parts: int, in_text: bool) -> float:
+        """Load after splitting ``node`` into ``parts`` without installing the split.
 
         This is the ``C[i, k]`` quantity of the dynamic program.
         """
-        if parts <= 1:
-            return self._node_load(node)
-        if in_text or node.terms is not None:
-            children = self._text_split(node, parts, statistics)
-        else:
-            space_children = self._space_split(node, parts)
-            text_children = self._text_split(node, parts, statistics)
-            space_load = sum(self._node_load(child) for child in space_children)
-            text_load = sum(self._node_load(child) for child in text_children)
-            if space_children and (not text_children or space_load <= text_load):
-                children = space_children
-            else:
-                children = text_children
+        children = self._split_children(node, parts, in_text) if parts > 1 else []
         if not children:
             return self._node_load(node)
         return sum(self._node_load(child) for child in children)
 
     def _space_split(self, node: _Node, parts: int) -> List[_Node]:
-        points = [obj.location for obj in node.objects]
-        regions = build_leaf_regions(points, parts, node.region)
-        children = self._spatial_children(node, regions)
+        children = node._space_children.get(parts)
+        if children is None:
+            points = [obj.location for obj in node.objects]
+            regions = build_leaf_regions(points, parts, node.region)
+            children = node._space_children[parts] = self._spatial_children(node, regions)
         return children
 
-    def _text_split(self, node: _Node, parts: int, statistics: TermStatistics) -> List[_Node]:
-        vocabulary: Set[str] = set(node.object_counter) | set(node.query_counter)
-        if node.terms is not None:
-            vocabulary &= set(node.terms)
-        if not vocabulary:
-            return []
-        posting_counts: Counter = Counter()
-        for query in node.queries:
-            for key in query.expression.posting_keywords(statistics):
-                posting_counts[key] += 1
-        weights = {
-            term: float(node.object_counter.get(term, 0)) * (posting_counts.get(term, 0) + 1.0)
-            + float(node.object_counter.get(term, 0))
-            + float(posting_counts.get(term, 0))
-            + 1.0
-            for term in vocabulary
-        }
-        assignment = balanced_term_assignment(weights, parts)
-        groups: Dict[int, Set[str]] = {index: set() for index in range(parts)}
-        for term, index in assignment.items():
+    def _text_split(self, node: _Node, parts: int) -> List[_Node]:
+        children = node._text_children.get(parts)
+        if children is not None:
+            return children
+        children = node._text_children[parts] = []
+        weights, posted = node.text_inputs
+        if not weights:
+            return children
+        groups: List[Set[str]] = [set() for _ in range(parts)]
+        for term, index in balanced_term_assignment(weights, parts).items():
             groups[index].add(term)
-        children: List[_Node] = []
-        posting_keys = set(posting_counts)
-        for index in range(parts):
-            terms = frozenset(groups[index])
-            if not terms:
+        keyed_queries = list(zip(node.queries, node.query_keys))
+        for group in groups:
+            if not group:
                 continue
+            terms = frozenset(group)
             # Objects are only forwarded to a text slice when they contain a
             # *posted* keyword owned by the slice (the dispatcher's H2
             # filtering, Section IV-C); counting them this way makes the
             # space-vs-text load comparison reflect the deployed system.
-            routed_terms = terms & posting_keys
-            objects = [
-                obj for obj in node.objects if any(t in routed_terms for t in obj.terms)
-            ]
-            queries = [
-                query
-                for query in node.queries
-                if any(key in terms for key in query.expression.posting_keywords(statistics))
-            ]
+            objects = [obj for obj, hits in posted if not hits.isdisjoint(terms)]
+            kept = [pair for pair in keyed_queries if not pair[1].isdisjoint(terms)]
             children.append(
-                _Node(node.region, objects, queries, terms=terms, depth=node.depth + 1)
+                _Node(
+                    node.region,
+                    objects,
+                    [query for query, _ in kept],
+                    terms=terms,
+                    depth=node.depth + 1,
+                    query_keys=[keys for _, keys in kept],
+                )
             )
         return children
 
@@ -468,7 +478,6 @@ class HybridPartitioner(Partitioner):
         text_nodes: List[_Node],
         space_nodes: List[_Node],
         num_workers: int,
-        statistics: TermStatistics,
     ) -> Dict[_Node, int]:
         """Choose how many parts each node is split into (Algorithm 1, l.14).
 
@@ -490,7 +499,7 @@ class HybridPartitioner(Partitioner):
         for index, node in enumerate(nodes):
             row = [math.inf] * (max_parts + 1)
             for parts in range(1, max_parts + 1):
-                row[parts] = self._simulated_split_load(node, parts, in_text[index], statistics)
+                row[parts] = self._simulated_split_load(node, parts, in_text[index])
             cost.append(row)
 
         infinity = math.inf

@@ -48,7 +48,6 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import (
     Any,
     Callable,
@@ -521,6 +520,10 @@ class TelemetryServer:
     """
 
     def __init__(self, render: Callable[[], str], port: int = 0) -> None:
+        # Imported here: http.server costs ~25 ms, and only `repro serve
+        # --telemetry-port` ever gets this far.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self._render = render
 
         server = self

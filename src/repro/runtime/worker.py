@@ -128,10 +128,7 @@ class WorkerNode:
             for query_id in query_ids:
                 results_append(
                     MatchResult(
-                        query_id=query_id,
-                        object_id=object_id,
-                        subscriber_id=records[query_id][0].subscriber_id,
-                        worker_id=worker_id,
+                        query_id, object_id, records[query_id][0].subscriber_id, worker_id
                     )
                 )
         self.counters.record_object_batch(len(objects), total_checks, total_matches)
