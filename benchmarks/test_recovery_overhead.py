@@ -80,8 +80,8 @@ def _time_mode(plan, warmup, body, checkpoint_every):
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if cluster._checkpoints is not None:
-            checkpoints = cluster._checkpoints.checkpoints_taken
+        if cluster.recovery is not None:
+            checkpoints = cluster.recovery.store.checkpoints_taken
     return best, checkpoints
 
 

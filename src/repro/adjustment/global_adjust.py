@@ -25,7 +25,8 @@ from ..core.objects import STSQuery
 from ..indexes.grid import CellCoord
 from ..indexes.gridt import GridTIndex, WorkerPlan, group_triples
 from ..partitioning.base import PartitionPlan, Partitioner, WorkloadSample
-from ..runtime.cluster import Cluster, MigrationRecord
+from ..runtime.cluster import Cluster
+from ..runtime.migration import MigrationRecord
 from ..runtime.worker import QueryAssignment
 
 __all__ = ["DualRoutingIndex", "GlobalAdjuster", "RepartitionReport"]

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional
 from ..core.costmodel import LoadReport
 from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
-from ..runtime.cluster import Cluster, MigrationRecord
+from ..runtime.cluster import Cluster
+from ..runtime.migration import MigrationRecord
 from ..runtime.protocol import mutates_routing
 from .migration import GreedySelector, MigrationSelector
 

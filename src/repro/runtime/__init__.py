@@ -27,7 +27,8 @@ from .checkpoint import (
     decode_checkpoint,
     encode_checkpoint,
 )
-from .cluster import Cluster, ClusterConfig, MigrationRecord, PeriodSampleCollector
+from .cluster import Cluster
+from .config import ClusterConfig
 from .dispatch import (
     DISPATCH_BACKENDS,
     DispatchBackend,
@@ -65,7 +66,9 @@ from .merge import (
     build_sink,
     make_merge,
 )
+from .driver import PeriodSampleCollector
 from .merger import MergerNode
+from .migration import MigrationRecord
 from .metrics import LatencyBuckets, LatencyTracker, RunReport, utilization_latency
 from .profiling import (
     DedupProfile,

@@ -12,12 +12,11 @@ the full per-worker map as a :class:`Checkpoint` in a
 :class:`CheckpointStore` (in-memory ring, optionally mirrored to JSONL).
 
 On endpoint death (pipe EOF, socket reset or
-:class:`~repro.runtime.fabric.FrameTruncated`), the coordinator restores
-the dead worker's partition from the latest checkpoint onto a surviving
-worker via ``install_queries``, replays the routing-table updates shipped
-since that checkpoint, remaps every routing cell that referenced the dead
-worker, and resumes — losing at most the one in-flight window, which is
-accounted in :class:`RecoveryReport` (surfaced as ``RunReport.recovery``).
+:class:`~repro.runtime.fabric.FrameTruncated`) the cluster's
+:class:`Recovery` collaborator — the store, the update log and the
+recovery events — runs :meth:`Recovery.recover_worker` and resumes, losing
+at most the one in-flight window, which is accounted in
+:class:`RecoveryReport` (surfaced as ``RunReport.recovery``).
 
 Wire footprint: :class:`SnapshotAssignments` (coordinator→worker request)
 and :class:`WorkerSnapshot` (its reply) are registered in
@@ -29,16 +28,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.expression import BooleanExpression
 from ..core.geometry import Rect
-from ..core.objects import STSQuery
+from ..core.objects import STSQuery, StreamTuple, TupleKind
+from .fabric import TransportError
+from .protocol import barrier_context, mutates_routing
 from .worker import QueryAssignment
+
+if TYPE_CHECKING:
+    from .cluster import Cluster
 
 __all__ = [
     "Checkpoint",
     "CheckpointStore",
+    "Recovery",
     "RecoveryEvent",
     "RecoveryReport",
     "SnapshotAssignments",
@@ -260,3 +265,188 @@ class CheckpointStore:
                 if line:
                     checkpoints.append(decode_checkpoint(line))
         return checkpoints
+
+
+class Recovery:
+    """Checkpoint/recovery state and protocol of one checkpointed cluster.
+
+    Owns what only recovery reads: the :class:`CheckpointStore` of
+    barrier-point snapshots, the update log — which worker received each
+    query update since the last checkpoint, so recovery can replay the
+    dead worker's share — and the events that feed ``RunReport.recovery``.
+    A cluster has one iff ``checkpoint_every > 0``; it reaches the tiers
+    through the cluster's own handles (``transport``, ``workers``,
+    ``routing_index``, ``fence()``).
+    """
+
+    def __init__(self, cluster: "Cluster", path: Optional[str] = None) -> None:
+        self.cluster = cluster
+        self.store = CheckpointStore(path=path)
+        self.events: List[RecoveryEvent] = []
+        self._update_log: List[Tuple[int, Any]] = []
+
+    def log_update(self, worker_id: int, entry: Any) -> None:
+        """Note one update shipped to ``worker_id``: a :class:`QueryAssignment`
+        (replayed via ``install_queries``, which extends an existing
+        registration) for an insertion, the query id for a deletion."""
+        self._update_log.append((worker_id, entry))
+
+    def report(self) -> RecoveryReport:
+        return RecoveryReport(
+            checkpoints_taken=self.store.checkpoints_taken, events=tuple(self.events)
+        )
+
+    @barrier_context
+    def checkpoint_now(self) -> None:
+        """Snapshot every worker's query assignments at a quiescent point.
+
+        Fences all three tiers exactly like an adjustment round (so every
+        shipped window is applied and every in-flight result is merged),
+        then records one :class:`Checkpoint` in the store and clears the
+        update log — the log only ever spans checkpoint-to-checkpoint.
+        """
+        self.cluster.fence()
+        self.take_checkpoint()
+
+    def take_checkpoint(self) -> None:
+        """Record the fleet's assignments (caller guarantees quiescence)."""
+        cluster = self.cluster
+        tuples = cluster.totals.tuples
+        self.store.record(cluster.transport.snapshot_assignments(), tuples)
+        self._update_log.clear()
+        cluster._record_lifecycle("checkpoint", detail="tuples=%d" % tuples)
+
+    def recover_from(self, exc: TransportError, window: Sequence[StreamTuple]) -> None:
+        """Recover from one worker death, or re-raise anything else.
+
+        The replay loop's guard: ``window`` is what was in flight — empty
+        at a barrier, where nothing is lost and the recovery itself
+        rebalances the dead partition.  Only a *worker* endpoint death is
+        recoverable, and only when a checkpoint exists to restore from
+        and at least one worker survives; every other transport failure
+        (merger/dispatcher death, remote exceptions, a second fault
+        during recovery) propagates.  The abandoned window's object/query
+        ids are recorded on the :class:`RecoveryEvent` so tests (and
+        delivery accounting) can subtract exactly the lost in-flight
+        work.  A fresh checkpoint is taken immediately after recovery —
+        the restored assignment is the new baseline.
+        """
+        worker_id = exc.endpoint_id
+        workers = self.cluster.workers
+        if (
+            self.store.latest() is None
+            or not exc.died
+            or exc.label != "worker"
+            or worker_id is None
+            or worker_id not in workers
+            or len(workers) <= 1
+        ):
+            raise exc
+        objects = [item for item in window if item.kind is TupleKind.OBJECT]
+        updates = [item for item in window if item.kind is not TupleKind.OBJECT]
+        self.recover_worker(
+            worker_id,
+            lost_tuples=len(window),
+            lost_object_ids=tuple(item.payload.object_id for item in objects),
+            lost_query_ids=tuple(item.payload.query_id for item in updates),
+            during_adjustment=not window,
+        )
+        self.take_checkpoint()
+
+    @mutates_routing
+    def recover_worker(
+        self,
+        worker_id: int,
+        *,
+        lost_tuples: int = 0,
+        lost_object_ids: Tuple[int, ...] = (),
+        lost_query_ids: Tuple[int, ...] = (),
+        during_adjustment: bool = False,
+    ) -> Optional[RecoveryEvent]:
+        """Re-install a dead worker's partition onto a survivor.
+
+        The recovery protocol: discard the dead endpoint (fencing and
+        re-aligning the survivors via the fleet's resync barrier),
+        re-install the worker's checkpointed query assignments onto the
+        lowest-id survivor through the migration machinery
+        (:meth:`WorkerNode.install_queries` extends registrations, so a
+        query split across the dead worker and the target merges its
+        postings), replay the update log entries addressed to the dead
+        worker since that checkpoint, and point every routing cell the
+        dead worker owned — H1 defaults, text-split term owners and H2
+        posting owners alike — at the target.  Idempotent: recovering an
+        already-recovered (or never-known) worker returns ``None``.
+        Without a survivor nothing is discarded: the worker stays
+        registered and the call raises.
+        """
+        # transport imports this module's wire messages, so not at the top.
+        from .transport import DeleteById, RouteBatch
+
+        cluster = self.cluster
+        checkpoint = self.store.latest()
+        if checkpoint is None:
+            raise ValueError("no checkpoint to recover from")
+        if worker_id not in cluster.workers:
+            return None
+        survivors = sorted(w for w in cluster.workers if w != worker_id)
+        if not survivors:
+            raise TransportError("no surviving workers to recover onto")
+        cluster._record_lifecycle(
+            "endpoint_death",
+            tier="worker",
+            endpoint_id=worker_id,
+            detail="lost_tuples=%d" % lost_tuples,
+        )
+        cluster.transport.discard_worker(worker_id)
+        target = survivors[0]
+        target_worker = cluster.workers[target]
+        assignments = list(checkpoint.assignments.get(worker_id, ()))
+        reinstalled = target_worker.install_queries(assignments) if assignments else 0
+        # Replay the dead worker's post-checkpoint updates in stream
+        # order, re-keying them to the target (so a later recovery of the
+        # *target* replays them again).
+        replayed = 0
+        new_log: List[Tuple[int, Any]] = []
+        for owner, entry in self._update_log:
+            if owner != worker_id:
+                new_log.append((owner, entry))
+                continue
+            replayed += 1
+            if isinstance(entry, QueryAssignment):
+                target_worker.install_queries([entry])
+            else:
+                cluster.transport.exchange({target: RouteBatch((DeleteById(entry),))})
+            new_log.append((target, entry))
+        self._update_log = new_log
+        # Routing remap: every cell that still names the dead worker —
+        # as H1 default, term owner or H2 posting owner — moves to the
+        # target wholesale.
+        routing = cluster.routing_index
+        coords = [
+            coord for coord, cell in routing.cells().items() if worker_id in cell.workers()
+        ]
+        routing.migrate_cells(coords, worker_id, target)
+        cluster.invalidate_routing_caches()
+        event = RecoveryEvent(
+            worker_id=worker_id,
+            target_worker=target,
+            epoch=checkpoint.epoch,
+            queries_reinstalled=reinstalled,
+            updates_replayed=replayed,
+            cells_remapped=len(coords),
+            lost_tuples=lost_tuples,
+            lost_object_ids=lost_object_ids,
+            lost_query_ids=lost_query_ids,
+            during_adjustment=during_adjustment,
+        )
+        self.events.append(event)
+        cluster._record_lifecycle(
+            "recovery",
+            tier="worker",
+            endpoint_id=worker_id,
+            epoch=checkpoint.epoch,
+            detail="worker %d -> %d: %d queries reinstalled, %d updates replayed, "
+            "%d cells remapped"
+            % (worker_id, target, reinstalled, replayed, len(coords)),
+        )
+        return event

@@ -1,118 +1,35 @@
 """The simulated PS2Stream cluster: dispatchers, workers and mergers.
 
-This module is the substitute for the paper's Storm-on-EC2 deployment (see
-DESIGN.md).  The cluster executes every tuple *for real* — objects are
-routed through the gridt index, matched against GI2 posting lists, results
-deduplicated by mergers — while time is accounted through the
-Definition-1 cost model.  From the accounted busy time the simulator
-derives
-
-* **saturation throughput**: total tuples divided by the busy time of the
-  bottleneck process (the quantity Figures 6, 7, 11 and 16 plot);
-* **latency**: per-tuple service times inflated by a single-server
-  queueing factor at a configurable input rate (Figure 8, 12(c), 15);
-* **memory**: analytic footprints of the dispatcher routing index and the
-  worker GI2 indexes (Figures 9 and 10).
-
-A stream is replayed by one of two *drivers* that share one rule set and
-one worker-op vocabulary:
-
-* :meth:`Cluster.process` / :meth:`Cluster.run` — the *per-tuple driver*
-  (the CLI default).  Every tuple is routed, shipped, matched and merged
-  one at a time, with no window bookkeeping.
-* :meth:`Cluster.process_batch` / :meth:`Cluster.run_batched` — the
-  *batched driver*.  The stream is consumed in windows (``--batch-size``
-  on the CLI) and every window runs through **one** deferred-barrier
-  executor (:meth:`Cluster._execute_window`): objects are routed,
-  charged and grouped per destination worker in a single arrival scan
-  and matched in bulk (amortising posting-list purge/setup per cell); a
-  query update applies to the routing index at its stream position but
-  defers its worker-side effect, acting as a barrier only for objects in
-  grid cells it touches; match results reach the mergers in bulk.  A
-  batched run therefore produces the same throughput, worker loads,
-  fanout and match counts as the per-tuple run — batching changes
-  wall-clock cost, never simulated semantics.
-
-Each rule is written once and both drivers call it: the object decision
-(H2 probe or fallback) is :meth:`GridTIndex.route_cell`; the update plan
-(insertion plan, its reuse at deletion — the keyword choice is
-deterministic, Section IV-C — and the H2 delta) is
-:func:`repro.runtime.dispatch.plan_update`, whose plan cache is dropped
-whenever a migration or a routing-index swap changes H1; what a worker
-is told is one of three ops — ``MatchObjects`` (a run of one per tuple),
-``InsertPairs``, ``DeleteById`` — so the per-worker ``RouteBatch`` of a
-per-tuple replay equals that of a window of one.  The dual index of a
-global adjustment's drain
-(:class:`~repro.adjustment.global_adjust.DualRoutingIndex`) implements the
-same routing surface, so a drain window is an ordinary window.
-
-The executor has two *routing sources*, selected by
-``ClusterConfig.dispatch_backend``.  With ``"inline"`` (default) the
-coordinator applies the two rules itself, fused into the arrival scan.
-With ``"inprocess"`` / ``"multiprocess"`` / ``"socket"`` the window is
-partitioned across ``num_dispatchers`` dispatcher shards
-(:mod:`repro.runtime.dispatch`), each owning a replica of the routing
-index: shards apply the same two rules to their slice (every replica
-applies every update), the coordinator merges the position-tagged replies
-into a ``RoutedWindow`` and the executor reads decisions and plans off it
-instead — reports stay byte-identical to inline routing
-(``tests/test_dispatch.py``, ``tests/test_window_executor.py``) while the
-fabric backends route window ``K+1`` while the workers still match window
-``K``.  A per-tuple replay on a sharded backend is a window of one through
-the same protocol and executor.  Out-of-band H1 mutations (migrations,
-splits, index swaps) bump a routing version via
-:meth:`Cluster.invalidate_routing_caches`; the replicas re-sync from the
-coordinator's authoritative index before the next routed window.
-
-Either path talks to its workers exclusively through the pluggable
-transport layer (:mod:`repro.runtime.transport`): routed work ships as
-typed ``RouteBatch`` messages, match results come back as
-``MatchResults``, and Section V adjustment rounds open with an
-``AdjustBarrier`` fence.  The default ``inprocess`` backend executes the
-messages synchronously against local :class:`WorkerNode` objects (the
-reference semantics); ``backend="multiprocess"`` on
-:class:`ClusterConfig` hosts each worker in its own OS process, with the
-coordinator shipping every worker's window batch before collecting any
-reply so matching runs on all cores (see docs/ARCHITECTURE.md).
-
-Result delivery is the third pluggable tier
-(:mod:`repro.runtime.merge`, ``ClusterConfig.merger_backend``): match
-results are partitioned across ``num_mergers`` merger shards by
-``query_id % num_mergers``.  The ``inprocess`` backend hosts the
-:class:`MergerNode` shards in the coordinator (the reference, identical
-to the historical inline loop); ``"multiprocess"`` runs one OS process
-per shard, and — combined with the multiprocess worker backend — the
-workers ship their match results straight into the shard inboxes, so
-dedup/delivery of window ``K`` overlaps matching of window ``K+1`` and
-the coordinator never relays a result (``Cluster.result_hops`` stays
-zero; ``tests/test_merge.py``).  Delivered results feed per-shard
-subscriber sinks (``ClusterConfig.sink``).
-
-Both paths record per-tuple traces in compact parallel arrays
-(:class:`_TraceStore`) rather than one Python object per tuple, so latency
-reconstruction over a measurement period stays cheap at stream scale.
-Batching happens *within* a measurement period: :meth:`reset_period`
-starts a new period and a window never spans one, so the Section V
-adjustment machinery observes exactly the same period statistics under
-either execution path.
+The substitute for the paper's Storm-on-EC2 deployment: every tuple
+executes *for real* while time is accounted through the Definition-1 cost
+model — docs/ARCHITECTURE.md ("Execution engines", "Measurement model") is
+the walkthrough.  This module holds what shares the coordinator's hot
+state: construction, the dispatch-sync plumbing, the per-tuple driver
+(:meth:`Cluster.process`), the window executor
+(:meth:`Cluster._execute_window`) and ``close``.  The other concerns are
+collaborators that take the cluster: the replay loop and the Section V
+barrier (:mod:`.driver`), checkpoint/recovery (:class:`.checkpoint.Recovery`),
+migration (:mod:`.migration`), reporting as pure functions of one
+observation (:mod:`.metrics`) and the telemetry hub (:mod:`.telemetry`).
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
-from itertools import cycle, islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Sequence, Set, Tuple
+from contextlib import ExitStack
+from itertools import chain, cycle, islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core.costmodel import CostModel, LoadReport
+from ..core.costmodel import LoadReport
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, StreamTuple, TupleKind
 from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
 from ..indexes.gridt import GridTIndex, WorkerPlan
-from ..partitioning.base import PartitionPlan, WorkloadSample
+from ..partitioning.base import PartitionPlan
 from ..workload.stream import iter_windows
-from .checkpoint import CheckpointStore, RecoveryEvent, RecoveryReport
+from . import driver, metrics, migration
+from .checkpoint import Recovery, RecoveryEvent
+from .config import ClusterConfig
 from .dispatch import (
     DispatchBackend,
     DispatcherLedger,
@@ -120,32 +37,18 @@ from .dispatch import (
     make_dispatch,
     plan_update,
 )
-from .fabric import FaultPlan, TransportError, WireStats, load_manifest
-from .protocol import barrier_context, mutates_routing
-from .merge import MergeBackend, SinkSpec, make_merge
-from .merger import MergerNode
-from .metrics import LatencyBuckets, LatencyTracker, RunReport, utilization_latency
+from .fabric import WireStats, load_manifest
+from .merge import MergeBackend, make_merge
+from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
 from .profiling import (
     DedupProfile,
     MatchProfile,
     ProfileReport,
-    ProfilingSpec,
     RouteCounters,
     RouteProfile,
     StackSampler,
 )
-from .telemetry import (
-    GaugeSample,
-    LifecycleEvent,
-    Observation,
-    SpanHop,
-    TelemetryEvent,
-    TelemetryHub,
-    TelemetrySpec,
-    TierTimeseries,
-    WindowSpan,
-    gauge_sample,
-)
+from .telemetry import Observation, Snapshot, TelemetryEvent, TelemetryHub, TierTimeseries
 from .transport import (
     DeleteById,
     InsertPairs,
@@ -158,265 +61,7 @@ from .transport import (
 )
 from .worker import QueryAssignment, WorkerNode
 
-__all__ = [
-    "Cluster",
-    "ClusterConfig",
-    "GlobalAdjusterLike",
-    "LocalAdjusterLike",
-    "MigrationRecord",
-    "PeriodSampleCollector",
-]
-
-
-#: One observation of every tier: (workers, dispatch shards, mergers),
-#: each keyed by ascending endpoint id.
-_Snapshot = Tuple[Dict[int, Observation], Dict[int, Observation], Dict[int, Observation]]
-
-
-class LocalAdjusterLike(Protocol):
-    """What the closed loop needs from a Section V-A local adjuster
-    (structural — the concrete adjusters live in :mod:`repro.adjustment`,
-    which imports this module, so the dependency cannot point the other
-    way)."""
-
-    def adjust(self, cluster: "Cluster") -> object: ...
-
-
-class GlobalAdjusterLike(Protocol):
-    """What the closed loop needs from a Section V-B global adjuster."""
-
-    def adjust(self, cluster: "Cluster", sample: Optional[WorkloadSample]) -> object: ...
-
-
-@dataclass(frozen=True)
-class ClusterConfig:
-    """Sizing and calibration of the simulated cluster.
-
-    The defaults mirror the paper's testbed: 4 dispatchers, 8 workers and
-    one cell granularity ``2^6`` for the gridt and GI2 indexes alike.
-    ``cost_unit_seconds`` converts the abstract cost units of
-    :class:`~repro.core.costmodel.CostModel` into seconds; it was
-    calibrated so that one object-handling unit corresponds to a few tens
-    of microseconds of Python matching work.
-    """
-
-    num_dispatchers: int = 4
-    num_workers: int = 8
-    num_mergers: int = 2
-    granularity: int = 64
-    cost_model: CostModel = field(default_factory=CostModel)
-    #: Seconds per cost unit.
-    cost_unit_seconds: float = 20e-6
-    #: Input rate (as a fraction of saturation) at which latency is reported.
-    latency_load_fraction: float = 0.6
-    #: Network / framework overhead per hop (source -> dispatcher -> worker),
-    #: matching the millisecond-scale per-tuple latency floor of a Storm
-    #: deployment on EC2.
-    network_hop_ms: float = 4.0
-    #: Bandwidth available for migrating queries between workers.
-    migration_bandwidth_bytes_per_sec: float = 20e6
-    #: Fixed network/coordination overhead per migration.
-    migration_fixed_seconds: float = 0.05
-    #: Worker transport backend: ``"inprocess"`` hosts every WorkerNode in
-    #: the coordinator's interpreter (the reference), ``"multiprocess"``
-    #: runs each worker in its own OS process (real multi-core matching),
-    #: ``"socket"`` reaches ``repro serve --role worker`` endpoints over
-    #: TCP (addresses from :attr:`manifest`, loopback-spawned otherwise).
-    backend: str = "inprocess"
-    #: Dispatch backend: ``"inline"`` routes on the coordinator (the
-    #: reference), ``"inprocess"`` / ``"multiprocess"`` / ``"socket"``
-    #: shard routing across ``num_dispatchers`` replicas of the routing
-    #: index — the latter two one OS process (or TCP endpoint) per shard.
-    dispatch_backend: str = "inline"
-    #: Merger backend: ``"inprocess"`` hosts the ``num_mergers`` merger
-    #: shards in the coordinator's interpreter (the reference),
-    #: ``"multiprocess"`` one OS process per shard — combined with the
-    #: multiprocess worker backend, workers ship match results directly
-    #: to the shards and the coordinator never touches a result —
-    #: ``"socket"`` one TCP endpoint per shard.
-    merger_backend: str = "inprocess"
-    #: Host manifest for the socket backends: a path to the JSON manifest
-    #: (see :func:`repro.runtime.fabric.load_manifest`) or a
-    #: :class:`~repro.runtime.fabric.ClusterManifest`.  Tiers without
-    #: manifest addresses fall back to coordinator-spawned loopback
-    #: ``serve`` processes.
-    manifest: Optional[Any] = None
-    #: Subscriber sink attached to every merger shard (null / memory /
-    #: jsonl / callback; see :mod:`repro.runtime.merge`).
-    sink: SinkSpec = field(default_factory=SinkSpec)
-    #: How many recent (query, object) keys each merger shard remembers
-    #: for deduplication.
-    merger_dedup_window: int = 100_000
-    #: Checkpoint the workers' query assignments every N tuples (0 — the
-    #: default — disables checkpointing *and* worker recovery).  Checkpoints
-    #: ride the same quiescent point as adjustment rounds: the closed-loop
-    #: driver fences all three tiers, snapshots every worker's
-    #: ``(cell, posting keyword)`` assignments into the cluster's
-    #: :class:`~repro.runtime.checkpoint.CheckpointStore`, and an
-    #: adjustment round doubles as a checkpoint.  A fault-free
-    #: checkpointed run stays byte-identical across backends
-    #: (``RunReport.recovery`` records only checkpoint counts and
-    #: recovery events, never wall-clock state).
-    checkpoint_every: int = 0
-    #: Optional JSONL path the checkpoint store also appends encoded
-    #: checkpoints to (for post-mortem inspection / cold restore).
-    checkpoint_path: Optional[str] = None
-    #: Chaos-harness fault plan: per-role
-    #: :class:`~repro.runtime.fabric.FaultSpec` entries installed into the
-    #: worker / merger / dispatcher fleets at construction (no-op on the
-    #: in-process backends, which have no fleet to kill).
-    fault_plan: Optional[FaultPlan] = None
-    #: Runtime telemetry (:mod:`repro.runtime.telemetry`): ``None`` — the
-    #: default — disables it entirely (zero hot-path work beyond one
-    #: ``is None`` check per window).  When set, every batched window is
-    #: traced route → match → merge, per-tier gauges are drained at
-    #: window boundaries and adjustment barriers, and lifecycle events
-    #: (adjustments, checkpoints, recoveries) are recorded — without
-    #: perturbing reports: telemetry only *reads* the simulated cost
-    #: accounting, and its control messages are exempt from chaos fault
-    #: counting.
-    telemetry: Optional[TelemetrySpec] = None
-    #: Hot-loop profiling (:mod:`repro.runtime.profiling`): ``None`` — the
-    #: default — disables it entirely (one ``is None`` check per window /
-    #: batch).  When set, deterministic cost counters attach to the three
-    #: hot paths (GI2 matching, GridT routing, merger dedup) and
-    #: :meth:`Cluster.profile_report` reads them coordinator-side;
-    #: ``sample=True`` additionally runs the wall-clock stack sampler in
-    #: the coordinator process.  Like telemetry, profiling never perturbs
-    #: a report — counters are pure counts outside the Definition-1
-    #: accounting.
-    profiling: Optional[ProfilingSpec] = None
-
-
-@dataclass(frozen=True)
-class MigrationRecord:
-    """Outcome of one cell (or keyword) migration between two workers.
-
-    ``queries_moved`` counts queries whose postings lived entirely inside
-    the shipped ``(cell, posting keyword)`` pairs — they leave the source
-    worker.  ``queries_copied`` counts queries that keep a remainder on
-    the source (postings in cells/keywords that stay); the target receives
-    only their shipped pairs, never the full footprint.  Both kinds cross
-    the network once, so the migration cost of Section V (``bytes_moved``,
-    ``seconds``) covers their sum.
-    """
-
-    source_worker: int
-    target_worker: int
-    cells: Tuple[CellCoord, ...]
-    queries_moved: int
-    bytes_moved: int
-    seconds: float
-    queries_copied: int = 0
-
-    @property
-    def queries_shipped(self) -> int:
-        """Total queries transferred over the network (moved + copied)."""
-        return self.queries_moved + self.queries_copied
-
-
-class _TraceStore:
-    """Compact per-period trace of dispatcher / worker costs.
-
-    Latency reconstruction needs, per tuple, the dispatcher that routed it
-    (id + charged cost) and the per-worker handling costs.  Holding one
-    Python object per tuple dominates memory at stream scale, so the store
-    keeps five parallel arrays instead: dispatcher ids/costs indexed by
-    tuple, and a flattened (worker id, worker cost) sequence sliced per
-    tuple through an offsets array.
-    """
-
-    __slots__ = (
-        "dispatcher_ids",
-        "dispatcher_costs",
-        "worker_offsets",
-        "worker_ids",
-        "worker_costs",
-    )
-
-    def __init__(self) -> None:
-        self.dispatcher_ids = array("i")
-        self.dispatcher_costs = array("d")
-        self.worker_offsets = array("l", [0])
-        self.worker_ids = array("i")
-        self.worker_costs = array("d")
-
-    def append(
-        self,
-        dispatcher_id: int,
-        dispatcher_cost: float,
-        worker_items: Iterable[Tuple[int, float]],
-    ) -> None:
-        self.dispatcher_ids.append(dispatcher_id)
-        self.dispatcher_costs.append(dispatcher_cost)
-        worker_ids = self.worker_ids
-        worker_costs = self.worker_costs
-        for worker, cost in worker_items:
-            worker_ids.append(worker)
-            worker_costs.append(cost)
-        self.worker_offsets.append(len(worker_ids))
-
-    def extend(
-        self,
-        dispatcher_ids: Iterable[int],
-        dispatcher_costs: Iterable[float],
-        worker_items_per_tuple: Iterable[Optional[Iterable[Tuple[int, float]]]],
-    ) -> None:
-        """Bulk-append one window of traces (batched engine)."""
-        self.dispatcher_ids.extend(dispatcher_ids)
-        self.dispatcher_costs.extend(dispatcher_costs)
-        worker_ids = self.worker_ids
-        worker_costs = self.worker_costs
-        offsets = self.worker_offsets
-        for items in worker_items_per_tuple:
-            if items:
-                for worker, cost in items:
-                    worker_ids.append(worker)
-                    worker_costs.append(cost)
-            offsets.append(len(worker_ids))
-
-    def __len__(self) -> int:
-        return len(self.dispatcher_ids)
-
-    def clear(self) -> None:
-        self.dispatcher_ids = array("i")
-        self.dispatcher_costs = array("d")
-        self.worker_offsets = array("l", [0])
-        self.worker_ids = array("i")
-        self.worker_costs = array("d")
-
-
-class _SpanState:
-    """Accumulator of one in-flight window's telemetry span.
-
-    The deferred-barrier engine interleaves routing with matching and
-    may flush several segments per window, so the match and merge hops
-    accumulate across flushes; the route hop is the window's residual
-    wall time (see :class:`~repro.runtime.telemetry.SpanHop`).
-    """
-
-    __slots__ = (
-        "seq",
-        "base",
-        "size",
-        "opened_ms",
-        "match_ms",
-        "merge_ms",
-        "match_started_ms",
-        "merge_started_ms",
-        "match_endpoints",
-    )
-
-    def __init__(self, seq: int, base: int, size: int, opened_ms: float) -> None:
-        self.seq = seq
-        self.base = base
-        self.size = size
-        self.opened_ms = opened_ms
-        self.match_ms = 0.0
-        self.merge_ms = 0.0
-        self.match_started_ms = -1.0
-        self.merge_started_ms = -1.0
-        self.match_endpoints = 0
+__all__ = ["Cluster"]
 
 
 class _WindowRun:
@@ -443,62 +88,6 @@ class _WindowRun:
         )
         self.ops: Optional[Dict[int, List[WorkerOp]]] = {} if round_trip else None
         self.segments: List[Tuple[List[int], Dict[int, List[int]], Dict[int, int]]] = []
-
-
-class PeriodSampleCollector:
-    """Workload sample of the current measurement period (closed loop).
-
-    The global adjuster re-runs the partitioning algorithm on "a recent
-    sample" (Section V-B).  When a global adjuster is attached to the
-    closed-loop driver, the cluster collects the period's traffic here —
-    capped so a long period cannot balloon — and hands a
-    :class:`~repro.partitioning.base.WorkloadSample` to the adjuster at
-    every window barrier, then starts over for the next period.
-    """
-
-    __slots__ = ("bounds", "max_objects", "max_queries", "_objects", "_insertions", "_deletions")
-
-    def __init__(self, bounds: Rect, *, max_objects: int = 2000, max_queries: int = 1000) -> None:
-        self.bounds = bounds
-        self.max_objects = max_objects
-        self.max_queries = max_queries
-        self._objects: List = []
-        self._insertions: List = []
-        self._deletions: List = []
-
-    def observe(self, items: Iterable[StreamTuple]) -> None:
-        """Record one window of tuples (first-N per kind per period)."""
-        objects = self._objects
-        insertions = self._insertions
-        deletions = self._deletions
-        max_objects = self.max_objects
-        max_queries = self.max_queries
-        for item in items:
-            if item.kind is TupleKind.OBJECT:
-                if len(objects) < max_objects:
-                    objects.append(item.payload)
-            elif item.kind is TupleKind.INSERT:
-                if len(insertions) < max_queries:
-                    insertions.append(item.payload.query)
-            elif len(deletions) < max_queries:
-                deletions.append(item.payload.query)
-
-    def sample(self) -> Optional[WorkloadSample]:
-        """The period's sample, or ``None`` when nothing was observed."""
-        if not self._objects and not self._insertions:
-            return None
-        return WorkloadSample(
-            objects=list(self._objects),
-            insertions=list(self._insertions),
-            deletions=list(self._deletions),
-            bounds=self.bounds,
-        )
-
-    def reset(self) -> None:
-        """Forget the period (called after each adjustment barrier)."""
-        self._objects = []
-        self._insertions = []
-        self._deletions = []
 
 
 class Cluster:
@@ -529,22 +118,41 @@ class Cluster:
         if profile_on:
             self.routing_index.profile = RouteCounters()
         self._sampler: Optional[StackSampler] = None
-        # The merge backend owns the merger tier; it is built before the
-        # transport because the multiprocess worker hosts inherit the
-        # shard inboxes at spawn (direct worker→merger result shipping).
-        self._merge: MergeBackend = make_merge(
-            self.config.merger_backend,
-            self.config.num_mergers,
-            sink=self.config.sink,
-            dedup_window=self.config.merger_dedup_window,
-            addresses=manifest.mergers if manifest else None,
-            profiling=profile_on,
+        # The two collaborators that open files come first: an unwritable
+        # path must fail before any tier has spawned a process.
+        # Checkpoint/recovery state (None disables both) ...
+        self.recovery: Optional[Recovery] = (
+            Recovery(self, self.config.checkpoint_path)
+            if self.config.checkpoint_every > 0
+            else None
         )
-        # The transport owns the worker fleet: in-process workers are real
-        # WorkerNode objects, fabric workers are per-endpoint proxies.
-        # Coordinator code only ever talks to them through the transport's
-        # exchange()/observe() surface or through the handles in self.workers.
-        try:
+        # ... and runtime telemetry: a coordinator-side hub (bounded ring
+        # + optional JSONL sink) fed by window spans, barrier-point gauge
+        # drains and lifecycle events.  None (the default) keeps every
+        # hot path on a single ``is None`` check.
+        telemetry = self.config.telemetry
+        self._telemetry: Optional[TelemetryHub] = (
+            TelemetryHub(telemetry) if telemetry is not None and telemetry.enabled else None
+        )
+        with ExitStack() as undo:  # a tier that fails to build closes the ones before it
+            if self._telemetry is not None:
+                undo.callback(self._telemetry.close)
+            # The merge backend owns the merger tier; it is built before the
+            # transport because the multiprocess worker hosts inherit the
+            # shard inboxes at spawn (direct worker→merger result shipping).
+            self._merge: MergeBackend = make_merge(
+                self.config.merger_backend,
+                self.config.num_mergers,
+                sink=self.config.sink,
+                dedup_window=self.config.merger_dedup_window,
+                addresses=manifest.mergers if manifest else None,
+                profiling=profile_on,
+            )
+            undo.callback(self._merge.close)
+            # The transport owns the worker fleet: in-process workers are real
+            # WorkerNode objects, fabric workers are per-endpoint proxies.
+            # Coordinator code only ever talks to them through the transport's
+            # exchange()/observe() surface or through the handles in self.workers.
             self.transport: Transport = make_transport(
                 self.config.backend,
                 list(range(self.config.num_workers)),
@@ -556,67 +164,33 @@ class Cluster:
                 addresses=manifest.workers if manifest else None,
                 profiling=profile_on,
             )
-        except Exception:
-            self._merge.close()
-            raise
-        self.workers: Dict[int, WorkerNode] = self.transport.workers  # type: ignore[assignment]
-        #: Match results the coordinator itself relayed to the merger tier.
-        #: Zero in the full multiprocess deployment, where workers ship
-        #: results directly to the merger shards.
-        self._result_hops = 0
-        self._traces = _TraceStore()
-        self._next_dispatcher = 0
-        self._tuples_processed = 0
-        self._objects = 0
-        self._insertions = 0
-        self._deletions = 0
-        self._matches_produced = 0
-        self._object_fanout_total = 0
-        self._query_fanout_total = 0
-        self.migrations: List[MigrationRecord] = []
-        # Window-executor cache: per-query insertion plans (reused when the
-        # deletion arrives).  Only valid while H1 is static;
-        # invalidate_routing_caches() drops it.
-        self._insertion_assignments: Dict[
-            int, Tuple[Dict[int, List[Tuple[CellCoord, str]]], int]
-        ] = {}
-        # Sharded dispatch: shard replicas route off the coordinator; the
-        # routing version stamps every out-of-band H1/H2 mutation so
-        # _ensure_dispatch_synced() knows when to re-ship a snapshot.
-        self._routing_version = 0
-        try:
+            undo.callback(self.transport.close)
+            # Sharded dispatch: shard replicas route off the coordinator; the
+            # routing version stamps every out-of-band H1/H2 mutation so
+            # _ensure_dispatch_synced() knows when to re-ship a snapshot.
+            self._routing_version = 0
             self._dispatch: Optional[DispatchBackend] = make_dispatch(
                 self.config.dispatch_backend,
                 self.config.num_dispatchers,
                 addresses=manifest.dispatchers if manifest else None,
                 profiling=profile_on,
             )
-        except Exception:
-            self.transport.close()
-            self._merge.close()
-            raise
-        # Checkpoint/recovery state: the store holds barrier-point
-        # snapshots of every worker's query assignments, the update log
-        # records which worker received each query update since the last
-        # checkpoint (so recovery can replay the dead worker's share),
-        # and the events feed RunReport.recovery.
-        self._checkpoints: Optional[CheckpointStore] = (
-            CheckpointStore(path=self.config.checkpoint_path)
-            if self.config.checkpoint_every > 0
-            else None
-        )
-        self._update_log: List[Tuple[int, Any]] = []
-        self._recovery_events: List[RecoveryEvent] = []
-        # Runtime telemetry: a coordinator-side hub (bounded ring +
-        # optional JSONL sink) fed by window spans, barrier-point gauge
-        # drains and lifecycle events.  None (the default) keeps every
-        # hot path on a single ``is None`` check.
-        telemetry = self.config.telemetry
-        self._telemetry: Optional[TelemetryHub] = (
-            TelemetryHub(telemetry) if telemetry is not None and telemetry.enabled else None
-        )
-        self._window_seq = 0
-        self._span_state: Optional[_SpanState] = None
+            undo.pop_all()
+        self.workers: Dict[int, WorkerNode] = self.transport.workers  # type: ignore[assignment]
+        #: Match results the coordinator itself relayed to the merger tier.
+        #: Zero in the full multiprocess deployment, where workers ship
+        #: results directly to the merger shards.
+        self._result_hops = 0
+        self.totals = RunTotals()
+        self._traces = TraceStore()
+        self._next_dispatcher = 0
+        self.migrations: List[migration.MigrationRecord] = []
+        # Window-executor cache: per-query insertion plans (reused when the
+        # deletion arrives).  Only valid while H1 is static;
+        # invalidate_routing_caches() drops it.
+        self._insertion_assignments: Dict[
+            int, Tuple[Dict[int, List[Tuple[CellCoord, str]]], int]
+        ] = {}
         fault_plan = self.config.fault_plan
         if fault_plan:
             self.transport.install_fault_plan(fault_plan.for_role("worker"))
@@ -706,6 +280,7 @@ class Cluster:
         if self._sharded_routing():
             return self._process_on_shards(item, slot, trace)
         dispatcher = self.dispatchers[slot]
+        totals = self.totals
         routing = self.routing_index
         workers_map = self.workers
         payload = item.payload
@@ -730,8 +305,8 @@ class Cluster:
                     produced += reply.produced_count
                     worker_costs.append((worker_id, reply.costs[0]))
                 self._deliver_results(results, produced)
-            self._objects += 1
-            self._object_fanout_total += len(batches)
+            totals.objects += 1
+            totals.object_fanout += len(batches)
         else:
             is_insert, per_worker, cells = plan_update(
                 routing, self._insertion_assignments, item
@@ -749,13 +324,13 @@ class Cluster:
             cost_model = self.config.cost_model
             if is_insert:
                 handling = cost_model.insert_handling
-                self._insertions += 1
-                self._query_fanout_total += len(batches)
+                totals.insertions += 1
+                totals.query_fanout += len(batches)
             else:
                 handling = cost_model.delete_handling
-                self._deletions += 1
+                totals.deletions += 1
             worker_costs.extend((worker_id, handling) for worker_id in batches)
-        self._tuples_processed += 1
+        totals.tuples += 1
         if trace:
             self._traces.append(dispatcher.dispatcher_id, cost, worker_costs)
         return set(batches)
@@ -766,35 +341,19 @@ class Cluster:
         *,
         trace: bool = True,
         adjust_every: int = 0,
-        local_adjuster: Optional["LocalAdjusterLike"] = None,
-        global_adjuster: Optional["GlobalAdjusterLike"] = None,
+        local_adjuster: Optional[driver.LocalAdjusterLike] = None,
+        global_adjuster: Optional[driver.GlobalAdjusterLike] = None,
     ) -> RunReport:
         """Process a tuple stream one tuple at a time.
 
-        With ``adjust_every > 0`` the stream runs through the closed-loop
-        driver: after every ``adjust_every`` tuples the attached adjusters
-        run one Section V round (see :meth:`run_adjustment`); the batched
-        closed loop is equivalence-tested against this schedule.  With
-        ``checkpoint_every > 0`` on the config the driver additionally
-        snapshots worker assignments at window barriers (and recovers
-        dead workers from the latest snapshot).
+        :func:`repro.runtime.driver.replay` with windows of one: with
+        ``adjust_every > 0`` the attached adjusters run one Section V round
+        every ``adjust_every`` tuples, and a checkpointed cluster snapshots
+        worker assignments at its barriers and recovers dead workers.
         """
-        if adjust_every > 0 or self._checkpoints is not None:
-            return self._run_with_adjustment(
-                tuples,
-                batch_size=1,
-                trace=trace,
-                adjust_every=adjust_every,
-                local_adjuster=local_adjuster,
-                global_adjuster=global_adjuster,
-            )
-        for item in tuples:
-            self.process(item, trace=trace)
+        driver.replay(self, tuples, 1, trace, adjust_every, local_adjuster, global_adjuster)
         return self.report()
 
-    # ------------------------------------------------------------------
-    # Batched execution engine
-    # ------------------------------------------------------------------
     def run_batched(
         self,
         tuples: Iterable[StreamTuple],
@@ -802,420 +361,97 @@ class Cluster:
         batch_size: int = 256,
         trace: bool = True,
         adjust_every: int = 0,
-        local_adjuster: Optional["LocalAdjusterLike"] = None,
-        global_adjuster: Optional["GlobalAdjusterLike"] = None,
+        local_adjuster: Optional[driver.LocalAdjusterLike] = None,
+        global_adjuster: Optional[driver.GlobalAdjusterLike] = None,
     ) -> RunReport:
         """Process a tuple stream in windows of ``batch_size`` tuples.
 
-        Semantically equivalent to :meth:`run` (same throughput, loads,
-        fanout and match counts); see the module docstring for what the
-        batched engine amortises.  With ``adjust_every > 0`` the closed
-        loop runs Section V adjustment rounds at window barriers: windows
-        are clipped so none spans an adjustment point, hence the schedule
-        — and every simulated outcome — matches the per-tuple path with
-        the same ``adjust_every``.  Checkpointed runs also use the
-        closed-loop driver (checkpoints need the same window barriers;
-        recovery's at-most-one-lost-window guarantee rules out the
-        pipelined overlap below).
+        Semantically equivalent to :meth:`run` (``batch_size <= 1`` *is*
+        the per-tuple replay): the same loop, its windows clipped at the
+        barriers, so the schedule — and every simulated outcome — matches.
+        A run with neither cadence on a pipelining dispatch backend takes
+        the pipelined sharded replay instead (barriers need a quiescent
+        point between windows, and recovery's at-most-one-lost-window
+        guarantee rules out its overlap).
         """
-        if adjust_every > 0 or self._checkpoints is not None:
-            return self._run_with_adjustment(
-                tuples,
-                batch_size=batch_size,
-                trace=trace,
-                adjust_every=adjust_every,
-                local_adjuster=local_adjuster,
-                global_adjuster=global_adjuster,
-            )
-        if batch_size <= 1:
-            return self.run(tuples, trace=trace)
         dispatch = self._dispatch
-        if dispatch is None or not dispatch.supports_pipelining or not self._sharded_routing():
-            for window in iter_windows(tuples, batch_size):
-                self.process_batch(window, trace=trace)
-            return self.report()
-        # Pipelined sharded replay: collect window K's routing, submit
-        # window K+1 to the shards, then run worker matching of K — shard
-        # routing of the next window overlaps worker matching of the
-        # current one (dispatcher→worker pipelining).  At most one window
-        # is ever in flight, and K's worker ops still ship before K+1's.
-        pending: Optional[Tuple[Sequence[StreamTuple], int, int]] = None
-        for window in iter_windows(tuples, batch_size):
-            if pending is not None:
-                items, prev_base, prev_seq = pending
-                routed = dispatch.collect_window(prev_seq)
-            base = self._reserve_slots(len(window))
-            seq = self._submit_window(window, base)
-            if pending is not None:
-                self._span_open(len(items))
-                self._execute_window(items, prev_base, routed, trace)
-                self._span_close()
-            pending = (window, base, seq)
-        if pending is not None:
-            items, base, seq = pending
-            routed = dispatch.collect_window(seq)
-            self._span_open(len(items))
-            self._execute_window(items, base, routed, trace)
-            self._span_close()
-        return self.report()
-
-    # ------------------------------------------------------------------
-    # Closed-loop dynamic adjustment driver (Section V)
-    # ------------------------------------------------------------------
-    def _run_with_adjustment(
-        self,
-        tuples: Iterable[StreamTuple],
-        *,
-        batch_size: int,
-        trace: bool,
-        adjust_every: int,
-        local_adjuster: Optional["LocalAdjusterLike"],
-        global_adjuster: Optional["GlobalAdjusterLike"],
-    ) -> RunReport:
-        """Replay the stream with adjustment rounds every ``adjust_every`` tuples.
-
-        Both execution paths share this driver: ``batch_size <= 1`` steps
-        tuple by tuple, larger sizes use :meth:`process_batch` with windows
-        clipped at the adjustment boundary, so an adjustment round always
-        sits on a window barrier and fires at the exact same stream
-        position under either engine.
-
-        Checkpointing rides the same loop as a second cadence: windows
-        are additionally clipped at ``checkpoint_every`` boundaries, a
-        checkpoint is taken at stream start and at every boundary, and an
-        adjustment round doubles as a checkpoint (both counters reset —
-        the adjusters may have migrated assignments, so the pre-round
-        snapshot is stale anyway).  Every window and every round runs
-        under worker-death recovery (:meth:`_recover_from`): at most the
-        in-flight window is lost.
-        """
-        checkpoint_every = (
-            self.config.checkpoint_every if self._checkpoints is not None else 0
-        )
-        if adjust_every <= 0 and checkpoint_every <= 0:
-            raise ValueError("adjust_every must be positive")
-        collector = (
-            PeriodSampleCollector(self.bounds) if global_adjuster is not None else None
-        )
-        iterator = iter(tuples)
-        batched = batch_size > 1
-        since_adjustment = 0
-        since_checkpoint = 0
-        if self._checkpoints is not None and not len(self._checkpoints):
-            self._checkpoint_recovering()
-        while True:
-            if batched:
-                take = batch_size
-                if adjust_every > 0:
-                    remaining = adjust_every - since_adjustment
-                    take = remaining if remaining < take else take
-                if checkpoint_every > 0:
-                    remaining = checkpoint_every - since_checkpoint
-                    take = remaining if remaining < take else take
-                window: Sequence[StreamTuple] = list(islice(iterator, take))
-                if not window:
-                    break
-            else:
-                item = next(iterator, None)
-                if item is None:
-                    break
-                window = (item,)
-            self._process_window_recovering(window, trace, batched)
-            if collector is not None:
-                collector.observe(window)
-            since_adjustment += len(window)
-            since_checkpoint += len(window)
-            if adjust_every > 0 and since_adjustment >= adjust_every:
-                self._run_adjustment_recovering(
-                    local_adjuster, global_adjuster, collector
-                )
-                if collector is not None:
-                    collector.reset()
-                since_adjustment = 0
-                since_checkpoint = 0
-            elif checkpoint_every > 0 and since_checkpoint >= checkpoint_every:
-                self._checkpoint_recovering()
-                since_checkpoint = 0
-        return self.report()
-
-    def _process_window_recovering(
-        self, window: Sequence[StreamTuple], trace: bool, batched: bool
-    ) -> None:
-        """Process one window, recovering a dead worker on the way.
-
-        A worker death surfaces from the transport exchange as a
-        :class:`TransportError` with ``died=True``; the window in flight
-        is abandoned (its tuples are the at-most-one-window loss the
-        recovery contract permits — accounted in the
-        :class:`~repro.runtime.checkpoint.RecoveryEvent`), the dead
-        worker's partition is re-installed from the latest checkpoint and
-        the run resumes with the next window.
-        """
-        try:
-            if batched:
-                self.process_batch(window, trace=trace)
-            else:
-                self.process(window[0], trace=trace)
-        except TransportError as exc:
-            self._recover_from(exc, window, during_adjustment=False)
-
-    def _run_adjustment_recovering(
-        self,
-        local_adjuster: Optional["LocalAdjusterLike"],
-        global_adjuster: Optional["GlobalAdjusterLike"],
-        collector: Optional[PeriodSampleCollector],
-    ) -> None:
-        """One adjustment round under recovery; doubles as a checkpoint.
-
-        A worker dying at the round's barrier fence (or under an
-        adjuster's migrations) aborts the rest of the round — the
-        recovery itself rebalances the lost partition, and no window was
-        in flight, so nothing is lost.
-        """
-        try:
-            self.run_adjustment(
-                local_adjuster=local_adjuster,
-                global_adjuster=global_adjuster,
-                sample=collector.sample() if collector is not None else None,
-            )
-        except TransportError as exc:
-            self._recover_from(exc, (), during_adjustment=True)
-        else:
-            if self._checkpoints is not None:
-                self._take_checkpoint()
-
-    def _checkpoint_recovering(self) -> None:
-        """Take one scheduled checkpoint, recovering a death at its fence."""
-        try:
-            self.checkpoint_now()
-        except TransportError as exc:
-            self._recover_from(exc, (), during_adjustment=True)
-
-    @barrier_context
-    def checkpoint_now(self) -> None:
-        """Snapshot every worker's query assignments at a quiescent point.
-
-        Fences all three tiers exactly like :meth:`run_adjustment` (so
-        every shipped window is applied and every in-flight result is
-        merged), then records one
-        :class:`~repro.runtime.checkpoint.Checkpoint` in the store and
-        clears the update log — the log only ever spans
-        checkpoint-to-checkpoint.
-        """
-        if self._checkpoints is None:
-            raise ValueError("checkpointing is disabled (checkpoint_every == 0)")
-        self.transport.barrier()
-        if self._dispatch is not None:
-            self._dispatch.barrier()
-        self._merge.barrier()
-        self._take_checkpoint()
-
-    def _take_checkpoint(self) -> None:
-        """Record the fleet's assignments (caller guarantees quiescence)."""
-        store = self._checkpoints
-        assert store is not None
-        store.record(self.transport.snapshot_assignments(), self._tuples_processed)
-        self._update_log.clear()
-        self._record_lifecycle(
-            "checkpoint", detail="tuples=%d" % self._tuples_processed
-        )
-
-    def _recover_from(
-        self,
-        exc: TransportError,
-        window: Sequence[StreamTuple],
-        *,
-        during_adjustment: bool,
-    ) -> None:
-        """Recover from one worker death, or re-raise anything else.
-
-        Only a *worker* endpoint death is recoverable, and only when a
-        checkpoint exists to restore from and at least one worker
-        survives; every other transport failure (merger/dispatcher death,
-        remote exceptions, a second fault during recovery) propagates.
-        The abandoned window's object/query ids are recorded on the
-        :class:`~repro.runtime.checkpoint.RecoveryEvent` so tests (and
-        delivery accounting) can subtract exactly the lost in-flight
-        work.  A fresh checkpoint is taken immediately after recovery —
-        the restored assignment is the new baseline.
-        """
-        store = self._checkpoints
-        worker_id = exc.endpoint_id
         if (
-            store is None
-            or store.latest() is None
-            or not exc.died
-            or exc.label != "worker"
-            or worker_id is None
-            or worker_id not in self.workers
-            or len(self.workers) <= 1
+            batch_size > 1
+            and adjust_every <= 0
+            and self.recovery is None
+            and dispatch is not None
+            and dispatch.supports_pipelining
+            and self._sharded_routing()
         ):
-            raise exc
-        lost_object_ids: List[int] = []
-        lost_query_ids: List[int] = []
-        for item in window:
-            if item.kind is TupleKind.OBJECT:
-                lost_object_ids.append(item.payload.object_id)
-            else:
-                lost_query_ids.append(item.payload.query_id)
-        self.recover_worker(
-            worker_id,
-            lost_tuples=len(window),
-            lost_object_ids=tuple(lost_object_ids),
-            lost_query_ids=tuple(lost_query_ids),
-            during_adjustment=during_adjustment,
-        )
-        self._take_checkpoint()
+            self._replay_pipelined(tuples, batch_size, trace)
+        else:
+            driver.replay(
+                self, tuples, max(1, batch_size), trace,
+                adjust_every, local_adjuster, global_adjuster,
+            )
+        return self.report()
 
-    @mutates_routing
-    def recover_worker(
-        self,
-        worker_id: int,
-        *,
-        lost_tuples: int = 0,
-        lost_object_ids: Tuple[int, ...] = (),
-        lost_query_ids: Tuple[int, ...] = (),
-        during_adjustment: bool = False,
-    ) -> Optional[RecoveryEvent]:
-        """Re-install a dead worker's partition onto a survivor.
+    def _replay_pipelined(self, tuples: Iterable[StreamTuple], size: int, trace: bool) -> None:
+        """Pipelined sharded replay: route window K+1 while K matches.
 
-        The recovery protocol of the tentpole: discard the dead endpoint
-        (fencing and re-aligning the survivors via the fleet's resync
-        barrier), re-install the worker's checkpointed query assignments
-        onto the lowest-id survivor through the migration machinery
-        (:meth:`WorkerNode.install_queries` extends registrations, so a
-        query split across the dead worker and the target merges its
-        postings), replay the update log entries addressed to the dead
-        worker since that checkpoint, and point every routing cell the
-        dead worker owned — H1 defaults, text-split term owners and H2
-        posting owners alike — at the target.  Idempotent: recovering an
-        already-recovered (or never-known) worker returns ``None``.
+        Collect window K's routing, submit window K+1 to the shards, then
+        run worker matching of K — shard routing of the next window
+        overlaps worker matching of the current one (dispatcher→worker
+        pipelining).  At most one window is ever in flight, and K's
+        worker ops still ship before K+1's.
         """
-        store = self._checkpoints
-        if store is None:
-            raise ValueError("checkpointing is disabled (checkpoint_every == 0)")
-        checkpoint = store.latest()
-        if checkpoint is None:
-            raise ValueError("no checkpoint to recover from")
-        if worker_id not in self.workers:
-            return None
-        self._record_lifecycle(
-            "endpoint_death",
-            tier="worker",
-            endpoint_id=worker_id,
-            detail="lost_tuples=%d" % lost_tuples,
-        )
-        self.transport.discard_worker(worker_id)
-        survivors = sorted(self.workers)
-        if not survivors:
-            raise TransportError("no surviving workers to recover onto")
-        target = survivors[0]
-        target_worker = self.workers[target]
-        assignments = list(checkpoint.assignments.get(worker_id, ()))
-        reinstalled = target_worker.install_queries(assignments) if assignments else 0
-        # Replay the dead worker's post-checkpoint updates in stream
-        # order, re-keying them to the target (so a later recovery of the
-        # *target* replays them again).
-        replayed = 0
-        new_log: List[Tuple[int, Any]] = []
-        for owner, entry in self._update_log:
-            if owner != worker_id:
-                new_log.append((owner, entry))
-                continue
-            replayed += 1
-            if isinstance(entry, QueryAssignment):
-                target_worker.install_queries([entry])
-            else:
-                self.transport.exchange({target: RouteBatch((DeleteById(entry),))})
-            new_log.append((target, entry))
-        self._update_log[:] = new_log
-        # Routing remap: every cell that still names the dead worker —
-        # as H1 default, term owner or H2 posting owner — moves to the
-        # target wholesale.
-        routing = self.routing_index
-        coords = [
-            coord for coord, cell in routing.cells().items() if worker_id in cell.workers()
-        ]
-        routing.migrate_cells(coords, worker_id, target)
-        cells_remapped = len(coords)
-        self.invalidate_routing_caches()
-        event = RecoveryEvent(
-            worker_id=worker_id,
-            target_worker=target,
-            epoch=checkpoint.epoch,
-            queries_reinstalled=reinstalled,
-            updates_replayed=replayed,
-            cells_remapped=cells_remapped,
-            lost_tuples=lost_tuples,
-            lost_object_ids=lost_object_ids,
-            lost_query_ids=lost_query_ids,
-            during_adjustment=during_adjustment,
-        )
-        self._recovery_events.append(event)
-        self._record_lifecycle(
-            "recovery",
-            tier="worker",
-            endpoint_id=worker_id,
-            epoch=checkpoint.epoch,
-            detail="worker %d -> %d: %d queries reinstalled, %d updates replayed, "
-            "%d cells remapped"
-            % (worker_id, target, reinstalled, replayed, cells_remapped),
-        )
-        return event
+        dispatch = self._dispatch
+        assert dispatch is not None
+        in_flight: Optional[Tuple[Sequence[StreamTuple], int, int]] = None
+        # The trailing None drains the last submitted window.
+        for window in chain(iter_windows(tuples, size), (None,)):
+            routed = dispatch.collect_window(in_flight[2]) if in_flight is not None else None
+            submitted = None
+            if window is not None:
+                base = self._reserve_slots(len(window))
+                submitted = (window, base, self._submit_window(window, base))
+            if in_flight is not None:
+                items, base, _ = in_flight
+                self._span_open(len(items))
+                self._execute_window(items, base, routed, trace)
+                self._span_close()
+            in_flight = submitted
 
-    @barrier_context
-    def run_adjustment(
-        self,
-        *,
-        local_adjuster: Optional["LocalAdjusterLike"] = None,
-        global_adjuster: Optional["GlobalAdjusterLike"] = None,
-        sample: Optional[WorkloadSample] = None,
-        reset_loads: bool = True,
-    ) -> None:
-        """One Section V adjustment round at a window barrier.
+    # ------------------------------------------------------------------
+    # Barriers: the Section V round, checkpoints, worker recovery
+    # ------------------------------------------------------------------
+    def fence(self) -> int:
+        """Quiesce all three tiers; returns the transport's barrier epoch.
 
-        Runs the local adjuster (``adjust(cluster)``) and/or the global
-        adjuster (``adjust(cluster, sample)`` — a pending repartition is
-        finalised, otherwise the period sample is checked), then starts a
-        new load-measurement period so the next round observes only
-        post-adjustment traffic.  The invalidation contract is enforced
-        by the mutators themselves: every H1 mutation the adjusters can
-        perform (``migrate_cells``, ``migrate_keywords``,
-        ``replace_routing_index``, a Phase I split) bumps the routing
-        version and drops the insertion-plan cache, so an untriggered
-        round leaves the plan cache warm.  Run-level accounting (busy
-        time, traces, match counts) is *not* cleared — the RunReport of a
-        closed-loop run covers the whole stream; use :meth:`reset_period`
-        for a full reset.
-
-        The round opens with the transport's ``AdjustBarrier`` fence:
-        every worker acknowledges the new epoch before any adjuster reads
-        or mutates state, so on the multiprocess backend all previously
-        shipped window work is guaranteed applied on every worker process.
-        Sharded dispatch shards are fenced with the same epoch message, so
-        no shard is still routing when the adjusters start mutating H1;
-        the mutations themselves bump the routing version and the replicas
-        re-sync before the next routed window.
+        When this returns every worker has applied every shipped window,
+        no dispatch shard is still routing and every result shipped
+        before (by the coordinator or directly by a worker) is
+        deduplicated — what adjustment rounds and checkpoints open with.
         """
         epoch = self.transport.barrier()
         if self._dispatch is not None:
             self._dispatch.barrier()
-        # Fence the merger shards too: every result shipped before the
-        # barrier (by the coordinator or directly by a worker) is
-        # deduplicated before the adjusters snapshot merger state.
         self._merge.barrier()
-        if self._telemetry is not None:
-            # The fence is the one point where every tier is quiescent, so
-            # the gauges drained here are an exact cross-tier cut.
-            self._record_lifecycle("adjustment", epoch=epoch)
-            self._drain_gauges(self._window_seq)
-        if local_adjuster is not None:
-            local_adjuster.adjust(self)
-        if global_adjuster is not None:
-            global_adjuster.adjust(self, sample)
-        if reset_loads:
-            self.reset_load_measurement()
+        return epoch
 
+    run_adjustment = driver.run_adjustment
+
+    def _checkpointing(self) -> Recovery:
+        if self.recovery is None:
+            raise ValueError("checkpointing is disabled (checkpoint_every == 0)")
+        return self.recovery
+
+    def checkpoint_now(self) -> None:
+        """Fence every tier and snapshot the workers (:meth:`Recovery.checkpoint_now`)."""
+        self._checkpointing().checkpoint_now()
+
+    def recover_worker(self, worker_id: int, **lost: Any) -> Optional[RecoveryEvent]:
+        """Re-install a dead worker's partition (:meth:`Recovery.recover_worker`)."""
+        return self._checkpointing().recover_worker(worker_id, **lost)
+
+    # ------------------------------------------------------------------
+    # The window executor (batched driver)
+    # ------------------------------------------------------------------
     def process_batch(self, items: Sequence[StreamTuple], *, trace: bool = True) -> None:
         """Process one window of tuples through the batched engine.
 
@@ -1420,9 +656,10 @@ class Cluster:
             replies = self._exchange(window.ops)
             for positions, groups, offsets in window.segments:
                 self._settle_segment(replies, positions, groups, offsets, window.trace_workers)
-        self._objects += window_objects
-        self._tuples_processed += window_objects
-        self._object_fanout_total += window_fanout
+        totals = self.totals
+        totals.objects += window_objects
+        totals.tuples += window_objects
+        totals.object_fanout += window_fanout
         for slot in range(num_dispatchers):
             if dispatcher_objects[slot]:
                 dispatchers[slot].account_objects(
@@ -1475,6 +712,7 @@ class Cluster:
         accounting below and the update log stay at flush time in both.
         """
         workers_map = self.workers
+        totals = self.totals
         num_dispatchers = len(self.dispatchers)
         tuple_cost = DispatcherLedger.TUPLE_COST
         probe_cost = DispatcherLedger.PROBE_COST
@@ -1498,7 +736,7 @@ class Cluster:
                     batch_ops[worker_id] = [op]
                 else:
                     ops.append(op)
-        span = self._span_state
+        span = self._telemetry.span if self._telemetry is not None else None
         if span is not None and len(batch_ops) > span.match_endpoints:
             span.match_endpoints = len(batch_ops)
         if window.ops is None:
@@ -1540,8 +778,8 @@ class Cluster:
                     handled += 1
                     if worker_items is not None:
                         worker_items.append((worker_id, insert_cost))
-                self._insertions += 1
-                self._query_fanout_total += handled
+                totals.insertions += 1
+                totals.query_fanout += handled
             else:
                 window.deletions[slot] += 1
                 for worker_id in per_worker:
@@ -1549,8 +787,8 @@ class Cluster:
                         continue
                     if worker_items is not None:
                         worker_items.append((worker_id, delete_cost))
-                self._deletions += 1
-            self._tuples_processed += 1
+                totals.deletions += 1
+            totals.tuples += 1
             if trace_costs is not None:
                 trace_costs[position] = cost
                 assert trace_workers is not None
@@ -1561,26 +799,25 @@ class Cluster:
     ) -> Iterator[Tuple[int, WorkerOp]]:
         """One planned update's op per live destination worker, in plan order.
 
-        Shared by both drivers; each yielded op is also appended to the
-        update log (when checkpointing) for replay onto a recovery target.
+        Shared by both drivers; each yielded op is also noted in the
+        recovery update log (when checkpointing) for replay onto a
+        recovery target.
         """
         workers_map = self.workers
-        log = self._update_log if self._checkpoints is not None else None
+        log = self.recovery.log_update if self.recovery is not None else None
         if is_insert:
             query = payload.query
             for worker_id, pairs in per_worker.items():
                 if worker_id in workers_map:
                     if log is not None:
-                        # Replayed via install_queries, which extends an
-                        # existing registration.
-                        log.append((worker_id, QueryAssignment(query, tuple(pairs), True)))
+                        log(worker_id, QueryAssignment(query, tuple(pairs), True))
                     yield worker_id, InsertPairs(query, pairs)
         else:
             op = DeleteById(payload.query_id)
             for worker_id in per_worker:
                 if worker_id in workers_map:
                     if log is not None:
-                        log.append((worker_id, op.query_id))
+                        log(worker_id, op.query_id)
                     yield worker_id, op
 
     def _settle_segment(
@@ -1622,10 +859,10 @@ class Cluster:
     ) -> Dict[int, List[Optional[MatchResults]]]:
         """One transport exchange, timed into the open window span's match hop."""
         batches = {worker_id: RouteBatch(worker_ops) for worker_id, worker_ops in ops.items()}
-        span = self._span_state
         hub = self._telemetry
-        if span is None or hub is None:
+        if hub is None or hub.span is None:
             return self.transport.exchange(batches)
+        span = hub.span
         started_ms = hub.now_ms()
         replies = self.transport.exchange(batches)
         if span.match_started_ms < 0:
@@ -1646,71 +883,35 @@ class Cluster:
         results count against :attr:`result_hops` — the coordinator-hop
         counter the direct-shipping tests pin to zero.
         """
-        self._matches_produced += produced
+        self.totals.matches_produced += produced
         if results:
             self._result_hops += len(results)
-            span = self._span_state
-            if span is not None and self._telemetry is not None:
-                started_ms = self._telemetry.now_ms()
+            hub = self._telemetry
+            if hub is None or hub.span is None:
+                self._merge.deliver(results)
+            else:
+                span = hub.span
+                started_ms = hub.now_ms()
                 self._merge.deliver(results)
                 if span.merge_started_ms < 0:
                     span.merge_started_ms = started_ms
-                span.merge_ms += self._telemetry.now_ms() - started_ms
-            else:
-                self._merge.deliver(results)
+                span.merge_ms += hub.now_ms() - started_ms
 
     # ------------------------------------------------------------------
-    # Runtime telemetry (window spans, gauge drains, lifecycle events)
+    # Observation: one snapshot, and its telemetry / report / profile views
     # ------------------------------------------------------------------
     def _span_open(self, size: int) -> None:
         """Start tracing one batched window (no-op when telemetry is off)."""
-        hub = self._telemetry
-        if hub is None:
-            return
-        self._window_seq += 1
-        self._span_state = _SpanState(
-            self._window_seq, self._tuples_processed, size, hub.now_ms()
-        )
+        if self._telemetry is not None:
+            self._telemetry.open_span(self.totals.tuples, size)
 
     def _span_close(self) -> None:
-        """Record the in-flight window's span and drain per-tier gauges.
-
-        The route hop is the window's residual wall time after the
-        measured match and merge hops: inline routing interleaves with
-        the arrival scan and sharded routing overlaps the previous
-        window's matching, so the residual is the honest attribution on
-        both engines.
-        """
+        """Record the in-flight window's span; drain the gauges when due."""
         hub = self._telemetry
-        state = self._span_state
-        if hub is None or state is None:
-            return
-        self._span_state = None
-        closed_ms = hub.now_ms()
-        total_ms = closed_ms - state.opened_ms
-        route_ms = max(0.0, total_ms - state.match_ms - state.merge_ms)
-        hops = (
-            SpanHop("route", "dispatcher", state.opened_ms, route_ms, len(self.dispatchers)),
-            SpanHop(
-                "match",
-                "worker",
-                state.match_started_ms if state.match_started_ms >= 0 else closed_ms,
-                state.match_ms,
-                state.match_endpoints,
-            ),
-            SpanHop(
-                "merge",
-                "merger",
-                state.merge_started_ms if state.merge_started_ms >= 0 else closed_ms,
-                state.merge_ms,
-                self._merge.num_mergers,
-            ),
-        )
-        hub.record(WindowSpan(state.seq, state.base, state.size, hops))
-        if state.seq % max(1, hub.spec.sample_every) == 0:
-            self._drain_gauges(state.seq)
+        if hub is not None and hub.close_span(len(self.dispatchers), self._merge.num_mergers):
+            self._drain_gauges()
 
-    def _observe(self) -> _Snapshot:
+    def _observe(self) -> Snapshot:
         """Observe every endpoint once: workers, dispatch shards, mergers.
 
         The one read of remote state — one ``Observe`` round trip per
@@ -1721,7 +922,7 @@ class Cluster:
         """
         workers = self.transport.observe()
         shards = self._dispatch.observe() if self._dispatch is not None else {}
-        return workers, shards, self._merge.observe()
+        return Snapshot(workers, shards, self._merge.observe())
 
     def wire_stats(self) -> Dict[str, Dict[int, WireStats]]:
         """Coordinator-side channel traffic per out-of-process tier.
@@ -1739,66 +940,20 @@ class Cluster:
         }
         return {tier: stats for tier, stats in tiers.items() if stats}
 
-    def _drain_gauges(self, seq: int, snapshot: Optional[_Snapshot] = None) -> None:
-        """Record one gauge sample per endpoint of every tier in the hub.
-
-        Worker and merger gauges are their observations.  Dispatcher
-        gauges overlay the coordinator's authoritative Definition-1
-        busy accounting on the shard replicas' memory/cache depth, and
-        the coordinator itself contributes a sample (its relayed-result
-        depth).
-        """
+    def _drain_gauges(self, observed: Optional[Snapshot] = None) -> None:
+        """Record one gauge sample per endpoint (no-op when telemetry is off)."""
         hub = self._telemetry
-        if hub is None:
-            return
-        workers, shards, mergers = snapshot if snapshot is not None else self._observe()
-        samples: List[GaugeSample] = [gauge_sample(o) for o in workers.values()]
-        for dispatcher in self.dispatchers:
-            shard = shards.get(dispatcher.dispatcher_id)
-            samples.append(
-                GaugeSample(
-                    tier="dispatcher",
-                    endpoint_id=dispatcher.dispatcher_id,
-                    busy_cost=dispatcher.busy_cost,
-                    memory_bytes=shard.memory_bytes if shard is not None else 0,
-                    depth=shard.depth if shard is not None else 0,
-                )
+        if hub is not None:
+            hub.drain_gauges(
+                observed if observed is not None else self._observe(),
+                {d.dispatcher_id: d.busy_cost for d in self.dispatchers},
+                self._result_hops,
             )
-        samples.extend(gauge_sample(o) for o in mergers.values())
-        samples.append(
-            GaugeSample(
-                tier="coordinator",
-                endpoint_id=0,
-                busy_cost=0.0,
-                memory_bytes=0,
-                depth=self._result_hops,
-            )
-        )
-        hub.record_gauges(samples, seq)
 
-    def _record_lifecycle(
-        self,
-        kind: str,
-        *,
-        epoch: int = -1,
-        tier: str = "",
-        endpoint_id: int = -1,
-        detail: str = "",
-    ) -> None:
-        hub = self._telemetry
-        if hub is None:
-            return
-        hub.record(
-            LifecycleEvent(
-                kind=kind,
-                seq=self._window_seq,
-                at_ms=hub.now_ms(),
-                detail=detail,
-                epoch=epoch,
-                tier=tier,
-                endpoint_id=endpoint_id,
-            )
-        )
+    def _record_lifecycle(self, kind: str, **fields: Any) -> None:
+        """Record one lifecycle event (no-op when telemetry is off)."""
+        if self._telemetry is not None:
+            self._telemetry.lifecycle(kind, **fields)
 
     def telemetry_events(self) -> List[TelemetryEvent]:
         """The telemetry ring's retained events (empty when disabled)."""
@@ -1843,233 +998,53 @@ class Cluster:
         """Drain every merger shard's sink buffer (memory sinks)."""
         return self._merge.drain_sinks()
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def worker_stats(self) -> Dict[int, Observation]:
-        """One :class:`Observation` per worker, fetched over the transport."""
-        return self.transport.observe()
-
-    def saturation_throughput(
-        self,
-        *,
-        _stats: Optional[Dict[int, Observation]] = None,
-        _merger_stats: Optional[Dict[int, Observation]] = None,
-    ) -> float:
+    def saturation_throughput(self) -> float:
         """Tuples per second when the bottleneck process is saturated."""
-        if self._tuples_processed == 0:
-            return 0.0
-        stats = _stats if _stats is not None else self.worker_stats()
-        merger_stats = _merger_stats if _merger_stats is not None else self.merger_stats()
-        unit = self.config.cost_unit_seconds
-        busy_seconds = [d.busy_cost * unit for d in self.dispatchers]
-        busy_seconds += [s.busy_cost * unit for s in stats.values()]
-        busy_seconds += [m.busy_cost * unit for m in merger_stats.values()]
-        bottleneck = max(busy_seconds) if busy_seconds else 0.0
-        if bottleneck <= 0.0:
-            return 0.0
-        return self._tuples_processed / bottleneck
+        return metrics.saturation_throughput(
+            self.config, self.totals, self.dispatchers, self._observe()
+        )
 
-    def _process_utilizations(
-        self, input_rate: float, stats: Dict[int, Observation]
-    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """Utilisation of each dispatcher and worker at ``input_rate`` tuples/s."""
-        if self._tuples_processed == 0 or input_rate <= 0.0:
-            return {}, {}
-        unit = self.config.cost_unit_seconds
-        wall_seconds = self._tuples_processed / input_rate
-        dispatcher_util = {
-            d.dispatcher_id: (d.busy_cost * unit) / wall_seconds for d in self.dispatchers
-        }
-        worker_util = {
-            worker_id: (s.busy_cost * unit) / wall_seconds for worker_id, s in stats.items()
-        }
-        return dispatcher_util, worker_util
-
-    def latency_tracker(
-        self,
-        input_rate: Optional[float] = None,
-        *,
-        _stats: Optional[Dict[int, Observation]] = None,
-        _merger_stats: Optional[Dict[int, Observation]] = None,
-    ) -> LatencyTracker:
-        """Per-tuple latencies (ms) at the given input rate.
-
-        Defaults to ``latency_load_fraction`` of the saturation throughput,
-        matching the paper's "moderate input speed" protocol for Figure 8.
-        """
-        tracker = LatencyTracker()
-        traces = self._traces
-        count = len(traces)
-        if count == 0:
-            return tracker
-        stats = _stats if _stats is not None else self.worker_stats()
-        if input_rate is None:
-            input_rate = self.config.latency_load_fraction * self.saturation_throughput(
-                _stats=stats, _merger_stats=_merger_stats
-            )
-        dispatcher_util, worker_util = self._process_utilizations(input_rate, stats)
-        unit_ms = self.config.cost_unit_seconds * 1000.0
-        hop_ms = self.config.network_hop_ms
-        dispatcher_ids = traces.dispatcher_ids
-        dispatcher_costs = traces.dispatcher_costs
-        offsets = traces.worker_offsets
-        worker_ids = traces.worker_ids
-        worker_costs = traces.worker_costs
-        dispatcher_util_get = dispatcher_util.get
-        worker_util_get = worker_util.get
-        record = tracker.record
-        # A run charges a few hundred distinct (endpoint, cost) pairs over
-        # tens of thousands of tuples: price each pair once.
-        dispatcher_priced: Dict[Tuple[int, float], float] = {}
-        worker_priced: Dict[Tuple[int, float], float] = {}
-        for index in range(count):
-            key = (dispatcher_ids[index], dispatcher_costs[index])
-            dispatcher_ms = dispatcher_priced.get(key)
-            if dispatcher_ms is None:
-                dispatcher_ms = dispatcher_priced[key] = utilization_latency(
-                    hop_ms + key[1] * unit_ms, dispatcher_util_get(key[0], 0.0)
-                )
-            worker_ms = 0.0
-            for slot in range(offsets[index], offsets[index + 1]):
-                key = (worker_ids[slot], worker_costs[slot])
-                candidate = worker_priced.get(key)
-                if candidate is None:
-                    candidate = worker_priced[key] = utilization_latency(
-                        hop_ms + key[1] * unit_ms, worker_util_get(key[0], 0.0)
-                    )
-                if candidate > worker_ms:
-                    worker_ms = candidate
-            record(dispatcher_ms + worker_ms)
-        return tracker
+    def latency_tracker(self, input_rate: Optional[float] = None) -> LatencyTracker:
+        """Per-tuple latencies (ms) at ``input_rate`` (default: the report's)."""
+        return metrics.latency_tracker(
+            self.config, self.totals, self._traces, self.dispatchers, self._observe(), input_rate
+        )
 
     def worker_load_report(self) -> LoadReport:
         return LoadReport(
-            worker_loads={
-                worker_id: s.load for worker_id, s in self.worker_stats().items()
-            }
+            worker_loads={w: s.load for w, s in self.transport.observe().items()}
         )
 
-    def dispatcher_memory_report(
-        self, *, _shards: Optional[Dict[int, Observation]] = None
-    ) -> Dict[int, int]:
-        """Routing-structure bytes per dispatcher (Figure 9).
-
-        Inline dispatch charges the analytic estimate of the coordinator's
-        index once per simulated dispatcher, as the paper does.  Sharded
-        dispatch *measures* each shard's replica where it lives (after a
-        re-sync if the routing version moved) — byte-identical values when
-        the replicas are in sync, which ``tests/test_dispatch.py`` pins.
-        """
-        dispatch = self._dispatch
-        if dispatch is not None:
-            if _shards is None or dispatch.synced_version != self._routing_version:
-                self._ensure_dispatch_synced()
-                _shards = dispatch.observe()
-            return {shard: o.memory_bytes for shard, o in _shards.items()}
-        # Every inline dispatcher references the same routing index, so
-        # the O(cells x postings) estimate is computed once and fanned out.
-        estimate = self.routing_index.memory_bytes()
-        return {d.dispatcher_id: estimate for d in self.dispatchers}
-
-    def _delivery_latency(
-        self, input_rate: float, merger_stats: Dict[int, Observation]
-    ) -> Tuple[float, LatencyBuckets]:
-        """End-to-end notification latency of the delivered results.
-
-        Models the merger hop the same way tuple latency models the
-        dispatcher/worker hops: each delivery pays the network hop plus
-        the Definition-1 ``RESULT_COST`` service time, inflated by its
-        merger's utilisation at ``input_rate``.  Every quantity derives
-        from the per-merger stats (merged sorted by merger id), so the
-        numbers are identical whichever backend hosts the shards.
-        """
-        delivered_total = sum(s.delivered for s in merger_stats.values())
-        if delivered_total == 0 or self._tuples_processed == 0 or input_rate <= 0.0:
-            return 0.0, LatencyBuckets(1.0, 0.0, 0.0)
-        unit = self.config.cost_unit_seconds
-        wall_seconds = self._tuples_processed / input_rate
-        service_ms = self.config.network_hop_ms + MergerNode.RESULT_COST * unit * 1000.0
-        weighted = 0.0
-        under = 0
-        over = 0
-        for merger_id in sorted(merger_stats):
-            stat = merger_stats[merger_id]
-            if stat.delivered == 0:
-                continue
-            latency = utilization_latency(
-                service_ms, (stat.busy_cost * unit) / wall_seconds
-            )
-            weighted += latency * stat.delivered
-            if latency < 100.0:
-                under += stat.delivered
-            elif latency > 1000.0:
-                over += stat.delivered
-        middle = delivered_total - under - over
-        return weighted / delivered_total, LatencyBuckets(
-            under / delivered_total, middle / delivered_total, over / delivered_total
-        )
+    def dispatcher_memory_report(self) -> Dict[int, int]:
+        """Routing-structure bytes per dispatcher (Figure 9), measured on
+        the shard replicas — after a re-sync if the routing version moved
+        — when dispatch is sharded."""
+        self._ensure_dispatch_synced()
+        shards = self._dispatch.observe() if self._dispatch is not None else {}
+        return metrics.dispatcher_memory_report(self.dispatchers, shards, self.routing_index)
 
     def report(self, input_rate: Optional[float] = None) -> RunReport:
         """Build the full :class:`RunReport` for the processed stream.
 
-        Every remote number (worker loads, busy time and memory, shard
-        replica memory, merger counters) comes from one
-        :class:`Observation` per endpoint — each tier asked once per
-        report whichever backend hosts it, telemetry on or off (shard
-        replicas left stale by a trailing adjustment are re-synced and
-        asked again for ``dispatcher_memory``).
+        Every remote number comes from one :class:`Observation` per
+        endpoint — each tier asked once per report whichever backend
+        hosts it, telemetry on or off.  Shard replicas left stale by a
+        trailing adjustment re-sync first, so the one observation also
+        measures ``dispatcher_memory``.
         """
-        snapshot = self._observe()
-        stats, shards, merger_stats = snapshot
+        self._ensure_dispatch_synced()
+        observed = self._observe()
         # Final cross-tier gauge cut (same replies as the report) so a
         # run's last partial sampling interval is still visible in the
         # timeseries and the JSONL.
-        self._drain_gauges(self._window_seq, snapshot)
-        throughput = self.saturation_throughput(_stats=stats, _merger_stats=merger_stats)
-        if input_rate is None:
-            rate = self.config.latency_load_fraction * throughput
-        else:
-            rate = input_rate
-        tracker = self.latency_tracker(rate, _stats=stats, _merger_stats=merger_stats)
-        buckets = tracker.buckets()
-        delivery_mean, delivery_buckets = self._delivery_latency(rate, merger_stats)
-        objects = max(self._objects, 1)
-        insertions = max(self._insertions, 1)
-        return RunReport(
-            tuples_processed=self._tuples_processed,
-            objects_processed=self._objects,
-            insertions_processed=self._insertions,
-            deletions_processed=self._deletions,
-            throughput=throughput,
-            mean_latency_ms=tracker.mean,
-            p95_latency_ms=tracker.percentile(95.0),
-            latency_buckets=buckets,
-            worker_loads={worker_id: s.load for worker_id, s in stats.items()},
-            dispatcher_memory=self.dispatcher_memory_report(_shards=shards),
-            worker_memory={worker_id: s.memory_bytes for worker_id, s in stats.items()},
-            matches_produced=self._matches_produced,
-            matches_delivered=sum(s.delivered for s in merger_stats.values()),
-            object_fanout=self._object_fanout_total / objects,
-            query_fanout=self._query_fanout_total / insertions,
-            merger_busy={m: s.busy_cost for m, s in merger_stats.items()},
-            merger_delivered={m: s.delivered for m, s in merger_stats.items()},
-            merger_duplicates={m: s.duplicates for m, s in merger_stats.items()},
-            delivery_mean_latency_ms=delivery_mean,
-            delivery_latency_buckets=delivery_buckets,
-            recovery=(
-                RecoveryReport(
-                    checkpoints_taken=self._checkpoints.checkpoints_taken,
-                    events=tuple(self._recovery_events),
-                )
-                if self._checkpoints is not None
-                else None
-            ),
+        self._drain_gauges(observed)
+        return metrics.run_report(
+            self.config, self.totals, self._traces, self.dispatchers, observed,
+            self.routing_index,
+            self.recovery.report() if self.recovery is not None else None,
+            input_rate,
         )
 
-    # ------------------------------------------------------------------
-    # Hot-loop profiling (repro profile)
-    # ------------------------------------------------------------------
     def profile_report(self) -> Optional[ProfileReport]:
         """Every tier's hot-loop counters; ``None`` when profiling is off.
 
@@ -2100,7 +1075,7 @@ class Cluster:
                 o.profile for o in mergers.values() if isinstance(o.profile, DedupProfile)
             ),
             wire=self.wire_stats(),
-            tuples=self._tuples_processed,
+            tuples=self.totals.tuples,
         )
 
     def profile_stacks(self) -> Optional[List[str]]:
@@ -2116,118 +1091,10 @@ class Cluster:
     def worker_cell_stats(self, worker_id: int) -> List[CellStats]:
         return self.workers[worker_id].cell_stats()
 
-    def migration_seconds(self, bytes_moved: int, queries_shipped: int) -> float:
-        """Simulated wall-clock cost of one migration (Section V)."""
-        return (
-            self.config.migration_fixed_seconds
-            + bytes_moved / self.config.migration_bandwidth_bytes_per_sec
-            + queries_shipped
-            * self.config.cost_model.insert_handling
-            * self.config.cost_unit_seconds
-        )
-
-    def _record_migration(
-        self,
-        source_worker: int,
-        target_worker: int,
-        cells: Tuple[CellCoord, ...],
-        shipped: List[QueryAssignment],
-    ) -> MigrationRecord:
-        """Account one shipment of query assignments as a migration."""
-        moved = sum(1 for assignment in shipped if assignment.moved)
-        bytes_moved = sum(assignment.query.size_bytes() for assignment in shipped)
-        record = MigrationRecord(
-            source_worker=source_worker,
-            target_worker=target_worker,
-            cells=cells,
-            queries_moved=moved,
-            bytes_moved=bytes_moved,
-            seconds=self.migration_seconds(bytes_moved, len(shipped)),
-            queries_copied=len(shipped) - moved,
-        )
-        self.migrations.append(record)
-        return record
-
-    @mutates_routing
-    def migrate_cells(
-        self,
-        source_worker: int,
-        target_worker: int,
-        cells: Sequence[CellCoord],
-    ) -> MigrationRecord:
-        """Move the query assignments of ``cells`` from one worker to another.
-
-        For every live query registered in the migrated cells, exactly the
-        ``(cell, posting keyword)`` pairs it owns there are extracted from
-        the source and re-registered on the target — the same
-        posting-plan mechanism the dispatcher uses at insertion time, so
-        worker memory stays flat across adjustment rounds.  Queries whose
-        postings lived entirely in the migrated cells leave the source
-        (*moved*); queries that also overlap cells staying behind keep
-        their remaining pairs on the source (*copied*).  The dispatcher
-        routing index is updated to point the migrated cells at the target
-        worker, and the routing version is bumped.
-        """
-        source = self.workers[source_worker]
-        target = self.workers[target_worker]
-        moving = set(cells)
-        # Only live queries ship: drop lazily deleted postings from the
-        # handed-over cells first (targeted, not a full compact).
-        source.index.purge_cells(moving)
-        shipped = source.extract_cells(moving)
-        target.install_queries(shipped)
-        self.routing_index.migrate_cells(moving, source_worker, target_worker)
-        self.invalidate_routing_caches()
-        return self._record_migration(
-            source_worker, target_worker, tuple(moving), shipped
-        )
-
-    @mutates_routing
-    def migrate_keywords(
-        self,
-        source_worker: int,
-        target_worker: int,
-        cell: CellCoord,
-        keywords: Iterable[str],
-    ) -> Optional[MigrationRecord]:
-        """Ship one cell's postings for ``keywords`` to the target worker.
-
-        The worker-side half of a Phase I text split
-        (:meth:`GridTIndex.split_cell_by_text` is the routing half, applied
-        by the caller): every live query posted in ``cell`` under one of
-        the reassigned keywords hands exactly those ``(cell, keyword)``
-        pairs to the target.  Returns the migration record, or ``None``
-        when no posting matched (the split moved no resident queries).
-        """
-        source = self.workers[source_worker]
-        target = self.workers[target_worker]
-        source.index.purge_cells((cell,))
-        shipped = source.extract_keywords(cell, set(keywords))
-        self.invalidate_routing_caches()
-        if not shipped:
-            return None
-        target.install_queries(shipped)
-        return self._record_migration(source_worker, target_worker, (cell,), shipped)
-
-    @mutates_routing
-    def replace_routing_index(self, routing_index: GridTIndex) -> None:
-        """Swap in a new routing structure (global load adjustment).
-
-        The workers' GI2 indexes hold ``(cell, posting keyword)`` pairs in
-        the cluster's grid, so a structure over any other grid is rejected.
-        """
-        if routing_index.grid != self.routing_index.grid:
-            raise ValueError(
-                "routing index grid %r differs from the cluster's %r"
-                % (routing_index.grid, self.routing_index.grid)
-            )
-        # The inline-routing profile survives the swap: re-attach the old
-        # index's counters so a run's profile covers the whole stream.
-        old_profile = getattr(self.routing_index, "profile", None)
-        self.routing_index = routing_index
-        if old_profile is not None:
-            routing_index.profile = old_profile
-        self.invalidate_routing_caches()
+    migration_seconds = migration.migration_seconds
+    migrate_cells = migration.migrate_cells
+    migrate_keywords = migration.migrate_keywords
+    replace_routing_index = migration.replace_routing_index
 
     def reset_load_measurement(self) -> None:
         """Start a new Section V measurement period, keeping run totals.
@@ -2292,10 +1159,4 @@ class Cluster:
             worker.reset_period()
         self._merge.reset_period()
         self._traces.clear()
-        self._tuples_processed = 0
-        self._objects = 0
-        self._insertions = 0
-        self._deletions = 0
-        self._matches_produced = 0
-        self._object_fanout_total = 0
-        self._query_fanout_total = 0
+        self.totals = RunTotals()

@@ -143,6 +143,7 @@ INTERNAL_DATACLASSES: Tuple[str, ...] = (
     "WindowSpan",
     "GaugeSample",
     "LifecycleEvent",
+    "SpanState",
     "ProfilingSpec",
     "ProfileReport",
 )

@@ -57,6 +57,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -69,6 +70,7 @@ __all__ = [
     "LifecycleEvent",
     "Observation",
     "Observe",
+    "Snapshot",
     "SpanHop",
     "TelemetryEvent",
     "TelemetryHub",
@@ -198,6 +200,16 @@ class Observation:
     delivered: int = 0
     duplicates: int = 0
     profile: Optional[ProfileEvent] = None
+
+
+class Snapshot(NamedTuple):
+    """One observation of every tier, each keyed by ascending endpoint id
+    (``shards`` is empty under inline dispatch).  Reports, gauges and the
+    profile are all views of one snapshot."""
+
+    workers: Dict[int, Observation]
+    shards: Dict[int, Observation]
+    mergers: Dict[int, Observation]
 
 
 def gauge_sample(observation: Observation) -> GaugeSample:
@@ -331,14 +343,42 @@ class TierTimeseries:
 # ----------------------------------------------------------------------
 # The coordinator-side aggregation hub
 # ----------------------------------------------------------------------
+@dataclass(slots=True)
+class SpanState:
+    """Accumulator of one in-flight window's telemetry span.
+
+    The deferred-barrier engine interleaves routing with matching and
+    may flush several segments per window, so the match and merge hops
+    accumulate across flushes (the window executor adds to them); the
+    route hop is the window's residual wall time (see :class:`SpanHop`).
+    """
+
+    seq: int
+    base: int
+    size: int
+    opened_ms: float
+    match_ms: float = 0.0
+    merge_ms: float = 0.0
+    match_started_ms: float = -1.0
+    merge_started_ms: float = -1.0
+    match_endpoints: int = 0
+
+
 class TelemetryHub:
-    """Bounded in-memory event ring + timeseries + optional JSONL sink."""
+    """Bounded in-memory event ring + timeseries + optional JSONL sink.
+
+    Also the owner of the run's window sequence: ``span`` is the window
+    in flight (``None`` between windows), and gauge drains and lifecycle
+    events are stamped with the sequence of the window they follow.
+    """
 
     def __init__(self, spec: TelemetrySpec) -> None:
         self.spec = spec
         self.timeseries = TierTimeseries()
         self.windows = 0
         self.events_recorded = 0
+        self.window_seq = 0
+        self.span: Optional[SpanState] = None
         self._ring: Deque[TelemetryEvent] = deque(maxlen=max(1, spec.ring_size))
         self._t0 = time.monotonic()
         self._sink: Optional[IO[str]] = (
@@ -360,6 +400,81 @@ class TelemetryHub:
         if self._sink is not None:
             json.dump(encode_event(event), self._sink, sort_keys=True, allow_nan=False)
             self._sink.write("\n")
+
+    def open_span(self, base: int, size: int) -> None:
+        """Start tracing one batched window of ``size`` tuples from ``base``."""
+        self.window_seq += 1
+        self.span = SpanState(self.window_seq, base, size, self.now_ms())
+
+    def close_span(self, dispatchers: int, mergers: int) -> bool:
+        """Record the in-flight window's span (its route hop is the residual,
+        see :class:`SpanHop`); ``True`` when a gauge drain is due."""
+        state = self.span
+        if state is None:
+            return False
+        self.span = None
+        closed_ms = self.now_ms()
+        total_ms = closed_ms - state.opened_ms
+        route_ms = max(0.0, total_ms - state.match_ms - state.merge_ms)
+        hops = (
+            SpanHop("route", "dispatcher", state.opened_ms, route_ms, dispatchers),
+            SpanHop(
+                "match",
+                "worker",
+                state.match_started_ms if state.match_started_ms >= 0 else closed_ms,
+                state.match_ms,
+                state.match_endpoints,
+            ),
+            SpanHop(
+                "merge",
+                "merger",
+                state.merge_started_ms if state.merge_started_ms >= 0 else closed_ms,
+                state.merge_ms,
+                mergers,
+            ),
+        )
+        self.record(WindowSpan(state.seq, state.base, state.size, hops))
+        return state.seq % max(1, self.spec.sample_every) == 0
+
+    def lifecycle(self, kind: str, **fields: Any) -> None:
+        """Record one control-plane milestone at the current window seq
+        (``fields``: the optional :class:`LifecycleEvent` fields)."""
+        self.record(LifecycleEvent(kind, self.window_seq, self.now_ms(), **fields))
+
+    def drain_gauges(
+        self, observed: Snapshot, dispatcher_busy: Mapping[int, float], result_hops: int
+    ) -> None:
+        """Record one gauge sample per endpoint of every tier.
+
+        Worker and merger gauges are their observations.  Dispatcher
+        gauges overlay the coordinator's authoritative Definition-1
+        busy accounting (``dispatcher_busy``, by dispatcher id) on the
+        shard replicas' memory/cache depth, and the coordinator itself
+        contributes a sample (its relayed-result depth).
+        """
+        samples: List[GaugeSample] = [gauge_sample(o) for o in observed.workers.values()]
+        for dispatcher_id, busy_cost in dispatcher_busy.items():
+            shard = observed.shards.get(dispatcher_id)
+            samples.append(
+                GaugeSample(
+                    tier="dispatcher",
+                    endpoint_id=dispatcher_id,
+                    busy_cost=busy_cost,
+                    memory_bytes=shard.memory_bytes if shard is not None else 0,
+                    depth=shard.depth if shard is not None else 0,
+                )
+            )
+        samples.extend(gauge_sample(o) for o in observed.mergers.values())
+        samples.append(
+            GaugeSample(
+                tier="coordinator",
+                endpoint_id=0,
+                busy_cost=0.0,
+                memory_bytes=0,
+                depth=result_hops,
+            )
+        )
+        self.record_gauges(samples, self.window_seq)
 
     def record_gauges(self, samples: Iterable[GaugeSample], seq: int) -> None:
         """Stamp drained samples with the window/barrier seq and record."""

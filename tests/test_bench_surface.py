@@ -8,9 +8,15 @@ name without running a replay.
 """
 
 import ast
+import functools
 import importlib.util
 import os
+from collections import Counter
 
+from test_chaos import make_chaos_workload
+
+from repro.adjustment import GreedySelector, LocalLoadAdjuster
+from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.profiling import DedupCounters, MatchCounters, RouteCounters
 
 E2E = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "e2e")
@@ -54,3 +60,72 @@ def test_profiles_expose_every_counter_the_layers_read():
         assert names
         for name in names:
             assert isinstance(getattr(events[tier], name, None), int), (tier, name)
+
+
+def schedule(total, size, adjust_every, checkpoint_every):
+    """``(windows, adjustment rounds, checkpoint_now calls)`` of a replay of
+    ``total`` tuples on a fresh checkpointed cluster: a checkpoint at stream
+    start, windows clipped at both cadences, an adjustment round doubling as
+    a checkpoint (without passing through ``checkpoint_now``)."""
+    windows = adjustments = 0
+    checkpoints = 1
+    since_adjustment = since_checkpoint = 0
+    while total:
+        take = min(
+            size, total, adjust_every - since_adjustment, checkpoint_every - since_checkpoint
+        )
+        windows += 1
+        total -= take
+        since_adjustment += take
+        since_checkpoint += take
+        if since_adjustment == adjust_every:
+            adjustments += 1
+            since_adjustment = since_checkpoint = 0
+        elif since_checkpoint == checkpoint_every:
+            checkpoints += 1
+            since_checkpoint = 0
+    return windows, adjustments, checkpoints
+
+
+def test_the_replay_loop_goes_through_the_entry_points_the_tracer_wraps(monkeypatch):
+    """``tracer._wrap`` patches class attributes of ``Cluster``; a replay
+    loop that reached the window or barrier code any other way would
+    silently zero ``cluster.windows`` / ``adjustment.rounds`` /
+    ``checkpoint.count`` in a traced run."""
+    calls = Counter()
+    for name in ("process", "process_batch", "run_adjustment", "checkpoint_now", "report"):
+        original = getattr(Cluster, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Cluster, name, functools.wraps(original)(counted))
+
+    plan, tuples = make_chaos_workload()
+    config = ClusterConfig(num_dispatchers=2, num_workers=4, checkpoint_every=150)
+    adjust_every, total = 200, len(tuples)
+    assert total > 3 * adjust_every and total % 64
+
+    with Cluster(plan, config) as cluster:
+        cluster.run(
+            tuples, adjust_every=adjust_every, local_adjuster=LocalLoadAdjuster(GreedySelector())
+        )
+    windows, adjustments, checkpoints = schedule(total, 1, adjust_every, 150)
+    assert windows == total
+    assert calls == {
+        "process": total, "run_adjustment": adjustments, "checkpoint_now": checkpoints, "report": 1,
+    }
+
+    calls.clear()
+    with Cluster(plan, config) as cluster:
+        cluster.run_batched(
+            tuples, batch_size=64, adjust_every=adjust_every,
+            local_adjuster=LocalLoadAdjuster(GreedySelector()),
+        )
+    windows, adjustments, checkpoints = schedule(total, 64, adjust_every, 150)
+    assert windows > -(-total // 64)  # the cadences clipped some
+    assert calls == {
+        "process_batch": windows, "run_adjustment": adjustments, "checkpoint_now": checkpoints,
+        "report": 1,
+    }

@@ -20,9 +20,13 @@ The matrix:
   structured ``TransportError`` (never a hang) and ``close()`` still
   releases every tier;
 * coordinator-side recovery idempotence — recovering the same worker
-  twice is a no-op the second time.
+  twice is a no-op the second time — and a recovery with no survivor
+  raises *before* it discards the worker;
+* a constructor that fails opening one of its files leaves no child
+  process behind.
 """
 
+import multiprocessing
 import os
 import random
 
@@ -37,6 +41,7 @@ from repro.partitioning.base import WorkloadSample
 from repro.runtime import Cluster, ClusterConfig, TransportError
 from repro.runtime.fabric import FaultPlan, FaultSpec
 from repro.runtime.merge import SinkSpec
+from repro.runtime.telemetry import TelemetrySpec
 
 #: The process-spawning half of the matrix wants a second core (CI's
 #: tier-1 job runs it everywhere else); PS2STREAM_CHAOS=1 forces it on.
@@ -278,12 +283,61 @@ class TestRecoveryIdempotence:
             for cell in cluster.routing_index.cells().values():
                 assert 1 not in cell.workers()
             assert cluster.recover_worker(1) is None
-            assert len(cluster._recovery_events) == 1
+            assert len(cluster.recovery.events) == 1
             # The run continues on the surviving workers.
             cluster.run_batched(tuples[300:], batch_size=64)
             report = cluster.report()
             assert report.recovery is not None
             assert len(report.recovery.events) == 1
+
+
+class TestRecoveryNeedsASurvivor:
+    def test_the_last_worker_is_not_discarded(self):
+        """``recover_worker`` on a one-worker cluster used to drop the worker
+        *before* it looked for a survivor: the call raised, ``cluster.workers``
+        was left empty and the rest of the run matched nothing, silently."""
+        from test_window_executor import brute_force  # imports this module
+
+        plan, tuples = make_chaos_workload(workers=1)
+        config = ClusterConfig(
+            num_dispatchers=2, num_workers=1, backend="inprocess",
+            sink=SinkSpec(kind="memory"), checkpoint_every=100,
+        )
+        with Cluster(plan, config) as cluster:
+            cluster.run_batched(tuples[:300], batch_size=64)
+            with pytest.raises(TransportError, match="no surviving workers"):
+                cluster.recover_worker(0)
+            assert list(cluster.workers) == [0]
+            assert cluster.recovery.events == []
+            # The following windows still deliver every oracle match.
+            report = cluster.run_batched(tuples[300:], batch_size=64)
+            delivered = {
+                (result.query_id, result.object_id)
+                for results in cluster.drain_sinks().values()
+                for result in results
+            }
+        assert report.recovery.events == ()
+        oracle = brute_force(tuples)
+        assert len(oracle) > 50
+        assert delivered == oracle
+
+
+class TestFailedConstructor:
+    @pytest.mark.parametrize("opens", ["checkpoint_path", "telemetry path"])
+    def test_an_unwritable_path_fails_before_any_tier_spawns(self, opens, tmp_path):
+        """The two files a cluster opens used to be opened *after* the fleets
+        were spawned, and nothing closed the tiers when the open failed."""
+        plan, _ = make_chaos_workload(workers=2)
+        missing = str(tmp_path / "no-such-directory" / "out.jsonl")
+        if opens == "checkpoint_path":
+            files = {"checkpoint_every": 100, "checkpoint_path": missing}
+        else:
+            files = {"telemetry": TelemetrySpec(path=missing)}
+        config = ClusterConfig(num_dispatchers=2, num_workers=2, backend="multiprocess", **files)
+        before = set(multiprocessing.active_children())
+        with pytest.raises(FileNotFoundError):
+            Cluster(plan, config)
+        assert set(multiprocessing.active_children()) == before
 
 
 @needs_cores

@@ -1,18 +1,30 @@
 """Unit tests for the run metrics (latency tracker, buckets, run report)."""
 
+import ast
+import inspect
 import json
 import math
 
 import pytest
 
 from repro.runtime.checkpoint import RecoveryEvent, RecoveryReport
+from repro.runtime.config import ClusterConfig
+from repro.runtime.dispatch import DispatcherLedger
 from repro.runtime.metrics import (
     JSON_IMBALANCE_CAP,
     LatencyBuckets,
     LatencyTracker,
     RunReport,
+    RunTotals,
+    TraceStore,
+    delivery_latency,
+    dispatcher_memory_report,
+    latency_tracker,
+    run_report,
+    saturation_throughput,
     utilization_latency,
 )
+from repro.runtime.telemetry import Observation, Snapshot
 
 
 class TestLatencyTracker:
@@ -182,3 +194,99 @@ class TestRunReport:
         assert summary["delivery_under_100ms"] == 1.0
         assert summary["checkpoints_taken"] == 0.0
         assert summary["recoveries"] == 0.0
+
+
+class TestPureReporting:
+    """The report path on hand-built observations — no ``Cluster`` anywhere."""
+
+    CONFIG = ClusterConfig(num_dispatchers=2, num_workers=2, num_mergers=1)
+
+    @pytest.fixture
+    def run(self):
+        """Two tuples: an object matched on both workers, an insertion on one."""
+        totals = RunTotals()
+        totals.tuples, totals.objects, totals.insertions = 2, 1, 1
+        totals.matches_produced, totals.object_fanout, totals.query_fanout = 3, 2, 1
+        traces = TraceStore()
+        traces.append(0, 0.09, [(0, 1.0), (1, 4.0)])
+        traces.extend([1], [0.07], [[(1, 2.0)]])
+        dispatchers = [DispatcherLedger(0), DispatcherLedger(1)]
+        dispatchers[0].account_objects(1, 0, 0.09)
+        dispatchers[1].account_updates(1, 0, 0.07)
+        observed = Snapshot(
+            workers={
+                0: Observation("worker", 0, busy_cost=1.0, memory_bytes=100, depth=1, load=2.5),
+                1: Observation("worker", 1, busy_cost=6.0, memory_bytes=300, depth=1, load=7.5),
+            },
+            shards={},
+            mergers={
+                0: Observation("merger", 0, 0.06, 0, 3, received=3, delivered=2, duplicates=1)
+            },
+        )
+        return totals, traces, dispatchers, observed
+
+    def test_throughput_is_tuples_over_the_bottleneck(self, run):
+        totals, _, dispatchers, observed = run
+        unit = self.CONFIG.cost_unit_seconds
+        assert saturation_throughput(self.CONFIG, totals, dispatchers, observed) == 2 / (6.0 * unit)
+        assert saturation_throughput(self.CONFIG, RunTotals(), dispatchers, observed) == 0.0
+
+    def test_latency_is_the_slowest_worker_hop_per_tuple(self, run):
+        totals, traces, dispatchers, observed = run
+        tracker = latency_tracker(self.CONFIG, totals, traces, dispatchers, observed, 1.0)
+        hop, unit_ms = self.CONFIG.network_hop_ms, self.CONFIG.cost_unit_seconds * 1000.0
+        # At 1 tuple/s nothing queues: latency is the bare service times.
+        assert tracker.values == pytest.approx(
+            [2 * hop + (0.09 + 4.0) * unit_ms, 2 * hop + (0.07 + 2.0) * unit_ms], rel=1e-3
+        )
+        assert len(latency_tracker(self.CONFIG, totals, TraceStore(), dispatchers, observed)) == 0
+
+    def test_delivery_latency_weights_mergers_by_deliveries(self, run):
+        totals, _, _, observed = run
+        mean, buckets = delivery_latency(self.CONFIG, totals, observed.mergers, 1.0)
+        assert mean == pytest.approx(self.CONFIG.network_hop_ms, rel=1e-3)
+        assert buckets == LatencyBuckets(1.0, 0.0, 0.0)
+
+    def test_dispatcher_memory_is_measured_on_shards_else_estimated(self, run):
+        _, _, dispatchers, observed = run
+
+        class Index:
+            def memory_bytes(self):
+                return 4096
+
+        assert dispatcher_memory_report(dispatchers, {}, Index()) == {0: 4096, 1: 4096}
+        shards = {
+            0: Observation("dispatcher", 0, 0.0, 512, 0),
+            1: Observation("dispatcher", 1, 0.0, 640, 0),
+        }
+        assert dispatcher_memory_report(dispatchers, shards, None) == {0: 512, 1: 640}
+
+    def test_run_report_assembles_the_views(self, run):
+        totals, traces, dispatchers, observed = run
+        shards = {0: Observation("dispatcher", 0, 0.0, 512, 0)}
+        recovery = RecoveryReport(checkpoints_taken=2)
+        sharded = observed._replace(shards=shards)
+        report = run_report(self.CONFIG, totals, traces, dispatchers, sharded, None, recovery)
+        assert report.tuples_processed == 2
+        assert (report.objects_processed, report.insertions_processed) == (1, 1)
+        assert report.throughput == saturation_throughput(
+            self.CONFIG, totals, dispatchers, observed
+        )
+        assert report.worker_loads == {0: 2.5, 1: 7.5}
+        assert report.worker_memory == {0: 100, 1: 300}
+        assert report.dispatcher_memory == {0: 512}
+        assert (report.matches_produced, report.matches_delivered) == (3, 2)
+        assert (report.object_fanout, report.query_fanout) == (2.0, 1.0)
+        assert report.merger_duplicates == {0: 1}
+        assert report.recovery is recovery
+        assert report.mean_latency_ms > 2 * self.CONFIG.network_hop_ms
+
+    def test_the_report_path_does_not_import_the_cluster(self):
+        import repro.runtime.metrics as metrics
+
+        imports = [
+            node.module or ""
+            for node in ast.walk(ast.parse(inspect.getsource(metrics)))
+            if isinstance(node, ast.ImportFrom)
+        ]
+        assert imports and not any("cluster" in module for module in imports)
