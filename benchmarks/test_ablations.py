@@ -24,8 +24,8 @@ def routing_setup():
     config = ExperimentConfig(group="Q1", mu=2000, num_objects=0, sample_objects=2000)
     stream = make_stream(config)
     sample = stream.partitioning_sample(config.sample_objects)
-    plan = HybridPartitioner().partition(sample, config.num_workers)
-    gridt = plan.to_gridt(config.granularity)
+    plan = HybridPartitioner().partition(sample, config.cluster.num_workers)
+    gridt = plan.to_gridt(config.cluster.granularity)
     kdt = plan.to_kdt_tree()
     objects = stream.tweets.generate(2000)
     for query in sample.insertions:
@@ -70,8 +70,8 @@ def test_ablation_delta_sweep(benchmark, record_row, delta):
         stream = make_stream(config)
         sample = stream.partitioning_sample(config.scaled().sample_objects)
         partitioner = HybridPartitioner(HybridConfig(text_similarity_threshold=delta))
-        plan = partitioner.partition(sample, config.num_workers)
-        cluster = Cluster(plan, ClusterConfig(num_workers=config.num_workers))
+        plan = partitioner.partition(sample, config.cluster.num_workers)
+        cluster = Cluster(plan, config.cluster)
         return plan, cluster.run(stream.tuples(config.scaled().num_objects))
 
     plan, report = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -93,7 +93,8 @@ def test_ablation_delta_sweep(benchmark, record_row, delta):
 @pytest.mark.parametrize("granularity", [16, 32, 64, 128])
 def test_ablation_granularity_sweep(benchmark, record_row, granularity):
     config = ExperimentConfig(
-        group="Q1", mu=2000, num_objects=2500, sample_objects=2000, granularity=granularity
+        group="Q1", mu=2000, num_objects=2500, sample_objects=2000,
+        cluster=ClusterConfig(granularity=granularity),
     )
     result = benchmark.pedantic(
         lambda: run_experiment("hybrid", config), rounds=1, iterations=1

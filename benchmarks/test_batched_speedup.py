@@ -24,7 +24,7 @@ import pytest
 
 from repro.bench import ExperimentConfig, make_stream
 from repro.bench.harness import make_partitioner
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster
 from repro.workload import iter_windows
 
 REPEATS = 9
@@ -37,12 +37,9 @@ def fig07_workload():
     config = ExperimentConfig(dataset="us", group="Q1", mu=2000).scaled()
     stream = make_stream(config)
     sample = stream.partitioning_sample(config.sample_objects)
-    plan = make_partitioner("hybrid").partition(sample, config.num_workers)
+    plan = make_partitioner("hybrid").partition(sample, config.cluster.num_workers)
     tuples = list(stream.tuples(config.num_objects))
-    cluster_config = ClusterConfig(
-        num_dispatchers=config.num_dispatchers, num_workers=config.num_workers
-    )
-    return plan, cluster_config, tuples
+    return plan, config.cluster, tuples
 
 
 def _time_reference(plan, cluster_config, tuples):

@@ -9,6 +9,8 @@ routing-structure size, not JVM heap sizes (see DESIGN.md).
 
 import pytest
 
+from repro.runtime import ClusterConfig
+
 COMPETITORS = ["hybrid", "metric", "kd-tree"]
 CASES = [("Q1", "5M"), ("Q2", "10M"), ("Q3", "10M")]
 DATASETS = ["us", "uk"]
@@ -59,11 +61,12 @@ def test_fig09_sharded_measured_memory(experiments, standard_config, record_row,
     analytic estimate of the authoritative index — the fidelity claim
     recorded next to the estimate below.
     """
-    config = standard_config("us", group, mu_label, dispatch_backend="inprocess")
+    sharded = ClusterConfig(dispatch_backend="inprocess")
+    config = standard_config("us", group, mu_label, cluster=sharded)
     result = experiments.get("hybrid", config)
     measured = result.report.dispatcher_memory
     analytic = result.cluster.routing_index.memory_bytes()
-    assert len(measured) == config.num_dispatchers
+    assert len(measured) == config.cluster.num_dispatchers
     assert all(value == analytic for value in measured.values())
     subfigure = {"Q1": "9(a)", "Q2": "9(b)", "Q3": "9(c)"}[group]
     record_row(

@@ -10,6 +10,8 @@ Q2.
 
 import pytest
 
+from repro.runtime import ClusterConfig
+
 COMPETITORS = ["hybrid", "metric", "kd-tree"]
 CASES = [("Q1", "10M"), ("Q2", "20M"), ("Q3", "20M")]
 WORKER_COUNTS = [8, 16, 24]
@@ -20,7 +22,7 @@ WORKER_COUNTS = [8, 16, 24]
 @pytest.mark.parametrize("name", COMPETITORS)
 def test_fig11_scalability(benchmark, experiments, standard_config, record_row,
                            group, mu_label, workers, name):
-    config = standard_config("uk", group, mu_label, num_workers=workers)
+    config = standard_config("uk", group, mu_label, cluster=ClusterConfig(num_workers=workers))
     result = benchmark.pedantic(
         lambda: experiments.get(name, config), rounds=1, iterations=1
     )
@@ -40,6 +42,10 @@ def test_fig11_scalability(benchmark, experiments, standard_config, record_row,
 @pytest.mark.parametrize("name", COMPETITORS)
 def test_fig11_shape_throughput_grows_with_workers(experiments, standard_config,
                                                    group, mu_label, name):
-    small = experiments.get(name, standard_config("uk", group, mu_label, num_workers=8))
-    large = experiments.get(name, standard_config("uk", group, mu_label, num_workers=24))
+    small, large = (
+        experiments.get(
+            name, standard_config("uk", group, mu_label, cluster=ClusterConfig(num_workers=workers))
+        )
+        for workers in (8, 24)
+    )
     assert large.report.throughput >= small.report.throughput * 0.9

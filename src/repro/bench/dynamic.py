@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 from ..adjustment import AdjustmentReport, LocalLoadAdjuster, selector_by_name
@@ -95,17 +95,14 @@ def _merge_adjustment_reports(history) -> AdjustmentReport:
 def _build_imbalanced_cluster(
     mu: int,
     num_objects: int,
+    deployment: ClusterConfig,
     *,
     dataset: str = "us",
     group: str = "Q1",
-    num_workers: int = 8,
     seed: int = 3,
     batch_size: int = 0,
     adjust_every: int = 0,
     local_adjuster=None,
-    backend: str = "inprocess",
-    dispatch_backend: str = "inline",
-    merger_backend: str = "inprocess",
 ) -> Tuple[Cluster, WorkloadStream]:
     """A deployment with a genuinely overloaded worker.
 
@@ -119,19 +116,14 @@ def _build_imbalanced_cluster(
     queries = QueryGenerator(tweets, seed=seed + 1)
     stream = WorkloadStream(tweets, queries, StreamConfig(mu=mu, group=group), seed=seed + 2)
     sample = stream.partitioning_sample(max(1000, mu))
-    plan = MetricTextPartitioner().partition(sample, num_workers)
+    plan = MetricTextPartitioner().partition(sample, deployment.num_workers)
     # The migration bandwidth is scaled down by roughly the same factor as
     # the query population (paper: millions of queries over a 10 Gb EC2
     # network; here: thousands of queries), so migration times keep the
     # paper's second-scale magnitude and the latency-bucket figures remain
     # meaningful.
-    config = ClusterConfig(
-        num_workers=num_workers,
-        migration_bandwidth_bytes_per_sec=5_000.0,
-        migration_fixed_seconds=0.15,
-        backend=backend,
-        dispatch_backend=dispatch_backend,
-        merger_backend=merger_backend,
+    config = replace(
+        deployment, migration_bandwidth_bytes_per_sec=5_000.0, migration_fixed_seconds=0.15
     )
     cluster = Cluster(plan, config)
     try:
@@ -184,14 +176,11 @@ def run_migration_experiment(
     *,
     num_objects: int = 2000,
     post_objects: int = 1500,
-    num_workers: int = 8,
     sigma: float = 1.3,
     seed: int = 3,
     batch_size: int = 0,
     adjust_every: int = 0,
-    backend: str = "inprocess",
-    dispatch_backend: str = "inline",
-    merger_backend: str = "inprocess",
+    cluster: ClusterConfig = ClusterConfig(),
 ) -> MigrationExperimentResult:
     """Trigger a local adjustment with ``selector_name`` and measure it.
 
@@ -199,39 +188,27 @@ def run_migration_experiment(
     paper's protocol for Figures 12–14).  With ``adjust_every > 0`` the
     closed-loop driver fires rounds at window barriers during the replay
     instead, and the triggered rounds are aggregated into one report.
+    ``cluster`` is the deployment (default: the 8-worker testbed); its two
+    migration-bandwidth constants are replaced by this experiment's.
     """
     adjuster = LocalLoadAdjuster(selector_by_name(selector_name, seed=seed), sigma=sigma)
-    if adjust_every > 0:
-        cluster, stream = _build_imbalanced_cluster(
-            mu,
-            num_objects,
-            num_workers=num_workers,
-            seed=seed,
-            batch_size=batch_size,
-            adjust_every=adjust_every,
-            local_adjuster=adjuster,
-            backend=backend,
-            dispatch_backend=dispatch_backend,
-            merger_backend=merger_backend,
-        )
-    else:
-        cluster, stream = _build_imbalanced_cluster(
-            mu, num_objects, num_workers=num_workers, seed=seed, batch_size=batch_size,
-            backend=backend, dispatch_backend=dispatch_backend,
-            merger_backend=merger_backend,
-        )
-    with cluster:
+    # The replay only consults the adjuster when ``adjust_every > 0``.
+    deployed, stream = _build_imbalanced_cluster(
+        mu, num_objects, cluster, seed=seed, batch_size=batch_size,
+        adjust_every=adjust_every, local_adjuster=adjuster,
+    )
+    with deployed:
         if adjust_every > 0:
             report = _merge_adjustment_reports(adjuster.history)
         else:
-            report = adjuster.adjust(cluster)
+            report = adjuster.adjust(deployed)
         affected = tuple(
             worker
             for worker in (report.source_worker, report.target_worker)
             if worker is not None
         )
         buckets, throughput = _buckets_during_migration(
-            cluster, stream, affected, report.migration_seconds, post_objects, seed,
+            deployed, stream, affected, report.migration_seconds, post_objects, seed,
             batch_size=batch_size,
         )
     return MigrationExperimentResult(
@@ -268,14 +245,11 @@ def run_drift_experiment(
     objects_per_phase: int = 1500,
     drift_phases: int = 3,
     flip_fraction: float = 0.1,
-    num_workers: int = 8,
     sigma: float = 1.5,
     seed: int = 5,
     batch_size: int = 0,
     adjust_every: int = 0,
-    backend: str = "inprocess",
-    dispatch_backend: str = "inline",
-    merger_backend: str = "inprocess",
+    cluster: ClusterConfig = ClusterConfig(),
 ) -> DriftExperimentResult:
     """Replay a drifting Q3 workload with or without dynamic adjustment.
 
@@ -294,13 +268,9 @@ def run_drift_experiment(
         tweets, queries, StreamConfig(mu=mu, group="Q3"), seed=seed + 2, style_map=style_map
     )
     sample = stream.partitioning_sample(max(1500, mu))
-    plan = HybridPartitioner().partition(sample, num_workers)
-    cluster_config = ClusterConfig(
-        num_workers=num_workers, backend=backend, dispatch_backend=dispatch_backend,
-        merger_backend=merger_backend,
-    )
-    with Cluster(plan, cluster_config) as cluster:
-        cluster.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
+    plan = HybridPartitioner().partition(sample, cluster.num_workers)
+    with Cluster(plan, cluster) as deployed:
+        deployed.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
 
         adjuster = LocalLoadAdjuster(selector_by_name("GR", seed=seed), sigma=sigma)
         triggered = 0
@@ -311,7 +281,7 @@ def run_drift_experiment(
             style_map.flip(flip_fraction, drift_rng)
             if adjust and adjust_every > 0:
                 seen = len(adjuster.history)
-                cluster.run_batched(
+                deployed.run_batched(
                     stream.tuples(objects_per_phase),
                     batch_size=batch_size,
                     adjust_every=adjust_every,
@@ -319,8 +289,8 @@ def run_drift_experiment(
                 )
                 new_reports = adjuster.history[seen:]
             else:
-                cluster.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
-                new_reports = [adjuster.adjust(cluster)] if adjust else []
+                deployed.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
+                new_reports = [adjuster.adjust(deployed)] if adjust else []
             for report in new_reports:
                 if report.triggered:
                     triggered += 1
@@ -328,8 +298,8 @@ def run_drift_experiment(
                     cost_mb += report.migration_cost_mb
 
         # Final measurement period: throughput after all drift has happened.
-        cluster.reset_period()
-        final = cluster.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
+        deployed.reset_period()
+        final = deployed.run_batched(stream.tuples(objects_per_phase), batch_size=batch_size)
     return DriftExperimentResult(
         adjusted=adjust,
         throughput=final.throughput,

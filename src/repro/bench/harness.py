@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
@@ -32,15 +32,7 @@ from ..partitioning import (
     PartitionPlan,
     RTreeSpacePartitioner,
 )
-from ..runtime import (
-    Cluster,
-    ClusterConfig,
-    FaultPlan,
-    ProfilingSpec,
-    RunReport,
-    SinkSpec,
-    TelemetrySpec,
-)
+from ..runtime import Cluster, ClusterConfig, RunReport
 from ..workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
 __all__ = [
@@ -91,6 +83,10 @@ class ExperimentConfig:
     ``mu`` is the live query population (the paper's 5M/10M/20M scaled
     down), ``num_objects`` the number of streamed objects after warm-up and
     ``sample_objects`` the object sample the partitioners are driven with.
+    The fields here describe the workload and how it is replayed; the
+    deployment — tier sizes, backends, sink, checkpoints, faults,
+    telemetry, profiling — is ``cluster``, deployed as is and never
+    restated here.
     """
 
     dataset: str = "us"
@@ -98,12 +94,7 @@ class ExperimentConfig:
     mu: int = 2000
     num_objects: int = 4000
     sample_objects: int = 3000
-    num_workers: int = 8
-    num_dispatchers: int = 4
-    num_mergers: int = 2
-    granularity: int = 64
     seed: int = 1
-    latency_load_fraction: float = 0.6
     #: Tuples per execution window; 0 replays the stream tuple by tuple
     #: (the per-tuple driver), >= 2 uses the batched engine.
     batch_size: int = 0
@@ -112,48 +103,8 @@ class ExperimentConfig:
     adjust_every: int = 0
     #: Which adjusters the closed loop drives: "local", "global" or "both".
     adjuster: str = "local"
-    #: Worker transport backend: "inprocess" (reference), "multiprocess"
-    #: (one OS process per worker; real multi-core matching) or "socket"
-    #: (``repro serve`` endpoints over TCP).
-    backend: str = "inprocess"
-    #: Dispatch backend: "inline" routes on the coordinator (reference),
-    #: "inprocess"/"multiprocess"/"socket" shard routing across
-    #: num_dispatchers replicas of the routing index (real multi-core
-    #: routing).
-    dispatch_backend: str = "inline"
-    #: Merger backend: "inprocess" hosts the merger shards in the
-    #: coordinator (reference), "multiprocess" one OS process per shard
-    #: with direct worker->merger result shipping under the multiprocess
-    #: worker backend, "socket" one TCP endpoint per shard.
-    merger_backend: str = "inprocess"
-    #: Subscriber sink attached to every merger shard ("null", "memory"
-    #: or "jsonl"; "jsonl" needs sink_path).
-    sink: str = "null"
-    sink_path: Optional[str] = None
-    #: Path of a host-manifest JSON file for the socket backends; None
-    #: makes the cluster spawn loopback ``serve`` processes itself.
-    manifest: Optional[str] = None
-    #: Checkpoint the workers' query assignments every N tuples (0
-    #: disables checkpointing and worker recovery; see
-    #: docs/ARCHITECTURE.md, "Checkpoint & recovery").
-    checkpoint_every: int = 0
-    #: Optional JSONL path the checkpoint store appends snapshots to.
-    checkpoint_path: Optional[str] = None
-    #: Chaos-harness fault plan installed into the fleets (``--fault-plan``
-    #: on the CLI; :func:`repro.runtime.fabric.parse_fault_plan`).
-    fault_plan: Optional[FaultPlan] = None
-    #: JSONL path runtime telemetry appends events to (``--telemetry-path``
-    #: on the CLI); None leaves telemetry off.  Observation-only — the run
-    #: report is byte-identical either way (docs/ARCHITECTURE.md,
-    #: "Telemetry").
-    telemetry_path: Optional[str] = None
-    #: Enable hot-loop profiling (``--profile`` on the CLI; see
-    #: docs/PROFILING.md).  Observation-only like telemetry — counters
-    #: never perturb the run report.
-    profiling: bool = False
-    #: Also run the coordinator-side sampling profiler (``repro profile
-    #: --stacks-path``); only meaningful with profiling enabled.
-    profile_sample: bool = False
+    #: The deployment the plan is replayed on.
+    cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
     def scaled(self) -> "ExperimentConfig":
         """Apply the global bench scale to the workload sizes."""
@@ -168,36 +119,10 @@ class ExperimentConfig:
         )
 
     def key(self, partitioner_name: str) -> Tuple:
-        """Cache key identifying a (config, partitioner) experiment run."""
-        config = self.scaled()
-        return (
-            config.dataset,
-            config.group,
-            config.mu,
-            config.num_objects,
-            config.sample_objects,
-            config.num_workers,
-            config.num_dispatchers,
-            config.num_mergers,
-            config.granularity,
-            config.seed,
-            config.batch_size,
-            config.adjust_every,
-            config.adjuster,
-            config.backend,
-            config.dispatch_backend,
-            config.merger_backend,
-            config.sink,
-            config.sink_path,
-            config.manifest,
-            config.checkpoint_every,
-            config.checkpoint_path,
-            config.fault_plan,
-            config.telemetry_path,
-            config.profiling,
-            config.profile_sample,
-            partitioner_name,
-        )
+        """Cache key identifying a (config, partitioner) experiment run:
+        the frozen (hence hashable) scaled config itself, every field of
+        it and of its ``cluster`` included."""
+        return (self.scaled(), partitioner_name)
 
 
 @dataclass
@@ -238,33 +163,8 @@ def run_experiment(partitioner_name: str, config: ExperimentConfig) -> Experimen
     partitioner = make_partitioner(partitioner_name)
 
     started = time.perf_counter()
-    plan = partitioner.partition(sample, scaled.num_workers)
+    plan = partitioner.partition(sample, scaled.cluster.num_workers)
     partition_seconds = time.perf_counter() - started
-
-    cluster_config = ClusterConfig(
-        num_dispatchers=scaled.num_dispatchers,
-        num_workers=scaled.num_workers,
-        num_mergers=scaled.num_mergers,
-        granularity=scaled.granularity,
-        latency_load_fraction=scaled.latency_load_fraction,
-        backend=scaled.backend,
-        dispatch_backend=scaled.dispatch_backend,
-        merger_backend=scaled.merger_backend,
-        sink=SinkSpec(kind=scaled.sink, path=scaled.sink_path),
-        manifest=scaled.manifest,
-        checkpoint_every=scaled.checkpoint_every,
-        checkpoint_path=scaled.checkpoint_path,
-        fault_plan=scaled.fault_plan,
-        telemetry=(
-            TelemetrySpec(path=scaled.telemetry_path)
-            if scaled.telemetry_path is not None
-            else None
-        ),
-        profiling=(
-            ProfilingSpec(sample=scaled.profile_sample) if scaled.profiling else None
-        ),
-    )
-    cluster = Cluster(plan, cluster_config)
 
     local_adjuster = global_adjuster = None
     if scaled.adjust_every > 0:
@@ -275,6 +175,7 @@ def run_experiment(partitioner_name: str, config: ExperimentConfig) -> Experimen
         if scaled.adjuster in ("global", "both"):
             global_adjuster = GlobalAdjuster(HybridPartitioner())
 
+    cluster = Cluster(plan, scaled.cluster)
     started = time.perf_counter()
     try:
         # batch_size <= 1 replays on the per-tuple reference (Cluster.run).

@@ -55,7 +55,16 @@ from .bench import (
     run_experiment,
     run_migration_experiment,
 )
-from .runtime.fabric import parse_fault_plan
+from .runtime import (
+    DISPATCH_BACKENDS,
+    MERGE_BACKENDS,
+    TRANSPORT_BACKENDS,
+    ClusterConfig,
+    ProfilingSpec,
+    SinkSpec,
+    TelemetrySpec,
+)
+from .runtime.fabric import load_manifest, parse_fault_plan
 
 __all__ = ["main", "build_parser"]
 
@@ -68,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_workload_arguments(sub: argparse.ArgumentParser) -> None:
+    def add_stream_arguments(sub: argparse.ArgumentParser) -> None:
+        """The workload and how it is replayed (``ExperimentConfig``'s own fields)."""
         sub.add_argument("--dataset", choices=["us", "uk"], default="us",
                          help="synthetic corpus to stream (default: us)")
         sub.add_argument("--group", choices=["Q1", "Q2", "Q3"], default="Q1",
@@ -77,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="live query population (default: 2000)")
         sub.add_argument("--objects", type=int, default=4000,
                          help="streamed objects after warm-up (default: 4000)")
-        sub.add_argument("--workers", type=int, default=8,
-                         help="number of workers (default: 8)")
-        sub.add_argument("--dispatchers", type=int, default=4,
-                         help="number of dispatchers (default: 4)")
         sub.add_argument("--seed", type=int, default=1, help="workload seed (default: 1)")
         sub.add_argument(
             "--batch-size", type=int, default=0,
@@ -99,9 +105,19 @@ def build_parser() -> argparse.ArgumentParser:
                  "set: 'local' = Section V-A cell migration, 'global' = "
                  "Section V-B repartitioning, 'both' = local then global "
                  "(default: local)")
+
+    def add_cluster_arguments(sub: argparse.ArgumentParser) -> None:
+        """The deployment: one flag per ``ClusterConfig`` field the CLI
+        exposes, read back by :func:`_cluster_config` — the only place a
+        deployment option is declared."""
+        sub.add_argument("--workers", type=int, default=8,
+                         help="number of workers (default: 8)")
+        sub.add_argument("--dispatchers", type=int, default=4,
+                         help="number of dispatchers (default: 4)")
+        sub.add_argument("--mergers", type=int, default=2,
+                         help="number of merger shards (default: 2)")
         sub.add_argument(
-            "--backend", choices=["inprocess", "multiprocess", "socket"],
-            default="inprocess",
+            "--backend", choices=TRANSPORT_BACKENDS, default="inprocess",
             help="worker transport backend: 'inprocess' hosts every worker "
                  "in this interpreter (reference), 'multiprocess' runs each "
                  "of the --workers as its own OS process for real multi-core "
@@ -109,9 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "endpoints over TCP (addresses from --cluster, or loopback "
                  "processes spawned on demand; default: inprocess)")
         sub.add_argument(
-            "--dispatch-backend",
-            choices=["inline", "inprocess", "multiprocess", "socket"],
-            default="inline",
+            "--dispatch-backend", choices=DISPATCH_BACKENDS, default="inline",
             help="dispatch backend: 'inline' routes every tuple on the "
                  "coordinator (reference), 'inprocess'/'multiprocess' shard "
                  "routing across the --dispatchers, each shard owning its "
@@ -121,8 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "'socket' reaches 'repro serve --role dispatcher' endpoints "
                  "over TCP (default: inline)")
         sub.add_argument(
-            "--merger-backend", choices=["inprocess", "multiprocess", "socket"],
-            default="inprocess",
+            "--merger-backend", choices=MERGE_BACKENDS, default="inprocess",
             help="merger backend: 'inprocess' hosts the --mergers shards in "
                  "this interpreter (reference), 'multiprocess' runs each "
                  "merger shard as its own OS process; combined with "
@@ -137,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "\"dispatchers\": [...], \"mergers\": [...]}; tiers missing "
                  "from the manifest (or all tiers, without --cluster) are "
                  "spawned as loopback serve processes")
-        sub.add_argument("--mergers", type=int, default=2,
-                         help="number of merger shards (default: 2)")
         sub.add_argument(
             "--sink", choices=["null", "memory", "jsonl"], default="null",
             help="subscriber sink attached to every merger shard: 'null' "
@@ -189,12 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
                  "counters are collected but not printed (default: off)")
 
     run_parser = subparsers.add_parser("run", help="run one partitioning strategy")
-    add_workload_arguments(run_parser)
+    add_stream_arguments(run_parser)
+    add_cluster_arguments(run_parser)
     run_parser.add_argument("--partitioner", choices=sorted(PARTITIONER_FACTORIES),
                             default="hybrid", help="strategy to deploy (default: hybrid)")
 
     compare_parser = subparsers.add_parser("compare", help="compare partitioning strategies")
-    add_workload_arguments(compare_parser)
+    add_stream_arguments(compare_parser)
+    add_cluster_arguments(compare_parser)
     compare_parser.add_argument(
         "--partitioners", nargs="+", choices=sorted(PARTITIONER_FACTORIES),
         default=sorted(PARTITIONER_FACTORIES),
@@ -207,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="live query population (default: 2000)")
     adjust_parser.add_argument("--objects", type=int, default=2000,
                                help="objects streamed before the adjustment (default: 2000)")
-    adjust_parser.add_argument("--workers", type=int, default=8,
-                               help="number of workers (default: 8)")
     adjust_parser.add_argument(
         "--batch-size", type=int, default=0,
         help="tuples per execution window of the batched engine; 0 = "
@@ -217,19 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--adjust-every", type=int, default=0,
         help="run the adjustment closed-loop every this many tuples during "
              "the replay instead of once afterwards (default: 0)")
-    adjust_parser.add_argument(
-        "--backend", choices=["inprocess", "multiprocess", "socket"],
-        default="inprocess",
-        help="worker transport backend (see 'run --help'; default: inprocess)")
-    adjust_parser.add_argument(
-        "--dispatch-backend",
-        choices=["inline", "inprocess", "multiprocess", "socket"],
-        default="inline",
-        help="dispatch backend (see 'run --help'; default: inline)")
-    adjust_parser.add_argument(
-        "--merger-backend", choices=["inprocess", "multiprocess", "socket"],
-        default="inprocess",
-        help="merger backend (see 'run --help'; default: inprocess)")
+    add_cluster_arguments(adjust_parser)
 
     serve_parser = subparsers.add_parser(
         "serve", help="host one cluster endpoint over TCP")
@@ -269,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_parser = subparsers.add_parser(
         "profile", help="replay one workload with hot-loop profiling on")
-    add_workload_arguments(profile_parser)
+    add_stream_arguments(profile_parser)
+    add_cluster_arguments(profile_parser)
     profile_parser.add_argument(
         "--partitioner", choices=sorted(PARTITIONER_FACTORIES),
         default="hybrid", help="strategy to deploy (default: hybrid)")
@@ -318,6 +318,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
+    """The deployment the ``add_cluster_arguments`` flags describe.
+
+    Built (and validated) at parse time: a bad size or backend, a missing
+    ``--cluster`` manifest, an unparsable ``--fault-plan`` raise here,
+    before anything is partitioned or spawned.
+    """
+    return ClusterConfig(
+        num_workers=args.workers,
+        num_dispatchers=args.dispatchers,
+        num_mergers=args.mergers,
+        backend=args.backend,
+        dispatch_backend=args.dispatch_backend,
+        merger_backend=args.merger_backend,
+        manifest=load_manifest(args.cluster) if args.cluster else None,
+        sink=SinkSpec(kind=args.sink, path=args.sink_path),
+        checkpoint_every=args.checkpoint_every,
+        checkpoint_path=args.checkpoint_path,
+        fault_plan=parse_fault_plan(args.fault_plan) if args.fault_plan else None,
+        telemetry=TelemetrySpec(path=args.telemetry_path) if args.telemetry_path else None,
+        profiling=ProfilingSpec() if args.profile else None,
+    )
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         dataset=args.dataset,
@@ -325,26 +349,11 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         mu=args.mu,
         num_objects=args.objects,
         sample_objects=max(500, args.mu),
-        num_workers=args.workers,
-        num_dispatchers=args.dispatchers,
         seed=args.seed,
         batch_size=args.batch_size,
         adjust_every=args.adjust_every,
         adjuster=args.adjuster,
-        backend=args.backend,
-        dispatch_backend=args.dispatch_backend,
-        merger_backend=args.merger_backend,
-        num_mergers=args.mergers,
-        sink=args.sink,
-        sink_path=args.sink_path,
-        manifest=args.cluster,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_path=args.checkpoint_path,
-        fault_plan=(
-            parse_fault_plan(args.fault_plan) if args.fault_plan else None
-        ),
-        telemetry_path=args.telemetry_path,
-        profiling=args.profile,
+        cluster=args.deployment,
     )
 
 
@@ -410,10 +419,8 @@ def _command_compare(args: argparse.Namespace, out) -> int:
 
 def _command_adjust(args: argparse.Namespace, out) -> int:
     result = run_migration_experiment(
-        args.selector, args.mu, num_objects=args.objects, num_workers=args.workers,
-        batch_size=args.batch_size, adjust_every=args.adjust_every,
-        backend=args.backend, dispatch_backend=args.dispatch_backend,
-        merger_backend=args.merger_backend,
+        args.selector, args.mu, num_objects=args.objects, batch_size=args.batch_size,
+        adjust_every=args.adjust_every, cluster=args.deployment,
     )
     buckets = result.latency_buckets
     rows = [
@@ -503,12 +510,10 @@ def _command_profile(args: argparse.Namespace, out) -> int:
 
     from .runtime.profiling import profile_text
 
-    config = replace(
-        _experiment_config(args),
-        profiling=True,
-        profile_sample=args.stacks_path is not None,
-    )
-    result = run_experiment(args.partitioner, config)
+    # Forced on, whatever --profile said; the sampler only when its output is wanted.
+    profiling = ProfilingSpec(sample=args.stacks_path is not None)
+    args.deployment = replace(args.deployment, profiling=profiling)
+    result = run_experiment(args.partitioner, _experiment_config(args))
     try:
         # The report drains the live endpoints and the stack fetch stops
         # the sampler, so both must happen before the cluster closes.
@@ -610,8 +615,11 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sink", "null") == "jsonl" and not args.sink_path:
-        parser.error("--sink jsonl requires --sink-path")
+    if args.command in ("run", "compare", "profile", "adjust"):
+        try:
+            args.deployment = _cluster_config(args)
+        except (ValueError, OSError) as exc:
+            parser.error("invalid deployment: %s" % exc)
     if args.command == "run":
         return _command_run(args, out)
     if args.command == "compare":

@@ -37,7 +37,7 @@ from .dispatch import (
     make_dispatch,
     plan_update,
 )
-from .fabric import WireStats, load_manifest
+from .fabric import TierBackend, WireStats, load_manifest
 from .merge import MergeBackend, make_merge
 from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
 from .profiling import (
@@ -176,6 +176,13 @@ class Cluster:
                 profiling=profile_on,
             )
             undo.pop_all()
+        #: The tiers by fleet role, in pipeline order — what fences, observes,
+        #: arms faults and closes walk.  Workers close first, so no producer
+        #: still holds a shard inbox when the mergers shut down.
+        self._tiers: Dict[str, TierBackend] = {"worker": self.transport}
+        if self._dispatch is not None:
+            self._tiers["dispatcher"] = self._dispatch
+        self._tiers["merger"] = self._merge
         self.workers: Dict[int, WorkerNode] = self.transport.workers  # type: ignore[assignment]
         #: Match results the coordinator itself relayed to the merger tier.
         #: Zero in the full multiprocess deployment, where workers ship
@@ -193,10 +200,8 @@ class Cluster:
         ] = {}
         fault_plan = self.config.fault_plan
         if fault_plan:
-            self.transport.install_fault_plan(fault_plan.for_role("worker"))
-            self._merge.install_fault_plan(fault_plan.for_role("merger"))
-            if self._dispatch is not None:
-                self._dispatch.install_fault_plan(fault_plan.for_role("dispatcher"))
+            for role, tier in self._tiers.items():
+                tier.install_fault_plan(fault_plan.for_role(role))
         # The wall-clock stack sampler starts last so a failed tier
         # construction never leaks its thread; close() stops it.
         if profiling is not None and profile_on and profiling.sample:
@@ -428,11 +433,8 @@ class Cluster:
         before (by the coordinator or directly by a worker) is
         deduplicated — what adjustment rounds and checkpoints open with.
         """
-        epoch = self.transport.barrier()
-        if self._dispatch is not None:
-            self._dispatch.barrier()
-        self._merge.barrier()
-        return epoch
+        epochs = [tier.barrier() for tier in self._tiers.values()]
+        return epochs[0]
 
     run_adjustment = driver.run_adjustment
 
@@ -920,9 +922,8 @@ class Cluster:
         are all views of it.  Purely read-only — an observed run's
         report is byte-identical to an unobserved one.
         """
-        workers = self.transport.observe()
-        shards = self._dispatch.observe() if self._dispatch is not None else {}
-        return Snapshot(workers, shards, self._merge.observe())
+        observed = {role: tier.observe() for role, tier in self._tiers.items()}
+        return Snapshot(observed["worker"], observed.get("dispatcher", {}), observed["merger"])
 
     def wire_stats(self) -> Dict[str, Dict[int, WireStats]]:
         """Coordinator-side channel traffic per out-of-process tier.
@@ -933,12 +934,8 @@ class Cluster:
         and are absent, so a fully in-process cluster answers ``{}``.
         Reads local counters only — no message is sent.
         """
-        tiers = {
-            "dispatcher": self._dispatch.wire_stats() if self._dispatch is not None else {},
-            "merger": self._merge.wire_stats(),
-            "worker": self.transport.wire_stats(),
-        }
-        return {tier: stats for tier, stats in tiers.items() if stats}
+        stats = {role: self._tiers[role].wire_stats() for role in sorted(self._tiers)}
+        return {role: endpoints for role, endpoints in stats.items() if endpoints}
 
     def _drain_gauges(self, observed: Optional[Snapshot] = None) -> None:
         """Record one gauge sample per endpoint (no-op when telemetry is off)."""
@@ -1114,9 +1111,7 @@ class Cluster:
         Idempotent; a no-op for the in-process backends.  Out-of-process
         clusters should be closed (or used as a context manager) once the
         run and its reports are done — worker state is unreachable after.
-        Releases the dispatch shards (if any) and the merger tier
-        alongside the worker fleet — workers first, so no producer still
-        holds a shard inbox when the mergers shut down.  Each tier is
+        Releases the tiers in pipeline order (workers first).  Each tier is
         closed even if an earlier tier's close raises (a dead worker
         fleet must not leak dispatcher/merger processes; the first error
         is re-raised once all three are down), and the fabric's shutdown
@@ -1129,10 +1124,7 @@ class Cluster:
         if self._sampler is not None:
             self._sampler.stop()
         first_error: Optional[BaseException] = None
-        closers = [self.transport.close]
-        if self._dispatch is not None:
-            closers.append(self._dispatch.close)
-        closers.append(self._merge.close)
+        closers = [tier.close for tier in self._tiers.values()]
         if self._telemetry is not None:
             # Last: flushes the JSONL sink after every tier stopped emitting.
             closers.append(self._telemetry.close)

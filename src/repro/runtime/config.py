@@ -6,10 +6,12 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.costmodel import CostModel
+from .dispatch import DISPATCH_BACKENDS
 from .fabric import FaultPlan
-from .merge import SinkSpec
+from .merge import MERGE_BACKENDS, SinkSpec
 from .profiling import ProfilingSpec
 from .telemetry import TelemetrySpec
+from .transport import TRANSPORT_BACKENDS
 
 __all__ = ["ClusterConfig"]
 
@@ -112,3 +114,19 @@ class ClusterConfig:
     #: a report — counters are pure counts outside the Definition-1
     #: accounting.
     profiling: Optional[ProfilingSpec] = None
+
+    def __post_init__(self) -> None:
+        """Reject a deployment no tier could run — here, before any
+        endpoint process has been spawned for it."""
+        for name in ("num_dispatchers", "num_workers", "num_mergers"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %r" % (name, getattr(self, name)))
+        for kind, name, known in (
+            ("transport", self.backend, TRANSPORT_BACKENDS),
+            ("dispatch", self.dispatch_backend, DISPATCH_BACKENDS),
+            ("merger", self.merger_backend, MERGE_BACKENDS),
+        ):
+            if name not in known:
+                raise ValueError(
+                    "unknown %s backend %r (expected one of %s)" % (kind, name, ", ".join(known))
+                )

@@ -67,17 +67,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from ..core.geometry import Point
 from ..core.objects import StreamTuple, TupleKind
 from ..indexes.gridt import WorkerPlan
-from .fabric import (
-    Fleet,
-    RoleHost,
-    TransportError,
-    WireStats,
-    assign_addresses,
-    connect_fleet,
-    register_role,
-    spawn_fleet,
-    spawn_socket_fleet,
-)
+from .fabric import Fleet, RoleHost, TierBackend, TransportError, make_fleet, register_role
 from .profiling import RouteCounters
 from .telemetry import Observation, Observe
 
@@ -358,17 +348,22 @@ class _ShardRouter:
 # ----------------------------------------------------------------------
 # Backend interface
 # ----------------------------------------------------------------------
-class DispatchBackend:
+class DispatchBackend(TierBackend):
     """Coordinator-side surface of the sharded dispatch stage.
 
     The cluster drives it with a strict window protocol: ``sync`` (when
     the routing version moved), ``submit_window``, ``collect_window`` —
     at most one window outstanding; a per-tuple replay submits windows of
-    one — plus ``barrier`` at adjustment fences and ``observe`` for the
-    Figure 9 per-dispatcher memory report, the gauges and the profile.
+    one — plus the :class:`~repro.runtime.fabric.TierBackend` lifecycle:
+    ``barrier`` at adjustment fences and ``observe`` for the Figure 9
+    per-dispatcher memory report, the gauges and the profile.  A shard's
+    observation carries the measured routing-structure size of its
+    replica as ``memory_bytes`` and its insertion-plan cache as ``depth``;
+    the coordinator overlays the Definition-1 dispatcher busy cost
+    (tracked on its own :class:`DispatcherLedger` accounting) on the
+    gauges it records.
     """
 
-    backend_name = "abstract"
     #: Whether collect/submit may be interleaved across consecutive
     #: windows so shard routing overlaps worker matching.
     supports_pipelining = False
@@ -388,41 +383,6 @@ class DispatchBackend:
     def collect_window(self, seq: int) -> RoutedWindow:
         """Gather and merge the shard replies of window ``seq``."""
         raise NotImplementedError
-
-    def barrier(self) -> int:
-        """Fence every shard with a new AdjustBarrier epoch."""
-        raise NotImplementedError
-
-    def observe(self) -> Dict[int, Observation]:
-        """One :class:`Observation` per shard replica, ascending shard order.
-
-        ``memory_bytes`` is the measured routing-structure size of the
-        replica (Figure 9), ``depth`` its insertion-plan cache; the
-        coordinator overlays the Definition-1 dispatcher busy cost
-        (tracked on its own :class:`DispatcherLedger` accounting) on the
-        gauges it records.  Best-effort on the fabric backends: empty
-        while a pipelined window is in flight.
-        """
-        raise NotImplementedError
-
-    def wire_stats(self) -> Dict[int, WireStats]:
-        """Coordinator-side channel traffic per endpoint; empty in process."""
-        return {}
-
-    def install_fault_plan(self, faults: Sequence[Any]) -> None:
-        """Arm injected faults on this backend's send path (chaos tests).
-
-        The in-process reference has no transport to fault; default no-op.
-        """
-
-    def close(self) -> None:
-        """Release backend resources (terminates shard processes)."""
-
-    def __enter__(self) -> "DispatchBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     # -- shared plumbing ----------------------------------------------
     @staticmethod
@@ -460,7 +420,6 @@ class InProcessDispatch(DispatchBackend):
         self.synced_version = -1
         self._seq = 0
         self._routed: Dict[int, RoutedWindow] = {}
-        self._epoch = 0
 
     def sync(self, routing_index: Any, version: int) -> None:
         blob = pickle.dumps(routing_index, protocol=pickle.HIGHEST_PROTOCOL)
@@ -483,12 +442,6 @@ class InProcessDispatch(DispatchBackend):
 
     def collect_window(self, seq: int) -> RoutedWindow:
         return self._routed.pop(seq)
-
-    def barrier(self) -> int:
-        # Routing is synchronous: every submitted window was already
-        # collected, so the fence reduces to bumping the epoch.
-        self._epoch += 1
-        return self._epoch
 
     def observe(self) -> Dict[int, Observation]:
         return {router.shard_id: _observe_dispatcher(router) for router in self._routers}
@@ -557,6 +510,7 @@ class FabricDispatch(DispatchBackend):
     """
 
     supports_pipelining = True
+    _fleet: Fleet
 
     def __init__(self, fleet: Fleet) -> None:
         self._fleet = fleet
@@ -603,9 +557,6 @@ class FabricDispatch(DispatchBackend):
                 )
         return self._merge(replies[shard_id] for shard_id in sorted(replies))
 
-    def barrier(self) -> int:
-        return self._fleet.barrier()
-
     def observe(self) -> Dict[int, Observation]:
         if self._inflight is not None:
             # A routed window is outstanding (pipelined engine): a
@@ -614,23 +565,7 @@ class FabricDispatch(DispatchBackend):
             # its own dispatcher busy accounting, and shard state
             # appears at the next quiescent point (barrier / report).
             return {}
-        replies = self._fleet.broadcast(Observe())
-        return {shard_id: replies[shard_id] for shard_id in sorted(replies)}
-
-    def wire_stats(self) -> Dict[int, WireStats]:
-        return self._fleet.wire_stats()
-
-    def install_fault_plan(self, faults: Sequence[Any]) -> None:
-        self._fleet.install_fault_plan(faults)
-
-    def close(self) -> None:
-        self._fleet.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
+        return super().observe()
 
 
 #: Registry of the selectable dispatch backends (``--dispatch-backend``).
@@ -647,31 +582,15 @@ def make_dispatch(
 ) -> Optional[DispatchBackend]:
     """Build the dispatch backend; ``None`` means inline (coordinator) routing.
 
-    ``addresses`` (socket backend only) lists the ``repro serve --role
-    dispatcher`` endpoints from the cluster manifest; without it the
-    coordinator spawns loopback serve processes.
+    ``addresses`` are the manifest's ``repro serve --role dispatcher``
+    endpoints (:func:`~repro.runtime.fabric.make_fleet`).
     """
     if backend == "inline":
         return None
     if backend == "inprocess":
         return InProcessDispatch(num_shards, profiling)
-    if backend not in ("multiprocess", "socket"):
-        raise ValueError(
-            "unknown dispatch backend %r (expected one of %s)"
-            % (backend, ", ".join(DISPATCH_BACKENDS))
-        )
-    if num_shards < 1:
-        raise ValueError("dispatch needs at least one shard")
-    shard_ids = list(range(num_shards))
-    inits = {
-        shard_id: {"num_shards": num_shards, "profiling": profiling}
-        for shard_id in shard_ids
-    }
-    if backend == "multiprocess":
-        fleet = spawn_fleet("dispatcher", inits, label="dispatch shard")
-    elif addresses:
-        endpoint_map = assign_addresses(addresses, shard_ids, "dispatcher")
-        fleet = connect_fleet("dispatcher", endpoint_map, inits, label="dispatch shard")
-    else:
-        fleet = spawn_socket_fleet("dispatcher", inits, label="dispatch shard")
-    return FabricDispatch(fleet)
+    init = {"num_shards": num_shards, "profiling": profiling}
+    inits = {shard_id: init for shard_id in range(num_shards)}
+    return FabricDispatch(
+        make_fleet("dispatcher", backend, inits, addresses=addresses, label="dispatch shard")
+    )

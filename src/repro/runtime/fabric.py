@@ -1,12 +1,11 @@
 """The role-based runtime fabric under every cluster backend.
 
 The paper's PS2Stream deployment (Section III-B) is a Storm topology of
-independently running **dispatchers**, **workers** and **mergers**.  PRs
-3–5 of this reproduction grew one backend seam per tier — the worker
-transport, the sharded dispatch stage and the merger tier — and each of
-them reimplemented the same process-spawn/pipe/exchange/drain/close
-lifecycle over pickled pipes and ``SimpleQueue``s.  This module is that
-lifecycle, written once:
+independently running **dispatchers**, **workers** and **mergers**.  Each
+tier has its backend seam — the worker transport, the sharded dispatch
+stage and the merger tier — over the same process-spawn/pipe/exchange/
+drain/close lifecycle of pickled pipes, ``SimpleQueue``s and sockets.
+This module is that lifecycle, written once:
 
 * :class:`Channel` — one duplex typed-message link to a remote endpoint.
   Implementations: :class:`PipeChannel` (a ``multiprocessing`` pipe),
@@ -22,12 +21,13 @@ lifecycle, written once:
 * :class:`Fleet` — the coordinator-side handle of ``N`` endpoints of one
   role: synchronous ``request``, submit-all-then-collect ``exchange``
   (workers run their windows concurrently), ``broadcast``, the
-  adjustment ``barrier`` and an idempotent, drain-safe ``close``.
+  adjustment ``barrier`` and an idempotent, drain-safe ``close``;
+  :class:`TierBackend` is the lifecycle the three tier seams share over it.
 * deployment constructors — :func:`spawn_fleet` (one OS process per
   endpoint on this host), :func:`connect_fleet` (TCP endpoints from a
   host manifest) and :func:`spawn_socket_fleet` (loopback ``serve``
   processes the coordinator spawns itself, so tests and CI need no
-  external orchestration).
+  external orchestration); :func:`make_fleet` picks one per backend.
 
 Roles register themselves under ``worker`` / ``dispatcher`` / ``merger``
 (:func:`register_role`): :mod:`repro.runtime.transport` provides the
@@ -62,7 +62,7 @@ import socket
 import struct
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from multiprocessing.reduction import ForkingPickler
 from typing import (
     Any,
@@ -95,6 +95,7 @@ __all__ = [
     "RoleHost",
     "Shutdown",
     "SocketChannel",
+    "TierBackend",
     "TransportError",
     "WireStats",
     "assign_addresses",
@@ -102,6 +103,7 @@ __all__ = [
     "dump_message",
     "load_manifest",
     "load_message",
+    "make_fleet",
     "pack_frame",
     "parse_address",
     "parse_fault_plan",
@@ -258,14 +260,7 @@ def parse_fault_plan(text: str) -> FaultPlan:
     for entry in raw:
         if not isinstance(entry, dict) or "action" not in entry:
             raise ValueError("each fault needs at least an 'action': %r" % (entry,))
-        unknown = set(entry) - {
-            "action",
-            "role",
-            "endpoint_id",
-            "after_sends",
-            "message_type",
-            "delay_seconds",
-        }
+        unknown = set(entry) - {field.name for field in fields(FaultSpec)}
         if unknown:
             raise ValueError("unknown fault keys %s" % ", ".join(sorted(unknown)))
         specs.append(FaultSpec(**entry))
@@ -668,7 +663,26 @@ def serve_loop(host: RoleHost, endpoint_id: int, channel: Channel) -> bool:
 # ----------------------------------------------------------------------
 # Fleet: the coordinator-side surface of N endpoints of one role
 # ----------------------------------------------------------------------
-class Fleet:
+class _ClosesOnExit:
+    """``close()`` on leaving a ``with`` block and, best effort, when collected."""
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    def __enter__(self) -> Any:
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
+        try:
+            self.close()
+        except Exception:
+            pass
+
+
+class Fleet(_ClosesOnExit):
     """Coordinator handle of one role tier (its channels + lifecycle).
 
     ``label`` names endpoints in errors ("worker", "dispatch shard",
@@ -691,7 +705,7 @@ class Fleet:
         self.backend_name = backend_name
         self._channels = channels
         self._processes: Dict[int, Any] = processes if processes is not None else {}
-        self._data_endpoints = tuple(data_endpoints) if data_endpoints else None
+        self._data_endpoints = data_endpoints
         self._epoch = 0
         self._closed = False
         #: endpoint id -> reason, for every endpoint observed dead (on the
@@ -1003,17 +1017,51 @@ class Fleet:
                 process.terminate()
                 process.join(timeout=1.0)
 
-    def __enter__(self) -> "Fleet":
-        return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+class TierBackend(_ClosesOnExit):
+    """The lifecycle the three tier seams share, around an optional fleet.
 
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
+    Base of ``Transport``, ``DispatchBackend`` and ``MergeBackend``.
+    ``_fleet`` stays ``None`` while the tier lives in the coordinator's
+    interpreter; the ``Fabric*`` subclasses set it and add role logic only.
+    """
+
+    backend_name = "abstract"
+    _fleet: Optional[Fleet] = None
+    _epoch = 0
+
+    def barrier(self) -> int:
+        """Fence every endpoint with a new :class:`AdjustBarrier` epoch."""
+        if self._fleet is not None:
+            return self._fleet.barrier()
+        # In process every call is synchronous: whatever was shipped is
+        # already applied, so the fence reduces to bumping the epoch.
+        self._epoch += 1
+        return self._epoch
+
+    def observe(self) -> Dict[int, Any]:
+        """One read-only ``Observation`` per endpoint — observing never
+        touches the counters reports derive from — keyed by ascending id so
+        no report depends on reply order; in process, built from live state."""
+        from .telemetry import Observe  # telemetry -> profiling -> this module
+
+        assert self._fleet is not None, "in-process tiers observe live state"
+        replies = self._fleet.broadcast(Observe())
+        return {endpoint_id: replies[endpoint_id] for endpoint_id in sorted(replies)}
+
+    def wire_stats(self) -> Dict[int, WireStats]:
+        """Coordinator-side channel traffic per endpoint; empty in process."""
+        return self._fleet.wire_stats() if self._fleet is not None else {}
+
+    def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
+        """Arm injected faults on the fleet's send path; none in process."""
+        if self._fleet is not None:
+            self._fleet.install_fault_plan(faults)
+
+    def close(self) -> None:
+        """Release backend resources (shuts the fleet's endpoints down)."""
+        if self._fleet is not None:
+            self._fleet.close()
 
 
 # ----------------------------------------------------------------------
@@ -1038,7 +1086,6 @@ def spawn_fleet(
     *,
     label: str,
     queue_inbox: bool = False,
-    start_method: Optional[str] = None,
 ) -> Fleet:
     """One OS process per endpoint on this host (the multiprocess tier).
 
@@ -1049,11 +1096,7 @@ def spawn_fleet(
     construction arguments are pickled to the child, so the fleet works
     under ``fork`` and ``spawn`` start methods alike.
     """
-    context = (
-        multiprocessing.get_context(start_method)
-        if start_method is not None
-        else multiprocessing.get_context()
-    )
+    context = multiprocessing.get_context()
     channels: Dict[int, Channel] = {}
     processes: Dict[int, Any] = {}
     data_endpoints: List[Any] = []
@@ -1091,10 +1134,6 @@ def spawn_fleet(
     except Exception:
         fleet.close()
         raise
-    # The mutable data_endpoints list was filled after Fleet.__init__
-    # snapshotted it; re-register the final tuple.
-    if queue_inbox:
-        fleet._data_endpoints = tuple(data_endpoints)
     return fleet
 
 
@@ -1336,3 +1375,26 @@ def spawn_socket_fleet(
             process.join(timeout=1.0)
         raise
     return connect_fleet(role, endpoints, inits, label=label, processes=processes)
+
+
+def make_fleet(
+    role: str,
+    backend: str,
+    inits: Mapping[int, Mapping[str, Any]],
+    *,
+    addresses: Optional[Sequence[Tuple[str, int]]] = None,
+    label: str,
+    queue_inbox: bool = False,
+) -> Fleet:
+    """THE backend → fleet switch under the three ``make_*`` factories:
+    local processes for ``multiprocess``; for ``socket`` the manifest
+    ``addresses`` of the tier's ``repro serve`` endpoints (one per endpoint
+    id, in order) or, given none, loopback serve processes."""
+    if backend == "multiprocess":
+        return spawn_fleet(role, inits, label=label, queue_inbox=queue_inbox)
+    if backend != "socket":
+        raise ValueError("no fleet deployment for backend %r" % backend)
+    if addresses:
+        endpoints = assign_addresses(addresses, list(inits), role)
+        return connect_fleet(role, endpoints, inits, label=label)
+    return spawn_socket_fleet(role, inits, label=label)

@@ -63,17 +63,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.objects import MatchResult
-from .fabric import (
-    Fleet,
-    RoleHost,
-    TransportError,
-    WireStats,
-    assign_addresses,
-    connect_fleet,
-    register_role,
-    spawn_fleet,
-    spawn_socket_fleet,
-)
+from .fabric import Fleet, RoleHost, TierBackend, TransportError, make_fleet, register_role
 from .merger import MergerNode
 from .telemetry import Observation, Observe
 from .transport import DeliverResults, MergerReset, SinkDrain, ship_results
@@ -258,32 +248,23 @@ def _observe_merger(merger: MergerNode) -> Observation:
 # ----------------------------------------------------------------------
 # Backend interface
 # ----------------------------------------------------------------------
-class MergeBackend:
+class MergeBackend(TierBackend):
     """Coordinator-side surface of the merger/delivery tier.
 
     The cluster drives it with ``deliver`` (coordinator-side delivery of
-    results it received over the worker transport), ``observe`` for the
-    reports, ``barrier`` at adjustment fences, ``reset_period`` /
+    results it received over the worker transport), ``reset_period`` /
     ``drain_sinks`` and ``worker_endpoints`` — the per-shard inboxes
     handed to the multiprocess worker transport for direct shipping
     (``None`` when the tier lives in the coordinator's interpreter or
-    behind TCP).
+    behind TCP) — plus the :class:`~repro.runtime.fabric.TierBackend`
+    lifecycle: ``observe`` for the reports, ``barrier`` at adjustment
+    fences (all earlier deliveries processed).
     """
 
-    backend_name = "abstract"
     num_mergers: int = 0
 
     def deliver(self, results: Sequence[MatchResult]) -> None:
         """Partition ``results`` across the shards and deliver them."""
-        raise NotImplementedError
-
-    def observe(self) -> Dict[int, Observation]:
-        """One :class:`Observation` per shard, keyed (and merged) by
-        ascending merger id so reports never depend on reply order.
-
-        Read-only: observing never touches the busy/delivered counters
-        reports derive from (the telemetry invariant).
-        """
         raise NotImplementedError
 
     def merger_handles(self) -> List[Any]:
@@ -296,10 +277,6 @@ class MergeBackend:
         """Shard inboxes for direct worker→merger shipping, or ``None``."""
         return None
 
-    def barrier(self) -> int:
-        """Fence every shard (all earlier deliveries processed)."""
-        raise NotImplementedError
-
     def reset_period(self) -> None:
         """Start a new measurement period on every shard."""
         raise NotImplementedError
@@ -307,25 +284,6 @@ class MergeBackend:
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         """Drain every shard's sink buffer, keyed by merger id."""
         raise NotImplementedError
-
-    def wire_stats(self) -> Dict[int, WireStats]:
-        """Coordinator-side channel traffic per endpoint; empty in process."""
-        return {}
-
-    def install_fault_plan(self, faults: Sequence[Any]) -> None:
-        """Arm injected faults on this backend's send path (chaos tests).
-
-        The in-process reference has no transport to fault; default no-op.
-        """
-
-    def close(self) -> None:
-        """Release backend resources (terminates merger processes)."""
-
-    def __enter__(self) -> "MergeBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class InProcessMerge(MergeBackend):
@@ -354,7 +312,6 @@ class InProcessMerge(MergeBackend):
             )
             for merger_id in range(num_mergers)
         ]
-        self._epoch = 0
 
     def deliver(self, results: Sequence[MatchResult]) -> None:
         ship_results(
@@ -368,11 +325,6 @@ class InProcessMerge(MergeBackend):
 
     def merger_handles(self) -> List[Any]:
         return list(self.mergers)
-
-    def barrier(self) -> int:
-        # Delivery is synchronous; the fence reduces to bumping the epoch.
-        self._epoch += 1
-        return self._epoch
 
     def reset_period(self) -> None:
         for merger in self.mergers:
@@ -449,6 +401,8 @@ class FabricMerge(MergeBackend):
     FIFO gives the identical fence.
     """
 
+    _fleet: Fleet
+
     def __init__(self, fleet: Fleet) -> None:
         self._fleet = fleet
         self.backend_name = fleet.backend_name
@@ -467,17 +421,8 @@ class FabricMerge(MergeBackend):
     def worker_endpoints(self) -> Optional[Sequence[Any]]:
         return self._fleet.data_endpoints()
 
-    def observe(self) -> Dict[int, Observation]:
-        replies = self._fleet.broadcast(Observe())
-        # Merged sorted by merger id (the same determinism rule the worker
-        # tier applies to its observations).
-        return {merger_id: replies[merger_id] for merger_id in sorted(replies)}
-
     def merger_handles(self) -> List[Any]:
         return list(self.observe().values())
-
-    def barrier(self) -> int:
-        return self._fleet.barrier()
 
     def reset_period(self) -> None:
         self._fleet.broadcast(MergerReset())
@@ -485,21 +430,6 @@ class FabricMerge(MergeBackend):
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         drained = self._fleet.broadcast(SinkDrain())
         return {merger_id: drained[merger_id] for merger_id in sorted(drained)}
-
-    def wire_stats(self) -> Dict[int, WireStats]:
-        return self._fleet.wire_stats()
-
-    def install_fault_plan(self, faults: Sequence[Any]) -> None:
-        self._fleet.install_fault_plan(faults)
-
-    def close(self) -> None:
-        self._fleet.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 #: Registry of the selectable merger backends (``--merger-backend``).
@@ -517,35 +447,20 @@ def make_merge(
 ) -> MergeBackend:
     """Build the merger/delivery backend for a cluster deployment.
 
-    ``addresses`` (socket backend only) lists the ``repro serve --role
-    merger`` endpoints from the cluster manifest; without it the
-    coordinator spawns loopback serve processes.
+    ``addresses`` are the manifest's ``repro serve --role merger``
+    endpoints (:func:`~repro.runtime.fabric.make_fleet`).
     """
     if backend == "inprocess":
         return InProcessMerge(
             num_mergers, sink=sink, dedup_window=dedup_window, profiling=profiling
         )
-    if backend not in ("multiprocess", "socket"):
-        raise ValueError(
-            "unknown merger backend %r (expected one of %s)"
-            % (backend, ", ".join(MERGE_BACKENDS))
+    init = {"sink": sink, "dedup_window": dedup_window, "profiling": profiling}
+    inits = {merger_id: init for merger_id in range(num_mergers)}
+    return FabricMerge(
+        make_fleet(
+            "merger", backend, inits, addresses=addresses, label="merger shard",
+            # Multiprocess shards receive through a multi-producer inbox, so
+            # worker hosts can ship results to them directly.
+            queue_inbox=True,
         )
-    if num_mergers < 1:
-        raise ValueError("the merger tier needs at least one shard")
-    merger_ids = list(range(num_mergers))
-    inits = {
-        merger_id: {
-            "sink": sink,
-            "dedup_window": dedup_window,
-            "profiling": profiling,
-        }
-        for merger_id in merger_ids
-    }
-    if backend == "multiprocess":
-        fleet = spawn_fleet("merger", inits, label="merger shard", queue_inbox=True)
-    elif addresses:
-        endpoint_map = assign_addresses(addresses, merger_ids, "merger")
-        fleet = connect_fleet("merger", endpoint_map, inits, label="merger shard")
-    else:
-        fleet = spawn_socket_fleet("merger", inits, label="merger shard")
-    return FabricMerge(fleet)
+    )

@@ -66,18 +66,14 @@ from .checkpoint import SnapshotAssignments, WorkerSnapshot
 from .fabric import (
     AdjustBarrier,
     BarrierAck,
-    FaultSpec,
     Fleet,
     RemoteError,
     RoleHost,
     Shutdown,
+    TierBackend,
     TransportError,
-    WireStats,
-    assign_addresses,
-    connect_fleet,
+    make_fleet,
     register_role,
-    spawn_fleet,
-    spawn_socket_fleet,
 )
 from .telemetry import Observation, Observe
 from .worker import QueryAssignment, WorkerNode
@@ -369,16 +365,17 @@ def _resolve_call(worker: WorkerNode, message: WorkerCall) -> Any:
 # ----------------------------------------------------------------------
 # Transport interface
 # ----------------------------------------------------------------------
-class Transport:
+class Transport(TierBackend):
     """Coordinator-side surface for talking to the worker fleet.
 
     ``workers`` maps worker id → handle; for the in-process backend the
     handle is the :class:`WorkerNode` itself, for the fabric backends a
     :class:`WorkerProxy` forwarding the same surface over the channel.
-    The coordinator never assumes which one it holds.
+    The coordinator never assumes which one it holds.  The tier lifecycle
+    (``barrier`` / ``observe`` / ``wire_stats`` / ``install_fault_plan`` /
+    ``close``) is :class:`~repro.runtime.fabric.TierBackend`'s.
     """
 
-    backend_name = "abstract"
     workers: Mapping[int, Any] = {}
     #: Does an :meth:`exchange` block on a round trip to other processes?
     #: Then the window executor ships a whole window per exchange instead
@@ -394,19 +391,6 @@ class Transport:
         Reply dict preserves ``batches``'s iteration order, so coordinator
         code that merges results stays deterministic across backends.
         """
-        raise NotImplementedError
-
-    def observe(self) -> Dict[int, Observation]:
-        """One :class:`Observation` per worker, in ascending worker-id order.
-
-        A read-only snapshot: observing never touches the Definition-1
-        busy counters reports derive from, so an observed run's report
-        is byte-identical to an unobserved one (the telemetry invariant).
-        """
-        raise NotImplementedError
-
-    def barrier(self) -> int:
-        """Run one :class:`AdjustBarrier` fence; returns the new epoch."""
         raise NotImplementedError
 
     def call(
@@ -429,16 +413,6 @@ class Transport:
         """
         raise NotImplementedError
 
-    def wire_stats(self) -> Dict[int, WireStats]:
-        """Coordinator-side channel traffic per endpoint; empty in process."""
-        return {}
-
-    def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
-        """Arm injected faults on this backend's send path (chaos tests).
-
-        The in-process reference has no transport to fault; default no-op.
-        """
-
     def discard_worker(self, worker_id: int) -> None:
         """Drop a dead worker from the fleet (the recovery path).
 
@@ -446,15 +420,6 @@ class Transport:
         stats, or barriers; idempotent for an already-discarded id.
         """
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (terminates worker processes)."""
-
-    def __enter__(self) -> "Transport":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class InProcessTransport(Transport):
@@ -464,7 +429,6 @@ class InProcessTransport(Transport):
 
     def __init__(self, workers: Dict[int, WorkerNode]) -> None:
         self.workers: Dict[int, WorkerNode] = workers
-        self._epoch = 0
 
     def exchange(
         self, batches: Mapping[int, RouteBatch]
@@ -482,12 +446,6 @@ class InProcessTransport(Transport):
             worker_id: _observe_worker(self.workers[worker_id])
             for worker_id in sorted(self.workers)
         }
-
-    def barrier(self) -> int:
-        # Execution is synchronous: every shipped message has already been
-        # applied, so the fence reduces to bumping the epoch.
-        self._epoch += 1
-        return self._epoch
 
     def call(
         self,
@@ -687,6 +645,7 @@ class FabricTransport(Transport):
     """
 
     exchange_round_trip = True
+    _fleet: Fleet
 
     def __init__(self, fleet: Fleet) -> None:
         self._fleet = fleet
@@ -706,16 +665,6 @@ class FabricTransport(Transport):
     ) -> Dict[int, List[Optional[MatchResults]]]:
         return self._fleet.exchange(batches)
 
-    def observe(self) -> Dict[int, Observation]:
-        replies = self._fleet.broadcast(Observe())
-        # Replies are gathered in whatever order the fleet is polled;
-        # re-key sorted by worker id so downstream merges are deterministic
-        # regardless of reply arrival order.
-        return {worker_id: replies[worker_id] for worker_id in sorted(replies)}
-
-    def barrier(self) -> int:
-        return self._fleet.barrier()
-
     def call(
         self,
         worker_id: int,
@@ -732,12 +681,6 @@ class FabricTransport(Transport):
             for worker_id in sorted(snapshots)
         }
 
-    def wire_stats(self) -> Dict[int, WireStats]:
-        return self._fleet.wire_stats()
-
-    def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
-        self._fleet.install_fault_plan(faults)
-
     def discard_worker(self, worker_id: int) -> None:
         """Drop a dead endpoint and re-align the surviving channels.
 
@@ -751,15 +694,6 @@ class FabricTransport(Transport):
         self._fleet.discard(worker_id)
         self._fleet.resync()
         self.workers.pop(worker_id, None)
-
-    def close(self) -> None:
-        self._fleet.close()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 #: Registry of the selectable transport backends (``--backend`` on the CLI).
@@ -790,29 +724,10 @@ def make_transport(
     the coordinator, which delivers to the merger shards itself (reports
     are unaffected — delivery hops are not part of the RunReport).
 
-    ``addresses`` (socket backend only) lists the ``repro serve --role
-    worker`` endpoints from the cluster manifest, one per worker id in
-    order; without it the coordinator spawns loopback serve processes.
+    ``addresses`` are the manifest's ``repro serve --role worker``
+    endpoints (:func:`~repro.runtime.fabric.make_fleet`).
     """
-    if backend == "inprocess":
-        workers = {
-            worker_id: WorkerNode(
-                worker_id,
-                bounds,
-                granularity=granularity,
-                cost_model=cost_model,
-                term_statistics=term_statistics,
-                profiling=profiling,
-            )
-            for worker_id in worker_ids
-        }
-        return InProcessTransport(workers)
-    if backend not in ("multiprocess", "socket"):
-        raise ValueError(
-            "unknown transport backend %r (expected one of %s)"
-            % (backend, ", ".join(TRANSPORT_BACKENDS))
-        )
-    worker_init = {
+    worker_init: Dict[str, Any] = {
         "bounds": bounds,
         "granularity": granularity,
         "cost_model": cost_model,
@@ -820,18 +735,14 @@ def make_transport(
         # A plain bool crosses the Init handshake, never the ProfilingSpec.
         "profiling": profiling,
     }
-    if backend == "multiprocess":
-        endpoints = tuple(merger_endpoints) if merger_endpoints else None
-        inits = {
-            worker_id: {"worker": worker_init, "merger_endpoints": endpoints}
-            for worker_id in worker_ids
-        }
-        fleet = spawn_fleet("worker", inits, label="worker")
-    else:
-        inits = {worker_id: {"worker": worker_init} for worker_id in worker_ids}
-        if addresses:
-            endpoint_map = assign_addresses(addresses, worker_ids, "worker")
-            fleet = connect_fleet("worker", endpoint_map, inits, label="worker")
-        else:
-            fleet = spawn_socket_fleet("worker", inits, label="worker")
-    return FabricTransport(fleet)
+    if backend == "inprocess":
+        return InProcessTransport(
+            {worker_id: WorkerNode(worker_id, **worker_init) for worker_id in worker_ids}
+        )
+    direct = backend == "multiprocess"
+    endpoints = tuple(merger_endpoints) if merger_endpoints and direct else None
+    init = {"worker": worker_init, "merger_endpoints": endpoints}
+    inits = {worker_id: init for worker_id in worker_ids}
+    return FabricTransport(
+        make_fleet("worker", backend, inits, addresses=addresses, label="worker")
+    )

@@ -1,5 +1,7 @@
 """Tests for the benchmark harness (repro.bench)."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.bench import (
@@ -12,6 +14,15 @@ from repro.bench import (
     run_experiment,
     run_migration_experiment,
 )
+from repro.core.costmodel import CostModel
+from repro.runtime import (
+    ClusterConfig,
+    FaultPlan,
+    FaultSpec,
+    ProfilingSpec,
+    SinkSpec,
+    TelemetrySpec,
+)
 
 
 TINY = ExperimentConfig(
@@ -19,10 +30,36 @@ TINY = ExperimentConfig(
     mu=150,
     num_objects=300,
     sample_objects=300,
-    num_workers=4,
-    num_dispatchers=2,
-    granularity=16,
+    cluster=ClusterConfig(num_workers=4, num_dispatchers=2, granularity=16),
 )
+
+
+#: Another valid value for the config fields ``value + 1`` does not suit.
+OTHER_VALUES = {
+    "cluster": ClusterConfig(num_workers=3),
+    "backend": "multiprocess",
+    "dispatch_backend": "inprocess",
+    "merger_backend": "socket",
+    "cost_model": CostModel(match_check=0.5),
+    "manifest": "manifest.json",
+    "sink": SinkSpec("memory"),
+    "checkpoint_path": "checkpoints.jsonl",
+    "fault_plan": FaultPlan((FaultSpec("drop"),)),
+    "telemetry": TelemetrySpec(),
+    "profiling": ProfilingSpec(),
+}
+
+
+def _another(name, config):
+    """A value for field ``name`` that differs from ``config``'s."""
+    value = getattr(config, name)
+    if name in OTHER_VALUES:
+        assert OTHER_VALUES[name] != value
+        return OTHER_VALUES[name]
+    if isinstance(value, str):
+        return value + "-other"
+    assert isinstance(value, (int, float)), "no other value for %s: extend OTHER_VALUES" % name
+    return value + 1
 
 
 class TestConfig:
@@ -30,7 +67,7 @@ class TestConfig:
         monkeypatch.setenv("PS2STREAM_BENCH_SCALE", "0.5")
         scaled = TINY.scaled()
         assert scaled.mu == max(100, int(TINY.mu * 0.5))
-        assert scaled.num_workers == TINY.num_workers  # only workload sizes scale
+        assert scaled.cluster == TINY.cluster  # only workload sizes scale
 
     def test_invalid_scale_falls_back(self, monkeypatch):
         monkeypatch.setenv("PS2STREAM_BENCH_SCALE", "not-a-number")
@@ -42,6 +79,22 @@ class TestConfig:
     def test_key_distinguishes_configs(self):
         other = ExperimentConfig(group="Q2", mu=150, num_objects=300, sample_objects=300)
         assert TINY.key("hybrid") != other.key("hybrid")
+
+    def test_key_distinguishes_every_field(self):
+        """The hand-listed key had drifted (``latency_load_fraction`` was
+        missing, so two such configs shared an ``ExperimentCache`` entry);
+        the key is the frozen config itself, so no field can be left out."""
+        assert ExperimentConfig().key("hybrid") != ExperimentConfig(
+            cluster=ClusterConfig(latency_load_fraction=0.9)
+        ).key("hybrid")
+        changed = [replace(TINY, **{f.name: _another(f.name, TINY)}) for f in fields(TINY)]
+        changed += [
+            replace(TINY, cluster=replace(TINY.cluster, **{f.name: _another(f.name, TINY.cluster)}))
+            for f in fields(ClusterConfig)
+        ]
+        keys = {config.key("hybrid") for config in changed}
+        assert len(keys) == len(fields(ExperimentConfig)) + len(fields(ClusterConfig))
+        assert TINY.key("hybrid") not in keys
 
 
 class TestFactories:
@@ -66,7 +119,7 @@ class TestRunExperiment:
         assert result.report.throughput > 0
         assert result.partition_seconds >= 0
         assert result.run_seconds > 0
-        assert result.config.num_workers == 4
+        assert result.config.cluster.num_workers == 4
 
     def test_report_at_rate(self):
         result = run_experiment("hybrid", TINY)

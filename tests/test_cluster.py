@@ -1,5 +1,7 @@
 """Unit and integration tests for the simulated cluster."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core import Rect, STSQuery, StreamTuple, TupleKind
@@ -27,6 +29,42 @@ class TestClusterConstruction:
     def test_workers_share_plan_statistics(self, small_stream):
         cluster = build_cluster(small_stream)
         assert cluster.plan.statistics is not None
+
+
+class TestConfigValidation:
+    """``ClusterConfig`` rejects what no tier could run when it is built —
+    ``num_dispatchers=0`` used to die with ``ZeroDivisionError`` on the
+    first tuple, after every multiprocess endpoint had spawned."""
+
+    @pytest.mark.parametrize("field", ["num_dispatchers", "num_workers", "num_mergers"])
+    @pytest.mark.parametrize("size", [0, -2])
+    def test_tier_sizes_must_be_positive(self, field, size):
+        with pytest.raises(ValueError, match="%s must be at least 1" % field):
+            ClusterConfig(
+                backend="multiprocess", dispatch_backend="multiprocess",
+                merger_backend="multiprocess", **{field: size},
+            )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "field,kind",
+        [("backend", "transport"), ("dispatch_backend", "dispatch"), ("merger_backend", "merger")],
+    )
+    def test_backend_names_are_checked_against_the_registries(self, field, kind):
+        with pytest.raises(ValueError, match="unknown %s backend 'smoke-signals'" % kind):
+            ClusterConfig(**{field: "smoke-signals"})
+        assert multiprocessing.active_children() == []
+
+    def test_defaults_and_every_registered_backend_are_valid(self):
+        from repro.runtime import DISPATCH_BACKENDS, MERGE_BACKENDS, TRANSPORT_BACKENDS
+
+        assert ClusterConfig() == ClusterConfig(num_dispatchers=4, num_workers=8, num_mergers=2)
+        for backend in TRANSPORT_BACKENDS:
+            assert ClusterConfig(backend=backend).backend == backend
+        for backend in DISPATCH_BACKENDS:
+            assert ClusterConfig(dispatch_backend=backend).dispatch_backend == backend
+        for backend in MERGE_BACKENDS:
+            assert ClusterConfig(merger_backend=backend).merger_backend == backend
 
 
 class TestProcessing:

@@ -11,6 +11,7 @@ and exception-safe even when a backend process is killed mid-run.
 """
 
 import json
+import multiprocessing
 import pickle
 import random
 import socket
@@ -28,17 +29,24 @@ from repro.runtime import (
     parse_address,
     serve,
 )
+from repro.core.costmodel import CostModel
+from repro.core.geometry import Rect
+from repro.runtime.dispatch import make_dispatch
 from repro.runtime.fabric import (
     Fleet,
     Init,
     RemoteError,
     SocketChannel,
+    TierBackend,
     assign_addresses,
     dump_message,
     load_message,
     pack_frame,
     read_frame,
 )
+
+from repro.runtime.merge import make_merge
+from repro.runtime.transport import make_transport
 
 from test_transport import make_workload, require_loopback
 
@@ -317,3 +325,65 @@ class TestClusterCloseResilience:
         # The merger fleet was still shut down, and close stays idempotent.
         assert all(not process.is_alive() for process in merger_processes)
         cluster.close()
+
+
+def _make_worker_tier(backend):
+    return make_transport(
+        backend, [0, 1], bounds=Rect(0.0, 0.0, 10.0, 10.0), granularity=4,
+        cost_model=CostModel(), term_statistics=None,
+    )
+
+
+TIER_FACTORIES = {
+    "transport": _make_worker_tier,
+    "dispatch": lambda backend: make_dispatch(backend, 2),
+    "merge": lambda backend: make_merge(backend, 2),
+}
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "multiprocess"])
+@pytest.mark.parametrize("seam", sorted(TIER_FACTORIES))
+class TestTierSurface:
+    """The lifecycle every tier seam inherits from ``TierBackend`` — one
+    definition, so one test over (seam x where the endpoints live)."""
+
+    def test_shared_lifecycle(self, seam, backend):
+        tier = TIER_FACTORIES[seam](backend)
+        try:
+            assert isinstance(tier, TierBackend)
+            assert tier.backend_name == backend
+            assert (tier._fleet is None) == (backend == "inprocess")
+            for name in (
+                "barrier", "wire_stats", "install_fault_plan", "__enter__", "__exit__", "__del__"
+            ):  # defined once, for all three seams
+                assert getattr(type(tier), name) is getattr(TierBackend, name), name
+
+            observed = tier.observe()
+            assert list(observed) == [0, 1]
+            assert [o.endpoint_id for o in observed.values()] == [0, 1]
+            assert tier.observe() == observed  # read-only
+
+            assert [tier.barrier() for _ in range(3)] == [1, 2, 3]
+
+            stats = tier.wire_stats()
+            if backend == "inprocess":
+                assert stats == {}
+            else:
+                assert sorted(stats) == [0, 1]
+                assert all(entry.messages_sent > 0 for entry in stats.values())
+            tier.install_fault_plan(())
+            assert tier.observe() == observed
+        finally:
+            tier.close()
+        tier.close()  # idempotent
+        assert multiprocessing.active_children() == []
+
+    def test_context_manager_closes(self, seam, backend):
+        with TIER_FACTORIES[seam](backend) as tier:
+            fleet = tier._fleet
+            children = list(fleet.processes.values()) if fleet is not None else []
+            assert len(children) == (0 if backend == "inprocess" else 2)
+            assert all(child.is_alive() for child in children)
+        assert fleet is None or fleet._closed
+        assert all(not child.is_alive() for child in children)
+        assert multiprocessing.active_children() == []
