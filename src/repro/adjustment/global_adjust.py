@@ -205,12 +205,11 @@ class GlobalAdjuster:
         exact whichever strategy originally placed each query.
 
         Worker traffic is batched per worker, not per query: the snapshot
-        (live queries plus their exact registrations) is pulled in two
-        bulk reads per worker, the reconciliation plan is computed on the
-        coordinator, and each worker applies its whole plan through one
+        (live queries plus their exact registrations) is the checkpoint
+        primitive's one broadcast, the reconciliation plan is computed on
+        the coordinator, and each worker applies its whole plan through one
         :meth:`~repro.runtime.worker.WorkerNode.reconcile_queries` call —
-        a constant number of round trips per worker per round on a remote
-        backend, instead of several proxy RPCs per query.
+        at most two messages per worker per round on a remote backend.
         """
         report = RepartitionReport(checked=True)
         routing = cluster.routing_index
@@ -226,11 +225,11 @@ class GlobalAdjuster:
             Tuple[STSQuery, List[Tuple[CellCoord, str, int]], Dict[int, List[Tuple[CellCoord, str]]]],
         ] = {}
         holders: Dict[int, List[int]] = {}
-        worker_pairs: Dict[int, Dict[int, List[Tuple[CellCoord, str]]]] = {}
-        for worker_id in sorted(cluster.workers):
-            worker = cluster.workers[worker_id]
-            worker_pairs[worker_id] = worker.index.posting_pairs_by_query()
-            for query in worker.index.queries():
+        worker_pairs: Dict[int, Dict[int, Tuple[Tuple[CellCoord, str], ...]]] = {}
+        for worker_id, assignments in cluster.transport.snapshot_assignments().items():
+            worker_pairs[worker_id] = {a.query.query_id: a.pairs for a in assignments}
+            for assignment in assignments:
+                query = assignment.query
                 holders.setdefault(query.query_id, []).append(worker_id)
                 if query.query_id not in plans:
                     triples, _ = new_index.posting_assignments(query)

@@ -21,7 +21,6 @@ cell-selection time — the three quantities Figures 12, 13 and 14 plot.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -210,20 +209,9 @@ class LocalLoadAdjuster:
         agree) and split so the target receives roughly half of the query
         load (the lighter half, to keep the migration small).
         """
-        index = cluster.workers[source].index
-        queries = index.queries_in_cell(cell)
-        if len(queries) < 2:
-            return {}
-        # One bulk fetch for the whole cell (a single RPC round trip on a
-        # remote worker backend) instead of one call per query.
-        pairs_by_query = index.posting_pairs_of_queries(
-            [query.query_id for query in queries]
-        )
-        keyword_load: Counter = Counter()
-        for query in queries:
-            for coord, key in pairs_by_query.get(query.query_id, ()):
-                if coord == cell:
-                    keyword_load[key] += 1
+        # One small per-keyword count from the worker (one round trip on a
+        # remote backend); it is empty for a cell with fewer than two queries.
+        keyword_load = cluster.workers[source].cell_keyword_counts(cell)
         if len(keyword_load) < 2:
             return {}
         assignment: Dict[str, int] = {}

@@ -517,19 +517,6 @@ class GI2Index:
         """
         return list(self._query_postings.get(query_id, ()))
 
-    def posting_pairs_of_queries(self, query_ids: Iterable[int]) -> Dict[int, List[Pair]]:
-        """Bulk :meth:`posting_pairs_of_query` for many queries at once.
-
-        One call (hence one RPC round trip on a remote worker backend)
-        replaces a per-query loop — the Section V adjusters read whole
-        cells' worth of assignments when deciding a Phase I split.
-        """
-        postings = self._query_postings
-        return {
-            query_id: list(postings.get(query_id, ()))
-            for query_id in query_ids
-        }
-
     def posting_pairs_by_query(self) -> Dict[int, List[Pair]]:
         """The ``(cell, posting keyword)`` registrations of every live query.
 

@@ -22,8 +22,6 @@ from .checkpoint import (
     CheckpointStore,
     RecoveryEvent,
     RecoveryReport,
-    SnapshotAssignments,
-    WorkerSnapshot,
     decode_checkpoint,
     encode_checkpoint,
 )
@@ -161,7 +159,6 @@ __all__ = [
     "profile_text",
     "RecoveryReport",
     "RunReport",
-    "SnapshotAssignments",
     "SpanHop",
     "TelemetryEvent",
     "TelemetryHub",
@@ -174,7 +171,6 @@ __all__ = [
     "WindowSpan",
     "WorkerHost",
     "WorkerNode",
-    "WorkerSnapshot",
     "decode_checkpoint",
     "encode_checkpoint",
     "make_transport",

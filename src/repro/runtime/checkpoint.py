@@ -18,10 +18,10 @@ recovery events — runs :meth:`Recovery.recover_worker` and resumes, losing
 at most the one in-flight window, which is accounted in
 :class:`RecoveryReport` (surfaced as ``RunReport.recovery``).
 
-Wire footprint: :class:`SnapshotAssignments` (coordinator→worker request)
-and :class:`WorkerSnapshot` (its reply) are registered in
-:mod:`repro.runtime.protocol`; everything else here is coordinator-side
-state that never crosses a process boundary.
+Wire footprint: none of its own.  The snapshot is the worker control
+operation ``snapshot_assignments`` (one
+:meth:`~repro.runtime.transport.Transport.call_all`); everything here is
+coordinator-side state that never crosses a process boundary.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from ..core.geometry import Rect
 from ..core.objects import STSQuery, StreamTuple, TupleKind
 from .fabric import TransportError
 from .protocol import barrier_context, mutates_routing
+from .transport import DeleteById, RouteBatch
 from .worker import QueryAssignment
 
 if TYPE_CHECKING:
@@ -46,24 +47,9 @@ __all__ = [
     "Recovery",
     "RecoveryEvent",
     "RecoveryReport",
-    "SnapshotAssignments",
-    "WorkerSnapshot",
     "decode_checkpoint",
     "encode_checkpoint",
 ]
-
-
-@dataclass(slots=True)
-class SnapshotAssignments:
-    """Coordinator→worker: export your live query assignments."""
-
-
-@dataclass(slots=True)
-class WorkerSnapshot:
-    """Worker→coordinator reply: one worker's full assignment partition."""
-
-    worker_id: int
-    assignments: Tuple[QueryAssignment, ...]
 
 
 @dataclass(frozen=True)
@@ -379,9 +365,6 @@ class Recovery:
         Without a survivor nothing is discarded: the worker stays
         registered and the call raises.
         """
-        # transport imports this module's wire messages, so not at the top.
-        from .transport import DeleteById, RouteBatch
-
         cluster = self.cluster
         checkpoint = self.store.latest()
         if checkpoint is None:

@@ -1102,8 +1102,7 @@ class Cluster:
         accumulating, so a closed-loop run's report still covers the whole
         stream.
         """
-        for worker in self.workers.values():
-            worker.reset_load_measurement()
+        self.transport.call_all("reset_load_measurement")
 
     def close(self) -> None:
         """Release every backend (terminates out-of-process endpoints).
@@ -1147,8 +1146,7 @@ class Cluster:
         """Start a new measurement period on every process."""
         for dispatcher in self.dispatchers:
             dispatcher.reset_period()
-        for worker in self.workers.values():
-            worker.reset_period()
+        self.transport.call_all("reset_period")
         self._merge.reset_period()
         self._traces.clear()
         self.totals = RunTotals()

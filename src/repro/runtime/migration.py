@@ -112,9 +112,6 @@ def migrate_cells(
     source = cluster.workers[source_worker]
     target = cluster.workers[target_worker]
     moving = set(cells)
-    # Only live queries ship: drop lazily deleted postings from the
-    # handed-over cells first (targeted, not a full compact).
-    source.index.purge_cells(moving)
     shipped = source.extract_cells(moving)
     target.install_queries(shipped)
     cluster.routing_index.migrate_cells(moving, source_worker, target_worker)
@@ -141,7 +138,6 @@ def migrate_keywords(
     """
     source = cluster.workers[source_worker]
     target = cluster.workers[target_worker]
-    source.index.purge_cells((cell,))
     shipped = source.extract_keywords(cell, set(keywords))
     cluster.invalidate_routing_caches()
     if not shipped:

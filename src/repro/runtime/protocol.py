@@ -72,12 +72,7 @@ MESSAGE_ROUTING: Mapping[str, Tuple[str, ...]] = {
     "worker": (
         "RouteBatch",
         "Observe",
-        "CellStatsRequest",
         "WorkerCall",
-        "InstallQueries",
-        "ExtractCells",
-        "ExtractKeywords",
-        "SnapshotAssignments",
     ),
     "dispatcher": (
         "RouteWindow",
@@ -107,10 +102,8 @@ REPLY_MESSAGES: Tuple[str, ...] = (
     "BarrierAck",
     "MatchResults",
     "Observation",
-    "RemoteCallable",
     "RemoteError",
     "WindowRouting",
-    "WorkerSnapshot",
 )
 
 #: Dataclasses that cross the wire only inside another message (worker

@@ -31,10 +31,14 @@ The message vocabulary mirrors the Storm streams of the paper:
   multiprocess deployment workers ship these directly to the merger
   shards (:mod:`repro.runtime.merge`) and the coordinator only ever sees
   the per-object costs — no result round trip through the coordinator.
-* :class:`InstallQueries` / :class:`ExtractCells` /
-  :class:`ExtractKeywords` — the Section V migration protocol: the
-  coordinator pulls per-query ``(cell, posting keyword)`` assignments out
-  of the source worker and installs them on the target.
+* :class:`WorkerCall` — the one control-plane message: ``(method,
+  args)`` naming an operation of the worker's declared control surface
+  (:attr:`WorkerNode.CONTROL_SURFACE <repro.runtime.worker.WorkerNode>` —
+  the Section V conversation: per-cell loads, cell/keyword hand-over,
+  install, reconcile, snapshot, period resets).  The allow-list lives on
+  :class:`~repro.runtime.worker.WorkerNode` and nowhere else: adding a
+  control operation is a ``WorkerNode`` method plus its name in that
+  tuple — nothing here, in :mod:`~repro.runtime.protocol` or the proxy.
 * :class:`AdjustBarrier` — the closed-loop adjustment fence: before an
   adjustment round mutates routing state, every worker acknowledges the
   epoch, guaranteeing all previously shipped work has been applied.
@@ -54,15 +58,14 @@ wall-clock speedups (``benchmarks/test_multiprocess_speedup.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..core.costmodel import CostModel
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
-from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
-from .checkpoint import SnapshotAssignments, WorkerSnapshot
 from .fabric import (
     AdjustBarrier,
     BarrierAck,
@@ -81,30 +84,23 @@ from .worker import QueryAssignment, WorkerNode
 __all__ = [
     "AdjustBarrier",
     "BarrierAck",
-    "CellStatsRequest",
     "DeleteById",
     "DeliverResults",
-    "ExtractCells",
-    "ExtractKeywords",
     "FabricTransport",
     "InProcessTransport",
     "InsertPairs",
-    "InstallQueries",
     "MatchObjects",
     "MatchResults",
     "MergerReset",
-    "RemoteCallable",
     "RemoteError",
     "RouteBatch",
     "Shutdown",
     "SinkDrain",
-    "SnapshotAssignments",
     "Transport",
     "TransportError",
     "WorkerCall",
     "WorkerHost",
     "WorkerProxy",
-    "WorkerSnapshot",
     "execute_ops",
     "make_result_shipper",
     "make_transport",
@@ -237,59 +233,19 @@ class SinkDrain:
 
 
 # ----------------------------------------------------------------------
-# Control-plane messages (migration, stats, adjustment fence)
+# The control-plane message (migration, stats, snapshots, period resets)
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
-class InstallQueries:
-    """Install migrated query assignments on the receiving worker."""
-
-    assignments: Sequence[QueryAssignment]
-
-
-@dataclass(slots=True)
-class ExtractCells:
-    """Pull the per-query assignments registered in ``cells`` (Section V)."""
-
-    cells: Sequence[CellCoord]
-
-
-@dataclass(slots=True)
-class ExtractKeywords:
-    """Pull one cell's assignments for specific posting keywords (Phase I)."""
-
-    cell: CellCoord
-    keywords: Sequence[str]
-
-
-@dataclass(slots=True)
-class CellStatsRequest:
-    """Ask a worker for its Definition-3 per-cell statistics."""
-
-
-@dataclass(slots=True)
 class WorkerCall:
-    """Generic escape hatch: call (or read) ``worker.<path[0]>.<path[1]>…``.
+    """Coordinator→worker: run one operation of the worker's control surface.
 
-    ``args is None`` reads the resolved attribute; otherwise it is invoked
-    with ``*args, **kwargs``.  Used by the Section V adjusters, which
-    inspect and reconcile worker GI2 state directly.
+    ``method`` must be a name in :attr:`WorkerNode.CONTROL_SURFACE` — a
+    method, called with ``*args``, or one of the ``CONTROL_READS``
+    attributes, read.  The reply is the operation's return value.
     """
 
-    path: Tuple[str, ...]
-    args: Optional[Tuple[Any, ...]] = None
-    kwargs: Optional[Dict[str, Any]] = None
-
-
-@dataclass(slots=True)
-class RemoteCallable:
-    """Reply marker: a :class:`WorkerCall` attribute read hit a method.
-
-    Bound methods cannot be pickled back to the coordinator (they drag the
-    whole worker state along), so the host answers with this marker and
-    the proxy turns it into an RPC-invoking callable.
-    """
-
-    name: str
+    method: str
+    args: Tuple[Any, ...] = ()
 
 
 # ----------------------------------------------------------------------
@@ -351,17 +307,6 @@ def _observe_worker(worker: WorkerNode) -> Observation:
     )
 
 
-def _resolve_call(worker: WorkerNode, message: WorkerCall) -> Any:
-    target: Any = worker
-    for name in message.path:
-        target = getattr(target, name)
-    if message.args is None:
-        if callable(target):
-            return RemoteCallable(message.path[-1])
-        return target
-    return target(*message.args, **(message.kwargs or {}))
-
-
 # ----------------------------------------------------------------------
 # Transport interface
 # ----------------------------------------------------------------------
@@ -370,8 +315,8 @@ class Transport(TierBackend):
 
     ``workers`` maps worker id → handle; for the in-process backend the
     handle is the :class:`WorkerNode` itself, for the fabric backends a
-    :class:`WorkerProxy` forwarding the same surface over the channel.
-    The coordinator never assumes which one it holds.  The tier lifecycle
+    :class:`WorkerProxy` forwarding the node's control surface over the
+    channel.  The coordinator never assumes which one it holds.  The tier lifecycle
     (``barrier`` / ``observe`` / ``wire_stats`` / ``install_fault_plan`` /
     ``close``) is :class:`~repro.runtime.fabric.TierBackend`'s.
     """
@@ -393,25 +338,28 @@ class Transport(TierBackend):
         """
         raise NotImplementedError
 
-    def call(
-        self,
-        worker_id: int,
-        path: Tuple[str, ...],
-        args: Optional[Tuple[Any, ...]] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        """Invoke (or, with ``args=None``, read) an attribute path on a worker."""
-        raise NotImplementedError
+    def call_all(self, method: str, *args: Any) -> Dict[int, Any]:
+        """Run one control operation on every worker, keyed by worker id.
+
+        The fan-out of the control plane (snapshots, period resets): in
+        process a direct method call per worker in sorted id order, so
+        nothing built from the replies depends on how the fleet was
+        enumerated; over a fabric one broadcast.
+        """
+        workers = self.workers
+        return {
+            worker_id: getattr(workers[worker_id], method)(*args)
+            for worker_id in sorted(workers)
+        }
 
     def snapshot_assignments(self) -> Dict[int, List[QueryAssignment]]:
         """Every worker's live assignment partition, keyed by worker id.
 
-        The checkpoint primitive: one :class:`SnapshotAssignments`
-        request per worker at a quiescent point, replies re-keyed in
-        sorted worker order so checkpoints are deterministic across
-        backends.
+        The checkpoint primitive (and the global adjuster's finalisation
+        read): one ``snapshot_assignments`` :meth:`call_all` at a quiescent
+        point, so checkpoints are deterministic across backends.
         """
-        raise NotImplementedError
+        return self.call_all("snapshot_assignments")
 
     def discard_worker(self, worker_id: int) -> None:
         """Drop a dead worker from the fleet (the recovery path).
@@ -447,21 +395,6 @@ class InProcessTransport(Transport):
             for worker_id in sorted(self.workers)
         }
 
-    def call(
-        self,
-        worker_id: int,
-        path: Tuple[str, ...],
-        args: Optional[Tuple[Any, ...]] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        return _resolve_call(self.workers[worker_id], WorkerCall(path, args, kwargs))
-
-    def snapshot_assignments(self) -> Dict[int, List[QueryAssignment]]:
-        return {
-            worker_id: self.workers[worker_id].snapshot_assignments()
-            for worker_id in sorted(self.workers)
-        }
-
     def discard_worker(self, worker_id: int) -> None:
         self.workers.pop(worker_id, None)
 
@@ -494,8 +427,9 @@ def make_result_shipper(
 
 
 class WorkerHost(RoleHost):
-    """One worker endpoint's role logic: a :class:`WorkerNode` plus the
-    typed-message surface the coordinator drives it through.
+    """One worker endpoint's role logic: a :class:`WorkerNode` driven by
+    the data plane's :class:`RouteBatch`, ``Observe`` and — for the
+    control surface the node declares — :class:`WorkerCall`.
 
     ``init`` carries the :class:`WorkerNode` constructor arguments under
     ``"worker"`` and, for process-per-worker deployments that inherit the
@@ -515,20 +449,14 @@ class WorkerHost(RoleHost):
             return execute_ops(worker, message.ops, self._deliver)
         if kind is Observe:
             return _observe_worker(worker)
-        if kind is CellStatsRequest:
-            return worker.cell_stats()
         if kind is WorkerCall:
-            return _resolve_call(worker, message)
-        if kind is InstallQueries:
-            return worker.install_queries(message.assignments)
-        if kind is ExtractCells:
-            return worker.extract_cells(message.cells)
-        if kind is ExtractKeywords:
-            return worker.extract_keywords(message.cell, message.keywords)
-        if kind is SnapshotAssignments:
-            return WorkerSnapshot(
-                worker.worker_id, tuple(worker.snapshot_assignments())
-            )
+            method = message.method
+            # Checked before anything is resolved: a name off the wire that
+            # is not declared — private, dotted, unknown — never reaches getattr.
+            if method not in WorkerNode.CONTROL_SURFACE:
+                raise TransportError("%r is not a worker control operation" % (method,))
+            target = getattr(worker, method)
+            return target if method in WorkerNode.CONTROL_READS else target(*message.args)
         raise TransportError("unknown message %r" % (message,))
 
 
@@ -538,95 +466,24 @@ register_role("worker", WorkerHost)
 # ----------------------------------------------------------------------
 # Fabric-backed transport (multiprocess and socket deployments)
 # ----------------------------------------------------------------------
-class IndexProxy:
-    """Forwards ``worker.index.<name>`` access over the transport.
-
-    Attribute access probes the remote kind once: a method answers with a
-    :class:`RemoteCallable` marker and becomes a cached RPC-invoking
-    callable; a plain attribute/property answers with its value (fetched
-    fresh on every access — it may be mutable).
-    """
-
-    def __init__(self, transport: "FabricTransport", worker_id: int) -> None:
-        self._transport = transport
-        self._worker_id = worker_id
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        result = self._transport.call(self._worker_id, ("index", name), None)
-        if not isinstance(result, RemoteCallable):
-            return result
-        transport = self._transport
-        worker_id = self._worker_id
-
-        def _invoke(*args: Any, **kwargs: Any) -> Any:
-            return transport.call(worker_id, ("index", name), tuple(args), kwargs or None)
-
-        _invoke.__name__ = name
-        # Cache the caller so later accesses skip the kind probe.
-        self.__dict__[name] = _invoke
-        return _invoke
-
-
 class WorkerProxy:
     """Coordinator-side handle of one remote worker endpoint.
 
-    Exposes the :class:`WorkerNode` surface the coordinator and the
-    Section V adjusters use, each method forwarding one typed message.
+    Offers exactly :attr:`WorkerNode.CONTROL_SURFACE` — what the
+    coordinator and the Section V adjusters use of a worker — each
+    operation one :class:`WorkerCall` round trip, each read a fresh value.
     """
 
     def __init__(self, transport: "FabricTransport", worker_id: int) -> None:
         self.worker_id = worker_id
         self._transport = transport
-        self.index = IndexProxy(transport, worker_id)
 
-    # -- stats ---------------------------------------------------------
-    @property
-    def busy_cost(self) -> float:
-        return self._transport.call(self.worker_id, ("busy_cost",), None)
-
-    @property
-    def query_count(self) -> int:
-        return self._transport.call(self.worker_id, ("query_count",), None)
-
-    def load(self) -> float:
-        return self._transport.call(self.worker_id, ("load",))
-
-    def memory_bytes(self) -> int:
-        return self._transport.call(self.worker_id, ("memory_bytes",))
-
-    def cell_stats(self) -> List[CellStats]:
-        return self._transport.request(self.worker_id, CellStatsRequest())
-
-    # -- migration protocol -------------------------------------------
-    def extract_cells(self, cells: Iterable[CellCoord]) -> List[QueryAssignment]:
-        return self._transport.request(self.worker_id, ExtractCells(tuple(cells)))
-
-    def extract_keywords(self, cell: CellCoord, keywords: Iterable[str]) -> List[QueryAssignment]:
-        return self._transport.request(self.worker_id, ExtractKeywords(cell, tuple(keywords)))
-
-    def install_queries(self, assignments: Iterable[QueryAssignment]) -> int:
-        return self._transport.request(self.worker_id, InstallQueries(tuple(assignments)))
-
-    def snapshot_assignments(self) -> List[QueryAssignment]:
-        snapshot = self._transport.request(self.worker_id, SnapshotAssignments())
-        return list(snapshot.assignments)
-
-    def reconcile_queries(self, *args: Any, **kwargs: Any) -> int:
-        """One bulk reconciliation message (§V-B finalisation) per round.
-
-        Forwards the whole per-worker plan as a single :class:`WorkerCall`
-        — one round trip instead of one RPC per reconciled query.
-        """
-        return self._transport.call(self.worker_id, ("reconcile_queries",), args, kwargs or None)
-
-    # -- period management --------------------------------------------
-    def reset_period(self) -> None:
-        self._transport.call(self.worker_id, ("reset_period",))
-
-    def reset_load_measurement(self) -> None:
-        self._transport.call(self.worker_id, ("reset_load_measurement",))
+    def __getattr__(self, name: str) -> Any:
+        if name in WorkerNode.CONTROL_READS:
+            return self._transport.call(self.worker_id, name)
+        if name in WorkerNode.CONTROL_SURFACE:
+            return partial(self._transport.call, self.worker_id, name)
+        raise AttributeError(name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "WorkerProxy(id=%d)" % self.worker_id
@@ -654,32 +511,21 @@ class FabricTransport(Transport):
             worker_id: WorkerProxy(self, worker_id) for worker_id in fleet.endpoint_ids
         }
 
-    # -- plumbing ------------------------------------------------------
-    def request(self, worker_id: int, message: Any) -> Any:
-        """Synchronous round trip of one control-plane message."""
-        return self._fleet.request(worker_id, message)
-
     # -- Transport surface --------------------------------------------
     def exchange(
         self, batches: Mapping[int, RouteBatch]
     ) -> Dict[int, List[Optional[MatchResults]]]:
         return self._fleet.exchange(batches)
 
-    def call(
-        self,
-        worker_id: int,
-        path: Tuple[str, ...],
-        args: Optional[Tuple[Any, ...]] = (),
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> Any:
-        return self.request(worker_id, WorkerCall(path, args, kwargs))
+    def call(self, worker_id: int, method: str, *args: Any) -> Any:
+        """One control operation on one worker: a :class:`WorkerCall` round
+        trip (what a :class:`WorkerProxy` attribute sends)."""
+        return self._fleet.request(worker_id, WorkerCall(method, args))
 
-    def snapshot_assignments(self) -> Dict[int, List[QueryAssignment]]:
-        snapshots = self._fleet.broadcast(SnapshotAssignments())
-        return {
-            worker_id: list(snapshots[worker_id].assignments)
-            for worker_id in sorted(snapshots)
-        }
+    def call_all(self, method: str, *args: Any) -> Dict[int, Any]:
+        # Every request is written before the first reply is read.
+        replies = self._fleet.broadcast(WorkerCall(method, args))
+        return {worker_id: replies[worker_id] for worker_id in sorted(replies)}
 
     def discard_worker(self, worker_id: int) -> None:
         """Drop a dead endpoint and re-align the surviving channels.

@@ -9,7 +9,7 @@ cluster simulator can derive saturation throughput and latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.costmodel import CostModel, WorkerLoadCounters
 from ..core.geometry import Rect
@@ -42,6 +42,17 @@ class QueryAssignment:
 
 class WorkerNode:
     """One worker of the PS2Stream cluster."""
+
+    #: The control plane (Section V): the only names a coordinator may call —
+    #: or, for ``CONTROL_READS``, read — on a remote worker.  ``WorkerHost``
+    #: refuses every other name and ``WorkerProxy`` offers no other, so a new
+    #: control operation is a method here plus its name in this tuple.
+    CONTROL_READS = ("query_count", "busy_cost")
+    CONTROL_SURFACE = (
+        "cell_stats", "cell_keyword_counts", "extract_cells", "extract_keywords",
+        "install_queries", "reconcile_queries", "snapshot_assignments",
+        "reset_period", "reset_load_measurement", "load", "memory_bytes",
+    ) + CONTROL_READS
 
     def __init__(
         self,
@@ -162,6 +173,20 @@ class WorkerNode:
         """Per-cell loads and sizes (Definition 3), for the load adjusters."""
         return self.index.cell_stats()
 
+    def cell_keyword_counts(self, cell: CellCoord) -> Dict[str, int]:
+        """Live postings per posting keyword in ``cell``, in registration
+        order — the weights of a Phase I text split (Section V-A).  Empty
+        when fewer than two live queries are posted there: nothing to split.
+        """
+        resident = self.index.extract_cell_assignments((cell,))
+        if len(resident) < 2:
+            return {}
+        counts: Dict[str, int] = {}
+        for _, pairs in resident:
+            for _, keyword in pairs:
+                counts[keyword] = counts.get(keyword, 0) + 1
+        return counts
+
     def extract_cells(self, cells: Iterable[CellCoord]) -> List[QueryAssignment]:
         """Remove and return the per-query assignments registered in ``cells``.
 
@@ -173,8 +198,12 @@ class WorkerNode:
         target worker, which re-registers them via
         :meth:`install_queries`.
         """
+        moving = set(cells)
+        # Only live queries ship: drop lazily deleted postings from the
+        # handed-over cells first (targeted, not a full compact).
+        self.index.purge_cells(moving)
         assignments: List[QueryAssignment] = []
-        for query, pairs in self.index.extract_cell_assignments(cells):
+        for query, pairs in self.index.extract_cell_assignments(moving):
             removed = self.index.remove_pairs(query.query_id, pairs)
             assignments.append(QueryAssignment(query, tuple(pairs), removed))
         return assignments
@@ -190,6 +219,7 @@ class WorkerNode:
         Queries with no posting under the moved keywords stay untouched.
         """
         wanted = set(keywords)
+        self.index.purge_cells((cell,))  # only live postings ship, as above
         assignments: List[QueryAssignment] = []
         for query, pairs in self.index.extract_cell_assignments((cell,)):
             moving_pairs = [pair for pair in pairs if pair[1] in wanted]

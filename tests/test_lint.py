@@ -26,7 +26,7 @@ from repro.lint.rl005_fence import FenceDisciplineRule
 from repro.lint.rl006_telemetry import TelemetryProtocolRule
 from repro.lint.rl007_profiling import ProfilingDisciplineRule
 from repro.lint.runner import main as lint_main, repo_root
-from repro.runtime import protocol
+from repro.runtime import WorkerNode, protocol
 
 
 def lint_source(tmp_path, source, rules, name="fixture.py"):
@@ -181,9 +181,10 @@ class TestRL001RecoveryProtocol:
         assert self.lint_fixture(tmp_path, registry, _RECOVERY_MODULE) == []
 
     def test_real_recovery_messages_are_registered(self):
-        """Drift guard: the real snapshot protocol is classified today."""
-        assert "SnapshotAssignments" in protocol.MESSAGE_ROUTING["worker"]
-        assert "WorkerSnapshot" in protocol.REPLY_MESSAGES
+        """Drift guard: the real snapshot protocol is classified today —
+        a ``snapshot_assignments`` control operation inside a ``WorkerCall``."""
+        assert "WorkerCall" in protocol.MESSAGE_ROUTING["worker"]
+        assert "snapshot_assignments" in WorkerNode.CONTROL_SURFACE
         assert "repro.runtime.checkpoint" in protocol.PROTOCOL_MODULES
         for name in ("Checkpoint", "RecoveryEvent", "RecoveryReport"):
             assert name in protocol.INTERNAL_DATACLASSES

@@ -18,9 +18,12 @@ mechanism the dispatcher uses at insertion time.  These tests pin down
   equal a brute-force ``STSQuery.matches`` replay.
 """
 
+import dataclasses
+
 import pytest
 
 from test_batched import assert_equivalent
+from test_transport import control_sends, counted_worker_sends
 from test_window_executor import brute_force
 
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
@@ -167,11 +170,27 @@ class TestAdjustmentPostingParity:
         assert total_postings(cluster) == before
         assert posting_parity_violations(cluster) == []
 
-    def _hot_cell_cluster(self):
+    HOT_KEYWORDS = ["kobe", "music", "jazz", "rock", "city", "photo"]
+
+    def _hot_cell_tuples(self):
+        """Six single-keyword queries in one cell, then 30 objects there."""
+        keywords = self.HOT_KEYWORDS
+        tuples = [
+            StreamTuple.insert(STSQuery.create(keyword, Rect(1, 1, 2, 2)))
+            for keyword in keywords
+        ]
+        tuples += [
+            StreamTuple.object(
+                SpatioTextualObject.create(keywords[index % len(keywords)], Point(1.5, 1.5))
+            )
+            for index in range(30)
+        ]
+        return tuples
+
+    def _hot_cell_cluster(self, backend="inprocess", tuples=None):
         """Two workers; everything lands in one space-partitioned hot cell."""
         stats = TermStatistics()
-        keywords = ["kobe", "music", "jazz", "rock", "city", "photo"]
-        for keyword in keywords:
+        for keyword in self.HOT_KEYWORDS:
             stats.add_document([keyword])
         plan = PartitionPlan(
             units=[
@@ -183,18 +202,9 @@ class TestAdjustmentPostingParity:
             statistics=stats,
             object_filtering=True,
         )
-        cluster = Cluster(plan, ClusterConfig(num_dispatchers=1, num_workers=2))
-        tuples = [
-            StreamTuple.insert(STSQuery.create(keyword, Rect(1, 1, 2, 2)))
-            for keyword in keywords
-        ]
-        tuples += [
-            StreamTuple.object(
-                SpatioTextualObject.create(keywords[index % len(keywords)], Point(1.5, 1.5))
-            )
-            for index in range(30)
-        ]
-        cluster.run(tuples)
+        config = ClusterConfig(num_dispatchers=1, num_workers=2, backend=backend)
+        cluster = Cluster(plan, config)
+        cluster.run(tuples if tuples is not None else self._hot_cell_tuples())
         return cluster
 
     def test_phase1_traffic_is_accounted(self):
@@ -211,6 +221,32 @@ class TestAdjustmentPostingParity:
         assert report.bytes_moved >= sum(r.bytes_moved for r in phase1_records) > 0
         assert report.migration_seconds >= sum(r.seconds for r in phase1_records) > 0
         assert posting_parity_violations(cluster) == []
+
+    def test_phase1_split_agrees_across_backends(self):
+        """A Phase I text split over worker processes: the same report and
+        the same per-worker registrations as in process, in 7 control
+        messages (13 when the split read the cell through ``worker.index``)."""
+        outcomes = []
+        tuples = self._hot_cell_tuples()
+        for backend in ("inprocess", "multiprocess"):
+            with self._hot_cell_cluster(backend, tuples) as cluster:
+                adjuster = LocalLoadAdjuster(GreedySelector(), sigma=1.1)
+                with counted_worker_sends() as sends:
+                    report = adjuster.adjust(cluster)
+                assert report.triggered
+                assert report.phase1_splits >= 1
+                if backend == "multiprocess":
+                    control = control_sends(sends)
+                    assert sum(control.values()) <= 7, control
+                    assert control["cell_keyword_counts"] == report.phase1_splits
+                fields = dataclasses.asdict(report)
+                del fields["selection_time_ms"]
+                shapes = {
+                    worker_id: [(a.query.query_id, a.pairs, a.moved) for a in assignments]
+                    for worker_id, assignments in cluster.transport.snapshot_assignments().items()
+                }
+                outcomes.append((fields, shapes))
+        assert outcomes[0] == outcomes[1]
 
     def test_global_finalize_stays_within_assignment(self, q3_stream):
         sample = q3_stream.partitioning_sample(600)

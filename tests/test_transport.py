@@ -17,6 +17,9 @@ one core; the wall-clock speedup at scale is measured by the opt-in
 ``benchmarks/test_multiprocess_speedup.py``.
 """
 
+import collections
+import contextlib
+import re
 import socket as socket_module
 
 import pytest
@@ -28,7 +31,9 @@ from repro.runtime import (
     ClusterConfig,
     InProcessTransport,
     TransportError,
+    WorkerNode,
 )
+from repro.runtime.fabric import Fleet
 from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
 
@@ -93,6 +98,82 @@ def make_workload(mu=250, group="Q1", seed=11, num_objects=600, workers=4):
     return plan, list(stream.tuples(num_objects))
 
 
+def local_scenario():
+    """Metric text partitioning concentrates load enough for the local
+    adjuster to actually trigger migrations mid-stream."""
+    tweets = make_dataset("us", seed=3)
+    queries = QueryGenerator(tweets, seed=4)
+    stream = WorkloadStream(tweets, queries, StreamConfig(mu=300, group="Q1"), seed=5)
+    sample = stream.partitioning_sample(600)
+    plan = MetricTextPartitioner().partition(sample, 4)
+    return plan, list(stream.tuples(800))
+
+
+def run_local_scenario(plan, tuples, backend):
+    adjuster = LocalLoadAdjuster(GreedySelector(), sigma=1.2)
+    report, migrations = run_backend(
+        plan, tuples, backend,
+        batch_size=128, adjust_every=400, local_adjuster=adjuster,
+    )
+    triggered = sum(1 for entry in adjuster.history if entry.triggered)
+    return report, migrations, triggered
+
+
+def global_scenario():
+    """A poor plan a hybrid repartitioning improves on: check, drain, finalise."""
+    tweets = make_dataset("us", seed=3)
+    queries = QueryGenerator(tweets, seed=4)
+    stream = WorkloadStream(tweets, queries, StreamConfig(mu=250, group="Q1"), seed=5)
+    sample = stream.partitioning_sample(500)
+    plan = MetricTextPartitioner().partition(sample, 4)
+    return plan, list(stream.tuples(700))
+
+
+def run_global_scenario(plan, tuples, backend):
+    adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.01)
+    report, _ = run_backend(
+        plan, tuples, backend,
+        batch_size=100, adjust_every=250, global_adjuster=adjuster,
+    )
+    history = [
+        (entry.checked, entry.repartitioned, entry.finalized)
+        for entry in adjuster.history
+    ]
+    return report, history
+
+
+#: Worker-tier messages that are not control operations.
+DATA_PLANE = ("RouteBatch", "Observe", "AdjustBarrier", "Shutdown")
+
+
+@contextlib.contextmanager
+def counted_worker_sends():
+    """Count every ``Fleet.send`` to the worker tier: ``sends[worker_id]``
+    is a ``Counter`` by message name (a ``WorkerCall`` by its method)."""
+    sends = collections.defaultdict(collections.Counter)
+    original = Fleet.send
+
+    def send(fleet, endpoint_id, message):
+        if fleet.label == "worker":
+            name = type(message).__name__
+            sends[endpoint_id][getattr(message, "method", name)] += 1
+        return original(fleet, endpoint_id, message)
+
+    Fleet.send = send
+    try:
+        yield sends
+    finally:
+        Fleet.send = original
+
+
+def control_sends(sends):
+    """Total worker-tier sends other than the data plane's, by name."""
+    total = collections.Counter()
+    for counter in sends.values():
+        total.update({name: n for name, n in counter.items() if name not in DATA_PLANE})
+    return total
+
+
 def assert_identical(reference, candidate):
     """Byte-identical reports: every field equal, no tolerance."""
     for field in REPORT_FIELDS:
@@ -127,28 +208,14 @@ class TestBackendEquivalence:
     def test_closed_loop_adjustment_round_identical(self, backend):
         """One (and more) Section V rounds fire identically across backends.
 
-        Uses metric text partitioning, which concentrates load enough for
-        the local adjuster to actually trigger migrations mid-stream.
+        Uses the metric-text-partitioned ``local_scenario``.
         """
         require_backend(backend)
-        tweets = make_dataset("us", seed=3)
-        queries = QueryGenerator(tweets, seed=4)
-        stream = WorkloadStream(tweets, queries, StreamConfig(mu=300, group="Q1"), seed=5)
-        sample = stream.partitioning_sample(600)
-        plan = MetricTextPartitioner().partition(sample, 4)
-        tuples = list(stream.tuples(800))
-
-        def run(which):
-            adjuster = LocalLoadAdjuster(GreedySelector(), sigma=1.2)
-            report, migrations = run_backend(
-                plan, tuples, which,
-                batch_size=128, adjust_every=400, local_adjuster=adjuster,
-            )
-            triggered = sum(1 for entry in adjuster.history if entry.triggered)
-            return report, migrations, triggered
-
-        ref_report, ref_migrations, ref_triggered = run("inprocess")
-        remote_report, remote_migrations, remote_triggered = run(backend)
+        plan, tuples = local_scenario()
+        ref_report, ref_migrations, ref_triggered = run_local_scenario(plan, tuples, "inprocess")
+        remote_report, remote_migrations, remote_triggered = run_local_scenario(
+            plan, tuples, backend
+        )
         assert ref_triggered > 0, "the adjustment loop must actually fire"
         assert remote_triggered == ref_triggered
         assert remote_migrations == ref_migrations
@@ -156,27 +223,9 @@ class TestBackendEquivalence:
 
     def test_global_adjuster_repartition_identical(self):
         """Dual-routing drain + finalise reconcile worker state identically."""
-        tweets = make_dataset("us", seed=3)
-        queries = QueryGenerator(tweets, seed=4)
-        stream = WorkloadStream(tweets, queries, StreamConfig(mu=250, group="Q1"), seed=5)
-        sample = stream.partitioning_sample(500)
-        plan = MetricTextPartitioner().partition(sample, 4)
-        tuples = list(stream.tuples(700))
-
-        def run(backend):
-            adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.01)
-            report, _ = run_backend(
-                plan, tuples, backend,
-                batch_size=100, adjust_every=250, global_adjuster=adjuster,
-            )
-            history = [
-                (entry.checked, entry.repartitioned, entry.finalized)
-                for entry in adjuster.history
-            ]
-            return report, history
-
-        ref_report, ref_history = run("inprocess")
-        mp_report, mp_history = run("multiprocess")
+        plan, tuples = global_scenario()
+        ref_report, ref_history = run_global_scenario(plan, tuples, "inprocess")
+        mp_report, mp_history = run_global_scenario(plan, tuples, "multiprocess")
         assert any(repartitioned for _, repartitioned, _ in ref_history)
         assert mp_history == ref_history
         assert_identical(ref_report, mp_report)
@@ -208,6 +257,88 @@ class TestBackendEquivalence:
         assert_identical(ref_report, mp_report)
 
 
+class TestControlPlane:
+    """The worker control surface is declared once, on ``WorkerNode``."""
+
+    def test_surface_resolves_and_the_proxy_offers_exactly_it(self):
+        plan, _ = make_workload(num_objects=0)
+        node = WorkerNode(0, plan.bounds)
+        surface = WorkerNode.CONTROL_SURFACE
+        assert len(set(surface)) == len(surface)
+        assert set(WorkerNode.CONTROL_READS) < set(surface)
+        for name in surface:
+            assert not name.startswith("_") and "." not in name
+            if name in WorkerNode.CONTROL_READS:
+                assert not callable(getattr(node, name)), name
+            else:
+                assert callable(getattr(WorkerNode, name)), name
+        config = ClusterConfig(num_dispatchers=1, num_workers=1, backend="multiprocess")
+        with Cluster(plan, config) as cluster:
+            proxy = cluster.workers[0]
+            assert not isinstance(proxy, WorkerNode)
+            for name in surface:
+                assert hasattr(proxy, name), name
+            assert proxy.query_count == 0 and proxy.busy_cost == 0.0
+            assert proxy.load() == 0.0 and proxy.cell_stats() == []
+            # Nothing else of a worker is reachable through the handle.
+            assert not hasattr(proxy, "index")
+            others = [name for name in dir(node) if not name.startswith("_")]
+            for name in set(others) - set(surface) - {"worker_id"}:
+                with pytest.raises(AttributeError, match=name):
+                    getattr(proxy, name)
+
+    def test_control_traffic_is_what_was_measured(self):
+        """Worker-tier sends other than the data plane's, over the two
+        closed-loop scenarios on 4 worker processes: 19 and 32 (23 and 48
+        when adjusters and migration reached through ``worker.index``)."""
+        plan, tuples = local_scenario()
+        with counted_worker_sends() as sends:
+            _, migrations, triggered = run_local_scenario(plan, tuples, "multiprocess")
+        assert triggered > 0 and migrations
+        control = control_sends(sends)
+        assert sum(control.values()) <= 19, control
+        assert set(control) == {
+            "cell_stats", "extract_cells", "install_queries", "reset_load_measurement"
+        }
+
+        plan, tuples = global_scenario()
+        with counted_worker_sends() as sends:
+            _, history = run_global_scenario(plan, tuples, "multiprocess")
+        finalized = sum(1 for _, _, done in history if done)
+        assert finalized > 0
+        assert sum(control_sends(sends).values()) <= 32, control_sends(sends)
+        assert set(sends) == {0, 1, 2, 3}
+        for worker_id, counter in sends.items():
+            # One finalisation: exactly one snapshot, at most one reconcile.
+            assert counter["snapshot_assignments"] == finalized, (worker_id, counter)
+            assert counter["reconcile_queries"] <= finalized, (worker_id, counter)
+            assert counter["reset_load_measurement"] == len(history), (worker_id, counter)
+            assert set(counter) <= {
+                *DATA_PLANE, "snapshot_assignments", "reconcile_queries", "reset_load_measurement"
+            }, (worker_id, counter)
+
+    def test_call_all_writes_every_request_before_reading_a_reply(self):
+        """``reset_*`` and the snapshot fan out as one broadcast, not one
+        blocking round trip per worker in turn."""
+        plan, _ = make_workload(num_objects=0)
+        config = ClusterConfig(num_dispatchers=1, num_workers=3, backend="multiprocess")
+        with Cluster(plan, config) as cluster:
+            fleet = cluster.transport._fleet
+            events = []
+            send, receive = fleet.send, fleet.receive
+            fleet.send = lambda i, m: events.append(("send", i)) or send(i, m)
+            fleet.receive = lambda i: events.append(("receive", i)) or receive(i)
+            for fan_out in (
+                cluster.reset_load_measurement,
+                cluster.reset_period,
+                cluster.transport.snapshot_assignments,
+            ):
+                del events[:]
+                fan_out()
+                assert [kind for kind, _ in events] == ["send"] * 3 + ["receive"] * 3, events
+            assert cluster.transport.snapshot_assignments() == {0: [], 1: [], 2: []}
+
+
 class TestTransportMechanics:
     def test_inprocess_workers_are_real_nodes(self):
         plan, _ = make_workload(num_objects=0)
@@ -224,11 +355,38 @@ class TestTransportMechanics:
             assert cluster.transport.barrier() == 2
 
     def test_remote_errors_surface_as_transport_errors(self):
-        plan, _ = make_workload(num_objects=0)
+        """A failing operation and an undeclared name both come back as
+        ``TransportError``s, and neither desyncs the request/reply pairing."""
+        from repro.runtime.telemetry import Observation
+
+        plan, tuples = make_workload(num_objects=100, workers=1)
         config = ClusterConfig(num_dispatchers=1, num_workers=1, backend="multiprocess")
         with Cluster(plan, config) as cluster:
-            with pytest.raises(TransportError, match="no_such_method"):
-                cluster.transport.call(0, ("index", "no_such_method"))
+            cluster.run_batched(tuples, batch_size=64)
+            population = cluster.workers[0].query_count
+            assert population > 0
+            # An exception inside a declared operation is a RemoteError reply.
+            with pytest.raises(TransportError, match="TypeError"):
+                cluster.transport.call(0, "extract_keywords")
+            # Anything outside WorkerNode.CONTROL_SURFACE — unknown, private,
+            # dotted, or a real but undeclared method — is refused by name
+            # before the host resolves it.
+            for name in (
+                "no_such_method",
+                "_queries",
+                "__class__",
+                "index",
+                "index._queries",
+                "index._queries.clear",
+                "handle_deletion",
+            ):
+                with pytest.raises(TransportError, match=re.escape(repr(name))):
+                    cluster.transport.call(0, name)
+                observed = cluster.transport.observe()
+                assert set(observed) == {0}
+                assert isinstance(observed[0], Observation)
+                assert observed[0].depth == population
+            assert cluster.workers[0].query_count == population
 
     def test_failed_exchange_drains_other_workers(self):
         """A failing worker must not leave other replies queued on the pipes."""
