@@ -45,6 +45,10 @@ class DualRoutingIndex:
     def __init__(self, old_index: GridTIndex, new_index: GridTIndex) -> None:
         self.old_index = old_index
         self.new_index = new_index
+        #: The routing counters of the drain: the old index's holder, which
+        #: keeps counting each object once in :meth:`route_cell` (the new
+        #: index counts into its own until the swap hands it this one).
+        self.profile = old_index.profile
         #: Ids of the queries placed through the new strategy; every other
         #: live query is owned by the old one.
         self._new_query_ids: Set[int] = set()

@@ -26,9 +26,9 @@ Eight subcommands cover the workflows a downstream user needs most often::
 * ``report`` — render the timeline of a finished run (per-tier
   utilisation, window trace waterfall, adjustment/checkpoint/recovery
   annotations) from the JSONL a ``run --telemetry-path`` wrote.
-* ``profile`` — replay one workload with the hot-loop cost counters
-  enabled and print the per-tier attribution table (postings scanned,
-  routing probes, dedup lookups — docs/PROFILING.md) plus, for every
+* ``profile`` — replay one workload and print its hot-loop cost
+  counters as the per-tier attribution table (postings scanned, routing
+  probes, dedup lookups — docs/PROFILING.md) plus, for every
   out-of-process tier, the messages and bytes the coordinator moved;
   with ``--stacks-path`` also run the sampling profiler and write
   collapsed-stack lines for flamegraph tooling.
@@ -189,15 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "JSONL file; render it afterwards with 'repro report'. "
                  "Telemetry is observation-only: the run report is "
                  "byte-identical with or without it (default: off)")
-        sub.add_argument(
-            "--profile", action="store_true",
-            help="enable the hot-loop cost counters (docs/PROFILING.md): "
-                 "postings scanned and candidates checked per worker, "
-                 "H2 probes/fallbacks per dispatcher, dedup lookups "
-                 "per merger.  Observation-only like telemetry — the run "
-                 "report is byte-identical with or without it.  'repro "
-                 "profile' prints the attribution table; under 'run' the "
-                 "counters are collected but not printed (default: off)")
 
     run_parser = subparsers.add_parser("run", help="run one partitioning strategy")
     add_stream_arguments(run_parser)
@@ -267,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
              "of the rendered timeline")
 
     profile_parser = subparsers.add_parser(
-        "profile", help="replay one workload with hot-loop profiling on")
+        "profile", help="replay one workload and print its hot-loop cost counters")
     add_stream_arguments(profile_parser)
     add_cluster_arguments(profile_parser)
     profile_parser.add_argument(
@@ -338,7 +329,6 @@ def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
         checkpoint_path=args.checkpoint_path,
         fault_plan=parse_fault_plan(args.fault_plan) if args.fault_plan else None,
         telemetry=TelemetrySpec(path=args.telemetry_path) if args.telemetry_path else None,
-        profiling=ProfilingSpec() if args.profile else None,
     )
 
 
@@ -510,9 +500,9 @@ def _command_profile(args: argparse.Namespace, out) -> int:
 
     from .runtime.profiling import profile_text
 
-    # Forced on, whatever --profile said; the sampler only when its output is wanted.
-    profiling = ProfilingSpec(sample=args.stacks_path is not None)
-    args.deployment = replace(args.deployment, profiling=profiling)
+    # The counters need no switch; the sampler runs only when its output is wanted.
+    if args.stacks_path is not None:
+        args.deployment = replace(args.deployment, profiling=ProfilingSpec(sample=True))
     result = run_experiment(args.partitioner, _experiment_config(args))
     try:
         # The report drains the live endpoints and the stack fetch stops
@@ -521,11 +511,12 @@ def _command_profile(args: argparse.Namespace, out) -> int:
         stacks = result.cluster.profile_stacks()
     finally:
         result.close()
-    assert profile is not None  # profiling was forced on above
     if args.as_json:
         payload = {
             "matchers": [asdict(event) for event in profile.matchers],
-            "routers": [asdict(event) for event in profile.routers],
+            "routers": [
+                {**asdict(event), "cells_probed": event.cells_probed} for event in profile.routers
+            ],
             "mergers": [asdict(event) for event in profile.mergers],
         }
         if profile.wire:

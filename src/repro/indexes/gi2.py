@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -39,10 +38,8 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
-    from ..runtime.profiling import MatchCounters
-
 from ..core.costmodel import cell_load
+from ..core.counters import MatchProfile
 from ..core.geometry import Rect
 from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
@@ -120,11 +117,9 @@ class GI2Index:
         self._statistics = term_statistics
         self._cell_query_counts: Counter = Counter()
         self._cell_object_counts: Counter = Counter()
-        #: Hot-loop profiling counters (:mod:`repro.runtime.profiling`);
-        #: ``None`` — the default — keeps matching at one attribute load
-        #: per call.  Assigned by whoever owns the index (the worker)
-        #: when profiling is enabled; the index never creates it.
-        self.profile: Optional["MatchCounters"] = None
+        #: What :meth:`match_batch` did so far (:mod:`repro.core.counters`):
+        #: always counting, flushed once per batch.
+        self.profile = MatchProfile()
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -396,9 +391,6 @@ class GI2Index:
         if cells is None:
             cell_of = self._grid.cell_of
             cells = [cell_of(obj.location) for obj in objects]
-        prof = self.profile
-        if prof is not None:
-            prof.cells_probed += len(set(cells))
         cells_map = self._cells
         table = self._queries
         table_get = table.get
@@ -406,6 +398,9 @@ class GI2Index:
         empty = MatchOutcome((), 0)
         outcomes: List[MatchOutcome] = []
         stale_terms: Set[str] = set()
+        # Deterministic counts only (RL007 keeps wall-clock out of this
+        # file entirely), kept in locals and flushed once per batch.
+        scanned = candidates = matches = 0
         for obj, cell in zip(objects, cells):
             object_counts[cell] += 1
             inverted = cells_map.get(cell)
@@ -425,7 +420,9 @@ class GI2Index:
             x = location.x
             y = location.y
             for term in hits:
-                for query_id in postings_map[term]:
+                postings = postings_map[term]
+                scanned += len(postings)
+                for query_id in postings:
                     if query_id in matched:
                         continue
                     record = table_get(query_id)
@@ -446,25 +443,23 @@ class GI2Index:
                         matched.add(query_id)
             if stale_terms:
                 for term in stale_terms:
-                    inverted.rewrite(
+                    # Stale postings do not count as scanned.
+                    scanned -= inverted.rewrite(
                         term, [query_id for query_id in postings_map[term] if query_id in table]
                     )
                 stale_terms.clear()
                 if not postings_map:
                     del cells_map[cell]
-            if prof is not None:
-                # Deterministic counts only, accumulated outside the
-                # candidate loop (the profiling seam — RL007 keeps
-                # wall-clock out of this file entirely); stale postings
-                # are gone by now and do not count as scanned.
-                prof.postings_scanned += sum(
-                    len(postings_map.get(term, ())) for term in hits
-                )
-                prof.candidates += checks
-                prof.matches += len(matched)
+            candidates += checks
+            matches += len(matched)
             outcomes.append(
                 MatchOutcome(tuple(sorted(matched) if len(matched) > 1 else matched), checks)
             )
+        counters = self.profile
+        counters.cells_probed += len(set(cells))
+        counters.postings_scanned += scanned
+        counters.candidates += candidates
+        counters.matches += matches
         return outcomes
 
     # ------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from zlib import crc32
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Iterable,
@@ -38,9 +37,7 @@ from typing import (
     Tuple,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a runtime cycle)
-    from ..runtime.profiling import RouteCounters
-
+from ..core.counters import RouteProfile
 from ..core.geometry import Point, Rect
 from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
@@ -145,12 +142,12 @@ class GridTIndex:
         self._cells: Dict[CellCoord, GridTCell] = {}
         self._statistics = term_statistics
         self.object_filtering = object_filtering
-        #: Hot-loop profiling counters (:mod:`repro.runtime.profiling`);
-        #: ``None`` — the default — keeps routing at a few ``is None``
-        #: checks per object.  Assigned by whoever owns the index (the
-        #: cluster's inline router or a dispatch-shard replica) when
-        #: profiling is enabled; the index never creates it.
-        self.profile: Optional["RouteCounters"] = None
+        #: What :meth:`route_cell` did so far (:mod:`repro.core.counters`):
+        #: always counting, one increment per call.  A fresh index counts
+        #: into its own holder; whoever replaces an index mid-run (a shard
+        #: re-syncing its replica, the cluster swapping structures) assigns
+        #: the holder that has counted so far.
+        self.profile = RouteProfile()
 
     # ------------------------------------------------------------------
     # Construction
@@ -321,26 +318,19 @@ class GridTIndex:
         means for the baselines — and to space-partitioned cells only
         when filtering is enabled (see :meth:`__init__`).
         """
-        prof = self.profile
         cell = self._cells.get(coord)
-        if prof is not None:
-            prof.cells_probed += 1
         if cell is None:
-            if prof is not None:
-                prof.fallback_routes += 1
+            self.profile.fallback_routes += 1
             return ()
         if cell.term_workers is None and not self.object_filtering:
-            if prof is not None:
-                prof.fallback_routes += 1
+            self.profile.fallback_routes += 1
             default = cell.default_worker
             return (default,) if default is not None else ()
         h2 = cell.h2
         if not h2:
-            if prof is not None:
-                prof.fallback_routes += 1
+            self.profile.fallback_routes += 1
             return ()
-        if prof is not None:
-            prof.probes += 1
+        self.profile.probes += 1
         # The keys-view intersection runs at C speed; most objects hit no
         # posting keyword at all and are discarded right here.
         hits = terms & h2.keys()

@@ -2,7 +2,7 @@
 
 Invariant: every subclass of ``TelemetryEvent`` (the typed event
 vocabulary of :mod:`repro.runtime.telemetry`) and of ``ProfileEvent``
-(the counter-snapshot vocabulary of :mod:`repro.runtime.profiling`) is
+(the hot-loop counter vocabulary of :mod:`repro.core.counters`) is
 classified in the protocol registry of :mod:`repro.runtime.protocol`
 *and* satisfies the RL003 pickle-safety traversal.  These events cross
 two boundaries the other rules do not fully cover: profile snapshots

@@ -3,12 +3,10 @@
 Invariant (docs/PROFILING.md): the index hot loops never call wall-clock
 timers.  Profiling of ``indexes/gi2.py`` and ``indexes/gridt.py`` is
 counter-based by design: plain integer accumulation in the loop, one
-guarded flush per batch (the "profiling seam").  A
-``time.perf_counter()`` in those files would put a syscall on the
-per-object path and break the perturbation-freedom guarantee (profiling
-on/off runs must stay byte-identical), so any timer call there is
-flagged — wall-clock attribution belongs to the sampling profiler in
-:mod:`repro.runtime.profiling`, which runs on its own thread.  (The
+flush per batch, always on.  A ``time.perf_counter()`` in those files
+would put a syscall on the per-object path of every run, so any timer
+call there is flagged — wall-clock attribution belongs to the sampling
+profiler in :mod:`repro.runtime.profiling`, which runs on its own thread.  (The
 ``ProfileEvent`` vocabulary itself is audited by RL006, beside the
 telemetry events.)
 
@@ -74,7 +72,7 @@ class ProfilingDisciplineRule(Rule):
                     column=node.col_offset + 1,
                     message="%s() in an index hot-loop file — profiling "
                     "here is counter-based (accumulate plain ints in the "
-                    "loop, flush once per batch behind the profile guard); "
+                    "loop, flush once per batch); "
                     "wall-clock attribution belongs to the sampling "
                     "profiler in repro.runtime.profiling" % name,
                 )

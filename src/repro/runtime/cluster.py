@@ -40,14 +40,7 @@ from .dispatch import (
 from .fabric import TierBackend, WireStats, load_manifest
 from .merge import MergeBackend, make_merge
 from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
-from .profiling import (
-    DedupProfile,
-    MatchProfile,
-    ProfileReport,
-    RouteCounters,
-    RouteProfile,
-    StackSampler,
-)
+from .profiling import ProfileReport, StackSampler
 from .telemetry import Observation, Snapshot, TelemetryEvent, TelemetryHub, TierTimeseries
 from .transport import (
     DeleteById,
@@ -80,8 +73,6 @@ class _WindowRun:
     ) -> None:
         self.base = base
         self.update_costs = [0.0] * num_dispatchers
-        self.insertions = [0] * num_dispatchers
-        self.deletions = [0] * num_dispatchers
         self.trace_costs: Optional[List[float]] = [0.0] * count if trace else None
         self.trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
             [None] * count if trace else None
@@ -108,15 +99,6 @@ class Cluster:
         manifest = self.config.manifest
         if isinstance(manifest, str):
             manifest = load_manifest(manifest)
-        # Hot-loop profiling: only a plain bool flows into the tier
-        # factories (and across Init handshakes); the spec itself stays
-        # coordinator-side.  The inline routing counters attach to the
-        # authoritative index here — and re-attach whenever the index is
-        # replaced (replace_routing_index).
-        profiling = self.config.profiling
-        profile_on = profiling is not None and profiling.enabled
-        if profile_on:
-            self.routing_index.profile = RouteCounters()
         self._sampler: Optional[StackSampler] = None
         # The two collaborators that open files come first: an unwritable
         # path must fail before any tier has spawned a process.
@@ -132,7 +114,7 @@ class Cluster:
         # hot path on a single ``is None`` check.
         telemetry = self.config.telemetry
         self._telemetry: Optional[TelemetryHub] = (
-            TelemetryHub(telemetry) if telemetry is not None and telemetry.enabled else None
+            TelemetryHub(telemetry) if telemetry is not None else None
         )
         with ExitStack() as undo:  # a tier that fails to build closes the ones before it
             if self._telemetry is not None:
@@ -146,7 +128,6 @@ class Cluster:
                 sink=self.config.sink,
                 dedup_window=self.config.merger_dedup_window,
                 addresses=manifest.mergers if manifest else None,
-                profiling=profile_on,
             )
             undo.callback(self._merge.close)
             # The transport owns the worker fleet: in-process workers are real
@@ -162,7 +143,6 @@ class Cluster:
                 term_statistics=plan.statistics,
                 merger_endpoints=self._merge.worker_endpoints(),
                 addresses=manifest.workers if manifest else None,
-                profiling=profile_on,
             )
             undo.callback(self.transport.close)
             # Sharded dispatch: shard replicas route off the coordinator; the
@@ -173,7 +153,6 @@ class Cluster:
                 self.config.dispatch_backend,
                 self.config.num_dispatchers,
                 addresses=manifest.dispatchers if manifest else None,
-                profiling=profile_on,
             )
             undo.pop_all()
         #: The tiers by fleet role, in pipeline order — what fences, observes,
@@ -204,7 +183,8 @@ class Cluster:
                 tier.install_fault_plan(fault_plan.for_role(role))
         # The wall-clock stack sampler starts last so a failed tier
         # construction never leaks its thread; close() stops it.
-        if profiling is not None and profile_on and profiling.sample:
+        profiling = self.config.profiling
+        if profiling is not None and profiling.sample:
             self._sampler = StackSampler(profiling.sample_interval_ms)
             self._sampler.start()
 
@@ -295,7 +275,7 @@ class Cluster:
             terms = payload.terms
             decision = routing.route_cell(cell, terms)
             cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, len(terms))
-            dispatcher.account_objects(1, 0 if decision else 1, cost)
+            dispatcher.busy_cost += cost
             batches: Dict[int, RouteBatch] = {}
             if decision:
                 batch = RouteBatch((MatchObjects((payload,), (cell,)),))
@@ -319,7 +299,7 @@ class Cluster:
             # Idle shard replicas (dual drain) no longer match H2.
             self._mark_routing_mutated()
             cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, cells)
-            dispatcher.account_updates(int(is_insert), int(not is_insert), cost)
+            dispatcher.busy_cost += cost
             batches = {
                 worker_id: RouteBatch((op,))
                 for worker_id, op in self._update_ops(is_insert, payload, per_worker)
@@ -523,8 +503,6 @@ class Cluster:
         )
         trace_costs = window.trace_costs
         dispatcher_costs = [0.0] * num_dispatchers
-        dispatcher_objects = [0] * num_dispatchers
-        dispatcher_discarded = [0] * num_dispatchers
 
         pending_positions: List[int] = []
         pending_objects: List = []
@@ -575,14 +553,12 @@ class Cluster:
                 n_terms = len(terms)
                 cost = tuple_cost + probe_cost * (n_terms if n_terms > 1 else 1)
                 dispatcher_costs[slot] += cost
-                dispatcher_objects[slot] += 1
                 if trace_costs is not None:
                     trace_costs[position] = cost
                 decision = (
                     route_cell(coord, terms) if decisions is None else decisions[position]
                 )
                 if not decision:
-                    dispatcher_discarded[slot] += 1
                     continue
                 if touched_synced < len(pending_updates):
                     touched_add = touched.add
@@ -663,18 +639,10 @@ class Cluster:
         totals.tuples += window_objects
         totals.object_fanout += window_fanout
         for slot in range(num_dispatchers):
-            if dispatcher_objects[slot]:
-                dispatchers[slot].account_objects(
-                    dispatcher_objects[slot],
-                    dispatcher_discarded[slot],
-                    dispatcher_costs[slot],
-                )
-            if window.insertions[slot] or window.deletions[slot]:
-                dispatchers[slot].account_updates(
-                    window.insertions[slot],
-                    window.deletions[slot],
-                    window.update_costs[slot],
-                )
+            # Two additions per slot, in this order: the float sum is
+            # pinned by tests/test_report_golden.py.
+            dispatchers[slot].busy_cost += dispatcher_costs[slot]
+            dispatchers[slot].busy_cost += window.update_costs[slot]
         if trace:
             trace_workers = window.trace_workers
             assert trace_costs is not None and trace_workers is not None
@@ -773,7 +741,6 @@ class Cluster:
             )
             handled = 0
             if is_insert:
-                window.insertions[slot] += 1
                 for worker_id in per_worker:
                     if worker_id not in workers_map:
                         continue
@@ -783,7 +750,6 @@ class Cluster:
                 totals.insertions += 1
                 totals.query_fanout += handled
             else:
-                window.deletions[slot] += 1
                 for worker_id in per_worker:
                     if worker_id not in workers_map:
                         continue
@@ -1042,8 +1008,8 @@ class Cluster:
             input_rate,
         )
 
-    def profile_report(self) -> Optional[ProfileReport]:
-        """Every tier's hot-loop counters; ``None`` when profiling is off.
+    def profile_report(self) -> ProfileReport:
+        """Every tier's hot-loop counters, as an independent snapshot.
 
         The ``profile`` fields of one observation per endpoint: one
         :class:`~repro.runtime.profiling.MatchProfile` per worker, one
@@ -1054,23 +1020,12 @@ class Cluster:
         Observing is read-only, so it can run any number of times (e.g.
         before and after an adjustment round) without perturbing a report.
         """
-        profiling = self.config.profiling
-        if profiling is None or not profiling.enabled:
-            return None
         workers, shards, mergers = self._observe()
-        routers: List[RouteProfile] = []
-        inline = getattr(self.routing_index, "profile", None)
-        if inline is not None:
-            routers.append(inline.event(-1))
-        routers.extend(o.profile for o in shards.values() if isinstance(o.profile, RouteProfile))
+        inline = self.routing_index.profile.event(-1)
         return ProfileReport(
-            matchers=tuple(
-                o.profile for o in workers.values() if isinstance(o.profile, MatchProfile)
-            ),
-            routers=tuple(routers),
-            mergers=tuple(
-                o.profile for o in mergers.values() if isinstance(o.profile, DedupProfile)
-            ),
+            matchers=tuple(o.profile for o in workers.values()),
+            routers=(inline, *(o.profile for o in shards.values())),
+            mergers=tuple(o.profile for o in mergers.values()),
             wire=self.wire_stats(),
             tuples=self.totals.tuples,
         )

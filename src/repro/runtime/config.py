@@ -104,15 +104,12 @@ class ClusterConfig:
     #: accounting, and its control messages are exempt from chaos fault
     #: counting.
     telemetry: Optional[TelemetrySpec] = None
-    #: Hot-loop profiling (:mod:`repro.runtime.profiling`): ``None`` — the
-    #: default — disables it entirely (one ``is None`` check per window /
-    #: batch).  When set, deterministic cost counters attach to the three
-    #: hot paths (GI2 matching, GridT routing, merger dedup) and
-    #: :meth:`Cluster.profile_report` reads them coordinator-side;
-    #: ``sample=True`` additionally runs the wall-clock stack sampler in
-    #: the coordinator process.  Like telemetry, profiling never perturbs
-    #: a report — counters are pure counts outside the Definition-1
-    #: accounting.
+    #: The wall-clock stack sampler (:mod:`repro.runtime.profiling`):
+    #: ``sample=True`` runs it in the coordinator process; ``None`` and
+    #: ``ProfilingSpec()`` both leave it off.  The hot-loop cost counters
+    #: (GI2 matching, GridT routing, merger dedup) are not configured
+    #: here or anywhere — they count on every run and
+    #: :meth:`Cluster.profile_report` always reads them.
     profiling: Optional[ProfilingSpec] = None
 
     def __post_init__(self) -> None:

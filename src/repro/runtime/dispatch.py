@@ -64,11 +64,11 @@ import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.counters import RouteProfile
 from ..core.geometry import Point
 from ..core.objects import StreamTuple, TupleKind
 from ..indexes.gridt import WorkerPlan
 from .fabric import Fleet, RoleHost, TierBackend, TransportError, make_fleet, register_role
-from .profiling import RouteCounters
 from .telemetry import Observation, Observe
 
 __all__ = [
@@ -202,37 +202,17 @@ class DispatcherLedger:
     #: Fixed per-tuple overhead (deserialisation, cell lookup).
     TUPLE_COST = 0.05
 
-    __slots__ = (
-        "dispatcher_id",
-        "busy_cost",
-        "objects_routed",
-        "objects_discarded",
-        "insertions_routed",
-        "deletions_routed",
-    )
+    __slots__ = ("dispatcher_id", "busy_cost")
 
     def __init__(self, dispatcher_id: int) -> None:
         self.dispatcher_id = dispatcher_id
-        self.reset_period()
-
-    def account_objects(self, routed: int, discarded: int, total_cost: float) -> None:
-        """Charge a batch of object routing decisions in one call."""
-        self.busy_cost += total_cost
-        self.objects_routed += routed
-        self.objects_discarded += discarded
-
-    def account_updates(self, insertions: int, deletions: int, total_cost: float) -> None:
-        """Charge a window's worth of update routing decisions in one call."""
-        self.busy_cost += total_cost
-        self.insertions_routed += insertions
-        self.deletions_routed += deletions
+        #: Cost units charged to this slot in the current period; how many
+        #: objects were routed or fell back is on the router counters
+        #: (:class:`~repro.core.counters.RouteProfile`), not here.
+        self.busy_cost = 0.0
 
     def reset_period(self) -> None:
         self.busy_cost = 0.0
-        self.objects_routed = 0
-        self.objects_discarded = 0
-        self.insertions_routed = 0
-        self.deletions_routed = 0
 
 
 def _split_window(
@@ -269,7 +249,7 @@ class _ShardRouter:
 
     __slots__ = ("shard_id", "num_shards", "index", "insertion_plans", "profile")
 
-    def __init__(self, shard_id: int, num_shards: int, profiling: bool = False) -> None:
+    def __init__(self, shard_id: int, num_shards: int) -> None:
         self.shard_id = shard_id
         self.num_shards = num_shards
         self.index = None
@@ -278,11 +258,11 @@ class _ShardRouter:
         #: insertion's plan.  Dropped on every snapshot sync, exactly when
         #: the cluster drops its own cache.
         self.insertion_plans: Dict[int, Tuple[WorkerPlan, int]] = {}
-        #: Router-owned profiling counters; re-attached to every freshly
+        #: Router-owned routing counters; attached to every freshly
         #: unpickled replica by :meth:`sync` so a run's profile survives
-        #: snapshot syncs (and the coordinator's own counters never leak
-        #: into shard attribution through the pickle).
-        self.profile: Optional[RouteCounters] = RouteCounters() if profiling else None
+        #: snapshot syncs (and the coordinator's own counts, which ride
+        #: the pickle, never leak into shard attribution).
+        self.profile = RouteProfile()
 
     def sync(self, index: Any) -> None:
         self.index = index
@@ -410,13 +390,11 @@ class InProcessDispatch(DispatchBackend):
     backend_name = "inprocess"
     supports_pipelining = False
 
-    def __init__(self, num_shards: int, profiling: bool = False) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("dispatch needs at least one shard")
         self.num_shards = num_shards
-        self._routers = [
-            _ShardRouter(shard, num_shards, profiling) for shard in range(num_shards)
-        ]
+        self._routers = [_ShardRouter(shard, num_shards) for shard in range(num_shards)]
         self.synced_version = -1
         self._seq = 0
         self._routed: Dict[int, RoutedWindow] = {}
@@ -454,14 +432,13 @@ def _observe_dispatcher(router: "_ShardRouter") -> Observation:
     coordinator charges dispatcher busy cost itself, identically on
     every backend), so ``busy_cost`` is filled in coordinator-side.
     """
-    counters = router.profile
     return Observation(
         tier="dispatcher",
         endpoint_id=router.shard_id,
         busy_cost=0.0,
         memory_bytes=router.memory_bytes(),
         depth=len(router.insertion_plans),
-        profile=counters.event(router.shard_id) if counters is not None else None,
+        profile=router.profile.event(router.shard_id),
     )
 
 
@@ -473,9 +450,7 @@ class DispatchHost(RoleHost):
     typed-message surface.  ``init`` carries ``num_shards``."""
 
     def __init__(self, shard_id: int, init: Mapping[str, Any]) -> None:
-        self.router = _ShardRouter(
-            shard_id, init["num_shards"], bool(init.get("profiling"))
-        )
+        self.router = _ShardRouter(shard_id, init["num_shards"])
 
     def handle(self, message: Any) -> Any:
         kind = type(message)
@@ -578,7 +553,6 @@ def make_dispatch(
     num_shards: int,
     *,
     addresses: Optional[Sequence[Tuple[str, int]]] = None,
-    profiling: bool = False,
 ) -> Optional[DispatchBackend]:
     """Build the dispatch backend; ``None`` means inline (coordinator) routing.
 
@@ -588,8 +562,8 @@ def make_dispatch(
     if backend == "inline":
         return None
     if backend == "inprocess":
-        return InProcessDispatch(num_shards, profiling)
-    init = {"num_shards": num_shards, "profiling": profiling}
+        return InProcessDispatch(num_shards)
+    init = {"num_shards": num_shards}
     inits = {shard_id: init for shard_id in range(num_shards)}
     return FabricDispatch(
         make_fleet("dispatcher", backend, inits, addresses=addresses, label="dispatch shard")

@@ -231,7 +231,6 @@ def _observe_merger(merger: MergerNode) -> Observation:
     future merger re-shard would hand off (droppable: at worst
     duplicates, never losses).
     """
-    counters = merger.profile
     return Observation(
         tier="merger",
         endpoint_id=merger.merger_id,
@@ -241,7 +240,7 @@ def _observe_merger(merger: MergerNode) -> Observation:
         received=merger.received,
         delivered=merger.delivered,
         duplicates=merger.duplicates,
-        profile=counters.event(merger.merger_id) if counters is not None else None,
+        profile=merger.profile.event(merger.merger_id),
     )
 
 
@@ -297,19 +296,13 @@ class InProcessMerge(MergeBackend):
         *,
         sink: Optional[SinkSpec] = None,
         dedup_window: int = 100_000,
-        profiling: bool = False,
     ) -> None:
         if num_mergers < 1:
             raise ValueError("the merger tier needs at least one shard")
         self.num_mergers = num_mergers
         spec = sink if sink is not None else SinkSpec()
         self.mergers: List[MergerNode] = [
-            MergerNode(
-                merger_id,
-                dedup_window=dedup_window,
-                sink=build_sink(spec, merger_id),
-                profiling=profiling,
-            )
+            MergerNode(merger_id, dedup_window=dedup_window, sink=build_sink(spec, merger_id))
             for merger_id in range(num_mergers)
         ]
 
@@ -357,7 +350,6 @@ class MergeHost(RoleHost):
             merger_id,
             dedup_window=init.get("dedup_window", 100_000),
             sink=build_sink(spec, merger_id),
-            profiling=bool(init.get("profiling")),
         )
 
     def handle(self, message: Any) -> Any:
@@ -443,7 +435,6 @@ def make_merge(
     sink: Optional[SinkSpec] = None,
     dedup_window: int = 100_000,
     addresses: Optional[Sequence[Tuple[str, int]]] = None,
-    profiling: bool = False,
 ) -> MergeBackend:
     """Build the merger/delivery backend for a cluster deployment.
 
@@ -451,10 +442,8 @@ def make_merge(
     endpoints (:func:`~repro.runtime.fabric.make_fleet`).
     """
     if backend == "inprocess":
-        return InProcessMerge(
-            num_mergers, sink=sink, dedup_window=dedup_window, profiling=profiling
-        )
-    init = {"sink": sink, "dedup_window": dedup_window, "profiling": profiling}
+        return InProcessMerge(num_mergers, sink=sink, dedup_window=dedup_window)
+    init = {"sink": sink, "dedup_window": dedup_window}
     inits = {merger_id: init for merger_id in range(num_mergers)}
     return FabricMerge(
         make_fleet(

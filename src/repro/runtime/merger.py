@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Deque, Dict, Iterable, Optional, Protocol, Set, Tuple
 
+from ..core.counters import DedupProfile
 from ..core.objects import MatchResult
-from .profiling import DedupCounters
 
 __all__ = ["MergerNode", "ResultSink"]
 
@@ -48,7 +48,6 @@ class MergerNode:
         *,
         dedup_window: int = 100_000,
         sink: Optional[ResultSink] = None,
-        profiling: bool = False,
     ) -> None:
         """``dedup_window`` bounds how many recent match keys are remembered.
 
@@ -56,12 +55,12 @@ class MergerNode:
         delivered; a sliding window over recent object ids is sufficient
         because duplicates of one object arrive close together.  ``sink``
         is an optional subscriber sink receiving every delivered result.
-        ``profiling`` attaches hot-loop dedup counters
-        (:mod:`repro.runtime.profiling`); they accumulate across
-        ``reset_period`` so a run's profile covers every window.
         """
         self.merger_id = merger_id
-        self.profile: Optional[DedupCounters] = DedupCounters() if profiling else None
+        #: What :meth:`handle_many` did so far (:mod:`repro.core.counters`);
+        #: unlike the period counters below these accumulate across
+        #: ``reset_period``, so a run's profile covers every window.
+        self.profile = DedupProfile()
         self.busy_cost = 0.0
         self.received = 0
         self.delivered = 0
@@ -120,11 +119,10 @@ class MergerNode:
             self.received += received
             self.delivered += delivered
             self.duplicates += duplicates
-            prof = self.profile
-            if prof is not None:
-                prof.lookups += received
-                prof.duplicates += duplicates
-                prof.evictions += evictions
+            counters = self.profile
+            counters.lookups += received
+            counters.duplicates += duplicates
+            counters.evictions += evictions
         return delivered
 
     def deliveries_for(self, subscriber_id: int) -> int:

@@ -158,10 +158,9 @@ def replace_routing_index(cluster: "Cluster", routing_index: GridTIndex) -> None
             "routing index grid %r differs from the cluster's %r"
             % (routing_index.grid, cluster.routing_index.grid)
         )
-    # The inline-routing profile survives the swap: re-attach the old
-    # index's counters so a run's profile covers the whole stream.
-    old_profile = getattr(cluster.routing_index, "profile", None)
+    # The inline-routing counters survive the swap: the incoming
+    # structure takes over the holder that has counted so far, so a
+    # run's profile covers the whole stream.
+    routing_index.profile = cluster.routing_index.profile
     cluster.routing_index = routing_index
-    if old_profile is not None:
-        routing_index.profile = old_profile
     cluster.invalidate_routing_caches()

@@ -1,4 +1,4 @@
-"""Hot-loop profiling: deterministic cost counters + a sampling profiler.
+"""Hot-loop profiling: the always-on cost counters + an opt-in sampling profiler.
 
 PR 9's telemetry (:mod:`repro.runtime.telemetry`) shows *where* a window
 spends wall-clock across tiers; this module shows *why* — what the three
@@ -8,42 +8,41 @@ per-core inner loops actually did:
   postings scanned, candidate checks and matches per worker, plus the
   number of cell probes, so selectivity of the term intersection and the
   region/expression filter is attributable per worker.
-* **GridT routing** (:meth:`repro.indexes.gridt.GridTIndex.route_object_batch`
-  and :meth:`~repro.indexes.gridt.GridTIndex.route_cell`) — content-path
-  probes and fallback routes (missing cell / default-worker / empty H2)
-  per routing replica, so the H2 pressure is visible.
+* **GridT routing** (:meth:`repro.indexes.gridt.GridTIndex.route_cell`) —
+  content-path probes and fallback routes (missing cell / default-worker
+  / empty H2) per routing replica, so the H2 pressure is visible.
 * **Merger dedup** (:meth:`repro.runtime.merger.MergerNode.handle_many`) —
   dedup-set lookups, duplicates suppressed and window evictions per
   shard.
 
-Counters are **deterministic pure counts** — no wall clock anywhere near
-a hot loop (lint rule RL007 bans timing calls inside ``gi2.py`` /
-``gridt.py``), so two runs of the same stream produce identical profiles
-and a profiled run's :class:`~repro.runtime.metrics.RunReport` is
-byte-identical to an unprofiled one (the same perturbation-freedom
-invariant telemetry pins; ``tests/test_profiling.py`` checks the full
-backend matrix).
-
-Counters live next to the state they observe (``GI2Index.profile``,
-``GridTIndex.profile``, ``MergerNode.profile`` — ``None`` when
-profiling is off) and reach the coordinator as the ``profile`` field of
-each endpoint's :class:`~repro.runtime.telemetry.Observation` — the same
+The counters are state, not an option: every ``GI2Index``, ``GridTIndex``
+and ``MergerNode`` owns its holder (``.profile``, defined in
+:mod:`repro.core.counters` and re-exported here) and counts on every
+run, the lean way docs/PROFILING.md measured — one increment per routed
+object, locals flushed once per matched / merged batch.  They are
+**deterministic pure counts** — no wall clock anywhere near a hot loop
+(lint rule RL007 bans timing calls inside ``gi2.py`` / ``gridt.py``) —
+so two runs of the same stream produce identical profiles on every
+backend.  They reach the coordinator as the ``profile`` field of each
+endpoint's :class:`~repro.runtime.telemetry.Observation` — the same
 read-only reply to :class:`~repro.runtime.telemetry.Observe` (a
 ``__telemetry_control__`` message, exempt from chaos fault counting)
-that reports and gauges are built from.
+that reports and gauges are built from — and
+:meth:`Cluster.profile_report` assembles them.
 
-The optional **sampling profiler** (:class:`StackSampler`) is the
-wall-clock half: a daemon thread snapshots every thread's Python stack
-via ``sys._current_frames()`` at a fixed interval and aggregates the
-samples into collapsed-stack lines (``frame;frame;frame count``) that
-flamegraph tools consume directly.  It samples the *coordinator
-process only* — under the in-process backends that covers all three
-tiers; remote endpoints of the multiprocess/socket backends are outside
-its reach (see docs/PROFILING.md for the caveats).
+The **sampling profiler** (:class:`StackSampler`) is the wall-clock half
+and the only opt-in (``ProfilingSpec(sample=True)``): a daemon thread
+snapshots every thread's Python stack via ``sys._current_frames()`` at a
+fixed interval and aggregates the samples into collapsed-stack lines
+(``frame;frame;frame count``) that flamegraph tools consume directly.
+It samples the *coordinator process only* — under the in-process
+backends that covers all three tiers; remote endpoints of the
+multiprocess/socket backends are outside its reach (see
+docs/PROFILING.md for the caveats).
 
 Surface: ``repro profile`` (per-tier attribution table, ``--stacks-path``
-collapsed stacks, ``--json``), ``ClusterConfig.profiling`` /
-``--profile`` on the workload commands.
+collapsed stacks, ``--json``) and :meth:`Cluster.profile_report` on any
+cluster.
 """
 
 from __future__ import annotations
@@ -52,19 +51,17 @@ import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.counters import DedupProfile, MatchProfile, ProfileEvent, RouteProfile
 from .fabric import WireStats
 
 __all__ = [
-    "DedupCounters",
     "DedupProfile",
-    "MatchCounters",
     "MatchProfile",
     "ProfileEvent",
     "ProfileReport",
     "ProfilingSpec",
-    "RouteCounters",
     "RouteProfile",
     "StackSampler",
     "profile_text",
@@ -72,149 +69,20 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# The typed profile-event vocabulary
-# ----------------------------------------------------------------------
-class ProfileEvent:
-    """Base class of every profile event (lint rule RL006 anchors here)."""
-
-    __slots__ = ()
-
-
-@dataclass(slots=True, frozen=True)
-class MatchProfile(ProfileEvent):
-    """One worker's GI2 matching counters for the run so far.
-
-    Invariant (checked by ``tests/test_profiling.py``):
-    ``postings_scanned >= candidates >= matches`` — every candidate check
-    walks a posting entry, and every match passed a candidate check
-    (``candidates`` skips postings already matched or lazily deleted, so
-    it can undercut ``postings_scanned``).
-    """
-
-    endpoint_id: int
-    cells_probed: int
-    postings_scanned: int
-    candidates: int
-    matches: int
-
-
-@dataclass(slots=True, frozen=True)
-class RouteProfile(ProfileEvent):
-    """One routing replica's GridT counters for the run so far.
-
-    ``endpoint_id`` is the dispatch shard id, or ``-1`` for the
-    coordinator's inline routing (the ``inline`` dispatch backend and
-    the batched engine's fused arrival scan).  Invariant:
-    ``probes + fallback_routes == cells_probed`` (every routed object
-    probes exactly one cell and takes exactly one of the two paths).
-    """
-
-    endpoint_id: int
-    cells_probed: int
-    probes: int
-    fallback_routes: int
-    #: Vestige of the deleted route memo, not a field: the frozen
-    #: ``benchmarks/e2e/bench.py`` reads this name to print
-    #: ``gridt.cache_hit_ratio``, which therefore stays 0.0.
-    cache_hits: ClassVar[int] = 0
-
-
-@dataclass(slots=True, frozen=True)
-class DedupProfile(ProfileEvent):
-    """One merger shard's dedup counters for the run so far.
-
-    ``lookups`` counts dedup-set membership tests (one per received
-    result), ``duplicates`` the results suppressed, ``evictions`` the
-    keys pushed out of the sliding window.  Unlike the period counters
-    of :class:`~repro.runtime.merger.MergerNode`, these survive
-    ``reset_period`` — a profile always covers the whole run.
-    """
-
-    endpoint_id: int
-    lookups: int
-    duplicates: int
-    evictions: int
-
-
-# ----------------------------------------------------------------------
-# Mutable counter holders (live on the indexes / merger nodes)
-# ----------------------------------------------------------------------
-class MatchCounters:
-    """Mutable GI2 matching counters (plain ints; picklable)."""
-
-    __slots__ = ("cells_probed", "postings_scanned", "candidates", "matches")
-
-    def __init__(self) -> None:
-        self.cells_probed = 0
-        self.postings_scanned = 0
-        self.candidates = 0
-        self.matches = 0
-
-    def event(self, endpoint_id: int) -> MatchProfile:
-        return MatchProfile(
-            endpoint_id=endpoint_id,
-            cells_probed=self.cells_probed,
-            postings_scanned=self.postings_scanned,
-            candidates=self.candidates,
-            matches=self.matches,
-        )
-
-
-class RouteCounters:
-    """Mutable GridT routing counters (plain ints; picklable)."""
-
-    __slots__ = ("cells_probed", "probes", "fallback_routes")
-
-    def __init__(self) -> None:
-        self.cells_probed = 0
-        self.probes = 0
-        self.fallback_routes = 0
-
-    def event(self, endpoint_id: int) -> RouteProfile:
-        return RouteProfile(
-            endpoint_id=endpoint_id,
-            cells_probed=self.cells_probed,
-            probes=self.probes,
-            fallback_routes=self.fallback_routes,
-        )
-
-
-class DedupCounters:
-    """Mutable merger dedup counters (plain ints; picklable)."""
-
-    __slots__ = ("lookups", "duplicates", "evictions")
-
-    def __init__(self) -> None:
-        self.lookups = 0
-        self.duplicates = 0
-        self.evictions = 0
-
-    def event(self, endpoint_id: int) -> DedupProfile:
-        return DedupProfile(
-            endpoint_id=endpoint_id,
-            lookups=self.lookups,
-            duplicates=self.duplicates,
-            evictions=self.evictions,
-        )
-
-
-# ----------------------------------------------------------------------
 # Configuration and the assembled report
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ProfilingSpec:
-    """Configuration of the profiling subsystem (coordinator-side, inert).
+    """Configuration of the stack sampler (coordinator-side, inert).
 
-    ``ClusterConfig.profiling`` is ``None`` by default — profiling is
-    strictly opt-in.  Only a plain ``bool`` crosses process boundaries
-    (inside the Init handshake dicts), never this spec.  ``sample``
-    additionally starts the wall-clock :class:`StackSampler` in the
-    coordinator process.
+    The hot-loop counters need no configuration — they run on every
+    cluster.  ``ClusterConfig.profiling`` only says whether the
+    wall-clock :class:`StackSampler` runs in the coordinator process;
+    ``None`` and ``ProfilingSpec()`` both mean it does not.
     """
 
-    enabled: bool = True
-    #: Also run the thread-based sampling profiler (wall-clock; samples
-    #: the coordinator process only).
+    #: Run the thread-based sampling profiler (wall-clock; samples the
+    #: coordinator process only).
     sample: bool = False
     #: Sampling interval of the stack sampler, in milliseconds.
     sample_interval_ms: float = 5.0

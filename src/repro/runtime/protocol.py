@@ -65,6 +65,7 @@ PROTOCOL_MODULES: Tuple[str, ...] = (
     "repro.runtime.checkpoint",
     "repro.runtime.telemetry",
     "repro.runtime.profiling",
+    "repro.core.counters",
 )
 
 #: role -> request messages its host's ``handle`` method must dispatch.
@@ -107,14 +108,16 @@ REPLY_MESSAGES: Tuple[str, ...] = (
 )
 
 #: Dataclasses that cross the wire only inside another message (worker
-#: ops inside a RouteBatch, sink specs inside an Init handshake, profile
-#: counters inside an Observation).  They are pickle-checked (RL003)
-#: like the messages that carry them.
+#: ops inside a RouteBatch, sink specs inside an Init handshake, the
+#: per-tier hot-loop counters of :mod:`repro.core.counters` inside an
+#: Observation).  They are pickle-checked (RL003) like the messages that
+#: carry them.
 PAYLOAD_DATACLASSES: Tuple[str, ...] = (
     "MatchObjects",
     "InsertPairs",
     "DeleteById",
     "SinkSpec",
+    "ProfileEvent",
     "MatchProfile",
     "RouteProfile",
     "DedupProfile",

@@ -47,7 +47,7 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -188,7 +188,8 @@ class Observation:
     :class:`GaugeSample`'s (a dispatch shard's ``busy_cost`` is 0 — the
     coordinator charges dispatcher cost itself); ``load`` is the worker's
     period load, ``received`` / ``delivered`` / ``duplicates`` the merger's
-    period counters, ``profile`` is ``None`` when profiling is off."""
+    period counters, ``profile`` the role's hot-loop counters, stamped
+    (hand-built observations carry the empty base event)."""
 
     tier: str
     endpoint_id: int
@@ -199,7 +200,7 @@ class Observation:
     received: int = 0
     delivered: int = 0
     duplicates: int = 0
-    profile: Optional[ProfileEvent] = None
+    profile: ProfileEvent = field(default_factory=ProfileEvent)
 
 
 class Snapshot(NamedTuple):
@@ -232,7 +233,6 @@ class TelemetrySpec:
     (1 = every window); spans and lifecycle events are never throttled.
     """
 
-    enabled: bool = True
     path: Optional[str] = None
     ring_size: int = 4096
     sample_every: int = 1

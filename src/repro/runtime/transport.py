@@ -295,7 +295,6 @@ def execute_ops(
 
 def _observe_worker(worker: WorkerNode) -> Observation:
     """One worker's observation from live state (read-only)."""
-    counters = worker.index.profile
     return Observation(
         tier="worker",
         endpoint_id=worker.worker_id,
@@ -303,7 +302,7 @@ def _observe_worker(worker: WorkerNode) -> Observation:
         memory_bytes=worker.memory_bytes(),
         depth=worker.query_count,
         load=worker.load(),
-        profile=counters.event(worker.worker_id) if counters is not None else None,
+        profile=worker.index.profile.event(worker.worker_id),
     )
 
 
@@ -556,7 +555,6 @@ def make_transport(
     term_statistics: Optional[TermStatistics],
     merger_endpoints: Optional[Sequence[Any]] = None,
     addresses: Optional[Sequence[Tuple[str, int]]] = None,
-    profiling: bool = False,
 ) -> Transport:
     """Build the transport (and its workers) for a cluster deployment.
 
@@ -578,8 +576,6 @@ def make_transport(
         "granularity": granularity,
         "cost_model": cost_model,
         "term_statistics": term_statistics,
-        # A plain bool crosses the Init handshake, never the ProfilingSpec.
-        "profiling": profiling,
     }
     if backend == "inprocess":
         return InProcessTransport(

@@ -17,7 +17,6 @@ from ..core.objects import MatchResult, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from ..indexes.gi2 import CellStats, GI2Index
 from ..indexes.grid import CellCoord
-from .profiling import MatchCounters
 
 __all__ = ["QueryAssignment", "WorkerNode"]
 
@@ -62,13 +61,10 @@ class WorkerNode:
         granularity: int = 64,
         cost_model: Optional[CostModel] = None,
         term_statistics: Optional[TermStatistics] = None,
-        profiling: bool = False,
     ) -> None:
         self.worker_id = worker_id
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.index = GI2Index(bounds, granularity=granularity, term_statistics=term_statistics)
-        if profiling:
-            self.index.profile = MatchCounters()
         self.counters = WorkerLoadCounters()
         #: Accumulated busy time in cost units (converted to seconds by the cluster).
         self.busy_cost = 0.0

@@ -17,7 +17,7 @@ from test_chaos import make_chaos_workload
 
 from repro.adjustment import GreedySelector, LocalLoadAdjuster
 from repro.runtime import Cluster, ClusterConfig
-from repro.runtime.profiling import DedupCounters, MatchCounters, RouteCounters
+from repro.runtime.profiling import DedupProfile, MatchProfile, RouteProfile
 
 E2E = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "e2e")
 
@@ -41,9 +41,9 @@ def test_profiles_expose_every_counter_the_layers_read():
         if isinstance(node, ast.FunctionDef) and node.name == "layers"
     )
     events = {
-        "matchers": MatchCounters().event(0),
-        "routers": RouteCounters().event(0),
-        "mergers": DedupCounters().event(0),
+        "matchers": MatchProfile().event(0),
+        "routers": RouteProfile().event(0),
+        "mergers": DedupProfile().event(0),
     }
     read = {}
     for comp in ast.walk(layers):

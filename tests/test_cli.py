@@ -94,7 +94,6 @@ DEPLOYMENT_FLAGS = [
         lambda plan: plan.for_role("merger")[0].action == "drop",
     ),
     ("--telemetry-path", "t.jsonl", "telemetry", lambda spec: spec.path == "t.jsonl"),
-    ("--profile", None, "profiling", lambda spec: spec is not None and spec.enabled),
 ]
 
 

@@ -369,7 +369,7 @@ class TestMergerMechanics:
 
         def merger_with_log():
             log = []
-            return MergerNode(0, dedup_window=8, sink=LogSink(log), profiling=True), log
+            return MergerNode(0, dedup_window=8, sink=LogSink(log)), log
 
         single, single_log = merger_with_log()
         batched, batched_log = merger_with_log()

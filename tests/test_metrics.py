@@ -211,8 +211,8 @@ class TestPureReporting:
         traces.append(0, 0.09, [(0, 1.0), (1, 4.0)])
         traces.extend([1], [0.07], [[(1, 2.0)]])
         dispatchers = [DispatcherLedger(0), DispatcherLedger(1)]
-        dispatchers[0].account_objects(1, 0, 0.09)
-        dispatchers[1].account_updates(1, 0, 0.07)
+        dispatchers[0].busy_cost += 0.09
+        dispatchers[1].busy_cost += 0.07
         observed = Snapshot(
             workers={
                 0: Observation("worker", 0, busy_cost=1.0, memory_bytes=100, depth=1, load=2.5),

@@ -1,4 +1,4 @@
-"""Hot-loop profiling: counter invariants, perturbation-freedom, sampler, CLI.
+"""Hot-loop counters: invariants, counters-as-state, sampler, CLI.
 
 The acceptance contract of the profiling layer (docs/PROFILING.md):
 
@@ -7,10 +7,12 @@ The acceptance contract of the profiling layer (docs/PROFILING.md):
   checks at least as many candidates as it reports matches; a router's
   probes plus fallback routes partition the cells it probed; a merger's lookups split exactly
   into suppressed duplicates and delivered results;
-* **perturbation-freedom** — a run's :class:`RunReport` and delivered
-  set are byte-identical with profiling on and off, on every backend
-  (inprocess × multiprocess × socket), including a closed-loop
-  adjustment run with checkpoints;
+* **counters are state** — every index and merger counts from
+  construction with nobody switching anything on, the values are the
+  same on every backend, a report is an independent snapshot, and the
+  holders survive what replaces the state they sit on (a global
+  repartition's two index swaps, a shard replica's re-sync) without
+  double counting, resetting or inheriting somebody else's counts;
 * **round-trip** — counter snapshots survive the JSON codec, and the
   sampling profiler emits well-formed collapsed-stack lines.
 """
@@ -21,18 +23,20 @@ import time
 
 import pytest
 
-from test_chaos import make_chaos_workload, needs_cores
-from test_transport import require_loopback
+from test_chaos import BOUNDS, make_chaos_workload, needs_cores
+from test_transport import global_scenario
 
-from repro.adjustment import GreedySelector, LocalLoadAdjuster
+from repro.adjustment import GlobalAdjuster
 from repro.bench.history import append_history, make_record
 from repro.cli import main as cli_main
-from repro.runtime import Cluster, ClusterConfig
+from repro.core import MatchResult, TupleKind
+from repro.indexes import GI2Index, GridTIndex
+from repro.partitioning import HybridPartitioner
+from repro.runtime import Cluster, ClusterConfig, MergerNode
 from repro.runtime.merge import SinkSpec
 from repro.runtime.profiling import (
     DedupProfile,
     MatchProfile,
-    ProfilingSpec,
     RouteProfile,
     StackSampler,
     profile_text,
@@ -43,16 +47,11 @@ def run_once(
     plan,
     tuples,
     *,
-    profiling=None,
     backend="inprocess",
     dispatch_backend="inline",
     merger_backend="inprocess",
-    checkpoint_every=0,
-    adjust_every=0,
-    local_adjuster=None,
-    batch_size=64,
 ):
-    """One batched run; returns (report, delivered-set, profile-report)."""
+    """One batched run; returns (report, profile-report)."""
     config = ClusterConfig(
         num_dispatchers=2,
         num_workers=4,
@@ -60,32 +59,15 @@ def run_once(
         dispatch_backend=dispatch_backend,
         merger_backend=merger_backend,
         sink=SinkSpec(kind="memory"),
-        checkpoint_every=checkpoint_every,
-        profiling=profiling,
     )
     with Cluster(plan, config) as cluster:
-        report = cluster.run_batched(
-            tuples,
-            batch_size=batch_size,
-            adjust_every=adjust_every,
-            local_adjuster=local_adjuster,
-        )
-        drained = cluster.drain_sinks()
+        report = cluster.run_batched(tuples, batch_size=64)
         profile = cluster.profile_report()
-    delivered = {
-        (result.query_id, result.object_id)
-        for results in drained.values()
-        for result in results
-    }
-    return report, delivered, profile
+    return report, profile
 
 
-def assert_no_perturbation(reference, observed):
-    """Profiling-on and profiling-off runs must agree byte for byte."""
-    ref_report, ref_delivered, _ = reference
-    obs_report, obs_delivered, _ = observed
-    assert obs_report == ref_report
-    assert obs_delivered == ref_delivered
+def object_count(tuples):
+    return sum(item.kind is TupleKind.OBJECT for item in tuples)
 
 
 @pytest.fixture(scope="module")
@@ -99,8 +81,7 @@ def workload():
 class TestCounterInvariants:
     def test_match_counters(self, workload):
         plan, tuples = workload
-        report, _, profile = run_once(plan, tuples, profiling=ProfilingSpec())
-        assert profile is not None
+        _, profile = run_once(plan, tuples)
         assert len(profile.matchers) == 4
         for event in profile.matchers:
             assert isinstance(event, MatchProfile)
@@ -109,7 +90,7 @@ class TestCounterInvariants:
 
     def test_inline_route_counters(self, workload):
         plan, tuples = workload
-        _, _, profile = run_once(plan, tuples, profiling=ProfilingSpec())
+        _, profile = run_once(plan, tuples)
         inline = [event for event in profile.routers if event.endpoint_id == -1]
         assert len(inline) == 1
         event = inline[0]
@@ -118,10 +99,8 @@ class TestCounterInvariants:
 
     def test_sharded_route_counters(self, workload):
         plan, tuples = workload
-        _, _, inline_profile = run_once(plan, tuples, profiling=ProfilingSpec())
-        _, _, sharded_profile = run_once(
-            plan, tuples, profiling=ProfilingSpec(), dispatch_backend="inprocess"
-        )
+        _, inline_profile = run_once(plan, tuples)
+        _, sharded_profile = run_once(plan, tuples, dispatch_backend="inprocess")
         shards = [
             event for event in sharded_profile.routers if event.endpoint_id >= 0
         ]
@@ -136,7 +115,7 @@ class TestCounterInvariants:
 
     def test_dedup_counters(self, workload):
         plan, tuples = workload
-        report, _, profile = run_once(plan, tuples, profiling=ProfilingSpec())
+        report, profile = run_once(plan, tuples)
         assert len(profile.mergers) == 2
         for event in profile.mergers:
             assert isinstance(event, DedupProfile)
@@ -147,76 +126,103 @@ class TestCounterInvariants:
         assert lookups - duplicates == report.matches_delivered
         assert duplicates > 0  # the chaos workload replicates OR pairs
 
-    def test_profiling_off_reports_none(self, workload):
-        plan, tuples = workload
-        _, _, profile = run_once(plan, tuples)
-        assert profile is None
-
 
 # ----------------------------------------------------------------------
-# Perturbation-freedom: profiling on == profiling off, every backend
+# Counters are state: always on, backend-invariant, surviving swaps
 # ----------------------------------------------------------------------
-class TestPerturbationFreedom:
-    def test_inprocess_inline(self, workload):
+class TestCountersAreState:
+    @needs_cores
+    def test_counters_are_backend_invariant(self, workload):
         plan, tuples = workload
-        reference = run_once(plan, tuples)
-        observed = run_once(plan, tuples, profiling=ProfilingSpec())
-        assert_no_perturbation(reference, observed)
-
-    def test_closed_loop_adjustment_with_checkpoints(self, workload):
-        plan, tuples = workload
-
-        def adjusted(profiling):
-            return run_once(
-                plan,
-                tuples,
-                profiling=profiling,
-                adjust_every=200,
-                local_adjuster=LocalLoadAdjuster(GreedySelector()),
-                checkpoint_every=256,
-            )
-
-        assert_no_perturbation(adjusted(None), adjusted(ProfilingSpec()))
-
-    def test_sharded_dispatch_inprocess(self, workload):
-        plan, tuples = workload
-        reference = run_once(plan, tuples, dispatch_backend="inprocess")
-        observed = run_once(
-            plan, tuples, dispatch_backend="inprocess", profiling=ProfilingSpec()
+        report, local = run_once(plan, tuples)
+        remote_report, remote = run_once(
+            plan, tuples, backend="multiprocess", merger_backend="multiprocess"
         )
-        assert_no_perturbation(reference, observed)
+        assert remote_report == report
+        assert remote.matchers == local.matchers
+        assert remote.mergers == local.mergers
+        assert remote.routers == local.routers
 
-    @needs_cores
-    def test_multiprocess_tiers(self, workload):
+    def test_bare_state_counts_with_no_owner(self, workload):
         plan, tuples = workload
+        objects = [item.payload for item in tuples if item.kind is TupleKind.OBJECT][:50]
+        queries = [item.payload.query for item in tuples if item.kind is TupleKind.INSERT]
 
-        def multiprocess(profiling):
-            return run_once(
-                plan,
-                tuples,
-                profiling=profiling,
-                backend="multiprocess",
-                dispatch_backend="multiprocess",
-                merger_backend="multiprocess",
+        gi2 = GI2Index(BOUNDS, granularity=8)
+        for query in queries:
+            gi2.insert(query)
+        outcomes = gi2.match_batch(objects)
+        counted = gi2.profile.event(0)
+        assert counted.matches == sum(len(outcome.query_ids) for outcome in outcomes) > 0
+        assert counted.candidates == sum(outcome.checks for outcome in outcomes)
+        assert counted.postings_scanned >= counted.candidates
+        assert 0 < counted.cells_probed <= len(objects)
+
+        gridt = GridTIndex(BOUNDS, granularity=8, object_filtering=True)
+        gridt.set_cell_worker(gridt.cell_for_point(objects[0].location), 0)
+        gridt.route_insertion(queries[0])
+        for obj in objects:
+            gridt.route_object(obj)
+        assert gridt.profile.cells_probed == len(objects)
+        assert gridt.profile.probes > 0 and gridt.profile.fallback_routes > 0
+
+        merger = MergerNode(3)
+        results = [MatchResult(query_id=1, object_id=n % 4, subscriber_id=0) for n in range(10)]
+        assert merger.handle_many(results) == 4
+        assert merger.profile.event(3) == DedupProfile(3, lookups=10, duplicates=6, evictions=0)
+
+    def test_reports_are_independent_snapshots(self, workload):
+        plan, tuples = workload
+        half = len(tuples) // 2
+        config = ClusterConfig(num_dispatchers=2, num_workers=4)
+        with Cluster(plan, config) as cluster:
+            cluster.run_batched(tuples[:half], batch_size=64)
+            first = cluster.profile_report()
+            frozen = repr(first)
+            cluster.run_batched(tuples[half:], batch_size=64)
+            second = cluster.profile_report()
+        assert repr(first) == frozen
+        assert second.routers[0].cells_probed == object_count(tuples)
+        assert first.routers[0].cells_probed == object_count(tuples[:half])
+        assert sum(e.lookups for e in second.mergers) > sum(e.lookups for e in first.mergers)
+        assert sum(e.candidates for e in second.matchers) > sum(e.candidates for e in first.matchers)
+
+    def test_inline_router_counts_each_object_once_through_a_global_repartition(self):
+        plan, tuples = global_scenario()
+        adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.01)
+        config = ClusterConfig(num_dispatchers=2, num_workers=4)
+        with Cluster(plan, config) as cluster:
+            cluster.run_batched(
+                tuples, batch_size=100, adjust_every=250, global_adjuster=adjuster
             )
+            routers = cluster.profile_report().routers
+        # Both swaps happened: into the dual index (drain) and out of it.
+        assert any(entry.repartitioned for entry in adjuster.history)
+        assert any(entry.finalized for entry in adjuster.history)
+        assert [event.endpoint_id for event in routers] == [-1]
+        assert routers[0].cells_probed == object_count(tuples)
 
-        reference = multiprocess(None)
-        observed = multiprocess(ProfilingSpec())
-        assert_no_perturbation(reference, observed)
-        # The drains cross the fabric: every tier must still report.
-        profile = observed[2]
-        assert len(profile.matchers) == 4
-        assert [event.endpoint_id for event in profile.routers if event.endpoint_id >= 0] == [0, 1]
-        assert len(profile.mergers) == 2
-
-    @needs_cores
-    def test_socket_backend(self, workload):
-        require_loopback()
+    def test_shard_counters_survive_a_resync_and_start_from_zero(self, workload):
         plan, tuples = workload
-        reference = run_once(plan, tuples, backend="socket")
-        observed = run_once(plan, tuples, backend="socket", profiling=ProfilingSpec())
-        assert_no_perturbation(reference, observed)
-        assert len(observed[2].matchers) == 4
+        half = len(tuples) // 2
+        config = ClusterConfig(num_dispatchers=2, num_workers=4, dispatch_backend="inprocess")
+        with Cluster(plan, config) as cluster:
+            # Counts on the coordinator's own holder ride the snapshot
+            # pickle to the shards; they must not show up there.
+            for _ in range(7):
+                cluster.routing_index.route_cell((0, 0), frozenset())
+            cluster.run_batched(tuples[:half], batch_size=64)
+            first = cluster.profile_report().routers
+            cluster.invalidate_routing_caches()  # forces a re-sync
+            cluster.run_batched(tuples[half:], batch_size=64)
+            second = cluster.profile_report().routers
+        assert [event.endpoint_id for event in first] == [-1, 0, 1]
+        assert first[0].cells_probed == second[0].cells_probed == 7
+        assert sum(event.cells_probed for event in first[1:]) == object_count(tuples[:half])
+        assert sum(event.cells_probed for event in second[1:]) == object_count(tuples)
+        for before, after in zip(first[1:], second[1:]):
+            assert after.probes >= before.probes
+            assert after.fallback_routes >= before.fallback_routes
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +231,7 @@ class TestPerturbationFreedom:
 class TestProfileText:
     def test_renders_all_sections_and_inline_label(self, workload):
         plan, tuples = workload
-        _, _, profile = run_once(plan, tuples, profiling=ProfilingSpec())
+        _, profile = run_once(plan, tuples)
         text = profile_text(profile)
         assert "GI2 matching" in text
         assert "GridT routing" in text

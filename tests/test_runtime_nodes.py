@@ -126,15 +126,14 @@ class TestDispatcherNode:
             StreamTuple.object(SpatioTextualObject.create("kobe", Point(10, 10)))
         )
         assert handled == {0}
-        assert cluster.dispatchers[0].objects_routed == 1
-        assert cluster.dispatchers[0].objects_discarded == 0
+        (inline,) = cluster.profile_report().routers
+        assert inline.cells_probed == 1
 
     def test_routes_insertions_and_updates_h2(self):
         cluster = self._cluster()
         query = STSQuery.create("kobe", Rect(60, 10, 70, 20))
         assert cluster.process(StreamTuple.insert(query)) == {1}
         assert cluster.routing_index.h2_entry_count() > 0
-        assert cluster.dispatchers[0].insertions_routed == 1
 
     def test_routes_deletions(self):
         cluster = self._cluster()
@@ -142,22 +141,19 @@ class TestDispatcherNode:
         cluster.process(StreamTuple.insert(query))
         assert cluster.process(StreamTuple.delete(query)) == {1}
         assert cluster.routing_index.h2_entry_count() == 0
-        assert cluster.dispatchers[0].deletions_routed == 1
 
     def test_busy_cost_accumulates(self):
-        ledger = DispatcherLedger(0)
-        ledger.account_objects(2, 1, 0.5)
-        ledger.account_updates(1, 1, 0.25)
-        assert ledger.busy_cost == pytest.approx(0.75)
-        assert (ledger.objects_routed, ledger.objects_discarded) == (2, 1)
-        assert (ledger.insertions_routed, ledger.deletions_routed) == (1, 1)
+        cluster = self._cluster()
+        for x in (10, 60):
+            cluster.process(StreamTuple.object(SpatioTextualObject.create("kobe", Point(x, 10))))
+        per_object = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST
+        assert cluster.dispatchers[0].busy_cost == pytest.approx(2 * per_object)
 
     def test_reset_period(self):
         ledger = DispatcherLedger(0)
-        ledger.account_objects(1, 0, 0.5)
+        ledger.busy_cost += 0.5
         ledger.reset_period()
         assert ledger.busy_cost == 0.0
-        assert ledger.objects_routed == 0
 
 
 class TestMergerNode:
