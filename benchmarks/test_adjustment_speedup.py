@@ -9,11 +9,11 @@ win — and the measured tuples/sec are recorded in ``BENCH_adjustment.json``
 so the perf trajectory is tracked across PRs (the CI bench job runs this
 file non-blocking).
 
-Timing protocol: interleaved repeats with garbage collection paused,
-minimum taken (see test_batched_speedup.py).
+Timing protocol: interleaved repeats, minimum taken (see
+test_batched_speedup.py); the replay loop pauses garbage collection
+itself (``fabric.gc_paused``).
 """
 
-import gc
 import time
 
 from repro.adjustment import GreedySelector, LocalLoadAdjuster
@@ -62,15 +62,9 @@ def test_closed_loop_batched_speedup(record_row, record_bench):
     plan, config, tuples = _fig12_workload()
     reference = []
     batched = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(REPEATS):
-            reference.append(_time_run(plan, config, tuples, 0))
-            batched.append(_time_run(plan, config, tuples, BATCH_SIZE))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for _ in range(REPEATS):
+        reference.append(_time_run(plan, config, tuples, 0))
+        batched.append(_time_run(plan, config, tuples, BATCH_SIZE))
     ref_seconds = min(reference)
     bat_seconds = min(batched)
     count = len(tuples)

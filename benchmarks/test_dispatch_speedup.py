@@ -24,11 +24,10 @@ physically impossible.
 
 Timing protocol: per backend, one warm cluster (shard start-up, replica
 sync and warm-up insertions outside the clock), then one replay per
-pre-generated object stream with the minimum taken and garbage collection
-paused.  Each repeat replays a *distinct* stream.
+pre-generated object stream with the minimum taken (the replay loops
+run with garbage collection paused, ``fabric.gc_paused``).  Each repeat replays a *distinct* stream.
 """
 
-import gc
 import os
 import random
 import time
@@ -129,18 +128,12 @@ def _time_dispatch(plan, warmup, bodies, dispatch_backend):
         # Page-warm the whole pipeline (and, for sharded dispatch, ship
         # the replica snapshots) outside the clock.
         cluster.run_batched(bodies[0][:BATCH_SIZE], batch_size=BATCH_SIZE, trace=False)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for body in bodies:
-                cluster.reset_period()
-                started = time.perf_counter()
-                cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        for body in bodies:
+            cluster.reset_period()
+            started = time.perf_counter()
+            cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
+            elapsed = time.perf_counter() - started
+            best = elapsed if best is None else min(best, elapsed)
     return best
 
 

@@ -24,10 +24,10 @@ physically impossible.
 
 Timing protocol: per backend, one warm cluster (shard start-up and
 warm-up insertions outside the clock), then one replay per pre-generated
-object stream with the minimum taken and garbage collection paused.
+object stream with the minimum taken (the replay loops run with garbage
+collection paused, ``fabric.gc_paused``).
 """
 
-import gc
 import os
 import random
 import time
@@ -142,27 +142,21 @@ def _time_merge(plan, warmup, warm_body, bodies, merger_backend):
         # Page-warm the whole pipeline (worker and merger processes,
         # posting lists, pickle paths) outside the clock.
         cluster.run_batched(warm_body, batch_size=BATCH_SIZE, trace=False)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for body in bodies:
-                cluster.reset_period()
-                started = time.perf_counter()
-                cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
-                # A multiprocess merger may still be deduplicating shipped
-                # results; the stats fetch rides the inboxes, so it fences
-                # the measurement on full delivery.
-                delivered = sum(
-                    s.delivered for s in cluster.merger_stats().values()
-                )
-                elapsed = time.perf_counter() - started
-                total_delivered += delivered
-                rate = delivered / elapsed
-                if rate > best_rate:
-                    best_rate = rate
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        for body in bodies:
+            cluster.reset_period()
+            started = time.perf_counter()
+            cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
+            # A multiprocess merger may still be deduplicating shipped
+            # results; the stats fetch rides the inboxes, so it fences
+            # the measurement on full delivery.
+            delivered = sum(
+                s.delivered for s in cluster.merger_stats().values()
+            )
+            elapsed = time.perf_counter() - started
+            total_delivered += delivered
+            rate = delivered / elapsed
+            if rate > best_rate:
+                best_rate = rate
     return best_rate, total_delivered
 
 

@@ -18,11 +18,10 @@ file answers the overhead question only.  The measured rates land in
 
 Timing protocol mirrors ``test_socket_overhead.py``: one warm cluster
 per mode (start-up, warm-up insertions and page-warm first replay
-outside the clock), then repeated replays with the minimum taken and
-garbage collection paused.
+outside the clock), then repeated replays with the minimum taken (the
+replay loop runs with garbage collection paused, ``fabric.gc_paused``).
 """
 
-import gc
 import os
 import time
 
@@ -68,18 +67,12 @@ def _time_mode(plan, warmup, body, checkpoint_every):
     checkpoints = 0
     with Cluster(plan, config) as cluster:
         cluster.run_batched(warmup, batch_size=4096, trace=False)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(REPEATS):
-                cluster.reset_period()
-                started = time.perf_counter()
-                cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
-                elapsed = time.perf_counter() - started
-                best = elapsed if best is None else min(best, elapsed)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        for _ in range(REPEATS):
+            cluster.reset_period()
+            started = time.perf_counter()
+            cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
+            elapsed = time.perf_counter() - started
+            best = elapsed if best is None else min(best, elapsed)
         if cluster.recovery is not None:
             checkpoints = cluster.recovery.store.checkpoints_taken
     return best, checkpoints

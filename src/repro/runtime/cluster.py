@@ -37,7 +37,7 @@ from .dispatch import (
     make_dispatch,
     plan_update,
 )
-from .fabric import TierBackend, WireStats, load_manifest
+from .fabric import TierBackend, WireStats, gc_paused, load_manifest
 from .merge import MergeBackend, make_merge
 from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
 from .profiling import ProfileReport, StackSampler
@@ -376,6 +376,7 @@ class Cluster:
             )
         return self.report()
 
+    @gc_paused()
     def _replay_pipelined(self, tuples: Iterable[StreamTuple], size: int, trace: bool) -> None:
         """Pipelined sharded replay: route window K+1 while K matches.
 

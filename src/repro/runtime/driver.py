@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Sequence
 from ..core.geometry import Rect
 from ..core.objects import StreamTuple, TupleKind
 from ..partitioning.base import WorkloadSample
-from .fabric import TransportError
+from .fabric import TransportError, gc_paused
 from .protocol import barrier_context
 
 if TYPE_CHECKING:
@@ -104,6 +104,7 @@ class PeriodSampleCollector:
         self._deletions: List = []
 
 
+@gc_paused()
 def replay(
     cluster: "Cluster",
     tuples: Iterable[StreamTuple],

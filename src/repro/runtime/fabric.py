@@ -17,7 +17,8 @@ This module is that lifecycle, written once:
   **role host** (the tier logic: op execution, replica routing, shard
   dedup/delivery).  It owns the generic protocol: :class:`Shutdown`,
   :class:`AdjustBarrier` epoch fences, :class:`RemoteError` reporting
-  and parked errors for fire-and-forget data-plane messages.
+  and parked errors for fire-and-forget data-plane messages.  It serves
+  under :func:`gc_paused`, the data plane's one collector policy.
 * :class:`Fleet` — the coordinator-side handle of ``N`` endpoints of one
   role: synchronous ``request``, submit-all-then-collect ``exchange``
   (workers run their windows concurrently), ``broadcast``, the
@@ -53,6 +54,7 @@ consumer's ``except (EOFError, OSError)`` treats both as endpoint death.
 
 from __future__ import annotations
 
+import gc
 import importlib
 import json
 import multiprocessing
@@ -62,6 +64,7 @@ import socket
 import struct
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from multiprocessing.reduction import ForkingPickler
 from typing import (
@@ -69,6 +72,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     NamedTuple,
@@ -101,6 +105,7 @@ __all__ = [
     "assign_addresses",
     "connect_fleet",
     "dump_message",
+    "gc_paused",
     "load_manifest",
     "load_message",
     "make_fleet",
@@ -589,6 +594,29 @@ def resolve_role(name: str) -> Callable[[int, Mapping[str, Any]], RoleHost]:
     return factory
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run a data-plane loop with CPython's cyclic garbage collector paused.
+
+    The replay loops and every endpoint's serve loop make no reference
+    cycles (``tests/test_gc_policy.py`` holds them to it): reference
+    counting frees all they drop, so a collection inside one only walks
+    live objects — a pause that finds nothing.  The collector is enabled
+    again on the way out, however the block ends; the young collection it
+    deferred runs at the first allocation after it.  A caller that had
+    the collector disabled keeps it disabled.  Usable as a decorator.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@gc_paused()
 def serve_loop(host: RoleHost, endpoint_id: int, channel: Channel) -> bool:
     """Serve one endpoint until :class:`Shutdown` or channel death.
 
