@@ -24,12 +24,13 @@ Run with::
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Dict, List
 
 from repro.core import Rect, STSQuery
 from repro.core.objects import StreamTuple
 from repro.partitioning import HybridPartitioner, KDTreeSpacePartitioner, WorkloadSample
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, SinkSpec
 from repro.workload import make_dataset
 
 
@@ -67,22 +68,27 @@ def run_deployment(name, partitioner, tweets, campaigns, stream_objects) -> Dict
         objects=tweets.generate(2000), insertions=campaigns, bounds=tweets.bounds
     )
     plan = partitioner.partition(sample, num_workers=8)
-    cluster = Cluster(plan, ClusterConfig(num_workers=8))
+    # A memory sink keeps every delivered impression for the per-campaign counts.
+    cluster = Cluster(plan, ClusterConfig(num_workers=8, sink=SinkSpec("memory")))
     for campaign in campaigns:
         cluster.process(StreamTuple.insert(campaign))
     for obj in stream_objects:
         cluster.process(StreamTuple.object(obj))
     report = cluster.report()
     impressions = sum(merger.delivered for merger in cluster.mergers)
+    per_subscriber = Counter(
+        result.subscriber_id
+        for delivered in cluster.drain_sinks().values()
+        for result in delivered
+    )
+    cluster.close()
     print("[%s] throughput=%.0f tuples/s  latency=%.1f ms  impressions=%d" % (
         name, report.throughput, report.mean_latency_ms, impressions))
     return {
         "throughput": report.throughput,
         "impressions": impressions,
         "per_campaign": {
-            campaign.subscriber_id: sum(
-                merger.deliveries_for(campaign.subscriber_id) for merger in cluster.mergers
-            )
+            campaign.subscriber_id: per_subscriber[campaign.subscriber_id]
             for campaign in campaigns[:5]
         },
     }

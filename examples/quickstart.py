@@ -16,9 +16,11 @@ Run with::
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core import Point, Rect, STSQuery
 from repro.partitioning import HybridPartitioner, WorkloadSample
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, SinkSpec
 from repro.core.objects import StreamTuple
 from repro.workload import QueryGenerator, make_dataset
 
@@ -54,9 +56,11 @@ def main() -> None:
         len(plan.units), sum(1 for unit in plan.units if unit.terms is not None)))
 
     # ------------------------------------------------------------------
-    # 4. Deploy the plan on a simulated cluster.
+    # 4. Deploy the plan on a simulated cluster.  The merger keeps every
+    #    delivered match in a memory sink, so we can see who got what.
     # ------------------------------------------------------------------
-    cluster = Cluster(plan, ClusterConfig(num_dispatchers=2, num_workers=4, num_mergers=1))
+    cluster = Cluster(plan, ClusterConfig(
+        num_dispatchers=2, num_workers=4, num_mergers=1, sink=SinkSpec("memory")))
 
     # Register all subscriptions.
     for query in queries:
@@ -69,7 +73,12 @@ def main() -> None:
         cluster.process(StreamTuple.object(obj))
 
     report = cluster.report()
-    merger = cluster.mergers[0]
+    notifications = Counter(
+        result.subscriber_id
+        for delivered in cluster.drain_sinks().values()
+        for result in delivered
+    )
+    cluster.close()
     print("Processed %d tuples (%d objects, %d insertions)" % (
         report.tuples_processed, report.objects_processed, report.insertions_processed))
     print("Saturation throughput: %.0f tuples/s (simulated)" % report.throughput)
@@ -77,7 +86,7 @@ def main() -> None:
     print("Matches delivered: %d (after merger deduplication)" % report.matches_delivered)
     for subscriber_id in (1, 2):
         print("  subscriber %d received %d notifications" % (
-            subscriber_id, merger.deliveries_for(subscriber_id)))
+            subscriber_id, notifications[subscriber_id]))
 
 
 if __name__ == "__main__":

@@ -50,9 +50,10 @@ from .transport import (
     RouteBatch,
     Transport,
     WorkerOp,
+    WorkerProxy,
     make_transport,
 )
-from .worker import QueryAssignment, WorkerNode
+from .worker import QueryAssignment
 
 __all__ = ["Cluster"]
 
@@ -130,10 +131,10 @@ class Cluster:
                 addresses=manifest.mergers if manifest else None,
             )
             undo.callback(self._merge.close)
-            # The transport owns the worker fleet: in-process workers are real
-            # WorkerNode objects, fabric workers are per-endpoint proxies.
-            # Coordinator code only ever talks to them through the transport's
-            # exchange()/observe() surface or through the handles in self.workers.
+            # The transport owns the worker fleet, wherever make_fleet put it.
+            # Coordinator code only ever talks to the workers through the
+            # transport's exchange()/observe() surface or through the proxies
+            # in self.workers.
             self.transport: Transport = make_transport(
                 self.config.backend,
                 list(range(self.config.num_workers)),
@@ -162,7 +163,9 @@ class Cluster:
         if self._dispatch is not None:
             self._tiers["dispatcher"] = self._dispatch
         self._tiers["merger"] = self._merge
-        self.workers: Dict[int, WorkerNode] = self.transport.workers  # type: ignore[assignment]
+        #: Worker id -> :class:`~repro.runtime.transport.WorkerProxy` over the
+        #: worker's declared control surface, on every backend.
+        self.workers: Dict[int, WorkerProxy] = self.transport.workers
         #: Match results the coordinator itself relayed to the merger tier.
         #: Zero in the full multiprocess deployment, where workers ship
         #: results directly to the merger shards.
@@ -939,15 +942,12 @@ class Cluster:
         return self._result_hops
 
     @property
-    def mergers(self) -> List:
-        """Per-shard merger handles.
-
-        Real :class:`MergerNode` objects under the in-process backend;
-        fresh :class:`~repro.runtime.telemetry.Observation` snapshots
-        (``delivered`` / ``duplicates`` / ``busy_cost``) under the
-        multiprocess backend.
-        """
-        return self._merge.merger_handles()
+    def mergers(self) -> List[Observation]:
+        """One fresh :class:`~repro.runtime.telemetry.Observation` per merger
+        shard (``delivered`` / ``duplicates`` / ``busy_cost``), in merger id
+        order, on every backend; per-subscriber deliveries are a
+        ``memory`` sink's to count (:meth:`drain_sinks`)."""
+        return list(self.merger_stats().values())
 
     def merger_stats(self) -> Dict[int, Observation]:
         """One :class:`Observation` per merger shard, sorted by merger id.

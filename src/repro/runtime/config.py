@@ -45,19 +45,21 @@ class ClusterConfig:
     migration_bandwidth_bytes_per_sec: float = 20e6
     #: Fixed network/coordination overhead per migration.
     migration_fixed_seconds: float = 0.05
-    #: Worker transport backend: ``"inprocess"`` hosts every WorkerNode in
-    #: the coordinator's interpreter (the reference), ``"multiprocess"``
-    #: runs each worker in its own OS process (real multi-core matching),
-    #: ``"socket"`` reaches ``repro serve --role worker`` endpoints over
-    #: TCP (addresses from :attr:`manifest`, loopback-spawned otherwise).
+    #: Where the worker hosts live (:func:`~repro.runtime.fabric.make_fleet`):
+    #: ``"inprocess"`` in the coordinator's interpreter on a ``LocalFleet``
+    #: (the reference), ``"multiprocess"`` one OS process per worker (real
+    #: multi-core matching), ``"socket"`` behind ``repro serve --role
+    #: worker`` endpoints over TCP (addresses from :attr:`manifest`,
+    #: loopback-spawned otherwise).
     backend: str = "inprocess"
     #: Dispatch backend: ``"inline"`` routes on the coordinator (the
     #: reference), ``"inprocess"`` / ``"multiprocess"`` / ``"socket"``
     #: shard routing across ``num_dispatchers`` replicas of the routing
-    #: index — the latter two one OS process (or TCP endpoint) per shard.
+    #: index — the same dispatch hosts on a ``LocalFleet``, one OS process
+    #: or one TCP endpoint per shard.
     dispatch_backend: str = "inline"
-    #: Merger backend: ``"inprocess"`` hosts the ``num_mergers`` merger
-    #: shards in the coordinator's interpreter (the reference),
+    #: Where the ``num_mergers`` merger hosts live: ``"inprocess"`` in the
+    #: coordinator's interpreter on a ``LocalFleet`` (the reference),
     #: ``"multiprocess"`` one OS process per shard — combined with the
     #: multiprocess worker backend, workers ship match results directly
     #: to the shards and the coordinator never touches a result —
@@ -91,8 +93,8 @@ class ClusterConfig:
     checkpoint_path: Optional[str] = None
     #: Chaos-harness fault plan: per-role
     #: :class:`~repro.runtime.fabric.FaultSpec` entries installed into the
-    #: worker / merger / dispatcher fleets at construction (no-op on the
-    #: in-process backends, which have no fleet to kill).
+    #: worker / merger / dispatcher fleets at construction (ignored by a
+    #: ``LocalFleet``: an in-process host has no process or link to kill).
     fault_plan: Optional[FaultPlan] = None
     #: Runtime telemetry (:mod:`repro.runtime.telemetry`): ``None`` — the
     #: default — disables it entirely (zero hot-path work beyond one

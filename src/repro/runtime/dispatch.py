@@ -2,16 +2,11 @@
 
 The paper's PS2Stream deployment scales *dispatchers* exactly like
 workers: Figure 9 charges the routing-structure memory once per
-dispatcher and Figure 11 grows both tiers together.  Until this module
-existed, the reproduction only parallelised the worker tier — all GridT
-routing ran serially on the coordinator, so ``--dispatchers`` changed the
-simulated accounting but never bought real parallelism.
-
-This module makes the dispatcher tier real.  The stream window is
-partitioned across ``N`` dispatcher **shards** — shard ``s`` owns the
-tuples whose round-robin dispatcher slot is ``s``, the exact assignment
-the serial engine already simulates — and each shard routes its slice on
-its **own replica** of the routing index:
+dispatcher and Figure 11 grows both tiers together.  Here the stream
+window is partitioned across ``N`` dispatcher **shards** — shard ``s``
+owns the tuples whose round-robin dispatcher slot is ``s``, the exact
+assignment the serial engine already simulates — and each shard routes
+its slice on its **own replica** of the routing index:
 
 * every shard applies *every* query insertion/deletion to its replica (an
   update's H2 effect must be visible to all later objects, whichever
@@ -26,16 +21,18 @@ its **own replica** of the routing index:
   ordered ``RouteBatch`` messages the serial path would have produced —
   reports stay byte-identical to single-threaded routing.
 
-Backends mirror the worker transport of :mod:`.transport`:
+One :class:`DispatchBackend` drives the shards on every deployment, as
+the worker transport of :mod:`.transport` does: each shard is a
+:class:`DispatchHost` on the fleet :func:`~repro.runtime.fabric.make_fleet`
+builds —
 
-* :class:`InProcessDispatch` — the reference.  Shard replicas live in the
-  coordinator's interpreter (built by a pickle round trip, the same
-  construction the remote hosts use) and ``submit_window`` routes
-  synchronously.
-* :class:`FabricDispatch` — one fabric endpoint per shard
-  (:mod:`repro.runtime.fabric`): a local OS process over a pickled pipe
-  (``multiprocess``) or a ``repro serve --role dispatcher`` endpoint over
-  TCP (``socket``).  ``submit_window`` only ships the slices; the
+* ``inprocess``, the reference: the hosts live in the coordinator's
+  interpreter on a :class:`~repro.runtime.fabric.LocalFleet` (their
+  replicas built from the same pickled snapshot a remote host unpickles)
+  and route a window's slices when it is submitted;
+* ``multiprocess`` / ``socket``: one fabric endpoint per shard, a local
+  OS process over a pickled pipe or a ``repro serve --role dispatcher``
+  endpoint over TCP.  ``submit_window`` only ships the slices; the
   coordinator collects window ``K``'s replies *before* submitting ``K+1``
   and runs worker matching of window ``K`` *after* submitting ``K+1``, so
   shard routing of the next window overlaps worker matching of the
@@ -62,7 +59,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.counters import RouteProfile
 from ..core.geometry import Point
@@ -240,8 +237,8 @@ def _split_window(
 class _ShardRouter:
     """One dispatch shard: a routing-index replica plus its caches.
 
-    Runs in the coordinator's interpreter (in-process backend) or inside a
-    shard host process (fabric backends); either way it executes the
+    Runs inside a :class:`DispatchHost`, wherever that host lives; either
+    way it executes the
     exact same :class:`~repro.indexes.gridt.GridTIndex` calls the serial
     engine would, so its decisions and plans are byte-identical to
     coordinator routing.
@@ -326,123 +323,6 @@ class _ShardRouter:
 
 
 # ----------------------------------------------------------------------
-# Backend interface
-# ----------------------------------------------------------------------
-class DispatchBackend(TierBackend):
-    """Coordinator-side surface of the sharded dispatch stage.
-
-    The cluster drives it with a strict window protocol: ``sync`` (when
-    the routing version moved), ``submit_window``, ``collect_window`` —
-    at most one window outstanding; a per-tuple replay submits windows of
-    one — plus the :class:`~repro.runtime.fabric.TierBackend` lifecycle:
-    ``barrier`` at adjustment fences and ``observe`` for the Figure 9
-    per-dispatcher memory report, the gauges and the profile.  A shard's
-    observation carries the measured routing-structure size of its
-    replica as ``memory_bytes`` and its insertion-plan cache as ``depth``;
-    the coordinator overlays the Definition-1 dispatcher busy cost
-    (tracked on its own :class:`DispatcherLedger` accounting) on the
-    gauges it records.
-    """
-
-    #: Whether collect/submit may be interleaved across consecutive
-    #: windows so shard routing overlaps worker matching.
-    supports_pipelining = False
-    num_shards: int = 0
-    #: Routing version of the last snapshot shipped to the shards; the
-    #: cluster re-syncs whenever its own version differs.
-    synced_version: int = -1
-
-    def sync(self, routing_index: Any, version: int) -> None:
-        """Ship a snapshot of the routing index to every shard replica."""
-        raise NotImplementedError
-
-    def submit_window(self, items: Sequence[StreamTuple], base: int) -> int:
-        """Start routing one window; returns its sequence number."""
-        raise NotImplementedError
-
-    def collect_window(self, seq: int) -> RoutedWindow:
-        """Gather and merge the shard replies of window ``seq``."""
-        raise NotImplementedError
-
-    # -- shared plumbing ----------------------------------------------
-    @staticmethod
-    def _merge(replies: Iterable[WindowRouting]) -> RoutedWindow:
-        """Deterministic merge: shard replies in ascending shard order,
-        entries keyed by stream position."""
-        decisions: Dict[int, Tuple[int, ...]] = {}
-        plans: Dict[int, Tuple[bool, WorkerPlan, int]] = {}
-        for reply in replies:
-            for position, decision in reply.decisions:
-                decisions[position] = decision
-            for position, is_insert, per_worker, cells in reply.plans:
-                plans[position] = (is_insert, per_worker, cells)
-        return RoutedWindow(decisions, plans)
-
-
-class InProcessDispatch(DispatchBackend):
-    """Reference backend: shard replicas in the coordinator's interpreter.
-
-    Replicas are built by the same pickle round trip the remote hosts
-    perform, so any snapshot the fabric backends could mis-handle fails
-    here first, in-process and debuggable.
-    """
-
-    backend_name = "inprocess"
-    supports_pipelining = False
-
-    def __init__(self, num_shards: int) -> None:
-        if num_shards < 1:
-            raise ValueError("dispatch needs at least one shard")
-        self.num_shards = num_shards
-        self._routers = [_ShardRouter(shard, num_shards) for shard in range(num_shards)]
-        self.synced_version = -1
-        self._seq = 0
-        self._routed: Dict[int, RoutedWindow] = {}
-
-    def sync(self, routing_index: Any, version: int) -> None:
-        blob = pickle.dumps(routing_index, protocol=pickle.HIGHEST_PROTOCOL)
-        for router in self._routers:
-            router.sync(pickle.loads(blob))
-        self.synced_version = version
-
-    def submit_window(self, items: Sequence[StreamTuple], base: int) -> int:
-        self._seq += 1
-        seq = self._seq
-        object_slices, updates = _split_window(items, base, self.num_shards)
-        replies = [
-            WindowRouting(
-                seq, *router.route_window(object_slices[router.shard_id], updates, base)
-            )
-            for router in self._routers
-        ]
-        self._routed[seq] = self._merge(replies)
-        return seq
-
-    def collect_window(self, seq: int) -> RoutedWindow:
-        return self._routed.pop(seq)
-
-    def observe(self) -> Dict[int, Observation]:
-        return {router.shard_id: _observe_dispatcher(router) for router in self._routers}
-
-
-def _observe_dispatcher(router: "_ShardRouter") -> Observation:
-    """One dispatch shard's observation from live state (read-only).
-
-    A shard replica does no Definition-1 cost accounting (the
-    coordinator charges dispatcher busy cost itself, identically on
-    every backend), so ``busy_cost`` is filled in coordinator-side.
-    """
-    return Observation(
-        tier="dispatcher",
-        endpoint_id=router.shard_id,
-        busy_cost=0.0,
-        memory_bytes=router.memory_bytes(),
-        depth=len(router.insertion_plans),
-        profile=router.profile.event(router.shard_id),
-    )
-
-
-# ----------------------------------------------------------------------
 # The dispatcher role host (served by the fabric's generic serve loop)
 # ----------------------------------------------------------------------
 class DispatchHost(RoleHost):
@@ -464,7 +344,17 @@ class DispatchHost(RoleHost):
             router.sync(pickle.loads(message.payload))
             return True
         if kind is Observe:
-            return _observe_dispatcher(router)
+            # A replica does no Definition-1 cost accounting (the
+            # coordinator charges dispatcher busy cost itself, identically
+            # on every backend), so ``busy_cost`` is filled in there.
+            return Observation(
+                tier="dispatcher",
+                endpoint_id=router.shard_id,
+                busy_cost=0.0,
+                memory_bytes=router.memory_bytes(),
+                depth=len(router.insertion_plans),
+                profile=router.profile.event(router.shard_id),
+            )
         raise TransportError("unknown dispatch message %r" % (message,))
 
 
@@ -472,31 +362,46 @@ register_role("dispatcher", DispatchHost)
 
 
 # ----------------------------------------------------------------------
-# Fabric-backed dispatch (multiprocess and socket deployments)
+# The dispatch tier (one class over every deployment's fleet)
 # ----------------------------------------------------------------------
-class FabricDispatch(DispatchBackend):
-    """Each dispatch shard is a fabric endpoint (process or TCP service).
+class DispatchBackend(TierBackend):
+    """Coordinator-side surface of the sharded dispatch stage.
 
-    ``submit_window`` ships every shard's slice without reading replies;
-    the cluster collects window ``K`` before submitting ``K+1`` (at most
-    one window outstanding per shard, so a request is only ever written to
-    an idle host) and runs worker matching of ``K`` after the submit —
-    routing of the next window overlaps matching of the current one.
+    The cluster drives it with a strict window protocol: ``sync`` (when
+    the routing version moved), ``submit_window``, ``collect_window`` —
+    at most one window outstanding; a per-tuple replay submits windows of
+    one — plus the :class:`~repro.runtime.fabric.TierBackend` lifecycle:
+    ``barrier`` at adjustment fences and ``observe`` for the Figure 9
+    per-dispatcher memory report, the gauges and the profile.  A shard's
+    observation carries the measured routing-structure size of its
+    replica as ``memory_bytes`` and its insertion-plan cache as ``depth``;
+    the coordinator overlays the Definition-1 dispatcher busy cost
+    (tracked on its own :class:`DispatcherLedger` accounting) on the
+    gauges it records.
+
+    ``submit_window`` ships every shard's slice without reading replies
+    (a :class:`~repro.runtime.fabric.LocalFleet`'s shards route right
+    then); on a concurrent fleet the cluster pipelines as the module
+    docstring describes, with at most one window outstanding per shard.
     """
 
-    supports_pipelining = True
-    _fleet: Fleet
-
     def __init__(self, fleet: Fleet) -> None:
-        self._fleet = fleet
-        self.backend_name = fleet.backend_name
+        super().__init__(fleet)
         self.num_shards = len(fleet.endpoint_ids)
+        #: Routing version of the last snapshot shipped to the shards; the
+        #: cluster re-syncs whenever its own version differs.
         self.synced_version = -1
         self._seq = 0
         self._inflight: Optional[int] = None
 
-    # -- DispatchBackend surface --------------------------------------
+    @property
+    def supports_pipelining(self) -> bool:
+        """Whether collect/submit may be interleaved across consecutive
+        windows so shard routing overlaps worker matching."""
+        return self._fleet.concurrent
+
     def sync(self, routing_index: Any, version: int) -> None:
+        """Ship a snapshot of the routing index to every shard replica."""
         if self._inflight is not None:
             raise TransportError("cannot sync dispatch shards with a window in flight")
         blob = pickle.dumps(routing_index, protocol=pickle.HIGHEST_PROTOCOL)
@@ -504,10 +409,9 @@ class FabricDispatch(DispatchBackend):
         self.synced_version = version
 
     def submit_window(self, items: Sequence[StreamTuple], base: int) -> int:
+        """Start routing one window; returns its sequence number."""
         if self._inflight is not None:
-            raise TransportError(
-                "dispatch window %d still in flight" % self._inflight
-            )
+            raise TransportError("dispatch window %d still in flight" % self._inflight)
         self._seq += 1
         seq = self._seq
         object_slices, updates = _split_window(items, base, self.num_shards)
@@ -517,6 +421,9 @@ class FabricDispatch(DispatchBackend):
         return seq
 
     def collect_window(self, seq: int) -> RoutedWindow:
+        """Gather the shard replies of window ``seq`` and merge them
+        deterministically: ascending shard order, entries keyed by stream
+        position."""
         if self._inflight != seq:
             raise TransportError(
                 "collecting dispatch window %d but %r is in flight" % (seq, self._inflight)
@@ -525,12 +432,18 @@ class FabricDispatch(DispatchBackend):
             replies = self._fleet.collect(sorted(self._fleet.endpoint_ids))
         finally:
             self._inflight = None
+        decisions: Dict[int, Tuple[int, ...]] = {}
+        plans: Dict[int, Tuple[bool, WorkerPlan, int]] = {}
         for shard_id, reply in replies.items():
             if not isinstance(reply, WindowRouting) or reply.seq != seq:
                 raise TransportError(
                     "dispatch shard %d answered out of sequence: %r" % (shard_id, reply)
                 )
-        return self._merge(replies[shard_id] for shard_id in sorted(replies))
+            for position, decision in reply.decisions:
+                decisions[position] = decision
+            for position, is_insert, per_worker, cells in reply.plans:
+                plans[position] = (is_insert, per_worker, cells)
+        return RoutedWindow(decisions, plans)
 
     def observe(self) -> Dict[int, Observation]:
         if self._inflight is not None:
@@ -541,6 +454,16 @@ class FabricDispatch(DispatchBackend):
             # appears at the next quiescent point (barrier / report).
             return {}
         return super().observe()
+
+
+class InProcessDispatch(DispatchBackend):
+    """:class:`DispatchBackend` on a ``LocalFleet``: a name the e2e tracer wraps, kept
+    until a benchmark change retargets it (ROADMAP item 2(b))."""
+
+
+class FabricDispatch(DispatchBackend):
+    """:class:`DispatchBackend` on a process or socket fleet: a name the e2e tracer
+    wraps, kept until a benchmark change retargets it (ROADMAP item 2(b))."""
 
 
 #: Registry of the selectable dispatch backends (``--dispatch-backend``).
@@ -561,10 +484,7 @@ def make_dispatch(
     """
     if backend == "inline":
         return None
-    if backend == "inprocess":
-        return InProcessDispatch(num_shards)
     init = {"num_shards": num_shards}
     inits = {shard_id: init for shard_id in range(num_shards)}
-    return FabricDispatch(
-        make_fleet("dispatcher", backend, inits, addresses=addresses, label="dispatch shard")
-    )
+    fleet = make_fleet("dispatcher", backend, inits, addresses=addresses, label="dispatch shard")
+    return (FabricDispatch if fleet.concurrent else InProcessDispatch)(fleet)

@@ -23,12 +23,16 @@ This module is that lifecycle, written once:
   role: synchronous ``request``, submit-all-then-collect ``exchange``
   (workers run their windows concurrently), ``broadcast``, the
   adjustment ``barrier`` and an idempotent, drain-safe ``close``;
-  :class:`TierBackend` is the lifecycle the three tier seams share over it.
-* deployment constructors — :func:`spawn_fleet` (one OS process per
+  :class:`TierBackend` is the lifecycle the three tier seams share over
+  it — every tier holds one fleet, whatever the deployment.
+* deployment constructors — :class:`LocalFleet` (the role hosts in the
+  coordinator's interpreter, each message a direct call: the
+  ``inprocess`` reference), :func:`spawn_fleet` (one OS process per
   endpoint on this host), :func:`connect_fleet` (TCP endpoints from a
   host manifest) and :func:`spawn_socket_fleet` (loopback ``serve``
   processes the coordinator spawns itself, so tests and CI need no
-  external orchestration); :func:`make_fleet` picks one per backend.
+  external orchestration); :func:`make_fleet` picks one per backend and
+  is the only code that knows where an endpoint lives.
 
 Roles register themselves under ``worker`` / ``dispatcher`` / ``merger``
 (:func:`register_role`): :mod:`repro.runtime.transport` provides the
@@ -64,12 +68,14 @@ import socket
 import struct
 import time
 import traceback
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from multiprocessing.reduction import ForkingPickler
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -92,6 +98,7 @@ __all__ = [
     "FrameTruncated",
     "InboxChannel",
     "Init",
+    "LocalFleet",
     "NO_REPLY",
     "OutboxChannel",
     "PipeChannel",
@@ -715,10 +722,15 @@ class Fleet(_ClosesOnExit):
 
     ``label`` names endpoints in errors ("worker", "dispatch shard",
     "merger shard"); ``backend_name`` is the deployment kind the tier
-    classes report ("multiprocess" or "socket").  The tier backends
-    (:class:`~repro.runtime.transport.FabricTransport` and friends) hold
-    exactly one fleet and layer role semantics on this surface.
+    classes report ("inprocess", "multiprocess" or "socket").  The tier
+    backends (:class:`TierBackend`) hold exactly one fleet and layer role
+    semantics on this surface.
     """
+
+    #: Do the endpoints run beside the coordinator, so an :meth:`exchange`
+    #: is a round trip worth batching and overlapping?  ``False`` only for
+    #: :class:`LocalFleet`, whose messages are direct calls.
+    concurrent = True
 
     def __init__(
         self,
@@ -839,10 +851,12 @@ class Fleet(_ClosesOnExit):
     def _death(self, endpoint_id: int, exc: BaseException) -> TransportError:
         """Record one endpoint death and build its structured error."""
         self.dead_endpoints.setdefault(endpoint_id, repr(exc))
-        error = TransportError("%s %d died: %r" % (self.label, endpoint_id, exc))
-        error.label = self.label
-        error.endpoint_id = endpoint_id
-        error.died = True
+        return self._error(endpoint_id, "died: %r" % (exc,), died=True)
+
+    def _error(self, endpoint_id: int, what: str, *, died: bool = False) -> TransportError:
+        """A :class:`TransportError` naming one endpoint of this tier."""
+        error = TransportError("%s %d %s" % (self.label, endpoint_id, what))
+        error.label, error.endpoint_id, error.died = self.label, endpoint_id, died
         return error
 
     # -- messaging -----------------------------------------------------
@@ -862,13 +876,9 @@ class Fleet(_ClosesOnExit):
         except (EOFError, OSError) as exc:
             raise self._death(endpoint_id, exc) from exc
         if isinstance(reply, RemoteError):
-            error = TransportError(
-                "%s %d failed: %s\n%s"
-                % (self.label, endpoint_id, reply.message, reply.formatted_traceback)
+            raise self._error(
+                endpoint_id, "failed: %s\n%s" % (reply.message, reply.formatted_traceback)
             )
-            error.label = self.label
-            error.endpoint_id = endpoint_id
-            raise error
         return reply
 
     def request(self, endpoint_id: int, message: Any) -> Any:
@@ -1047,49 +1057,132 @@ class Fleet(_ClosesOnExit):
 
 
 class TierBackend(_ClosesOnExit):
-    """The lifecycle the three tier seams share, around an optional fleet.
+    """The lifecycle the three tier seams share, around the tier's fleet.
 
-    Base of ``Transport``, ``DispatchBackend`` and ``MergeBackend``.
-    ``_fleet`` stays ``None`` while the tier lives in the coordinator's
-    interpreter; the ``Fabric*`` subclasses set it and add role logic only.
+    Base of ``Transport``, ``DispatchBackend`` and ``MergeBackend``; every
+    tier holds exactly one :class:`Fleet` (a :class:`LocalFleet` in
+    process) and adds role logic only.
     """
 
-    backend_name = "abstract"
-    _fleet: Optional[Fleet] = None
-    _epoch = 0
+    def __init__(self, fleet: Fleet) -> None:
+        self._fleet = fleet
+        #: The deployment kind of the fleet ("inprocess", "multiprocess", "socket").
+        self.backend_name = fleet.backend_name
 
     def barrier(self) -> int:
         """Fence every endpoint with a new :class:`AdjustBarrier` epoch."""
-        if self._fleet is not None:
-            return self._fleet.barrier()
-        # In process every call is synchronous: whatever was shipped is
-        # already applied, so the fence reduces to bumping the epoch.
-        self._epoch += 1
-        return self._epoch
+        return self._fleet.barrier()
 
     def observe(self) -> Dict[int, Any]:
         """One read-only ``Observation`` per endpoint — observing never
         touches the counters reports derive from — keyed by ascending id so
-        no report depends on reply order; in process, built from live state."""
+        no report depends on reply order."""
         from .telemetry import Observe  # telemetry -> profiling -> this module
 
-        assert self._fleet is not None, "in-process tiers observe live state"
         replies = self._fleet.broadcast(Observe())
         return {endpoint_id: replies[endpoint_id] for endpoint_id in sorted(replies)}
 
     def wire_stats(self) -> Dict[int, WireStats]:
         """Coordinator-side channel traffic per endpoint; empty in process."""
-        return self._fleet.wire_stats() if self._fleet is not None else {}
+        return self._fleet.wire_stats()
 
     def install_fault_plan(self, faults: Sequence[FaultSpec]) -> None:
         """Arm injected faults on the fleet's send path; none in process."""
-        if self._fleet is not None:
-            self._fleet.install_fault_plan(faults)
+        self._fleet.install_fault_plan(faults)
 
     def close(self) -> None:
         """Release backend resources (shuts the fleet's endpoints down)."""
-        if self._fleet is not None:
-            self._fleet.close()
+        self._fleet.close()
+
+
+# ----------------------------------------------------------------------
+# In-process deployment: role hosts in the coordinator's interpreter
+# ----------------------------------------------------------------------
+class LocalFleet(Fleet):
+    """Endpoints hosted in the coordinator's interpreter (``inprocess``).
+
+    Each endpoint is the role host a remote endpoint would serve, built
+    here by ``resolve_role(role)(endpoint_id, init)``, and a message is a
+    direct call of its ``handle``: replies come back in message order,
+    nothing is pickled, and a host exception propagates as raised — no
+    :class:`RemoteError` wrapping — so the in-process deployment stays the
+    debuggable reference.  Calls are synchronous, hence
+    ``concurrent = False``: whatever was sent is already applied, so a
+    barrier only bumps the epoch.  With no channel, nothing is counted
+    and an armed fault plan never fires.
+    """
+
+    concurrent = False
+
+    def __init__(
+        self, role: str, inits: Mapping[int, Mapping[str, Any]], *, label: str
+    ) -> None:
+        super().__init__(label, {}, backend_name="inprocess")
+        factory = resolve_role(role)
+        self._hosts: Dict[int, RoleHost] = {
+            endpoint_id: factory(endpoint_id, init) for endpoint_id, init in inits.items()
+        }
+        #: Pre-bound ``host.handle`` per endpoint: the whole exchange path.
+        self._handles = {endpoint_id: host.handle for endpoint_id, host in self._hosts.items()}
+        #: Replies of :meth:`send` not yet taken by :meth:`receive`.
+        self._replies: Dict[int, Deque[Any]] = {endpoint_id: deque() for endpoint_id in inits}
+
+    @property
+    def endpoint_ids(self) -> List[int]:
+        return list(self._hosts)
+
+    def send(self, endpoint_id: int, message: Any) -> None:
+        """Run the message now; keep its reply unless the host sends none.
+
+        A host exception drops every queued reply before it propagates:
+        the caller's send loop stops there and never collects them, so a
+        failed submission leaves nothing for the next one to read.
+        """
+        try:
+            reply = self._handles[endpoint_id](message)
+        except BaseException:
+            for queued in self._replies.values():
+                queued.clear()
+            raise
+        if reply is not NO_REPLY and type(message) not in self._hosts[endpoint_id].fire_and_forget:
+            self._replies[endpoint_id].append(reply)
+
+    def receive(self, endpoint_id: int) -> Any:
+        queued = self._replies.get(endpoint_id)
+        if not queued:
+            raise self._error(endpoint_id, "has no reply pending")
+        return queued.popleft()
+
+    def exchange(self, messages: Mapping[int, Any]) -> Dict[int, Any]:
+        handles = self._handles
+        return {
+            endpoint_id: handles[endpoint_id](message)
+            for endpoint_id, message in messages.items()
+        }
+
+    def broadcast(self, message: Any) -> Dict[int, Any]:
+        return {endpoint_id: handle(message) for endpoint_id, handle in self._handles.items()}
+
+    def barrier(self) -> int:
+        self._epoch += 1
+        return self._epoch
+
+    def discard(self, endpoint_id: int, reason: str = "discarded after failure") -> None:
+        self._hosts.pop(endpoint_id, None)
+        self._handles.pop(endpoint_id, None)
+        self._replies.pop(endpoint_id, None)
+        self.dead_endpoints.setdefault(endpoint_id, reason)
+
+    def resync(self, max_retries: int = 4) -> None:
+        """No-op (no epoch either): a direct call leaves no reply to drain."""
+
+    def close(self) -> None:
+        """Close every live host once (flushes the merger sinks)."""
+        if self._closed:
+            return
+        self._closed = True
+        for host in self._hosts.values():
+            host.close()
 
 
 # ----------------------------------------------------------------------
@@ -1414,10 +1507,14 @@ def make_fleet(
     label: str,
     queue_inbox: bool = False,
 ) -> Fleet:
-    """THE backend → fleet switch under the three ``make_*`` factories:
-    local processes for ``multiprocess``; for ``socket`` the manifest
-    ``addresses`` of the tier's ``repro serve`` endpoints (one per endpoint
-    id, in order) or, given none, loopback serve processes."""
+    """THE backend → fleet switch under the three ``make_*`` factories, and
+    the only code that knows where an endpoint lives: role hosts in this
+    interpreter for ``inprocess``; local processes for ``multiprocess``;
+    for ``socket`` the manifest ``addresses`` of the tier's ``repro serve``
+    endpoints (one per endpoint id, in order) or, given none, loopback
+    serve processes."""
+    if backend == "inprocess":
+        return LocalFleet(role, inits, label=label)
     if backend == "multiprocess":
         return spawn_fleet(role, inits, label=label, queue_inbox=queue_inbox)
     if backend != "socket":

@@ -2,22 +2,23 @@
 
 The paper's topology is dispatchers → workers → **mergers** (Section
 III-B): mergers deduplicate the matches of replicated queries and notify
-subscribers.  Until this module existed the merger tier was an inline
-loop the coordinator ran after every exchange — one more serial stage on
-the coordinator, and every match result paid a worker→coordinator hop
-before it could be deduplicated.  This module makes the tier real:
+subscribers.  This module is that tier:
 
 * results are partitioned across ``num_mergers`` merger **shards** by
   ``query_id % num_mergers`` — the exact assignment the inline loop
   already simulated, and one that is invariant under Section V
   migrations (a query keeps its merger wherever its cells move, so
   replicated matches keep meeting at the same shard);
-* backends mirror the worker transport and the dispatch stage:
+* one :class:`MergeBackend` drives the shards on every deployment, as
+  for the worker transport and the dispatch stage: each shard is a
+  :class:`MergeHost` (a :class:`MergerNode` and its sink) on the fleet
+  :func:`~repro.runtime.fabric.make_fleet` builds —
 
-  - :class:`InProcessMerge` — the reference.  :class:`MergerNode` shards
-    live in the coordinator's interpreter and delivery is a direct call,
-    byte-identical to the pre-subsystem inline loop.
-  - :class:`FabricMerge` — one fabric endpoint per merger shard
+  - ``inprocess``, the reference: the hosts live in the coordinator's
+    interpreter on a :class:`~repro.runtime.fabric.LocalFleet` and a
+    delivery is a direct call, byte-identical to the pre-subsystem
+    inline loop.
+  - ``multiprocess`` / ``socket``: one fabric endpoint per merger shard
     (:mod:`repro.runtime.fabric`).  In the ``multiprocess`` deployment
     each shard owns an **inbox** (a ``multiprocessing.SimpleQueue``)
     carrying the data plane
@@ -224,113 +225,6 @@ def build_sink(spec: SinkSpec, merger_id: int) -> SubscriberSink:
     return CallbackSink(spec.callback)
 
 
-def _observe_merger(merger: MergerNode) -> Observation:
-    """One merger shard's observation from live state (read-only).
-
-    ``depth`` is the live dedup-window population — the bounded state a
-    future merger re-shard would hand off (droppable: at worst
-    duplicates, never losses).
-    """
-    return Observation(
-        tier="merger",
-        endpoint_id=merger.merger_id,
-        busy_cost=merger.busy_cost,
-        memory_bytes=merger.memory_bytes(),
-        depth=merger.dedup_population(),
-        received=merger.received,
-        delivered=merger.delivered,
-        duplicates=merger.duplicates,
-        profile=merger.profile.event(merger.merger_id),
-    )
-
-
-# ----------------------------------------------------------------------
-# Backend interface
-# ----------------------------------------------------------------------
-class MergeBackend(TierBackend):
-    """Coordinator-side surface of the merger/delivery tier.
-
-    The cluster drives it with ``deliver`` (coordinator-side delivery of
-    results it received over the worker transport), ``reset_period`` /
-    ``drain_sinks`` and ``worker_endpoints`` — the per-shard inboxes
-    handed to the multiprocess worker transport for direct shipping
-    (``None`` when the tier lives in the coordinator's interpreter or
-    behind TCP) — plus the :class:`~repro.runtime.fabric.TierBackend`
-    lifecycle: ``observe`` for the reports, ``barrier`` at adjustment
-    fences (all earlier deliveries processed).
-    """
-
-    num_mergers: int = 0
-
-    def deliver(self, results: Sequence[MatchResult]) -> None:
-        """Partition ``results`` across the shards and deliver them."""
-        raise NotImplementedError
-
-    def merger_handles(self) -> List[Any]:
-        """Per-shard handles: real :class:`MergerNode` objects in process,
-        :class:`Observation` snapshots for remote shards — either exposes
-        ``delivered`` / ``duplicates`` / ``busy_cost``."""
-        raise NotImplementedError
-
-    def worker_endpoints(self) -> Optional[Sequence[Any]]:
-        """Shard inboxes for direct worker→merger shipping, or ``None``."""
-        return None
-
-    def reset_period(self) -> None:
-        """Start a new measurement period on every shard."""
-        raise NotImplementedError
-
-    def drain_sinks(self) -> Dict[int, List[MatchResult]]:
-        """Drain every shard's sink buffer, keyed by merger id."""
-        raise NotImplementedError
-
-
-class InProcessMerge(MergeBackend):
-    """Reference backend: merger shards in the coordinator's interpreter."""
-
-    backend_name = "inprocess"
-
-    def __init__(
-        self,
-        num_mergers: int,
-        *,
-        sink: Optional[SinkSpec] = None,
-        dedup_window: int = 100_000,
-    ) -> None:
-        if num_mergers < 1:
-            raise ValueError("the merger tier needs at least one shard")
-        self.num_mergers = num_mergers
-        spec = sink if sink is not None else SinkSpec()
-        self.mergers: List[MergerNode] = [
-            MergerNode(merger_id, dedup_window=dedup_window, sink=build_sink(spec, merger_id))
-            for merger_id in range(num_mergers)
-        ]
-
-    def deliver(self, results: Sequence[MatchResult]) -> None:
-        ship_results(
-            results,
-            self.num_mergers,
-            lambda merger_id, batch: self.mergers[merger_id].handle_many(batch),
-        )
-
-    def observe(self) -> Dict[int, Observation]:
-        return {merger.merger_id: _observe_merger(merger) for merger in self.mergers}
-
-    def merger_handles(self) -> List[Any]:
-        return list(self.mergers)
-
-    def reset_period(self) -> None:
-        for merger in self.mergers:
-            merger.reset_period()
-
-    def drain_sinks(self) -> Dict[int, List[MatchResult]]:
-        return {merger.merger_id: merger.sink.drain() for merger in self.mergers}
-
-    def close(self) -> None:
-        for merger in self.mergers:
-            merger.sink.close()
-
-
 # ----------------------------------------------------------------------
 # The merger role host (served by the fabric's generic serve loop)
 # ----------------------------------------------------------------------
@@ -359,7 +253,20 @@ class MergeHost(RoleHost):
             merger.handle_many(message.results)
             return None
         if kind is Observe:
-            return _observe_merger(merger)
+            # ``depth`` is the live dedup-window population — the bounded
+            # state a future merger re-shard would hand off (droppable: at
+            # worst duplicates, never losses).
+            return Observation(
+                tier="merger",
+                endpoint_id=merger.merger_id,
+                busy_cost=merger.busy_cost,
+                memory_bytes=merger.memory_bytes(),
+                depth=merger.dedup_population(),
+                received=merger.received,
+                delivered=merger.delivered,
+                duplicates=merger.duplicates,
+                profile=merger.profile.event(merger.merger_id),
+            )
         if kind is MergerReset:
             merger.reset_period()
             return True
@@ -375,53 +282,56 @@ register_role("merger", MergeHost)
 
 
 # ----------------------------------------------------------------------
-# Fabric-backed merger tier (multiprocess and socket deployments)
+# The merger tier (one class over every deployment's fleet)
 # ----------------------------------------------------------------------
-class FabricMerge(MergeBackend):
-    """Each merger shard is a fabric endpoint fed through a FIFO channel.
+class MergeBackend(TierBackend):
+    """Coordinator-side surface of the merger/delivery tier.
 
-    In the multiprocess deployment the channel's send side is the shard's
-    ``SimpleQueue`` inbox — shared by every producer, i.e. the
-    coordinator and, in the full multiprocess deployment, the worker
-    hosts shipping results directly.  ``SimpleQueue.put`` serialises and
-    writes under the queue lock in the calling thread, so any message a
-    producer enqueues *after* another producer's put has returned is
-    dequeued after it: control requests the coordinator issues once an
-    ``exchange`` has completed are guaranteed to observe every delivery
-    that exchange produced.  In the socket deployment the channel is one
-    TCP connection with the coordinator as sole producer; per-connection
-    FIFO gives the identical fence.
+    The cluster drives it with ``deliver`` (coordinator-side delivery of
+    results it received over the worker transport), ``reset_period`` /
+    ``drain_sinks`` and ``worker_endpoints`` — the per-shard inboxes
+    handed to the multiprocess worker transport for direct shipping
+    (``None`` when the tier lives in the coordinator's interpreter or
+    behind TCP) — plus the :class:`~repro.runtime.fabric.TierBackend`
+    lifecycle: ``observe`` for the reports, ``barrier`` at adjustment
+    fences — each shard's channel is FIFO, so all earlier deliveries are
+    processed (the fence argument of the module docstring).
     """
 
-    _fleet: Fleet
-
     def __init__(self, fleet: Fleet) -> None:
-        self._fleet = fleet
-        self.backend_name = fleet.backend_name
+        super().__init__(fleet)
         self.num_mergers = len(fleet.endpoint_ids)
 
-    # -- MergeBackend surface ------------------------------------------
     def deliver(self, results: Sequence[MatchResult]) -> None:
-        ship_results(
-            results,
-            self.num_mergers,
-            lambda merger_id, batch: self._fleet.send(
-                merger_id, DeliverResults(tuple(batch))
-            ),
-        )
+        """Partition ``results`` across the shards and deliver them.
+
+        Each batch goes as it is: a fabric send pickles it at once and a
+        local host consumes it before the call returns."""
+        send = self._fleet.send
+        ship_results(results, self.num_mergers, lambda m, batch: send(m, DeliverResults(batch)))
 
     def worker_endpoints(self) -> Optional[Sequence[Any]]:
+        """Shard inboxes for direct worker→merger shipping, or ``None``."""
         return self._fleet.data_endpoints()
 
-    def merger_handles(self) -> List[Any]:
-        return list(self.observe().values())
-
     def reset_period(self) -> None:
+        """Start a new measurement period on every shard."""
         self._fleet.broadcast(MergerReset())
 
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
+        """Drain every shard's sink buffer, keyed by merger id."""
         drained = self._fleet.broadcast(SinkDrain())
         return {merger_id: drained[merger_id] for merger_id in sorted(drained)}
+
+
+class InProcessMerge(MergeBackend):
+    """:class:`MergeBackend` on a ``LocalFleet``: a name the e2e tracer wraps, kept
+    until a benchmark change retargets it (ROADMAP item 2(b))."""
+
+
+class FabricMerge(MergeBackend):
+    """:class:`MergeBackend` on a process or socket fleet: a name the e2e tracer
+    wraps, kept until a benchmark change retargets it (ROADMAP item 2(b))."""
 
 
 #: Registry of the selectable merger backends (``--merger-backend``).
@@ -441,15 +351,12 @@ def make_merge(
     ``addresses`` are the manifest's ``repro serve --role merger``
     endpoints (:func:`~repro.runtime.fabric.make_fleet`).
     """
-    if backend == "inprocess":
-        return InProcessMerge(num_mergers, sink=sink, dedup_window=dedup_window)
     init = {"sink": sink, "dedup_window": dedup_window}
     inits = {merger_id: init for merger_id in range(num_mergers)}
-    return FabricMerge(
-        make_fleet(
-            "merger", backend, inits, addresses=addresses, label="merger shard",
-            # Multiprocess shards receive through a multi-producer inbox, so
-            # worker hosts can ship results to them directly.
-            queue_inbox=True,
-        )
+    fleet = make_fleet(
+        "merger", backend, inits, addresses=addresses, label="merger shard",
+        # Multiprocess shards receive through a multi-producer inbox, so
+        # worker hosts can ship results to them directly.
+        queue_inbox=True,
     )
+    return (FabricMerge if fleet.concurrent else InProcessMerge)(fleet)

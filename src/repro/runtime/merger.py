@@ -7,20 +7,22 @@ once; the merger removes the duplicates before notifying subscribers
 
 :class:`MergerNode` is the single-shard state machine — one loop,
 :meth:`MergerNode.handle_many`, which every backend feeds whole batches;
-where it runs is decided by the merge backend (:mod:`repro.runtime.merge`): the
-``inprocess`` backend hosts the nodes in the coordinator's interpreter,
-the ``multiprocess`` backend one per OS process with workers shipping
-results to the shards directly.  Delivered results are handed to an
-optional subscriber *sink* (null / memory / JSONL / callback — see
-:mod:`repro.runtime.merge`); sink work is real I/O and is deliberately
-not part of the simulated ``RESULT_COST`` accounting, so attaching a sink
+each node lives in a merger host (:class:`repro.runtime.merge.MergeHost`),
+and where that host runs is :func:`repro.runtime.fabric.make_fleet`'s to
+decide: in the coordinator's interpreter (``inprocess``), one per OS
+process with workers shipping results to the shards directly
+(``multiprocess``) or behind TCP (``socket``).  Delivered results are
+handed to an optional subscriber *sink* (null / memory / JSONL / callback —
+see :mod:`repro.runtime.merge`), which is also where per-subscriber
+deliveries are counted; sink work is real I/O and is deliberately not
+part of the simulated ``RESULT_COST`` accounting, so attaching a sink
 never changes a report.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, Optional, Protocol, Set, Tuple
+from collections import deque
+from typing import Deque, Iterable, Optional, Protocol, Set, Tuple
 
 from ..core.counters import DedupProfile
 from ..core.objects import MatchResult
@@ -71,7 +73,6 @@ class MergerNode:
         # Eviction order of the dedup window; a deque so the per-result
         # eviction at the window boundary is O(1) (a list's pop(0) is O(n)).
         self._order: Deque[Tuple[int, int]] = deque()
-        self._delivered_per_subscriber: Dict[int, int] = defaultdict(int)
 
     def handle(self, result: MatchResult) -> bool:
         """Process one match result; returns ``True`` when delivered."""
@@ -92,7 +93,6 @@ class MergerNode:
         order = self._order
         order_append = order.append
         window = self._dedup_window
-        per_subscriber = self._delivered_per_subscriber
         deliver = self.sink.deliver if self.sink is not None else None
         result_cost = self.RESULT_COST
         busy_cost = self.busy_cost
@@ -110,7 +110,6 @@ class MergerNode:
                 if len(order) > window:
                     seen.discard(order.popleft())
                     evictions += 1
-                per_subscriber[result.subscriber_id] += 1
                 if deliver is not None:
                     deliver(result)
         finally:
@@ -124,9 +123,6 @@ class MergerNode:
             counters.duplicates += duplicates
             counters.evictions += evictions
         return delivered
-
-    def deliveries_for(self, subscriber_id: int) -> int:
-        return self._delivered_per_subscriber.get(subscriber_id, 0)
 
     def reset_period(self) -> None:
         self.busy_cost = 0.0

@@ -2,21 +2,20 @@
 
 The paper's PS2Stream deployment (Section III-B) is a Storm topology:
 dispatchers, workers and mergers are separate executors exchanging tuples
-over the network.  Earlier revisions of this reproduction collapsed that
-into direct Python method calls inside one interpreter; this module makes
-the dispatcher→worker→merger communication explicit again so the same
-coordinator code can drive
+over the network, and this module makes that communication explicit.  One
+:class:`Transport` drives the worker tier on every deployment: each worker
+is a :class:`WorkerHost` (a :class:`~repro.runtime.worker.WorkerNode`
+behind the message surface below) on the fleet
+:func:`~repro.runtime.fabric.make_fleet` builds —
 
-* an :class:`InProcessTransport` — the *reference* backend.  Workers are
-  plain :class:`~repro.runtime.worker.WorkerNode` objects in the
-  coordinator's process and every message is executed synchronously by a
-  direct call, preserving the exact semantics (and float-for-float
-  results) of the pre-transport engine; and
-* a :class:`FabricTransport` — each worker is a fabric endpoint
-  (:mod:`repro.runtime.fabric`): its own OS process served over a pickled
-  pipe (``multiprocess``), or a ``repro serve --role worker`` endpoint
-  reached over TCP (``socket``).  One window's worth of routed work is
-  shipped per worker as a single :class:`RouteBatch`, all batches are
+* ``inprocess``, the *reference*: the hosts live in the coordinator's
+  interpreter on a :class:`~repro.runtime.fabric.LocalFleet` and every
+  message is a direct call, preserving the exact semantics (and
+  float-for-float results) of the pre-transport engine;
+* ``multiprocess`` / ``socket``: each host is a fabric endpoint — its own
+  OS process served over a pickled pipe, or a ``repro serve --role
+  worker`` endpoint reached over TCP.  One window's worth of routed work
+  is shipped per worker as a single :class:`RouteBatch`, all batches are
   submitted before any reply is collected, so workers match their object
   groups concurrently on separate cores (or hosts).
 
@@ -181,7 +180,7 @@ class DeliverResults:
     the same inbox fence behind every earlier delivery.
     """
 
-    results: Tuple[MatchResult, ...]
+    results: Sequence[MatchResult]
 
 
 def partition_results(
@@ -258,11 +257,12 @@ def execute_ops(
 ) -> List[Optional[MatchResults]]:
     """Apply one :class:`RouteBatch`'s operations to a worker, in order.
 
-    This function *is* the transport seam's semantic contract: the
-    in-process backend runs it directly against the coordinator's worker
-    objects and the fabric worker host runs it inside the worker process,
-    so every backend executes exactly the same :class:`WorkerNode` calls
-    in exactly the same order.  Matching ops reply with
+    This function *is* the transport seam's semantic contract: the worker
+    host runs it wherever the host lives — in the coordinator's
+    interpreter on a :class:`~repro.runtime.fabric.LocalFleet`, in a
+    worker process or ``repro serve`` endpoint otherwise — so every
+    backend executes exactly the same :class:`WorkerNode` calls in exactly
+    the same order.  Matching ops reply with
     :class:`MatchResults`; update ops reply ``None`` (their costs are the
     fixed Definition-1 constants the coordinator already knows).
 
@@ -291,111 +291,6 @@ def execute_ops(
         else:
             raise TransportError("unknown worker op %r" % (op,))
     return replies
-
-
-def _observe_worker(worker: WorkerNode) -> Observation:
-    """One worker's observation from live state (read-only)."""
-    return Observation(
-        tier="worker",
-        endpoint_id=worker.worker_id,
-        busy_cost=worker.busy_cost,
-        memory_bytes=worker.memory_bytes(),
-        depth=worker.query_count,
-        load=worker.load(),
-        profile=worker.index.profile.event(worker.worker_id),
-    )
-
-
-# ----------------------------------------------------------------------
-# Transport interface
-# ----------------------------------------------------------------------
-class Transport(TierBackend):
-    """Coordinator-side surface for talking to the worker fleet.
-
-    ``workers`` maps worker id → handle; for the in-process backend the
-    handle is the :class:`WorkerNode` itself, for the fabric backends a
-    :class:`WorkerProxy` forwarding the node's control surface over the
-    channel.  The coordinator never assumes which one it holds.  The tier lifecycle
-    (``barrier`` / ``observe`` / ``wire_stats`` / ``install_fault_plan`` /
-    ``close``) is :class:`~repro.runtime.fabric.TierBackend`'s.
-    """
-
-    workers: Mapping[int, Any] = {}
-    #: Does an :meth:`exchange` block on a round trip to other processes?
-    #: Then the window executor ships a whole window per exchange instead
-    #: of one segment; a direct call is free and executes each segment at
-    #: its flush, which delivers its results earlier.
-    exchange_round_trip = False
-
-    def exchange(
-        self, batches: Mapping[int, RouteBatch]
-    ) -> Dict[int, List[Optional[MatchResults]]]:
-        """Ship one window's :class:`RouteBatch` per worker; gather replies.
-
-        Reply dict preserves ``batches``'s iteration order, so coordinator
-        code that merges results stays deterministic across backends.
-        """
-        raise NotImplementedError
-
-    def call_all(self, method: str, *args: Any) -> Dict[int, Any]:
-        """Run one control operation on every worker, keyed by worker id.
-
-        The fan-out of the control plane (snapshots, period resets): in
-        process a direct method call per worker in sorted id order, so
-        nothing built from the replies depends on how the fleet was
-        enumerated; over a fabric one broadcast.
-        """
-        workers = self.workers
-        return {
-            worker_id: getattr(workers[worker_id], method)(*args)
-            for worker_id in sorted(workers)
-        }
-
-    def snapshot_assignments(self) -> Dict[int, List[QueryAssignment]]:
-        """Every worker's live assignment partition, keyed by worker id.
-
-        The checkpoint primitive (and the global adjuster's finalisation
-        read): one ``snapshot_assignments`` :meth:`call_all` at a quiescent
-        point, so checkpoints are deterministic across backends.
-        """
-        return self.call_all("snapshot_assignments")
-
-    def discard_worker(self, worker_id: int) -> None:
-        """Drop a dead worker from the fleet (the recovery path).
-
-        After this, the worker no longer participates in exchanges,
-        stats, or barriers; idempotent for an already-discarded id.
-        """
-        raise NotImplementedError
-
-
-class InProcessTransport(Transport):
-    """Reference backend: workers live in the coordinator's interpreter."""
-
-    backend_name = "inprocess"
-
-    def __init__(self, workers: Dict[int, WorkerNode]) -> None:
-        self.workers: Dict[int, WorkerNode] = workers
-
-    def exchange(
-        self, batches: Mapping[int, RouteBatch]
-    ) -> Dict[int, List[Optional[MatchResults]]]:
-        workers = self.workers
-        return {
-            worker_id: execute_ops(workers[worker_id], batch.ops)
-            for worker_id, batch in batches.items()
-        }
-
-    def observe(self) -> Dict[int, Observation]:
-        # Sorted by worker id so report merges never depend on the order
-        # the worker fleet happened to be enumerated in.
-        return {
-            worker_id: _observe_worker(self.workers[worker_id])
-            for worker_id in sorted(self.workers)
-        }
-
-    def discard_worker(self, worker_id: int) -> None:
-        self.workers.pop(worker_id, None)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +342,15 @@ class WorkerHost(RoleHost):
         if kind is RouteBatch:
             return execute_ops(worker, message.ops, self._deliver)
         if kind is Observe:
-            return _observe_worker(worker)
+            return Observation(
+                tier="worker",
+                endpoint_id=worker.worker_id,
+                busy_cost=worker.busy_cost,
+                memory_bytes=worker.memory_bytes(),
+                depth=worker.query_count,
+                load=worker.load(),
+                profile=worker.index.profile.event(worker.worker_id),
+            )
         if kind is WorkerCall:
             method = message.method
             # Checked before anything is resolved: a name off the wire that
@@ -463,17 +366,17 @@ register_role("worker", WorkerHost)
 
 
 # ----------------------------------------------------------------------
-# Fabric-backed transport (multiprocess and socket deployments)
+# The worker tier (one class over every deployment's fleet)
 # ----------------------------------------------------------------------
 class WorkerProxy:
-    """Coordinator-side handle of one remote worker endpoint.
+    """Coordinator-side handle of one worker endpoint, wherever it lives.
 
     Offers exactly :attr:`WorkerNode.CONTROL_SURFACE` — what the
     coordinator and the Section V adjusters use of a worker — each
     operation one :class:`WorkerCall` round trip, each read a fresh value.
     """
 
-    def __init__(self, transport: "FabricTransport", worker_id: int) -> None:
+    def __init__(self, transport: "Transport", worker_id: int) -> None:
         self.worker_id = worker_id
         self._transport = transport
 
@@ -488,32 +391,36 @@ class WorkerProxy:
         return "WorkerProxy(id=%d)" % self.worker_id
 
 
-class FabricTransport(Transport):
-    """Worker fleet behind fabric channels: one endpoint per worker.
+class Transport(TierBackend):
+    """Coordinator-side surface of the worker fleet: one endpoint per worker.
 
-    All of a window's :class:`RouteBatch` messages are written before any
-    reply is read (:meth:`exchange`), so worker endpoints execute their
-    object-matching groups concurrently; the coordinator then collects
-    the replies in deterministic order.  The same class serves the
-    ``multiprocess`` deployment (one local OS process per worker over a
-    pipe) and the ``socket`` deployment (``repro serve`` endpoints over
-    TCP) — only the fleet construction differs.
+    ``workers`` maps worker id → :class:`WorkerProxy` on every
+    deployment, so a control operation passes the same :class:`WorkerCall`
+    allow-list in process as over a wire.  The tier lifecycle is
+    :class:`~repro.runtime.fabric.TierBackend`'s.
     """
 
-    exchange_round_trip = True
-    _fleet: Fleet
-
     def __init__(self, fleet: Fleet) -> None:
-        self._fleet = fleet
-        self.backend_name = fleet.backend_name
+        super().__init__(fleet)
         self.workers: Dict[int, WorkerProxy] = {
             worker_id: WorkerProxy(self, worker_id) for worker_id in fleet.endpoint_ids
         }
 
-    # -- Transport surface --------------------------------------------
+    @property
+    def exchange_round_trip(self) -> bool:
+        """Does an :meth:`exchange` block on a round trip to other processes?
+        Then the window executor ships a whole window per exchange, not
+        one segment per flush (a direct call delivers a segment earlier)."""
+        return self._fleet.concurrent
+
     def exchange(
         self, batches: Mapping[int, RouteBatch]
     ) -> Dict[int, List[Optional[MatchResults]]]:
+        """Ship one window's :class:`RouteBatch` per worker; gather replies.
+
+        Reply dict preserves ``batches``'s iteration order, so coordinator
+        code that merges results stays deterministic across backends.
+        """
         return self._fleet.exchange(batches)
 
     def call(self, worker_id: int, method: str, *args: Any) -> Any:
@@ -522,23 +429,46 @@ class FabricTransport(Transport):
         return self._fleet.request(worker_id, WorkerCall(method, args))
 
     def call_all(self, method: str, *args: Any) -> Dict[int, Any]:
-        # Every request is written before the first reply is read.
+        """Run one control operation on every worker, keyed by worker id.
+
+        The fan-out of the control plane (snapshots, period resets): one
+        broadcast — every request written before the first reply is read —
+        with the replies sorted by id, so nothing built from them depends
+        on how the fleet was enumerated.
+        """
         replies = self._fleet.broadcast(WorkerCall(method, args))
         return {worker_id: replies[worker_id] for worker_id in sorted(replies)}
 
-    def discard_worker(self, worker_id: int) -> None:
-        """Drop a dead endpoint and re-align the surviving channels.
+    def snapshot_assignments(self) -> Dict[int, List[QueryAssignment]]:
+        """Every worker's live assignment partition, keyed by worker id.
 
-        The fleet-level discard closes the channel and reaps the
-        process; the resync barrier then drains any replies the aborted
-        window left queued on survivors, so the transport's next
-        request/reply pair starts clean.
+        The checkpoint primitive (and the global adjuster's finalisation
+        read): one ``snapshot_assignments`` :meth:`call_all` at a quiescent
+        point, so checkpoints are deterministic across backends.
+        """
+        return self.call_all("snapshot_assignments")
+
+    def discard_worker(self, worker_id: int) -> None:
+        """Drop a dead worker from the fleet (the recovery path); idempotent.
+
+        The fleet closes its channel and reaps its process, then resyncs:
+        replies the aborted window left queued on survivors are drained.
         """
         if worker_id not in self.workers:
             return
         self._fleet.discard(worker_id)
         self._fleet.resync()
         self.workers.pop(worker_id, None)
+
+
+class InProcessTransport(Transport):
+    """:class:`Transport` on a ``LocalFleet``: a name the e2e tracer wraps, kept
+    until a benchmark change retargets it (ROADMAP item 2(b))."""
+
+
+class FabricTransport(Transport):
+    """:class:`Transport` on a process or socket fleet: a name the e2e tracer
+    wraps, kept until a benchmark change retargets it (ROADMAP item 2(b))."""
 
 
 #: Registry of the selectable transport backends (``--backend`` on the CLI).
@@ -577,14 +507,9 @@ def make_transport(
         "cost_model": cost_model,
         "term_statistics": term_statistics,
     }
-    if backend == "inprocess":
-        return InProcessTransport(
-            {worker_id: WorkerNode(worker_id, **worker_init) for worker_id in worker_ids}
-        )
     direct = backend == "multiprocess"
     endpoints = tuple(merger_endpoints) if merger_endpoints and direct else None
     init = {"worker": worker_init, "merger_endpoints": endpoints}
     inits = {worker_id: init for worker_id in worker_ids}
-    return FabricTransport(
-        make_fleet("worker", backend, inits, addresses=addresses, label="worker")
-    )
+    fleet = make_fleet("worker", backend, inits, addresses=addresses, label="worker")
+    return (FabricTransport if fleet.concurrent else InProcessTransport)(fleet)

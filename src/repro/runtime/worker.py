@@ -51,6 +51,7 @@ class WorkerNode:
         "cell_stats", "cell_keyword_counts", "extract_cells", "extract_keywords",
         "install_queries", "reconcile_queries", "snapshot_assignments",
         "reset_period", "reset_load_measurement", "load", "memory_bytes",
+        "compacted_posting_count",
     ) + CONTROL_READS
 
     def __init__(
@@ -293,6 +294,11 @@ class WorkerNode:
 
     def memory_bytes(self) -> int:
         return self.index.memory_bytes()
+
+    def compacted_posting_count(self) -> int:
+        """Physical ``(cell, keyword)`` postings once lazy deletions are swept."""
+        self.index.compact()
+        return self.index.posting_count
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "WorkerNode(id=%d, queries=%d)" % (self.worker_id, self.query_count)

@@ -28,6 +28,15 @@ def build_imbalanced_cluster(stream, num_workers=4):
     return cluster
 
 
+def live_queries(cluster):
+    """Every live query on any worker, by id, read over the control surface."""
+    return {
+        assignment.query.query_id: assignment.query
+        for assignments in cluster.transport.snapshot_assignments().values()
+        for assignment in assignments
+    }
+
+
 class TestLocalAdjuster:
     def test_no_trigger_when_balanced(self, small_stream):
         sample = small_stream.partitioning_sample(500)
@@ -64,7 +73,7 @@ class TestLocalAdjuster:
         adjuster.adjust(cluster)
         # Replay more tuples and verify delivered matches equal ground truth
         # for the new tuples' objects against currently live queries.
-        live = {query.query_id: query for worker in cluster.workers.values() for query in worker.index.queries()}
+        live = live_queries(cluster)
         tuples = list(small_stream.tuples(300))
         expected = 0
         for item in tuples:
@@ -230,7 +239,7 @@ class TestGlobalAdjuster:
         assert final.finalized
         assert not isinstance(cluster.routing_index, DualRoutingIndex)
         # Matching still works end-to-end after the swap.
-        live = {q.query_id: q for w in cluster.workers.values() for q in w.index.queries()}
+        live = live_queries(cluster)
         tuples = list(q3_stream.tuples(200))
         expected = 0
         for item in tuples:

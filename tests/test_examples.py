@@ -1,9 +1,9 @@
 """Smoke tests for the example scripts.
 
-The examples are full applications and take tens of seconds at their
-default sizes, so these tests only verify that every example imports
-cleanly and exposes a ``main`` entry point; the quickstart example is
-additionally executed because it is small enough.
+Every example must import cleanly and expose a ``main`` entry point.
+The two that read per-subscriber deliveries off a memory sink —
+quickstart and geo_advertising, a few seconds each — also run end to
+end here; CI's example smoke step runs all four.
 """
 
 import importlib.util
@@ -41,3 +41,11 @@ def test_quickstart_runs_end_to_end(capsys):
     output = capsys.readouterr().out
     assert "Matches delivered" in output
     assert "throughput" in output.lower()
+
+
+def test_geo_advertising_runs_end_to_end(capsys):
+    module = load_example(EXAMPLES_DIR / "geo_advertising.py")
+    module.main()
+    output = capsys.readouterr().out
+    assert "impressions" in output
+    assert "per-campaign impression counts" in output

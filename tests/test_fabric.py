@@ -36,13 +36,16 @@ from repro.runtime.fabric import (
     Fleet,
     Init,
     RemoteError,
+    RoleHost,
     SocketChannel,
     TierBackend,
     assign_addresses,
     dump_message,
     load_message,
+    make_fleet,
     pack_frame,
     read_frame,
+    register_role,
 )
 
 from repro.runtime.merge import make_merge
@@ -352,10 +355,15 @@ class TestTierSurface:
         try:
             assert isinstance(tier, TierBackend)
             assert tier.backend_name == backend
-            assert (tier._fleet is None) == (backend == "inprocess")
-            for name in (
-                "barrier", "wire_stats", "install_fault_plan", "__enter__", "__exit__", "__del__"
-            ):  # defined once, for all three seams
+            # Every tier holds a fleet; only the in-process one is not concurrent.
+            assert tier._fleet.concurrent == (backend != "inprocess")
+            shared = [
+                "barrier", "wire_stats", "install_fault_plan", "close",
+                "__enter__", "__exit__", "__del__",
+            ]
+            if seam != "dispatch":  # dispatch skips observing with a window in flight
+                shared.append("observe")
+            for name in shared:  # defined once, for all three seams and every fleet
                 assert getattr(type(tier), name) is getattr(TierBackend, name), name
 
             observed = tier.observe()
@@ -381,9 +389,111 @@ class TestTierSurface:
     def test_context_manager_closes(self, seam, backend):
         with TIER_FACTORIES[seam](backend) as tier:
             fleet = tier._fleet
-            children = list(fleet.processes.values()) if fleet is not None else []
+            children = list(fleet.processes.values())
             assert len(children) == (0 if backend == "inprocess" else 2)
             assert all(child.is_alive() for child in children)
-        assert fleet is None or fleet._closed
+        assert fleet._closed
         assert all(not child.is_alive() for child in children)
         assert multiprocessing.active_children() == []
+
+
+class Note:
+    """A fire-and-forget message of the recorder role."""
+
+
+class RecorderHost(RoleHost):
+    """A test role: logs and echoes each message, raises an exception
+    message, and logs its close."""
+
+    fire_and_forget = (Note,)
+
+    def __init__(self, endpoint_id, init):
+        self.endpoint_id = endpoint_id
+        self.log = init["log"]
+
+    def handle(self, message):
+        self.log.append((self.endpoint_id, message))
+        if isinstance(message, Exception):
+            raise message
+        return (self.endpoint_id, message)
+
+    def close(self):
+        self.log.append((self.endpoint_id, "closed"))
+
+
+register_role("test-recorder", RecorderHost)
+
+
+class TestLocalFleet:
+    """The in-process deployment: role hosts called directly, in order."""
+
+    def _fleet(self, endpoint_ids=(0, 1, 2)):
+        log = []
+        init = {"log": log}
+        fleet = make_fleet(
+            "test-recorder", "inprocess", {i: init for i in endpoint_ids}, label="recorder"
+        )
+        return fleet, log
+
+    def test_replies_come_back_in_message_order(self):
+        fleet, log = self._fleet()
+        assert fleet.concurrent is False and fleet.backend_name == "inprocess"
+        replies = fleet.exchange({2: "a", 0: "b"})
+        assert list(replies.items()) == [(2, (2, "a")), (0, (0, "b"))]
+        assert log == [(2, "a"), (0, "b")]
+        assert fleet.broadcast("c") == {i: (i, "c") for i in (0, 1, 2)}
+        fleet.send(1, "d")
+        fleet.send(1, "e")
+        assert fleet.collect([1]) == {1: (1, "d")}
+        assert fleet.request(1, "f") == (1, "e")  # replies queue per endpoint
+        assert fleet.receive(1) == (1, "f")
+        assert [fleet.barrier() for _ in range(2)] == [1, 2]
+        assert fleet.wire_stats() == {}
+
+    def test_a_fire_and_forget_message_leaves_no_reply(self):
+        fleet, log = self._fleet()
+        fleet.send(0, Note())
+        assert [message for _, message in log if isinstance(message, Note)]
+        assert fleet.request(0, "next") == (0, "next")
+
+    def test_a_host_exception_surfaces_as_raised(self):
+        fleet, _ = self._fleet()
+        for call in (
+            lambda: fleet.request(1, ValueError("boom")),
+            lambda: fleet.exchange({1: ValueError("boom")}),
+            lambda: fleet.broadcast(ValueError("boom")),
+        ):
+            with pytest.raises(ValueError, match="boom") as raised:
+                call()
+            assert not isinstance(raised.value, TransportError)
+        assert fleet.request(1, "after") == (1, "after")  # nothing desynced
+
+    def test_a_failed_send_loop_leaves_no_stale_reply(self):
+        fleet, _ = self._fleet()
+        fleet.send(0, "queued")
+        with pytest.raises(ValueError, match="boom"):
+            fleet.send(1, ValueError("boom"))
+        # The half-sent loop's replies are gone; an empty receive is a
+        # TransportError, so Fleet.collect drains the rest before raising.
+        with pytest.raises(TransportError, match="recorder 0 has no reply pending"):
+            fleet.collect([0, 1])
+        assert fleet.request(0, "next") == (0, "next")
+
+    def test_discard_is_idempotent_and_recorded(self):
+        fleet, _ = self._fleet()
+        fleet.discard(1, "gone")
+        fleet.discard(1, "again")
+        fleet.resync()  # nothing to drain, and no epoch spent
+        assert fleet.barrier() == 1
+        assert fleet.endpoint_ids == [0, 2]
+        assert fleet.dead_endpoints == {1: "gone"}
+        assert fleet.broadcast("x") == {0: (0, "x"), 2: (2, "x")}
+
+    def test_close_closes_each_host_once(self):
+        fleet, log = self._fleet()
+        fleet.install_fault_plan(())  # accepted and ignored
+        fleet.close()
+        fleet.close()
+        assert [entry for entry in log if entry[1] == "closed"] == [
+            (0, "closed"), (1, "closed"), (2, "closed")
+        ]

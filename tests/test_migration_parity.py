@@ -23,7 +23,7 @@ import dataclasses
 import pytest
 
 from test_batched import assert_equivalent
-from test_transport import control_sends, counted_worker_sends
+from test_transport import available_backends, control_sends, counted_worker_sends
 from test_window_executor import brute_force
 
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
@@ -48,13 +48,31 @@ from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_da
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 
 
+def live_assignments(cluster):
+    """worker id -> {query id: (query, its registered (cell, keyword) pairs)}.
+
+    Read over the workers' control surface (``snapshot_assignments``), so
+    it works on every worker backend.
+    """
+    return {
+        worker_id: {a.query.query_id: (a.query, set(a.pairs)) for a in assignments}
+        for worker_id, assignments in cluster.transport.snapshot_assignments().items()
+    }
+
+
+def live_queries(cluster):
+    """Every live query on any worker, by id."""
+    return {
+        query_id: query
+        for registered in live_assignments(cluster).values()
+        for query_id, (query, _) in registered.items()
+    }
+
+
 def expected_assignments(cluster):
     """Per-(worker, query) posting pairs implied by the current routing index."""
     routing = cluster.routing_index
-    queries = {}
-    for worker in cluster.workers.values():
-        for query in worker.index.queries():
-            queries[query.query_id] = query
+    queries = live_queries(cluster)
     expected = {}
     for query in queries.values():
         triples, _ = routing.posting_assignments(query)
@@ -67,13 +85,11 @@ def posting_parity_violations(cluster):
     """(worker, query, extra pairs) registrations the routing index does not assign."""
     expected = expected_assignments(cluster)
     violations = []
-    for worker in cluster.workers.values():
-        for query in worker.index.queries():
-            actual = set(worker.index.posting_pairs_of_query(query.query_id))
-            allowed = expected.get((worker.worker_id, query.query_id), set())
-            extra = actual - allowed
+    for worker_id, registered in live_assignments(cluster).items():
+        for query_id, (_, actual) in registered.items():
+            extra = actual - expected.get((worker_id, query_id), set())
             if extra:
-                violations.append((worker.worker_id, query.query_id, sorted(extra)))
+                violations.append((worker_id, query_id, sorted(extra)))
     return violations
 
 
@@ -93,19 +109,18 @@ def dense_stream(group):
     return WorkloadStream(tweets, queries, StreamConfig(mu=300, group=group), seed=7)
 
 
-def build_imbalanced_cluster(stream, num_workers=4):
+def build_imbalanced_cluster(stream, num_workers=4, backend="inprocess"):
     sample = stream.partitioning_sample(600)
     plan = MetricTextPartitioner().partition(sample, num_workers)
-    cluster = Cluster(plan, ClusterConfig(num_dispatchers=2, num_workers=num_workers))
+    config = ClusterConfig(num_dispatchers=2, num_workers=num_workers, backend=backend)
+    cluster = Cluster(plan, config)
     cluster.run(stream.tuples(800))
     return cluster
 
 
 def total_postings(cluster):
-    """Cluster-wide live postings (compacted, so lazy deletions don't skew)."""
-    for worker in cluster.workers.values():
-        worker.index.compact()
-    return sum(worker.index.posting_count for worker in cluster.workers.values())
+    """Cluster-wide physical postings (compacted, so lazy deletions don't skew)."""
+    return sum(worker.compacted_posting_count() for worker in cluster.workers.values())
 
 
 class TestDispatchVsMigrationMemory:
@@ -148,18 +163,19 @@ class TestDispatchVsMigrationMemory:
 
 
 class TestAdjustmentPostingParity:
-    def test_cell_migration_stays_within_assignment(self, small_stream):
-        cluster = build_imbalanced_cluster(small_stream)
-        before = total_postings(cluster)
-        loads = cluster.worker_load_report()
-        source = loads.most_loaded()
-        target = loads.least_loaded()
-        cells = [stat.cell for stat in cluster.worker_cell_stats(source)[:5]]
-        record = cluster.migrate_cells(source, target, cells)
-        assert record.queries_shipped > 0
-        # Pairs are conserved 1:1 — migration never inflates posting lists.
-        assert total_postings(cluster) == before
-        assert posting_parity_violations(cluster) == []
+    @pytest.mark.parametrize("backend", available_backends(["inprocess", "multiprocess"]))
+    def test_cell_migration_stays_within_assignment(self, small_stream, backend):
+        with build_imbalanced_cluster(small_stream, backend=backend) as cluster:
+            before = total_postings(cluster)
+            loads = cluster.worker_load_report()
+            source = loads.most_loaded()
+            target = loads.least_loaded()
+            cells = [stat.cell for stat in cluster.worker_cell_stats(source)[:5]]
+            record = cluster.migrate_cells(source, target, cells)
+            assert record.queries_shipped > 0
+            # Pairs are conserved 1:1 — migration never inflates posting lists.
+            assert total_postings(cluster) == before
+            assert posting_parity_violations(cluster) == []
 
     def test_phase1_split_stays_within_assignment(self, small_stream):
         cluster = build_imbalanced_cluster(small_stream)
@@ -316,9 +332,9 @@ class TestDedupAcrossMigration:
 
     def _replicated_queries(self, cluster):
         owners = {}
-        for worker in cluster.workers.values():
-            for query in worker.index.queries():
-                owners.setdefault(query.query_id, set()).add(worker.worker_id)
+        for worker_id, registered in live_assignments(cluster).items():
+            for query_id in registered:
+                owners.setdefault(query_id, set()).add(worker_id)
         return {query_id for query_id, ids in owners.items() if len(ids) >= 2}
 
     def test_replicated_query_single_delivery_after_adjustment(self):
@@ -337,11 +353,7 @@ class TestDedupAcrossMigration:
 
         # Brute-force ground truth: the distinct (query, object) matches
         # of the continuation against the post-adjustment live population.
-        live = {
-            query.query_id: query
-            for worker in cluster.workers.values()
-            for query in worker.index.queries()
-        }
+        live = live_queries(cluster)
         expected = 0
         expected_replicated = 0
         for obj in continuation:

@@ -1,5 +1,7 @@
 """Unit tests for the worker, dispatcher and merger process models."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -13,6 +15,7 @@ from repro.core import (
 from repro.core.objects import MatchResult
 from repro.partitioning.base import PartitionPlan, PartitionUnit
 from repro.runtime import Cluster, ClusterConfig, DispatcherLedger, MergerNode, WorkerNode
+from repro.runtime.merge import MemorySink
 
 
 BOUNDS = Rect(0, 0, 100, 100)
@@ -180,11 +183,15 @@ class TestMergerNode:
         assert merger.handle_many(results) == 5
 
     def test_deliveries_per_subscriber(self):
-        merger = MergerNode(0)
+        """Per-subscriber notifications are counted off a memory sink."""
+        sink = MemorySink()
+        merger = MergerNode(0, sink=sink)
         merger.handle(MatchResult(1, 1, subscriber_id=9))
         merger.handle(MatchResult(2, 1, subscriber_id=9))
-        assert merger.deliveries_for(9) == 2
-        assert merger.deliveries_for(1) == 0
+        merger.handle(MatchResult(2, 1, subscriber_id=9))  # a duplicate: not delivered
+        per_subscriber = Counter(result.subscriber_id for result in sink.drain())
+        assert per_subscriber[9] == 2
+        assert per_subscriber[1] == 0
 
     def test_dedup_window_bounded(self):
         merger = MergerNode(0, dedup_window=10)

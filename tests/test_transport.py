@@ -25,6 +25,7 @@ import socket as socket_module
 import pytest
 
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
+from repro.core import Rect
 from repro.partitioning import HybridPartitioner, MetricTextPartitioner
 from repro.runtime import (
     Cluster,
@@ -34,6 +35,7 @@ from repro.runtime import (
     WorkerNode,
 )
 from repro.runtime.fabric import Fleet
+from repro.runtime.transport import WorkerProxy
 from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
 
@@ -340,11 +342,19 @@ class TestControlPlane:
 
 
 class TestTransportMechanics:
-    def test_inprocess_workers_are_real_nodes(self):
+    def test_inprocess_workers_are_proxies_over_the_declared_surface(self):
+        """In process too, a worker handle passes the ``WorkerCall``
+        allow-list: declared names work, anything else is refused."""
         plan, _ = make_workload(num_objects=0)
         with Cluster(plan, ClusterConfig(num_workers=2)) as cluster:
             assert isinstance(cluster.transport, InProcessTransport)
-            assert cluster.workers[0].index.query_count == 0
+            worker = cluster.workers[0]
+            assert isinstance(worker, WorkerProxy)
+            assert worker.query_count == 0
+            for name in ("index", "handle_object_batch", "worker_idx"):
+                assert name not in WorkerNode.CONTROL_SURFACE
+                with pytest.raises(AttributeError):
+                    getattr(worker, name)
 
     def test_barrier_epochs_advance(self):
         plan, _ = make_workload(num_objects=0)
@@ -431,10 +441,9 @@ class TestTransportMechanics:
         """``execute_ops`` knows three op types; anything else is an error."""
         from repro.runtime.transport import MatchObjects, execute_ops
 
-        plan, _ = make_workload(num_objects=0)
-        with Cluster(plan, ClusterConfig(num_workers=1)) as cluster:
-            with pytest.raises(TransportError, match="unknown worker op 'not-an-op'"):
-                execute_ops(cluster.workers[0], (MatchObjects(()), "not-an-op"))
+        worker = WorkerNode(0, Rect(0.0, 0.0, 10.0, 10.0), granularity=4)
+        with pytest.raises(TransportError, match="unknown worker op 'not-an-op'"):
+            execute_ops(worker, (MatchObjects(()), "not-an-op"))
 
     def test_close_is_idempotent_and_ends_workers(self):
         plan, _ = make_workload(num_objects=0)
