@@ -38,8 +38,8 @@ class DualRoutingIndex:
     The class exposes the routing surface the cluster's two rules call on
     a :class:`~repro.indexes.gridt.GridTIndex` (``route_cell``,
     ``insertion_plan_apply``, ``deletion_plan_apply``, ``grid``,
-    ``memory_bytes``), so a drain window runs through the ordinary window
-    executor.
+    ``memory_bytes``, ``fallback_workers``), so a drain window runs
+    through the ordinary window executor.
     """
 
     def __init__(self, old_index: GridTIndex, new_index: GridTIndex) -> None:
@@ -124,6 +124,10 @@ class DualRoutingIndex:
 
     def workers(self) -> Set[int]:
         return self.old_index.workers() | self.new_index.workers()
+
+    def fallback_workers(self) -> Tuple[int, ...]:
+        """The new strategy's: only its insertion plans are ever cached."""
+        return self.new_index.fallback_workers()
 
     def memory_bytes(self) -> int:
         """Both structures are resident while the old one drains."""

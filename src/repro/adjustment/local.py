@@ -176,9 +176,9 @@ class LocalLoadAdjuster:
             cluster.routing_index.split_cell_by_text(
                 cell_stat.cell, assignment, default_worker=source
             )
-            # The split changes H1, so routing decisions cached by the
-            # batched engine are no longer valid.
-            cluster.invalidate_routing_caches()
+            # The split changes H1 in this cell: insertion plans with a
+            # pair in it are no longer valid.
+            cluster.invalidate_routing_caches((cell_stat.cell,))
             moved_keywords = [
                 keyword for keyword, owner in assignment.items() if owner == target
             ]

@@ -104,6 +104,9 @@ class GI2Index:
         #: The query table: live queries only.  A posting whose id is not
         #: a key here is stale.
         self._queries: Dict[int, QueryRecord] = {}
+        #: ``size_bytes`` summed over the query table, kept by every
+        #: method that adds or drops a live query (:meth:`memory_bytes`).
+        self._query_bytes = 0
         self._query_cells: Dict[int, Set[CellCoord]] = {}
         #: Exact ``(cell, posting keyword)`` registrations per live query —
         #: the assignment the dispatcher (or a migration) shipped to this
@@ -224,6 +227,7 @@ class GI2Index:
             region.max_y,
             clauses[0] if len(clauses) == 1 else None,
         )
+        self._query_bytes += query.size_bytes()
         self._query_cells[query_id] = used_cells
         self._query_postings[query_id] = list(pairs)
         return created
@@ -288,7 +292,7 @@ class GI2Index:
             return False
         del table[query_id]
         if live:
-            del self._queries[query_id]
+            self._query_bytes -= self._queries.pop(query_id)[0].size_bytes()
             self._release_cells(self._query_cells.pop(query_id))
         return True
 
@@ -303,8 +307,10 @@ class GI2Index:
         update sequence, hence the same op under every driver.
         """
         live = len(self._queries)
-        if self._queries.pop(query_id, None) is None:
+        record = self._queries.pop(query_id, None)
+        if record is None:
             return False
+        self._query_bytes -= record[0].size_bytes()
         self._tombstones[query_id] = self._query_postings.pop(query_id)
         self._release_cells(self._query_cells.pop(query_id))
         self._unswept_deletions += 1
@@ -575,6 +581,7 @@ class GI2Index:
             record = self._queries.pop(query_id, None)
             if record is not None:
                 removed.append(record[0])
+                self._query_bytes -= record[0].size_bytes()
                 self._release_cells(self._query_cells.pop(query_id))
                 pairs = self._query_postings.pop(query_id)
             else:
@@ -583,13 +590,17 @@ class GI2Index:
         return removed
 
     def memory_bytes(self) -> int:
-        """Estimated resident memory of the index: the live queries plus
-        the physical postings (a deleted query's stale postings count
-        until a traversal or a sweep drops them)."""
-        query_bytes = sum(record[0].size_bytes() for record in self._queries.values())
-        posting_bytes = sum(inverted.memory_bytes() for inverted in self._cells.values())
-        cell_overhead = 96 * len(self._cells)
-        return query_bytes + posting_bytes + cell_overhead
+        """Estimated resident memory of the index: the live queries'
+        ``size_bytes`` plus the physical postings (a deleted query's stale
+        postings count until a traversal or a sweep drops them) plus a
+        fixed overhead per cell.
+
+        Counted, not walked: the query share is a running total and each
+        cell's inverted index counts its own entries, so a call costs
+        O(cells), never O(queries) or O(postings).
+        """
+        posting_bytes = sum(map(InvertedIndex.memory_bytes, self._cells.values()))
+        return self._query_bytes + posting_bytes + 96 * len(self._cells)
 
     @property
     def posting_count(self) -> int:

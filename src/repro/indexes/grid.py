@@ -16,7 +16,7 @@ dropping them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 from ..core.geometry import Point, Rect
@@ -33,24 +33,22 @@ class UniformGrid:
     bounds: Rect
     columns: int
     rows: int
+    #: Extent of one cell, derived once from ``bounds`` (``cell_of`` runs
+    #: per object and must not recompute it).
+    cell_width: float = field(init=False, repr=False, compare=False)
+    cell_height: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.columns <= 0 or self.rows <= 0:
             raise ValueError("grid dimensions must be positive")
         if self.bounds.width <= 0 or self.bounds.height <= 0:
             raise ValueError("grid bounds must have positive area")
+        object.__setattr__(self, "cell_width", self.bounds.width / self.columns)
+        object.__setattr__(self, "cell_height", self.bounds.height / self.rows)
 
     # ------------------------------------------------------------------
     # Derived measures
     # ------------------------------------------------------------------
-    @property
-    def cell_width(self) -> float:
-        return self.bounds.width / self.columns
-
-    @property
-    def cell_height(self) -> float:
-        return self.bounds.height / self.rows
-
     @property
     def cell_count(self) -> int:
         return self.columns * self.rows
@@ -60,10 +58,17 @@ class UniformGrid:
     # ------------------------------------------------------------------
     def cell_of(self, point: Point) -> CellCoord:
         """The cell containing ``point`` (out-of-range points are clamped)."""
-        col = int((point.x - self.bounds.min_x) / self.cell_width)
-        row = int((point.y - self.bounds.min_y) / self.cell_height)
-        col = min(max(col, 0), self.columns - 1)
-        row = min(max(row, 0), self.rows - 1)
+        bounds = self.bounds
+        col = int((point.x - bounds.min_x) / self.cell_width)
+        row = int((point.y - bounds.min_y) / self.cell_height)
+        if col < 0:
+            col = 0
+        elif col >= self.columns:
+            col = self.columns - 1
+        if row < 0:
+            row = 0
+        elif row >= self.rows:
+            row = self.rows - 1
         return (col, row)
 
     def cell_rect(self, cell: CellCoord) -> Rect:

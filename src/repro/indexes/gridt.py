@@ -49,6 +49,14 @@ __all__ = ["GridTIndex", "GridTCell", "WorkerPlan", "group_triples"]
 #: Sentinel distinguishing "not computed yet" from "no rewrite needed".
 _UNSET = object()
 
+#: The dispatcher memory model (:meth:`GridTIndex.memory_bytes`): a fixed
+#: overhead per cell, one entry plus the term's characters per H1 term and
+#: per H2 posting keyword, and one owner slot per ``(cell, keyword,
+#: worker)`` H2 posting.
+_CELL_BYTES = 64
+_ENTRY_BYTES = 24
+_OWNER_BYTES = 12
+
 
 @dataclass
 class GridTCell:
@@ -71,7 +79,7 @@ class GridTCell:
         return self.default_worker
 
     def workers(self) -> Set[int]:
-        """Every worker this cell can currently route to."""
+        """Every worker this cell can currently route to (H1 and H2)."""
         result: Set[int] = set()
         if self.default_worker is not None:
             result.add(self.default_worker)
@@ -81,21 +89,35 @@ class GridTCell:
             result.update(owners)
         return result
 
-    def add_posting(self, term: str, worker: int) -> None:
-        owners = self.h2.setdefault(term, {})
-        owners[worker] = owners.get(worker, 0) + 1
+    def add_posting(self, term: str, worker: int) -> int:
+        """Count one more posting of ``worker`` under ``term``; returns the
+        H2 bytes it added (:meth:`GridTIndex.memory_bytes`)."""
+        owners = self.h2.get(term)
+        if owners is None:
+            self.h2[term] = {worker: 1}
+            return _ENTRY_BYTES + len(term) + _OWNER_BYTES
+        count = owners.get(worker)
+        if count is None:
+            owners[worker] = 1
+            return _OWNER_BYTES
+        owners[worker] = count + 1
+        return 0
 
-    def remove_posting(self, term: str, worker: int) -> None:
+    def remove_posting(self, term: str, worker: int) -> int:
+        """Count one posting fewer; returns the H2 bytes it freed."""
         owners = self.h2.get(term)
         if not owners:
-            return
+            return 0
         count = owners.get(worker, 0)
-        if count <= 1:
-            owners.pop(worker, None)
-            if not owners:
-                self.h2.pop(term, None)
-        else:
+        if count > 1:
             owners[worker] = count - 1
+            return 0
+        if owners.pop(worker, None) is None:
+            return 0
+        if owners:
+            return _OWNER_BYTES
+        del self.h2[term]
+        return _ENTRY_BYTES + len(term) + _OWNER_BYTES
 
     def h2_entry_count(self) -> int:
         return sum(len(owners) for owners in self.h2.values())
@@ -142,6 +164,12 @@ class GridTIndex:
         self._cells: Dict[CellCoord, GridTCell] = {}
         self._statistics = term_statistics
         self.object_filtering = object_filtering
+        #: H2's share of :meth:`memory_bytes`, kept current by every H2
+        #: mutator (each adds its change once per call).
+        self._h2_bytes = 0
+        #: ``(H1 bytes, sorted H1 owners)``, derived on demand and dropped
+        #: by every H1 mutator (:meth:`_h1_state`).
+        self._h1: Optional[Tuple[int, Tuple[int, ...]]] = None
         #: What :meth:`route_cell` did so far (:mod:`repro.core.counters`):
         #: always counting, one increment per call.  A fresh index counts
         #: into its own holder; whoever replaces an index mid-run (a shard
@@ -176,6 +204,7 @@ class GridTIndex:
         cell = self.cell(coord)
         cell.default_worker = worker_id
         cell.term_workers = None
+        self._h1 = None
 
     def set_cell_term_map(
         self,
@@ -195,6 +224,7 @@ class GridTIndex:
         cell = self.cell(coord)
         cell.term_workers = term_workers if share else dict(term_workers)
         cell.default_worker = default_worker
+        self._h1 = None
 
     @classmethod
     def from_assignments(
@@ -440,6 +470,7 @@ class GridTIndex:
         # posting_assignments); the single-key fast path needs no sort.
         single_key = next(iter(posting_keys)) if len(posting_keys) == 1 else None
         keys_tuple = (single_key,) if single_key is not None else tuple(sorted(posting_keys))
+        grown = 0
         for row in range(lo_row, hi_row + 1):
             for col in range(lo_col, hi_col + 1):
                 coord = (col, row)
@@ -464,13 +495,20 @@ class GridTIndex:
                     owners = cell.h2.get(key)
                     if owners is None:
                         cell.h2[key] = {worker: 1}
+                        grown += _ENTRY_BYTES + len(key) + _OWNER_BYTES
                     else:
-                        owners[worker] = owners.get(worker, 0) + 1
+                        count = owners.get(worker)
+                        if count is None:
+                            owners[worker] = 1
+                            grown += _OWNER_BYTES
+                        else:
+                            owners[worker] = count + 1
                     pairs = per_worker.get(worker)
                     if pairs is None:
                         per_worker[worker] = [(coord, key)]
                     else:
                         pairs.append((coord, key))
+        self._h2_bytes += grown
         cells = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
         return per_worker, cells
 
@@ -497,6 +535,7 @@ class GridTIndex:
         per-posting work inlined.
         """
         cells_get = self._cells.get
+        freed = 0
         for worker, pairs in per_worker.items():
             for coord, key in pairs:
                 cell = cells_get(coord)
@@ -507,45 +546,82 @@ class GridTIndex:
                 if not owners:
                     continue
                 count = owners.get(worker, 0)
-                if count <= 1:
-                    owners.pop(worker, None)
-                    if not owners:
-                        h2.pop(key, None)
-                else:
+                if count > 1:
                     owners[worker] = count - 1
+                elif owners.pop(worker, None) is not None:
+                    if owners:
+                        freed += _OWNER_BYTES
+                    else:
+                        del h2[key]
+                        freed += _ENTRY_BYTES + len(key) + _OWNER_BYTES
+        self._h2_bytes -= freed
 
     def apply_insertion(self, assignments: Iterable[Tuple[CellCoord, str, int]]) -> Set[int]:
         """Record H2 postings for precomputed assignments; returns the workers."""
         workers: Set[int] = set()
+        grown = 0
         for coord, key, worker in assignments:
-            self.cell(coord).add_posting(key, worker)
+            grown += self.cell(coord).add_posting(key, worker)
             workers.add(worker)
+        self._h2_bytes += grown
         return workers
 
     def apply_deletion(self, assignments: Iterable[Tuple[CellCoord, str, int]]) -> Set[int]:
         """Remove H2 postings for precomputed assignments; returns the workers."""
         workers: Set[int] = set()
         cells_get = self._cells.get
+        freed = 0
         for coord, key, worker in assignments:
             cell = cells_get(coord)
             if cell is not None:
-                cell.remove_posting(key, worker)
+                freed += cell.remove_posting(key, worker)
             workers.add(worker)
+        self._h2_bytes -= freed
         return workers
 
     def _fallback_worker(self, term: str) -> Optional[int]:
         """Deterministic destination for terms in uncovered cells.
 
-        Falls back to hashing the term over the set of known workers so a
+        Falls back to hashing the term over :meth:`fallback_workers` so a
         query is never silently dropped.  The hash must be stable across
         interpreter processes (``PYTHONHASHSEED`` randomises ``hash(str)``
         per process): sharded dispatch routes on per-process replicas of
         this index, and every replica must fall back identically.
         """
-        workers = sorted(self.workers())
+        workers = self._h1_state()[1]
         if not workers:
             return None
         return workers[crc32(term.encode("utf-8")) % len(workers)]
+
+    def fallback_workers(self) -> Tuple[int, ...]:
+        """The workers H1 assigns anything to, sorted: what a term in an
+        uncovered cell is hashed over.
+
+        H1 only — H2 changes with every update, and a fallback that
+        followed it could send a query's deletion to another worker than
+        its insertion.  A plan cache keyed on H1 must be dropped whole
+        when this set changes (:meth:`Cluster.invalidate_routing_caches`).
+        """
+        return self._h1_state()[1]
+
+    def _h1_state(self) -> Tuple[int, Tuple[int, ...]]:
+        """``(H1 bytes, sorted H1 owners)`` — shared term maps once — derived
+        on the first call after an H1 mutation."""
+        state = self._h1
+        if state is None:
+            total = 0
+            owners: Set[int] = set()
+            seen_maps: Set[int] = set()
+            for cell in self._cells.values():
+                if cell.default_worker is not None:
+                    owners.add(cell.default_worker)
+                term_workers = cell.term_workers
+                if term_workers is not None and id(term_workers) not in seen_maps:
+                    seen_maps.add(id(term_workers))
+                    total += _ENTRY_BYTES * len(term_workers) + sum(map(len, term_workers))
+                    owners.update(term_workers.values())
+            state = self._h1 = (total, tuple(sorted(owners)))
+        return state
 
     def route_insertion(self, query: STSQuery) -> Set[int]:
         """Route a query insertion and update H2; returns target workers."""
@@ -571,6 +647,7 @@ class GridTIndex:
         """
         rewritten: Dict[int, Optional[Dict[str, int]]] = {}
         cells_get = self._cells.get
+        merged = 0
         for coord in coords:
             cell = cells_get(coord)
             if cell is None:
@@ -598,10 +675,17 @@ class GridTIndex:
                     rewritten[key] = copied
                 if copied is not None:
                     cell.term_workers = copied
-            for term, owners in list(cell.h2.items()):
+            for owners in cell.h2.values():
                 if from_worker in owners:
                     count = owners.pop(from_worker)
-                    owners[to_worker] = owners.get(to_worker, 0) + count
+                    held = owners.get(to_worker)
+                    if held is None:
+                        owners[to_worker] = count
+                    else:
+                        owners[to_worker] = held + count
+                        merged += _OWNER_BYTES
+        self._h1 = None
+        self._h2_bytes -= merged
 
     def split_cell_by_text(
         self,
@@ -619,12 +703,16 @@ class GridTIndex:
             default_worker = cell.default_worker
         cell.term_workers = dict(term_assignment)
         cell.default_worker = default_worker
-        for term, owners in list(cell.h2.items()):
+        self._h1 = None
+        h2 = cell.h2
+        merged = 0
+        for term, owners in list(h2.items()):
             target = cell.lookup_h1(term)
             if target is None:
                 continue
-            total = sum(owners.values())
-            cell.h2[term] = {target: total}
+            merged += _OWNER_BYTES * (len(owners) - 1)
+            h2[term] = {target: sum(owners.values())}
+        self._h2_bytes -= merged
 
     def clear_h2(self) -> None:
         """Drop every H2 posting (all cells).
@@ -636,6 +724,7 @@ class GridTIndex:
         """
         for cell in self._cells.values():
             cell.h2 = {}
+        self._h2_bytes = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -650,18 +739,15 @@ class GridTIndex:
         return self._grid.cell_of(point)
 
     def memory_bytes(self) -> int:
-        """Estimated dispatcher memory: H1 maps (shared ones once) plus H2."""
-        total = 0
-        seen_maps: Set[int] = set()
-        for cell in self._cells.values():
-            total += 64  # cell overhead
-            term_workers = cell.term_workers
-            if term_workers is not None and id(term_workers) not in seen_maps:
-                seen_maps.add(id(term_workers))
-                total += 24 * len(term_workers) + sum(map(len, term_workers))
-            h2 = cell.h2
-            total += 24 * len(h2) + sum(map(len, h2)) + 12 * sum(map(len, h2.values()))
-        return total
+        """Estimated dispatcher memory: a fixed overhead per cell, the H1
+        term maps (a map shared by several cells once) and H2 (per posting
+        keyword an entry plus its characters, per owner a slot).
+
+        Counted, not walked: H2's share is the running total its mutators
+        keep and H1's is cached until the next H1 mutation, so a call is
+        O(1) while H1 is unchanged.
+        """
+        return _CELL_BYTES * len(self._cells) + self._h1_state()[0] + self._h2_bytes
 
     def h2_entry_count(self) -> int:
         return sum(cell.h2_entry_count() for cell in self._cells.values())

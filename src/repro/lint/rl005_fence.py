@@ -152,6 +152,6 @@ class FenceDisciplineRule(Rule):
                 mutator_source,
                 mutator_def,
                 "routing mutator %s() neither bumps the routing version nor "
-                "has any barrier-context caller; add invalidate_routing_caches()"
-                " or call it from an AdjustBarrier context" % name,
+                "has any barrier-context caller; add invalidate_routing_caches("
+                "<changed cells>) or call it from an AdjustBarrier context" % name,
             )

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from contextlib import ExitStack
 from itertools import chain, cycle, islice
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.costmodel import LoadReport
 from ..core.geometry import Rect
@@ -174,12 +175,12 @@ class Cluster:
         self._traces = TraceStore()
         self._next_dispatcher = 0
         self.migrations: List[migration.MigrationRecord] = []
-        # Window-executor cache: per-query insertion plans (reused when the
-        # deletion arrives).  Only valid while H1 is static;
-        # invalidate_routing_caches() drops it.
-        self._insertion_assignments: Dict[
-            int, Tuple[Dict[int, List[Tuple[CellCoord, str]]], int]
-        ] = {}
+        # Both drivers' cache of per-query insertion plans (reused when the
+        # deletion arrives).  A plan holds while H1 is unchanged in its
+        # cells and the fallback set is unchanged; see
+        # invalidate_routing_caches.
+        self._insertion_assignments: Dict[int, Tuple[WorkerPlan, int]] = {}
+        self._plan_fallback = self.routing_index.fallback_workers()
         fault_plan = self.config.fault_plan
         if fault_plan:
             for role, tier in self._tiers.items():
@@ -191,15 +192,35 @@ class Cluster:
             self._sampler = StackSampler(profiling.sample_interval_ms)
             self._sampler.start()
 
-    def invalidate_routing_caches(self) -> None:
-        """Drop what assumes a static H1 (call after H1 changes).
+    def invalidate_routing_caches(self, cells: Optional[Iterable[CellCoord]] = None) -> None:
+        """Note an H1 change in ``cells`` (``None``: anywhere).
 
-        The routing version bump marks every dispatch-shard replica stale
-        — the next routed window (or memory report) re-syncs them from the
-        authoritative index — and the insertion-plan cache is dropped.
+        Always bumps the routing version, which marks every dispatch-shard
+        replica stale — the next routed window (or memory report) re-syncs
+        them from the authoritative index.  A cached insertion plan depends
+        on H1 only in the cells it has a pair in, plus the fallback set
+        (:meth:`GridTIndex.fallback_workers`) for uncovered cells, so
+        exactly the plans with a pair in one of ``cells`` are evicted; the
+        others still equal what the deletion would recompute.  With no
+        ``cells`` (a replaced routing index, a recovery's wholesale remap)
+        or a changed fallback set the whole cache goes.
         """
         self._routing_version += 1
-        self._insertion_assignments.clear()
+        cache = self._insertion_assignments
+        fallback = self.routing_index.fallback_workers()
+        if cells is None or fallback != self._plan_fallback:
+            cache.clear()
+            self._plan_fallback = fallback
+            return
+        changed = set(cells)
+        first = itemgetter(0)
+        stale = [
+            query_id
+            for query_id, (per_worker, _) in cache.items()
+            if not changed.isdisjoint(map(first, chain.from_iterable(per_worker.values())))
+        ]
+        for query_id in stale:
+            del cache[query_id]
 
     # ------------------------------------------------------------------
     # Sharded dispatch plumbing
@@ -300,24 +321,27 @@ class Cluster:
                 routing, self._insertion_assignments, item
             )
             # Idle shard replicas (dual drain) no longer match H2.
-            self._mark_routing_mutated()
+            if self._dispatch is not None:
+                self._routing_version += 1
             cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, cells)
             dispatcher.busy_cost += cost
-            batches = {
-                worker_id: RouteBatch((op,))
-                for worker_id, op in self._update_ops(is_insert, payload, per_worker)
-            }
+            cost_model = self.config.cost_model
+            handling = cost_model.insert_handling if is_insert else cost_model.delete_handling
+            # A deletion's workers share its one DeleteById batch.
+            batches = {}
+            batch: Optional[RouteBatch] = None
+            for worker_id, op in self._update_ops(is_insert, payload, per_worker).items():
+                if is_insert or batch is None:
+                    batch = RouteBatch((op,))
+                batches[worker_id] = batch
+                worker_costs.append((worker_id, handling))
             if batches:
                 self.transport.exchange(batches)
-            cost_model = self.config.cost_model
             if is_insert:
-                handling = cost_model.insert_handling
                 totals.insertions += 1
                 totals.query_fanout += len(batches)
             else:
-                handling = cost_model.delete_handling
                 totals.deletions += 1
-            worker_costs.extend((worker_id, handling) for worker_id in batches)
         totals.tuples += 1
         if trace:
             self._traces.append(dispatcher.dispatcher_id, cost, worker_costs)
@@ -704,7 +728,7 @@ class Cluster:
                     )
                 ]
         for _, is_insert, payload, per_worker, _ in updates:
-            for worker_id, op in self._update_ops(is_insert, payload, per_worker):
+            for worker_id, op in self._update_ops(is_insert, payload, per_worker).items():
                 ops = batch_ops.get(worker_id)
                 if ops is None:
                     batch_ops[worker_id] = [op]
@@ -768,29 +792,31 @@ class Cluster:
 
     def _update_ops(
         self, is_insert: bool, payload: Any, per_worker: WorkerPlan
-    ) -> Iterator[Tuple[int, WorkerOp]]:
+    ) -> Dict[int, WorkerOp]:
         """One planned update's op per live destination worker, in plan order.
 
-        Shared by both drivers; each yielded op is also noted in the
+        Shared by both drivers.  The same loop notes each op in the
         recovery update log (when checkpointing) for replay onto a
-        recovery target.
+        recovery target; a deletion's workers share one ``DeleteById``.
         """
         workers_map = self.workers
         log = self.recovery.log_update if self.recovery is not None else None
+        ops: Dict[int, WorkerOp] = {}
         if is_insert:
             query = payload.query
             for worker_id, pairs in per_worker.items():
                 if worker_id in workers_map:
                     if log is not None:
                         log(worker_id, QueryAssignment(query, tuple(pairs), True))
-                    yield worker_id, InsertPairs(query, pairs)
+                    ops[worker_id] = InsertPairs(query, pairs)
         else:
             op = DeleteById(payload.query_id)
             for worker_id in per_worker:
                 if worker_id in workers_map:
                     if log is not None:
                         log(worker_id, op.query_id)
-                    yield worker_id, op
+                    ops[worker_id] = op
+        return ops
 
     def _settle_segment(
         self,

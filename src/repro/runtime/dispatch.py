@@ -168,8 +168,8 @@ def plan_update(
     Returns ``(is_insert, per-worker plan, probed cells)``.  An
     insertion's plan is remembered in ``plan_cache`` and offered back to
     the index when the matching deletion arrives (the keyword choice is
-    deterministic, Section IV-C); the cache's owner drops it whenever H1
-    changes.
+    deterministic, Section IV-C); the cache's owner evicts the plans an
+    H1 change touches.
     """
     query = item.payload.query
     if item.kind is TupleKind.INSERT:
@@ -250,10 +250,11 @@ class _ShardRouter:
         self.shard_id = shard_id
         self.num_shards = num_shards
         self.index = None
-        #: query id -> (per-worker plan, probed cells); mirrors the batched
-        #: engine's insertion-assignment cache so deletions reuse their
-        #: insertion's plan.  Dropped on every snapshot sync, exactly when
-        #: the cluster drops its own cache.
+        #: query id -> (per-worker plan, probed cells); mirrors the
+        #: cluster's insertion-plan cache so deletions reuse their
+        #: insertion's plan.  Dropped on every snapshot sync; the cluster
+        #: keeps the plans an H1 change did not touch, which equal a
+        #: recomputation, so both caches plan every deletion alike.
         self.insertion_plans: Dict[int, Tuple[WorkerPlan, int]] = {}
         #: Router-owned routing counters; attached to every freshly
         #: unpickled replica by :meth:`sync` so a run's profile survives

@@ -1,9 +1,11 @@
 """Unit tests for the gridt dispatcher routing index (Section IV-C)."""
 
+from zlib import crc32
+
 import pytest
 
 from repro.core import Point, Rect, STSQuery, SpatioTextualObject, TermStatistics
-from repro.indexes.gridt import GridTIndex
+from repro.indexes.gridt import GridTIndex, group_triples
 from repro.indexes.kdt_tree import KdtTree
 
 
@@ -124,6 +126,41 @@ class TestQueryRouting:
         query = STSQuery.create("kobe", Rect(80, 80, 90, 90))
         workers = index.route_insertion(query)
         assert workers == {0}
+
+    def test_fallback_depends_on_h1_only(self, stats):
+        """Regression: the fallback hashed over H1 *and* H2 owners, so a
+        worker that had lost its last H1 cell still drew fallback postings
+        while it held H2 ones — and once those went, a recomputed deletion
+        plan named another worker than the insertion had."""
+        index = GridTIndex.from_assignments(
+            BOUNDS,
+            [(Rect(0, 0, 10, 10), None, 0), (Rect(10, 0, 20, 10), None, 1),
+             (Rect(20, 0, 30, 10), None, 2)],
+            granularity=10,
+            term_statistics=stats,
+        )
+        def hashed(term, count):
+            return crc32(term.encode("utf-8")) % count
+
+        terms = ["term%d" % i for i in range(100)]
+        # ``first`` hashes onto worker 2 of (0, 1, 2); ``second`` onto
+        # another worker of (0, 1, 2) than of (0, 1).
+        first = next(term for term in terms if hashed(term, 3) == 2)
+        second = next(
+            term for term in terms if hashed(term, 3) != 2 and hashed(term, 3) != hashed(term, 2)
+        )
+        uncovered = Rect(80, 80, 81, 81)
+        early = STSQuery.create(first, uncovered)
+        early_plan, _ = index.insertion_plan_apply(early)
+        assert list(early_plan) == [2]
+        index.migrate_cells([(2, 0)], 2, 1)  # worker 2 keeps only H2 postings
+        late = STSQuery.create(second, uncovered)
+        late_plan = index.insertion_plan_apply(late)
+        index.apply_deletion_pairs(early_plan)
+        triples, cells = index.posting_assignments(late)
+        assert (group_triples(triples), cells) == late_plan
+        assert index.fallback_workers() == (0, 1)
+        assert list(late_plan[0]) == [(0, 1)[hashed(second, 2)]]
 
 
 class TestObjectRouting:
