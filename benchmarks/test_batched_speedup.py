@@ -25,7 +25,6 @@ import pytest
 from repro.bench import ExperimentConfig, make_stream
 from repro.bench.harness import make_partitioner
 from repro.runtime import Cluster
-from repro.workload import iter_windows
 
 REPEATS = 9
 BATCH_SIZES = [256, 512, 1024]
@@ -53,8 +52,8 @@ def _time_reference(plan, cluster_config, tuples):
 def _time_batched(plan, cluster_config, tuples, batch_size):
     cluster = Cluster(plan, cluster_config)
     started = time.perf_counter()
-    for window in iter_windows(tuples, batch_size):
-        cluster.process_batch(window)
+    for start in range(0, len(tuples), batch_size):
+        cluster.process_batch(tuples[start:start + batch_size])
     return time.perf_counter() - started
 
 

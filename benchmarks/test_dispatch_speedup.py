@@ -24,8 +24,9 @@ physically impossible.
 
 Timing protocol: per backend, one warm cluster (shard start-up, replica
 sync and warm-up insertions outside the clock), then one replay per
-pre-generated object stream with the minimum taken (the replay loops
-run with garbage collection paused, ``fabric.gc_paused``).  Each repeat replays a *distinct* stream.
+pre-generated object stream with the minimum taken (the replay loop
+runs with garbage collection paused, ``fabric.gc_paused``).  Each repeat
+replays a *distinct* stream.
 """
 
 import os

@@ -24,7 +24,7 @@ physically impossible.
 
 Timing protocol: per backend, one warm cluster (shard start-up and
 warm-up insertions outside the clock), then one replay per pre-generated
-object stream with the minimum taken (the replay loops run with garbage
+object stream with the minimum taken (the replay loop runs with garbage
 collection paused, ``fabric.gc_paused``).
 """
 

@@ -21,7 +21,7 @@ physically impossible (the message protocol alone then costs ~1.2x).
 
 Timing protocol: per backend, one warm cluster (start-up, warm-up
 insertions and page-warm first replay outside the clock), then repeated
-replays with the minimum taken (the replay loops run with garbage
+replays with the minimum taken (the replay loop runs with garbage
 collection paused, ``fabric.gc_paused``) — a
 deployment pays worker start-up once, not per stream window.
 """

@@ -17,7 +17,7 @@ non-blocking).
 
 Timing protocol: per backend, one warm cluster (start-up, warm-up
 insertions and page-warm first replay outside the clock), then repeated
-replays with the minimum taken (the replay loops run with garbage
+replays with the minimum taken (the replay loop runs with garbage
 collection paused, ``fabric.gc_paused``).
 """
 

@@ -38,7 +38,7 @@ from typing import (
 )
 
 from ..core.counters import RouteProfile
-from ..core.geometry import Point, Rect
+from ..core.geometry import Rect
 from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from .grid import CellCoord, UniformGrid
@@ -734,9 +734,6 @@ class GridTIndex:
         for cell in self._cells.values():
             result.update(cell.workers())
         return result
-
-    def cell_for_point(self, point: Point) -> CellCoord:
-        return self._grid.cell_of(point)
 
     def memory_bytes(self) -> int:
         """Estimated dispatcher memory: a fixed overhead per cell, the H1

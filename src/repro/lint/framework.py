@@ -25,7 +25,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Finding",
@@ -215,23 +215,3 @@ class Rule:
             column=getattr(node, "col_offset", 0) + 1,
             message=message,
         )
-
-
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, List[ast.AST]]]:
-    """Yield every function/async-function with its enclosing stack."""
-    stack: List[ast.AST] = []
-
-    def visit(node: ast.AST) -> Iterable[Tuple[ast.AST, List[ast.AST]]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, list(stack)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                stack.append(child)
-                yield from visit(child)
-                stack.pop()
-            else:
-                yield from visit(child)
-
-    yield from visit(tree)

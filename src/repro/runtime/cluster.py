@@ -27,7 +27,6 @@ from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
 from ..indexes.gridt import GridTIndex, WorkerPlan
 from ..partitioning.base import PartitionPlan
-from ..workload.stream import iter_windows
 from . import driver, metrics, migration
 from .checkpoint import Recovery, RecoveryEvent
 from .config import ClusterConfig
@@ -38,7 +37,7 @@ from .dispatch import (
     make_dispatch,
     plan_update,
 )
-from .fabric import TierBackend, WireStats, gc_paused, load_manifest
+from .fabric import TierBackend, WireStats, load_manifest
 from .merge import MergeBackend, make_merge
 from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
 from .profiling import ProfileReport, StackSampler
@@ -174,6 +173,10 @@ class Cluster:
         self.totals = RunTotals()
         self._traces = TraceStore()
         self._next_dispatcher = 0
+        #: The replay's lookahead: the window ``process_batch`` submits
+        #: next, then its ``(first slot, seq)`` while the shards route it.
+        self._lookahead: Sequence[StreamTuple] = ()
+        self._ahead: Optional[Tuple[int, Optional[int]]] = None
         self.migrations: List[migration.MigrationRecord] = []
         # Both drivers' cache of per-query insertion plans (reused when the
         # deletion arrives).  A plan holds while H1 is unchanged in its
@@ -246,27 +249,27 @@ class Cluster:
         if self._dispatch is not None:
             self._routing_version += 1
 
-    def _reserve_slots(self, count: int) -> int:
-        """Reserve ``count`` round-robin dispatcher slots; returns the first."""
+    def _submit(self, items: Sequence[StreamTuple]) -> Tuple[int, Optional[int]]:
+        """Reserve a window's round-robin dispatcher slots and, when routing
+        is sharded, submit it to the synced shards: ``(first slot, seq)``."""
         base = self._next_dispatcher
-        self._next_dispatcher = (base + count) % len(self.dispatchers)
-        return base
-
-    def _submit_window(self, items: Sequence[StreamTuple], base: int) -> int:
-        """Submit one window (first dispatcher slot ``base``) to the synced shards."""
+        self._next_dispatcher = (base + len(items)) % len(self.dispatchers)
+        if not self._sharded_routing():
+            return base, None
         self._ensure_dispatch_synced()
         assert self._dispatch is not None
-        return self._dispatch.submit_window(items, base)
+        return base, self._dispatch.submit_window(items, base)
 
-    def _process_on_shards(self, item: StreamTuple, slot: int, trace: bool) -> Set[int]:
+    def _process_on_shards(self, item: StreamTuple, trace: bool) -> Set[int]:
         """Per-tuple replay on the dispatch shards: a window of one.
 
-        The tuple rides the window protocol and the window executor from
-        the slot :meth:`process` reserved, so the shards need no per-tuple
-        wire protocol.  Returns the workers that handled it.
+        The tuple rides the window protocol and the window executor, so
+        the shards need no per-tuple wire protocol.  Returns the workers
+        that handled it.
         """
-        assert self._dispatch is not None
-        routed = self._dispatch.collect_window(self._submit_window((item,), slot))
+        slot, seq = self._submit((item,))
+        assert self._dispatch is not None and seq is not None
+        routed = self._dispatch.collect_window(seq)
         self._execute_window((item,), slot, routed, trace)
         if item.kind is TupleKind.OBJECT:
             return self.workers.keys() & routed.decisions[0]
@@ -284,10 +287,10 @@ class Cluster:
         ``RouteBatch`` a window of one would ship.  Returns the set of
         workers that handled the tuple.
         """
+        if self._sharded_routing():
+            return self._process_on_shards(item, trace)
         slot = self._next_dispatcher
         self._next_dispatcher = (slot + 1) % len(self.dispatchers)
-        if self._sharded_routing():
-            return self._process_on_shards(item, slot, trace)
         dispatcher = self.dispatchers[slot]
         totals = self.totals
         routing = self.routing_index
@@ -381,54 +384,15 @@ class Cluster:
         Semantically equivalent to :meth:`run` (``batch_size <= 1`` *is*
         the per-tuple replay): the same loop, its windows clipped at the
         barriers, so the schedule — and every simulated outcome — matches.
-        A run with neither cadence on a pipelining dispatch backend takes
-        the pipelined sharded replay instead (barriers need a quiescent
-        point between windows, and recovery's at-most-one-lost-window
-        guarantee rules out its overlap).
+        On a concurrent dispatch fleet the loop routes one window ahead,
+        so shard routing of the next window overlaps worker matching of
+        the current one; every barrier drains that lookahead first.
         """
-        dispatch = self._dispatch
-        if (
-            batch_size > 1
-            and adjust_every <= 0
-            and self.recovery is None
-            and dispatch is not None
-            and dispatch.supports_pipelining
-            and self._sharded_routing()
-        ):
-            self._replay_pipelined(tuples, batch_size, trace)
-        else:
-            driver.replay(
-                self, tuples, max(1, batch_size), trace,
-                adjust_every, local_adjuster, global_adjuster,
-            )
+        driver.replay(
+            self, tuples, max(1, batch_size), trace,
+            adjust_every, local_adjuster, global_adjuster,
+        )
         return self.report()
-
-    @gc_paused()
-    def _replay_pipelined(self, tuples: Iterable[StreamTuple], size: int, trace: bool) -> None:
-        """Pipelined sharded replay: route window K+1 while K matches.
-
-        Collect window K's routing, submit window K+1 to the shards, then
-        run worker matching of K — shard routing of the next window
-        overlaps worker matching of the current one (dispatcher→worker
-        pipelining).  At most one window is ever in flight, and K's
-        worker ops still ship before K+1's.
-        """
-        dispatch = self._dispatch
-        assert dispatch is not None
-        in_flight: Optional[Tuple[Sequence[StreamTuple], int, int]] = None
-        # The trailing None drains the last submitted window.
-        for window in chain(iter_windows(tuples, size), (None,)):
-            routed = dispatch.collect_window(in_flight[2]) if in_flight is not None else None
-            submitted = None
-            if window is not None:
-                base = self._reserve_slots(len(window))
-                submitted = (window, base, self._submit_window(window, base))
-            if in_flight is not None:
-                items, base, _ = in_flight
-                self._span_open(len(items))
-                self._execute_window(items, base, routed, trace)
-                self._span_close()
-            in_flight = submitted
 
     # ------------------------------------------------------------------
     # Barriers: the Section V round, checkpoints, worker recovery
@@ -471,15 +435,30 @@ class Cluster:
         confined to those cells.  Objects in untouched cells keep
         accumulating, so the bulk-matching runs stay close to window-sized
         despite the 5:1 object/update interleaving.
+
+        Under the replay's lookahead this window was submitted while the
+        previous one executed, and ``_lookahead`` is submitted before this
+        one executes.  If this window fails, that routing is discarded and
+        its slots handed back, so the next call routes it afresh.
         """
         self._span_open(len(items))
-        base = self._reserve_slots(len(items))
-        routed: Optional[RoutedWindow] = None
-        if self._sharded_routing():
-            assert self._dispatch is not None
-            routed = self._dispatch.collect_window(self._submit_window(items, base))
-        self._execute_window(items, base, routed, trace)
-        self._span_close()
+        ahead, self._ahead = self._ahead, None
+        following, self._lookahead = self._lookahead, ()
+        base, seq = ahead if ahead is not None else self._submit(items)
+        dispatch = self._dispatch
+        routed = dispatch.collect_window(seq) if dispatch is not None and seq is not None else None
+        if following:
+            self._ahead = self._submit(following)
+        try:
+            self._execute_window(items, base, routed, trace)
+            self._span_close()
+        except BaseException:
+            if self._ahead is not None:
+                self._next_dispatcher, seq = self._ahead
+                self._ahead = None
+                if dispatch is not None and seq is not None:
+                    dispatch.collect_window(seq)
+            raise
 
     def _execute_window(
         self,

@@ -32,11 +32,14 @@ builds —
   and route a window's slices when it is submitted;
 * ``multiprocess`` / ``socket``: one fabric endpoint per shard, a local
   OS process over a pickled pipe or a ``repro serve --role dispatcher``
-  endpoint over TCP.  ``submit_window`` only ships the slices; the
-  coordinator collects window ``K``'s replies *before* submitting ``K+1``
-  and runs worker matching of window ``K`` *after* submitting ``K+1``, so
-  shard routing of the next window overlaps worker matching of the
-  current one (the dispatcher→worker pipelining of the paper's topology).
+  endpoint over TCP.  ``submit_window`` only ships the slices, and the
+  replay loop (:func:`~repro.runtime.driver.replay`) looks one window
+  ahead: the coordinator collects window ``K``'s replies *before*
+  submitting ``K+1`` and runs worker matching of window ``K`` *after*
+  submitting ``K+1``, so shard routing of the next window overlaps
+  worker matching of the current one (the dispatcher→worker pipelining
+  of the paper's topology).  A barrier first executes the window in
+  flight, so adjustment rounds and checkpoints fence idle shards.
 
 Replica consistency: stream updates keep the replicas in sync
 incrementally.  Out-of-band H1 mutations — Section V cell migrations,
@@ -382,8 +385,9 @@ class DispatchBackend(TierBackend):
 
     ``submit_window`` ships every shard's slice without reading replies
     (a :class:`~repro.runtime.fabric.LocalFleet`'s shards route right
-    then); on a concurrent fleet the cluster pipelines as the module
-    docstring describes, with at most one window outstanding per shard.
+    then); on a concurrent fleet (:attr:`supports_pipelining`) the replay
+    loop routes one window ahead, as the module docstring describes —
+    between windows one is outstanding, at barriers none.
     """
 
     def __init__(self, fleet: Fleet) -> None:
@@ -448,7 +452,7 @@ class DispatchBackend(TierBackend):
 
     def observe(self) -> Dict[int, Observation]:
         if self._inflight is not None:
-            # A routed window is outstanding (pipelined engine): a
+            # A routed window is outstanding (the replay's lookahead): a
             # replied request now would desync the request/reply pairing.
             # Observation is best-effort — the coordinator still records
             # its own dispatcher busy accounting, and shard state

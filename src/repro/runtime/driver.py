@@ -1,9 +1,9 @@
 """The replay driver: windows, Section V barriers and their recovery guard.
 
-:func:`replay` is the loop behind :meth:`Cluster.run` and
-:meth:`Cluster.run_batched` (the one other loop, the pipelined sharded
-replay, lives beside the window executor it splits open).  It steps the
-cluster through its public entry points only — ``process`` /
+:func:`replay` is the one replay loop, behind :meth:`Cluster.run` and
+:meth:`Cluster.run_batched`; on a concurrent dispatch fleet the shards
+route the next window while the workers match the current one.  It steps
+the cluster through its public entry points only — ``process`` /
 ``process_batch``, ``run_adjustment`` / ``checkpoint_now`` — and hands a
 worker death to :class:`~repro.runtime.checkpoint.Recovery`.
 """
@@ -128,11 +128,19 @@ def replay(
     — the adjusters may have migrated assignments, so the pre-round
     snapshot is stale anyway.
 
+    With sharded routing on a concurrent dispatch fleet and windows of
+    more than one tuple the loop looks one window ahead: it stages window
+    K+1, which ``process_batch`` submits after collecting window K's
+    routing and before executing K.  No window is taken past a barrier,
+    and a barrier fires only once the window in flight has executed; the
+    lookahead is re-decided after each, as a global drain routes inline.
+
     Each step, window or barrier, runs under the one recovery guard: a
     worker death surfaces as a ``TransportError`` with ``died=True``,
     :meth:`~repro.runtime.checkpoint.Recovery.recover_from` re-installs
     the dead partition (or re-raises what it cannot recover) and the run
-    resumes with the next step.  At most the in-flight window is lost; a
+    resumes with the next step.  At most the executing window is lost
+    (the one routed ahead is routed again on the re-synced replicas); a
     barrier that dies loses nothing and is not retried.
     """
     recovery = cluster.recovery
@@ -140,31 +148,20 @@ def replay(
     collector = PeriodSampleCollector(cluster.bounds) if global_adjuster is not None else None
     iterator = iter(tuples)
     singles = zip(iterator)  # windows of one, built at C speed
-    position = 0
+    position = 0  # tuples taken off the stream
     next_adjustment = adjust_every if adjust_every > 0 else _NEVER
     next_checkpoint = _NEVER
     if recovery is not None:
         next_checkpoint = checkpoint_every if len(recovery.store) else 0
     barrier = min(next_adjustment, next_checkpoint)
+    dispatch = cluster._dispatch
+    concurrent = size > 1 and dispatch is not None and dispatch.supports_pipelining
+    lookahead = concurrent and cluster._sharded_routing()
     window: Sequence[StreamTuple] = ()
+    ahead: Sequence[StreamTuple] = ()  # routing on the shards while ``window`` executes
     while True:
         try:
-            if position < barrier:
-                if size > 1:
-                    window = list(islice(iterator, min(size, barrier - position)))
-                else:
-                    window = next(singles, ())
-                if not window:
-                    break
-                # A window lost to a recovery still counts towards the cadences.
-                position += len(window)
-                if collector is not None:
-                    collector.observe(window)
-                if size > 1:
-                    cluster.process_batch(window, trace=trace)
-                else:
-                    cluster.process(window[0], trace=trace)
-            else:
+            if not ahead and position >= barrier:
                 window = ()  # nothing is in flight at a barrier
                 adjusting = position >= next_adjustment
                 if adjusting:
@@ -186,6 +183,28 @@ def replay(
                         recovery.take_checkpoint()
                 else:
                     cluster.checkpoint_now()
+                lookahead = concurrent and cluster._sharded_routing()
+                continue
+            if ahead:
+                window, ahead = ahead, ()
+            else:
+                if size > 1:
+                    window = list(islice(iterator, min(size, barrier - position)))
+                else:
+                    window = next(singles, ())
+                if not window:
+                    break
+                # A window lost to a recovery still counts towards the cadences.
+                position += len(window)
+            if collector is not None:
+                collector.observe(window)
+            if size == 1:
+                cluster.process(window[0], trace=trace)
+                continue
+            if lookahead and position < barrier:
+                ahead = cluster._lookahead = list(islice(iterator, min(size, barrier - position)))
+                position += len(ahead)
+            cluster.process_batch(window, trace=trace)
         except TransportError as exc:
             if recovery is None:
                 raise

@@ -605,7 +605,7 @@ def resolve_role(name: str) -> Callable[[int, Mapping[str, Any]], RoleHost]:
 def gc_paused() -> Iterator[None]:
     """Run a data-plane loop with CPython's cyclic garbage collector paused.
 
-    The replay loops and every endpoint's serve loop make no reference
+    The replay loop and every endpoint's serve loop make no reference
     cycles (``tests/test_gc_policy.py`` holds them to it): reference
     counting frees all they drop, so a collection inside one only walks
     live objects — a pause that finds nothing.  The collector is enabled

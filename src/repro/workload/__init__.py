@@ -13,7 +13,7 @@ from .distributions import (
     ZipfVocabulary,
 )
 from .queries import QueryGenerator, QueryGroup, RegionalStyleMap
-from .stream import StreamConfig, WorkloadStream, iter_windows
+from .stream import StreamConfig, WorkloadStream
 from .tweets import UK_SPEC, US_SPEC, DatasetSpec, TweetGenerator, make_dataset
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "US_SPEC",
     "WorkloadStream",
     "ZipfVocabulary",
-    "iter_windows",
     "make_dataset",
 ]

@@ -21,37 +21,14 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.objects import STSQuery, StreamTuple
 from ..partitioning.base import WorkloadSample
 from .queries import QueryGenerator, RegionalStyleMap
 from .tweets import TweetGenerator
 
-__all__ = ["StreamConfig", "WorkloadStream", "iter_windows"]
-
-_T = TypeVar("_T")
-
-
-def iter_windows(items: Iterable[_T], size: int) -> Iterator[List[_T]]:
-    """Chunk any iterable into consecutive windows of at most ``size`` items.
-
-    The window iterator behind :meth:`Cluster.run_batched`: the tuple
-    stream is consumed lazily window by window, preserving stream order
-    (the final window may be shorter).
-    """
-    if size <= 0:
-        raise ValueError("window size must be positive")
-    window: List[_T] = []
-    append = window.append
-    for item in items:
-        append(item)
-        if len(window) >= size:
-            yield window
-            window = []
-            append = window.append
-    if window:
-        yield window
+__all__ = ["StreamConfig", "WorkloadStream"]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from repro.partitioning import (
     MetricTextPartitioner,
 )
 from repro.runtime import Cluster, ClusterConfig
-from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, iter_windows, make_dataset
+from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
 
 def make_stream(mu=200, group="Q1", seed=5):
@@ -60,30 +60,6 @@ def assert_equivalent(reference, batched):
     assert batched.p95_latency_ms == pytest.approx(reference.p95_latency_ms, rel=1e-9)
 
 
-class TestIterWindows:
-    def test_chunks_preserve_order_and_content(self):
-        windows = list(iter_windows(range(10), 4))
-        assert windows == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_exact_multiple(self):
-        assert list(iter_windows(range(6), 3)) == [[0, 1, 2], [3, 4, 5]]
-
-    def test_empty_iterable(self):
-        assert list(iter_windows([], 4)) == []
-
-    def test_lazy_consumption(self):
-        def generator():
-            yield from range(5)
-
-        windows = iter_windows(generator(), 2)
-        assert next(windows) == [0, 1]
-        assert next(windows) == [2, 3]
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            list(iter_windows(range(3), 0))
-
-
 class TestEquivalence:
     @pytest.mark.parametrize("batch_size", [2, 7, 64, 256, 4096])
     def test_hybrid_mixed_stream(self, batch_size):
@@ -117,7 +93,8 @@ class TestEquivalence:
         """Interleaving process_batch windows with bare process calls."""
         reference, batched, tuples = build_pair(HybridPartitioner(), 300)
         ref_report = reference.run(tuples)
-        for index, window in enumerate(iter_windows(tuples, 97)):
+        for index, start in enumerate(range(0, len(tuples), 97)):
+            window = tuples[start:start + 97]
             if index % 2 == 0:
                 batched.process_batch(window)
             else:

@@ -11,14 +11,15 @@ here is reproducible.
 
 The matrix:
 
-* kill a worker mid-window (multiprocess and socket backends) —
-  delivered results converge after filtering the lost window's
+* kill a worker mid-window (multiprocess and socket backends, routing
+  inline or on dispatch shard processes with the next window routed
+  ahead) — delivered results converge after filtering the lost window's
   object/query ids from both sides;
 * kill a worker at an adjustment fence — nothing was in flight, so the
   delivered sets converge exactly;
 * kill a merger shard — not recoverable: the death surfaces as a clean
   structured ``TransportError`` (never a hang) and ``close()`` still
-  releases every tier;
+  releases every tier, dispatch shards included;
 * coordinator-side recovery idempotence — recovering the same worker
   twice is a no-op the second time — and a recovery with no survivor
   raises *before* it discards the worker;
@@ -111,6 +112,7 @@ def run_chaos(
     batch_size=BATCH_SIZE,
     workers=4,
     merger_backend="inprocess",
+    dispatch_backend="inline",
 ):
     """One cluster run; returns (report, delivered {(query, object)} set)."""
     config = ClusterConfig(
@@ -118,6 +120,7 @@ def run_chaos(
         num_workers=workers,
         backend=backend,
         merger_backend=merger_backend,
+        dispatch_backend=dispatch_backend,
         sink=SinkSpec(kind="memory"),
         checkpoint_every=checkpoint_every,
         fault_plan=FaultPlan((fault,)) if fault is not None else None,
@@ -161,32 +164,40 @@ def converged(reference, delivered, event):
 
 
 WORKER_BACKENDS = ["multiprocess", "socket"]
+#: Inline routing, and shard processes the replay routes one window ahead on.
+DISPATCH_BACKENDS = ["inline", "multiprocess"]
 
 
 @needs_cores
 class TestKillWorkerMidRun:
+    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
     @pytest.mark.parametrize("backend", WORKER_BACKENDS)
-    def test_delivered_results_converge_modulo_lost_window(self, backend):
+    def test_delivered_results_converge_modulo_lost_window(self, backend, dispatch):
         if backend == "socket":
             require_loopback()
         plan, tuples = make_chaos_workload()
         ref_report, reference = run_chaos(plan, tuples, "inprocess")
         assert len(reference) > 50, "workload must deliver a dense result set"
 
+        # The fourth RouteBatch to worker 1 ships the fourth window (tuples
+        # 150-213): with shard processes the next full window is already
+        # routed when the kill lands, on replicas that still name worker 1
+        # (executing that stale routing loses a delivery here).
         fault = FaultSpec(
             action="kill", role="worker", endpoint_id=1,
-            message_type="RouteBatch", after_sends=4,
+            message_type="RouteBatch", after_sends=3,
         )
         report, delivered = run_chaos(
-            plan, tuples, backend, fault=fault, checkpoint_every=150
+            plan, tuples, backend, fault=fault, checkpoint_every=150,
+            dispatch_backend=dispatch,
         )
         recovery = report.recovery
         assert recovery is not None and len(recovery.events) == 1
         event = recovery.events[0]
         assert event.worker_id == 1
         assert event.worker_id != event.target_worker
-        # At most one window is lost, whichever send the fault fires on.
-        assert 0 < event.lost_tuples <= BATCH_SIZE
+        # Exactly the executing window is lost, never the one routed ahead.
+        assert event.lost_tuples == BATCH_SIZE
         assert recovery.lost_tuples == event.lost_tuples
         assert not event.during_adjustment
         ref_set, rec_set = converged(reference, delivered, event)
@@ -239,9 +250,11 @@ class TestKillDuringAdjustment:
 
 @needs_cores
 class TestKillMergerShard:
-    def test_merger_death_is_a_clean_error_not_a_hang(self):
+    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
+    def test_merger_death_is_a_clean_error_not_a_hang(self, dispatch):
         """Merger shards are not recoverable; death must surface, bounded."""
         plan, tuples = make_chaos_workload()
+        before = set(multiprocessing.active_children())
         fault = FaultSpec(
             action="kill", role="merger", endpoint_id=0,
             message_type="DeliverResults", after_sends=1,
@@ -251,6 +264,7 @@ class TestKillMergerShard:
             num_workers=4,
             backend="inprocess",
             merger_backend="multiprocess",
+            dispatch_backend=dispatch,
             sink=SinkSpec(kind="memory"),
             checkpoint_every=150,
             fault_plan=FaultPlan((fault,)),
@@ -263,6 +277,7 @@ class TestKillMergerShard:
             assert 0 in cluster._merge._fleet.dead_endpoints
         finally:
             cluster.close()
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestRecoveryIdempotence:

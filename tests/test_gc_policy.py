@@ -1,16 +1,16 @@
 """The data plane's collector policy: :func:`repro.runtime.fabric.gc_paused`.
 
-Both replay loops (``driver.replay`` and the pipelined sharded replay) and
-every endpoint's ``serve_loop`` run with CPython's cyclic garbage collector
-paused.  That is safe only because the data plane makes no reference
-cycles — reference counting frees everything it drops, so a collection
-during a replay finds nothing and is pure pause.  The first half of this
-file pins that invariant: each deployment shape, and each of the three
-role hosts driven in process, runs with the collector off and must leave
-zero unreachable objects behind.  The second half checks that the
-collector's state is handed back exactly: on after a replay (and during
-``report()``), on after a replay that raises, still off for a caller that
-had turned it off.
+The replay loop (``driver.replay``) and every endpoint's ``serve_loop``
+run with CPython's cyclic garbage collector paused.  That is safe only
+because the data plane makes no reference cycles — reference counting
+frees everything it drops, so a collection during a replay finds nothing
+and is pure pause.  The first half of this file pins that invariant:
+each deployment shape, and each of the three role hosts driven in
+process, runs with the collector off and must leave zero unreachable
+objects behind.  The second half checks that the collector's state is
+handed back exactly: on after a replay (and during ``report()``), on
+after a replay that raises, still off for a caller that had turned it
+off.
 """
 
 import functools
@@ -32,7 +32,6 @@ from repro.runtime.dispatch import DispatchHost, RouteWindow, SyncRoutingIndex
 from repro.runtime.fabric import FaultPlan, FaultSpec, Shutdown, serve_loop
 from repro.runtime.merge import MergeHost, SinkSpec
 from repro.runtime.transport import RouteBatch, WorkerHost
-from repro.workload import iter_windows
 
 
 def assert_makes_no_cycles(step):
@@ -136,7 +135,8 @@ def endpoint_traffic():
         cluster.transport.exchange = recording
         cluster.run_batched(tuples, batch_size=64)
     windows = [SyncRoutingIndex(routing, 1)]
-    for seq, window in enumerate(iter_windows(tuples, 64)):
+    for seq, start in enumerate(range(0, len(tuples), 64)):
+        window = tuples[start:start + 64]
         objects = [
             (position, item.payload.location.x, item.payload.location.y, item.payload.terms)
             for position, item in enumerate(window)
@@ -196,35 +196,82 @@ def report_probe(monkeypatch):
     return states
 
 
+def record_steps(cluster, monkeypatch):
+    """The replay's shard submissions, window executions and fences, in order."""
+    steps = []
+
+    def spy(owner, name, step):
+        original = getattr(owner, name)
+
+        def recorded(*args):
+            steps.append(step)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    spy(cluster, "_execute_window", "execute")
+    spy(cluster, "fence", "fence")
+    if cluster._dispatch is not None:
+        spy(cluster._dispatch, "submit_window", "submit")
+    return steps
+
+
+def overlapped_windows(steps):
+    """Windows whose successor was submitted before they executed.
+
+    Asserts on the way that every fence found nothing in flight: each
+    submitted window had executed, so no window after a barrier was
+    submitted before the barrier fired.
+    """
+    submitted = executed = overlapped = 0
+    for step in steps:
+        if step == "submit":
+            submitted += 1
+        elif step == "execute":
+            overlapped += submitted > executed + 1
+            executed += 1
+        else:
+            assert submitted == executed, "a window was routing at a fence"
+    assert submitted == executed
+    return overlapped
+
+
 @pytest.mark.parametrize(
-    "driver, dispatch",
+    "driver, dispatch, adjust_every",
     [
-        ("run", "inline"),
-        ("run_batched", "inline"),
-        pytest.param("run_batched", "multiprocess", marks=needs_cores, id="run_batched-pipelined"),
+        pytest.param("run", "inline", 0, id="run-inline"),
+        pytest.param("run_batched", "inline", 0, id="run_batched-inline"),
+        pytest.param(
+            "run_batched", "multiprocess", 0, marks=needs_cores, id="run_batched-pipelined"
+        ),
+        pytest.param(
+            "run_batched", "multiprocess", 300, marks=needs_cores,
+            id="run_batched-pipelined-adjusting",
+        ),
     ],
 )
-def test_replay_is_paused_and_report_is_not(driver, dispatch, report_probe, monkeypatch):
+def test_replay_is_paused_and_report_is_not(
+    driver, dispatch, adjust_every, report_probe, monkeypatch
+):
     states = []
     cluster, tuples = chaos_cluster(
         dispatch_backend=dispatch,
         sink=SinkSpec(kind="callback", callback=lambda result: states.append(gc.isenabled())),
     )
-    taken = []
-    replay_pipelined = cluster._replay_pipelined
-
-    def spy(*args):
-        taken.append("pipelined")
-        return replay_pipelined(*args)
-
-    monkeypatch.setattr(cluster, "_replay_pipelined", spy)
+    steps = record_steps(cluster, monkeypatch)
     with cluster:
         assert gc.isenabled()
-        getattr(cluster, driver)(tuples)
+        getattr(cluster, driver)(tuples, adjust_every=adjust_every)
         assert gc.isenabled()
     assert len(states) > 50 and not any(states)
     assert report_probe == [True]
-    assert taken == (["pipelined"] if dispatch == "multiprocess" else [])
+    if dispatch == "multiprocess":
+        # Windows of 256 over 733 tuples; at a cadence of 300 they clip
+        # to 256, 44 | 256, 44 | 133 and only the first of each pair has
+        # its successor in flight while it executes.
+        windows = steps.count("execute")
+        assert overlapped_windows(steps) == (2 if adjust_every else windows - 1)
+        assert steps.count("fence") == (2 if adjust_every else 0)
 
 
 @pytest.mark.parametrize("driver", ["run", "run_batched"])

@@ -220,7 +220,7 @@ class TestDynamicAdjustmentHooks:
         index = make_index(stats)
         query = STSQuery.create("whatever", Rect(5, 5, 8, 8))
         index.route_insertion(query)
-        cell = index.cell_for_point(Point(6, 6))
+        cell = index.grid.cell_of(Point(6, 6))
         index.migrate_cells([cell], 0, 7)
         obj = SpatioTextualObject.create("whatever", Point(6, 6))
         assert index.route_object(obj) == {7}
@@ -231,7 +231,7 @@ class TestDynamicAdjustmentHooks:
         q_music = STSQuery.create("music", Rect(5, 5, 8, 8))
         index.route_insertion(q_kobe)
         index.route_insertion(q_music)
-        cell = index.cell_for_point(Point(6, 6))
+        cell = index.grid.cell_of(Point(6, 6))
         index.split_cell_by_text(cell, {"kobe": 0, "music": 5}, default_worker=0)
         kobe_obj = SpatioTextualObject.create("kobe", Point(6, 6))
         music_obj = SpatioTextualObject.create("music", Point(6, 6))
@@ -270,8 +270,8 @@ class TestDynamicAdjustmentHooks:
             index.route_insertion(STSQuery.create(text, Rect(x, y, x + 12, y + 9)))
         text_cells = [coord for coord, cell in index.cells().items() if cell.term_workers]
         index.migrate_cells(text_cells[: len(text_cells) // 2], 1, 3)
-        index.migrate_cells([index.cell_for_point(Point(6, 6))], 0, 4)
-        index.split_cell_by_text(index.cell_for_point(Point(16, 16)), {"kobe": 0, "jazz": 5})
+        index.migrate_cells([index.grid.cell_of(Point(6, 6))], 0, 4)
+        index.split_cell_by_text(index.grid.cell_of(Point(16, 16)), {"kobe": 0, "jazz": 5})
         assert len({id(cell.term_workers) for cell in index.cells().values()}) == 4
         assert index.memory_bytes() == per_term(index)
 
@@ -279,7 +279,7 @@ class TestDynamicAdjustmentHooks:
         """The same ``(cell, terms)`` probe answers the current routing state
         after an insertion, a deletion, a migration and a text split."""
         index = make_index(stats, object_filtering=True)
-        cell = index.cell_for_point(Point(6, 6))
+        cell = index.grid.cell_of(Point(6, 6))
         terms = frozenset({"kobe", "music"})
         q_kobe = STSQuery.create("kobe", Rect(5, 5, 8, 8))
         q_music = STSQuery.create("music", Rect(5, 5, 8, 8))

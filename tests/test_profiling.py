@@ -159,7 +159,7 @@ class TestCountersAreState:
         assert 0 < counted.cells_probed <= len(objects)
 
         gridt = GridTIndex(BOUNDS, granularity=8, object_filtering=True)
-        gridt.set_cell_worker(gridt.cell_for_point(objects[0].location), 0)
+        gridt.set_cell_worker(gridt.grid.cell_of(objects[0].location), 0)
         gridt.route_insertion(queries[0])
         for obj in objects:
             gridt.route_object(obj)

@@ -59,8 +59,11 @@ ROWS = [
 ] + [
     # Worker processes under the closed loop with checkpoints ...
     "us-Q1-hybrid/batched/inline/local/on/workers",
-    # ... and every tier out of process: the pipelined sharded replay.
+    # ... and every tier out of process: the replay routes a window ahead,
+    # also across adjustment rounds and checkpoints.
     "us-Q1-hybrid/batched/multiprocess/none/off/workers+mergers",
+    "us-Q1-hybrid/batched/multiprocess/local/on/workers+mergers",
+    "us-Q1-hybrid/batched/multiprocess/both/on/workers+mergers",
 ]
 
 

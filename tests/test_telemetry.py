@@ -503,7 +503,7 @@ class TestSingleRoundTrip:
     def test_dispatch_observe_yields_to_a_window_in_flight(self, cluster, broadcasts):
         dispatch = cluster._dispatch
         _, tuples = make_chaos_workload()
-        seq = cluster._submit_window(tuples[:64], 0)
+        _, seq = cluster._submit(tuples[:64])
         del broadcasts[:]
         # A replied request now would pair with the routed window's reply.
         assert dispatch.observe() == {}
