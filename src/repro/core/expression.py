@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .text import TermStatistics
 
@@ -129,7 +129,7 @@ class BooleanExpression:
         returned set as read-only.
 
         The memo is process-local: it never crosses a pickle (see
-        :meth:`__getstate__`), so a received expression recomputes it on
+        :meth:`__reduce__`), so a received expression recomputes it on
         first use against the receiving process's own statistics.
         """
         cached = getattr(self, "_posting_cache", None)
@@ -148,14 +148,15 @@ class BooleanExpression:
         object.__setattr__(self, "_posting_cache", (statistics, keys))
         return keys
 
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the declared fields only (the fabric's wire contract).
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickle the declared fields positionally (the fabric's wire contract).
 
         ``_posting_cache`` holds a reference to the whole
         :class:`TermStatistics`; shipping ``__dict__`` would drag it
-        behind every routed query.
+        behind every routed query.  The receiver rebuilds through the
+        constructor, so ``__post_init__`` validates what arrives.
         """
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+        return (type(self), (self.clauses,))
 
     # ------------------------------------------------------------------
     # Introspection helpers

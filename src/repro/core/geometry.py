@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Any, Iterable, Iterator, Optional, Tuple
 
 __all__ = ["Point", "Rect", "bounding_rect", "haversine_km", "km_to_degrees"]
 
@@ -64,6 +64,12 @@ class Rect:
                 "invalid rectangle: (%r, %r, %r, %r)"
                 % (self.min_x, self.min_y, self.max_x, self.max_y)
             )
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickle the four bounds positionally (the fabric's wire contract);
+        the receiver rebuilds through the constructor, so a received
+        rectangle is validated."""
+        return (type(self), (self.min_x, self.min_y, self.max_x, self.max_y))
 
     # ------------------------------------------------------------------
     # Constructors

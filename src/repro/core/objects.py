@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple, Union
+from typing import Any, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple, Union
 
 from .expression import BooleanExpression
 from .geometry import Point, Rect
 from .text import tokenize
 
 __all__ = [
+    "ObjectRow",
     "SpatioTextualObject",
     "STSQuery",
     "QueryInsertion",
@@ -29,6 +30,11 @@ __all__ = [
 
 _object_ids = itertools.count(1)
 _query_ids = itertools.count(1)
+
+#: The wire form of an object heading for a worker: ``(object_id, x, y,
+#: terms)``.  Matching reads exactly these four values, so that is all
+#: that crosses the data plane — never the raw text or a ``Point``.
+ObjectRow = Tuple[int, float, float, FrozenSet[str]]
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,11 @@ class SpatioTextualObject:
             terms=frozenset(tokenize(text)),
             timestamp=timestamp,
         )
+
+    def row(self) -> ObjectRow:
+        """The object as a worker reads it (:data:`ObjectRow`)."""
+        location = self.location
+        return (self.object_id, location.x, location.y, self.terms)
 
     def contains_any(self, terms: Iterable[str]) -> bool:
         """True when the object text contains at least one of ``terms``."""
@@ -128,7 +139,7 @@ class STSQuery:
         that relative migration costs are meaningful.  The query is
         immutable, so the value is memoised (the adjusters recompute cell
         sizes every measurement period).  The memo is process-local: it
-        never crosses a pickle (see :meth:`__getstate__`).
+        never crosses a pickle (see :meth:`__reduce__`).
         """
         cached = getattr(self, "_size_cache", None)
         if cached is not None:
@@ -140,9 +151,12 @@ class STSQuery:
         object.__setattr__(self, "_size_cache", size)
         return size
 
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the declared fields only (the fabric's wire contract)."""
-        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickle the declared fields positionally (the fabric's wire contract)."""
+        return (
+            type(self),
+            (self.query_id, self.expression, self.region, self.subscriber_id, self.timestamp),
+        )
 
 
 class TupleKind(Enum):

@@ -41,7 +41,7 @@ from typing import (
 from ..core.costmodel import cell_load
 from ..core.counters import MatchProfile
 from ..core.geometry import Rect
-from ..core.objects import SpatioTextualObject, STSQuery
+from ..core.objects import ObjectRow, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from .grid import CellCoord, UniformGrid
 from .inverted import InvertedIndex
@@ -378,14 +378,14 @@ class GI2Index:
     def match(self, obj: SpatioTextualObject) -> MatchOutcome:
         """All live queries matched by ``obj``: :meth:`match_batch` on a
         batch of one."""
-        return self.match_batch((obj,))[0]
+        return self.match_batch((obj.row(),))[0]
 
     def match_batch(
         self,
-        objects: Sequence[SpatioTextualObject],
+        rows: Sequence[ObjectRow],
         cells: Optional[Sequence[CellCoord]] = None,
     ) -> List[MatchOutcome]:
-        """Match a batch of objects, in order, one pass per posting list.
+        """Match a batch of object rows, in order, one pass per posting list.
 
         Per object, only the cell containing it is probed, and only the
         posting lists of its own terms.  A candidate costs one table
@@ -395,8 +395,8 @@ class GI2Index:
         the objects' precomputed grid cells.
         """
         if cells is None:
-            cell_of = self._grid.cell_of
-            cells = [cell_of(obj.location) for obj in objects]
+            cell_at = self._grid.cell_at
+            cells = [cell_at(row[1], row[2]) for row in rows]
         cells_map = self._cells
         table = self._queries
         table_get = table.get
@@ -407,14 +407,13 @@ class GI2Index:
         # Deterministic counts only (RL007 keeps wall-clock out of this
         # file entirely), kept in locals and flushed once per batch.
         scanned = candidates = matches = 0
-        for obj, cell in zip(objects, cells):
+        for (_, x, y, terms), cell in zip(rows, cells):
             object_counts[cell] += 1
             inverted = cells_map.get(cell)
             if inverted is None:
                 outcomes.append(empty)
                 continue
             postings_map = inverted.postings_map()
-            terms = obj.terms
             # Intersect at C speed: only resident terms are probed.
             hits = terms & postings_map.keys()
             if not hits:
@@ -422,9 +421,6 @@ class GI2Index:
                 continue
             matched: Set[int] = set()
             checks = 0
-            location = obj.location
-            x = location.x
-            y = location.y
             for term in hits:
                 postings = postings_map[term]
                 scanned += len(postings)

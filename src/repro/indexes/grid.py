@@ -58,9 +58,13 @@ class UniformGrid:
     # ------------------------------------------------------------------
     def cell_of(self, point: Point) -> CellCoord:
         """The cell containing ``point`` (out-of-range points are clamped)."""
+        return self.cell_at(point.x, point.y)
+
+    def cell_at(self, x: float, y: float) -> CellCoord:
+        """The cell containing ``(x, y)`` (out-of-range points are clamped)."""
         bounds = self.bounds
-        col = int((point.x - bounds.min_x) / self.cell_width)
-        row = int((point.y - bounds.min_y) / self.cell_height)
+        col = int((x - bounds.min_x) / self.cell_width)
+        row = int((y - bounds.min_y) / self.cell_height)
         if col < 0:
             col = 0
         elif col >= self.columns:
@@ -94,8 +98,8 @@ class UniformGrid:
         that subscriptions just outside the data region are still indexed
         somewhere deterministic.
         """
-        min_col, min_row = self.cell_of(Point(rect.min_x, rect.min_y))
-        max_col, max_row = self.cell_of(Point(rect.max_x, rect.max_y))
+        min_col, min_row = self.cell_at(rect.min_x, rect.min_y)
+        max_col, max_row = self.cell_at(rect.max_x, rect.max_y)
         return [
             (col, row)
             for row in range(min_row, max_row + 1)

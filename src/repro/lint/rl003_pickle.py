@@ -188,7 +188,7 @@ class PickleSafetyRule(Rule):
     def _check_memos(
         self, source: SourceFile, class_def: ast.ClassDef, root: str
     ) -> Iterator[Finding]:
-        """Off-field ``object.__setattr__`` memos need a ``__getstate__``."""
+        """Off-field ``object.__setattr__`` memos need a state hook."""
         if any(
             isinstance(node, ast.FunctionDef) and node.name in _STATE_HOOKS
             for node in class_def.body
@@ -213,8 +213,8 @@ class PickleSafetyRule(Rule):
                     "%s stores the off-field memo %r on a wire-crossing "
                     "dataclass%s: the default pickle ships __dict__, so the "
                     "memo and everything it references ride behind every "
-                    "message; define __getstate__ returning the declared "
-                    "fields only" % (class_def.name, attribute, via),
+                    "message; define __reduce__ (or __getstate__) shipping "
+                    "the declared fields only" % (class_def.name, attribute, via),
                 )
 
     def _check_default(

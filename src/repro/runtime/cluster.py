@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.costmodel import LoadReport
 from ..core.geometry import Rect
-from ..core.objects import MatchResult, StreamTuple, TupleKind
+from ..core.objects import MatchResult, ObjectRow, StreamTuple, TupleKind
 from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
 from ..indexes.gridt import GridTIndex, WorkerPlan
@@ -298,14 +298,15 @@ class Cluster:
         payload = item.payload
         worker_costs: List[Tuple[int, float]] = []
         if item.kind is TupleKind.OBJECT:
-            cell = routing.grid.cell_of(payload.location)
-            terms = payload.terms
+            row = payload.row()
+            _, x, y, terms = row
+            cell = routing.grid.cell_at(x, y)
             decision = routing.route_cell(cell, terms)
             cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, len(terms))
             dispatcher.busy_cost += cost
             batches: Dict[int, RouteBatch] = {}
             if decision:
-                batch = RouteBatch((MatchObjects((payload,), (cell,)),))
+                batch = RouteBatch((MatchObjects((row,), (cell,)),))
                 batches = {w: batch for w in decision if w in workers_map}
             if batches:
                 results: List[MatchResult] = []
@@ -512,7 +513,7 @@ class Cluster:
         dispatcher_costs = [0.0] * num_dispatchers
 
         pending_positions: List[int] = []
-        pending_objects: List = []
+        pending_rows: List[ObjectRow] = []
         pending_coords: List[CellCoord] = []
         pending_groups: Dict[int, List[int]] = {}
         pending_updates: List[Tuple] = []
@@ -537,8 +538,10 @@ class Cluster:
             if item.kind is object_kind:
                 obj = item.payload
                 location = obj.location
-                col = int((location.x - min_x) / cell_w)
-                row = int((location.y - min_y) / cell_h)
+                x = location.x
+                y = location.y
+                col = int((x - min_x) / cell_w)
+                row = int((y - min_y) / cell_h)
                 if col < 0:
                     col = 0
                 elif col > max_col:
@@ -583,20 +586,20 @@ class Cluster:
                         self._flush_fast(window, [], [], [], {}, pending_updates)
                     else:
                         self._flush_fast(
-                            window, pending_positions, pending_objects,
+                            window, pending_positions, pending_rows,
                             pending_coords, pending_groups, pending_updates,
                         )
                         pending_positions = []
-                        pending_objects = []
+                        pending_rows = []
                         pending_coords = []
                         pending_groups = {}
                         object_cells = set()
                     pending_updates = []
                     touched = set()
                     touched_synced = 0
-                local = len(pending_objects)
+                local = len(pending_rows)
                 pending_positions.append(position)
-                pending_objects.append(obj)
+                pending_rows.append((obj.object_id, x, y, terms))
                 pending_coords.append(coord)
                 object_cells.add(coord)
                 for worker_id in decision:
@@ -632,7 +635,7 @@ class Cluster:
                     (position, is_insert, item.payload, per_worker, cells)
                 )
         self._flush_fast(
-            window, pending_positions, pending_objects, pending_coords,
+            window, pending_positions, pending_rows, pending_coords,
             pending_groups, pending_updates,
         )
         if window.ops:
@@ -669,7 +672,7 @@ class Cluster:
         self,
         window: _WindowRun,
         positions: List[int],
-        objects: List,
+        rows: List[ObjectRow],
         coords: List[CellCoord],
         groups: Dict[int, List[int]],
         updates: List[Tuple],
@@ -702,7 +705,7 @@ class Cluster:
             for worker_id, locals_ in groups.items():
                 batch_ops[worker_id] = [
                     MatchObjects(
-                        [objects[local] for local in locals_],
+                        [rows[local] for local in locals_],
                         [coords[local] for local in locals_],
                     )
                 ]

@@ -66,7 +66,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.counters import RouteProfile
 from ..core.geometry import Point
-from ..core.objects import StreamTuple, TupleKind
+from ..core.objects import ObjectRow, StreamTuple, TupleKind
 from ..indexes.gridt import WorkerPlan
 from .fabric import Fleet, RoleHost, TierBackend, TransportError, make_fleet, register_role
 from .telemetry import Observation, Observe
@@ -86,8 +86,10 @@ __all__ = [
 #: terms)``.  Routing reads exactly an object's location and term set, so
 #: that is all that crosses a shard pipe — a full
 #: :class:`~repro.core.objects.SpatioTextualObject` would drag its raw
-#: text and metadata along for nothing.
-ObjectProbe = Tuple[int, float, float, Any]
+#: text and metadata along for nothing.  Both data-plane hops ship this
+#: one row shape: the worker hop's :data:`~repro.core.objects.ObjectRow`
+#: holds the object id where the probe holds the window position.
+ObjectProbe = ObjectRow
 
 
 class _RoutingProbe:

@@ -23,6 +23,10 @@ The message vocabulary mirrors the Storm streams of the paper:
 
 * :class:`RouteBatch` — dispatcher→worker: an ordered window of routed
   operations (object matching, query insertions/deletions) for one worker.
+  Each op carries only what its receiver reads: an object crosses as an
+  :data:`~repro.core.objects.ObjectRow` ``(object_id, x, y, terms)``, and
+  a query pickles its declared fields positionally (its ``__reduce__``),
+  never its process-local memos.
 * :class:`MatchResults` — worker→merger/coordinator: the match results and
   per-object costs of one batched matching operation.
 * :class:`DeliverResults` — worker/coordinator→merger shard: one batch of
@@ -62,7 +66,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.costmodel import CostModel
 from ..core.geometry import Rect
-from ..core.objects import MatchResult, SpatioTextualObject, STSQuery
+from ..core.objects import MatchResult, ObjectRow, STSQuery
 from ..core.text import TermStatistics
 from ..indexes.grid import CellCoord
 from .fabric import (
@@ -115,10 +119,13 @@ __all__ = [
 class MatchObjects:
     """Match a run of objects in one bulk call (a run of one per tuple).
 
-    ``cells`` optionally carries the objects' precomputed grid cells.
+    ``rows`` carries each object as the worker reads it — an
+    :data:`~repro.core.objects.ObjectRow` ``(object_id, x, y, terms)`` —
+    so neither the raw text nor a ``Point`` crosses the wire.  ``cells``
+    optionally carries the objects' precomputed grid cells.
     """
 
-    objects: Sequence[SpatioTextualObject]
+    rows: Sequence[ObjectRow]
     cells: Optional[Sequence[CellCoord]] = None
 
 
@@ -276,7 +283,7 @@ def execute_ops(
     for op in ops:
         kind = type(op)
         if kind is MatchObjects:
-            results, costs = worker.handle_object_batch(op.objects, op.cells)
+            results, costs = worker.handle_object_batch(op.rows, op.cells)
             if deliver is None:
                 replies.append(MatchResults(tuple(results), tuple(costs), len(results)))
             else:

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.costmodel import CostModel, WorkerLoadCounters
 from ..core.geometry import Rect
-from ..core.objects import MatchResult, SpatioTextualObject, STSQuery
+from ..core.objects import MatchResult, ObjectRow, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from ..indexes.gi2 import CellStats, GI2Index
 from ..indexes.grid import CellCoord
@@ -100,20 +100,21 @@ class WorkerNode:
 
     def handle_object(self, obj: SpatioTextualObject) -> List[MatchResult]:
         """(3) Matching: the queries satisfied by ``obj`` — a batch of one."""
-        return self.handle_object_batch((obj,))[0]
+        return self.handle_object_batch((obj.row(),))[0]
 
     def handle_object_batch(
         self,
-        objects: Sequence[SpatioTextualObject],
+        rows: Sequence[ObjectRow],
         cells: Optional[Sequence[CellCoord]] = None,
     ) -> Tuple[List[MatchResult], List[float]]:
-        """Match a batch of objects in one call.
+        """Match a batch of object rows (:data:`~repro.core.objects.ObjectRow`)
+        in one call.
 
         Returns the match results plus one Definition-1 cost per object;
         the load counters are accounted in bulk.  ``cells`` may carry the
         objects' precomputed grid cells.
         """
-        outcomes = self.index.match_batch(objects, cells)
+        outcomes = self.index.match_batch(rows, cells)
         results: List[MatchResult] = []
         costs: List[float] = []
         model = self.cost_model
@@ -125,21 +126,21 @@ class WorkerNode:
         total_checks = 0
         total_matches = 0
         results_append = results.append
-        for obj, outcome in zip(objects, outcomes):
+        for row, outcome in zip(rows, outcomes):
             query_ids, checks = outcome
             total_checks += checks
             total_matches += len(query_ids)
             cost = object_handling + match_check * checks
             total_cost += cost
             costs.append(cost)
-            object_id = obj.object_id
+            object_id = row[0]
             for query_id in query_ids:
                 results_append(
                     MatchResult(
                         query_id, object_id, records[query_id][0].subscriber_id, worker_id
                     )
                 )
-        self.counters.record_object_batch(len(objects), total_checks, total_matches)
+        self.counters.record_object_batch(len(rows), total_checks, total_matches)
         self.busy_cost += total_cost
         return results, costs
 

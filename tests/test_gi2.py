@@ -232,7 +232,8 @@ class TestPurgeOnTraversal:
 
     def test_batch_purges_each_list_once_and_keeps_object_order(self, populated):
         probes = [make_object("kobe", 1, 1), make_object("storm", 2, 2), make_object("kobe", 35, 35)]
-        outcomes = populated.match_batch(probes, cells=[(0, 0), (0, 0), (5, 5)])
+        rows = [probe.row() for probe in probes]
+        outcomes = populated.match_batch(rows, cells=[(0, 0), (0, 0), (5, 5)])
         assert outcomes == [((self.live.query_id,), 1), ((), 0), ((self.live.query_id,), 1)]
         assert populated.posting_count == 14 - 3 - 1 - 2
 
@@ -309,8 +310,8 @@ class TestSweep:
             assert busy.pending_deletion_count == quiet.pending_deletion_count
         assert quiet.posting_count > busy.posting_count  # busy's cell was traversed
         for cell in busy.grid.cells_overlapping(Rect(0, 0, 40, 40)):
-            quiet.match_batch([make_object("kobe", 3, 3)], cells=[cell])
-            busy.match_batch([make_object("kobe", 3, 3)], cells=[cell])
+            quiet.match_batch([make_object("kobe", 3, 3).row()], cells=[cell])
+            busy.match_batch([make_object("kobe", 3, 3).row()], cells=[cell])
         assert (quiet.posting_count, quiet.memory_bytes()) == (busy.posting_count, busy.memory_bytes())
 
 
@@ -393,7 +394,8 @@ class TestRandomisedInterleaving:
                     for _ in range(rng.randint(1, 6))
                 ]
                 cells = [index.grid.cell_of(obj.location) for obj in objects]
-                outcomes = index.match_batch(objects, cells if rng.random() < 0.5 else None)
+                rows = [obj.row() for obj in objects]
+                outcomes = index.match_batch(rows, cells if rng.random() < 0.5 else None)
                 assert len(outcomes) == len(objects)
                 for obj, cell, outcome in zip(objects, cells, outcomes):
                     brute = tuple(sorted(q.query_id for q, _ in live.values() if q.matches(obj)))

@@ -317,7 +317,7 @@ class TestRL003:
         findings = lint_source(tmp_path, source, self.RULES)
         assert any("lambda default" in finding.message for finding in findings)
 
-    # One template, four variants: the memo site is the same, what differs
+    # One template, five variants: the memo site is the same, what differs
     # is whether the class is on the wire, declares the attribute, or
     # takes over its own pickling.
     _MEMO = """
@@ -362,6 +362,10 @@ class TestRL003:
 
     def test_passes_off_field_memo_with_getstate(self, tmp_path):
         assert self._lint_memo(tmp_path, hook=self._GETSTATE) == []
+
+    def test_passes_off_field_memo_with_positional_reduce(self, tmp_path):
+        hook = "def __reduce__(self): return (type(self), (self.clauses,))"
+        assert self._lint_memo(tmp_path, hook=hook) == []
 
     def test_passes_off_field_memo_off_the_wire(self, tmp_path):
         assert self._lint_memo(tmp_path, message="Ping") == []

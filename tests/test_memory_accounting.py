@@ -154,7 +154,10 @@ class GI2Memory(RuleBasedStateMachine):
     )
     def match_batch(self, objects):
         self.index.match_batch(
-            [SpatioTextualObject.create(" ".join(terms), Point(x, y)) for x, y, terms in objects]
+            [
+                SpatioTextualObject.create(" ".join(terms), Point(x, y)).row()
+                for x, y, terms in objects
+            ]
         )
 
     @rule()

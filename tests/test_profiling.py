@@ -151,7 +151,7 @@ class TestCountersAreState:
         gi2 = GI2Index(BOUNDS, granularity=8)
         for query in queries:
             gi2.insert(query)
-        outcomes = gi2.match_batch(objects)
+        outcomes = gi2.match_batch([obj.row() for obj in objects])
         counted = gi2.profile.event(0)
         assert counted.matches == sum(len(outcome.query_ids) for outcome in outcomes) > 0
         assert counted.candidates == sum(outcome.checks for outcome in outcomes)

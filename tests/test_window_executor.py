@@ -114,7 +114,7 @@ def brute_force(stream, live=None):
 
 def describe(op):
     if type(op) is MatchObjects:
-        return ("match", *[obj.object_id for obj in op.objects])
+        return ("match", *[row[0] for row in op.rows])
     if type(op) is InsertPairs:
         return ("insert", op.query.query_id)
     assert type(op) is DeleteById, op
