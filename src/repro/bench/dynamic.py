@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Tuple
 
 from ..adjustment import AdjustmentReport, LocalLoadAdjuster, selector_by_name
+from ..core.costmodel import LATENCY_LOAD_FRACTION
 from ..partitioning import HybridPartitioner, MetricTextPartitioner
 from ..runtime import Cluster, ClusterConfig, LatencyBuckets, LatencyTracker
 from ..workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
@@ -155,7 +156,7 @@ def _buckets_during_migration(
     report = cluster.report()
     tracker = cluster.latency_tracker()
     rng = random.Random(seed)
-    input_rate = max(report.throughput * cluster.config.latency_load_fraction, 1.0)
+    input_rate = max(report.throughput * LATENCY_LOAD_FRACTION, 1.0)
     # Tuples that arrive while the migration is in flight and are routed to
     # one of the two involved workers queue behind the migration work.
     affected_share = min(1.0, len(affected_workers) / max(1, cluster.config.num_workers))

@@ -8,7 +8,7 @@ partitioners, the dynamic load adjusters and the cluster simulator.
 
 from .costmodel import CostModel, LoadReport, WorkerLoadCounters, cell_load
 from .expression import BooleanExpression, ExpressionParseError, parse_expression
-from .geometry import Point, Rect, bounding_rect, haversine_km, km_to_degrees
+from .geometry import Point, Rect, bounding_rect, km_to_degrees
 from .objects import (
     MatchResult,
     QueryDeletion,
@@ -18,7 +18,7 @@ from .objects import (
     StreamTuple,
     TupleKind,
 )
-from .text import TermStatistics, cosine_similarity, jaccard_similarity, tokenize
+from .text import TermStatistics, cosine_similarity, tokenize
 
 __all__ = [
     "BooleanExpression",
@@ -39,8 +39,6 @@ __all__ = [
     "bounding_rect",
     "cell_load",
     "cosine_similarity",
-    "haversine_km",
-    "jaccard_similarity",
     "km_to_degrees",
     "parse_expression",
     "tokenize",

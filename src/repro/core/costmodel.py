@@ -19,8 +19,10 @@ The workload partitioners and the cluster simulator share one notion of
   queries stored there.  Cell loads drive the Minimum Cost Migration
   problem in Section V.
 
-The constants are exposed so that benches can calibrate them from measured
-micro-benchmarks of the actual Python matching kernels.
+The reproduction fixes the model and its calibration: :data:`COST_MODEL`
+holds ``c1..c4``, and the constants below it turn cost units into the
+simulated seconds and milliseconds the reports print.  A calibration fit
+edits this module and nothing else.
 """
 
 from __future__ import annotations
@@ -28,7 +30,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-__all__ = ["CostModel", "WorkerLoadCounters", "LoadReport", "cell_load"]
+__all__ = [
+    "COST_MODEL",
+    "COST_UNIT_SECONDS",
+    "CostModel",
+    "LATENCY_LOAD_FRACTION",
+    "LoadReport",
+    "NETWORK_HOP_MS",
+    "WorkerLoadCounters",
+    "cell_load",
+]
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,19 @@ class CostModel:
         )
 
 
+#: The Definition-1 constants every partitioner and worker prices work with.
+COST_MODEL = CostModel()
+#: Seconds per cost unit: one object-handling unit is a few tens of
+#: microseconds of Python matching work.
+COST_UNIT_SECONDS = 20e-6
+#: Input rate (as a fraction of saturation) at which latency is reported.
+LATENCY_LOAD_FRACTION = 0.6
+#: Network / framework overhead per hop (source -> dispatcher -> worker),
+#: matching the millisecond-scale per-tuple latency floor of a Storm
+#: deployment on EC2.
+NETWORK_HOP_MS = 4.0
+
+
 def cell_load(object_count: int, average_query_count: float) -> float:
     """Definition 3: ``L_g = n_o * n_q``."""
     if object_count < 0 or average_query_count < 0:
@@ -90,11 +114,6 @@ class WorkerLoadCounters:
     deletions: int = 0
     match_checks: int = 0
     matches: int = 0
-
-    def record_object(self, checks: int = 0, matches: int = 0) -> None:
-        self.objects += 1
-        self.match_checks += checks
-        self.matches += matches
 
     def record_object_batch(self, objects: int, checks: int = 0, matches: int = 0) -> None:
         self.objects += objects
@@ -165,10 +184,6 @@ class LoadReport:
         if minimum <= 0.0:
             return float("inf") if self.maximum > 0.0 else 1.0
         return self.maximum / minimum
-
-    def satisfies_balance(self, sigma: float) -> bool:
-        """True when the balance constraint of Definition 2 holds."""
-        return self.imbalance <= sigma
 
     def most_loaded(self) -> Optional[int]:
         if not self.worker_loads:

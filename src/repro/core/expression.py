@@ -109,11 +109,6 @@ class BooleanExpression:
             result |= clause
         return result
 
-    @property
-    def is_conjunctive(self) -> bool:
-        """True for pure-AND expressions (a single clause)."""
-        return len(self.clauses) == 1
-
     def posting_keywords(self, statistics: Optional[TermStatistics] = None) -> Set[str]:
         """Keywords under which the query should be posted in an inverted index.
 

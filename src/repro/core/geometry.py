@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional, Tuple
+from typing import Any, Iterable, Optional, Tuple
 
-__all__ = ["Point", "Rect", "bounding_rect", "haversine_km", "km_to_degrees"]
-
-#: Mean Earth radius in kilometres, used by :func:`haversine_km`.
-EARTH_RADIUS_KM = 6371.0088
+__all__ = ["Point", "Rect", "bounding_rect", "km_to_degrees"]
 
 
 @dataclass(frozen=True, order=True)
@@ -30,14 +27,6 @@ class Point:
 
     x: float
     y: float
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
 
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)``."""
@@ -80,11 +69,6 @@ class Rect:
         half_w = width / 2.0
         half_h = height / 2.0
         return cls(center.x - half_w, center.y - half_h, center.x + half_w, center.y + half_h)
-
-    @classmethod
-    def from_points(cls, a: Point, b: Point) -> "Rect":
-        """Build the smallest rectangle containing the two points."""
-        return cls(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -163,15 +147,6 @@ class Rect:
             max(self.max_y, other.max_y),
         )
 
-    def enlarged(self, point: Point) -> "Rect":
-        """The smallest rectangle containing this one and ``point``."""
-        return Rect(
-            min(self.min_x, point.x),
-            min(self.min_y, point.y),
-            max(self.max_x, point.x),
-            max(self.max_y, point.y),
-        )
-
     def enlargement_area(self, other: "Rect") -> float:
         """How much the area grows when unioned with ``other``.
 
@@ -206,25 +181,6 @@ class Rect:
             return self.split_y(coordinate)
         raise ValueError("axis must be 0 or 1, got %r" % axis)
 
-    def grid_cells(self, columns: int, rows: int) -> Iterator[Tuple[int, int, "Rect"]]:
-        """Yield ``(column, row, cell_rect)`` for a uniform grid overlay."""
-        if columns <= 0 or rows <= 0:
-            raise ValueError("grid dimensions must be positive")
-        cell_w = self.width / columns
-        cell_h = self.height / rows
-        for row in range(rows):
-            for col in range(columns):
-                yield (
-                    col,
-                    row,
-                    Rect(
-                        self.min_x + col * cell_w,
-                        self.min_y + row * cell_h,
-                        self.min_x + (col + 1) * cell_w,
-                        self.min_y + (row + 1) * cell_h,
-                    ),
-                )
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         """Return ``(min_x, min_y, max_x, max_y)``."""
         return (self.min_x, self.min_y, self.max_x, self.max_y)
@@ -245,15 +201,6 @@ def bounding_rect(points: Iterable[Point]) -> Rect:
         min_y = min(min_y, point.y)
         max_y = max(max_y, point.y)
     return Rect(min_x, min_y, max_x, max_y)
-
-
-def haversine_km(a: Point, b: Point) -> float:
-    """Great-circle distance in kilometres between two lon/lat points."""
-    lon1, lat1, lon2, lat2 = map(math.radians, (a.x, a.y, b.x, b.y))
-    dlon = lon2 - lon1
-    dlat = lat2 - lat1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
-    return 2 * EARTH_RADIUS_KM * math.asin(math.sqrt(h))
 
 
 def km_to_degrees(km: float, latitude_deg: float = 0.0) -> Tuple[float, float]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple, Union
+from typing import Any, FrozenSet, NamedTuple, Optional, Set, Tuple, Union
 
 from .expression import BooleanExpression
 from .geometry import Point, Rect
@@ -74,10 +74,6 @@ class SpatioTextualObject:
         """The object as a worker reads it (:data:`ObjectRow`)."""
         location = self.location
         return (self.object_id, location.x, location.y, self.terms)
-
-    def contains_any(self, terms: Iterable[str]) -> bool:
-        """True when the object text contains at least one of ``terms``."""
-        return any(term in self.terms for term in terms)
 
 
 @dataclass(frozen=True)

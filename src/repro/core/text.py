@@ -19,14 +19,12 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = [
     "tokenize",
     "TermStatistics",
     "cosine_similarity",
-    "jaccard_similarity",
-    "term_vector",
 ]
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
@@ -57,14 +55,6 @@ def tokenize(text: str, *, remove_stop_words: bool = True) -> List[str]:
     return tokens
 
 
-def term_vector(texts: Iterable[Sequence[str]]) -> Counter:
-    """Aggregate term frequencies over an iterable of token sequences."""
-    counter: Counter = Counter()
-    for tokens in texts:
-        counter.update(tokens)
-    return counter
-
-
 @dataclass
 class TermStatistics:
     """Mutable term-frequency statistics over a corpus of token sequences.
@@ -92,27 +82,6 @@ class TermStatistics:
             added += 1
         self._total += added
         self._documents += 1
-
-    def add_term(self, term: str, count: int = 1) -> None:
-        """Account for ``count`` occurrences of a single term."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._counts[term] += count
-        self._total += count
-
-    def remove_document(self, tokens: Iterable[str]) -> None:
-        """Remove a previously added document (best effort, floors at zero)."""
-        removed = 0
-        for token in tokens:
-            current = self._counts.get(token, 0)
-            if current <= 1:
-                self._counts.pop(token, None)
-                removed += min(current, 1)
-            else:
-                self._counts[token] = current - 1
-                removed += 1
-        self._total = max(0, self._total - removed)
-        self._documents = max(0, self._documents - 1)
 
     def merge(self, other: "TermStatistics") -> None:
         """Fold another statistics object into this one."""
@@ -166,17 +135,6 @@ class TermStatistics:
         """The ``n`` most frequent ``(term, count)`` pairs."""
         return self._counts.most_common(n)
 
-    def top_fraction(self, fraction: float) -> Set[str]:
-        """The set of terms making up the top ``fraction`` of the vocabulary.
-
-        Used by the Q2 query generator, which requires "at least one keyword
-        that is not in the top 1% most frequent terms".
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        cutoff = max(1, int(round(len(self._counts) * fraction))) if self._counts else 0
-        return {term for term, _ in self._counts.most_common(cutoff)}
-
     def terms(self) -> Iterator[str]:
         return iter(self._counts)
 
@@ -216,12 +174,3 @@ def cosine_similarity(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
-
-
-def jaccard_similarity(a: Iterable[str], b: Iterable[str]) -> float:
-    """Jaccard similarity of two term sets (used in ablation benches)."""
-    set_a = set(a)
-    set_b = set(b)
-    if not set_a and not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)

@@ -47,13 +47,6 @@ class UniformGrid:
         object.__setattr__(self, "cell_height", self.bounds.height / self.rows)
 
     # ------------------------------------------------------------------
-    # Derived measures
-    # ------------------------------------------------------------------
-    @property
-    def cell_count(self) -> int:
-        return self.columns * self.rows
-
-    # ------------------------------------------------------------------
     # Point / rectangle mapping
     # ------------------------------------------------------------------
     def cell_of(self, point: Point) -> CellCoord:
@@ -110,13 +103,3 @@ class UniformGrid:
         for row in range(self.rows):
             for col in range(self.columns):
                 yield (col, row)
-
-    def cell_index(self, cell: CellCoord) -> int:
-        """A dense integer id for ``cell`` (row-major)."""
-        col, row = cell
-        return row * self.columns + col
-
-    def cell_from_index(self, index: int) -> CellCoord:
-        if not 0 <= index < self.cell_count:
-            raise ValueError("cell index %r out of range" % index)
-        return (index % self.columns, index // self.columns)

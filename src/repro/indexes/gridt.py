@@ -42,7 +42,6 @@ from ..core.geometry import Rect
 from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from .grid import CellCoord, UniformGrid
-from .kdt_tree import KdtTree
 
 __all__ = ["GridTIndex", "GridTCell", "WorkerPlan", "group_triples"]
 
@@ -301,31 +300,6 @@ class GridTIndex:
                 if worker_id is not None:
                     index.set_cell_worker(coord, worker_id)
         return index
-
-    @classmethod
-    def from_kdt_tree(
-        cls,
-        tree: KdtTree,
-        granularity: int = 64,
-        term_statistics: Optional[TermStatistics] = None,
-    ) -> "GridTIndex":
-        """Flatten a kdt-tree into a gridt index (Figure 4)."""
-        leaves = tree.leaves()
-        assignments: List[Tuple[Rect, Optional[Mapping[str, int]], Optional[int]]] = []
-        for leaf in leaves:
-            if leaf.is_text_leaf:
-                assignments.append((leaf.region, leaf.term_workers or {}, leaf.default_worker))
-            else:
-                assignments.append((leaf.region, None, leaf.worker_id))
-        bounds = tree.root.region
-        statistics = term_statistics if term_statistics is not None else tree._statistics
-        return cls.from_assignments(
-            bounds,
-            assignments,
-            granularity=granularity,
-            term_statistics=statistics,
-            object_filtering=True,
-        )
 
     # ------------------------------------------------------------------
     # Routing

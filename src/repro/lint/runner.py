@@ -36,6 +36,7 @@ from .rl004_serve import ServeLoopDisciplineRule
 from .rl005_fence import FenceDisciplineRule
 from .rl006_telemetry import TelemetryProtocolRule
 from .rl007_profiling import ProfilingDisciplineRule
+from .rl008_callers import CallerRule
 
 __all__ = ["ALL_RULES", "build_project", "collect_files", "main", "run_lint"]
 
@@ -48,6 +49,7 @@ ALL_RULES: Sequence[Rule] = (
     FenceDisciplineRule(),
     TelemetryProtocolRule(),
     ProfilingDisciplineRule(),
+    CallerRule(),
 )
 
 #: Roots linted when no path argument is given, relative to the repo

@@ -20,7 +20,6 @@ from .base import (
     PartitionUnit,
     Partitioner,
     WorkloadSample,
-    evaluate_plan,
 )
 from .hybrid import HybridConfig, HybridPartitioner
 from .space import (
@@ -60,6 +59,5 @@ __all__ = [
     "RTreeSpacePartitioner",
     "WorkloadSample",
     "balanced_term_assignment",
-    "evaluate_plan",
     "pack_weighted_items",
 ]

@@ -22,7 +22,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from ..core.costmodel import CostModel, LoadReport
+from ..core.costmodel import COST_MODEL, LoadReport
 from ..core.geometry import Rect, bounding_rect
 from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
@@ -35,7 +35,6 @@ __all__ = [
     "PartitionUnit",
     "PartitionPlan",
     "Partitioner",
-    "evaluate_plan",
 ]
 
 
@@ -83,13 +82,6 @@ class WorkloadSample:
         assert self.statistics is not None
         return self.statistics
 
-    def query_keyword_statistics(self) -> TermStatistics:
-        """Term frequencies over the query keywords of the sample."""
-        statistics = TermStatistics()
-        for query in self.insertions:
-            statistics.add_document(query.keywords())
-        return statistics
-
     def vocabulary(self) -> Set[str]:
         """All terms appearing in sampled objects or query keywords."""
         terms: Set[str] = set()
@@ -115,10 +107,6 @@ class PartitionUnit:
     region: Rect
     terms: Optional[FrozenSet[str]]
     worker_id: int
-
-    @property
-    def is_text_unit(self) -> bool:
-        return self.terms is not None
 
     def accepts_object(self, obj: SpatioTextualObject) -> bool:
         """Definition-2 object routing rule for this unit."""
@@ -215,18 +203,13 @@ class PartitionPlan:
         entries = [RTreeEntry(unit.region, index) for index, unit in enumerate(self.units)]
         return RTree.bulk_load(entries, capacity=16)
 
-    def worker_loads(
-        self,
-        sample: WorkloadSample,
-        cost_model: Optional[CostModel] = None,
-    ) -> LoadReport:
+    def worker_loads(self, sample: WorkloadSample) -> LoadReport:
         """Per-worker Definition-1 loads of this plan on ``sample``.
 
         The interaction term ``c1 * |O_i| * |Qi_i|`` uses the number of
         query insertions routed to the worker, exactly as in the paper's
         definition; object and query routing follows Definition 2.
         """
-        model = cost_model if cost_model is not None else CostModel()
         objects: Dict[int, int] = {worker: 0 for worker in range(self.num_workers)}
         insertions: Dict[int, int] = {worker: 0 for worker in range(self.num_workers)}
         deletions: Dict[int, int] = {worker: 0 for worker in range(self.num_workers)}
@@ -257,7 +240,7 @@ class PartitionPlan:
                 deletions[worker] = deletions.get(worker, 0) + 1
 
         loads = {
-            worker: model.worker_load(
+            worker: COST_MODEL.worker_load(
                 objects.get(worker, 0), insertions.get(worker, 0), deletions.get(worker, 0)
             )
             for worker in range(self.num_workers)
@@ -292,12 +275,3 @@ class Partitioner(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "%s(name=%r)" % (type(self).__name__, self.name)
-
-
-def evaluate_plan(
-    plan: PartitionPlan,
-    sample: WorkloadSample,
-    cost_model: Optional[CostModel] = None,
-) -> LoadReport:
-    """Convenience wrapper: Definition-1 load report of ``plan`` on ``sample``."""
-    return plan.worker_loads(sample, cost_model)

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.costmodel import CostModel
+from ..core.costmodel import COST_MODEL
 from ..core.geometry import Rect
 from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics, cosine_similarity
@@ -62,7 +62,6 @@ class HybridConfig:
     max_nodes: int = 512
     min_node_objects: int = 32
     max_depth: int = 10
-    cost_model: CostModel = field(default_factory=CostModel)
 
 
 class _Node:
@@ -220,11 +219,10 @@ class HybridPartitioner(Partitioner):
             # raw |O_i| * |Qi_i| product: the worker-side index prunes by
             # posting keyword, and the balance decisions must reflect the
             # work the workers really do.
-            model = self.config.cost_model
             node._load = (
-                model.match_check * sum(hits)
-                + model.object_handling * (len(hits) - hits.count(0))
-                + model.insert_handling * len(node.queries)
+                COST_MODEL.match_check * sum(hits)
+                + COST_MODEL.object_handling * (len(hits) - hits.count(0))
+                + COST_MODEL.insert_handling * len(node.queries)
             )
         return node._load
 

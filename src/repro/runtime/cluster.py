@@ -20,7 +20,7 @@ from itertools import chain, cycle, islice
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.costmodel import LoadReport
+from ..core.costmodel import COST_MODEL, LoadReport
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, ObjectRow, StreamTuple, TupleKind
 from ..indexes.gi2 import CellStats
@@ -127,7 +127,6 @@ class Cluster:
                 self.config.merger_backend,
                 self.config.num_mergers,
                 sink=self.config.sink,
-                dedup_window=self.config.merger_dedup_window,
                 addresses=manifest.mergers if manifest else None,
             )
             undo.callback(self._merge.close)
@@ -140,7 +139,6 @@ class Cluster:
                 list(range(self.config.num_workers)),
                 bounds=self.bounds,
                 granularity=self.config.granularity,
-                cost_model=self.config.cost_model,
                 term_statistics=plan.statistics,
                 merger_endpoints=self._merge.worker_endpoints(),
                 addresses=manifest.workers if manifest else None,
@@ -192,7 +190,7 @@ class Cluster:
         # construction never leaks its thread; close() stops it.
         profiling = self.config.profiling
         if profiling is not None and profiling.sample:
-            self._sampler = StackSampler(profiling.sample_interval_ms)
+            self._sampler = StackSampler()
             self._sampler.start()
 
     def invalidate_routing_caches(self, cells: Optional[Iterable[CellCoord]] = None) -> None:
@@ -329,8 +327,7 @@ class Cluster:
                 self._routing_version += 1
             cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, cells)
             dispatcher.busy_cost += cost
-            cost_model = self.config.cost_model
-            handling = cost_model.insert_handling if is_insert else cost_model.delete_handling
+            handling = COST_MODEL.insert_handling if is_insert else COST_MODEL.delete_handling
             # A deletion's workers share its one DeleteById batch.
             batches = {}
             batch: Optional[RouteBatch] = None
@@ -739,9 +736,8 @@ class Cluster:
         # worker-side effect (GI2 postings, load counters, busy time) is
         # applied by the ops built above; the per-tuple costs are the
         # fixed Definition-1 constants, so traces need no round trip.
-        cost_model = self.config.cost_model
-        insert_cost = cost_model.insert_handling
-        delete_cost = cost_model.delete_handling
+        insert_cost = COST_MODEL.insert_handling
+        delete_cost = COST_MODEL.delete_handling
         for position, is_insert, payload, per_worker, cells in updates:
             slot = (base + position) % num_dispatchers
             cost = tuple_cost + probe_cost * (cells if cells > 1 else 1)
@@ -886,7 +882,7 @@ class Cluster:
             self._telemetry.open_span(self.totals.tuples, size)
 
     def _span_close(self) -> None:
-        """Record the in-flight window's span; drain the gauges when due."""
+        """Record the in-flight window's span, then drain every gauge."""
         hub = self._telemetry
         if hub is not None and hub.close_span(len(self.dispatchers), self._merge.num_mergers):
             self._drain_gauges()
@@ -972,14 +968,12 @@ class Cluster:
 
     def saturation_throughput(self) -> float:
         """Tuples per second when the bottleneck process is saturated."""
-        return metrics.saturation_throughput(
-            self.config, self.totals, self.dispatchers, self._observe()
-        )
+        return metrics.saturation_throughput(self.totals, self.dispatchers, self._observe())
 
     def latency_tracker(self, input_rate: Optional[float] = None) -> LatencyTracker:
         """Per-tuple latencies (ms) at ``input_rate`` (default: the report's)."""
         return metrics.latency_tracker(
-            self.config, self.totals, self._traces, self.dispatchers, self._observe(), input_rate
+            self.totals, self._traces, self.dispatchers, self._observe(), input_rate
         )
 
     def worker_load_report(self) -> LoadReport:
@@ -1011,8 +1005,7 @@ class Cluster:
         # timeseries and the JSONL.
         self._drain_gauges(observed)
         return metrics.run_report(
-            self.config, self.totals, self._traces, self.dispatchers, observed,
-            self.routing_index,
+            self.totals, self._traces, self.dispatchers, observed, self.routing_index,
             self.recovery.report() if self.recovery is not None else None,
             input_rate,
         )

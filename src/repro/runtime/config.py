@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..core.costmodel import CostModel
 from .dispatch import DISPATCH_BACKENDS
 from .fabric import FaultPlan
 from .merge import MERGE_BACKENDS, SinkSpec
@@ -21,26 +20,16 @@ class ClusterConfig:
     """Sizing and calibration of the simulated cluster.
 
     The defaults mirror the paper's testbed: 4 dispatchers, 8 workers and
-    one cell granularity ``2^6`` for the gridt and GI2 indexes alike.
-    ``cost_unit_seconds`` converts the abstract cost units of
-    :class:`~repro.core.costmodel.CostModel` into seconds; it was
-    calibrated so that one object-handling unit corresponds to a few tens
-    of microseconds of Python matching work.
+    one cell granularity ``2^6`` for the gridt and GI2 indexes alike.  The
+    cost model and its calibration (seconds per cost unit, the network
+    hop, the latency load point) are constants of
+    :mod:`repro.core.costmodel`, not settings.
     """
 
     num_dispatchers: int = 4
     num_workers: int = 8
     num_mergers: int = 2
     granularity: int = 64
-    cost_model: CostModel = field(default_factory=CostModel)
-    #: Seconds per cost unit.
-    cost_unit_seconds: float = 20e-6
-    #: Input rate (as a fraction of saturation) at which latency is reported.
-    latency_load_fraction: float = 0.6
-    #: Network / framework overhead per hop (source -> dispatcher -> worker),
-    #: matching the millisecond-scale per-tuple latency floor of a Storm
-    #: deployment on EC2.
-    network_hop_ms: float = 4.0
     #: Bandwidth available for migrating queries between workers.
     migration_bandwidth_bytes_per_sec: float = 20e6
     #: Fixed network/coordination overhead per migration.
@@ -74,9 +63,6 @@ class ClusterConfig:
     #: Subscriber sink attached to every merger shard (null / memory /
     #: jsonl / callback; see :mod:`repro.runtime.merge`).
     sink: SinkSpec = field(default_factory=SinkSpec)
-    #: How many recent (query, object) keys each merger shard remembers
-    #: for deduplication.
-    merger_dedup_window: int = 100_000
     #: Checkpoint the workers' query assignments every N tuples (0 — the
     #: default — disables checkpointing *and* worker recovery).  Checkpoints
     #: ride the same quiescent point as adjustment rounds: the closed-loop

@@ -205,6 +205,10 @@ class Init:
 # ----------------------------------------------------------------------
 # Fault injection (the chaos-testing seam of the fleet send path)
 # ----------------------------------------------------------------------
+#: What an armed :class:`FaultSpec` can do to a send.
+FAULT_ACTIONS = ("kill", "drop", "truncate", "delay")
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One injected fault, armed on the coordinator's send path.
@@ -223,6 +227,9 @@ class FaultSpec:
       peer sees :class:`FrameTruncated` mid-message (socket channels;
       degrades to ``kill`` elsewhere, where frames cannot be split);
     * ``delay`` — sleep ``delay_seconds`` before delivering normally.
+
+    A spec that could never fire is rejected here, when the plan is
+    parsed, not at the first send.
     """
 
     action: str
@@ -231,6 +238,28 @@ class FaultSpec:
     after_sends: int = 0
     message_type: Optional[str] = None
     delay_seconds: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.action not in FAULT_ACTIONS:
+            raise ValueError(
+                "unknown fault action %r (expected one of %s)"
+                % (self.action, ", ".join(FAULT_ACTIONS))
+            )
+        if self.role not in ROLES:
+            raise ValueError(
+                "unknown fault role %r (expected one of %s)" % (self.role, ", ".join(ROLES))
+            )
+        for name in ("endpoint_id", "after_sends"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError("fault %s must be a non-negative int, got %r" % (name, value))
+        delay = self.delay_seconds
+        if isinstance(delay, bool) or not isinstance(delay, (int, float)) or not delay >= 0:
+            raise ValueError("fault delay_seconds must be a non-negative number, got %r" % (delay,))
+        if self.message_type is not None and not isinstance(self.message_type, str):
+            raise ValueError(
+                "fault message_type must be a message class name, got %r" % (self.message_type,)
+            )
 
 
 @dataclass(frozen=True)
@@ -812,10 +841,8 @@ class Fleet(_ClosesOnExit):
             if spec.action == "truncate":
                 self._truncate_endpoint(endpoint_id, message)
                 return True
-            if spec.action == "kill":
-                self.kill_endpoint(endpoint_id)
-                return True
-            raise ValueError("unknown fault action %r" % spec.action)
+            self.kill_endpoint(endpoint_id)  # "kill"
+            return True
         return False
 
     def kill_endpoint(self, endpoint_id: int) -> None:

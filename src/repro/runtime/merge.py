@@ -53,8 +53,9 @@ Reports are byte-identical across merger backends
 (``tests/test_merge.py``): delivered/duplicate counts and busy cost are
 multiset-invariant in the arrival order of a shard's results, and every
 ``Observe`` read is fenced through the inbox.  (The only order-sensitive
-state is dedup-window *eviction*, which needs more than ``dedup_window``
-distinct keys per shard to begin — far beyond any equivalence test.)
+state is dedup-window *eviction*, which needs more than
+``MergerNode.DEDUP_WINDOW`` distinct keys per shard to begin — far beyond
+any equivalence test.)
 """
 
 from __future__ import annotations
@@ -230,21 +231,17 @@ def build_sink(spec: SinkSpec, merger_id: int) -> SubscriberSink:
 # ----------------------------------------------------------------------
 class MergeHost(RoleHost):
     """One merger-shard endpoint: a :class:`MergerNode` behind the typed
-    surface.  ``init`` carries the picklable ``sink`` spec and the
-    ``dedup_window``; :class:`DeliverResults` is the fire-and-forget data
-    plane — the fabric parks a delivery failure and reports it on the
-    next control request (an unsolicited reply would desynchronise the
-    request/reply pairing)."""
+    surface.  ``init`` carries the picklable ``sink`` spec;
+    :class:`DeliverResults` is the fire-and-forget data plane — the fabric
+    parks a delivery failure and reports it on the next control request
+    (an unsolicited reply would desynchronise the request/reply
+    pairing)."""
 
     fire_and_forget = (DeliverResults,)
 
     def __init__(self, merger_id: int, init: Mapping[str, Any]) -> None:
         spec = init.get("sink") or SinkSpec()
-        self.merger = MergerNode(
-            merger_id,
-            dedup_window=init.get("dedup_window", 100_000),
-            sink=build_sink(spec, merger_id),
-        )
+        self.merger = MergerNode(merger_id, sink=build_sink(spec, merger_id))
 
     def handle(self, message: Any) -> Any:
         kind = type(message)
@@ -343,7 +340,6 @@ def make_merge(
     num_mergers: int,
     *,
     sink: Optional[SinkSpec] = None,
-    dedup_window: int = 100_000,
     addresses: Optional[Sequence[Tuple[str, int]]] = None,
 ) -> MergeBackend:
     """Build the merger/delivery backend for a cluster deployment.
@@ -351,7 +347,7 @@ def make_merge(
     ``addresses`` are the manifest's ``repro serve --role merger``
     endpoints (:func:`~repro.runtime.fabric.make_fleet`).
     """
-    init = {"sink": sink, "dedup_window": dedup_window}
+    init = {"sink": sink}
     inits = {merger_id: init for merger_id in range(num_mergers)}
     fleet = make_fleet(
         "merger", backend, inits, addresses=addresses, label="merger shard",

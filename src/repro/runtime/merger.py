@@ -43,21 +43,15 @@ class MergerNode:
 
     #: Cost of handling one match result (deduplication + delivery).
     RESULT_COST = 0.02
+    #: How many recent match keys are remembered for deduplication.  A real
+    #: deployment cannot remember every (query, object) pair it ever
+    #: delivered; a sliding window over recent keys is sufficient because
+    #: duplicates of one object arrive close together.
+    DEDUP_WINDOW = 100_000
 
-    def __init__(
-        self,
-        merger_id: int,
-        *,
-        dedup_window: int = 100_000,
-        sink: Optional[ResultSink] = None,
-    ) -> None:
-        """``dedup_window`` bounds how many recent match keys are remembered.
-
-        A real deployment cannot remember every (query, object) pair it ever
-        delivered; a sliding window over recent object ids is sufficient
-        because duplicates of one object arrive close together.  ``sink``
-        is an optional subscriber sink receiving every delivered result.
-        """
+    def __init__(self, merger_id: int, *, sink: Optional[ResultSink] = None) -> None:
+        """``sink`` is an optional subscriber sink receiving every delivered
+        result."""
         self.merger_id = merger_id
         #: What :meth:`handle_many` did so far (:mod:`repro.core.counters`);
         #: unlike the period counters below these accumulate across
@@ -68,7 +62,6 @@ class MergerNode:
         self.delivered = 0
         self.duplicates = 0
         self.sink = sink
-        self._dedup_window = dedup_window
         self._seen: Set[Tuple[int, int]] = set()
         # Eviction order of the dedup window; a deque so the per-result
         # eviction at the window boundary is O(1) (a list's pop(0) is O(n)).
@@ -92,7 +85,7 @@ class MergerNode:
         seen_add = seen.add
         order = self._order
         order_append = order.append
-        window = self._dedup_window
+        window = self.DEDUP_WINDOW
         deliver = self.sink.deliver if self.sink is not None else None
         result_cost = self.RESULT_COST
         busy_cost = self.busy_cost

@@ -10,7 +10,7 @@ numbers arrive as :class:`~repro.runtime.telemetry.Observation` replies
 whichever transport backend hosts the workers.
 
 Reporting is pure: :func:`run_report` and the functions it is built from
-read a configuration, :class:`RunTotals`, a :class:`TraceStore`, dispatcher
+read :class:`RunTotals`, a :class:`TraceStore`, dispatcher
 ledgers and **one** :class:`~repro.runtime.telemetry.Snapshot` of every
 endpoint — nothing here talks to a tier or knows a ``Cluster``.
 """
@@ -23,8 +23,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.costmodel import COST_UNIT_SECONDS, LATENCY_LOAD_FRACTION, NETWORK_HOP_MS
 from .checkpoint import RecoveryReport
-from .config import ClusterConfig
 from .dispatch import DispatcherLedger
 from .merger import MergerNode
 from .telemetry import Observation, Snapshot
@@ -60,13 +60,6 @@ class LatencyBuckets:
     under_100ms: float
     between_100ms_and_1s: float
     over_1s: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "<100ms": self.under_100ms,
-            "[100ms, 1000ms]": self.between_100ms_and_1s,
-            ">1000ms": self.over_1s,
-        }
 
 
 class LatencyTracker:
@@ -342,7 +335,6 @@ class RunReport:
 # Reporting: pure functions of one observation
 # ----------------------------------------------------------------------
 def saturation_throughput(
-    config: ClusterConfig,
     totals: RunTotals,
     dispatchers: Sequence[DispatcherLedger],
     observed: Snapshot,
@@ -350,7 +342,7 @@ def saturation_throughput(
     """Tuples per second when the bottleneck process is saturated."""
     if totals.tuples == 0:
         return 0.0
-    unit = config.cost_unit_seconds
+    unit = COST_UNIT_SECONDS
     busy_seconds = [d.busy_cost * unit for d in dispatchers]
     busy_seconds += [s.busy_cost * unit for s in observed.workers.values()]
     busy_seconds += [m.busy_cost * unit for m in observed.mergers.values()]
@@ -361,7 +353,6 @@ def saturation_throughput(
 
 
 def latency_tracker(
-    config: ClusterConfig,
     totals: RunTotals,
     traces: TraceStore,
     dispatchers: Sequence[DispatcherLedger],
@@ -370,21 +361,21 @@ def latency_tracker(
 ) -> LatencyTracker:
     """Per-tuple latencies (ms) at the given input rate.
 
-    Defaults to ``latency_load_fraction`` of the saturation throughput,
+    Defaults to ``LATENCY_LOAD_FRACTION`` of the saturation throughput,
     matching the paper's "moderate input speed" protocol for Figure 8.
     """
     tracker = LatencyTracker()
     if not traces:
         return tracker
     if input_rate is None:
-        input_rate = config.latency_load_fraction * saturation_throughput(
-            config, totals, dispatchers, observed
+        input_rate = LATENCY_LOAD_FRACTION * saturation_throughput(
+            totals, dispatchers, observed
         )
     # Utilisation of each dispatcher and worker at ``input_rate`` tuples/s.
     dispatcher_util: Dict[int, float] = {}
     worker_util: Dict[int, float] = {}
     if totals.tuples and input_rate > 0.0:
-        unit = config.cost_unit_seconds
+        unit = COST_UNIT_SECONDS
         wall_seconds = totals.tuples / input_rate
         dispatcher_util = {
             d.dispatcher_id: (d.busy_cost * unit) / wall_seconds for d in dispatchers
@@ -393,8 +384,8 @@ def latency_tracker(
             worker_id: (s.busy_cost * unit) / wall_seconds
             for worker_id, s in observed.workers.items()
         }
-    unit_ms = config.cost_unit_seconds * 1000.0
-    hop_ms = config.network_hop_ms
+    unit_ms = COST_UNIT_SECONDS * 1000.0
+    hop_ms = NETWORK_HOP_MS
     dispatcher_util_get = dispatcher_util.get
     worker_util_get = worker_util.get
     # A run charges a few hundred distinct (endpoint, cost) pairs over a
@@ -425,7 +416,6 @@ def latency_tracker(
 
 
 def delivery_latency(
-    config: ClusterConfig,
     totals: RunTotals,
     mergers: Mapping[int, Observation],
     input_rate: float,
@@ -442,9 +432,9 @@ def delivery_latency(
     delivered_total = sum(s.delivered for s in mergers.values())
     if delivered_total == 0 or totals.tuples == 0 or input_rate <= 0.0:
         return 0.0, LatencyBuckets(1.0, 0.0, 0.0)
-    unit = config.cost_unit_seconds
+    unit = COST_UNIT_SECONDS
     wall_seconds = totals.tuples / input_rate
-    service_ms = config.network_hop_ms + MergerNode.RESULT_COST * unit * 1000.0
+    service_ms = NETWORK_HOP_MS + MergerNode.RESULT_COST * unit * 1000.0
     weighted = 0.0
     under = 0
     over = 0
@@ -485,7 +475,6 @@ def dispatcher_memory_report(
 
 
 def run_report(
-    config: ClusterConfig,
     totals: RunTotals,
     traces: TraceStore,
     dispatchers: Sequence[DispatcherLedger],
@@ -503,10 +492,10 @@ def run_report(
     """
     stats = observed.workers
     merger_stats = observed.mergers
-    throughput = saturation_throughput(config, totals, dispatchers, observed)
-    rate = config.latency_load_fraction * throughput if input_rate is None else input_rate
-    tracker = latency_tracker(config, totals, traces, dispatchers, observed, rate)
-    delivery_mean, delivery_buckets = delivery_latency(config, totals, merger_stats, rate)
+    throughput = saturation_throughput(totals, dispatchers, observed)
+    rate = LATENCY_LOAD_FRACTION * throughput if input_rate is None else input_rate
+    tracker = latency_tracker(totals, traces, dispatchers, observed, rate)
+    delivery_mean, delivery_buckets = delivery_latency(totals, merger_stats, rate)
     return RunReport(
         tuples_processed=totals.tuples,
         objects_processed=totals.objects,

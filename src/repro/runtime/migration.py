@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.costmodel import COST_MODEL, COST_UNIT_SECONDS
 from ..indexes.grid import CellCoord
 from ..indexes.gridt import GridTIndex
 from .protocol import mutates_routing
@@ -60,9 +61,7 @@ def migration_seconds(cluster: "Cluster", bytes_moved: int, queries_shipped: int
     return (
         cluster.config.migration_fixed_seconds
         + bytes_moved / cluster.config.migration_bandwidth_bytes_per_sec
-        + queries_shipped
-        * cluster.config.cost_model.insert_handling
-        * cluster.config.cost_unit_seconds
+        + queries_shipped * COST_MODEL.insert_handling * COST_UNIT_SECONDS
     )
 
 

@@ -84,8 +84,6 @@ class ProfilingSpec:
     #: Run the thread-based sampling profiler (wall-clock; samples the
     #: coordinator process only).
     sample: bool = False
-    #: Sampling interval of the stack sampler, in milliseconds.
-    sample_interval_ms: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def profile_text(report: ProfileReport) -> str:
 class StackSampler:
     """Thread-based sampling profiler producing collapsed stacks.
 
-    A daemon thread wakes every ``interval_ms`` and snapshots the Python
+    A daemon thread wakes every :attr:`INTERVAL_MS` and snapshots the Python
     stack of every live thread via ``sys._current_frames()``; each
     snapshot increments one collapsed-stack key
     (``thread;module.func;module.func;...``, outermost frame first).
@@ -216,8 +214,10 @@ class StackSampler:
     docs/PROFILING.md for interval and GIL caveats.
     """
 
-    def __init__(self, interval_ms: float = 5.0) -> None:
-        self.interval_s = max(0.001, interval_ms / 1000.0)
+    #: Sampling interval, in milliseconds.
+    INTERVAL_MS = 5.0
+
+    def __init__(self) -> None:
         self._samples: Counter[str] = Counter()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -239,14 +239,10 @@ class StackSampler:
         thread.join(timeout=2.0)
         self._thread = None
 
-    @property
-    def sample_count(self) -> int:
-        return sum(self._samples.values())
-
     def _run(self) -> None:
         me = threading.get_ident()
         names: Dict[Optional[int], str] = {}
-        while not self._stop.wait(self.interval_s):
+        while not self._stop.wait(self.INTERVAL_MS / 1000.0):
             names.clear()
             for thread in threading.enumerate():
                 names[thread.ident] = thread.name

@@ -229,13 +229,14 @@ class TelemetrySpec:
     """Configuration of the telemetry subsystem (picklable, inert).
 
     ``ClusterConfig.telemetry`` is ``None`` by default — telemetry is
-    strictly opt-in.  ``sample_every`` throttles per-window gauge samples
-    (1 = every window); spans and lifecycle events are never throttled.
+    strictly opt-in.  ``path`` names the optional JSONL sink.
     """
 
     path: Optional[str] = None
-    ring_size: int = 4096
-    sample_every: int = 1
+
+
+#: Events the hub's in-memory ring keeps (the JSONL sink keeps them all).
+RING_SIZE = 4096
 
 
 # ----------------------------------------------------------------------
@@ -373,13 +374,12 @@ class TelemetryHub:
     """
 
     def __init__(self, spec: TelemetrySpec) -> None:
-        self.spec = spec
         self.timeseries = TierTimeseries()
         self.windows = 0
         self.events_recorded = 0
         self.window_seq = 0
         self.span: Optional[SpanState] = None
-        self._ring: Deque[TelemetryEvent] = deque(maxlen=max(1, spec.ring_size))
+        self._ring: Deque[TelemetryEvent] = deque(maxlen=RING_SIZE)
         self._t0 = time.monotonic()
         self._sink: Optional[IO[str]] = (
             open(spec.path, "w", encoding="utf-8") if spec.path else None
@@ -408,7 +408,7 @@ class TelemetryHub:
 
     def close_span(self, dispatchers: int, mergers: int) -> bool:
         """Record the in-flight window's span (its route hop is the residual,
-        see :class:`SpanHop`); ``True`` when a gauge drain is due."""
+        see :class:`SpanHop`); ``True`` when a window was in flight."""
         state = self.span
         if state is None:
             return False
@@ -434,7 +434,7 @@ class TelemetryHub:
             ),
         )
         self.record(WindowSpan(state.seq, state.base, state.size, hops))
-        return state.seq % max(1, self.spec.sample_every) == 0
+        return True
 
     def lifecycle(self, kind: str, **fields: Any) -> None:
         """Record one control-plane milestone at the current window seq

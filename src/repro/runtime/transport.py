@@ -64,7 +64,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.costmodel import CostModel
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, ObjectRow, STSQuery
 from ..core.text import TermStatistics
@@ -488,7 +487,6 @@ def make_transport(
     *,
     bounds: Rect,
     granularity: int,
-    cost_model: CostModel,
     term_statistics: Optional[TermStatistics],
     merger_endpoints: Optional[Sequence[Any]] = None,
     addresses: Optional[Sequence[Tuple[str, int]]] = None,
@@ -511,7 +509,6 @@ def make_transport(
     worker_init: Dict[str, Any] = {
         "bounds": bounds,
         "granularity": granularity,
-        "cost_model": cost_model,
         "term_statistics": term_statistics,
     }
     direct = backend == "multiprocess"

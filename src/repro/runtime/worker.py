@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.costmodel import CostModel, WorkerLoadCounters
+from ..core.costmodel import COST_MODEL, WorkerLoadCounters
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, ObjectRow, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
@@ -60,11 +60,9 @@ class WorkerNode:
         bounds: Rect,
         *,
         granularity: int = 64,
-        cost_model: Optional[CostModel] = None,
         term_statistics: Optional[TermStatistics] = None,
     ) -> None:
         self.worker_id = worker_id
-        self.cost_model = cost_model if cost_model is not None else CostModel()
         self.index = GI2Index(bounds, granularity=granularity, term_statistics=term_statistics)
         self.counters = WorkerLoadCounters()
         #: Accumulated busy time in cost units (converted to seconds by the cluster).
@@ -90,13 +88,13 @@ class WorkerNode:
         else:
             self.index.insert_pairs(query, assignment)
         self.counters.record_insertion()
-        self.busy_cost += self.cost_model.insert_handling
+        self.busy_cost += COST_MODEL.insert_handling
 
     def handle_deletion(self, query_id: int) -> None:
         """(2) Query deletion: lazily remove the STS query from the index."""
         self.index.delete(query_id)
         self.counters.record_deletion()
-        self.busy_cost += self.cost_model.delete_handling
+        self.busy_cost += COST_MODEL.delete_handling
 
     def handle_object(self, obj: SpatioTextualObject) -> List[MatchResult]:
         """(3) Matching: the queries satisfied by ``obj`` — a batch of one."""
@@ -117,9 +115,8 @@ class WorkerNode:
         outcomes = self.index.match_batch(rows, cells)
         results: List[MatchResult] = []
         costs: List[float] = []
-        model = self.cost_model
-        object_handling = model.object_handling
-        match_check = model.match_check
+        object_handling = COST_MODEL.object_handling
+        match_check = COST_MODEL.match_check
         worker_id = self.worker_id
         records = self.index.records()
         total_cost = 0.0
@@ -149,7 +146,7 @@ class WorkerNode:
     # ------------------------------------------------------------------
     def load(self) -> float:
         """Definition-1 load of this worker over the current period."""
-        return self.counters.load(self.cost_model)
+        return self.counters.load(COST_MODEL)
 
     def reset_period(self) -> None:
         """Start a new load-measurement period (counters and cell stats)."""

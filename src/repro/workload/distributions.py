@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..core.geometry import Point, Rect
 
@@ -67,21 +67,6 @@ class ZipfVocabulary:
         position = bisect.bisect_left(self._cumulative, rng.random())
         position = min(position, len(self.terms) - 1)
         return self.terms[position]
-
-    def sample_many(self, rng: random.Random, count: int) -> List[str]:
-        return [self.sample(rng) for _ in range(count)]
-
-    def rank_of(self, term: str) -> Optional[int]:
-        """The 1-based rank of ``term`` or ``None`` for foreign terms."""
-        if not term.startswith(self.terms[0][: -5]):
-            return None
-        try:
-            rank = int(term[-5:])
-        except ValueError:
-            return None
-        if 1 <= rank <= len(self.terms):
-            return rank
-        return None
 
     def head(self, fraction: float) -> List[str]:
         """The most frequent ``fraction`` of the vocabulary (by rank)."""
@@ -167,9 +152,6 @@ class SpatialClusterModel:
         x = min(max(x, self.bounds.min_x), self.bounds.max_x)
         y = min(max(y, self.bounds.min_y), self.bounds.max_y)
         return Point(x, y), index
-
-    def sample_point(self, rng: random.Random) -> Point:
-        return self.sample(rng)[0]
 
 
 class TopicModel:

@@ -81,10 +81,6 @@ class TweetGenerator:
             yield self.generate_one(timestamp=float(self._generated))
             produced += 1
 
-    @property
-    def generated_count(self) -> int:
-        return self._generated
-
     # ------------------------------------------------------------------
     # Convenience accessors used by the query generators
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.bench import (
     run_experiment,
     run_migration_experiment,
 )
-from repro.core.costmodel import CostModel
 from repro.runtime import (
     ClusterConfig,
     FaultPlan,
@@ -40,7 +39,6 @@ OTHER_VALUES = {
     "backend": "multiprocess",
     "dispatch_backend": "inprocess",
     "merger_backend": "socket",
-    "cost_model": CostModel(match_check=0.5),
     "manifest": "manifest.json",
     "sink": SinkSpec("memory"),
     "checkpoint_path": "checkpoints.jsonl",
@@ -81,11 +79,11 @@ class TestConfig:
         assert TINY.key("hybrid") != other.key("hybrid")
 
     def test_key_distinguishes_every_field(self):
-        """The hand-listed key had drifted (``latency_load_fraction`` was
+        """The hand-listed key had drifted (a calibration field was
         missing, so two such configs shared an ``ExperimentCache`` entry);
         the key is the frozen config itself, so no field can be left out."""
         assert ExperimentConfig().key("hybrid") != ExperimentConfig(
-            cluster=ClusterConfig(latency_load_fraction=0.9)
+            cluster=ClusterConfig(migration_fixed_seconds=0.15)
         ).key("hybrid")
         changed = [replace(TINY, **{f.name: _another(f.name, TINY)}) for f in fields(TINY)]
         changed += [

@@ -220,6 +220,14 @@ class TestEarlyExit:
             (["compare", "--fault-plan", '[{"action"'], "invalid deployment"),
             (["profile", "--fault-plan", '[{"role": "worker"}]'], "action"),
             (["run", "--sink", "jsonl"], "jsonl sink needs a path"),
+            (["run", "--backend", "multiprocess", "--workers", "2",
+              "--fault-plan", '[{"action": "crash"}]'], "unknown fault action 'crash'"),
+            (["run", "--backend", "multiprocess", "--workers", "2",
+              "--fault-plan", '[{"action": "kill", "role": "wroker"}]'], "unknown fault role"),
+            (["run", "--fault-plan", '[{"action": "drop", "after_sends": -1}]'], "after_sends"),
+            (["run", "--fault-plan", '[{"action": "delay", "delay_seconds": -1}]'],
+             "delay_seconds"),
+            (["run", "--fault-plan", '[{"action": "kill", "endpoint_id": -1}]'], "endpoint_id"),
         ],
     )
     def test_bad_deployment_is_a_usage_error(self, argv, message, capsys, monkeypatch):

@@ -1,8 +1,10 @@
 """Unit tests for the Definition-1 / Definition-3 cost model."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.costmodel import CostModel, LoadReport, WorkerLoadCounters, cell_load
+from repro.core.costmodel import COST_MODEL, CostModel, LoadReport, WorkerLoadCounters, cell_load
 
 
 class TestCostModel:
@@ -26,6 +28,12 @@ class TestCostModel:
         assert model.insert_handling > 0
         assert model.delete_handling > 0
 
+    def test_shared_model_is_the_default_and_immutable(self):
+        """Every pricing site reads one module-level model; none can edit it."""
+        assert COST_MODEL == CostModel()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            COST_MODEL.match_check = 0.0
+
 
 class TestCellLoad:
     def test_definition_three(self):
@@ -44,8 +52,8 @@ class TestCellLoad:
 class TestWorkerLoadCounters:
     def test_record_and_load(self):
         counters = WorkerLoadCounters()
-        counters.record_object(checks=3, matches=1)
-        counters.record_object(checks=0, matches=0)
+        counters.record_object_batch(1, checks=3, matches=1)
+        counters.record_object_batch(1, checks=0, matches=0)
         counters.record_insertion()
         counters.record_deletion(2)
         model = CostModel(match_check=1.0, object_handling=10.0, insert_handling=100.0, delete_handling=1000.0)
@@ -54,7 +62,7 @@ class TestWorkerLoadCounters:
 
     def test_reset(self):
         counters = WorkerLoadCounters()
-        counters.record_object(checks=5)
+        counters.record_object_batch(1, checks=5)
         counters.reset()
         assert counters.objects == 0
         assert counters.match_checks == 0
@@ -76,11 +84,6 @@ class TestLoadReport:
         assert report.maximum == 30.0
         assert report.minimum == 10.0
         assert report.imbalance == pytest.approx(3.0)
-
-    def test_balance_constraint(self):
-        report = LoadReport(worker_loads={0: 10.0, 1: 12.0})
-        assert report.satisfies_balance(1.5)
-        assert not report.satisfies_balance(1.1)
 
     def test_zero_minimum_gives_infinite_imbalance(self):
         report = LoadReport(worker_loads={0: 0.0, 1: 5.0})

@@ -14,12 +14,10 @@ class TestConstruction:
     def test_conjunction(self):
         expr = BooleanExpression.conjunction(["Kobe", "Retired"])
         assert expr.clauses == (frozenset({"kobe", "retired"}),)
-        assert expr.is_conjunctive
 
     def test_disjunction(self):
         expr = BooleanExpression.disjunction(["a", "b"])
         assert len(expr.clauses) == 2
-        assert not expr.is_conjunctive
 
     def test_from_clauses(self):
         expr = BooleanExpression.from_clauses([["a", "b"], ["c"]])

@@ -29,10 +29,10 @@ from repro.runtime import (
     parse_address,
     serve,
 )
-from repro.core.costmodel import CostModel
 from repro.core.geometry import Rect
 from repro.runtime.dispatch import make_dispatch
 from repro.runtime.fabric import (
+    FaultSpec,
     Fleet,
     Init,
     RemoteError,
@@ -44,6 +44,7 @@ from repro.runtime.fabric import (
     load_message,
     make_fleet,
     pack_frame,
+    parse_fault_plan,
     read_frame,
     register_role,
 )
@@ -154,6 +155,54 @@ class TestFramingCodec:
             }
             chunk_size = rng.choice([1, 3, 17, 256, 1 << 15])
             assert roundtrip(message, chunk_size) == message
+
+
+class TestFaultSpec:
+    """A fault that could never fire is refused when the plan is parsed,
+    not at the first send (or never)."""
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"action": "crash"}, "unknown fault action 'crash'"),
+            ({"action": "kill", "role": "wroker"}, "unknown fault role 'wroker'"),
+            ({"action": "kill", "endpoint_id": -1}, "endpoint_id"),
+            ({"action": "kill", "endpoint_id": 1.5}, "endpoint_id"),
+            ({"action": "drop", "after_sends": -2}, "after_sends"),
+            ({"action": "drop", "after_sends": True}, "after_sends"),
+            ({"action": "delay", "delay_seconds": -0.5}, "delay_seconds"),
+            ({"action": "delay", "delay_seconds": "1"}, "delay_seconds"),
+            ({"action": "drop", "message_type": 3}, "message_type"),
+            ({"action": "delay", "delay_seconds": float("nan")}, "delay_seconds"),
+        ],
+    )
+    def test_invalid_spec_raises(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            FaultSpec(**fields)
+        with pytest.raises(ValueError, match=message):
+            parse_fault_plan(json.dumps([fields]))
+
+    def test_valid_specs_parse(self):
+        plan = parse_fault_plan(json.dumps([
+            {"action": action, "role": role, "endpoint_id": 1, "after_sends": 2}
+            for action in ("kill", "drop", "truncate", "delay")
+            for role in ("worker", "dispatcher", "merger")
+        ] + [{"action": "delay", "delay_seconds": 0.25, "message_type": "RouteBatch"}]))
+        assert len(plan.faults) == 13
+        assert plan.for_role("merger")[0] == FaultSpec("kill", "merger", 1, 2)
+
+    def test_zero_counts_and_an_integral_delay_are_valid(self):
+        """The bounds are inclusive: endpoint 0, the first send, no delay."""
+        plan = parse_fault_plan(json.dumps([
+            {"action": "kill", "endpoint_id": 0, "after_sends": 0},
+            {"action": "delay", "delay_seconds": 0},
+            {"action": "delay", "delay_seconds": 2},
+        ]))
+        assert plan.faults == (
+            FaultSpec("kill"),
+            FaultSpec("delay"),
+            FaultSpec("delay", delay_seconds=2),
+        )
 
 
 class TestManifest:
@@ -333,7 +382,7 @@ class TestClusterCloseResilience:
 def _make_worker_tier(backend):
     return make_transport(
         backend, [0, 1], bounds=Rect(0.0, 0.0, 10.0, 10.0), granularity=4,
-        cost_model=CostModel(), term_statistics=None,
+        term_statistics=None,
     )
 
 

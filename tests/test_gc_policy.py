@@ -120,7 +120,6 @@ def endpoint_traffic():
         worker_init = {
             "bounds": cluster.bounds,
             "granularity": cluster.config.granularity,
-            "cost_model": cluster.config.cost_model,
             "term_statistics": cluster.plan.statistics,
         }
         routing = pickle.dumps(cluster.routing_index)

@@ -3,24 +3,10 @@
 
 import pytest
 
-from repro.core.geometry import Point, Rect, bounding_rect, haversine_km, km_to_degrees
+from repro.core.geometry import Point, Rect, bounding_rect, km_to_degrees
 
 
 class TestPoint:
-    def test_distance_to_self_is_zero(self):
-        p = Point(3.0, 4.0)
-        assert p.distance_to(p) == 0.0
-
-    def test_distance_is_euclidean(self):
-        assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_distance_is_symmetric(self):
-        a, b = Point(1.5, -2.0), Point(-4.0, 7.25)
-        assert a.distance_to(b) == pytest.approx(b.distance_to(a))
-
-    def test_translated(self):
-        assert Point(1, 2).translated(3, -1) == Point(4, 1)
-
     def test_as_tuple(self):
         assert Point(1.5, 2.5).as_tuple() == (1.5, 2.5)
 
@@ -44,10 +30,6 @@ class TestRectConstruction:
     def test_from_center(self):
         r = Rect.from_center(Point(5, 5), 4, 2)
         assert r.as_tuple() == (3, 4, 7, 6)
-
-    def test_from_points_orders_coordinates(self):
-        r = Rect.from_points(Point(5, 1), Point(2, 8))
-        assert r.as_tuple() == (2, 1, 5, 8)
 
 
 class TestRectProperties:
@@ -97,9 +79,6 @@ class TestRectPredicates:
         assert a.enlargement_area(Rect(0, 0, 1, 1)) == 0.0
         assert a.enlargement_area(Rect(0, 0, 4, 2)) == pytest.approx(4.0)
 
-    def test_enlarged_by_point(self):
-        assert Rect(0, 0, 1, 1).enlarged(Point(3, -2)).as_tuple() == (0, -2, 3, 1)
-
 
 class TestRectSplit:
     def test_split_x(self):
@@ -130,19 +109,6 @@ class TestRectSplit:
         assert left.area + right.area == pytest.approx(parent.area)
 
 
-class TestGridCells:
-    def test_grid_cells_count_and_cover(self):
-        parent = Rect(0, 0, 4, 2)
-        cells = list(parent.grid_cells(4, 2))
-        assert len(cells) == 8
-        total_area = sum(rect.area for _, _, rect in cells)
-        assert total_area == pytest.approx(parent.area)
-
-    def test_grid_cells_invalid(self):
-        with pytest.raises(ValueError):
-            list(Rect(0, 0, 1, 1).grid_cells(0, 2))
-
-
 class TestHelpers:
     def test_bounding_rect(self):
         rect = bounding_rect([Point(1, 5), Point(-2, 3), Point(4, -1)])
@@ -151,13 +117,6 @@ class TestHelpers:
     def test_bounding_rect_empty_raises(self):
         with pytest.raises(ValueError):
             bounding_rect([])
-
-    def test_haversine_equator_degree(self):
-        # One degree of longitude at the equator is about 111 km.
-        assert haversine_km(Point(0, 0), Point(1, 0)) == pytest.approx(111.19, abs=0.5)
-
-    def test_haversine_zero(self):
-        assert haversine_km(Point(10, 20), Point(10, 20)) == 0.0
 
     def test_km_to_degrees_roundtrip(self):
         d_lon, d_lat = km_to_degrees(111.0, latitude_deg=0.0)

@@ -23,7 +23,7 @@ class TestConstruction:
     def test_cell_sizes(self, grid):
         assert grid.cell_width == pytest.approx(10.0)
         assert grid.cell_height == pytest.approx(10.0)
-        assert grid.cell_count == 50
+        assert grid.columns * grid.rows == 50
 
 
 class TestCellOf:
@@ -68,7 +68,7 @@ class TestCellsOverlapping:
         assert set(cells) == {(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)}
 
     def test_full_bounds(self, grid):
-        assert len(grid.cells_overlapping(grid.bounds)) == grid.cell_count
+        assert len(grid.cells_overlapping(grid.bounds)) == grid.columns * grid.rows
 
     def test_rect_outside_bounds_clamps(self, grid):
         cells = grid.cells_overlapping(Rect(200, 200, 300, 300))
@@ -78,17 +78,3 @@ class TestCellsOverlapping:
         probe = Rect(12, 3, 47, 28)
         for cell in grid.cells_overlapping(probe):
             assert grid.cell_rect(cell).intersects(probe)
-
-
-class TestIndexing:
-    def test_cell_index_roundtrip(self, grid):
-        for cell in grid.all_cells():
-            assert grid.cell_from_index(grid.cell_index(cell)) == cell
-
-    def test_cell_index_dense_and_unique(self, grid):
-        indexes = [grid.cell_index(cell) for cell in grid.all_cells()]
-        assert sorted(indexes) == list(range(grid.cell_count))
-
-    def test_cell_from_invalid_index(self, grid):
-        with pytest.raises(ValueError):
-            grid.cell_from_index(grid.cell_count)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import Point, Rect, STSQuery, SpatioTextualObject, TermStatistics
 from repro.indexes.gridt import GridTIndex, group_triples
-from repro.indexes.kdt_tree import KdtTree
 
 
 BOUNDS = Rect(0, 0, 100, 100)
@@ -36,7 +35,7 @@ def make_index(stats, object_filtering=False):
 class TestConstruction:
     def test_cells_created_for_covered_area(self, stats):
         index = make_index(stats)
-        assert len(index.cells()) == index.grid.cell_count
+        assert len(index.cells()) == index.grid.columns * index.grid.rows
 
     def test_workers(self, stats):
         index = make_index(stats)
@@ -51,22 +50,6 @@ class TestConstruction:
         )
         # Memory should reflect one copy of the 500-term map, not 256 copies.
         assert shared.memory_bytes() < 100_000
-
-    def test_from_kdt_tree_equivalent_object_routing(self, stats):
-        tree = KdtTree.from_leaves(
-            BOUNDS,
-            [
-                (Rect(0, 0, 50, 100), None, 0),
-                (Rect(50, 0, 100, 100), {"kobe": 1, "music": 2}, 1),
-            ],
-            stats,
-        )
-        index = GridTIndex.from_kdt_tree(tree, granularity=10, term_statistics=stats)
-        assert index.object_filtering is True
-        query = STSQuery.create("kobe", Rect(60, 10, 70, 20))
-        index.route_insertion(query)
-        obj = SpatioTextualObject.create("kobe", Point(65, 15))
-        assert index.route_object(obj) == {1}
 
 
 class TestQueryRouting:

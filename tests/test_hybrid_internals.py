@@ -9,6 +9,7 @@ MergeNodesIntoPartitions — so regressions in one phase are caught directly.
 import pytest
 
 from repro.core import Point, Rect, STSQuery, SpatioTextualObject
+from repro.core.costmodel import COST_MODEL
 from repro.partitioning import HybridConfig, HybridPartitioner, WorkloadSample
 from repro.partitioning.hybrid import _Node
 
@@ -42,7 +43,7 @@ def whole(sample, region=BOUNDS, keep=lambda x: True, every=slice(None)):
 
 def definition_one_load(partitioner, sample, objects, queries):
     """Definition-1 load under H2 filtering, from first principles."""
-    statistics, model = sample.term_statistics, partitioner.config.cost_model
+    statistics, model = sample.term_statistics, COST_MODEL
     posted = set()
     for q in queries:
         posted |= q.expression.posting_keywords(statistics)
@@ -96,7 +97,7 @@ class TestNodeStatistics:
         node = whole(sample)
         expected = definition_one_load(partitioner, sample, sample.objects, sample.insertions)
         assert partitioner._node_load(node) == expected
-        floor = partitioner.config.cost_model.insert_handling * len(sample.insertions)
+        floor = COST_MODEL.insert_handling * len(sample.insertions)
         assert expected > floor
 
 
@@ -109,9 +110,8 @@ class TestComputeNumberPartitions:
         assert all(parts >= 1 for parts in allocation.values())
         # The DP compared real loads: objects are routed and checked, so a
         # node costs more than handling its insertions.
-        model = partitioner.config.cost_model
         for node in (node_a, node_b):
-            assert partitioner._node_load(node) > model.insert_handling * node.query_count
+            assert partitioner._node_load(node) > COST_MODEL.insert_handling * node.query_count
 
     def test_enough_nodes_means_one_partition_each(self, partitioner, left_right_sample):
         nodes = [whole(left_right_sample) for _ in range(5)]
@@ -168,8 +168,7 @@ class TestPartitionNode:
                     ("text", partitioner._text_split),
                 )
             }
-            model = partitioner.config.cost_model
-            assert min(loads.values()) > model.insert_handling * node.query_count
+            assert min(loads.values()) > COST_MODEL.insert_handling * node.query_count
             assert loads[cheaper] == min(loads.values())
             assert children == (space_nodes if cheaper == "space" else text_nodes)
             assert sum(partitioner._node_load(child) for child in children) == loads[cheaper]

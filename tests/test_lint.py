@@ -17,7 +17,7 @@ import textwrap
 
 
 from repro.cli import main as cli_main
-from repro.lint import build_project, run_lint
+from repro.lint import build_project, collect_files, run_lint
 from repro.lint.rl001_protocol import ProtocolCompletenessRule
 from repro.lint.rl002_determinism import DeterminismRule
 from repro.lint.rl003_pickle import PickleSafetyRule
@@ -25,6 +25,7 @@ from repro.lint.rl004_serve import ServeLoopDisciplineRule
 from repro.lint.rl005_fence import FenceDisciplineRule
 from repro.lint.rl006_telemetry import TelemetryProtocolRule
 from repro.lint.rl007_profiling import ProfilingDisciplineRule
+from repro.lint import rl008_callers
 from repro.lint.runner import main as lint_main, repo_root
 from repro.runtime import WorkerNode, protocol
 
@@ -709,6 +710,125 @@ class TestRL007:
 
 
 # ----------------------------------------------------------------------
+# RL008 — every def has a caller
+# ----------------------------------------------------------------------
+def lint_package(tmp_path, source, rules):
+    """Lint ``source`` as a module of the ``repro`` package (RL008's scope)."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    return lint_source(package, source, rules, name="module.py")
+
+
+class TestRL008:
+    RULES = (rl008_callers.CallerRule(),)
+
+    def test_flags_uncalled_def(self, tmp_path):
+        source = """
+            def used():
+                return 1
+
+            def unused():
+                return used()
+        """
+        findings = lint_package(tmp_path, source, self.RULES)
+        assert [finding.message.split()[:2] for finding in findings] == [["def", "unused"]]
+        assert findings[0].line == 5
+
+    def test_flags_def_named_only_in_all(self, tmp_path):
+        source = """
+            __all__ = ["exported"]
+
+            def exported():
+                return 1
+        """
+        findings = lint_package(tmp_path, source, self.RULES)
+        assert len(findings) == 1
+        assert "exported" in findings[0].message
+
+    def test_passes_def_reached_through_a_string(self, tmp_path):
+        source = """
+            class Node:
+                SURFACE = ("extract_cells",)
+
+                def extract_cells(self):
+                    return []
+
+                def call(self, name):
+                    return getattr(self, name)()
+
+            def serve(node):
+                return node.call(Node.SURFACE[0])
+        """
+        findings = lint_package(tmp_path, source, self.RULES)
+        assert [finding.message.split()[1] for finding in findings] == ["serve"]
+
+    def test_passes_allowlisted_def(self, tmp_path):
+        source = """
+            def route_query(query):
+                return {0}
+        """
+        assert "route_query" in rl008_callers.ALLOWED
+        assert lint_package(tmp_path, source, self.RULES) == []
+
+    def test_ignores_files_outside_the_package(self, tmp_path):
+        assert lint_source(tmp_path, "def unused():\n    pass\n", self.RULES) == []
+
+    def test_passes_method_called_through_an_attribute(self, tmp_path):
+        source = """
+            class Index:
+                def probe(self):
+                    return 0
+
+            INDEX = Index()
+            VALUE = INDEX.probe()
+        """
+        assert lint_package(tmp_path, source, self.RULES) == []
+
+    def test_flags_uncalled_class(self, tmp_path):
+        source = """
+            class Orphan:
+                pass
+        """
+        findings = lint_package(tmp_path, source, self.RULES)
+        assert [finding.message.split()[:2] for finding in findings] == [["class", "Orphan"]]
+
+    def test_dunders_are_exempt(self, tmp_path):
+        source = """
+            class Box:
+                def __init__(self):
+                    self.items = []
+
+                def __len__(self):
+                    return len(self.items)
+
+            BOX = Box()
+        """
+        assert lint_package(tmp_path, source, self.RULES) == []
+
+    def test_import_alone_is_not_a_use(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "helpers.py").write_text("def helper():\n    return 1\n")
+        (package / "user.py").write_text("from .helpers import helper\n")
+        project = build_project(
+            [package / "helpers.py", package / "user.py"], root=package
+        )
+        findings = run_lint(project, self.RULES)
+        assert [finding.message.split()[:2] for finding in findings] == [["def", "helper"]]
+
+    def test_allowlist_is_exactly_what_the_rule_would_flag(self, monkeypatch):
+        """Every entry still needs its exemption, and each says why."""
+        allowed = dict(rl008_callers.ALLOWED)
+        assert len(allowed) <= 25
+        assert all(reason.strip() for reason in allowed.values())
+        monkeypatch.setattr(rl008_callers, "ALLOWED", {})
+        root = repo_root()
+        project = build_project(collect_files([root / "src" / "repro"]), root)
+        flagged = {finding.message.split()[1] for finding in run_lint(project, self.RULES)}
+        assert flagged == set(allowed)
+
+
+# ----------------------------------------------------------------------
 # Suppressions
 # ----------------------------------------------------------------------
 class TestSuppressions:
@@ -786,7 +906,7 @@ class TestRunner:
     def test_list_rules(self):
         code, output = run_lint_cli(["--list-rules"])
         assert code == 0
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
+        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008"):
             assert rule_id in output
 
     def test_repro_cli_lint_subcommand(self, tmp_path):

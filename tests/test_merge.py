@@ -327,12 +327,13 @@ class TestSubscriberSinks:
 
 
 class TestMergerMechanics:
-    def test_dedup_window_boundary(self):
+    def test_dedup_window_boundary(self, monkeypatch):
         """Eviction at the window boundary: oldest key out, O(1) deque pop."""
         from collections import deque
         from repro.core import MatchResult
 
-        merger = MergerNode(0, dedup_window=2)
+        monkeypatch.setattr(MergerNode, "DEDUP_WINDOW", 2)
+        merger = MergerNode(0)
         assert isinstance(merger._order, deque)
         assert merger.handle(MatchResult(1, 1))
         assert merger.handle(MatchResult(2, 1))
@@ -350,12 +351,13 @@ class TestMergerMechanics:
         assert merger.duplicates == 3
         assert merger.received == 8
 
-    def test_handle_many_equals_handle_one_by_one(self):
+    def test_handle_many_equals_handle_one_by_one(self, monkeypatch):
         """One batch == the same results handled singly: counters, the
         exact ``busy_cost`` float, sink order, eviction at the window edge."""
         import random
         from repro.core import MatchResult
 
+        monkeypatch.setattr(MergerNode, "DEDUP_WINDOW", 8)
         rng = random.Random(11)
         # 12 distinct keys over a window of 8: duplicates inside the window
         # and re-deliveries of evicted keys both occur.
@@ -370,7 +372,7 @@ class TestMergerMechanics:
 
         def merger_with_log():
             log = []
-            return MergerNode(0, dedup_window=8, sink=LogSink(log)), log
+            return MergerNode(0, sink=LogSink(log)), log
 
         single, single_log = merger_with_log()
         batched, batched_log = merger_with_log()

@@ -1,6 +1,7 @@
 """Unit tests for the run metrics (latency tracker, buckets, run report)."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import math
@@ -8,6 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.costmodel import COST_UNIT_SECONDS, LATENCY_LOAD_FRACTION, NETWORK_HOP_MS
 from repro.runtime.checkpoint import RecoveryEvent, RecoveryReport
 from repro.runtime.config import ClusterConfig
 from repro.runtime.dispatch import DispatcherLedger
@@ -68,7 +70,7 @@ class TestLatencyTracker:
         assert buckets.under_100ms == pytest.approx(0.8)
         assert buckets.between_100ms_and_1s == pytest.approx(0.1)
         assert buckets.over_1s == pytest.approx(0.1)
-        assert sum(buckets.as_dict().values()) == pytest.approx(1.0)
+        assert sum(dataclasses.astuple(buckets)) == pytest.approx(1.0)
 
     def test_buckets_threshold_values_are_inclusive_middle(self):
         # Exactly 100 ms is not "< 100 ms" and exactly 1000 ms is not
@@ -230,32 +232,44 @@ def two_tuple_run():
 class TestPureReporting:
     """The report path on hand-built observations — no ``Cluster`` anywhere."""
 
-    CONFIG = ClusterConfig(num_dispatchers=2, num_workers=2, num_mergers=1)
-
     @pytest.fixture
     def run(self):
         return two_tuple_run()
 
     def test_throughput_is_tuples_over_the_bottleneck(self, run):
         totals, _, dispatchers, observed = run
-        unit = self.CONFIG.cost_unit_seconds
-        assert saturation_throughput(self.CONFIG, totals, dispatchers, observed) == 2 / (6.0 * unit)
-        assert saturation_throughput(self.CONFIG, RunTotals(), dispatchers, observed) == 0.0
+        unit = COST_UNIT_SECONDS
+        assert saturation_throughput(totals, dispatchers, observed) == 2 / (6.0 * unit)
+        assert saturation_throughput(RunTotals(), dispatchers, observed) == 0.0
 
     def test_latency_is_the_slowest_worker_hop_per_tuple(self, run):
         totals, traces, dispatchers, observed = run
-        tracker = latency_tracker(self.CONFIG, totals, traces, dispatchers, observed, 1.0)
-        hop, unit_ms = self.CONFIG.network_hop_ms, self.CONFIG.cost_unit_seconds * 1000.0
+        tracker = latency_tracker(totals, traces, dispatchers, observed, 1.0)
+        hop, unit_ms = NETWORK_HOP_MS, COST_UNIT_SECONDS * 1000.0
         # At 1 tuple/s nothing queues: latency is the bare service times.
         assert tracker.values == pytest.approx(
             [2 * hop + (0.09 + 4.0) * unit_ms, 2 * hop + (0.07 + 2.0) * unit_ms], rel=1e-3
         )
-        assert len(latency_tracker(self.CONFIG, totals, TraceStore(), dispatchers, observed)) == 0
+        assert len(latency_tracker(totals, TraceStore(), dispatchers, observed)) == 0
+
+    def test_default_input_rate_is_the_load_fraction_of_saturation(self, run):
+        totals, traces, dispatchers, observed = run
+        rate = LATENCY_LOAD_FRACTION * saturation_throughput(totals, dispatchers, observed)
+        assert (
+            latency_tracker(totals, traces, dispatchers, observed).values
+            == latency_tracker(totals, traces, dispatchers, observed, rate).values
+        )
+
+    def test_throughput_reads_the_cost_unit_at_call_time(self, run, monkeypatch):
+        totals, _, dispatchers, observed = run
+        base = saturation_throughput(totals, dispatchers, observed)
+        monkeypatch.setattr("repro.runtime.metrics.COST_UNIT_SECONDS", 2 * COST_UNIT_SECONDS)
+        assert saturation_throughput(totals, dispatchers, observed) == pytest.approx(base / 2)
 
     def test_delivery_latency_weights_mergers_by_deliveries(self, run):
         totals, _, _, observed = run
-        mean, buckets = delivery_latency(self.CONFIG, totals, observed.mergers, 1.0)
-        assert mean == pytest.approx(self.CONFIG.network_hop_ms, rel=1e-3)
+        mean, buckets = delivery_latency(totals, observed.mergers, 1.0)
+        assert mean == pytest.approx(NETWORK_HOP_MS, rel=1e-3)
         assert buckets == LatencyBuckets(1.0, 0.0, 0.0)
 
     def test_dispatcher_memory_is_measured_on_shards_else_estimated(self, run):
@@ -277,12 +291,10 @@ class TestPureReporting:
         shards = {0: Observation("dispatcher", 0, 0.0, 512, 0)}
         recovery = RecoveryReport(checkpoints_taken=2)
         sharded = observed._replace(shards=shards)
-        report = run_report(self.CONFIG, totals, traces, dispatchers, sharded, None, recovery)
+        report = run_report(totals, traces, dispatchers, sharded, None, recovery)
         assert report.tuples_processed == 2
         assert (report.objects_processed, report.insertions_processed) == (1, 1)
-        assert report.throughput == saturation_throughput(
-            self.CONFIG, totals, dispatchers, observed
-        )
+        assert report.throughput == saturation_throughput(totals, dispatchers, observed)
         assert report.worker_loads == {0: 2.5, 1: 7.5}
         assert report.worker_memory == {0: 100, 1: 300}
         assert report.dispatcher_memory == {0: 512}
@@ -290,7 +302,7 @@ class TestPureReporting:
         assert (report.object_fanout, report.query_fanout) == (2.0, 1.0)
         assert report.merger_duplicates == {0: 1}
         assert report.recovery is recovery
-        assert report.mean_latency_ms > 2 * self.CONFIG.network_hop_ms
+        assert report.mean_latency_ms > 2 * NETWORK_HOP_MS
 
     def test_the_report_path_does_not_import_the_cluster(self):
         import repro.runtime.metrics as metrics
@@ -335,13 +347,13 @@ LATENCIES = st.lists(
 )
 
 
-def per_tuple_latencies(config, totals, rows, dispatchers, observed, rate):
+def per_tuple_latencies(totals, rows, dispatchers, observed, rate):
     """The report's loop before interning: every traced tuple priced alone."""
-    unit = config.cost_unit_seconds
+    unit = COST_UNIT_SECONDS
     wall_seconds = totals.tuples / rate
     dispatcher_util = {d.dispatcher_id: d.busy_cost * unit / wall_seconds for d in dispatchers}
     worker_util = {w: s.busy_cost * unit / wall_seconds for w, s in observed.workers.items()}
-    unit_ms, hop_ms = unit * 1000.0, config.network_hop_ms
+    unit_ms, hop_ms = unit * 1000.0, NETWORK_HOP_MS
     latencies = []
     for dispatcher_id, dispatcher_cost, items in rows:
         dispatcher_ms = utilization_latency(
@@ -377,8 +389,6 @@ def assert_tracker_matches_list(tracker, values):
 
 
 class TestSignatureTrace:
-    CONFIG = TestPureReporting.CONFIG
-
     def test_memory_is_bounded_by_signatures_not_tuples(self, small_stream):
         from repro.partitioning import KDTreeSpacePartitioner
         from repro.runtime import Cluster
@@ -424,12 +434,10 @@ class TestSignatureTrace:
                 rows = []
         assert len(traces) == len(rows)
         assert len(traces.signatures) <= len(rows)
-        tracker = latency_tracker(self.CONFIG, totals, traces, dispatchers, observed, rate)
+        tracker = latency_tracker(totals, traces, dispatchers, observed, rate)
         if rate is None:
-            rate = self.CONFIG.latency_load_fraction * saturation_throughput(
-                self.CONFIG, totals, dispatchers, observed
-            )
-        reference = per_tuple_latencies(self.CONFIG, totals, rows, dispatchers, observed, rate)
+            rate = LATENCY_LOAD_FRACTION * saturation_throughput(totals, dispatchers, observed)
+        reference = per_tuple_latencies(totals, rows, dispatchers, observed, rate)
         assert_tracker_matches_list(tracker, reference)
 
     @settings(max_examples=150, deadline=None)

@@ -30,11 +30,6 @@ class TestSpatioTextualObject:
         obj = SpatioTextualObject.create("x", Point(0, 0), object_id=1234)
         assert obj.object_id == 1234
 
-    def test_contains_any(self):
-        obj = SpatioTextualObject.create("storm warning issued", Point(0, 0))
-        assert obj.contains_any(["storm", "nothing"])
-        assert not obj.contains_any(["flood"])
-
 
 class TestSTSQuery:
     def test_create_parses_string_expression(self):

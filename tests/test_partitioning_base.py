@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import CostModel, Point, Rect, STSQuery, SpatioTextualObject
-from repro.partitioning import PartitionPlan, PartitionUnit, WorkloadSample, evaluate_plan
+from repro.partitioning import PartitionPlan, PartitionUnit, WorkloadSample
 
 
 BOUNDS = Rect(0, 0, 100, 100)
@@ -52,16 +52,6 @@ class TestWorkloadSample:
         )
         assert {"kobe", "storm", "flood"} <= sample.vocabulary()
 
-    def test_query_keyword_statistics(self):
-        sample = WorkloadSample(
-            objects=[],
-            insertions=[query("storm", Rect(0, 0, 1, 1)), query("storm AND flood", Rect(0, 0, 1, 1))],
-            bounds=BOUNDS,
-        )
-        stats = sample.query_keyword_statistics()
-        assert stats.frequency("storm") == 2
-        assert stats.frequency("flood") == 1
-
     def test_len(self):
         sample = WorkloadSample(
             objects=[obj("a b", 1, 1)],
@@ -77,13 +67,13 @@ class TestPartitionUnit:
         unit = PartitionUnit(region=Rect(0, 0, 10, 10), terms=None, worker_id=0)
         assert unit.accepts_object(obj("anything", 5, 5))
         assert not unit.accepts_object(obj("anything", 50, 5))
-        assert not unit.is_text_unit
+        assert unit.terms is None
 
     def test_text_unit_requires_term_overlap(self):
         unit = PartitionUnit(region=Rect(0, 0, 10, 10), terms=frozenset({"kobe"}), worker_id=0)
         assert unit.accepts_object(obj("kobe retired", 5, 5))
         assert not unit.accepts_object(obj("music", 5, 5))
-        assert unit.is_text_unit
+        assert unit.terms is not None
 
     def test_query_acceptance(self):
         unit = PartitionUnit(region=Rect(0, 0, 10, 10), terms=frozenset({"kobe"}), worker_id=0)
@@ -132,27 +122,25 @@ class TestEvaluation:
         assert set(report.worker_loads) == {0, 1, 2}
         assert report.total > 0
 
-    def test_worker_loads_respect_routing(self, simple_plan):
+    def test_worker_loads_respect_routing(self, simple_plan, monkeypatch):
         sample = WorkloadSample(
             objects=[obj("kobe", 80, 10)] * 0 or [obj("kobe", 80, 10)],
             insertions=[],
             bounds=BOUNDS,
         )
         model = CostModel(match_check=0.0, object_handling=1.0, insert_handling=0.0, delete_handling=0.0)
-        report = simple_plan.worker_loads(sample, model)
+        monkeypatch.setattr("repro.partitioning.base.COST_MODEL", model)
+        report = simple_plan.worker_loads(sample)
         assert report.worker_loads[1] == pytest.approx(1.0)
         assert report.worker_loads[0] == 0.0
 
-    def test_deletions_counted(self, simple_plan):
+    def test_deletions_counted(self, simple_plan, monkeypatch):
         q = query("kobe", Rect(60, 5, 70, 15))
         sample = WorkloadSample(objects=[], insertions=[], deletions=[q], bounds=BOUNDS)
         model = CostModel(match_check=0.0, object_handling=0.0, insert_handling=0.0, delete_handling=2.0)
-        report = simple_plan.worker_loads(sample, model)
+        monkeypatch.setattr("repro.partitioning.base.COST_MODEL", model)
+        report = simple_plan.worker_loads(sample)
         assert report.worker_loads[1] == pytest.approx(2.0)
-
-    def test_evaluate_plan_helper(self, simple_plan):
-        sample = WorkloadSample(objects=[obj("kobe", 80, 10)], insertions=[], bounds=BOUNDS)
-        assert evaluate_plan(simple_plan, sample).total > 0
 
     def test_replication_factor(self, simple_plan):
         spanning = query("kobe", Rect(40, 5, 70, 15))       # workers 0 and 1

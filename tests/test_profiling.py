@@ -240,14 +240,14 @@ class TestProfileText:
 
 
 class TestStackSampler:
-    def test_collapsed_stack_format(self):
-        sampler = StackSampler(interval_ms=1.0)
+    def test_collapsed_stack_format(self, monkeypatch):
+        monkeypatch.setattr(StackSampler, "INTERVAL_MS", 1.0)
+        sampler = StackSampler()
         sampler.start()
         deadline = time.monotonic() + 0.2
-        while time.monotonic() < deadline and sampler.sample_count == 0:
+        while time.monotonic() < deadline and not sampler._samples:
             sum(range(1000))
         sampler.stop()
-        assert sampler.sample_count > 0
         lines = sampler.collapsed()
         assert lines
         for line in lines:
@@ -255,8 +255,9 @@ class TestStackSampler:
             assert int(count) > 0
             assert ";" in frames
 
-    def test_stop_is_idempotent(self):
-        sampler = StackSampler(interval_ms=1.0)
+    def test_stop_is_idempotent(self, monkeypatch):
+        monkeypatch.setattr(StackSampler, "INTERVAL_MS", 1.0)
+        sampler = StackSampler()
         sampler.start()
         sampler.stop()
         sampler.stop()

@@ -60,13 +60,6 @@ def test_rect_union_contains_both(a, b):
     assert union.contains_rect(b)
 
 
-@given(rects(), points)
-def test_point_in_rect_implies_in_union(rect, point):
-    grown = rect.enlarged(point)
-    assert grown.contains_point(point)
-    assert grown.contains_rect(rect)
-
-
 @given(rects(min_size=0.5), st.floats(min_value=0.01, max_value=0.99))
 def test_split_partitions_area(rect, fraction):
     coordinate = rect.min_x + fraction * rect.width

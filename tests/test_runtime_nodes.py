@@ -193,8 +193,9 @@ class TestMergerNode:
         assert per_subscriber[9] == 2
         assert per_subscriber[1] == 0
 
-    def test_dedup_window_bounded(self):
-        merger = MergerNode(0, dedup_window=10)
+    def test_dedup_window_bounded(self, monkeypatch):
+        monkeypatch.setattr(MergerNode, "DEDUP_WINDOW", 10)
+        merger = MergerNode(0)
         for index in range(50):
             merger.handle(MatchResult(1, index))
         assert merger.memory_bytes() <= 48 * 10

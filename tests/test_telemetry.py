@@ -178,8 +178,9 @@ class TestTierTimeseries:
 
 
 class TestHub:
-    def test_ring_is_bounded(self):
-        hub = TelemetryHub(TelemetrySpec(ring_size=4))
+    def test_ring_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.telemetry.RING_SIZE", 4)
+        hub = TelemetryHub(TelemetrySpec())
         for seq in range(10):
             hub.record(LifecycleEvent("checkpoint", seq, float(seq)))
         events = hub.events()
@@ -285,18 +286,19 @@ class TestClusterTelemetry:
         assert read_events(path) == events
         assert "repro_windows_total %d" % expected_windows in text
 
-    def test_sample_every_throttles_gauges_not_spans(self):
+    def test_every_closed_window_drains_every_endpoint(self):
         plan, tuples = make_chaos_workload()
-        _, _, every, _ = run_once(plan, tuples, telemetry=TelemetrySpec())
-        _, _, throttled, _ = run_once(
-            plan, tuples, telemetry=TelemetrySpec(sample_every=1000)
-        )
-        spans = lambda events: [e for e in events if isinstance(e, WindowSpan)]
-        gauges = lambda events: [e for e in events if isinstance(e, GaugeSample)]
-        assert len(spans(throttled)) == len(spans(every))
-        # Only the final report-time drain remains when throttled.
-        assert len(gauges(throttled)) < len(gauges(every))
-        assert gauges(throttled)
+        _, _, events, _ = run_once(plan, tuples, telemetry=TelemetrySpec())
+        spans = [event for event in events if isinstance(event, WindowSpan)]
+        drained = {}
+        for event in events:
+            if isinstance(event, GaugeSample):
+                drained.setdefault(event.seq, set()).add((event.tier, event.endpoint_id))
+        expected = {("dispatcher", 0), ("dispatcher", 1), ("coordinator", 0)}
+        expected |= {("worker", worker) for worker in range(4)}
+        for span in spans:
+            assert expected <= drained[span.seq]
+            assert any(tier == "merger" for tier, _ in drained[span.seq])
 
     def test_disabled_cluster_has_no_telemetry_surface(self):
         plan, tuples = make_chaos_workload()

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.text import (
-    TermStatistics,
-    cosine_similarity,
-    jaccard_similarity,
-    term_vector,
-    tokenize,
-)
+from repro.core.text import TermStatistics, cosine_similarity, tokenize
 
 
 class TestTokenize:
@@ -34,12 +28,6 @@ class TestTokenize:
         assert tokenize("") == []
 
 
-class TestTermVector:
-    def test_aggregates_counts(self):
-        vector = term_vector([["a", "b"], ["a", "c"]])
-        assert vector == {"a": 2, "b": 1, "c": 1}
-
-
 class TestTermStatistics:
     def test_add_document_updates_counts(self):
         stats = TermStatistics()
@@ -61,22 +49,6 @@ class TestTermStatistics:
 
     def test_relative_frequency_empty_stats(self):
         assert TermStatistics().relative_frequency("a") == 0.0
-
-    def test_add_term_with_count(self):
-        stats = TermStatistics()
-        stats.add_term("x", 5)
-        assert stats.frequency("x") == 5
-        with pytest.raises(ValueError):
-            stats.add_term("x", -1)
-
-    def test_remove_document(self):
-        stats = TermStatistics()
-        stats.add_document(["a", "b"])
-        stats.add_document(["a"])
-        stats.remove_document(["a", "b"])
-        assert stats.frequency("a") == 1
-        assert stats.frequency("b") == 0
-        assert "b" not in stats
 
     def test_merge(self):
         left = TermStatistics()
@@ -109,15 +81,6 @@ class TestTermStatistics:
         stats = TermStatistics()
         stats.add_document(["a"] * 3 + ["b"] * 2 + ["c"])
         assert stats.most_common(2) == [("a", 3), ("b", 2)]
-
-    def test_top_fraction(self):
-        stats = TermStatistics()
-        for index, term in enumerate(["a", "b", "c", "d"]):
-            stats.add_term(term, 10 - index)
-        top_half = stats.top_fraction(0.5)
-        assert top_half == {"a", "b"}
-        with pytest.raises(ValueError):
-            stats.top_fraction(1.5)
 
     def test_contains_and_len(self):
         stats = TermStatistics()
@@ -159,17 +122,3 @@ class TestCosineSimilarity:
     def test_known_value(self):
         # vectors (1, 1) and (1, 0) -> cos = 1/sqrt(2)
         assert cosine_similarity({"a": 1, "b": 1}, {"a": 1}) == pytest.approx(0.7071, abs=1e-3)
-
-
-class TestJaccard:
-    def test_identical_sets(self):
-        assert jaccard_similarity(["a", "b"], ["b", "a"]) == 1.0
-
-    def test_disjoint_sets(self):
-        assert jaccard_similarity(["a"], ["b"]) == 0.0
-
-    def test_partial_overlap(self):
-        assert jaccard_similarity(["a", "b", "c"], ["b", "c", "d"]) == pytest.approx(0.5)
-
-    def test_empty_sets(self):
-        assert jaccard_similarity([], []) == 0.0
