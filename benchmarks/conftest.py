@@ -8,6 +8,7 @@ the cached :class:`~repro.bench.harness.ExperimentResult`.
 
 from __future__ import annotations
 
+import json
 import os
 from collections import OrderedDict
 from typing import Callable, Dict, List, Tuple
@@ -19,7 +20,6 @@ from repro.bench import (
     ExperimentResult,
     format_table,
     run_experiment,
-    write_bench_result,
 )
 
 
@@ -86,11 +86,10 @@ def record_row() -> Callable[[str, Dict[str, object]], None]:
 
 
 # ----------------------------------------------------------------------
-# Perf-result recording: every perf gate that used to hand-roll its own
-# one-shot JSON writes through this fixture instead, so all of them emit
-# the same versioned schema — one-shot BENCH_<name>.json for
-# compatibility plus an appended row in BENCH_HISTORY.jsonl that
-# ``repro bench-report`` renders (see repro.bench.history).
+# Perf-result recording: every perf gate writes its measurement through
+# this fixture, so all of them emit the same one-shot BENCH_<name>.json
+# keys (metric, ratio, floor, workload, plus the gate's own extra
+# fields). The run-to-run trajectory is the e2e benchmark's, not these.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
 def record_bench() -> Callable[..., Dict[str, object]]:
@@ -105,15 +104,12 @@ def record_bench() -> Callable[..., Dict[str, object]]:
         workload: str,
         extra: Dict[str, object],
     ) -> Dict[str, object]:
-        return write_bench_result(
-            name,
-            metric,
-            value,
-            floor=floor,
-            workload=workload,
-            extra=extra,
-            root=repo_root,
-        )
+        payload: Dict[str, object] = dict(extra)
+        payload.update(metric=metric, ratio=float(value), floor=float(floor), workload=workload)
+        with open(os.path.join(repo_root, "BENCH_%s.json" % name), "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        return payload
 
     return _record
 

@@ -16,42 +16,18 @@ from .harness import (
     make_stream,
     run_experiment,
 )
-from .history import (
-    HISTORY_FILENAME,
-    Regression,
-    SCHEMA_VERSION,
-    append_history,
-    check_regressions,
-    machine_fingerprint,
-    make_record,
-    read_history,
-    render_history,
-    validate_record,
-    write_bench_result,
-)
 
 __all__ = [
     "DriftExperimentResult",
     "ExperimentConfig",
     "ExperimentResult",
-    "HISTORY_FILENAME",
     "MigrationExperimentResult",
     "PARTITIONER_FACTORIES",
-    "Regression",
-    "SCHEMA_VERSION",
-    "append_history",
     "bench_scale",
-    "check_regressions",
     "format_table",
-    "machine_fingerprint",
     "make_partitioner",
-    "make_record",
     "make_stream",
-    "read_history",
-    "render_history",
     "run_drift_experiment",
     "run_experiment",
     "run_migration_experiment",
-    "validate_record",
-    "write_bench_result",
 ]

@@ -1,83 +1,19 @@
-"""The perf-regression observatory: a versioned bench-result schema.
+"""Provenance stamps for benchmark results.
 
-Before this module every ``benchmarks/test_*`` perf gate wrote its own
-ad-hoc one-shot JSON (``BENCH_multiprocess.json``, ``BENCH_socket.json``,
-…) with inconsistent field names (``speedup`` vs ``socket_over_multiprocess``
-vs ``checkpointed_over_baseline``) that the next run overwrote — CI could
-check a static floor, but the repo's perf *trajectory* was invisible and a
-regression that stayed above the floor passed silently.
-
-This module defines one **versioned record schema** (:data:`SCHEMA_VERSION`)
-shared by every bench writer:
-
-* ``metric`` / ``value`` / ``floor`` — the normalised measurement: the
-  metric name (e.g. ``multiprocess_speedup``), the measured ratio
-  (higher is better for every current metric) and the static floor the
-  bench asserts against;
-* machine fingerprint — ``cpu_count``, ``platform``, ``python`` — so
-  trajectories from different machines are distinguishable;
-* provenance — ``git_sha`` (best effort) and a UTC ``timestamp``;
-* ``workload`` / ``extra`` — the human-readable workload line and the
-  bench's legacy payload fields, preserved verbatim.
-
-Records are **appended** to ``BENCH_HISTORY.jsonl`` (never overwritten);
-the legacy one-shot ``BENCH_<name>.json`` files are still emitted for
-compatibility, now carrying the normalised ``metric``/``ratio``/``floor``
-keys alongside their legacy fields.  ``repro bench-report`` renders the
-per-metric trajectory and flags any metric whose latest value regressed
-more than a threshold below the rolling median of its recent history.
+The wall-clock benchmark (``benchmarks/e2e/run.py``) imports
+``machine_fingerprint`` and ``current_git_sha`` from here to stamp every
+result file with the host it ran on and the commit it measured, so two
+runs from different machines or checkouts are never mistaken for a pair.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional
 
-__all__ = [
-    "HISTORY_FILENAME",
-    "Regression",
-    "SCHEMA_VERSION",
-    "append_history",
-    "check_regressions",
-    "current_git_sha",
-    "machine_fingerprint",
-    "make_record",
-    "read_history",
-    "render_history",
-    "validate_record",
-    "write_bench_result",
-]
-
-#: Version stamp of the record schema; bump on any incompatible change.
-SCHEMA_VERSION = 1
-
-#: The append-only trajectory file, at the repository root next to the
-#: one-shot ``BENCH_*.json`` files.
-HISTORY_FILENAME = "BENCH_HISTORY.jsonl"
-
-#: Fields every schema-1 record must carry (``validate_record``).
-_REQUIRED_FIELDS = (
-    "schema",
-    "metric",
-    "value",
-    "timestamp",
-    "git_sha",
-    "cpu_count",
-    "platform",
-    "python",
-)
-
-#: Latest value more than this fraction below the rolling median flags a
-#: regression (every current metric is a higher-is-better ratio).
-DEFAULT_THRESHOLD = 0.10
-
-#: How many preceding runs the rolling median covers.
-DEFAULT_WINDOW = 5
+__all__ = ["current_git_sha", "machine_fingerprint"]
 
 
 def machine_fingerprint() -> Dict[str, Any]:
@@ -104,201 +40,3 @@ def current_git_sha(root: Optional[str] = None) -> str:
         return "unknown"
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else "unknown"
-
-
-def make_record(
-    metric: str,
-    value: float,
-    *,
-    floor: Optional[float] = None,
-    workload: Optional[str] = None,
-    extra: Optional[Mapping[str, Any]] = None,
-    root: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Build one schema-:data:`SCHEMA_VERSION` history record."""
-    record: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "metric": metric,
-        "value": float(value),
-        "floor": float(floor) if floor is not None else None,
-        "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "git_sha": current_git_sha(root),
-    }
-    record.update(machine_fingerprint())
-    record["workload"] = workload
-    record["extra"] = dict(extra) if extra else {}
-    return record
-
-
-def validate_record(record: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``record`` is a valid schema-1 row."""
-    missing = [field for field in _REQUIRED_FIELDS if field not in record]
-    if missing:
-        raise ValueError("bench record missing fields: %s" % ", ".join(missing))
-    if record["schema"] != SCHEMA_VERSION:
-        raise ValueError("unsupported bench record schema %r" % (record["schema"],))
-    if not isinstance(record["metric"], str) or not record["metric"]:
-        raise ValueError("bench record needs a non-empty metric name")
-    if not isinstance(record["value"], (int, float)):
-        raise ValueError("bench record value must be a number")
-
-
-def append_history(record: Mapping[str, Any], path: str) -> None:
-    """Validate and append one record to the JSONL trajectory file."""
-    validate_record(record)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True))
-        handle.write("\n")
-
-
-def read_history(path: str) -> List[Dict[str, Any]]:
-    """Every valid record in the trajectory file, in append order.
-
-    Malformed lines (a killed run, a hand edit) are skipped rather than
-    poisoning every later report.
-    """
-    records: List[Dict[str, Any]] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    validate_record(record)
-                except (ValueError, TypeError):
-                    continue
-                records.append(record)
-    except OSError:
-        return []
-    return records
-
-
-def write_bench_result(
-    name: str,
-    metric: str,
-    value: float,
-    *,
-    floor: Optional[float] = None,
-    workload: Optional[str] = None,
-    extra: Optional[Mapping[str, Any]] = None,
-    root: str,
-) -> Dict[str, Any]:
-    """Record one bench measurement: one-shot JSON + history append.
-
-    ``BENCH_<name>.json`` under ``root`` is overwritten with the
-    normalised ``metric``/``ratio``/``floor`` keys plus the bench's
-    legacy ``extra`` fields (compatibility with pre-history tooling);
-    the same measurement is appended as a schema row to
-    ``BENCH_HISTORY.jsonl``.  Returns the history record.
-    """
-    payload: Dict[str, Any] = dict(extra) if extra else {}
-    payload["schema"] = SCHEMA_VERSION
-    payload["metric"] = metric
-    payload["ratio"] = float(value)
-    payload["floor"] = float(floor) if floor is not None else None
-    if workload is not None:
-        payload["workload"] = workload
-    oneshot = os.path.join(root, "BENCH_%s.json" % name)
-    with open(oneshot, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    record = make_record(
-        metric, value, floor=floor, workload=workload, extra=extra, root=root
-    )
-    append_history(record, os.path.join(root, HISTORY_FILENAME))
-    return record
-
-
-# ----------------------------------------------------------------------
-# Trajectory analysis (repro bench-report)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Regression:
-    """One metric whose latest value fell below its rolling median."""
-
-    metric: str
-    latest: float
-    median: float
-    threshold: float
-
-    @property
-    def drop(self) -> float:
-        """Fractional drop of the latest value below the median."""
-        return 1.0 - self.latest / self.median if self.median else 0.0
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    count = len(ordered)
-    middle = count // 2
-    if count % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
-def _by_metric(records: Sequence[Mapping[str, Any]]) -> Dict[str, List[Mapping[str, Any]]]:
-    grouped: Dict[str, List[Mapping[str, Any]]] = {}
-    for record in records:
-        grouped.setdefault(record["metric"], []).append(record)
-    return grouped
-
-
-def check_regressions(
-    records: Sequence[Mapping[str, Any]],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    window: int = DEFAULT_WINDOW,
-) -> List[Regression]:
-    """Metrics whose latest value regressed vs their rolling median.
-
-    For each metric with at least two recorded runs, the latest value is
-    compared against the median of the up-to-``window`` runs preceding
-    it; a drop of more than ``threshold`` flags a regression.  Every
-    current metric is a higher-is-better ratio, so only drops count.
-    """
-    flagged: List[Regression] = []
-    for metric, rows in sorted(_by_metric(records).items()):
-        if len(rows) < 2:
-            continue
-        latest = float(rows[-1]["value"])
-        history = [float(row["value"]) for row in rows[-1 - window:-1]]
-        median = _median(history)
-        if median > 0 and latest < median * (1.0 - threshold):
-            flagged.append(Regression(metric, latest, median, threshold))
-    return flagged
-
-
-def render_history(
-    records: Sequence[Mapping[str, Any]],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    window: int = DEFAULT_WINDOW,
-) -> str:
-    """The per-metric trajectory as text (the ``repro bench-report`` body)."""
-    if not records:
-        return "bench history is empty\n"
-    lines: List[str] = ["bench history", "============="]
-    regressions = {
-        regression.metric: regression
-        for regression in check_regressions(records, threshold=threshold, window=window)
-    }
-    for metric, rows in sorted(_by_metric(records).items()):
-        lines.append("")
-        floor = rows[-1].get("floor")
-        suffix = "  (floor %.2f)" % floor if floor is not None else ""
-        lines.append("%s%s" % (metric, suffix))
-        for row in rows:
-            lines.append(
-                "  %s  %-12s %8.3f" % (row["timestamp"], row["git_sha"][:10], row["value"])
-            )
-        regression = regressions.get(metric)
-        if regression is not None:
-            lines.append(
-                "  ** REGRESSION: latest %.3f is %.0f%% below rolling median %.3f"
-                % (regression.latest, 100.0 * regression.drop, regression.median)
-            )
-        else:
-            lines.append("  ok: latest %.3f" % rows[-1]["value"])
-    return "\n".join(lines) + "\n"

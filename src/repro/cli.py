@@ -1,15 +1,14 @@
 """Command-line interface for the PS2Stream reproduction.
 
-Eight subcommands cover the workflows a downstream user needs most often::
+Seven subcommands cover the workflows a downstream user needs most often::
 
-    python -m repro run          --partitioner hybrid --group Q3 --mu 2000
-    python -m repro compare      --group Q2 --workers 8
-    python -m repro adjust       --selector GR --mu 2000
-    python -m repro serve        --role worker --listen 0.0.0.0:7411
-    python -m repro report       telemetry.jsonl
-    python -m repro profile      --mu 2000 --stacks-path stacks.txt
-    python -m repro bench-report BENCH_HISTORY.jsonl --check
-    python -m repro lint         --json
+    python -m repro run     --partitioner hybrid --group Q3 --mu 2000
+    python -m repro compare --group Q2 --workers 8
+    python -m repro adjust  --selector GR --mu 2000
+    python -m repro serve   --role worker --listen 0.0.0.0:7411
+    python -m repro report  telemetry.jsonl
+    python -m repro profile --mu 2000 --stacks-path stacks.txt
+    python -m repro lint    --json
 
 * ``run`` — build one workload, partition it with one strategy, replay the
   stream on the simulated cluster and print the run report.
@@ -32,9 +31,6 @@ Eight subcommands cover the workflows a downstream user needs most often::
   out-of-process tier, the messages and bytes the coordinator moved;
   with ``--stacks-path`` also run the sampling profiler and write
   collapsed-stack lines for flamegraph tooling.
-* ``bench-report`` — render the per-metric perf trajectory recorded in
-  ``BENCH_HISTORY.jsonl`` by the ``benchmarks/`` perf gates and flag
-  regressions against the rolling median (``--check`` exits non-zero).
 * ``lint`` — run the RL00x static-analysis suite over the source tree
   (rule catalog: ``docs/STATIC_ANALYSIS.md``); exit 0 means clean.
 
@@ -64,7 +60,7 @@ from .runtime import (
     SinkSpec,
     TelemetrySpec,
 )
-from .runtime.fabric import load_manifest, parse_fault_plan
+from .runtime.fabric import load_manifest, parse_address, parse_fault_plan
 
 __all__ = ["main", "build_parser"]
 
@@ -273,24 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json",
         help="emit the profile report as JSON instead of the table")
 
-    bench_report_parser = subparsers.add_parser(
-        "bench-report", help="render the BENCH_HISTORY.jsonl perf trajectory")
-    bench_report_parser.add_argument(
-        "history", nargs="?", default="BENCH_HISTORY.jsonl", metavar="JSONL",
-        help="history file the benchmarks append to "
-             "(default: BENCH_HISTORY.jsonl in the current directory)")
-    bench_report_parser.add_argument(
-        "--check", action="store_true",
-        help="exit non-zero if any metric's latest value regressed more "
-             "than the threshold below its rolling median")
-    bench_report_parser.add_argument(
-        "--threshold", type=float, default=None, metavar="FRACTION",
-        help="regression threshold as a fraction of the rolling median "
-             "(default: 0.10)")
-    bench_report_parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the records and flagged regressions as JSON")
-
     lint_parser = subparsers.add_parser(
         "lint", help="run the RL00x static-analysis suite")
     lint_parser.add_argument(
@@ -432,10 +410,10 @@ def _command_adjust(args: argparse.Namespace, out) -> int:
 
 
 def _command_serve(args: argparse.Namespace, out) -> int:
-    from .runtime import parse_address, serve
+    from .runtime import serve
     from .runtime.telemetry import TelemetryServer
 
-    host, port = parse_address(args.listen)
+    host, port = args.address
 
     def announce(bound_host: str, bound_port: int) -> None:
         out.write("serving role=%s on %s:%d\n" % (args.role, bound_host, bound_port))
@@ -553,41 +531,6 @@ def _command_profile(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_bench_report(args: argparse.Namespace, out) -> int:
-    import json
-
-    from .bench.history import DEFAULT_THRESHOLD, check_regressions, read_history, render_history
-
-    threshold = args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-    records = read_history(args.history)
-    regressions = check_regressions(records, threshold=threshold)
-    if args.as_json:
-        payload = {
-            "records": records,
-            "regressions": [
-                {
-                    "metric": regression.metric,
-                    "latest": regression.latest,
-                    "median": regression.median,
-                    "threshold": regression.threshold,
-                }
-                for regression in regressions
-            ],
-        }
-        out.write(json.dumps(payload, indent=2, sort_keys=True))
-        out.write("\n")
-    else:
-        out.write(render_history(records, threshold=threshold))
-    if args.check and regressions:
-        if not args.as_json:
-            out.write(
-                "FAIL: %d metric(s) regressed > %.0f%% below the rolling median\n"
-                % (len(regressions), 100.0 * threshold)
-            )
-        return 1
-    return 0
-
-
 def _command_lint(args: argparse.Namespace, out) -> int:
     from .lint.runner import main as lint_main
 
@@ -606,11 +549,13 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("run", "compare", "profile", "adjust"):
-        try:
+    try:
+        if args.command in ("run", "compare", "profile", "adjust"):
             args.deployment = _cluster_config(args)
-        except (ValueError, OSError) as exc:
-            parser.error("invalid deployment: %s" % exc)
+        if args.command == "serve":
+            args.address = parse_address(args.listen)
+    except (ValueError, OSError) as exc:
+        parser.error("invalid deployment: %s" % exc)
     if args.command == "run":
         return _command_run(args, out)
     if args.command == "compare":
@@ -623,8 +568,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _command_report(args, out)
     if args.command == "profile":
         return _command_profile(args, out)
-    if args.command == "bench-report":
-        return _command_bench_report(args, out)
     if args.command == "lint":
         return _command_lint(args, out)
     parser.error("unknown command %r" % args.command)

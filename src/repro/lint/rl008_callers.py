@@ -34,7 +34,6 @@ ALLOWED: Dict[str, str] = {
     "route_deletion": "e2e tracer target: per-tuple deletion routing",
     # Called from benchmarks/.
     "report_at": "fig08 reads each experiment's report at a common input rate",
-    "write_bench_result": "benchmarks/conftest.py records BENCH_*.json through it",
     "RQIndex": "the worker-index ablation's alternative to GI2",
     "to_kdt_tree": "the routing ablation builds the kdt-tree from a plan",
     # Called by the standard library.

@@ -934,12 +934,6 @@ class Cluster:
         """The per-window gauge store, queryable at the adjustment fence."""
         return self._telemetry.timeseries if self._telemetry is not None else None
 
-    def telemetry_text(self) -> str:
-        """Prometheus-style text snapshot of the telemetry state."""
-        if self._telemetry is None:
-            return "# telemetry disabled (ClusterConfig.telemetry is None)\n"
-        return self._telemetry.telemetry_text()
-
     @property
     def result_hops(self) -> int:
         """Match results that reached the merger tier via the coordinator."""

@@ -1291,9 +1291,9 @@ def spawn_fleet(
 def parse_address(address: str) -> Tuple[str, int]:
     """Parse ``host:port`` (the manifest / ``--listen`` address form)."""
     host, separator, port = address.rpartition(":")
-    if not separator or not host:
-        raise ValueError("expected HOST:PORT, got %r" % address)
-    return host, int(port)
+    if separator and host and port.isdecimal() and int(port) <= 65535:
+        return host, int(port)
+    raise ValueError("expected HOST:PORT with a port in 0-65535, got %r" % address)
 
 
 @dataclass(frozen=True)

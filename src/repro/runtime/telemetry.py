@@ -24,9 +24,7 @@ telemetry a first-class subsystem of the pipeline:
 Everything lands in the coordinator's :class:`TelemetryHub`: a bounded
 in-memory ring plus an optional JSONL sink (``--telemetry-path``), a
 :class:`TierTimeseries` queryable at the adjustment barrier (the exact
-per-tier busy-fraction input the ROADMAP's elastic controller needs),
-and a Prometheus-style text exposition (:func:`telemetry_text`,
-``Cluster.telemetry_text()`` / ``repro serve --telemetry-port``).
+per-tier busy-fraction input the ROADMAP's elastic controller needs).
 
 **Perturbation-freedom invariant.**  Telemetry is off by default and
 must never change a delivered report: every report number derives from
@@ -83,7 +81,6 @@ __all__ = [
     "gauge_sample",
     "read_events",
     "render_timeline",
-    "telemetry_text",
 ]
 
 
@@ -375,8 +372,6 @@ class TelemetryHub:
 
     def __init__(self, spec: TelemetrySpec) -> None:
         self.timeseries = TierTimeseries()
-        self.windows = 0
-        self.events_recorded = 0
         self.window_seq = 0
         self.span: Optional[SpanState] = None
         self._ring: Deque[TelemetryEvent] = deque(maxlen=RING_SIZE)
@@ -392,11 +387,8 @@ class TelemetryHub:
     def record(self, event: TelemetryEvent) -> None:
         """Aggregate one event: ring, timeseries, JSONL sink."""
         self._ring.append(event)
-        self.events_recorded += 1
         if isinstance(event, GaugeSample):
             self.timeseries.add(event)
-        elif isinstance(event, WindowSpan):
-            self.windows += 1
         if self._sink is not None:
             json.dump(encode_event(event), self._sink, sort_keys=True, allow_nan=False)
             self._sink.write("\n")
@@ -485,46 +477,10 @@ class TelemetryHub:
         """The retained ring contents, oldest first (a copy)."""
         return list(self._ring)
 
-    def telemetry_text(self) -> str:
-        """Prometheus-style text exposition of the current state."""
-        return telemetry_text(self)
-
     def close(self) -> None:
         if self._sink is not None:
             self._sink.close()
             self._sink = None
-
-
-def telemetry_text(hub: TelemetryHub) -> str:
-    """Render a hub's live state in the Prometheus text format."""
-    lines: List[str] = [
-        "# TYPE repro_windows_total counter",
-        "repro_windows_total %d" % hub.windows,
-        "# TYPE repro_telemetry_events_total counter",
-        "repro_telemetry_events_total %d" % hub.events_recorded,
-    ]
-    series = hub.timeseries
-    gauges = (
-        ("repro_tier_busy_cost", "Definition-1 busy cost", lambda s: "%g" % s.busy_cost),
-        ("repro_tier_memory_bytes", "structure memory", lambda s: "%d" % s.memory_bytes),
-        ("repro_tier_depth", "queue/structure depth", lambda s: "%d" % s.depth),
-    )
-    for name, help_text, render in gauges:
-        lines.append("# HELP %s %s" % (name, help_text))
-        lines.append("# TYPE %s gauge" % name)
-        for tier in series.tiers():
-            for endpoint, sample in series.latest(tier).items():
-                lines.append(
-                    '%s{tier="%s",endpoint="%d"} %s' % (name, tier, endpoint, render(sample))
-                )
-    lines.append("# TYPE repro_tier_busy_fraction gauge")
-    for tier in series.tiers():
-        for endpoint, fraction in series.busy_fractions(tier).items():
-            lines.append(
-                'repro_tier_busy_fraction{tier="%s",endpoint="%d"} %g'
-                % (tier, endpoint, fraction)
-            )
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for the benchmark harness (repro.bench)."""
 
+import os
+import re
+import subprocess
 from dataclasses import fields, replace
 
 import pytest
@@ -14,6 +17,7 @@ from repro.bench import (
     run_experiment,
     run_migration_experiment,
 )
+from repro.bench.history import current_git_sha, machine_fingerprint
 from repro.runtime import (
     ClusterConfig,
     FaultPlan,
@@ -153,3 +157,27 @@ class TestDynamicExperiments:
         )
         assert result.adjusted
         assert result.throughput > 0
+
+
+class TestProvenance:
+    """What benchmarks/e2e/run.py imports from repro.bench.history."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def test_git_sha_is_this_checkouts_head(self, monkeypatch):
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=self.ROOT, capture_output=True, text=True
+        )
+        if head.returncode != 0:
+            pytest.skip("not a git checkout")
+        monkeypatch.chdir(self.ROOT)
+        sha = current_git_sha()
+        assert re.fullmatch(r"[0-9a-f]{40}", sha)
+        assert sha == head.stdout.strip()
+
+    def test_git_sha_outside_a_checkout_is_unknown(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert current_git_sha(root=str(tmp_path)) == "unknown"
+
+    def test_machine_fingerprint_keys(self):
+        assert set(machine_fingerprint()) == {"cpu_count", "platform", "python"}

@@ -3,6 +3,7 @@
 import io
 import json
 import multiprocessing
+import os
 from dataclasses import fields
 
 import pytest
@@ -10,6 +11,10 @@ import pytest
 from repro.bench import ExperimentConfig
 from repro.cli import _cluster_config, build_parser, main
 from repro.runtime import ClusterConfig
+
+
+#: A manifest whose one worker address has an out-of-range port.
+BAD_PORT_MANIFEST = os.path.join(os.path.dirname(__file__), "data", "bad_port_manifest.json")
 
 
 def run_cli(argv):
@@ -228,6 +233,9 @@ class TestEarlyExit:
             (["run", "--fault-plan", '[{"action": "delay", "delay_seconds": -1}]'],
              "delay_seconds"),
             (["run", "--fault-plan", '[{"action": "kill", "endpoint_id": -1}]'], "endpoint_id"),
+            (["run", "--cluster", BAD_PORT_MANIFEST], "'127.0.0.1:70000'"),
+            (["serve", "--role", "worker", "--listen", "127.0.0.1:70000"], "'127.0.0.1:70000'"),
+            (["serve", "--role", "worker", "--listen", "127.0.0.1:abc"], "'127.0.0.1:abc'"),
         ],
     )
     def test_bad_deployment_is_a_usage_error(self, argv, message, capsys, monkeypatch):

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import pickle
 import random
+import re
 import socket
 import threading
 
@@ -209,10 +210,19 @@ class TestManifest:
     def test_parse_address(self):
         assert parse_address("10.0.0.2:7101") == ("10.0.0.2", 7101)
         assert parse_address("localhost:0") == ("localhost", 0)
+        assert parse_address("localhost:65535") == ("localhost", 65535)
         with pytest.raises(ValueError, match="HOST:PORT"):
             parse_address("7101")
         with pytest.raises(ValueError, match="HOST:PORT"):
             parse_address(":7101")
+
+    @pytest.mark.parametrize(
+        "address", ["127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1:-1", "127.0.0.1:abc",
+                    "127.0.0.1:", "127.0.0.1: 80"],
+    )
+    def test_parse_address_refuses_bad_port(self, address):
+        with pytest.raises(ValueError, match="0-65535.*%s" % re.escape(repr(address))):
+            parse_address(address)
 
     def test_load_manifest_roundtrip(self, tmp_path):
         path = tmp_path / "cluster.json"

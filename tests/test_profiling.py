@@ -27,7 +27,6 @@ from test_chaos import BOUNDS, make_chaos_workload, needs_cores
 from test_transport import global_scenario
 
 from repro.adjustment import GlobalAdjuster
-from repro.bench.history import append_history, make_record
 from repro.cli import main as cli_main
 from repro.core import MatchResult, TupleKind
 from repro.indexes import GI2Index, GridTIndex
@@ -264,7 +263,7 @@ class TestStackSampler:
 
 
 # ----------------------------------------------------------------------
-# CLI surface: repro profile / bench-report
+# CLI surface: repro profile
 # ----------------------------------------------------------------------
 _PROFILE_ARGS = [
     "--mu", "200", "--objects", "300", "--workers", "2", "--dispatchers", "2",
@@ -310,47 +309,6 @@ class TestProfileCommand:
             frames, count = line.rsplit(" ", 1)
             assert int(count) > 0
             assert ";" in frames
-
-
-class TestBenchReportCommand:
-    def _history(self, tmp_path, values):
-        path = str(tmp_path / "BENCH_HISTORY.jsonl")
-        for value in values:
-            append_history(make_record("demo_speedup", value, floor=1.5), path)
-        return path
-
-    def test_renders_trajectory(self, tmp_path):
-        path = self._history(tmp_path, [2.0, 2.1])
-        buffer = io.StringIO()
-        assert cli_main(["bench-report", path], out=buffer) == 0
-        output = buffer.getvalue()
-        assert "demo_speedup" in output
-        assert "ok: latest 2.100" in output
-
-    def test_check_flags_regression(self, tmp_path):
-        path = self._history(tmp_path, [2.0, 2.0, 1.0])
-        buffer = io.StringIO()
-        assert cli_main(["bench-report", "--check", path], out=buffer) == 1
-        assert "REGRESSION" in buffer.getvalue()
-
-    def test_check_passes_within_threshold(self, tmp_path):
-        path = self._history(tmp_path, [2.0, 1.95])
-        buffer = io.StringIO()
-        assert cli_main(["bench-report", "--check", path], out=buffer) == 0
-
-    def test_json_output(self, tmp_path):
-        path = self._history(tmp_path, [2.0, 1.0])
-        buffer = io.StringIO()
-        assert cli_main(["bench-report", "--json", "--check", path], out=buffer) == 1
-        payload = json.loads(buffer.getvalue())
-        assert len(payload["records"]) == 2
-        assert payload["regressions"][0]["metric"] == "demo_speedup"
-
-    def test_empty_history_renders_placeholder(self, tmp_path):
-        path = str(tmp_path / "BENCH_HISTORY.jsonl")
-        buffer = io.StringIO()
-        assert cli_main(["bench-report", "--check", path], out=buffer) == 0
-        assert "empty" in buffer.getvalue()
 
 
 class TestReportJson:

@@ -42,7 +42,6 @@ from repro.runtime.telemetry import (
     encode_event,
     read_events,
     render_timeline,
-    telemetry_text,
 )
 
 
@@ -61,7 +60,7 @@ def run_once(
     batch_size=64,
     dual_drain=False,
 ):
-    """One batched run; returns (report, delivered-set, cluster-telemetry)."""
+    """One batched run; returns (report, delivered-set, telemetry events)."""
     config = ClusterConfig(
         num_dispatchers=2,
         num_workers=4,
@@ -86,13 +85,12 @@ def run_once(
         )
         drained = cluster.drain_sinks()
         events = cluster.telemetry_events()
-        text = cluster.telemetry_text()
     delivered = {
         (result.query_id, result.object_id)
         for results in drained.values()
         for result in results
     }
-    return report, delivered, events, text
+    return report, delivered, events
 
 
 def assert_no_perturbation(reference, observed):
@@ -186,24 +184,12 @@ class TestHub:
         events = hub.events()
         assert len(events) == 4
         assert [event.seq for event in events] == [6, 7, 8, 9]
-        assert hub.events_recorded == 10
 
     def test_now_ms_is_monotonic(self):
         hub = TelemetryHub(TelemetrySpec())
         first = hub.now_ms()
         second = hub.now_ms()
         assert second >= first >= 0.0
-
-    def test_text_exposition_names_every_metric(self):
-        hub = TelemetryHub(TelemetrySpec())
-        hub.record(WindowSpan(1, 0, 10, ()))
-        hub.record_gauges([GaugeSample("worker", 3, 5.0, 64, 2)], seq=1)
-        text = telemetry_text(hub)
-        assert "repro_windows_total 1" in text
-        assert 'repro_tier_busy_cost{tier="worker",endpoint="3"} 5' in text
-        assert 'repro_tier_memory_bytes{tier="worker",endpoint="3"} 64' in text
-        assert 'repro_tier_depth{tier="worker",endpoint="3"} 2' in text
-        assert 'repro_tier_busy_fraction{tier="worker",endpoint="3"} 1' in text
 
 
 class TestRenderTimeline:
@@ -260,7 +246,7 @@ class TestClusterTelemetry:
     def test_every_window_traced_with_all_three_hops(self, tmp_path, dual_drain):
         plan, tuples = make_chaos_workload()
         path = str(tmp_path / "t.jsonl")
-        report, _, events, text = run_once(
+        report, _, events = run_once(
             plan,
             tuples,
             telemetry=TelemetrySpec(path=path),
@@ -284,11 +270,10 @@ class TestClusterTelemetry:
         assert tiers == {"dispatcher", "worker", "merger", "coordinator"}
         # The JSONL sink saw the same events the ring retained.
         assert read_events(path) == events
-        assert "repro_windows_total %d" % expected_windows in text
 
     def test_every_closed_window_drains_every_endpoint(self):
         plan, tuples = make_chaos_workload()
-        _, _, events, _ = run_once(plan, tuples, telemetry=TelemetrySpec())
+        _, _, events = run_once(plan, tuples, telemetry=TelemetrySpec())
         spans = [event for event in events if isinstance(event, WindowSpan)]
         drained = {}
         for event in events:
@@ -307,7 +292,6 @@ class TestClusterTelemetry:
             cluster.run_batched(tuples, batch_size=64)
             assert cluster.telemetry_events() == []
             assert cluster.telemetry_timeseries() is None
-            assert cluster.telemetry_text().startswith("# telemetry disabled")
 
     def test_timeseries_queryable_at_adjustment_fence(self):
         plan, tuples = make_chaos_workload()
@@ -414,10 +398,14 @@ class TestPerturbationFreedom:
         )
         assert death.tier == "worker" and death.endpoint_id == 1
         # The discarded worker is gone from the live view: the newest
-        # gauges, the Prometheus text and the rendered utilisation table
-        # cover the survivors only.
-        assert 'tier="worker",endpoint="0"' in on[3]
-        assert 'tier="worker",endpoint="1"' not in on[3]
+        # gauge drain and the rendered utilisation table cover the
+        # survivors only.
+        series = TierTimeseries()
+        for event in on[2]:
+            if isinstance(event, GaugeSample):
+                series.add(event)
+        assert 0 in series.latest("worker")
+        assert 1 not in series.latest("worker")
         timeline = render_timeline(on[2])
         worker_row = next(
             line for line in timeline.splitlines() if line.startswith("worker ")
