@@ -287,6 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args: argparse.Namespace) -> None:
+    """Refuse a negative stream size or cadence (``--mu -5`` used to run
+    as if it were 0)."""
+    for name in ("mu", "objects", "batch_size", "adjust_every"):
+        value = getattr(args, name)
+        if value < 0:
+            raise ValueError("--%s must be >= 0, got %d" % (name.replace("_", "-"), value))
+
+
 def _cluster_config(args: argparse.Namespace) -> ClusterConfig:
     """The deployment the ``add_cluster_arguments`` flags describe.
 
@@ -551,6 +560,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in ("run", "compare", "profile", "adjust"):
+            _check_counts(args)
             args.deployment = _cluster_config(args)
         if args.command == "serve":
             args.address = parse_address(args.listen)

@@ -305,17 +305,21 @@ class Recovery:
     def recover_from(self, exc: TransportError, window: Sequence[StreamTuple]) -> None:
         """Recover from one worker death, or re-raise anything else.
 
-        The replay loop's guard: ``window`` is what was in flight — empty
-        at a barrier, where nothing is lost and the recovery itself
-        rebalances the dead partition.  Only a *worker* endpoint death is
-        recoverable, and only when a checkpoint exists to restore from
-        and at least one worker survives; every other transport failure
-        (merger/dispatcher death, remote exceptions, a second fault
-        during recovery) propagates.  The abandoned window's object/query
-        ids are recorded on the :class:`RecoveryEvent` so tests (and
-        delivery accounting) can subtract exactly the lost in-flight
-        work.  A fresh checkpoint is taken immediately after recovery —
-        the restored assignment is the new baseline.
+        The replay loop's guard: ``window`` is what was executing — empty
+        at a barrier or while the next window fills.  What is lost is
+        every window the death left unsettled (the cluster's window in
+        flight, and the one whose settling failed) or, with none, the
+        executing window; with nothing lost (a death at a barrier with no
+        window in flight) the recovery itself rebalances the dead
+        partition.  Only a *worker* endpoint death is recoverable, and
+        only when a checkpoint exists to restore from and at least one
+        worker survives; every other transport failure (merger/dispatcher
+        death, remote exceptions, a second fault during recovery)
+        propagates.  The lost windows' object/query ids are recorded on
+        the :class:`RecoveryEvent` so tests (and delivery accounting) can
+        subtract exactly the lost in-flight work.  A fresh checkpoint is
+        taken immediately after recovery — the restored assignment is the
+        new baseline.
         """
         worker_id = exc.endpoint_id
         workers = self.cluster.workers
@@ -328,14 +332,15 @@ class Recovery:
             or len(workers) <= 1
         ):
             raise exc
-        objects = [item for item in window if item.kind is TupleKind.OBJECT]
-        updates = [item for item in window if item.kind is not TupleKind.OBJECT]
+        lost = [item for dropped in self.cluster._drop_in_flight() for item in dropped] or window
+        objects = [item for item in lost if item.kind is TupleKind.OBJECT]
+        updates = [item for item in lost if item.kind is not TupleKind.OBJECT]
         self.recover_worker(
             worker_id,
-            lost_tuples=len(window),
+            lost_tuples=len(lost),
             lost_object_ids=tuple(item.payload.object_id for item in objects),
             lost_query_ids=tuple(item.payload.query_id for item in updates),
-            during_adjustment=not window,
+            during_adjustment=not lost,
         )
         self.take_checkpoint()
 

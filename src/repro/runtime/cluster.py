@@ -37,11 +37,13 @@ from .dispatch import (
     make_dispatch,
     plan_update,
 )
-from .fabric import TierBackend, WireStats, load_manifest
+from .fabric import Submitted, TierBackend, TransportError, WireStats, load_manifest
 from .merge import MergeBackend, make_merge
 from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
 from .profiling import ProfileReport, StackSampler
-from .telemetry import Observation, Snapshot, TelemetryEvent, TelemetryHub, TierTimeseries
+from .telemetry import (
+    Observation, Snapshot, SpanState, TelemetryEvent, TelemetryHub, TierTimeseries,
+)
 from .transport import (
     DeleteById,
     InsertPairs,
@@ -59,27 +61,37 @@ __all__ = ["Cluster"]
 
 
 class _WindowRun:
-    """One window's flush-side accumulators, a local of ``_execute_window``.
+    """One window's flush-side accumulators and what settling it needs.
 
-    Never cluster state: a window that aborts mid-scan cannot leak ops
-    into the next.  ``ops`` is ``None`` where a segment executes at its
-    own flush (in process); where an exchange is a round trip it collects
-    each worker's ordered ops for the window's single exchange, and
-    ``segments`` records for every flushed object run ``(positions,
-    groups, {worker: index of the run's MatchObjects in ops[worker]})``.
+    Never cluster state while the window scans: a window that aborts
+    mid-scan cannot leak ops into the next.  ``ops`` is ``None`` where a
+    segment executes at its own flush (in process); where an exchange is
+    a round trip it collects each worker's ordered ops for the window's
+    one ``RouteBatch`` per worker, and ``segments`` records for every
+    flushed object run ``(positions, groups, {worker: index of the run's
+    MatchObjects in ops[worker]})``.  Once shipped, the run is the
+    window in flight (``submitted``, its span and seq) until settled.
     """
 
     def __init__(
-        self, base: int, num_dispatchers: int, count: int, trace: bool, round_trip: bool
+        self, items: Sequence[StreamTuple], base: int, num_dispatchers: int, trace: bool,
+        round_trip: bool,
     ) -> None:
+        count = len(items)
+        self.items = items
         self.base = base
         self.update_costs = [0.0] * num_dispatchers
+        self.dispatcher_costs = [0.0] * num_dispatchers
+        self.objects = self.fanout = 0
         self.trace_costs: Optional[List[float]] = [0.0] * count if trace else None
         self.trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
             [None] * count if trace else None
         )
         self.ops: Optional[Dict[int, List[WorkerOp]]] = {} if round_trip else None
         self.segments: List[Tuple[List[int], Dict[int, List[int]], Dict[int, int]]] = []
+        self.submitted = Submitted([], None)
+        self.span: Optional[SpanState] = None
+        self.seq = 0
 
 
 class Cluster:
@@ -175,6 +187,10 @@ class Cluster:
         #: next, then its ``(first slot, seq)`` while the shards route it.
         self._lookahead: Sequence[StreamTuple] = ()
         self._ahead: Optional[Tuple[int, Optional[int]]] = None
+        #: The replay's window shipped to remote workers and not yet
+        #: settled, and the windows whose settling failed (for recovery).
+        self._in_flight: Optional[_WindowRun] = None
+        self._abandoned: List[Sequence[StreamTuple]] = []
         self.migrations: List[migration.MigrationRecord] = []
         # Both drivers' cache of per-query insertion plans (reused when the
         # deletion arrives).  A plan holds while H1 is unchanged in its
@@ -269,6 +285,7 @@ class Cluster:
         assert self._dispatch is not None and seq is not None
         routed = self._dispatch.collect_window(seq)
         self._execute_window((item,), slot, routed, trace)
+        self._settle()
         if item.kind is TupleKind.OBJECT:
             return self.workers.keys() & routed.decisions[0]
         return self.workers.keys() & routed.plans[0][1]
@@ -285,6 +302,7 @@ class Cluster:
         ``RouteBatch`` a window of one would ship.  Returns the set of
         workers that handled the tuple.
         """
+        self._settle()
         if self._sharded_routing():
             return self._process_on_shards(item, trace)
         slot = self._next_dispatcher
@@ -398,11 +416,13 @@ class Cluster:
     def fence(self) -> int:
         """Quiesce all three tiers; returns the transport's barrier epoch.
 
-        When this returns every worker has applied every shipped window,
-        no dispatch shard is still routing and every result shipped
-        before (by the coordinator or directly by a worker) is
-        deduplicated — what adjustment rounds and checkpoints open with.
+        When this returns every worker has applied every shipped window
+        (the one in flight settles first), no dispatch shard is still
+        routing and every result shipped before (by the coordinator or
+        directly by a worker) is deduplicated — what adjustment rounds and
+        checkpoints open with.
         """
+        self._settle()
         epochs = [tier.barrier() for tier in self._tiers.values()]
         return epochs[0]
 
@@ -437,7 +457,9 @@ class Cluster:
         Under the replay's lookahead this window was submitted while the
         previous one executed, and ``_lookahead`` is submitted before this
         one executes.  If this window fails, that routing is discarded and
-        its slots handed back, so the next call routes it afresh.
+        its slots handed back, so the next call routes it afresh.  A window
+        shipped over a round trip is left in flight (:meth:`_settle`);
+        every entry point that reads or messages a tier settles it first.
         """
         self._span_open(len(items))
         ahead, self._ahead = self._ahead, None
@@ -449,14 +471,18 @@ class Cluster:
             self._ahead = self._submit(following)
         try:
             self._execute_window(items, base, routed, trace)
-            self._span_close()
         except BaseException:
-            if self._ahead is not None:
-                self._next_dispatcher, seq = self._ahead
-                self._ahead = None
-                if dispatch is not None and seq is not None:
-                    dispatch.collect_window(seq)
+            self._discard_ahead()
             raise
+
+    def _discard_ahead(self) -> None:
+        """Drop the routing of the window submitted ahead and hand its
+        slots back, so the next window routes afresh."""
+        if self._ahead is not None:
+            self._next_dispatcher, seq = self._ahead
+            self._ahead = None
+            if self._dispatch is not None and seq is not None:
+                self._dispatch.collect_window(seq)
 
     def _execute_window(
         self,
@@ -490,9 +516,7 @@ class Cluster:
         routing state.
         """
         routing = self.routing_index
-        count = len(items)
-        dispatchers = self.dispatchers
-        num_dispatchers = len(dispatchers)
+        num_dispatchers = len(self.dispatchers)
 
         grid = routing.grid
         bounds = grid.bounds
@@ -504,10 +528,10 @@ class Cluster:
         max_row = grid.rows - 1
 
         window = _WindowRun(
-            base, num_dispatchers, count, trace, self.transport.exchange_round_trip
+            items, base, num_dispatchers, trace, self.transport.exchange_round_trip
         )
         trace_costs = window.trace_costs
-        dispatcher_costs = [0.0] * num_dispatchers
+        dispatcher_costs = window.dispatcher_costs
 
         pending_positions: List[int] = []
         pending_rows: List[ObjectRow] = []
@@ -635,35 +659,96 @@ class Cluster:
             window, pending_positions, pending_rows, pending_coords,
             pending_groups, pending_updates,
         )
-        if window.ops:
-            # Round-trip transports: the window's one exchange, then every
-            # segment settles in flush order, as if it had shipped alone.
-            replies = self._exchange(window.ops)
+        window.objects = window_objects
+        window.fanout = window_fanout
+        if not window.ops:  # in process, or nothing to ship: settled now
+            self._settle()
+            self._finish_window(window)
+            return
+        # Round trip: settle the window still in flight, then leave this
+        # one in flight.  Its H2 updates are applied, so its ops ship to
+        # the survivors even when settling the previous window fails.
+        try:
+            self._settle()
+        finally:
+            batches = {worker: RouteBatch(ops) for worker, ops in window.ops.items()}
+            window.submitted = self._timed(self.transport.submit, batches)
+            hub = self._telemetry
+            if hub is not None:
+                window.span, window.seq = hub.span, hub.window_seq
+            self._in_flight = window
+
+    def _settle(self, wait: bool = True) -> bool:
+        """Settle the window in flight, if any: collect its one exchange,
+        settle every segment in flush order, then account it and close
+        its span, all as if it had been exchanged at its own tail.
+
+        ``wait=False`` (the replay loop's polling fill) settles only once
+        :meth:`Transport.ready` says no reply is outstanding.  Returns
+        whether a window is still in flight.  A window lost to a
+        transport failure is kept for recovery (:meth:`_drop_in_flight`).
+        """
+        window = self._in_flight
+        if window is None:
+            return False
+        if not (wait or self.transport.ready(window.submitted)):
+            return True
+        self._in_flight = None
+        hub = self._telemetry
+        if hub is not None:
+            resumed = hub.span, hub.window_seq
+            hub.span, hub.window_seq = window.span, window.seq
+        try:
+            replies = self._timed(self.transport.collect, window.submitted)
             for positions, groups, offsets in window.segments:
                 self._settle_segment(replies, positions, groups, offsets, window.trace_workers)
+            self._finish_window(window)
+        except TransportError:
+            self._abandoned.append(window.items)
+            raise
+        finally:
+            if hub is not None:
+                hub.span, hub.window_seq = resumed
+        return False
+
+    def _drop_in_flight(self) -> List[Sequence[StreamTuple]]:
+        """For recovery: abandon, in stream order, the window whose settling
+        failed and the one still in flight (the recovery's resync drains
+        their replies), and hand back the window routed ahead."""
+        windows, self._abandoned = self._abandoned, []
+        if self._in_flight is not None:
+            windows.append(self._in_flight.items)
+            self._in_flight = None
+        self._discard_ahead()
+        return windows
+
+    def _finish_window(self, window: _WindowRun) -> None:
+        """Account a window whose replies are all in, then close its span."""
         totals = self.totals
-        totals.objects += window_objects
-        totals.tuples += window_objects
-        totals.object_fanout += window_fanout
+        totals.objects += window.objects
+        totals.tuples += window.objects
+        totals.object_fanout += window.fanout
+        dispatchers = self.dispatchers
+        num_dispatchers = len(dispatchers)
         for slot in range(num_dispatchers):
             # Two additions per slot, in this order: the float sum is
             # pinned by tests/test_report_golden.py.
-            dispatchers[slot].busy_cost += dispatcher_costs[slot]
+            dispatchers[slot].busy_cost += window.dispatcher_costs[slot]
             dispatchers[slot].busy_cost += window.update_costs[slot]
-        if trace:
-            trace_workers = window.trace_workers
-            assert trace_costs is not None and trace_workers is not None
+        if window.trace_costs is not None:
+            assert window.trace_workers is not None
             # Dispatcher ids repeat cyclically from ``base``; emit the whole
             # window's worth at C speed.
             rotated = [
-                dispatchers[(base + offset) % num_dispatchers].dispatcher_id
+                dispatchers[(window.base + offset) % num_dispatchers].dispatcher_id
                 for offset in range(num_dispatchers)
             ]
             self._traces.extend(
-                islice(cycle(rotated), count),
-                trace_costs,
-                trace_workers,
+                islice(cycle(rotated), len(window.trace_costs)),
+                window.trace_costs,
+                window.trace_workers,
             )
+        self._span_close()
 
     def _flush_fast(
         self,
@@ -683,8 +768,8 @@ class Cluster:
         the segment is exchanged and settled right here, so its
         deliveries leave while the scan goes on; where an exchange is a
         round trip (``Transport.exchange_round_trip``) the ops join the
-        window's per-worker lists and :meth:`_execute_window` ships them
-        all at once, settling segment by segment in flush order.  Workers
+        window's per-worker lists, which :meth:`_execute_window` ships all
+        at once and :meth:`_settle` settles segment by segment.  Workers
         see the same ops in the same order either way; the update
         accounting below and the update log stay at flush time in both.
         """
@@ -835,16 +920,20 @@ class Cluster:
     ) -> Dict[int, List[Optional[MatchResults]]]:
         """One transport exchange, timed into the open window span's match hop."""
         batches = {worker_id: RouteBatch(worker_ops) for worker_id, worker_ops in ops.items()}
+        return self._timed(self.transport.exchange, batches)
+
+    def _timed(self, call: Any, argument: Any) -> Any:
+        """``call(argument)``, its wall time added to the open span's match hop."""
         hub = self._telemetry
         if hub is None or hub.span is None:
-            return self.transport.exchange(batches)
+            return call(argument)
         span = hub.span
         started_ms = hub.now_ms()
-        replies = self.transport.exchange(batches)
+        result = call(argument)
         if span.match_started_ms < 0:
             span.match_started_ms = started_ms
         span.match_ms += hub.now_ms() - started_ms
-        return replies
+        return result
 
     # ------------------------------------------------------------------
     # Merger tier (delivery, dedup accounting, subscriber sinks)
@@ -879,7 +968,9 @@ class Cluster:
     def _span_open(self, size: int) -> None:
         """Start tracing one batched window (no-op when telemetry is off)."""
         if self._telemetry is not None:
-            self._telemetry.open_span(self.totals.tuples, size)
+            # A window still in flight counts its objects once it settles.
+            base = self.totals.tuples + (self._in_flight.objects if self._in_flight else 0)
+            self._telemetry.open_span(base, size)
 
     def _span_close(self) -> None:
         """Record the in-flight window's span, then drain every gauge."""
@@ -894,8 +985,10 @@ class Cluster:
         endpoint (the in-process backends build identical observations
         locally); reports, gauges, load/memory reports and the profile
         are all views of it.  Purely read-only — an observed run's
-        report is byte-identical to an unobserved one.
+        report is byte-identical to an unobserved one.  The window in flight
+        settles first: an ``Observe`` behind its unread replies would desync.
         """
+        self._settle()
         observed = {role: tier.observe() for role, tier in self._tiers.items()}
         return Snapshot(observed["worker"], observed.get("dispatcher", {}), observed["merger"])
 
@@ -954,10 +1047,12 @@ class Cluster:
         so it observes every delivery enqueued before it — reading stats
         after an ``exchange`` returned is always consistent.
         """
+        self._settle()
         return self._merge.observe()
 
     def drain_sinks(self) -> Dict[int, List[MatchResult]]:
         """Drain every merger shard's sink buffer (memory sinks)."""
+        self._settle()
         return self._merge.drain_sinks()
 
     def saturation_throughput(self) -> float:
@@ -971,6 +1066,7 @@ class Cluster:
         )
 
     def worker_load_report(self) -> LoadReport:
+        self._settle()
         return LoadReport(
             worker_loads={w: s.load for w, s in self.transport.observe().items()}
         )
@@ -1095,6 +1191,7 @@ class Cluster:
 
     def reset_period(self) -> None:
         """Start a new measurement period on every process."""
+        self._settle()
         for dispatcher in self.dispatchers:
             dispatcher.reset_period()
         self.transport.call_all("reset_period")

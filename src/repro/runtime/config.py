@@ -106,6 +106,8 @@ class ClusterConfig:
         for name in ("num_dispatchers", "num_workers", "num_mergers"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %r" % (name, getattr(self, name)))
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0, got %r" % self.checkpoint_every)
         for kind, name, known in (
             ("transport", self.backend, TRANSPORT_BACKENDS),
             ("dispatch", self.dispatch_backend, DISPATCH_BACKENDS),

@@ -2,17 +2,20 @@
 
 :func:`replay` is the one replay loop, behind :meth:`Cluster.run` and
 :meth:`Cluster.run_batched`; on a concurrent dispatch fleet the shards
-route the next window while the workers match the current one.  It steps
-the cluster through its public entry points only — ``process`` /
-``process_batch``, ``run_adjustment`` / ``checkpoint_now`` — and hands a
-worker death to :class:`~repro.runtime.checkpoint.Recovery`.
+route the next window while the workers match the current one, and on a
+remote worker fleet the workers match one window while the loop fills
+and routes the next.  It steps
+the cluster through ``process`` / ``process_batch`` and ``run_adjustment``
+/ ``checkpoint_now``, reaching past them only to stage the lookahead and
+to settle the window in flight (``Cluster._settle``), and hands a worker
+death to :class:`~repro.runtime.checkpoint.Recovery`.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Iterable, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Protocol, Sequence
 
 from ..core.geometry import Rect
 from ..core.objects import StreamTuple, TupleKind
@@ -21,6 +24,7 @@ from .fabric import TransportError, gc_paused
 from .protocol import barrier_context
 
 if TYPE_CHECKING:
+    from .checkpoint import Recovery
     from .cluster import Cluster
 
 __all__ = [
@@ -33,6 +37,9 @@ __all__ = [
 
 #: Stream position of a barrier that is switched off.
 _NEVER = sys.maxsize
+
+#: Tuples the replay pulls between two readiness checks of a window in flight.
+POLL_EVERY = 16
 
 
 class LocalAdjusterLike(Protocol):
@@ -104,6 +111,36 @@ class PeriodSampleCollector:
         self._deletions: List = []
 
 
+def _fill(
+    cluster: "Cluster", iterator: Iterator[StreamTuple], limit: int, recovery: Optional[Recovery]
+) -> List[StreamTuple]:
+    """Pull the next window of up to ``limit`` tuples off the stream.
+
+    While a window is in flight its replies are checked before the first
+    tuple and then every :data:`POLL_EVERY` tuples, and it settles as
+    soon as all are in, so a paced feed never holds its deliveries back
+    for a whole window.  A worker death that surfaces here loses only the
+    window in flight: it is recovered on the spot, and the tuples already
+    pulled stay in this window.
+    """
+    window: List[StreamTuple] = []
+    while len(window) < limit:
+        try:
+            if not cluster._settle(wait=False):
+                break
+        except TransportError as exc:
+            if recovery is None:
+                raise
+            recovery.recover_from(exc, ())
+            break
+        pulled = len(window)
+        window.extend(islice(iterator, min(POLL_EVERY, limit - pulled)))
+        if len(window) == pulled:
+            return window  # the stream has ended
+    window.extend(islice(iterator, limit - len(window)))
+    return window
+
+
 @gc_paused()
 def replay(
     cluster: "Cluster",
@@ -135,13 +172,25 @@ def replay(
     and a barrier fires only once the window in flight has executed; the
     lookahead is re-decided after each, as a global drain routes inline.
 
+    Where a worker exchange is a round trip (a ``multiprocess`` or
+    ``socket`` worker fleet) the workers' hop is pipelined too: window K
+    is left in flight, and the loop fills window K+1 (:func:`_fill`)
+    while the workers match K.  K settles as soon as its replies are in,
+    else at the tail of K+1 before K+1 ships, and always before a fence,
+    an observation or the end of the stream.  The overlap comes from
+    tuples already admitted: nothing waits on the source for K+1.
+
     Each step, window or barrier, runs under the one recovery guard: a
     worker death surfaces as a ``TransportError`` with ``died=True``,
     :meth:`~repro.runtime.checkpoint.Recovery.recover_from` re-installs
     the dead partition (or re-raises what it cannot recover) and the run
-    resumes with the next step.  At most the executing window is lost
-    (the one routed ahead is routed again on the re-synced replicas); a
-    barrier that dies loses nothing and is not retried.
+    resumes with the next step.  At most the windows in flight are lost
+    — the one settling, and the one that shipped behind it if the death
+    surfaced only at its tail — and the one routed ahead is routed again
+    on the re-synced replicas.  A barrier settles the window in flight
+    before it moves a cadence, so a death there loses that window and the
+    barrier fires after the recovery; a barrier that dies with nothing in
+    flight loses nothing and is not retried.
     """
     recovery = cluster.recovery
     checkpoint_every = cluster.config.checkpoint_every
@@ -162,7 +211,11 @@ def replay(
     while True:
         try:
             if not ahead and position >= barrier:
-                window = ()  # nothing is in flight at a barrier
+                window = ()  # a barrier executes no window
+                # Settle first: a death here loses that window, and the
+                # barrier, its cadences and the period sample untouched,
+                # fires again on the next pass.
+                cluster._settle()
                 adjusting = position >= next_adjustment
                 if adjusting:
                     next_adjustment = position + adjust_every
@@ -189,10 +242,11 @@ def replay(
                 window, ahead = ahead, ()
             else:
                 if size > 1:
-                    window = list(islice(iterator, min(size, barrier - position)))
+                    window = _fill(cluster, iterator, min(size, barrier - position), recovery)
                 else:
                     window = next(singles, ())
                 if not window:
+                    cluster._settle()
                     break
                 # A window lost to a recovery still counts towards the cadences.
                 position += len(window)
@@ -202,7 +256,8 @@ def replay(
                 cluster.process(window[0], trace=trace)
                 continue
             if lookahead and position < barrier:
-                ahead = cluster._lookahead = list(islice(iterator, min(size, barrier - position)))
+                ahead = _fill(cluster, iterator, min(size, barrier - position), recovery)
+                cluster._lookahead = ahead
                 position += len(ahead)
             cluster.process_batch(window, trace=trace)
         except TransportError as exc:

@@ -21,7 +21,8 @@ This module is that lifecycle, written once:
   under :func:`gc_paused`, the data plane's one collector policy.
 * :class:`Fleet` — the coordinator-side handle of ``N`` endpoints of one
   role: synchronous ``request``, submit-all-then-collect ``exchange``
-  (workers run their windows concurrently), ``broadcast``, the
+  (workers run their windows concurrently) and its halves ``submit`` /
+  ``ready`` / ``collect`` for a window left in flight, ``broadcast``, the
   adjustment ``barrier`` and an idempotent, drain-safe ``close``;
   :class:`TierBackend` is the lifecycle the three tier seams share over
   it — every tier holds one fleet, whatever the deployment.
@@ -106,6 +107,7 @@ __all__ = [
     "RoleHost",
     "Shutdown",
     "SocketChannel",
+    "Submitted",
     "TierBackend",
     "TransportError",
     "WireStats",
@@ -402,6 +404,14 @@ class WireStats(NamedTuple):
     bytes_received: int
 
 
+class Submitted(NamedTuple):
+    """What :meth:`Fleet.submit` shipped: the endpoints that owe a reply,
+    and the first send failure, which :meth:`Fleet.collect` raises."""
+
+    endpoint_ids: List[int]
+    error: Optional[TransportError]
+
+
 class Channel:
     """One duplex typed-message link between coordinator and endpoint.
 
@@ -463,7 +473,10 @@ class PipeChannel(Channel):
         return pickle.loads(payload)
 
     def poll(self, timeout: float) -> bool:
-        return self._connection.poll(timeout)
+        # One select on the descriptor: ``Connection.poll`` builds a
+        # selector per call, 5x the cost, and the replay polls often.
+        readable, _, _ = select.select([self._connection], [], [], timeout)
+        return bool(readable)
 
     def close(self) -> None:
         try:
@@ -913,16 +926,61 @@ class Fleet(_ClosesOnExit):
         self.send(endpoint_id, message)
         return self.receive(endpoint_id)
 
-    def collect(self, endpoint_ids: Iterable[int]) -> Dict[int, Any]:
+    def submit(self, messages: Mapping[int, Any]) -> Submitted:
+        """Ship every message without reading a reply.
+
+        The first half of :meth:`exchange`, for a caller that overlaps
+        the endpoints' work with its own and collects later.  A send
+        failure does not stop the loop — survivors still receive their
+        messages (they must not diverge from the coordinator just because
+        another endpoint died first) — and is carried in the result, for
+        :meth:`collect` to raise once every submitted reply is consumed.
+        """
+        error: Optional[TransportError] = None
+        submitted: List[int] = []
+        for endpoint_id, message in messages.items():
+            try:
+                self.send(endpoint_id, message)
+            except TransportError as exc:
+                if error is None:
+                    error = exc
+                continue
+            submitted.append(endpoint_id)
+        return Submitted(submitted, error)
+
+    def ready(self, submitted: Submitted) -> bool:
+        """Whether :meth:`collect` of ``submitted`` can start at once.
+
+        Non-blocking: ``True`` once every submitted endpoint has a reply
+        readable (a dead peer's end-of-file counts as one), and at once
+        when a failure is known — a send that failed, or a channel closed
+        under it (:meth:`kill_endpoint`) — so the caller collects at once
+        and ``receive`` raises the structured death.
+        """
+        if submitted.error is not None:
+            return True
+        waiting = False
+        for endpoint_id in submitted.endpoint_ids:
+            try:
+                if not self._channels[endpoint_id].poll(0):
+                    waiting = True
+            except (OSError, ValueError):  # a closed pipe or socket
+                return True
+        return not waiting
+
+    def collect(
+        self, endpoint_ids: Iterable[int], error: Optional[TransportError] = None
+    ) -> Dict[int, Any]:
         """Gather one reply per endpoint, consuming every pending reply.
 
         A failing endpoint must not leave the other endpoints' replies
         queued on their channels (a later request would read the stale
         message), so the loop keeps draining after the first error and
-        re-raises it once every expected reply has been consumed.
+        raises it once every expected reply has been consumed.  An
+        ``error`` passed in (a failed send of the same submission) is
+        raised in preference to any the loop meets.
         """
         replies: Dict[int, Any] = {}
-        error: Optional[TransportError] = None
         for endpoint_id in endpoint_ids:
             try:
                 replies[endpoint_id] = self.receive(endpoint_id)
@@ -939,29 +997,11 @@ class Fleet(_ClosesOnExit):
         The parallelism primitive of the fabric: all endpoints execute
         their messages concurrently, and the reply dict preserves
         ``messages``'s iteration order so downstream merges stay
-        deterministic across backends.  A send failure does not stop the
-        submit loop — survivors still receive their batches (they must
-        not diverge from the coordinator just because another endpoint
-        died first) — and the first error is re-raised once every
+        deterministic across backends.  :meth:`submit`, then
+        :meth:`collect`: the first failure is raised once every
         successfully submitted endpoint has been collected.
         """
-        error: Optional[TransportError] = None
-        submitted: List[int] = []
-        for endpoint_id, message in messages.items():
-            try:
-                self.send(endpoint_id, message)
-            except TransportError as exc:
-                if error is None:
-                    error = exc
-                continue
-            submitted.append(endpoint_id)
-        try:
-            replies = self.collect(submitted)
-        except TransportError as collect_error:
-            raise error or collect_error
-        if error is not None:
-            raise error
-        return replies
+        return self.collect(*self.submit(messages))
 
     def broadcast(self, message: Any) -> Dict[int, Any]:
         """Send one message to every endpoint, then gather all replies."""

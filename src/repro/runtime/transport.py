@@ -17,7 +17,10 @@ behind the message surface below) on the fleet
   worker`` endpoint reached over TCP.  One window's worth of routed work
   is shipped per worker as a single :class:`RouteBatch`, all batches are
   submitted before any reply is collected, so workers match their object
-  groups concurrently on separate cores (or hosts).
+  groups concurrently on separate cores (or hosts).  The replay loop
+  collects a window's replies one window later (``submit`` / ``ready`` /
+  ``collect``), so the workers also match while the coordinator routes
+  the next window.
 
 The message vocabulary mirrors the Storm streams of the paper:
 
@@ -75,6 +78,7 @@ from .fabric import (
     RemoteError,
     RoleHost,
     Shutdown,
+    Submitted,
     TierBackend,
     TransportError,
     make_fleet,
@@ -428,6 +432,21 @@ class Transport(TierBackend):
         code that merges results stays deterministic across backends.
         """
         return self._fleet.exchange(batches)
+
+    def submit(self, batches: Mapping[int, RouteBatch]) -> Submitted:
+        """Ship one window's :class:`RouteBatch` per worker without waiting:
+        the first half of :meth:`exchange`, for a window left in flight."""
+        return self._fleet.submit(batches)
+
+    def ready(self, submitted: Submitted) -> bool:
+        """Whether :meth:`collect` of ``submitted`` would start at once
+        (every reply in, or a failure known); never blocks."""
+        return self._fleet.ready(submitted)
+
+    def collect(self, submitted: Submitted) -> Dict[int, List[Optional[MatchResults]]]:
+        """The replies of a :meth:`submit`, in its order; raises the first
+        failure once every submitted worker has been drained."""
+        return self._fleet.collect(*submitted)
 
     def call(self, worker_id: int, method: str, *args: Any) -> Any:
         """One control operation on one worker: a :class:`WorkerCall` round

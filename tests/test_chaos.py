@@ -15,8 +15,13 @@ The matrix:
   inline or on dispatch shard processes with the next window routed
   ahead) — delivered results converge after filtering the lost window's
   object/query ids from both sides;
-* kill a worker at an adjustment fence — nothing was in flight, so the
-  delivered sets converge exactly;
+* kill a worker on the window left in flight at a checkpoint fence, or
+  on the stream's last window — exactly that window is lost; where the
+  death surfaces only at the next window's tail, both windows are;
+* kill a worker at an adjustment fence — the window in flight settled
+  before the fence, so the delivered sets converge exactly;
+* a coordinator-side exception (a raising sink) with a window in flight
+  propagates as raised, and ``close()`` stays bounded;
 * kill a merger shard — not recoverable: the death surfaces as a clean
   structured ``TransportError`` (never a hang) and ``close()`` still
   releases every tier, dispatch shards included;
@@ -27,16 +32,18 @@ The matrix:
   process behind.
 """
 
+import gc
 import multiprocessing
 import os
 import random
+import time
 
 import pytest
 
 from test_transport import require_loopback
 
 from repro.core.geometry import Point, Rect
-from repro.core.objects import STSQuery, SpatioTextualObject, StreamTuple
+from repro.core.objects import STSQuery, SpatioTextualObject, StreamTuple, TupleKind
 from repro.partitioning import MetricTextPartitioner
 from repro.partitioning.base import WorkloadSample
 from repro.runtime import Cluster, ClusterConfig, TransportError
@@ -196,7 +203,8 @@ class TestKillWorkerMidRun:
         event = recovery.events[0]
         assert event.worker_id == 1
         assert event.worker_id != event.target_worker
-        # Exactly the executing window is lost, never the one routed ahead.
+        # Exactly the window in flight is lost, never the one routed ahead:
+        # its death surfaces while the next window fills.
         assert event.lost_tuples == BATCH_SIZE
         assert recovery.lost_tuples == event.lost_tuples
         assert not event.during_adjustment
@@ -220,6 +228,122 @@ class TestKillWorkerMidRun:
         assert event.worker_id == 2
         ref_set, rec_set = converged(reference, delivered, event)
         assert rec_set == ref_set
+
+
+@needs_cores
+class TestKillTheWindowInFlight:
+    """Over a fabric the replay leaves each window in flight until the next
+    one fills; a death that surfaces at a settle point loses only it, or
+    also the window behind it when it surfaces at that window's tail."""
+
+    @pytest.mark.parametrize(
+        "after_sends, dispatch, start, end",
+        [
+            # The third window is clipped at the checkpoint at 150: its
+            # death surfaces at that checkpoint's fence.
+            pytest.param(2, "inline", 128, 150, id="before-a-checkpoint-fence"),
+            # The stream's last window: no window ships behind it.
+            pytest.param(14, "inline", 728, 733, id="last-window"),
+            # Routed ahead, [128, 150) is the window after [64, 128) with
+            # no fill between them: the death surfaces at its tail, after
+            # it shipped to the survivors, so both windows are lost.
+            pytest.param(1, "multiprocess", 64, 150, id="next-window-tail"),
+        ],
+    )
+    def test_exactly_the_windows_in_flight_are_lost(self, after_sends, dispatch, start, end):
+        plan, tuples = make_chaos_workload()
+        assert len(tuples) == 733
+        _, reference = run_chaos(plan, tuples, "inprocess")
+        # Worker 1 gets a RouteBatch in each of the 15 windows.
+        fault = FaultSpec(
+            action="kill", role="worker", endpoint_id=1,
+            message_type="RouteBatch", after_sends=after_sends,
+        )
+        report, delivered = run_chaos(
+            plan, tuples, "multiprocess", fault=fault, checkpoint_every=150,
+            dispatch_backend=dispatch,
+        )
+        recovery = report.recovery
+        assert recovery is not None and len(recovery.events) == 1
+        event = recovery.events[0]
+        assert event.worker_id == 1
+        assert not event.during_adjustment
+        window = tuples[start:end]
+        assert event.lost_tuples == len(window)
+        assert event.lost_object_ids == tuple(
+            item.payload.object_id for item in window if item.kind is TupleKind.OBJECT
+        )
+        assert event.lost_query_ids == tuple(
+            item.payload.query_id for item in window if item.kind is not TupleKind.OBJECT
+        )
+        ref_set, rec_set = converged(reference, delivered, event)
+        assert rec_set == ref_set
+
+
+    def test_a_death_before_an_adjustment_barrier_keeps_the_round(self, monkeypatch):
+        """The window clipped at the round at 200 is in flight when the
+        barrier comes up; its death surfaces as the barrier settles it,
+        before the cadences move, so the round still runs after recovery."""
+        rounds = []
+        run_adjustment = Cluster.run_adjustment
+
+        def counted(cluster, **kwargs):
+            run_adjustment(cluster, **kwargs)
+            rounds.append(len(cluster.recovery.events))
+
+        monkeypatch.setattr(Cluster, "run_adjustment", counted)
+        plan, tuples = make_chaos_workload()
+        cadences = {"checkpoint_every": 1000, "adjust_every": 200}
+        _, reference = run_chaos(plan, tuples, "inprocess", **cadences)
+        assert rounds == [0, 0, 0]  # at 200, 400 and 600
+        rounds.clear()
+        # Worker 1's fourth RouteBatch is the window [192, 200).
+        fault = FaultSpec(
+            action="kill", role="worker", endpoint_id=1,
+            message_type="RouteBatch", after_sends=3,
+        )
+        report, delivered = run_chaos(plan, tuples, "multiprocess", fault=fault, **cadences)
+        assert rounds == [1, 1, 1]
+        event = report.recovery.events[0]
+        assert not event.during_adjustment
+        window = tuples[192:200]
+        assert event.lost_tuples == len(window)
+        assert event.lost_object_ids == tuple(
+            item.payload.object_id for item in window if item.kind is TupleKind.OBJECT
+        )
+        ref_set, rec_set = converged(reference, delivered, event)
+        assert rec_set == ref_set
+
+
+@needs_cores
+class TestCoordinatorFailure:
+    def test_a_raising_sink_with_a_window_in_flight(self):
+        """A subscriber failure is the coordinator's own exception: it
+        propagates as raised, and the tiers still close, bounded."""
+        plan, tuples = make_chaos_workload()
+        deliveries = []
+
+        def fail_on_third(result):
+            deliveries.append(result)
+            if len(deliveries) == 3:
+                raise RuntimeError("subscriber gone")
+
+        before = set(multiprocessing.active_children())
+        config = ClusterConfig(
+            num_dispatchers=2, num_workers=4, backend="multiprocess",
+            sink=SinkSpec(kind="callback", callback=fail_on_third),
+        )
+        cluster = Cluster(plan, config)
+        try:
+            with pytest.raises(RuntimeError, match="subscriber gone") as raised:
+                cluster.run_batched(tuples, batch_size=BATCH_SIZE)
+            assert not isinstance(raised.value, TransportError)
+            assert gc.isenabled()
+        finally:
+            started = time.monotonic()
+            cluster.close()
+        assert time.monotonic() - started < 10.0
+        assert set(multiprocessing.active_children()) == before
 
 
 @needs_cores

@@ -236,6 +236,15 @@ class TestEarlyExit:
             (["run", "--cluster", BAD_PORT_MANIFEST], "'127.0.0.1:70000'"),
             (["serve", "--role", "worker", "--listen", "127.0.0.1:70000"], "'127.0.0.1:70000'"),
             (["serve", "--role", "worker", "--listen", "127.0.0.1:abc"], "'127.0.0.1:abc'"),
+            (["run", "--mu", "-5", "--objects", "300"], "--mu must be >= 0, got -5"),
+            (["run", "--objects", "-3"], "--objects must be >= 0, got -3"),
+            (["compare", "--batch-size", "-5"], "--batch-size must be >= 0, got -5"),
+            (["profile", "--adjust-every", "-1"], "--adjust-every must be >= 0, got -1"),
+            (["adjust", "--mu", "-1"], "--mu must be >= 0, got -1"),
+            (["adjust", "--objects", "-1"], "--objects must be >= 0, got -1"),
+            (["adjust", "--batch-size", "-2"], "--batch-size must be >= 0, got -2"),
+            (["adjust", "--adjust-every", "-1"], "--adjust-every must be >= 0, got -1"),
+            (["run", "--checkpoint-every", "-1"], "checkpoint_every must be >= 0, got -1"),
         ],
     )
     def test_bad_deployment_is_a_usage_error(self, argv, message, capsys, monkeypatch):

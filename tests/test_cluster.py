@@ -46,6 +46,12 @@ class TestConfigValidation:
             )
         assert multiprocessing.active_children() == []
 
+    def test_checkpoint_cadence_must_not_be_negative(self):
+        """``checkpoint_every=-1`` used to run as if checkpointing were off."""
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0, got -1"):
+            ClusterConfig(backend="multiprocess", checkpoint_every=-1)
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize(
         "field,kind",
         [("backend", "transport"), ("dispatch_backend", "dispatch"), ("merger_backend", "merger")],

@@ -17,6 +17,7 @@ import random
 import re
 import socket
 import threading
+import time
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.runtime.fabric import (
     RemoteError,
     RoleHost,
     SocketChannel,
+    Submitted,
     TierBackend,
     assign_addresses,
     dump_message,
@@ -51,6 +53,7 @@ from repro.runtime.fabric import (
 )
 
 from repro.runtime.merge import make_merge
+from repro.runtime.telemetry import Observe
 from repro.runtime.transport import make_transport
 
 from test_transport import make_workload, require_loopback
@@ -453,6 +456,34 @@ class TestTierSurface:
             assert all(child.is_alive() for child in children)
         assert fleet._closed
         assert all(not child.is_alive() for child in children)
+        assert multiprocessing.active_children() == []
+
+
+class TestSubmitReadyCollect:
+    """``exchange`` split in two, with the readiness check between: the
+    shape a window left in flight uses (``Cluster._settle``)."""
+
+    def test_replies_and_a_death_between_submit_and_collect(self):
+        with _make_worker_tier("multiprocess") as tier:
+            fleet = tier._fleet
+            submitted = fleet.submit({1: Observe(), 0: Observe()})
+            assert submitted == Submitted([1, 0], None)
+            deadline = time.monotonic() + 10.0
+            while not fleet.ready(submitted):  # never blocks
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            replies = fleet.collect(*submitted)
+            assert [(i, o.endpoint_id) for i, o in replies.items()] == [(1, 1), (0, 0)]
+
+            # A closed channel reads as ready at once; collect drains the
+            # survivor, then raises the structured death.
+            submitted = fleet.submit({0: Observe(), 1: Observe()})
+            fleet.kill_endpoint(1)
+            assert fleet.ready(submitted)
+            with pytest.raises(TransportError, match="worker 1 died") as raised:
+                fleet.collect(*submitted)
+            assert raised.value.died and raised.value.endpoint_id == 1
+            assert fleet.request(0, Observe()).endpoint_id == 0  # no stale reply
         assert multiprocessing.active_children() == []
 
 

@@ -31,6 +31,7 @@ from repro.runtime import (
     Cluster,
     ClusterConfig,
     InProcessTransport,
+    SinkSpec,
     TransportError,
     WorkerNode,
 )
@@ -222,6 +223,81 @@ class TestBackendEquivalence:
         assert remote_triggered == ref_triggered
         assert remote_migrations == ref_migrations
         assert_identical(ref_report, remote_report)
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_deliveries_keep_stream_order(self, backend):
+        """The sink sees the same delivery *sequence*, not just the same set.
+
+        Over a fabric the replay settles each window one window late; its
+        deliveries must still leave in stream order, across a Section V
+        round at 400 and the checkpoints at 0, 250 and 650, whose fences
+        settle the window in flight first.
+        """
+        from test_chaos import make_chaos_workload  # imports this module
+
+        require_backend(backend)
+        plan, tuples = make_chaos_workload()
+
+        def deliveries(backend):
+            delivered = []
+            config = ClusterConfig(
+                num_dispatchers=2, num_workers=4, backend=backend, checkpoint_every=250,
+                sink=SinkSpec(
+                    kind="callback",
+                    callback=lambda result: delivered.append((result.query_id, result.object_id)),
+                ),
+            )
+            with Cluster(plan, config) as cluster:
+                report = cluster.run_batched(
+                    tuples, batch_size=64, adjust_every=400,
+                    local_adjuster=LocalLoadAdjuster(GreedySelector(), sigma=1.2),
+                )
+            return report, delivered
+
+        ref_report, reference = deliveries("inprocess")
+        assert ref_report.deletions_processed > 0, "stream must exercise deletions"
+        assert ref_report.recovery.checkpoints_taken == 4
+        assert len(reference) > 1000
+        report, delivered = deliveries(backend)
+        assert delivered == reference
+        assert_identical(ref_report, report)
+
+    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
+    def test_direct_windows_interleave_with_per_tuple_calls(self, backend):
+        """Over a fabric a direct ``process_batch`` returns with its window
+        in flight; ``process``, ``drain_sinks`` and ``report`` settle it
+        first, so driving the cluster by hand keeps the request/reply
+        pairing and the delivery order of the in-process run."""
+        from test_chaos import make_chaos_workload  # imports this module
+
+        require_backend(backend)
+        plan, tuples = make_chaos_workload()
+
+        def interleaved(backend):
+            config = ClusterConfig(
+                num_dispatchers=2, num_workers=4, backend=backend, sink=SinkSpec(kind="memory"),
+            )
+            drained = []
+            with Cluster(plan, config) as cluster:
+                for index, start in enumerate(range(0, len(tuples), 97)):
+                    window = tuples[start:start + 97]
+                    if index % 2 == 0:
+                        cluster.process_batch(window)
+                    else:
+                        drained.append(("process", [sorted(cluster.process(i)) for i in window]))
+                    if index % 3 == 2:
+                        drained.append(("sinks", [
+                            (result.query_id, result.object_id)
+                            for _, results in sorted(cluster.drain_sinks().items())
+                            for result in results
+                        ]))
+                return cluster.report(), drained
+
+        ref_report, reference = interleaved("inprocess")
+        assert sum(len(chunk) for kind, chunk in reference if kind == "sinks") > 500
+        report, drained = interleaved(backend)
+        assert drained == reference
+        assert_identical(ref_report, report)
 
     def test_global_adjuster_repartition_identical(self):
         """Dual-routing drain + finalise reconcile worker state identically."""

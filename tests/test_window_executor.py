@@ -3,7 +3,8 @@
 The report matrices (``test_batched.py``, ``test_dispatch.py``) compare
 whole-run reports.  This file pins what they cannot see: the ordered
 per-worker ``RouteBatch`` ops the deferred-barrier executor ships through
-``transport.exchange`` for one crafted stream that takes each flush
+``transport.exchange`` (``transport.submit`` where an exchange is a round
+trip) for one crafted stream that takes each flush
 branch —
 
 * an update that arrives with nothing pending (the opening insertions),
@@ -134,18 +135,24 @@ def replay(stream, *, dispatch, shards, mode, backend="inprocess"):
     )
     exchanges = []
     with Cluster(make_plan(), config) as cluster:
-        exchange = cluster.transport.exchange
 
-        def recording_exchange(batches):
-            exchanges.append(
-                {
-                    worker_id: [describe(op) for op in batches[worker_id].ops]
-                    for worker_id in sorted(batches)
-                }
-            )
-            return exchange(batches)
+        def recording(ship):
+            def recorded(batches):
+                exchanges.append(
+                    {
+                        worker_id: [describe(op) for op in batches[worker_id].ops]
+                        for worker_id in sorted(batches)
+                    }
+                )
+                return ship(batches)
 
-        cluster.transport.exchange = recording_exchange
+            return recorded
+
+        # A window ships through ``submit`` where an exchange is a round
+        # trip (it settles later), through ``exchange`` everywhere else.
+        transport = cluster.transport
+        transport.exchange = recording(transport.exchange)
+        transport.submit = recording(transport.submit)
         if mode == "one-window":
             cluster.process_batch(stream)
         elif mode == "windows-of-one":
