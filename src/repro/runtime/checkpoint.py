@@ -15,8 +15,9 @@ On endpoint death (pipe EOF, socket reset or
 :class:`~repro.runtime.fabric.FrameTruncated`) the cluster's
 :class:`Recovery` collaborator — the store, the update log and the
 recovery events — runs :meth:`Recovery.recover_worker` and resumes, losing
-at most the one in-flight window, which is accounted in
-:class:`RecoveryReport` (surfaced as ``RunReport.recovery``).
+at most the windows in flight (the one settling and the one shipped behind
+it), which are accounted in :class:`RecoveryReport` (surfaced as
+``RunReport.recovery``).
 
 Wire footprint: none of its own.  The snapshot is the worker control
 operation ``snapshot_assignments`` (one

@@ -465,12 +465,12 @@ class DispatchBackend(TierBackend):
 
 class InProcessDispatch(DispatchBackend):
     """:class:`DispatchBackend` on a ``LocalFleet``: a name the e2e tracer wraps, kept
-    until a benchmark change retargets it (ROADMAP item 2(b))."""
+    until a benchmark change retargets it (ROADMAP item 1(b))."""
 
 
 class FabricDispatch(DispatchBackend):
     """:class:`DispatchBackend` on a process or socket fleet: a name the e2e tracer
-    wraps, kept until a benchmark change retargets it (ROADMAP item 2(b))."""
+    wraps, kept until a benchmark change retargets it (ROADMAP item 1(b))."""
 
 
 #: Registry of the selectable dispatch backends (``--dispatch-backend``).

@@ -63,6 +63,7 @@ import gc
 import importlib
 import json
 import multiprocessing
+import os
 import pickle
 import select
 import socket
@@ -93,6 +94,7 @@ __all__ = [
     "BarrierAck",
     "Channel",
     "ClusterManifest",
+    "ENDPOINT_NICENESS",
     "FaultPlan",
     "FaultSpec",
     "Fleet",
@@ -1255,10 +1257,30 @@ class LocalFleet(Fleet):
 # ----------------------------------------------------------------------
 # Local deployment: one OS process per endpoint
 # ----------------------------------------------------------------------
+#: How far below the coordinator every endpoint process it spawns runs.
+#: The coordinator's scan is the pipeline's one serial stage; a worker
+#: woken by a send while the other cores are busy would otherwise be
+#: placed on the coordinator's core and preempt the scan for its whole
+#: window match.  Niced, it waits for (or migrates to) a free core, and
+#: it still gets every core the coordinator is not using.
+ENDPOINT_NICENESS = 10
+
+
+def _yield_to_coordinator() -> None:
+    """Lower this spawned endpoint's CPU priority below its coordinator's.
+
+    Called once at the start of both spawn entry points; a manifest-listed
+    ``repro serve`` and in-process hosts are left as they are.  The kernel
+    clamps the result at 19.
+    """
+    os.nice(ENDPOINT_NICENESS)
+
+
 def _process_host_main(
     role: str, endpoint_id: int, init: Mapping[str, Any], channel_parts: Tuple[Any, ...]
 ) -> None:
     """Entry point of one spawned endpoint process."""
+    _yield_to_coordinator()
     if channel_parts[0] == "queue":
         channel: Channel = InboxChannel(channel_parts[1], channel_parts[2])
     else:
@@ -1467,6 +1489,7 @@ def serve(
 
 def _loopback_serve_main(role: str, report_connection: Any) -> None:
     """Entry point of one coordinator-spawned loopback serve process."""
+    _yield_to_coordinator()
 
     def report(host: str, port: int) -> None:
         report_connection.send((host, port))

@@ -323,12 +323,12 @@ class MergeBackend(TierBackend):
 
 class InProcessMerge(MergeBackend):
     """:class:`MergeBackend` on a ``LocalFleet``: a name the e2e tracer wraps, kept
-    until a benchmark change retargets it (ROADMAP item 2(b))."""
+    until a benchmark change retargets it (ROADMAP item 1(b))."""
 
 
 class FabricMerge(MergeBackend):
     """:class:`MergeBackend` on a process or socket fleet: a name the e2e tracer
-    wraps, kept until a benchmark change retargets it (ROADMAP item 2(b))."""
+    wraps, kept until a benchmark change retargets it (ROADMAP item 1(b))."""
 
 
 #: Registry of the selectable merger backends (``--merger-backend``).

@@ -488,12 +488,12 @@ class Transport(TierBackend):
 
 class InProcessTransport(Transport):
     """:class:`Transport` on a ``LocalFleet``: a name the e2e tracer wraps, kept
-    until a benchmark change retargets it (ROADMAP item 2(b))."""
+    until a benchmark change retargets it (ROADMAP item 1(b))."""
 
 
 class FabricTransport(Transport):
     """:class:`Transport` on a process or socket fleet: a name the e2e tracer
-    wraps, kept until a benchmark change retargets it (ROADMAP item 2(b))."""
+    wraps, kept until a benchmark change retargets it (ROADMAP item 1(b))."""
 
 
 #: Registry of the selectable transport backends (``--backend`` on the CLI).

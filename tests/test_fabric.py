@@ -12,15 +12,20 @@ and exception-safe even when a backend process is killed mid-run.
 
 import json
 import multiprocessing
+import os
 import pickle
 import random
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime import (
     Cluster,
     ClusterConfig,
@@ -34,6 +39,7 @@ from repro.runtime import (
 from repro.core.geometry import Rect
 from repro.runtime.dispatch import make_dispatch
 from repro.runtime.fabric import (
+    ENDPOINT_NICENESS,
     FaultSpec,
     Fleet,
     Init,
@@ -485,6 +491,75 @@ class TestSubmitReadyCollect:
             assert raised.value.died and raised.value.endpoint_id == 1
             assert fleet.request(0, Observe()).endpoint_id == 0  # no stale reply
         assert multiprocessing.active_children() == []
+
+
+#: The ``src`` directory the suite runs against (for the subprocess test).
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+
+def _niceness(pid=0):
+    return os.getpriority(os.PRIO_PROCESS, pid)
+
+
+#: A 2-worker replay on one CPU: niced worker processes share the
+#: coordinator's only core and must still run every window it ships.
+ONE_CORE_REPLAY = """
+import os, sys
+sys.path.insert(0, %r)
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from test_transport import make_workload, run_backend
+plan, tuples = make_workload(workers=2)
+reference, _ = run_backend(plan, tuples, "inprocess", batch_size=256, workers=2)
+report, _ = run_backend(plan, tuples, "multiprocess", batch_size=256, workers=2)
+assert report == reference, (report, reference)
+print("identical", len(os.sched_getaffinity(0)))
+""" % str(Path(__file__).parent)
+
+
+#: The spawned deployments, one per spawn entry point and channel kind.
+SPAWNED_TIERS = {
+    "pipe": lambda: _make_worker_tier("multiprocess"),
+    "queue-inbox": lambda: make_merge("multiprocess", 2),
+    "socket": lambda: _make_worker_tier("socket"),
+}
+
+
+class TestEndpointPriority:
+    """Spawned endpoints run ``ENDPOINT_NICENESS`` below the coordinator, so
+    a woken worker does not preempt the coordinator's serial scan."""
+
+    @pytest.mark.parametrize("kind", sorted(SPAWNED_TIERS))
+    def test_spawned_endpoints_run_niced(self, kind):
+        if kind == "socket":
+            require_loopback()
+        coordinator = _niceness()
+        with SPAWNED_TIERS[kind]() as tier:
+            assert sorted(tier.observe()) == [0, 1]  # one round trip: both started
+            pids = [process.pid for process in tier._fleet.processes.values()]
+            assert len(pids) == 2
+            expected = min(19, coordinator + ENDPOINT_NICENESS)
+            assert [_niceness(pid) for pid in pids] == [expected, expected]
+            assert _niceness() == coordinator
+        assert _niceness() == coordinator
+        assert multiprocessing.active_children() == []
+
+    def test_in_process_endpoints_leave_the_coordinator_alone(self):
+        coordinator = _niceness()
+        with _make_worker_tier("inprocess") as tier:
+            tier.observe()
+        assert _niceness() == coordinator
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity"
+    )
+    def test_niced_workers_cannot_starve_on_one_core(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        output = subprocess.run(
+            [sys.executable, "-c", ONE_CORE_REPLAY], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert output.split() == ["identical", "1"]
 
 
 class Note:
