@@ -27,7 +27,7 @@ __all__ = ["ALLOWED", "CallerRule"]
 
 #: Definitions kept without a caller in ``src/repro``, each with its reason.
 ALLOWED: Dict[str, str] = {
-    # Pinned by benchmarks/e2e/tracer.py (TARGETS) until ROADMAP 2(b)
+    # Pinned by benchmarks/e2e/tracer.py (TARGETS) until ROADMAP 1(b)
     # retires the per-tuple entry points it wraps.
     "handle_object": "e2e tracer target: the per-tuple worker match op",
     "insertion_assignments": "e2e tracer target: the per-tuple insertion plan",

@@ -64,18 +64,16 @@ class _WindowRun:
     """One window's flush-side accumulators and what settling it needs.
 
     Never cluster state while the window scans: a window that aborts
-    mid-scan cannot leak ops into the next.  ``ops`` is ``None`` where a
-    segment executes at its own flush (in process); where an exchange is
-    a round trip it collects each worker's ordered ops for the window's
-    one ``RouteBatch`` per worker, and ``segments`` records for every
-    flushed object run ``(positions, groups, {worker: index of the run's
-    MatchObjects in ops[worker]})``.  Once shipped, the run is the
-    window in flight (``submitted``, its span and seq) until settled.
+    mid-scan cannot leak ops into the next.  ``ops`` collects each
+    worker's ordered ops for the window's one ``RouteBatch`` per worker,
+    and ``segments`` records for every flushed object run ``(positions,
+    groups, {worker: index of the run's MatchObjects in ops[worker]})``.
+    Once shipped, the run is the window in flight (``submitted``, its
+    span and seq) until settled.
     """
 
     def __init__(
-        self, items: Sequence[StreamTuple], base: int, num_dispatchers: int, trace: bool,
-        round_trip: bool,
+        self, items: Sequence[StreamTuple], base: int, num_dispatchers: int, trace: bool
     ) -> None:
         count = len(items)
         self.items = items
@@ -87,7 +85,7 @@ class _WindowRun:
         self.trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
             [None] * count if trace else None
         )
-        self.ops: Optional[Dict[int, List[WorkerOp]]] = {} if round_trip else None
+        self.ops: Dict[int, List[WorkerOp]] = {}
         self.segments: List[Tuple[List[int], Dict[int, List[int]], Dict[int, int]]] = []
         self.submitted = Submitted([], None)
         self.span: Optional[SpanState] = None
@@ -144,7 +142,7 @@ class Cluster:
             undo.callback(self._merge.close)
             # The transport owns the worker fleet, wherever make_fleet put it.
             # Coordinator code only ever talks to the workers through the
-            # transport's exchange()/observe() surface or through the proxies
+            # transport's submit()/exchange()/observe() surface or the proxies
             # in self.workers.
             self.transport: Transport = make_transport(
                 self.config.backend,
@@ -187,8 +185,8 @@ class Cluster:
         #: next, then its ``(first slot, seq)`` while the shards route it.
         self._lookahead: Sequence[StreamTuple] = ()
         self._ahead: Optional[Tuple[int, Optional[int]]] = None
-        #: The replay's window shipped to remote workers and not yet
-        #: settled, and the windows whose settling failed (for recovery).
+        #: The window shipped to the workers and not yet settled, and the
+        #: windows whose settling failed (for recovery).
         self._in_flight: Optional[_WindowRun] = None
         self._abandoned: List[Sequence[StreamTuple]] = []
         self.migrations: List[migration.MigrationRecord] = []
@@ -457,9 +455,9 @@ class Cluster:
         Under the replay's lookahead this window was submitted while the
         previous one executed, and ``_lookahead`` is submitted before this
         one executes.  If this window fails, that routing is discarded and
-        its slots handed back, so the next call routes it afresh.  A window
-        shipped over a round trip is left in flight (:meth:`_settle`);
-        every entry point that reads or messages a tier settles it first.
+        its slots handed back, so the next call routes it afresh.  The
+        window is left in flight (:meth:`_settle`); every entry point that
+        reads or messages a tier settles it first.
         """
         self._span_open(len(items))
         ahead, self._ahead = self._ahead, None
@@ -527,9 +525,7 @@ class Cluster:
         max_col = grid.columns - 1
         max_row = grid.rows - 1
 
-        window = _WindowRun(
-            items, base, num_dispatchers, trace, self.transport.exchange_round_trip
-        )
+        window = _WindowRun(items, base, num_dispatchers, trace)
         trace_costs = window.trace_costs
         dispatcher_costs = window.dispatcher_costs
 
@@ -661,13 +657,13 @@ class Cluster:
         )
         window.objects = window_objects
         window.fanout = window_fanout
-        if not window.ops:  # in process, or nothing to ship: settled now
+        if not window.ops:  # nothing to ship: settled now
             self._settle()
             self._finish_window(window)
             return
-        # Round trip: settle the window still in flight, then leave this
-        # one in flight.  Its H2 updates are applied, so its ops ship to
-        # the survivors even when settling the previous window fails.
+        # Settle the window still in flight, then leave this one in
+        # flight.  Its H2 updates are applied, so its ops ship to the
+        # survivors even when settling the previous window fails.
         try:
             self._settle()
         finally:
@@ -764,14 +760,10 @@ class Cluster:
         Objects were already routed, charged to their dispatchers and
         grouped per worker during the arrival scan; here each worker's
         share of the segment becomes ordered ops — the object group
-        first, then the deferred updates in stream order.  In process
-        the segment is exchanged and settled right here, so its
-        deliveries leave while the scan goes on; where an exchange is a
-        round trip (``Transport.exchange_round_trip``) the ops join the
-        window's per-worker lists, which :meth:`_execute_window` ships all
-        at once and :meth:`_settle` settles segment by segment.  Workers
-        see the same ops in the same order either way; the update
-        accounting below and the update log stay at flush time in both.
+        first, then the deferred updates in stream order — appended to
+        the window's per-worker lists, which :meth:`_execute_window` ships
+        all at once and :meth:`_settle` settles segment by segment.  The
+        update accounting below and the update log stay at flush time.
         """
         workers_map = self.workers
         totals = self.totals
@@ -793,29 +785,17 @@ class Cluster:
                 ]
         for _, is_insert, payload, per_worker, _ in updates:
             for worker_id, op in self._update_ops(is_insert, payload, per_worker).items():
-                ops = batch_ops.get(worker_id)
-                if ops is None:
-                    batch_ops[worker_id] = [op]
-                else:
-                    ops.append(op)
+                batch_ops.setdefault(worker_id, []).append(op)
         span = self._telemetry.span if self._telemetry is not None else None
         if span is not None and len(batch_ops) > span.match_endpoints:
             span.match_endpoints = len(batch_ops)
-        if window.ops is None:
-            if batch_ops:
-                replies = self._exchange(batch_ops)
-                if groups:
-                    self._settle_segment(
-                        replies, positions, groups, dict.fromkeys(groups, 0), trace_workers
-                    )
-        else:
-            offsets: Dict[int, int] = {}
-            for worker_id, ops in batch_ops.items():
-                shipped = window.ops.setdefault(worker_id, [])
-                offsets[worker_id] = len(shipped)
-                shipped.extend(ops)
-            if groups:
-                window.segments.append((positions, groups, offsets))
+        offsets: Dict[int, int] = {}
+        for worker_id, ops in batch_ops.items():
+            shipped = window.ops.setdefault(worker_id, [])
+            offsets[worker_id] = len(shipped)
+            shipped.extend(ops)
+        if groups:
+            window.segments.append((positions, groups, offsets))
 
         # Coordinator-side accounting of the deferred updates.  Their
         # worker-side effect (GI2 postings, load counters, busy time) is
@@ -892,9 +872,7 @@ class Cluster:
         """Merge one flushed object run's match replies, in group order.
 
         ``offsets[worker]`` is the index of the run's ``MatchObjects`` op
-        — hence of its reply — in what that worker was shipped: 0 when
-        the segment was exchanged alone, its place in the window's op
-        list when the whole window went out as one batch.
+        — hence of its reply — in the window's op list for that worker.
         """
         all_results: List[MatchResult] = []
         produced = 0
@@ -914,13 +892,6 @@ class Cluster:
                         entry.append((worker_id, cost))
         if all_results or produced:
             self._deliver_results(all_results, produced)
-
-    def _exchange(
-        self, ops: Dict[int, List[WorkerOp]]
-    ) -> Dict[int, List[Optional[MatchResults]]]:
-        """One transport exchange, timed into the open window span's match hop."""
-        batches = {worker_id: RouteBatch(worker_ops) for worker_id, worker_ops in ops.items()}
-        return self._timed(self.transport.exchange, batches)
 
     def _timed(self, call: Any, argument: Any) -> Any:
         """``call(argument)``, its wall time added to the open span's match hop."""

@@ -2,9 +2,9 @@
 
 :func:`replay` is the one replay loop, behind :meth:`Cluster.run` and
 :meth:`Cluster.run_batched`; on a concurrent dispatch fleet the shards
-route the next window while the workers match the current one, and on a
-remote worker fleet the workers match one window while the loop fills
-and routes the next.  It steps
+route the next window while the workers match the current one, and each
+window is left in flight while the loop fills the next (on a remote
+worker fleet the workers match it meanwhile).  It steps
 the cluster through ``process`` / ``process_batch`` and ``run_adjustment``
 / ``checkpoint_now``, reaching past them only to stage the lookahead and
 to settle the window in flight (``Cluster._settle``), and hands a worker
@@ -172,13 +172,13 @@ def replay(
     and a barrier fires only once the window in flight has executed; the
     lookahead is re-decided after each, as a global drain routes inline.
 
-    Where a worker exchange is a round trip (a ``multiprocess`` or
-    ``socket`` worker fleet) the workers' hop is pipelined too: window K
-    is left in flight, and the loop fills window K+1 (:func:`_fill`)
-    while the workers match K.  K settles as soon as its replies are in,
-    else at the tail of K+1 before K+1 ships, and always before a fence,
-    an observation or the end of the stream.  The overlap comes from
-    tuples already admitted: nothing waits on the source for K+1.
+    The workers' hop is pipelined too: window K is left in flight, and
+    the loop fills window K+1 (:func:`_fill`) while the workers match K
+    (in process they have matched it already).  K settles as soon as its
+    replies are in, else at the tail of K+1 before K+1 ships, and always
+    before a fence, an observation or the end of the stream.  The
+    overlap comes from tuples already admitted: nothing waits on the
+    source for K+1.
 
     Each step, window or barrier, runs under the one recovery guard: a
     worker death surfaces as a ``TransportError`` with ``died=True``,

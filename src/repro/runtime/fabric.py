@@ -771,8 +771,8 @@ class Fleet(_ClosesOnExit):
     semantics on this surface.
     """
 
-    #: Do the endpoints run beside the coordinator, so an :meth:`exchange`
-    #: is a round trip worth batching and overlapping?  ``False`` only for
+    #: Do the endpoints run beside the coordinator, so dispatch shards can
+    #: route one window ahead of the one executing?  ``False`` only for
     #: :class:`LocalFleet`, whose messages are direct calls.
     concurrent = True
 
@@ -1176,9 +1176,10 @@ class LocalFleet(Fleet):
     nothing is pickled, and a host exception propagates as raised — no
     :class:`RemoteError` wrapping — so the in-process deployment stays the
     debuggable reference.  Calls are synchronous, hence
-    ``concurrent = False``: whatever was sent is already applied, so a
-    barrier only bumps the epoch.  With no channel, nothing is counted
-    and an armed fault plan never fires.
+    ``concurrent = False``: whatever was sent is already applied, so
+    :meth:`ready` is always true and a barrier only bumps the epoch.
+    With no channel, nothing is counted and an armed fault plan never
+    fires.
     """
 
     concurrent = False
@@ -1215,6 +1216,10 @@ class LocalFleet(Fleet):
             raise
         if reply is not NO_REPLY and type(message) not in self._hosts[endpoint_id].fire_and_forget:
             self._replies[endpoint_id].append(reply)
+
+    def ready(self, submitted: Submitted) -> bool:
+        """Always ``True``: a direct call has replied by the time it returns."""
+        return True
 
     def receive(self, endpoint_id: int) -> Any:
         queued = self._replies.get(endpoint_id)

@@ -14,13 +14,14 @@ behind the message surface below) on the fleet
   float-for-float results) of the pre-transport engine;
 * ``multiprocess`` / ``socket``: each host is a fabric endpoint — its own
   OS process served over a pickled pipe, or a ``repro serve --role
-  worker`` endpoint reached over TCP.  One window's worth of routed work
-  is shipped per worker as a single :class:`RouteBatch`, all batches are
-  submitted before any reply is collected, so workers match their object
-  groups concurrently on separate cores (or hosts).  The replay loop
-  collects a window's replies one window later (``submit`` / ``ready`` /
-  ``collect``), so the workers also match while the coordinator routes
-  the next window.
+  worker`` endpoint reached over TCP — so workers match their object
+  groups concurrently on separate cores (or hosts).
+
+On every deployment one window's worth of routed work is shipped per
+worker as a single :class:`RouteBatch`, all batches submitted before any
+reply is collected, and the window's replies are collected later
+(``submit`` / ``ready`` / ``collect``); over a fabric the workers thus
+also match while the coordinator routes the next window.
 
 The message vocabulary mirrors the Storm streams of the paper:
 
@@ -416,17 +417,12 @@ class Transport(TierBackend):
             worker_id: WorkerProxy(self, worker_id) for worker_id in fleet.endpoint_ids
         }
 
-    @property
-    def exchange_round_trip(self) -> bool:
-        """Does an :meth:`exchange` block on a round trip to other processes?
-        Then the window executor ships a whole window per exchange, not
-        one segment per flush (a direct call delivers a segment earlier)."""
-        return self._fleet.concurrent
-
     def exchange(
         self, batches: Mapping[int, RouteBatch]
     ) -> Dict[int, List[Optional[MatchResults]]]:
-        """Ship one window's :class:`RouteBatch` per worker; gather replies.
+        """Ship one :class:`RouteBatch` per worker and gather the replies:
+        the per-tuple driver's round trip (a window ships through
+        :meth:`submit` and is collected later).
 
         Reply dict preserves ``batches``'s iteration order, so coordinator
         code that merges results stays deterministic across backends.
@@ -435,7 +431,7 @@ class Transport(TierBackend):
 
     def submit(self, batches: Mapping[int, RouteBatch]) -> Submitted:
         """Ship one window's :class:`RouteBatch` per worker without waiting:
-        the first half of :meth:`exchange`, for a window left in flight."""
+        how every window leaves the coordinator, to be collected later."""
         return self._fleet.submit(batches)
 
     def ready(self, submitted: Submitted) -> bool:

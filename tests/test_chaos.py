@@ -20,8 +20,9 @@ The matrix:
   death surfaces only at the next window's tail, both windows are;
 * kill a worker at an adjustment fence — the window in flight settled
   before the fence, so the delivered sets converge exactly;
-* a coordinator-side exception (a raising sink) with a window in flight
-  propagates as raised, and ``close()`` stays bounded;
+* a coordinator-side exception (a raising sink, or a raising scan of the
+  window behind the one in flight) propagates as raised, and ``close()``
+  stays bounded and leaves no child process;
 * kill a merger shard — not recoverable: the death surfaces as a clean
   structured ``TransportError`` (never a hang) and ``close()`` still
   releases every tier, dispatch shards included;
@@ -338,6 +339,45 @@ class TestCoordinatorFailure:
             with pytest.raises(RuntimeError, match="subscriber gone") as raised:
                 cluster.run_batched(tuples, batch_size=BATCH_SIZE)
             assert not isinstance(raised.value, TransportError)
+            assert gc.isenabled()
+        finally:
+            started = time.monotonic()
+            cluster.close()
+        assert time.monotonic() - started < 10.0
+        assert set(multiprocessing.active_children()) == before
+
+    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
+    def test_a_raising_scan_with_a_window_in_flight(self, dispatch, monkeypatch):
+        """A coordinator bug in window K+1's scan, while K is in flight on
+        the workers: the exception propagates as raised, K's unread
+        replies do not hold up ``close()``, and no child process outlives
+        it."""
+        plan, tuples = make_chaos_workload()
+        failure = RuntimeError("scan failed")
+        in_flight = []
+        flush_fast = Cluster._flush_fast
+
+        def failing_flush(cluster, *args):
+            in_flight.append(cluster._in_flight is not None)
+            if len(in_flight) == 12:  # a few windows in
+                raise failure
+            return flush_fast(cluster, *args)
+
+        monkeypatch.setattr(Cluster, "_flush_fast", failing_flush)
+        before = set(multiprocessing.active_children())
+        config = ClusterConfig(
+            num_dispatchers=2, num_workers=4, backend="multiprocess",
+            dispatch_backend=dispatch,
+        )
+        cluster = Cluster(plan, config)
+        try:
+            # Replies still out at every fill: K settles only at K+1's tail.
+            cluster.transport.ready = lambda submitted: False
+            with pytest.raises(RuntimeError) as raised:
+                cluster.run_batched(tuples, batch_size=BATCH_SIZE)
+            assert raised.value is failure
+            assert not in_flight[0] and in_flight[-1]
+            assert cluster._in_flight is not None
             assert gc.isenabled()
         finally:
             started = time.monotonic()

@@ -60,7 +60,7 @@ from repro.runtime.fabric import (
 
 from repro.runtime.merge import make_merge
 from repro.runtime.telemetry import Observe
-from repro.runtime.transport import make_transport
+from repro.runtime.transport import RouteBatch, make_transport
 
 from test_transport import make_workload, require_loopback
 
@@ -491,6 +491,17 @@ class TestSubmitReadyCollect:
             assert raised.value.died and raised.value.endpoint_id == 1
             assert fleet.request(0, Observe()).endpoint_id == 0  # no stale reply
         assert multiprocessing.active_children() == []
+
+    def test_in_process_replies_are_ready_at_submit(self):
+        """A direct call has replied by the time ``submit`` returns, so an
+        in-process submission is ready at once and collects in its order."""
+        with _make_worker_tier("inprocess") as tier:
+            submitted = tier.submit({1: RouteBatch(()), 0: RouteBatch(())})
+            assert submitted == Submitted([1, 0], None)
+            assert tier.ready(submitted)
+            assert list(tier.collect(submitted).items()) == [(1, []), (0, [])]
+            assert tier._fleet.ready(tier._fleet.submit({0: Observe()}))
+            assert tier._fleet.receive(0).endpoint_id == 0
 
 
 #: The ``src`` directory the suite runs against (for the subprocess test).

@@ -124,14 +124,14 @@ def endpoint_traffic():
         }
         routing = pickle.dumps(cluster.routing_index)
         batches = []
-        exchange = cluster.transport.exchange
+        submit = cluster.transport.submit
 
         def recording(per_worker):
             if 0 in per_worker:
                 batches.append(pickle.loads(pickle.dumps(per_worker[0])))
-            return exchange(per_worker)
+            return submit(per_worker)
 
-        cluster.transport.exchange = recording
+        cluster.transport.submit = recording
         cluster.run_batched(tuples, batch_size=64)
     windows = [SyncRoutingIndex(routing, 1)]
     for seq, start in enumerate(range(0, len(tuples), 64)):

@@ -3,8 +3,8 @@
 The report matrices (``test_batched.py``, ``test_dispatch.py``) compare
 whole-run reports.  This file pins what they cannot see: the ordered
 per-worker ``RouteBatch`` ops the deferred-barrier executor ships through
-``transport.exchange`` (``transport.submit`` where an exchange is a round
-trip) for one crafted stream that takes each flush
+``transport.submit`` (the per-tuple driver through ``transport.exchange``)
+for one crafted stream that takes each flush
 branch —
 
 * an update that arrives with nothing pending (the opening insertions),
@@ -20,10 +20,9 @@ one window and as windows of one — and requires the per-tuple driver
 ship.  Delivered ``(query, object)`` pairs must equal a brute-force
 ``STSQuery.matches`` replay in stream order.
 
-Where an exchange is a round trip (remote worker backends) the segments
-of a window travel together: one exchange per window whose per-worker
-ops are the concatenation, in flush order, of what the in-process
-executor ships segment by segment.
+On every worker backend the segments of a window travel together: one
+submission per window whose per-worker ops are the window's segments,
+concatenated in flush order.
 """
 
 import pytest
@@ -55,7 +54,7 @@ def make_plan():
 
 
 def make_stream():
-    """The crafted stream plus the segmentation it must produce."""
+    """The crafted stream plus the one submission it must produce."""
 
     def query(keyword, center, query_id):
         return STSQuery.create(keyword, Rect.from_center(center, 4.0, 4.0), query_id=query_id)
@@ -81,14 +80,23 @@ def make_stream():
         obj("alpha delta", CELL_A, 106),  # full flush; must no longer match q1
         StreamTuple.delete(q2),  # left for the end-of-window flush
     ]
-    one_window = [
-        {0: [("insert", 1)], 1: [("insert", 2)]},
-        {0: [("insert", 3)]},
-        {0: [("match", 101, 103), ("insert", 4)], 1: [("match", 102)]},
-        {0: [("match", 105), ("delete", 1)]},
-        {0: [("match", 106)], 1: [("delete", 2)]},
-    ]
-    return stream, one_window
+    # One RouteBatch per worker: the window's five segments, each worker's
+    # share concatenated in flush order.
+    one_window = {
+        0: [
+            ("insert", 1),  # segment 1: the opening insertions, flushed alone
+            ("insert", 3),  # segment 2: q3 flushed alone
+            ("match", 101, 103), ("insert", 4),  # segment 3: objects, then q4
+            ("match", 105), ("delete", 1),  # segment 4: objects, then q1's deletion
+            ("match", 106),  # segment 5: the end-of-window flush
+        ],
+        1: [
+            ("insert", 2),  # segment 1
+            ("match", 102),  # segment 3
+            ("delete", 2),  # segment 5
+        ],
+    }
+    return stream, [one_window]
 
 
 def brute_force(stream, live=None):
@@ -123,7 +131,7 @@ def describe(op):
 
 
 def replay(stream, *, dispatch, shards, mode, backend="inprocess"):
-    """Replay on one routing source; returns (exchanged ops, delivered pairs)."""
+    """Replay on one routing source; returns (shipped ops, delivered pairs)."""
     config = ClusterConfig(
         num_dispatchers=shards,
         num_workers=2,
@@ -148,11 +156,13 @@ def replay(stream, *, dispatch, shards, mode, backend="inprocess"):
 
             return recorded
 
-        # A window ships through ``submit`` where an exchange is a round
-        # trip (it settles later), through ``exchange`` everywhere else.
+        # A window ships through ``submit`` (it settles later).  The
+        # per-tuple driver exchanges each tuple at once when it routes
+        # inline; on dispatch shards its tuple is a window of one.
         transport = cluster.transport
-        transport.exchange = recording(transport.exchange)
         transport.submit = recording(transport.submit)
+        if mode == "per-tuple":
+            transport.exchange = recording(transport.exchange)
         if mode == "one-window":
             cluster.process_batch(stream)
         elif mode == "windows-of-one":
@@ -186,7 +196,7 @@ def test_routing_sources_ship_identical_ops(mode):
     if mode == "one-window":
         assert reference == one_window
     else:
-        # One exchange per tuple that reaches a worker (104 is discarded).
+        # One shipment per tuple that reaches a worker (104 is discarded).
         assert len(reference) == len(stream) - 1
     if mode == "per-tuple":
         windows_of_one, _ = replay(stream, dispatch="inline", shards=4, mode="windows-of-one")
@@ -204,20 +214,8 @@ def test_remote_workers_get_one_batch_per_window(mode):
         stream, dispatch="inline", shards=4, mode=mode, backend="multiprocess"
     )
     if mode == "one-window":
-        concatenated = {}
-        for segment in one_window:
-            for worker_id, ops in segment.items():
-                concatenated.setdefault(worker_id, []).extend(ops)
-        assert concatenated == {
-            0: [
-                ("insert", 1), ("insert", 3), ("match", 101, 103), ("insert", 4),
-                ("match", 105), ("delete", 1), ("match", 106),
-            ],
-            1: [("insert", 2), ("match", 102), ("delete", 2)],
-        }
-        assert exchanges == [concatenated]
+        assert exchanges == one_window
     else:
-        # A window of one has one segment: nothing to coalesce.
         reference, _ = replay(stream, dispatch="inline", shards=4, mode=mode)
         assert exchanges == reference
     assert delivered == brute_force(stream)

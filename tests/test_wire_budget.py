@@ -48,19 +48,19 @@ def routed():
     The replay routes every insertion (``posting_keywords`` memoised
     against the plan's real vocabulary); ``size_bytes`` is then called
     the way the adjusters do, so both memos are populated.  Every
-    :class:`MatchObjects` op the coordinator exchanged is kept.
+    :class:`MatchObjects` op the coordinator submitted is kept.
     """
     plan, tuples = make_workload(mu=500, num_objects=600)
     shipped = []
     with Cluster(plan, ClusterConfig(num_dispatchers=2, num_workers=4)) as cluster:
-        exchange = cluster.transport.exchange
+        submit = cluster.transport.submit
 
-        def recording_exchange(batches):
+        def recording_submit(batches):
             for batch in batches.values():
                 shipped.extend(op for op in batch.ops if type(op) is MatchObjects)
-            return exchange(batches)
+            return submit(batches)
 
-        cluster.transport.exchange = recording_exchange
+        cluster.transport.submit = recording_submit
         cluster.run_batched(tuples, batch_size=256)
     queries = [t.payload.query for t in tuples if t.kind is TupleKind.INSERT]
     objects = [t.payload for t in tuples if t.kind is TupleKind.OBJECT]
