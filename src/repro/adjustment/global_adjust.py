@@ -38,8 +38,8 @@ class DualRoutingIndex:
     The class exposes the routing surface the cluster's two rules call on
     a :class:`~repro.indexes.gridt.GridTIndex` (``route_cell``,
     ``insertion_plan_apply``, ``deletion_plan_apply``, ``grid``,
-    ``memory_bytes``, ``fallback_workers``), so a drain window runs
-    through the ordinary window executor.
+    ``memory_bytes``), so a drain window runs through the ordinary window
+    executor.
     """
 
     def __init__(self, old_index: GridTIndex, new_index: GridTIndex) -> None:
@@ -67,9 +67,7 @@ class DualRoutingIndex:
         self._new_query_ids.add(query.query_id)
         return self.new_index.insertion_plan_apply(query)
 
-    def deletion_plan_apply(
-        self, query: STSQuery, cached: Optional[Tuple[WorkerPlan, int]] = None
-    ) -> Tuple[WorkerPlan, int]:
+    def deletion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
         """Decrement H2 in the strategy that placed the query, and only it.
 
         H2 counts postings per ``(cell, keyword, worker)``, not per query,
@@ -77,21 +75,16 @@ class DualRoutingIndex:
         a different live query that shares the triple.  The plan still
         names the other strategy's workers and cells: re-inserting a live
         pre-drain query (streams re-yield their warm-up population)
-        registers it under both strategies.  ``cached`` is a
-        new-strategy insertion plan, so it only serves a query the new
-        strategy owns.
+        registers it under both strategies.
         """
         owner, other = self.old_index, self.new_index
         if query.query_id in self._new_query_ids:
             self._new_query_ids.discard(query.query_id)
             owner, other = other, owner
-        else:
-            cached = None
-        per_worker, cells = owner.deletion_plan_apply(query, cached)
-        plan = {worker: list(pairs) for worker, pairs in per_worker.items()}
+        per_worker, cells = owner.deletion_plan_apply(query)
         for coord, key, worker in other.posting_assignments(query)[0]:
-            plan.setdefault(worker, []).append((coord, key))
-        return plan, cells
+            per_worker.setdefault(worker, []).append((coord, key))
+        return per_worker, cells
 
     # -- surface compatibility ----------------------------------------------
     @property
@@ -124,10 +117,6 @@ class DualRoutingIndex:
 
     def workers(self) -> Set[int]:
         return self.old_index.workers() | self.new_index.workers()
-
-    def fallback_workers(self) -> Tuple[int, ...]:
-        """The new strategy's: only its insertion plans are ever cached."""
-        return self.new_index.fallback_workers()
 
     def memory_bytes(self) -> int:
         """Both structures are resident while the old one drains."""

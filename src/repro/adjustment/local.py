@@ -176,9 +176,8 @@ class LocalLoadAdjuster:
             cluster.routing_index.split_cell_by_text(
                 cell_stat.cell, assignment, default_worker=source
             )
-            # The split changes H1 in this cell: insertion plans with a
-            # pair in it are no longer valid.
-            cluster.invalidate_routing_caches((cell_stat.cell,))
+            # The split changes H1 in this cell: the shard replicas are stale.
+            cluster.invalidate_routing_caches()
             moved_keywords = [
                 keyword for keyword, owner in assignment.items() if owner == target
             ]

@@ -486,21 +486,18 @@ class GridTIndex:
         cells = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
         return per_worker, cells
 
-    def deletion_plan_apply(
-        self, query: STSQuery, cached: Optional[Tuple[WorkerPlan, int]] = None
-    ) -> Tuple[WorkerPlan, int]:
+    def deletion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
         """Deletion twin of :meth:`insertion_plan_apply`: plan, then drop H2.
 
-        ``cached`` is the query's insertion plan when the caller still
-        holds it (the keyword choice is deterministic, so it is reused
-        instead of recomputed); otherwise the plan is
-        :meth:`posting_assignments` grouped by worker.
+        The plan is :meth:`posting_assignments` grouped by worker: the
+        keyword choice is deterministic and every H1 mutation carries the
+        H2 postings it reassigns along, so it names exactly the pairs H2
+        holds for the query.
         """
-        if cached is None:
-            triples, cells = self.posting_assignments(query)
-            cached = group_triples(triples), cells
-        self.apply_deletion_pairs(cached[0])
-        return cached
+        triples, cells = self.posting_assignments(query)
+        per_worker = group_triples(triples)
+        self.apply_deletion_pairs(per_worker)
+        return per_worker, cells
 
     def apply_deletion_pairs(self, per_worker: WorkerPlan) -> None:
         """Remove H2 postings for a per-worker plan (fast path).
@@ -562,7 +559,7 @@ class GridTIndex:
         per process): sharded dispatch routes on per-process replicas of
         this index, and every replica must fall back identically.
         """
-        workers = self._h1_state()[1]
+        workers = self.fallback_workers()
         if not workers:
             return None
         return workers[crc32(term.encode("utf-8")) % len(workers)]
@@ -573,8 +570,7 @@ class GridTIndex:
 
         H1 only — H2 changes with every update, and a fallback that
         followed it could send a query's deletion to another worker than
-        its insertion.  A plan cache keyed on H1 must be dropped whole
-        when this set changes (:meth:`Cluster.invalidate_routing_caches`).
+        its insertion.
         """
         return self._h1_state()[1]
 

@@ -3,11 +3,10 @@
 Invariant: a function that mutates dispatcher routing state — declared
 by decorating it with :func:`repro.runtime.protocol.mutates_routing` —
 must leave the dispatch-shard replicas re-syncable: either it bumps the
-routing version itself (``invalidate_routing_caches`` /
-``_mark_routing_mutated``, directly or by calling another decorated
-mutator that does), or every one of its call sites sits inside a
-function that is itself a declared mutator or is marked
-:func:`~repro.runtime.protocol.barrier_context` (an ``AdjustBarrier``
+routing version itself (``invalidate_routing_caches``, directly or by
+calling another decorated mutator that does), or every one of its call
+sites sits inside a function that is itself a declared mutator or is
+marked :func:`~repro.runtime.protocol.barrier_context` (an ``AdjustBarrier``
 quiescent point, where the adjustment round's single re-sync covers the
 mutation).  A mutation that escapes both is the worst failure mode this
 runtime has: replicas keep routing on pre-mutation state and the
@@ -30,7 +29,7 @@ from .framework import Finding, Project, Rule, SourceFile, decorator_name, dotte
 __all__ = ["FenceDisciplineRule"]
 
 #: Calls that bump the routing version (re-sync the shard replicas).
-_BUMP_CALLS = frozenset({"invalidate_routing_caches", "_mark_routing_mutated"})
+_BUMP_CALLS = frozenset({"invalidate_routing_caches"})
 _MUTATOR_DECORATOR = "mutates_routing"
 _BARRIER_DECORATOR = "barrier_context"
 
@@ -152,6 +151,6 @@ class FenceDisciplineRule(Rule):
                 mutator_source,
                 mutator_def,
                 "routing mutator %s() neither bumps the routing version nor "
-                "has any barrier-context caller; add invalidate_routing_caches("
-                "<changed cells>) or call it from an AdjustBarrier context" % name,
+                "has any barrier-context caller; add invalidate_routing_caches() "
+                "or call it from an AdjustBarrier context" % name,
             )

@@ -16,8 +16,7 @@ observation (:mod:`.metrics`) and the telemetry hub (:mod:`.telemetry`).
 from __future__ import annotations
 
 from contextlib import ExitStack
-from itertools import chain, cycle, islice
-from operator import itemgetter
+from itertools import cycle, islice
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.costmodel import COST_MODEL, LoadReport
@@ -190,12 +189,6 @@ class Cluster:
         self._in_flight: Optional[_WindowRun] = None
         self._abandoned: List[Sequence[StreamTuple]] = []
         self.migrations: List[migration.MigrationRecord] = []
-        # Both drivers' cache of per-query insertion plans (reused when the
-        # deletion arrives).  A plan holds while H1 is unchanged in its
-        # cells and the fallback set is unchanged; see
-        # invalidate_routing_caches.
-        self._insertion_assignments: Dict[int, Tuple[WorkerPlan, int]] = {}
-        self._plan_fallback = self.routing_index.fallback_workers()
         fault_plan = self.config.fault_plan
         if fault_plan:
             for role, tier in self._tiers.items():
@@ -207,35 +200,18 @@ class Cluster:
             self._sampler = StackSampler()
             self._sampler.start()
 
-    def invalidate_routing_caches(self, cells: Optional[Iterable[CellCoord]] = None) -> None:
-        """Note an H1 change in ``cells`` (``None``: anywhere).
+    def invalidate_routing_caches(self) -> None:
+        """Note a routing mutation made outside the shards: bump the version.
 
-        Always bumps the routing version, which marks every dispatch-shard
-        replica stale — the next routed window (or memory report) re-syncs
-        them from the authoritative index.  A cached insertion plan depends
-        on H1 only in the cells it has a pair in, plus the fallback set
-        (:meth:`GridTIndex.fallback_workers`) for uncovered cells, so
-        exactly the plans with a pair in one of ``cells`` are evicted; the
-        others still equal what the deletion would recompute.  With no
-        ``cells`` (a replaced routing index, a recovery's wholesale remap)
-        or a changed fallback set the whole cache goes.
+        Every H1 change (a migration, a text split, a replaced routing
+        index, a recovery's remap) and every H2 update routed inline on the
+        coordinator marks the dispatch-shard replicas stale — the next
+        routed window (or memory report) re-syncs them from the
+        authoritative index.  Nothing else is derived from routing state: a
+        deletion re-plans from the index (the keyword choice is
+        deterministic, Section IV-C).
         """
         self._routing_version += 1
-        cache = self._insertion_assignments
-        fallback = self.routing_index.fallback_workers()
-        if cells is None or fallback != self._plan_fallback:
-            cache.clear()
-            self._plan_fallback = fallback
-            return
-        changed = set(cells)
-        first = itemgetter(0)
-        stale = [
-            query_id
-            for query_id, (per_worker, _) in cache.items()
-            if not changed.isdisjoint(map(first, chain.from_iterable(per_worker.values())))
-        ]
-        for query_id in stale:
-            del cache[query_id]
 
     # ------------------------------------------------------------------
     # Sharded dispatch plumbing
@@ -255,11 +231,6 @@ class Cluster:
         dispatch = self._dispatch
         if dispatch is not None and dispatch.synced_version != self._routing_version:
             dispatch.sync(self.routing_index, self._routing_version)
-
-    def _mark_routing_mutated(self) -> None:
-        """Note an inline H2 mutation so stale shard replicas re-sync."""
-        if self._dispatch is not None:
-            self._routing_version += 1
 
     def _submit(self, items: Sequence[StreamTuple]) -> Tuple[int, Optional[int]]:
         """Reserve a window's round-robin dispatcher slots and, when routing
@@ -295,7 +266,7 @@ class Cluster:
         """Run one tuple through dispatcher, workers and mergers.
 
         The per-tuple driver: no window bookkeeping, but the same two
-        routing rules, plan cache and worker ops as
+        routing rules and worker ops as
         :meth:`_execute_window` — each worker receives exactly the
         ``RouteBatch`` a window of one would ship.  Returns the set of
         workers that handled the tuple.
@@ -335,12 +306,9 @@ class Cluster:
             totals.objects += 1
             totals.object_fanout += len(batches)
         else:
-            is_insert, per_worker, cells = plan_update(
-                routing, self._insertion_assignments, item
-            )
+            is_insert, per_worker, cells = plan_update(routing, item)
             # Idle shard replicas (dual drain) no longer match H2.
-            if self._dispatch is not None:
-                self._routing_version += 1
+            self.invalidate_routing_caches()
             cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, cells)
             dispatcher.busy_cost += cost
             handling = COST_MODEL.insert_handling if is_insert else COST_MODEL.delete_handling
@@ -542,7 +510,6 @@ class Cluster:
 
         decisions = routed.decisions if routed is not None else None
         plans = routed.plans if routed is not None else None
-        insertion_cache = self._insertion_assignments
         route_cell = routing.route_cell
         object_kind = TupleKind.OBJECT
         tuple_cost = DispatcherLedger.TUPLE_COST
@@ -633,11 +600,9 @@ class Cluster:
                 # updated H2 — exactly the sequential routing order.  Only
                 # the worker-side (GI2) effect is deferred to the flush.
                 if plans is None:
-                    is_insert, per_worker, cells = plan_update(
-                        routing, insertion_cache, item
-                    )
+                    is_insert, per_worker, cells = plan_update(routing, item)
                     # Idle shard replicas (dual drain) no longer match H2.
-                    self._mark_routing_mutated()
+                    self.invalidate_routing_caches()
                 else:
                     is_insert, per_worker, cells = plans[position]
                     if is_insert:

@@ -165,25 +165,17 @@ class RoutedWindow:
     plans: Dict[int, Tuple[bool, WorkerPlan, int]]
 
 
-def plan_update(
-    index: Any, plan_cache: Dict[int, Tuple[WorkerPlan, int]], item: StreamTuple
-) -> Tuple[bool, WorkerPlan, int]:
+def plan_update(index: Any, item: StreamTuple) -> Tuple[bool, WorkerPlan, int]:
     """Plan one query update on ``index`` and apply its H2 delta.
 
-    Returns ``(is_insert, per-worker plan, probed cells)``.  An
-    insertion's plan is remembered in ``plan_cache`` and offered back to
-    the index when the matching deletion arrives (the keyword choice is
-    deterministic, Section IV-C); the cache's owner evicts the plans an
-    H1 change touches.
+    Returns ``(is_insert, per-worker plan, probed cells)``.  A deletion
+    re-plans from the index: the keyword choice is deterministic
+    (Section IV-C), so it names the pairs its insertion posted.
     """
     query = item.payload.query
     if item.kind is TupleKind.INSERT:
-        per_worker, cells = plan_cache[query.query_id] = index.insertion_plan_apply(query)
-        return True, per_worker, cells
-    per_worker, cells = index.deletion_plan_apply(
-        query, plan_cache.pop(query.query_id, None)
-    )
-    return False, per_worker, cells
+        return (True, *index.insertion_plan_apply(query))
+    return (False, *index.deletion_plan_apply(query))
 
 
 class DispatcherLedger:
@@ -240,7 +232,7 @@ def _split_window(
 # The shard routing engine (shared by all backends)
 # ----------------------------------------------------------------------
 class _ShardRouter:
-    """One dispatch shard: a routing-index replica plus its caches.
+    """One dispatch shard: a routing-index replica plus its counters.
 
     Runs inside a :class:`DispatchHost`, wherever that host lives; either
     way it executes the
@@ -249,18 +241,12 @@ class _ShardRouter:
     coordinator routing.
     """
 
-    __slots__ = ("shard_id", "num_shards", "index", "insertion_plans", "profile")
+    __slots__ = ("shard_id", "num_shards", "index", "profile")
 
     def __init__(self, shard_id: int, num_shards: int) -> None:
         self.shard_id = shard_id
         self.num_shards = num_shards
         self.index = None
-        #: query id -> (per-worker plan, probed cells); mirrors the
-        #: cluster's insertion-plan cache so deletions reuse their
-        #: insertion's plan.  Dropped on every snapshot sync; the cluster
-        #: keeps the plans an H1 change did not touch, which equal a
-        #: recomputation, so both caches plan every deletion alike.
-        self.insertion_plans: Dict[int, Tuple[WorkerPlan, int]] = {}
         #: Router-owned routing counters; attached to every freshly
         #: unpickled replica by :meth:`sync` so a run's profile survives
         #: snapshot syncs (and the coordinator's own counts, which ride
@@ -270,7 +256,6 @@ class _ShardRouter:
     def sync(self, index: Any) -> None:
         self.index = index
         index.profile = self.profile
-        self.insertion_plans.clear()
 
     def route_window(
         self,
@@ -293,7 +278,6 @@ class _ShardRouter:
             raise TransportError("dispatch shard %d routed before sync" % self.shard_id)
         decisions: List[Tuple[int, Tuple[int, ...]]] = []
         plans: List[Tuple[int, bool, WorkerPlan, int]] = []
-        cache = self.insertion_plans
         route_batch = index.route_object_batch
         oi = 0
         total = len(objects)
@@ -310,7 +294,7 @@ class _ShardRouter:
                     ),
                 ):
                     decisions.append((position, decision))
-            is_insert, per_worker, cells = plan_update(index, cache, item)
+            is_insert, per_worker, cells = plan_update(index, item)
             if (base + upos) % self.num_shards == self.shard_id:
                 plans.append((upos, is_insert, per_worker, cells))
         if oi < total:
@@ -358,7 +342,7 @@ class DispatchHost(RoleHost):
                 endpoint_id=router.shard_id,
                 busy_cost=0.0,
                 memory_bytes=router.memory_bytes(),
-                depth=len(router.insertion_plans),
+                depth=0,
                 profile=router.profile.event(router.shard_id),
             )
         raise TransportError("unknown dispatch message %r" % (message,))
@@ -380,8 +364,8 @@ class DispatchBackend(TierBackend):
     ``barrier`` at adjustment fences and ``observe`` for the Figure 9
     per-dispatcher memory report, the gauges and the profile.  A shard's
     observation carries the measured routing-structure size of its
-    replica as ``memory_bytes`` and its insertion-plan cache as ``depth``;
-    the coordinator overlays the Definition-1 dispatcher busy cost
+    replica as ``memory_bytes`` (its ``depth`` is 0: a shard queues
+    nothing between windows); the coordinator overlays the Definition-1 dispatcher busy cost
     (tracked on its own :class:`DispatcherLedger` accounting) on the
     gauges it records.
 

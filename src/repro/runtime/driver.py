@@ -285,11 +285,10 @@ def run_adjustment(
     by the mutators themselves: every H1 mutation the adjusters can
     perform (``migrate_cells``, ``migrate_keywords``,
     ``replace_routing_index``, a Phase I split) bumps the routing
-    version and drops the insertion-plan cache, so an untriggered
-    round leaves the plan cache warm.  Run-level accounting (busy
-    time, traces, match counts) is *not* cleared — the RunReport of a
-    closed-loop run covers the whole stream; use
-    :meth:`Cluster.reset_period` for a full reset.
+    version, so an untriggered round leaves the shard replicas synced.
+    Run-level accounting (busy time, traces, match counts) is *not*
+    cleared — the RunReport of a closed-loop run covers the whole
+    stream; use :meth:`Cluster.reset_period` for a full reset.
 
     The round opens with :meth:`Cluster.fence`, so no adjuster reads or
     mutates state while a shipped window is unapplied, a shard is still

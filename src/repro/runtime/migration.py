@@ -106,8 +106,7 @@ def migrate_cells(
     (*moved*); queries that also overlap cells staying behind keep
     their remaining pairs on the source (*copied*).  The dispatcher
     routing index is updated to point the migrated cells at the target
-    worker, and the routing version is bumped; cached insertion plans
-    survive unless they have a pair in a migrated cell.
+    worker, and the routing version is bumped.
     """
     source = cluster.workers[source_worker]
     target = cluster.workers[target_worker]
@@ -115,7 +114,7 @@ def migrate_cells(
     shipped = source.extract_cells(moving)
     target.install_queries(shipped)
     cluster.routing_index.migrate_cells(moving, source_worker, target_worker)
-    cluster.invalidate_routing_caches(moving)
+    cluster.invalidate_routing_caches()
     return _record_migration(cluster, source_worker, target_worker, tuple(moving), shipped)
 
 
@@ -139,7 +138,7 @@ def migrate_keywords(
     source = cluster.workers[source_worker]
     target = cluster.workers[target_worker]
     shipped = source.extract_keywords(cell, set(keywords))
-    cluster.invalidate_routing_caches((cell,))
+    cluster.invalidate_routing_caches()
     if not shipped:
         return None
     target.install_queries(shipped)

@@ -242,7 +242,9 @@ class StackSampler:
     def _run(self) -> None:
         me = threading.get_ident()
         names: Dict[Optional[int], str] = {}
-        while not self._stop.wait(self.INTERVAL_MS / 1000.0):
+        # Sample first, then wait: a run shorter than one interval (or one
+        # whose sampler thread is starved) still records a stack.
+        while True:
             names.clear()
             for thread in threading.enumerate():
                 names[thread.ident] = thread.name
@@ -259,6 +261,8 @@ class StackSampler:
                     frame = frame.f_back
                 stack.append(names.get(ident, "thread-%d" % ident))
                 self._samples[";".join(reversed(stack))] += 1
+            if self._stop.wait(self.INTERVAL_MS / 1000.0):
+                return
 
     def collapsed(self) -> List[str]:
         """The aggregated samples as collapsed-stack lines (sorted)."""

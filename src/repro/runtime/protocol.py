@@ -157,8 +157,8 @@ def mutates_routing(func: _F) -> _F:
     every window after it routes on pre-mutation state and the delivered
     reports diverge from the reference backends.  Lint rule **RL005**
     checks every decorated function either calls
-    ``invalidate_routing_caches`` / ``_mark_routing_mutated`` (directly
-    or via another decorated function) or is reachable only from
+    ``invalidate_routing_caches`` (directly or via another decorated
+    function) or is reachable only from
     functions decorated with :func:`barrier_context`.
     """
     func.__mutates_routing__ = True  # type: ignore[attr-defined]

@@ -138,10 +138,11 @@ class GaugeSample(TelemetryEvent):
     ``busy_cost`` is the endpoint's Definition-1 simulated busy counter
     (the same number reports are built from — telemetry only reads it);
     ``depth`` is the tier's natural queue/structure depth: registered
-    queries for a worker, insertion-plan cache entries for a dispatch shard,
-    dedup-window keys for a merger shard, coordinator-relayed result
-    hops for the coordinator.  ``seq`` tags the window (or barrier)
-    the sample was taken at; it is stamped coordinator-side.
+    queries for a worker, 0 for a dispatch shard (it queues nothing
+    between windows), dedup-window keys for a merger shard,
+    coordinator-relayed result hops for the coordinator.  ``seq`` tags
+    the window (or barrier) the sample was taken at; it is stamped
+    coordinator-side.
     """
 
     tier: str

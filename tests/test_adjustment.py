@@ -176,17 +176,16 @@ class TestDualRoutingIndex:
         before = STSQuery.create("kobe", Rect(10, 10, 20, 20))
         during = STSQuery.create("kobe", Rect(10, 10, 20, 20))
         old.route_insertion(before)
-        cached = dual.insertion_plan_apply(during)
+        dual.insertion_plan_apply(during)
         terms = SpatioTextualObject.create("kobe", Point(15, 15)).terms
         assert dual.route_cell(self.CELL, terms) == (0, 1)
         # Both strategies' workers (and cells) are named; only the owner's
-        # H2 moves.  A cached new-strategy plan must not serve ``before``.
+        # H2 moves.
         footprint = [(cell, "kobe") for cell in dual.grid.cells_overlapping(before.region)]
         both = {0: footprint, 1: footprint}
-        assert dual.deletion_plan_apply(before, cached) == (both, 4)
+        assert dual.deletion_plan_apply(before) == (both, 4)
         assert dual.route_cell(self.CELL, terms) == (1,)
-        assert dual.deletion_plan_apply(during, cached) == (both, 4)
-        assert cached == ({1: footprint}, 4), "the cached plan is not mutated"
+        assert dual.deletion_plan_apply(during) == (both, 4)
         assert dual.route_cell(self.CELL, terms) == ()
 
     def test_memory_counts_both(self):

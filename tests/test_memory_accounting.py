@@ -192,7 +192,7 @@ class GridTMemory(RuleBasedStateMachine):
     @initialize()
     def build(self):
         self.routing = fresh_gridt()
-        self.plans = {}
+        self.placed = {}
         self.routed = []
 
     @property
@@ -220,14 +220,14 @@ class GridTMemory(RuleBasedStateMachine):
 
     @rule(query=queries())
     def insertion_plan_apply(self, query):
-        self.plans[query.query_id] = (query, self.routing.insertion_plan_apply(query))
+        self.routing.insertion_plan_apply(query)
+        self.placed[query.query_id] = query
 
-    @rule(data=st.data(), cached=st.booleans())
-    def deletion_plan_apply(self, data, cached):
-        if self.plans:
-            query_id = data.draw(st.sampled_from(sorted(self.plans)))
-            query, plan = self.plans.pop(query_id)
-            self.routing.deletion_plan_apply(query, plan if cached else None)
+    @rule(data=st.data())
+    def deletion_plan_apply(self, data):
+        if self.placed:
+            query_id = data.draw(st.sampled_from(sorted(self.placed)))
+            self.routing.deletion_plan_apply(self.placed.pop(query_id))
 
     @rule(posted=triples)
     def apply_insertion(self, posted):
@@ -299,7 +299,7 @@ class GridTMemory(RuleBasedStateMachine):
             self.routing = self.routing.new_index
         else:
             self.routing = DualRoutingIndex(self.routing, fresh_gridt())
-        self.plans.clear()
+        self.placed.clear()
         self.routed.clear()
 
     @rule()

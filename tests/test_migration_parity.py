@@ -13,14 +13,14 @@ mechanism the dispatcher uses at insertion time.  These tests pin down
 * closed-loop equivalence: ``run_batched`` with ``adjust_every`` produces
   the same simulated results as the per-tuple ``run`` under the same
   adjustment schedule;
-* plan retention: a migration evicts exactly the cached insertion plans
-  with a pair in a cell whose H1 it changed, and every plan it keeps
-  still equals what the deletion would recompute;
+* deletion re-planning: across H1 changes, deletions remove exactly the
+  H2 postings their insertions posted;
 * ground truth: the delivered ``(query, object)`` pairs of an adjusted run
   — local migrations, and the dual-routing drain of a global adjustment —
   equal a brute-force ``STSQuery.matches`` replay.
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -37,7 +37,6 @@ from repro.core import (
     STSQuery,
     StreamTuple,
     TermStatistics,
-    TupleKind,
 )
 from repro.partitioning import (
     HybridPartitioner,
@@ -45,7 +44,6 @@ from repro.partitioning import (
     PartitionPlan,
     PartitionUnit,
 )
-from repro.indexes.gridt import group_triples
 from repro.runtime import Cluster, ClusterConfig, QueryAssignment, WorkerNode
 from repro.runtime.merge import SinkSpec
 from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
@@ -293,150 +291,42 @@ class TestAdjustmentPostingParity:
         assert posting_parity_violations(cluster) == []
 
 
-def watch_plan_cache(cluster, queries):
-    """Check the insertion-plan cache around every ``invalidate_routing_caches``.
+class TestDeletionReplanning:
+    """A deletion re-plans from the routing index and removes exactly the
+    H2 postings its insertion posted, however H1 changed in between."""
 
-    Each call must evict an entry if and only if it has a pair in one of
-    the named cells (all of them when the fallback set moved), and every
-    entry it keeps must equal ``group_triples(posting_assignments(query))``
-    on the index as it is now.  Returns the ``(kept, evicted)`` count of
-    each call.
-    """
-    invalidate = cluster.invalidate_routing_caches
-    rounds = []
-
-    def checked(cells=None):
-        before = dict(cluster._insertion_assignments)
-        fallback = cluster._plan_fallback  # what the cached plans hashed over
-        invalidate(cells)
-        after = cluster._insertion_assignments
-        changed = set(cells) if cells is not None else None
-        moved = cluster.routing_index.fallback_workers() != fallback
-        for query_id, (per_worker, _) in before.items():
-            touched = (
-                changed is None
-                or moved
-                or any(coord in changed for pairs in per_worker.values() for coord, _ in pairs)
-            )
-            assert (query_id not in after) == touched, query_id
-        routing = cluster.routing_index
-        for query_id, entry in after.items():
-            triples, cells_probed = routing.posting_assignments(queries[query_id])
-            assert entry == (group_triples(triples), cells_probed), query_id
-        rounds.append((len(after), len(before) - len(after)))
-
-    cluster.invalidate_routing_caches = checked
-    return rounds
-
-
-def inserted_queries(tuples):
-    return {
-        item.payload.query.query_id: item.payload.query
-        for item in tuples
-        if item.kind is TupleKind.INSERT
-    }
-
-
-class TestPlanRetention:
-    """Insertion plans outlive the adjustment rounds that do not touch them."""
-
-    def test_cell_migration_evicts_exactly_the_plans_in_moved_cells(self, small_stream):
-        sample = small_stream.partitioning_sample(600)
-        plan = HybridPartitioner().partition(sample, 4)
-        tuples = list(small_stream.tuples(800))
-        with Cluster(plan, ClusterConfig(num_dispatchers=2, num_workers=4)) as cluster:
-            cluster.run(tuples)
-            rounds = watch_plan_cache(cluster, inserted_queries(tuples))
-            loads = cluster.worker_load_report()
-            source, target = loads.most_loaded(), loads.least_loaded()
-            cells = [stat.cell for stat in cluster.worker_cell_stats(source)[:5]]
-            cluster.migrate_cells(source, target, cells)
-        [(kept, evicted)] = rounds
-        assert kept > 0 and evicted > 0
-
-    def test_phase1_split_and_keyword_migration_keep_the_other_plans(self):
-        """A hot cell split by text (``split_cell_by_text`` + the adjuster's
-        invalidation, then ``migrate_keywords``) evicts only the plans
-        posted in that cell; queries elsewhere keep theirs."""
-        keywords = TestAdjustmentPostingParity.HOT_KEYWORDS
-        stats = TermStatistics()
-        for keyword in keywords:
-            stats.add_document([keyword])
-        plan = PartitionPlan(
-            units=[
-                PartitionUnit(region=Rect(0, 0, 90, 100), terms=None, worker_id=0),
-                PartitionUnit(region=Rect(90, 0, 100, 100), terms=None, worker_id=1),
-            ],
-            num_workers=2,
-            bounds=BOUNDS,
-            statistics=stats,
-            object_filtering=True,
-        )
-        hot = [STSQuery.create(keyword, Rect(1, 1, 2, 2)) for keyword in keywords]
-        elsewhere = [
-            STSQuery.create(keyword, Rect(40 + i, 40, 41 + i, 41))
-            for i, keyword in enumerate(keywords)
-        ]
-        tuples = [StreamTuple.insert(query) for query in hot + elsewhere]
-        tuples += [
-            StreamTuple.object(
-                SpatioTextualObject.create(keywords[index % len(keywords)], Point(1.5, 1.5))
-            )
-            for index in range(30)
-        ]
-        with Cluster(plan, ClusterConfig(num_dispatchers=1, num_workers=2)) as cluster:
-            cluster.run(tuples)
-            rounds = watch_plan_cache(cluster, inserted_queries(tuples))
-            report = LocalLoadAdjuster(GreedySelector(), sigma=1.1).adjust(cluster)
-            assert report.phase1_splits >= 1
-            retained = set(cluster._insertion_assignments)
-        assert len(rounds) >= 2  # the split, then migrate_keywords
-        assert {query.query_id for query in elsewhere} <= retained
-        assert not retained & {query.query_id for query in hot}
-
-    def test_a_changed_fallback_set_drops_every_plan(self):
-        """Worker 2 hands over its only H1 cells: the fallback set shrinks,
-        so every plan goes, though none has a pair in those cells."""
-        plan = PartitionPlan(
-            units=[
-                PartitionUnit(region=Rect(0, 0, 50, 100), terms=None, worker_id=0),
-                PartitionUnit(region=Rect(50, 0, 90, 100), terms=None, worker_id=1),
-                PartitionUnit(region=Rect(90, 0, 100, 100), terms=None, worker_id=2),
-            ],
-            num_workers=3,
-            bounds=BOUNDS,
-            statistics=TermStatistics(),
-            object_filtering=True,
-        )
-        queries = [STSQuery.create("kobe", Rect(10 + i, 10, 11 + i, 11)) for i in range(5)]
-        tuples = [StreamTuple.insert(query) for query in queries]
-        with Cluster(plan, ClusterConfig(num_dispatchers=1, num_workers=3)) as cluster:
-            cluster.run(tuples)
-            rounds = watch_plan_cache(cluster, inserted_queries(tuples))
-            owned = [
-                coord
-                for coord, cell in cluster.routing_index.cells().items()
-                if cell.default_worker == 2
-            ]
-            cluster.migrate_cells(2, 1, owned)
-            assert cluster.routing_index.fallback_workers() == (0, 1)
-        assert rounds == [(0, len(queries))]
-
-    def test_closed_loop_rounds_keep_plans_exact(self):
-        """Every invalidation of a churn-shaped closed-loop run (Phase I
-        and II, checkpoints) keeps exactly the untouched plans."""
+    @pytest.mark.parametrize("dispatch_backend", ["inline", "inprocess"])
+    @pytest.mark.parametrize("batch_size", [1, 64])
+    def test_closed_loop_h2_equals_a_refill_of_the_live_queries(
+        self, dispatch_backend, batch_size
+    ):
+        """Churn-shaped closed loop (Phase I and II, checkpoints): the
+        coordinator's H2 equals the final index's H2 rebuilt from scratch
+        out of the live queries."""
         stream = churn_stream()
         plan = HybridPartitioner().partition(stream.partitioning_sample(600), 8)
         tuples = list(stream.tuples(1200))
-        config = ClusterConfig(num_dispatchers=2, num_workers=8, checkpoint_every=500)
+        config = ClusterConfig(
+            num_dispatchers=2, num_workers=8, checkpoint_every=500,
+            dispatch_backend=dispatch_backend,
+        )
         with Cluster(plan, config) as cluster:
-            rounds = watch_plan_cache(cluster, inserted_queries(tuples))
-            cluster.run(
-                tuples, adjust_every=400,
+            cluster.run_batched(
+                tuples, batch_size=batch_size, adjust_every=400,
                 local_adjuster=LocalLoadAdjuster(GreedySelector(), sigma=1.2),
             )
             assert cluster.migrations
-        assert sum(kept for kept, _ in rounds) > 0
+            routing = cluster.routing_index
+            refilled = copy.deepcopy(routing)
+            refilled.clear_h2()
+            for query in live_queries(cluster).values():
+                refilled.insertion_plan_apply(query)
+
+        def h2(index):
+            return {coord: cell.h2 for coord, cell in index.cells().items() if cell.h2}
+
+        assert h2(routing) == h2(refilled)
+        assert routing.memory_bytes() == refilled.memory_bytes()
 
 
 class TestDedupAcrossMigration:

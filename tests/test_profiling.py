@@ -254,6 +254,13 @@ class TestStackSampler:
             assert int(count) > 0
             assert ";" in frames
 
+    def test_a_run_shorter_than_one_interval_records_a_stack(self):
+        """The first sample is taken before the first wait."""
+        sampler = StackSampler()
+        sampler.start()
+        sampler.stop()
+        assert sampler.collapsed()
+
     def test_stop_is_idempotent(self, monkeypatch):
         monkeypatch.setattr(StackSampler, "INTERVAL_MS", 1.0)
         sampler = StackSampler()
