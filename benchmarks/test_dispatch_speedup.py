@@ -9,7 +9,7 @@ so dispatcher routing — not worker matching — dominates the serial wall
 clock.
 Mixed-stream semantics (updates, barriers, adjustment, migrations) are
 pinned byte-identical across dispatch backends by
-``tests/test_dispatch.py``; this file answers the scaling question only.
+``tests/test_report_golden.py``; this file answers the scaling question only.
 
 With 4 dispatcher shards the ``multiprocess`` dispatch backend must reach
 >= 1.5x the inline tuples/sec: objects cross the shard pipes as compact
@@ -143,7 +143,7 @@ def test_sharded_dispatch_speedup(route_bound_workload, record_row, record_bench
     if cores < 2:
         pytest.skip(
             "sharded dispatch speedup needs >= 2 cores (found %d); dispatch "
-            "equivalence is covered by tests/test_dispatch.py" % cores
+            "equivalence is covered by tests/test_report_golden.py" % cores
         )
     plan, warmup, bodies = route_bound_workload
     ref_seconds = _time_dispatch(plan, warmup, bodies, "inline")

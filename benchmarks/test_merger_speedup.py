@@ -8,7 +8,8 @@ dozens of queries and every replicated match is produced once per
 worker, so the result stream — unpickling it on the coordinator and
 deduplicating it serially — dominates the reference wall clock.
 Mixed-stream semantics (dedup counts, reports, adjustment rounds) are
-pinned byte-identical across merger backends by ``tests/test_merge.py``;
+pinned byte-identical across merger backends by
+``tests/test_report_golden.py``;
 this file answers the scaling question only.
 
 With 4 merger shards the ``multiprocess`` merger backend must reach
@@ -165,7 +166,7 @@ def test_sharded_merger_speedup(delivery_bound_workload, record_row, record_benc
     if cores < 2:
         pytest.skip(
             "sharded merger speedup needs >= 2 cores (found %d); merger "
-            "equivalence is covered by tests/test_merge.py" % cores
+            "equivalence is covered by tests/test_report_golden.py" % cores
         )
     plan, warmup, warm_body, bodies = delivery_bound_workload
     ref_rate, ref_delivered = _time_merge(plan, warmup, warm_body, bodies, "inprocess")

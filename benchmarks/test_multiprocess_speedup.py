@@ -6,7 +6,7 @@ population on a coarse 4x4 grid, so every object probes long posting
 lists (~200 candidate checks per object) and worker-side GI2 matching
 dominates the wall clock.  The timed body is the object stream after
 warm-up — mixed-stream semantics (updates, barriers, adjustment) are
-pinned byte-identical across backends by ``tests/test_transport.py``;
+pinned byte-identical across backends by ``tests/test_report_golden.py``;
 this file answers the scaling question only.
 
 With 4 worker processes the ``multiprocess`` backend must reach >= 1.5x
@@ -88,7 +88,7 @@ def test_multiprocess_backend_speedup(match_bound_workload, record_row, record_b
     if cores < 2:
         pytest.skip(
             "multiprocess speedup needs >= 2 cores (found %d); backend "
-            "equivalence is covered by tests/test_transport.py" % cores
+            "equivalence is covered by tests/test_report_golden.py" % cores
         )
     plan, warmup, body = match_bound_workload
     ref_seconds = _time_backend(plan, warmup, body, "inprocess")

@@ -10,7 +10,7 @@ over loopback TCP versus a ``multiprocessing`` pipe.
 The floor is an *overhead bound*, not a speedup: over loopback the
 socket backend must keep >= 0.7x the multiprocess tuples/sec.  Byte
 equivalence of the two deployments is pinned by
-``tests/test_transport.py``; this file answers the overhead question
+``tests/test_report_golden.py``; this file answers the overhead question
 only.  The measured rates land in ``BENCH_socket.json`` so the perf
 trajectory is tracked across PRs (the CI bench job runs this file
 non-blocking).

@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "\"endpoint_id\": 1, \"after_sends\": 5}]') or the path of "
                  "a JSON file; faults fire inside the coordinator's fleets "
                  "on the multiprocess/socket backends (actions: kill, drop, "
-                 "truncate, delay)")
+                 "truncate)")
         sub.add_argument(
             "--telemetry-path", default=None, metavar="JSONL",
             help="enable runtime telemetry (docs/ARCHITECTURE.md, "

@@ -52,7 +52,6 @@ ALLOWED: Dict[str, str] = {
     "live_queries": "the stream's resident queries (adjustment and parity tests)",
     "live_query_count": "the stream's resident query count (stream tests)",
     "telemetry_events": "the telemetry ring as seen by a cluster (telemetry tests)",
-    "telemetry_timeseries": "the gauge timeseries as seen by a cluster (telemetry tests)",
 }
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

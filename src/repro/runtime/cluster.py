@@ -40,9 +40,7 @@ from .fabric import Submitted, TierBackend, TransportError, WireStats, load_mani
 from .merge import MergeBackend, make_merge
 from .metrics import LatencyTracker, RunReport, RunTotals, TraceStore
 from .profiling import ProfileReport, StackSampler
-from .telemetry import (
-    Observation, Snapshot, SpanState, TelemetryEvent, TelemetryHub, TierTimeseries,
-)
+from .telemetry import Observation, Snapshot, SpanState, TelemetryEvent, TelemetryHub
 from .transport import (
     DeleteById,
     InsertPairs,
@@ -959,10 +957,6 @@ class Cluster:
         """The telemetry ring's retained events (empty when disabled)."""
         return self._telemetry.events() if self._telemetry is not None else []
 
-    def telemetry_timeseries(self) -> Optional[TierTimeseries]:
-        """The per-window gauge store, queryable at the adjustment fence."""
-        return self._telemetry.timeseries if self._telemetry is not None else None
-
     @property
     def result_hops(self) -> int:
         """Match results that reached the merger tier via the coordinator."""
@@ -1028,7 +1022,7 @@ class Cluster:
         observed = self._observe()
         # Final cross-tier gauge cut (same replies as the report) so a
         # run's last partial sampling interval is still visible in the
-        # timeseries and the JSONL.
+        # ring and the JSONL.
         self._drain_gauges(observed)
         return metrics.run_report(
             self.totals, self._traces, self.dispatchers, observed, self.routing_index,

@@ -117,3 +117,14 @@ class ClusterConfig:
                 raise ValueError(
                     "unknown %s backend %r (expected one of %s)" % (kind, name, ", ".join(known))
                 )
+        tiers = {
+            "worker": self.num_workers,
+            "dispatcher": self.num_dispatchers,
+            "merger": self.num_mergers,
+        }
+        for spec in self.fault_plan.faults if self.fault_plan is not None else ():
+            if spec.endpoint_id >= tiers[spec.role]:
+                raise ValueError(
+                    "fault endpoint_id %d is outside the %s tier of %d"
+                    % (spec.endpoint_id, spec.role, tiers[spec.role])
+                )

@@ -68,7 +68,6 @@ import pickle
 import select
 import socket
 import struct
-import time
 import traceback
 from collections import deque
 from contextlib import contextmanager
@@ -88,6 +87,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from .protocol import MESSAGE_ROUTING
 
 __all__ = [
     "AdjustBarrier",
@@ -210,7 +211,7 @@ class Init:
 # Fault injection (the chaos-testing seam of the fleet send path)
 # ----------------------------------------------------------------------
 #: What an armed :class:`FaultSpec` can do to a send.
-FAULT_ACTIONS = ("kill", "drop", "truncate", "delay")
+FAULT_ACTIONS = ("kill", "drop", "truncate")
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,14 @@ class FaultSpec:
     * ``drop`` — silently swallow one send (a lost frame);
     * ``truncate`` — ship a partial frame and sever the channel, so the
       peer sees :class:`FrameTruncated` mid-message (socket channels;
-      degrades to ``kill`` elsewhere, where frames cannot be split);
-    * ``delay`` — sleep ``delay_seconds`` before delivering normally.
+      degrades to ``kill`` elsewhere, where frames cannot be split).
 
     A spec that could never fire is rejected here, when the plan is
-    parsed, not at the first send.
+    parsed, not at the first send: ``message_type`` must be a message the
+    role's fleet counts (its :data:`~repro.runtime.protocol.MESSAGE_ROUTING`
+    requests but the exempt ``Observe``, plus ``AdjustBarrier``).
+    :class:`~repro.runtime.config.ClusterConfig` checks ``endpoint_id``
+    against the tier's size.
     """
 
     action: str
@@ -241,7 +245,6 @@ class FaultSpec:
     endpoint_id: int = 0
     after_sends: int = 0
     message_type: Optional[str] = None
-    delay_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.action not in FAULT_ACTIONS:
@@ -257,12 +260,12 @@ class FaultSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError("fault %s must be a non-negative int, got %r" % (name, value))
-        delay = self.delay_seconds
-        if isinstance(delay, bool) or not isinstance(delay, (int, float)) or not delay >= 0:
-            raise ValueError("fault delay_seconds must be a non-negative number, got %r" % (delay,))
-        if self.message_type is not None and not isinstance(self.message_type, str):
+        counted = [name for name in MESSAGE_ROUTING[self.role] if name != "Observe"]
+        counted.append("AdjustBarrier")
+        if self.message_type is not None and self.message_type not in counted:
             raise ValueError(
-                "fault message_type must be a message class name, got %r" % (self.message_type,)
+                "fault message_type %r is never counted on a %s (expected one of %s)"
+                % (self.message_type, self.role, ", ".join(counted))
             )
 
 
@@ -848,9 +851,6 @@ class Fleet(_ClosesOnExit):
                 self._fault_counts[index] = seen + 1
                 continue
             self._fault_counts[index] = -1
-            if spec.action == "delay":
-                time.sleep(spec.delay_seconds)
-                return False
             if spec.action == "drop":
                 return True
             if spec.action == "truncate":

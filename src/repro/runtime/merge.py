@@ -50,9 +50,9 @@ callable.  Sink work is real I/O, deliberately outside the simulated
 ``RESULT_COST`` accounting, so attaching a sink never changes a report.
 
 Reports are byte-identical across merger backends
-(``tests/test_merge.py``): delivered/duplicate counts and busy cost are
-multiset-invariant in the arrival order of a shard's results, and every
-``Observe`` read is fenced through the inbox.  (The only order-sensitive
+(``tests/test_report_golden.py``): delivered/duplicate counts and busy
+cost are multiset-invariant in the arrival order of a shard's results,
+and every ``Observe`` read is fenced through the inbox.  (The only order-sensitive
 state is dedup-window *eviction*, which needs more than
 ``MergerNode.DEDUP_WINDOW`` distinct keys per shard to begin — far beyond
 any equivalence test.)

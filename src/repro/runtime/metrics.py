@@ -240,7 +240,7 @@ class RunReport:
     #: analytic estimate of the coordinator's index under inline dispatch,
     #: the *measured* footprint of each shard's replica under sharded
     #: dispatch (equal values while the replicas are in sync — pinned by
-    #: tests/test_dispatch.py).
+    #: tests/test_report_golden.py).
     dispatcher_memory: Dict[int, int] = field(default_factory=dict)
     #: Estimated GI2 memory per worker (bytes, Figure 10).
     worker_memory: Dict[int, int] = field(default_factory=dict)
@@ -464,7 +464,7 @@ def dispatcher_memory_report(
     Inline dispatch (no shard observations) charges the analytic estimate
     of the coordinator's index once per simulated dispatcher, as the paper
     does; sharded dispatch reports what each shard *measured* on its replica
-    (equal values while the replicas are in sync — ``tests/test_dispatch.py``).
+    (equal values while the replicas are in sync — ``tests/test_report_golden.py``).
     """
     if shards:
         return {shard: o.memory_bytes for shard, o in shards.items()}

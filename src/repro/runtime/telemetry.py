@@ -22,9 +22,9 @@ telemetry a first-class subsystem of the pipeline:
   endpoint deaths (:class:`LifecycleEvent`).
 
 Everything lands in the coordinator's :class:`TelemetryHub`: a bounded
-in-memory ring plus an optional JSONL sink (``--telemetry-path``), a
-:class:`TierTimeseries` queryable at the adjustment barrier (the exact
-per-tier busy-fraction input the ROADMAP's elastic controller needs).
+in-memory ring plus an optional JSONL sink (``--telemetry-path``).  A
+:class:`TierTimeseries` built from those events holds each tier's latest
+gauge drain and its per-endpoint busy fractions.
 
 **Perturbation-freedom invariant.**  Telemetry is off by default and
 must never change a delivered report: every report number derives from
@@ -279,41 +279,29 @@ def read_events(path: str) -> List[TelemetryEvent]:
 
 
 # ----------------------------------------------------------------------
-# The per-window metrics store (the elastic controller's input)
+# Each tier's latest gauge drain (the elastic controller's input)
 # ----------------------------------------------------------------------
 class TierTimeseries:
-    """Per-window gauge history, keyed by tier and endpoint.
+    """Each tier's most recent gauge drain, fed samples in drain order.
 
-    This is the store the ROADMAP's elastic pipeline needs at the
-    ``AdjustBarrier`` fence: measured per-tier busy fractions from live
-    samples rather than an end-of-run report.  Samples arrive in drain
-    order, so ``series(tier, endpoint)`` is ordered by window sequence.
+    The input a controller needs at the ``AdjustBarrier`` fence: measured
+    per-tier busy fractions from live samples rather than an end-of-run
+    report.  :func:`render_timeline` builds one from a run's events.
     """
 
     def __init__(self) -> None:
-        self._series: Dict[Tuple[str, int], List[GaugeSample]] = {}
         #: tier -> its most recent drain.  A drain holds one sample per live
         #: endpoint at one seq, so a repeated endpoint or a new seq opens the next.
         self._latest: Dict[str, Dict[int, GaugeSample]] = {}
 
     def add(self, sample: GaugeSample) -> None:
-        self._series.setdefault((sample.tier, sample.endpoint_id), []).append(sample)
         drain = self._latest.setdefault(sample.tier, {})
         if sample.endpoint_id in drain or any(s.seq != sample.seq for s in drain.values()):
             drain.clear()
         drain[sample.endpoint_id] = sample
 
-    def __len__(self) -> int:
-        return sum(len(samples) for samples in self._series.values())
-
     def tiers(self) -> List[str]:
-        return sorted({tier for tier, _ in self._series})
-
-    def endpoints(self, tier: str) -> List[int]:
-        return sorted(endpoint for t, endpoint in self._series if t == tier)
-
-    def series(self, tier: str, endpoint_id: int) -> List[GaugeSample]:
-        return list(self._series.get((tier, endpoint_id), ()))
+        return sorted(self._latest)
 
     def latest(self, tier: str) -> Dict[int, GaugeSample]:
         """The tier's most recent drain, by endpoint — an endpoint that
@@ -364,7 +352,7 @@ class SpanState:
 
 
 class TelemetryHub:
-    """Bounded in-memory event ring + timeseries + optional JSONL sink.
+    """Bounded in-memory event ring + optional JSONL sink.
 
     Also the owner of the run's window sequence: ``span`` is the window
     in flight (``None`` between windows), and gauge drains and lifecycle
@@ -372,7 +360,6 @@ class TelemetryHub:
     """
 
     def __init__(self, spec: TelemetrySpec) -> None:
-        self.timeseries = TierTimeseries()
         self.window_seq = 0
         self.span: Optional[SpanState] = None
         self._ring: Deque[TelemetryEvent] = deque(maxlen=RING_SIZE)
@@ -386,10 +373,8 @@ class TelemetryHub:
         return (time.monotonic() - self._t0) * 1000.0
 
     def record(self, event: TelemetryEvent) -> None:
-        """Aggregate one event: ring, timeseries, JSONL sink."""
+        """Aggregate one event: ring, JSONL sink."""
         self._ring.append(event)
-        if isinstance(event, GaugeSample):
-            self.timeseries.add(event)
         if self._sink is not None:
             json.dump(encode_event(event), self._sink, sort_keys=True, allow_nan=False)
             self._sink.write("\n")

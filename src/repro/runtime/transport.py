@@ -57,7 +57,7 @@ The message vocabulary mirrors the Storm streams of the paper:
 
 Every backend produces byte-identical
 :class:`~repro.runtime.metrics.RunReport` values on the same stream
-(``tests/test_transport.py``); the process-per-worker backend
+(``tests/test_report_golden.py``); the process-per-worker backend
 additionally turns the simulated parallelism into real multi-core
 wall-clock speedups (``benchmarks/test_multiprocess_speedup.py``).
 """

@@ -9,7 +9,7 @@ from repro.adjustment import (
     LocalLoadAdjuster,
     selector_by_name,
 )
-from repro.core import Point, Rect, STSQuery, SpatioTextualObject, TermStatistics, TupleKind
+from repro.core import Point, Rect, STSQuery, SpatioTextualObject, TermStatistics
 from repro.indexes.gridt import GridTIndex
 from repro.partitioning import (
     HybridPartitioner,
@@ -17,6 +17,8 @@ from repro.partitioning import (
     MetricTextPartitioner,
 )
 from repro.runtime import Cluster, ClusterConfig
+
+from harness import brute_force
 
 
 def build_imbalanced_cluster(stream, num_workers=4):
@@ -73,16 +75,8 @@ class TestLocalAdjuster:
         adjuster.adjust(cluster)
         # Replay more tuples and verify delivered matches equal ground truth
         # for the new tuples' objects against currently live queries.
-        live = live_queries(cluster)
         tuples = list(small_stream.tuples(300))
-        expected = 0
-        for item in tuples:
-            if item.kind is TupleKind.INSERT:
-                live[item.payload.query_id] = item.payload.query
-            elif item.kind is TupleKind.DELETE:
-                live.pop(item.payload.query_id, None)
-            else:
-                expected += sum(1 for query in live.values() if query.matches(item.payload))
+        expected = len(brute_force(tuples, live_queries(cluster)))
         delivered_before = sum(merger.delivered for merger in cluster.mergers)
         cluster.run(tuples)
         delivered_after = sum(merger.delivered for merger in cluster.mergers)
@@ -238,16 +232,8 @@ class TestGlobalAdjuster:
         assert final.finalized
         assert not isinstance(cluster.routing_index, DualRoutingIndex)
         # Matching still works end-to-end after the swap.
-        live = live_queries(cluster)
         tuples = list(q3_stream.tuples(200))
-        expected = 0
-        for item in tuples:
-            if item.kind is TupleKind.INSERT:
-                live[item.payload.query_id] = item.payload.query
-            elif item.kind is TupleKind.DELETE:
-                live.pop(item.payload.query_id, None)
-            else:
-                expected += sum(1 for q in live.values() if q.matches(item.payload))
+        expected = len(brute_force(tuples, live_queries(cluster)))
         before = sum(m.delivered for m in cluster.mergers)
         cluster.run(tuples)
         after = sum(m.delivered for m in cluster.mergers)

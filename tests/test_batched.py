@@ -18,6 +18,8 @@ from repro.partitioning import (
 from repro.runtime import Cluster, ClusterConfig
 from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
+from harness import assert_equivalent, brute_force
+
 
 def make_stream(mu=200, group="Q1", seed=5):
     tweets = make_dataset("us", seed=seed)
@@ -33,31 +35,6 @@ def build_pair(partitioner, num_objects, *, mu=200, group="Q1", seed=5, **config
     tuples = list(stream.tuples(num_objects))
     config = ClusterConfig(num_dispatchers=2, num_workers=4, **config_kwargs)
     return Cluster(plan, config), Cluster(plan, config), tuples
-
-
-EXACT_FIELDS = [
-    "tuples_processed",
-    "objects_processed",
-    "insertions_processed",
-    "deletions_processed",
-    "matches_produced",
-    "matches_delivered",
-    "object_fanout",
-    "query_fanout",
-]
-
-
-def assert_equivalent(reference, batched):
-    for field in EXACT_FIELDS:
-        assert getattr(reference, field) == getattr(batched, field), field
-    assert batched.throughput == pytest.approx(reference.throughput, rel=1e-9)
-    assert set(batched.worker_loads) == set(reference.worker_loads)
-    for worker, load in reference.worker_loads.items():
-        assert batched.worker_loads[worker] == pytest.approx(load, rel=1e-9, abs=1e-9)
-    assert batched.worker_memory == reference.worker_memory
-    assert batched.dispatcher_memory == reference.dispatcher_memory
-    assert batched.mean_latency_ms == pytest.approx(reference.mean_latency_ms, rel=1e-9)
-    assert batched.p95_latency_ms == pytest.approx(reference.p95_latency_ms, rel=1e-9)
 
 
 class TestEquivalence:
@@ -105,18 +82,7 @@ class TestEquivalence:
     def test_matches_equal_bruteforce_under_batching(self):
         """Batched delivery equals the single-process ground truth."""
         _, batched, tuples = build_pair(HybridPartitioner(), 500)
-        live = {}
-        expected = set()
-        for item in tuples:
-            if item.kind is TupleKind.INSERT:
-                live[item.payload.query_id] = item.payload.query
-            elif item.kind is TupleKind.DELETE:
-                live.pop(item.payload.query_id, None)
-            else:
-                obj = item.payload
-                for query in live.values():
-                    if query.matches(obj):
-                        expected.add((query.query_id, obj.object_id))
+        expected = brute_force(tuples)
         batched.run_batched(tuples, batch_size=256)
         delivered = sum(merger.delivered for merger in batched.mergers)
         assert delivered == len(expected)

@@ -13,11 +13,11 @@ import importlib.util
 import os
 from collections import Counter
 
-from test_chaos import make_chaos_workload
-
 from repro.adjustment import GreedySelector, LocalLoadAdjuster
 from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.profiling import DedupProfile, MatchProfile, RouteProfile
+
+from harness import make_alpha_beta_workload
 
 E2E = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "e2e")
 
@@ -102,7 +102,7 @@ def test_the_replay_loop_goes_through_the_entry_points_the_tracer_wraps(monkeypa
 
         monkeypatch.setattr(Cluster, name, functools.wraps(original)(counted))
 
-    plan, tuples = make_chaos_workload()
+    plan, tuples = make_alpha_beta_workload()
     config = ClusterConfig(num_dispatchers=2, num_workers=4, checkpoint_every=150)
     adjust_every, total = 200, len(tuples)
     assert total > 3 * adjust_every and total % 64

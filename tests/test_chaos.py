@@ -2,8 +2,8 @@
 
 The acceptance contract of the recovery subsystem: killing one worker
 mid-run — on either out-of-process backend — must leave the delivered
-result set identical to the single-process reference *modulo the
-at-most-one in-flight window*, whose loss the run accounts in
+result set identical to the brute-force oracle's (``harness.brute_force``)
+*modulo the at-most-one in-flight window*, whose loss the run accounts in
 ``RunReport.recovery``.  Faults are injected deterministically through
 the :class:`~repro.runtime.fabric.FaultSpec` seam of the fleet (no
 timing races: a fault fires on the N-th matching send), so every test
@@ -35,115 +35,25 @@ The matrix:
 
 import gc
 import multiprocessing
-import os
-import random
 import time
 
 import pytest
 
-from test_transport import require_loopback
-
-from repro.core.geometry import Point, Rect
-from repro.core.objects import STSQuery, SpatioTextualObject, StreamTuple, TupleKind
-from repro.partitioning import MetricTextPartitioner
-from repro.partitioning.base import WorkloadSample
+from repro.core.objects import TupleKind
 from repro.runtime import Cluster, ClusterConfig, TransportError
 from repro.runtime.fabric import FaultPlan, FaultSpec
 from repro.runtime.merge import SinkSpec
 from repro.runtime.telemetry import TelemetrySpec
 
-#: The process-spawning half of the matrix wants a second core (CI's
-#: tier-1 job runs it everywhere else); PS2STREAM_CHAOS=1 forces it on.
-needs_cores = pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2 and not os.environ.get("PS2STREAM_CHAOS"),
-    reason="chaos matrix needs at least 2 cores (PS2STREAM_CHAOS=1 forces)",
+from harness import (
+    brute_force,
+    make_alpha_beta_workload,
+    needs_cores,
+    require_loopback,
+    run,
 )
 
-BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 BATCH_SIZE = 64
-
-
-def make_chaos_workload(num_queries=120, num_objects=600, pairs=12, seed=7, workers=4):
-    """Plan + tuples with a dense, deterministic delivered-result set.
-
-    Each query is ``alphaJ OR betaJ`` and each object carries both
-    keywords of one pair, so most objects match several live queries —
-    a delivered set rich enough that losing one worker's partition
-    would visibly diverge without recovery.  Inserts and deletes are
-    interleaved mid-stream so the recovery replay covers both.
-    """
-    rng = random.Random(seed)
-    queries = []
-    for index in range(num_queries):
-        j = index % pairs
-        x, y = rng.uniform(0, 55), rng.uniform(0, 55)
-        queries.append(
-            STSQuery.create("alpha%d OR beta%d" % (j, j), Rect(x, y, x + 45, y + 45))
-        )
-    objects = []
-    for index in range(num_objects):
-        j = rng.randrange(pairs)
-        objects.append(
-            SpatioTextualObject(
-                object_id=index + 1,
-                text="",
-                location=Point(rng.uniform(0, 100), rng.uniform(0, 100)),
-                terms=frozenset({"alpha%d" % j, "beta%d" % j, "pad%d" % rng.randrange(40)}),
-            )
-        )
-    sample = WorkloadSample(
-        objects=objects[: num_objects // 2],
-        insertions=queries,
-        deletions=[],
-        bounds=BOUNDS,
-    )
-    plan = MetricTextPartitioner().partition(sample, workers)
-    tuples = [StreamTuple.insert(query) for query in queries[: num_queries - 20]]
-    extra = iter(queries[num_queries - 20:])
-    for index, obj in enumerate(objects):
-        tuples.append(StreamTuple.object(obj))
-        if index % 30 == 11:
-            tuples.append(StreamTuple.insert(next(extra)))
-        if index % 45 == 23:
-            tuples.append(StreamTuple.delete(queries[index % (num_queries - 20)]))
-    return plan, tuples
-
-
-def run_chaos(
-    plan,
-    tuples,
-    backend,
-    *,
-    fault=None,
-    checkpoint_every=0,
-    adjust_every=0,
-    batch_size=BATCH_SIZE,
-    workers=4,
-    merger_backend="inprocess",
-    dispatch_backend="inline",
-):
-    """One cluster run; returns (report, delivered {(query, object)} set)."""
-    config = ClusterConfig(
-        num_dispatchers=2,
-        num_workers=workers,
-        backend=backend,
-        merger_backend=merger_backend,
-        dispatch_backend=dispatch_backend,
-        sink=SinkSpec(kind="memory"),
-        checkpoint_every=checkpoint_every,
-        fault_plan=FaultPlan((fault,)) if fault is not None else None,
-    )
-    with Cluster(plan, config) as cluster:
-        report = cluster.run_batched(
-            tuples, batch_size=batch_size, adjust_every=adjust_every
-        )
-        drained = cluster.drain_sinks()
-    delivered = {
-        (result.query_id, result.object_id)
-        for results in drained.values()
-        for result in results
-    }
-    return report, delivered
 
 
 def converged(reference, delivered, event):
@@ -153,7 +63,7 @@ def converged(reference, delivered, event):
     the dead worker never applied them (its share is replayed from the
     update log), while survivors may have — the fleet keeps submitting
     a failed exchange's batches to them, and a remote exchange carries
-    the whole window.  The reference applied all of them.  Filtering
+    the whole window.  The oracle applied all of them.  Filtering
     both sides by the lost query ids is what makes the comparison
     sound; likewise the lost objects, which the recovered side never
     delivered from the coordinator.
@@ -183,8 +93,8 @@ class TestKillWorkerMidRun:
     def test_delivered_results_converge_modulo_lost_window(self, backend, dispatch):
         if backend == "socket":
             require_loopback()
-        plan, tuples = make_chaos_workload()
-        ref_report, reference = run_chaos(plan, tuples, "inprocess")
+        plan, tuples = make_alpha_beta_workload()
+        reference = brute_force(tuples)
         assert len(reference) > 50, "workload must deliver a dense result set"
 
         # The fourth RouteBatch to worker 1 ships the fourth window (tuples
@@ -195,9 +105,9 @@ class TestKillWorkerMidRun:
             action="kill", role="worker", endpoint_id=1,
             message_type="RouteBatch", after_sends=3,
         )
-        report, delivered = run_chaos(
-            plan, tuples, backend, fault=fault, checkpoint_every=150,
-            dispatch_backend=dispatch,
+        report, delivered = run(
+            plan, tuples, backend=backend, batch_size=BATCH_SIZE, fault=fault, checkpoint_every=150,
+            dispatch=dispatch,
         )
         recovery = report.recovery
         assert recovery is not None and len(recovery.events) == 1
@@ -215,14 +125,14 @@ class TestKillWorkerMidRun:
     def test_truncate_fault_surfaces_as_death_and_recovers(self):
         """A mid-frame truncation on the socket backend == endpoint death."""
         require_loopback()
-        plan, tuples = make_chaos_workload()
-        _, reference = run_chaos(plan, tuples, "inprocess")
+        plan, tuples = make_alpha_beta_workload()
+        reference = brute_force(tuples)
         fault = FaultSpec(
             action="truncate", role="worker", endpoint_id=2,
             message_type="RouteBatch", after_sends=3,
         )
-        report, delivered = run_chaos(
-            plan, tuples, "socket", fault=fault, checkpoint_every=150
+        report, delivered = run(
+            plan, tuples, backend="socket", batch_size=BATCH_SIZE, fault=fault, checkpoint_every=150
         )
         assert report.recovery is not None and len(report.recovery.events) == 1
         event = report.recovery.events[0]
@@ -252,17 +162,17 @@ class TestKillTheWindowInFlight:
         ],
     )
     def test_exactly_the_windows_in_flight_are_lost(self, after_sends, dispatch, start, end):
-        plan, tuples = make_chaos_workload()
+        plan, tuples = make_alpha_beta_workload()
         assert len(tuples) == 733
-        _, reference = run_chaos(plan, tuples, "inprocess")
+        reference = brute_force(tuples)
         # Worker 1 gets a RouteBatch in each of the 15 windows.
         fault = FaultSpec(
             action="kill", role="worker", endpoint_id=1,
             message_type="RouteBatch", after_sends=after_sends,
         )
-        report, delivered = run_chaos(
-            plan, tuples, "multiprocess", fault=fault, checkpoint_every=150,
-            dispatch_backend=dispatch,
+        report, delivered = run(
+            plan, tuples, backend="multiprocess", batch_size=BATCH_SIZE, fault=fault,
+            checkpoint_every=150, dispatch=dispatch,
         )
         recovery = report.recovery
         assert recovery is not None and len(recovery.events) == 1
@@ -293,9 +203,9 @@ class TestKillTheWindowInFlight:
             rounds.append(len(cluster.recovery.events))
 
         monkeypatch.setattr(Cluster, "run_adjustment", counted)
-        plan, tuples = make_chaos_workload()
+        plan, tuples = make_alpha_beta_workload()
         cadences = {"checkpoint_every": 1000, "adjust_every": 200}
-        _, reference = run_chaos(plan, tuples, "inprocess", **cadences)
+        _, reference = run(plan, tuples, batch_size=BATCH_SIZE, **cadences)
         assert rounds == [0, 0, 0]  # at 200, 400 and 600
         rounds.clear()
         # Worker 1's fourth RouteBatch is the window [192, 200).
@@ -303,7 +213,9 @@ class TestKillTheWindowInFlight:
             action="kill", role="worker", endpoint_id=1,
             message_type="RouteBatch", after_sends=3,
         )
-        report, delivered = run_chaos(plan, tuples, "multiprocess", fault=fault, **cadences)
+        report, delivered = run(
+            plan, tuples, backend="multiprocess", batch_size=BATCH_SIZE, fault=fault, **cadences
+        )
         assert rounds == [1, 1, 1]
         event = report.recovery.events[0]
         assert not event.during_adjustment
@@ -321,7 +233,7 @@ class TestCoordinatorFailure:
     def test_a_raising_sink_with_a_window_in_flight(self):
         """A subscriber failure is the coordinator's own exception: it
         propagates as raised, and the tiers still close, bounded."""
-        plan, tuples = make_chaos_workload()
+        plan, tuples = make_alpha_beta_workload()
         deliveries = []
 
         def fail_on_third(result):
@@ -352,7 +264,7 @@ class TestCoordinatorFailure:
         the workers: the exception propagates as raised, K's unread
         replies do not hold up ``close()``, and no child process outlives
         it."""
-        plan, tuples = make_chaos_workload()
+        plan, tuples = make_alpha_beta_workload()
         failure = RuntimeError("scan failed")
         in_flight = []
         flush_fast = Cluster._flush_fast
@@ -390,8 +302,8 @@ class TestCoordinatorFailure:
 class TestKillDuringAdjustment:
     def test_kill_at_the_barrier_fence_converges_exactly(self):
         """Death at an adjustment fence loses nothing: no window in flight."""
-        plan, tuples = make_chaos_workload()
-        _, reference = run_chaos(plan, tuples, "inprocess")
+        plan, tuples = make_alpha_beta_workload()
+        reference = brute_force(tuples)
         # The driver's initial checkpoint broadcasts one AdjustBarrier per
         # endpoint; after_sends=1 fires on the *second* barrier send to
         # worker 1 — the first mid-stream adjustment round.
@@ -399,8 +311,8 @@ class TestKillDuringAdjustment:
             action="kill", role="worker", endpoint_id=1,
             message_type="AdjustBarrier", after_sends=1,
         )
-        report, delivered = run_chaos(
-            plan, tuples, "multiprocess",
+        report, delivered = run(
+            plan, tuples, backend="multiprocess", batch_size=BATCH_SIZE,
             fault=fault, checkpoint_every=200, adjust_every=200,
         )
         recovery = report.recovery
@@ -409,7 +321,7 @@ class TestKillDuringAdjustment:
         assert event.during_adjustment
         assert event.lost_tuples == 0
         assert event.lost_object_ids == () and event.lost_query_ids == ()
-        assert delivered == reference
+        assert set(delivered) == reference
 
 
 @needs_cores
@@ -417,7 +329,7 @@ class TestKillMergerShard:
     @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
     def test_merger_death_is_a_clean_error_not_a_hang(self, dispatch):
         """Merger shards are not recoverable; death must surface, bounded."""
-        plan, tuples = make_chaos_workload()
+        plan, tuples = make_alpha_beta_workload()
         before = set(multiprocessing.active_children())
         fault = FaultSpec(
             action="kill", role="merger", endpoint_id=0,
@@ -446,7 +358,7 @@ class TestKillMergerShard:
 
 class TestRecoveryIdempotence:
     def test_second_recovery_of_the_same_worker_is_a_noop(self):
-        plan, tuples = make_chaos_workload()
+        plan, tuples = make_alpha_beta_workload()
         config = ClusterConfig(
             num_dispatchers=2, num_workers=4, backend="inprocess",
             checkpoint_every=100,
@@ -475,9 +387,7 @@ class TestRecoveryNeedsASurvivor:
         """``recover_worker`` on a one-worker cluster used to drop the worker
         *before* it looked for a survivor: the call raised, ``cluster.workers``
         was left empty and the rest of the run matched nothing, silently."""
-        from test_window_executor import brute_force  # imports this module
-
-        plan, tuples = make_chaos_workload(workers=1)
+        plan, tuples = make_alpha_beta_workload(workers=1)
         config = ClusterConfig(
             num_dispatchers=2, num_workers=1, backend="inprocess",
             sink=SinkSpec(kind="memory"), checkpoint_every=100,
@@ -506,7 +416,7 @@ class TestFailedConstructor:
     def test_an_unwritable_path_fails_before_any_tier_spawns(self, opens, tmp_path):
         """The two files a cluster opens used to be opened *after* the fleets
         were spawned, and nothing closed the tiers when the open failed."""
-        plan, _ = make_chaos_workload(workers=2)
+        plan, _ = make_alpha_beta_workload(workers=2)
         missing = str(tmp_path / "no-such-directory" / "out.jsonl")
         if opens == "checkpoint_path":
             files = {"checkpoint_every": 100, "checkpoint_path": missing}
@@ -517,24 +427,3 @@ class TestFailedConstructor:
         with pytest.raises(FileNotFoundError):
             Cluster(plan, config)
         assert set(multiprocessing.active_children()) == before
-
-
-@needs_cores
-class TestFaultFreeDeterminism:
-    @pytest.mark.parametrize("backend", WORKER_BACKENDS)
-    def test_checkpointed_run_reports_identical_across_backends(self, backend):
-        """Checkpointing must not perturb a fault-free run's report."""
-        if backend == "socket":
-            require_loopback()
-        plan, tuples = make_chaos_workload()
-        ref_report, reference = run_chaos(
-            plan, tuples, "inprocess", checkpoint_every=150
-        )
-        report, delivered = run_chaos(
-            plan, tuples, backend, checkpoint_every=150
-        )
-        assert ref_report.recovery is not None
-        assert ref_report.recovery.checkpoints_taken > 1
-        assert ref_report.recovery.events == ()
-        assert report == ref_report
-        assert delivered == reference

@@ -230,8 +230,15 @@ class TestEarlyExit:
             (["run", "--backend", "multiprocess", "--workers", "2",
               "--fault-plan", '[{"action": "kill", "role": "wroker"}]'], "unknown fault role"),
             (["run", "--fault-plan", '[{"action": "drop", "after_sends": -1}]'], "after_sends"),
-            (["run", "--fault-plan", '[{"action": "delay", "delay_seconds": -1}]'],
-             "delay_seconds"),
+            (["run", "--backend", "multiprocess", "--fault-plan",
+              '[{"action": "kill", "message_type": "RouteBach"}]'], "'RouteBach' is never counted"),
+            (["run", "--fault-plan", '[{"action": "kill", "role": "merger", '
+              '"message_type": "RouteBatch"}]'], "'RouteBatch' is never counted on a merger"),
+            (["run", "--fault-plan", '[{"action": "drop", "message_type": "Observe"}]'],
+             "'Observe' is never counted"),
+            (["run", "--workers", "2", "--fault-plan", '[{"action": "kill", "endpoint_id": 2}]'],
+             "endpoint_id 2 is outside the worker tier of 2"),
+            (["run", "--fault-plan", '[{"action": "delay"}]'], "unknown fault action 'delay'"),
             (["run", "--fault-plan", '[{"action": "kill", "endpoint_id": -1}]'], "endpoint_id"),
             (["run", "--cluster", BAD_PORT_MANIFEST], "'127.0.0.1:70000'"),
             (["serve", "--role", "worker", "--listen", "127.0.0.1:70000"], "'127.0.0.1:70000'"),

@@ -10,6 +10,8 @@ from repro.partitioning import HybridPartitioner, KDTreeSpacePartitioner
 from repro.partitioning.base import PartitionPlan, PartitionUnit
 from repro.runtime import Cluster, ClusterConfig
 
+from harness import brute_force
+
 
 def build_cluster(stream, partitioner=None, num_workers=4, sample_objects=500, **config_kwargs):
     partitioner = partitioner if partitioner is not None else KDTreeSpacePartitioner()
@@ -126,19 +128,8 @@ class TestCorrectness:
     def test_matches_equal_bruteforce(self, small_stream):
         """The distributed pipeline must deliver exactly the ground-truth matches."""
         cluster = build_cluster(small_stream, partitioner=HybridPartitioner(), num_workers=4)
-        live = {}
-        expected = set()
         tuples = list(small_stream.tuples(600))
-        for item in tuples:
-            if item.kind is TupleKind.INSERT:
-                live[item.payload.query_id] = item.payload.query
-            elif item.kind is TupleKind.DELETE:
-                live.pop(item.payload.query_id, None)
-            else:
-                obj = item.payload
-                for query in live.values():
-                    if query.matches(obj):
-                        expected.add((query.query_id, obj.object_id))
+        expected = brute_force(tuples)
         cluster.run(tuples)
         delivered = sum(merger.delivered for merger in cluster.mergers)
         assert delivered == len(expected)

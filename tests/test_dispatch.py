@@ -1,39 +1,24 @@
-"""Equivalence tests for the sharded dispatch subsystem.
+"""The sharded dispatch subsystem, past report equality.
 
-The acceptance contract of the dispatch stage: routing on ``N`` dispatcher
-shards — each owning its own replica of the routing index, in the
-coordinator's interpreter (``inprocess``), one OS process per shard
+The conformance matrix (``test_report_golden.py``) holds routing on
+dispatcher shards — each owning its own replica of the routing index, in
+the coordinator's interpreter (``inprocess``), one OS process per shard
 (``multiprocess``) or one loopback TCP endpoint per shard (``socket``) —
-must produce **byte-identical**
-:class:`~repro.runtime.metrics.RunReport` values to the serial ``inline``
-engine on the same stream, for the per-tuple and batched paths, on both
-worker transport backends, and through closed-loop Section V adjustment
-rounds with real migrations (the rounds fence the shards and re-sync
-their replicas).  Worker-observable outcomes must additionally be
-invariant to the shard *count*: routing decisions do not depend on how
-many dispatchers route them.
-
-Like ``tests/test_transport.py``, these run on small Figure 7(a)-style
-slices so the multiprocess fixtures stay fast on one core; the
-wall-clock routing speedup is measured by the opt-in
-``benchmarks/test_dispatch_speedup.py``.
+to the inline run's report, rounds and delivered set.  This file pins
+that worker-observable outcomes do not depend on the shard *count*, and
+the shards' own mechanics.
 """
 
 import pytest
 
-from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
-from repro.partitioning import HybridPartitioner, MetricTextPartitioner
 from repro.runtime import (
     Cluster,
     ClusterConfig,
     InProcessDispatch,
     TransportError,
 )
-from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
-from test_transport import require_backend
-
-DISPATCH_BACKENDS = ["inprocess", "multiprocess", "socket"]
+from harness import make_workload, run
 
 WORKER_SIDE_FIELDS = [
     "tuples_processed",
@@ -49,127 +34,7 @@ WORKER_SIDE_FIELDS = [
 ]
 
 
-def make_workload(mu=250, group="Q1", seed=11, num_objects=600, workers=4,
-                  partitioner=None):
-    """A fig 7(a)-style slice: plan + materialised tuples."""
-    tweets = make_dataset("us", seed=seed)
-    queries = QueryGenerator(tweets, seed=seed + 1)
-    stream = WorkloadStream(tweets, queries, StreamConfig(mu=mu, group=group), seed=seed + 2)
-    sample = stream.partitioning_sample(500)
-    partitioner = partitioner if partitioner is not None else HybridPartitioner()
-    plan = partitioner.partition(sample, workers)
-    return plan, list(stream.tuples(num_objects))
-
-
-def run_cluster(plan, tuples, *, dispatch="inline", worker_backend="inprocess",
-                dispatchers=4, workers=4, batch_size=0, **run_kwargs):
-    config = ClusterConfig(
-        num_dispatchers=dispatchers,
-        num_workers=workers,
-        backend=worker_backend,
-        dispatch_backend=dispatch,
-    )
-    with Cluster(plan, config) as cluster:
-        if batch_size > 1:
-            report = cluster.run_batched(tuples, batch_size=batch_size, **run_kwargs)
-        else:
-            report = cluster.run(tuples, **run_kwargs)
-        migrations = list(cluster.migrations)
-    return report, migrations
-
-
 class TestDispatchParity:
-    @pytest.mark.parametrize("batch_size", [0, 64, 256])
-    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
-    def test_sharded_routing_identical_reports(self, dispatch, batch_size):
-        """Per-tuple and batched paths: sharded == inline, field for field."""
-        require_backend(dispatch)
-        plan, tuples = make_workload()
-        ref, _ = run_cluster(plan, tuples, dispatch="inline", batch_size=batch_size)
-        sharded, _ = run_cluster(plan, tuples, dispatch=dispatch, batch_size=batch_size)
-        assert ref.deletions_processed > 0, "stream must exercise deletions"
-        assert sharded == ref
-
-    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
-    def test_identical_on_multiprocess_workers(self, dispatch):
-        """Sharded routing composes with the multiprocess worker backend."""
-        require_backend(dispatch)
-        plan, tuples = make_workload()
-        ref, _ = run_cluster(
-            plan, tuples, dispatch="inline", worker_backend="multiprocess",
-            batch_size=128,
-        )
-        sharded, _ = run_cluster(
-            plan, tuples, dispatch=dispatch, worker_backend="multiprocess",
-            batch_size=128,
-        )
-        assert sharded == ref
-
-    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
-    @pytest.mark.parametrize("worker_backend", ["inprocess", "multiprocess"])
-    def test_closed_loop_adjustment_round_identical(self, dispatch, worker_backend):
-        """Section V rounds — fence, migrations, replica re-sync — match.
-
-        Metric text partitioning concentrates load enough for the local
-        adjuster to actually migrate cells mid-stream, so this exercises
-        the dispatch shards' snapshot re-sync after H1 mutations.
-        """
-        require_backend(dispatch)
-        plan, tuples = make_workload(
-            mu=300, seed=3, num_objects=800, partitioner=MetricTextPartitioner()
-        )
-
-        def run(dispatch_backend):
-            adjuster = LocalLoadAdjuster(GreedySelector(), sigma=1.2)
-            report, migrations = run_cluster(
-                plan, tuples, dispatch=dispatch_backend,
-                worker_backend=worker_backend, dispatchers=2,
-                batch_size=128, adjust_every=400, local_adjuster=adjuster,
-            )
-            triggered = sum(1 for entry in adjuster.history if entry.triggered)
-            return report, migrations, triggered, adjuster.history
-
-        ref_report, ref_migrations, ref_triggered, ref_history = run("inline")
-        report, migrations, triggered, history = run(dispatch)
-        assert ref_triggered > 0, "the adjustment loop must actually fire"
-        assert triggered == ref_triggered
-        assert migrations == ref_migrations
-        assert report == ref_report
-        # Fig 9 fidelity: each round records per-dispatcher routing memory
-        # — measured on the shard replicas under sharded dispatch, equal
-        # to the inline analytic estimate because the replicas are in sync
-        # at the round's fence.
-        assert len(history) == len(ref_history)
-        for entry, ref_entry in zip(history, ref_history):
-            assert entry.dispatcher_memory_bytes == ref_entry.dispatcher_memory_bytes
-            assert set(entry.dispatcher_memory_bytes) == {0, 1}
-
-    @pytest.mark.parametrize("dispatch", DISPATCH_BACKENDS)
-    def test_global_adjuster_repartition_identical(self, dispatch):
-        """The dual-routing drain falls back inline and re-syncs after."""
-        require_backend(dispatch)
-        plan, tuples = make_workload(
-            mu=250, seed=3, num_objects=700, partitioner=MetricTextPartitioner()
-        )
-
-        def run(dispatch_backend):
-            adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.01)
-            report, _ = run_cluster(
-                plan, tuples, dispatch=dispatch_backend, dispatchers=2,
-                batch_size=100, adjust_every=250, global_adjuster=adjuster,
-            )
-            history = [
-                (entry.checked, entry.repartitioned, entry.finalized)
-                for entry in adjuster.history
-            ]
-            return report, history
-
-        ref_report, ref_history = run("inline")
-        report, history = run(dispatch)
-        assert any(repartitioned for _, repartitioned, _ in ref_history)
-        assert history == ref_history
-        assert report == ref_report
-
     def test_worker_side_invariant_across_shard_counts(self):
         """1 vs N shards: everything the workers observe is identical.
 
@@ -180,12 +45,8 @@ class TestDispatchParity:
         the paper scales dispatchers in Figure 11.
         """
         plan, tuples = make_workload()
-        one, _ = run_cluster(
-            plan, tuples, dispatch="inprocess", dispatchers=1, batch_size=128
-        )
-        four, _ = run_cluster(
-            plan, tuples, dispatch="inprocess", dispatchers=4, batch_size=128
-        )
+        one, _ = run(plan, tuples, dispatch="inprocess", dispatchers=1, batch_size=128)
+        four, _ = run(plan, tuples, dispatch="inprocess", dispatchers=4, batch_size=128)
         for field in WORKER_SIDE_FIELDS:
             assert getattr(one, field) == getattr(four, field), field
 

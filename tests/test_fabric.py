@@ -40,6 +40,7 @@ from repro.core.geometry import Rect
 from repro.runtime.dispatch import make_dispatch
 from repro.runtime.fabric import (
     ENDPOINT_NICENESS,
+    FaultPlan,
     FaultSpec,
     Fleet,
     Init,
@@ -62,7 +63,7 @@ from repro.runtime.merge import make_merge
 from repro.runtime.telemetry import Observe
 from repro.runtime.transport import RouteBatch, make_transport
 
-from test_transport import make_workload, require_loopback
+from harness import make_workload, require_loopback
 
 
 def chunked_reader(data, chunk_size):
@@ -180,10 +181,14 @@ class TestFaultSpec:
             ({"action": "kill", "endpoint_id": 1.5}, "endpoint_id"),
             ({"action": "drop", "after_sends": -2}, "after_sends"),
             ({"action": "drop", "after_sends": True}, "after_sends"),
-            ({"action": "delay", "delay_seconds": -0.5}, "delay_seconds"),
-            ({"action": "delay", "delay_seconds": "1"}, "delay_seconds"),
             ({"action": "drop", "message_type": 3}, "message_type"),
-            ({"action": "delay", "delay_seconds": float("nan")}, "delay_seconds"),
+            # A message no fleet of the role ever counts: a misspelling,
+            # another role's request, the exempt Observe, a removed action.
+            ({"action": "kill", "message_type": "RouteBach"}, "'RouteBach' is never counted"),
+            ({"action": "kill", "role": "merger", "message_type": "RouteBatch"},
+             "'RouteBatch' is never counted on a merger"),
+            ({"action": "drop", "message_type": "Observe"}, "'Observe' is never counted"),
+            ({"action": "delay"}, "unknown fault action 'delay'"),
         ],
     )
     def test_invalid_spec_raises(self, fields, message):
@@ -195,24 +200,37 @@ class TestFaultSpec:
     def test_valid_specs_parse(self):
         plan = parse_fault_plan(json.dumps([
             {"action": action, "role": role, "endpoint_id": 1, "after_sends": 2}
-            for action in ("kill", "drop", "truncate", "delay")
+            for action in ("kill", "drop", "truncate")
             for role in ("worker", "dispatcher", "merger")
-        ] + [{"action": "delay", "delay_seconds": 0.25, "message_type": "RouteBatch"}]))
-        assert len(plan.faults) == 13
+        ] + [
+            {"action": "drop", "role": role, "message_type": message_type}
+            for role, message_type in (
+                ("worker", "RouteBatch"), ("worker", "WorkerCall"),
+                ("dispatcher", "RouteWindow"), ("dispatcher", "SyncRoutingIndex"),
+                ("merger", "DeliverResults"), ("merger", "MergerReset"),
+                ("merger", "SinkDrain"), ("merger", "AdjustBarrier"),
+            )
+        ]))
+        assert len(plan.faults) == 17
         assert plan.for_role("merger")[0] == FaultSpec("kill", "merger", 1, 2)
 
-    def test_zero_counts_and_an_integral_delay_are_valid(self):
-        """The bounds are inclusive: endpoint 0, the first send, no delay."""
-        plan = parse_fault_plan(json.dumps([
-            {"action": "kill", "endpoint_id": 0, "after_sends": 0},
-            {"action": "delay", "delay_seconds": 0},
-            {"action": "delay", "delay_seconds": 2},
-        ]))
-        assert plan.faults == (
-            FaultSpec("kill"),
-            FaultSpec("delay"),
-            FaultSpec("delay", delay_seconds=2),
-        )
+    def test_zero_counts_are_valid(self):
+        """The bounds are inclusive: endpoint 0, the first send."""
+        plan = parse_fault_plan('[{"action": "kill", "endpoint_id": 0, "after_sends": 0}]')
+        assert plan.faults == (FaultSpec("kill"),)
+
+    @pytest.mark.parametrize("role, size", [
+        ("worker", "num_workers"), ("dispatcher", "num_dispatchers"), ("merger", "num_mergers"),
+    ])
+    def test_an_endpoint_outside_its_tier_is_refused(self, role, size):
+        """The last endpoint of a tier deploys; the one past it never exists."""
+        def config(endpoint_id):
+            plan = FaultPlan((FaultSpec("kill", role, endpoint_id),))
+            return ClusterConfig(fault_plan=plan, **{size: 3})
+
+        assert config(2).fault_plan.faults[0].endpoint_id == 2
+        with pytest.raises(ValueError, match="endpoint_id 3 is outside the %s tier of 3" % role):
+            config(3)
 
 
 class TestManifest:
@@ -518,10 +536,10 @@ ONE_CORE_REPLAY = """
 import os, sys
 sys.path.insert(0, %r)
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from test_transport import make_workload, run_backend
+from harness import make_workload, run
 plan, tuples = make_workload(workers=2)
-reference, _ = run_backend(plan, tuples, "inprocess", batch_size=256, workers=2)
-report, _ = run_backend(plan, tuples, "multiprocess", batch_size=256, workers=2)
+reference, _ = run(plan, tuples, batch_size=256, workers=2)
+report, _ = run(plan, tuples, backend="multiprocess", batch_size=256, workers=2)
 assert report == reference, (report, reference)
 print("identical", len(os.sched_getaffinity(0)))
 """ % str(Path(__file__).parent)

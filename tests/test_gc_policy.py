@@ -21,9 +21,6 @@ from collections import Counter
 
 import pytest
 
-from test_chaos import make_chaos_workload, needs_cores
-from test_report_golden import workload
-
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
 from repro.core.objects import TupleKind
 from repro.partitioning import HybridPartitioner
@@ -32,6 +29,8 @@ from repro.runtime.dispatch import DispatchHost, RouteWindow, SyncRoutingIndex
 from repro.runtime.fabric import FaultPlan, FaultSpec, Shutdown, serve_loop
 from repro.runtime.merge import MergeHost, SinkSpec
 from repro.runtime.transport import RouteBatch, WorkerHost
+
+from harness import golden_workload, make_alpha_beta_workload, needs_cores
 
 
 def assert_makes_no_cycles(step):
@@ -74,7 +73,7 @@ SPAWNING = ("worker-merger-processes", "pipelined-dispatch-processes")
 )
 def test_replay_makes_no_cycles(shape):
     name, size, fields, adjuster = SHAPES[shape]
-    plan, tuples = workload(name)
+    plan, tuples = golden_workload(name)
     adjusters = {
         "local": LocalLoadAdjuster(GreedySelector()),
         "global": GlobalAdjuster(HybridPartitioner()),
@@ -96,7 +95,7 @@ def test_replay_makes_no_cycles(shape):
 
 @functools.lru_cache(maxsize=None)
 def chaos_workload():
-    return make_chaos_workload()
+    return make_alpha_beta_workload()
 
 
 def chaos_cluster(**fields):

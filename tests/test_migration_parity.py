@@ -25,10 +25,6 @@ import dataclasses
 
 import pytest
 
-from test_batched import assert_equivalent
-from test_transport import available_backends, control_sends, counted_worker_sends
-from test_window_executor import brute_force
-
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
 from repro.core import (
     Point,
@@ -48,7 +44,14 @@ from repro.runtime import Cluster, ClusterConfig, QueryAssignment, WorkerNode
 from repro.runtime.merge import SinkSpec
 from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
-BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
+from harness import (
+    BOUNDS,
+    assert_equivalent,
+    available_backends,
+    brute_force,
+    control_sends,
+    counted_worker_sends,
+)
 
 
 def live_assignments(cluster):

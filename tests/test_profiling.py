@@ -23,9 +23,6 @@ import time
 
 import pytest
 
-from test_chaos import BOUNDS, make_chaos_workload, needs_cores
-from test_transport import global_scenario
-
 from repro.adjustment import GlobalAdjuster
 from repro.cli import main as cli_main
 from repro.core import MatchResult, TupleKind
@@ -40,6 +37,8 @@ from repro.runtime.profiling import (
     StackSampler,
     profile_text,
 )
+
+from harness import BOUNDS, global_scenario, make_alpha_beta_workload, needs_cores
 
 
 def run_once(
@@ -71,7 +70,7 @@ def object_count(tuples):
 
 @pytest.fixture(scope="module")
 def workload():
-    return make_chaos_workload()
+    return make_alpha_beta_workload()
 
 
 # ----------------------------------------------------------------------

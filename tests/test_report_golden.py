@@ -1,16 +1,53 @@
-"""The report matrix as a checked-in golden.
+"""The conformance matrix: every row is one deployment checked against one oracle.
 
-Every PR that reshaped the drivers or the window executor re-scripted the
-same check by hand: ``repr(RunReport)`` byte-identical to the parent commit
-over driver x dispatch x adjuster x checkpoints x workload.  Here it is one
-file.  ``data/report_golden.json`` holds the sha-1 of ``repr(report)`` per
-row, recorded with :func:`report_digest` **at the commit before ISSUE 21**
-(the ``Cluster`` split) — never regenerate it from a commit that changes
-the drivers, the executor or the report path; a row that legitimately moves
-(a cost-model change, say) is re-recorded at the parent of that change:
+A row is ``workload/driver/dispatch/adjuster/checkpoints[/tiers[/telemetry]]``:
+
+* ``workload`` — a key of :data:`WORKLOADS`, which also fixes the window,
+  the adjustment and checkpoint cadences and the local adjuster's sigma;
+* ``driver`` — ``tuple`` (``Cluster.run``) or ``batched`` (``run_batched``);
+* ``dispatch`` — ``inline`` or the shard backend (``inprocess``,
+  ``multiprocess``, ``socket``);
+* ``adjuster`` — ``none``, ``local`` or ``both`` (local and global);
+* ``checkpoints`` — ``off`` or ``on``;
+* ``tiers`` — ``-``, or the ``+``-joined tiers run out of process, each
+  ``workers`` or ``mergers`` with an optional ``:backend``
+  (``multiprocess`` when omitted);
+* ``telemetry`` — present when telemetry is on.
+
+Each row replays once, into a memory sink, and must
+
+1. have its digest, the sha-1 of ``repr(RunReport)``;
+2. deliver exactly the :func:`harness.brute_force` oracle's
+   ``(query, object)`` set;
+3. deliver no pair twice.
+
+A row's **twin** is the same row routed inline, with every tier in
+process and telemetry off; every row's adjustment rounds (cell
+migrations, per-round shard snapshots, repartitions) must equal its
+twin's.  Every replay is cached, so a twin runs once however many rows
+name it.
+
+There are two kinds of row.  A **golden row** (:data:`GOLDEN_ROWS`) has
+its digest in ``data/report_golden.json``, recorded **at the commit before
+the ``Cluster`` split**.  Never regenerate it from a commit
+that changes the drivers, the executor or the report path; a row that
+legitimately moves (a cost-model change, say) is re-recorded at the parent
+of that change:
 
     PYTHONPATH=<parent>/src:tests python -c "import json, test_report_golden as t; \
-        print(json.dumps({row: t.report_digest(row) for row in t.ROWS}, indent=1))"
+        print(json.dumps({row: t.replay(row).digest for row in t.GOLDEN_ROWS}, indent=1))"
+
+A **twin row** (:data:`TWIN_ROWS`) has its twin's digest, replayed in
+the same session.  Twin rows run the dense alpha/beta workload, where
+the merger really deduplicates, and put each tier out of process; they
+also assert that each row exercises what it claims (deletions,
+duplicates, checkpoints, triggered rounds, a finalised repartition,
+traced windows and lifecycle marks).
+
+To add an axis, give the row grammar one more field (or one more value of
+a field), map it onto :func:`harness.run` in :func:`replay`, keep its
+reference value equal to what a twin runs, and list the rows that need it
+in :data:`TWIN_ROWS`.  Golden rows keep their names and digests.
 """
 
 import functools
@@ -19,43 +56,61 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import repro
+from harness import (
+    brute_force,
+    golden_workload,
+    make_alpha_beta_workload,
+    require_loopback,
+    run,
+)
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
-from repro.core.objects import StreamTuple, TupleKind
-from repro.partitioning import HybridPartitioner, MetricTextPartitioner
-from repro.runtime import Cluster, ClusterConfig
-from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
+from repro.partitioning import HybridPartitioner
+from repro.runtime.telemetry import (
+    GaugeSample,
+    LifecycleEvent,
+    TelemetrySpec,
+    WindowSpan,
+    read_events,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "report_golden.json"
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: ``dataset-group-partitioner`` -> (dataset, group, objects per update,
-#: partitioner): a read-mostly stream over Algorithm 1's plan and a 1:1
-#: object/update stream over a text plan.
-WORKLOADS = {
-    "us-Q1-hybrid": ("us", "Q1", 5, HybridPartitioner),
-    "us-Q3-metric": ("us", "Q3", 1, MetricTextPartitioner),
-}
-DRIVERS = {"tuple": 0, "batched": 256}
-DISPATCH = ("inline", "inprocess")
-ADJUSTERS = ("none", "local", "both")
-CHECKPOINTS = {"off": 0, "on": 700}
-#: Neither cadence divides the other or the window, so every clip happens.
-ADJUST_EVERY = 900
 
-#: ``workload/driver/dispatch/adjuster/checkpoints[/fabric tiers]``.
-ROWS = [
+class Workload(NamedTuple):
+    build: object
+    #: Tuples per window of the batched driver.
+    batch_size: int
+    adjust_every: int
+    checkpoint_every: int
+    #: The local adjuster's trigger ratio.
+    sigma: float
+
+
+#: No cadence divides another or the window, so every clip happens.
+WORKLOADS = {
+    **{
+        name: Workload(functools.partial(golden_workload, name), 256, 900, 700, 2.0)
+        for name in ("us-Q1-hybrid", "us-Q3-metric")
+    },
+    "alphabeta-OR-metric": Workload(make_alpha_beta_workload, 64, 200, 150, 1.2),
+}
+
+GOLDEN_ROWS = [
     "/".join((workload, driver, dispatch, adjuster, checkpoints))
-    for workload in WORKLOADS
-    for driver in DRIVERS
-    for dispatch in DISPATCH
-    for adjuster in ADJUSTERS
-    for checkpoints in CHECKPOINTS
+    for workload in ("us-Q1-hybrid", "us-Q3-metric")
+    for driver in ("tuple", "batched")
+    for dispatch in ("inline", "inprocess")
+    for adjuster in ("none", "local", "both")
+    for checkpoints in ("off", "on")
 ] + [
     # Worker processes under the closed loop with checkpoints ...
     "us-Q1-hybrid/batched/inline/local/on/workers",
@@ -66,67 +121,103 @@ ROWS = [
     "us-Q1-hybrid/batched/multiprocess/both/on/workers+mergers",
 ]
 
+TWIN_ROWS = [
+    "alphabeta-OR-metric/" + row
+    for row in (
+        # Worker processes and sockets: both drivers, checkpointed, closed loop.
+        "tuple/inline/none/off/workers",
+        "batched/inline/none/on/workers",
+        "tuple/inline/none/off/workers:socket",
+        "batched/inline/none/on/workers:socket",
+        "batched/inline/local/off/workers:socket",
+        # Dispatch shards in process, in processes and behind sockets.
+        "tuple/inprocess/none/off",
+        "batched/inprocess/local/on/workers+mergers",
+        "tuple/multiprocess/none/off",
+        "batched/socket/both/on",
+        # Merger processes and sockets, the results relayed by the coordinator.
+        "tuple/inline/none/off/mergers",
+        "batched/inline/local/off/mergers:socket",
+        # Telemetry on: in process, and with every tier out of process.
+        "batched/inline/local/on/-/telemetry",
+        "batched/multiprocess/both/on/workers+mergers/telemetry",
+        "batched/socket/none/off/workers:socket+mergers:socket/telemetry",
+    )
+]
 
-def renumbered(tuples):
-    """The stream with object and query ids 1, 2, ... in arrival order.
 
-    ``create`` draws ids from process-wide counters, so the raw ids — and
-    with them the merger shard (``query_id % mergers``) a result lands on —
-    depend on whatever the process generated before.
-    """
-    objects, queries, stream = 0, {}, []
-    for item in tuples:
-        if item.kind is TupleKind.OBJECT:
-            objects += 1
-            renamed = replace(item.payload, object_id=objects)
-            stream.append(StreamTuple.object(renamed, item.arrival_time))
-            continue
-        query = item.payload.query
-        if query.query_id not in queries:
-            queries[query.query_id] = replace(query, query_id=len(queries) + 1)
-        make = StreamTuple.insert if item.kind is TupleKind.INSERT else StreamTuple.delete
-        stream.append(make(queries[query.query_id], item.arrival_time))
-    return stream
+class Outcome(NamedTuple):
+    report: object
+    digest: str
+    #: The local and the global adjuster's rounds (wall-clock fields zeroed).
+    rounds: tuple
+    delivered: list
+    events: list
 
 
 @functools.lru_cache(maxsize=None)
-def workload(name):
-    """``(plan, tuples)`` of one workload (4 workers, 1 500 objects, 2 800 and 4 000 tuples)."""
-    dataset, group, objects_per_update, partitioner = WORKLOADS[name]
-    tweets = make_dataset(dataset, seed=5)
-    queries = QueryGenerator(tweets, seed=6)
-    config = StreamConfig(mu=1000, group=group, objects_per_update=objects_per_update)
-    stream = WorkloadStream(tweets, queries, config, seed=7)
-    plan = partitioner().partition(stream.partitioning_sample(800), 4)
-    return plan, renumbered(stream.tuples(1500))
+def stream(name):
+    return WORKLOADS[name].build()
 
 
-def run_row(row):
-    """Replay one row of the matrix; returns its :class:`RunReport`."""
-    name, driver, dispatch, adjuster, checkpoints, *fabric = row.split("/")
-    tiers = fabric[0].split("+") if fabric else ()
-    plan, tuples = workload(name)
-    config = ClusterConfig(
-        num_dispatchers=2,
-        num_workers=4,
-        dispatch_backend=dispatch,
-        checkpoint_every=CHECKPOINTS[checkpoints],
-        backend="multiprocess" if "workers" in tiers else "inprocess",
-        merger_backend="multiprocess" if "mergers" in tiers else "inprocess",
-    )
-    replay = {"adjust_every": 0 if adjuster == "none" else ADJUST_EVERY}
+@functools.lru_cache(maxsize=None)
+def oracle(name):
+    return brute_force(stream(name)[1])
+
+
+def twin(row):
+    """The row routed inline, every tier in process, telemetry off."""
+    name, driver, _, adjuster, checkpoints = row.split("/")[:5]
+    return "/".join((name, driver, "inline", adjuster, checkpoints))
+
+
+@functools.lru_cache(maxsize=None)
+def replay(row):
+    """Replay one row of the matrix (once per session)."""
+    name, driver, dispatch, adjuster, checkpoints, *rest = row.split("/")
+    backends = {"workers": "inprocess", "mergers": "inprocess"}
+    for tier in rest[0].split("+") if rest and rest[0] != "-" else ():
+        tier, _, backend = tier.partition(":")
+        assert tier in backends, row
+        backends[tier] = backend or "multiprocess"
+    workload = WORKLOADS[name]
+    plan, tuples = stream(name)
+    adjusters = {}
     if adjuster in ("local", "both"):
-        replay["local_adjuster"] = LocalLoadAdjuster(GreedySelector())
+        adjusters["local_adjuster"] = LocalLoadAdjuster(GreedySelector(), sigma=workload.sigma)
     if adjuster == "both":
-        replay["global_adjuster"] = GlobalAdjuster(HybridPartitioner())
-    with Cluster(plan, config) as cluster:
-        if DRIVERS[driver]:
-            return cluster.run_batched(tuples, batch_size=DRIVERS[driver], **replay)
-        return cluster.run(tuples, **replay)
+        adjusters["global_adjuster"] = GlobalAdjuster(HybridPartitioner())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "telemetry.jsonl")
+        report, delivered = run(
+            plan,
+            tuples,
+            batch_size=workload.batch_size if driver == "batched" else 0,
+            dispatch=dispatch,
+            backend=backends["workers"],
+            merger=backends["mergers"],
+            checkpoint_every=workload.checkpoint_every if checkpoints == "on" else 0,
+            telemetry=TelemetrySpec(path=path) if rest[1:] == ["telemetry"] else None,
+            adjust_every=workload.adjust_every if adjusters else 0,
+            **adjusters,
+        )
+        events = read_events(path) if os.path.exists(path) else []
+    local, global_ = adjusters.get("local_adjuster"), adjusters.get("global_adjuster")
+    rounds = (
+        tuple(replace(entry, selection_time_ms=0.0) for entry in local.history) if local else (),
+        tuple(global_.history) if global_ else (),
+    )
+    digest = hashlib.sha1(repr(report).encode()).hexdigest()
+    return Outcome(report, digest, rounds, delivered, events)
 
 
-def report_digest(row):
-    return hashlib.sha1(repr(run_row(row)).encode()).hexdigest()
+def assert_conforms(row):
+    """Checks 2 and 3; and the row's adjustment rounds are its twin's."""
+    outcome = replay(row)
+    assert set(outcome.delivered) == oracle(row.split("/")[0])
+    assert len(outcome.delivered) == len(set(outcome.delivered))
+    assert outcome.rounds == replay(twin(row)).rounds
+    return outcome
 
 
 @pytest.fixture(scope="module")
@@ -134,15 +225,46 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def test_every_row_is_recorded(golden):
-    assert sorted(golden) == sorted(ROWS)
+def test_every_golden_row_is_recorded(golden):
+    assert sorted(golden) == sorted(GOLDEN_ROWS)
     # The axes are live: each one changes some report.
-    assert len(set(golden.values())) > len(ROWS) // 4
+    assert len(set(golden.values())) > len(GOLDEN_ROWS) // 4
 
 
-@pytest.mark.parametrize("row", ROWS)
-def test_report_equals_golden(golden, row):
-    assert report_digest(row) == golden[row]
+@pytest.mark.parametrize("row", GOLDEN_ROWS)
+def test_golden_row(golden, row):
+    assert assert_conforms(row).digest == golden[row]
+
+
+@pytest.mark.parametrize("row", TWIN_ROWS)
+def test_twin_row(row):
+    if "socket" in row:
+        require_loopback()
+    assert twin(row) != row
+    outcome = assert_conforms(row)
+    assert outcome.digest == assert_conforms(twin(row)).digest
+    # The row exercises what it claims.
+    report, (local, global_) = outcome.report, outcome.rounds
+    assert report.deletions_processed > 0
+    assert report.matches_produced > report.matches_delivered
+    assert sum(report.merger_duplicates.values()) > 0
+    _, _, _, adjuster, checkpoints, *rest = row.split("/")
+    if checkpoints == "on":
+        assert report.recovery.checkpoints_taken > 1 and report.recovery.events == ()
+    if adjuster != "none":
+        assert any(entry.triggered for entry in local)
+    for entry in local:  # a round reads both sharded tiers at its fence
+        assert set(entry.dispatcher_memory_bytes) == set(entry.merger_delivered) == {0, 1}
+    if adjuster == "both":
+        assert any(entry.repartitioned for entry in global_)
+        assert any(entry.finalized for entry in global_)
+    if rest[1:] == ["telemetry"]:
+        assert any(isinstance(event, WindowSpan) for event in outcome.events)
+        tiers = {event.tier for event in outcome.events if isinstance(event, GaugeSample)}
+        assert tiers == {"dispatcher", "worker", "merger", "coordinator"}
+        kinds = {event.kind for event in outcome.events if isinstance(event, LifecycleEvent)}
+        assert ("adjustment" in kinds) == (adjuster != "none")
+        assert ("checkpoint" in kinds) == (checkpoints == "on")
 
 
 def test_reports_do_not_depend_on_the_hash_seed(golden):
@@ -150,7 +272,7 @@ def test_reports_do_not_depend_on_the_hash_seed(golden):
     rows = ["us-Q1-hybrid/batched/inline/both/on", "us-Q3-metric/tuple/inprocess/both/off"]
     script = (
         "import json, sys; sys.path.insert(0, %r); import test_report_golden as t; "
-        "print(json.dumps({row: t.report_digest(row) for row in %r}))"
+        "print(json.dumps({row: t.replay(row).digest for row in %r}))"
         % (str(Path(__file__).parent), rows)
     )
     for seed in ("0", "1"):

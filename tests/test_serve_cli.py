@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.runtime import Cluster, ClusterConfig
 
-from test_transport import make_workload, require_loopback
+from harness import make_workload, require_loopback
 
 
 class ServeProcess:

@@ -1,32 +1,22 @@
-"""Equivalence tests for the pluggable worker transport.
+"""The pluggable worker transport, past report equality.
 
-The acceptance contract of the transport layer: the ``multiprocess``
-backend (one OS process per worker, pickled ``RouteBatch`` messages) and
-the ``socket`` backend (``repro serve`` endpoints over loopback TCP) must
-produce **byte-identical** :class:`~repro.runtime.metrics.RunReport`
-values to the ``inprocess`` reference backend on the same stream — same
-execution path, same batch size, same closed-loop adjustment schedule.
-Unlike the batched-vs-per-tuple equivalence (which tolerates 1e-9 float
-drift from summation-order differences), the backends execute the
-exact same operation sequence per worker, so every field compares with
-``==``.
-
-These tests run on a small Figure 7(a)-style slice (STS-US workload,
-hybrid partitioning, 4 workers) so the multiprocess fixture stays fast on
-one core; the wall-clock speedup at scale is measured by the opt-in
-``benchmarks/test_multiprocess_speedup.py``.
+The conformance matrix (``test_report_golden.py``) holds the
+``multiprocess`` and ``socket`` worker backends (one OS process per
+worker; ``repro serve`` endpoints over loopback TCP) to the in-process
+run's report and to the oracle.  This file pins what a report cannot
+show: the delivery *order*, direct ``process_batch`` windows mixed with
+per-tuple calls, a manual migration between processes, the worker
+control surface and its traffic, and the transport's own mechanics.
 """
 
-import collections
-import contextlib
+import functools
 import re
-import socket as socket_module
 
 import pytest
 
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
 from repro.core import Rect
-from repro.partitioning import HybridPartitioner, MetricTextPartitioner
+from repro.partitioning import HybridPartitioner
 from repro.runtime import (
     Cluster,
     ClusterConfig,
@@ -35,195 +25,84 @@ from repro.runtime import (
     TransportError,
     WorkerNode,
 )
-from repro.runtime.fabric import Fleet
 from repro.runtime.transport import WorkerProxy
-from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
-
-def loopback_available():
-    """Whether loopback TCP sockets work in this sandbox."""
-    try:
-        listener = socket_module.create_server(("127.0.0.1", 0))
-        listener.close()
-        return True
-    except OSError:  # pragma: no cover - environment-dependent
-        return False
-
-
-def require_loopback():
-    """Skip when loopback TCP sockets are unavailable in the sandbox."""
-    if not loopback_available():  # pragma: no cover - environment-dependent
-        pytest.skip("loopback sockets unavailable")
-
-
-def require_backend(backend):
-    if backend == "socket":
-        require_loopback()
-
-
-def available_backends(backends):
-    """Filter a backend list down to the ones this sandbox can run."""
-    return [
-        backend for backend in backends
-        if backend != "socket" or loopback_available()
-    ]
-
+from harness import (
+    DATA_PLANE,
+    available_backends,
+    control_sends,
+    counted_worker_sends,
+    global_scenario,
+    local_scenario,
+    make_alpha_beta_workload,
+    make_workload,
+    require_loopback,
+    run,
+)
 
 #: The out-of-process deployments pinned against the in-process reference.
-REMOTE_BACKENDS = ["multiprocess", "socket"]
-
-REPORT_FIELDS = [
-    "tuples_processed",
-    "objects_processed",
-    "insertions_processed",
-    "deletions_processed",
-    "throughput",
-    "mean_latency_ms",
-    "p95_latency_ms",
-    "latency_buckets",
-    "worker_loads",
-    "dispatcher_memory",
-    "worker_memory",
-    "matches_produced",
-    "matches_delivered",
-    "object_fanout",
-    "query_fanout",
-]
-
-
-def make_workload(mu=250, group="Q1", seed=11, num_objects=600, workers=4):
-    """A fig 7(a)-style slice: plan + materialised tuples."""
-    tweets = make_dataset("us", seed=seed)
-    queries = QueryGenerator(tweets, seed=seed + 1)
-    stream = WorkloadStream(tweets, queries, StreamConfig(mu=mu, group=group), seed=seed + 2)
-    sample = stream.partitioning_sample(500)
-    plan = HybridPartitioner().partition(sample, workers)
-    return plan, list(stream.tuples(num_objects))
-
-
-def local_scenario():
-    """Metric text partitioning concentrates load enough for the local
-    adjuster to actually trigger migrations mid-stream."""
-    tweets = make_dataset("us", seed=3)
-    queries = QueryGenerator(tweets, seed=4)
-    stream = WorkloadStream(tweets, queries, StreamConfig(mu=300, group="Q1"), seed=5)
-    sample = stream.partitioning_sample(600)
-    plan = MetricTextPartitioner().partition(sample, 4)
-    return plan, list(stream.tuples(800))
+REMOTE_BACKENDS = available_backends(["multiprocess", "socket"])
 
 
 def run_local_scenario(plan, tuples, backend):
     adjuster = LocalLoadAdjuster(GreedySelector(), sigma=1.2)
-    report, migrations = run_backend(
-        plan, tuples, backend,
-        batch_size=128, adjust_every=400, local_adjuster=adjuster,
-    )
-    triggered = sum(1 for entry in adjuster.history if entry.triggered)
-    return report, migrations, triggered
-
-
-def global_scenario():
-    """A poor plan a hybrid repartitioning improves on: check, drain, finalise."""
-    tweets = make_dataset("us", seed=3)
-    queries = QueryGenerator(tweets, seed=4)
-    stream = WorkloadStream(tweets, queries, StreamConfig(mu=250, group="Q1"), seed=5)
-    sample = stream.partitioning_sample(500)
-    plan = MetricTextPartitioner().partition(sample, 4)
-    return plan, list(stream.tuples(700))
+    run(plan, tuples, backend=backend, batch_size=128, adjust_every=400, local_adjuster=adjuster)
+    return adjuster.history
 
 
 def run_global_scenario(plan, tuples, backend):
     adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.01)
-    report, _ = run_backend(
-        plan, tuples, backend,
-        batch_size=100, adjust_every=250, global_adjuster=adjuster,
+    run(plan, tuples, backend=backend, batch_size=100, adjust_every=250, global_adjuster=adjuster)
+    return [(entry.checked, entry.repartitioned, entry.finalized) for entry in adjuster.history]
+
+
+@functools.lru_cache(maxsize=None)
+def ordered_deliveries(backend):
+    """A closed-loop, checkpointed replay of the alpha/beta stream:
+    (report, every delivery in sink order)."""
+    plan, tuples = make_alpha_beta_workload()
+    delivered = []
+    config = ClusterConfig(
+        num_dispatchers=2, num_workers=4, backend=backend, checkpoint_every=250,
+        sink=SinkSpec(
+            kind="callback",
+            callback=lambda result: delivered.append((result.query_id, result.object_id)),
+        ),
     )
-    history = [
-        (entry.checked, entry.repartitioned, entry.finalized)
-        for entry in adjuster.history
-    ]
-    return report, history
-
-
-#: Worker-tier messages that are not control operations.
-DATA_PLANE = ("RouteBatch", "Observe", "AdjustBarrier", "Shutdown")
-
-
-@contextlib.contextmanager
-def counted_worker_sends():
-    """Count every ``Fleet.send`` to the worker tier: ``sends[worker_id]``
-    is a ``Counter`` by message name (a ``WorkerCall`` by its method)."""
-    sends = collections.defaultdict(collections.Counter)
-    original = Fleet.send
-
-    def send(fleet, endpoint_id, message):
-        if fleet.label == "worker":
-            name = type(message).__name__
-            sends[endpoint_id][getattr(message, "method", name)] += 1
-        return original(fleet, endpoint_id, message)
-
-    Fleet.send = send
-    try:
-        yield sends
-    finally:
-        Fleet.send = original
-
-
-def control_sends(sends):
-    """Total worker-tier sends other than the data plane's, by name."""
-    total = collections.Counter()
-    for counter in sends.values():
-        total.update({name: n for name, n in counter.items() if name not in DATA_PLANE})
-    return total
-
-
-def assert_identical(reference, candidate):
-    """Byte-identical reports: every field equal, no tolerance."""
-    for field in REPORT_FIELDS:
-        assert getattr(candidate, field) == getattr(reference, field), field
-    assert candidate == reference
-
-
-def run_backend(plan, tuples, backend, *, batch_size=0, workers=4, **run_kwargs):
-    config = ClusterConfig(num_dispatchers=2, num_workers=workers, backend=backend)
     with Cluster(plan, config) as cluster:
-        if batch_size > 1:
-            report = cluster.run_batched(tuples, batch_size=batch_size, **run_kwargs)
-        else:
-            report = cluster.run(tuples, **run_kwargs)
-        migrations = list(cluster.migrations)
-    return report, migrations
+        report = cluster.run_batched(
+            tuples, batch_size=64, adjust_every=400,
+            local_adjuster=LocalLoadAdjuster(GreedySelector(), sigma=1.2),
+        )
+    return report, delivered
+
+
+@functools.lru_cache(maxsize=None)
+def interleaved(backend):
+    """The alpha/beta stream driven by hand: direct windows alternating
+    with per-tuple calls, the sinks drained every third chunk."""
+    plan, tuples = make_alpha_beta_workload()
+    config = ClusterConfig(
+        num_dispatchers=2, num_workers=4, backend=backend, sink=SinkSpec(kind="memory"),
+    )
+    drained = []
+    with Cluster(plan, config) as cluster:
+        for index, start in enumerate(range(0, len(tuples), 97)):
+            window = tuples[start:start + 97]
+            if index % 2 == 0:
+                cluster.process_batch(window)
+            else:
+                drained.append(("process", [sorted(cluster.process(i)) for i in window]))
+            if index % 3 == 2:
+                drained.append(("sinks", [
+                    (result.query_id, result.object_id)
+                    for _, results in sorted(cluster.drain_sinks().items())
+                    for result in results
+                ]))
+        return cluster.report(), drained
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
-    @pytest.mark.parametrize("batch_size", [0, 64, 256])
-    def test_fig07_slice_identical_reports(self, batch_size, backend):
-        """Per-tuple and batched paths: reports match field for field."""
-        require_backend(backend)
-        plan, tuples = make_workload()
-        ref_report, _ = run_backend(plan, tuples, "inprocess", batch_size=batch_size)
-        remote_report, _ = run_backend(plan, tuples, backend, batch_size=batch_size)
-        assert ref_report.deletions_processed > 0, "stream must exercise deletions"
-        assert_identical(ref_report, remote_report)
-
-    @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
-    def test_closed_loop_adjustment_round_identical(self, backend):
-        """One (and more) Section V rounds fire identically across backends.
-
-        Uses the metric-text-partitioned ``local_scenario``.
-        """
-        require_backend(backend)
-        plan, tuples = local_scenario()
-        ref_report, ref_migrations, ref_triggered = run_local_scenario(plan, tuples, "inprocess")
-        remote_report, remote_migrations, remote_triggered = run_local_scenario(
-            plan, tuples, backend
-        )
-        assert ref_triggered > 0, "the adjustment loop must actually fire"
-        assert remote_triggered == ref_triggered
-        assert remote_migrations == ref_migrations
-        assert_identical(ref_report, remote_report)
-
     @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     def test_deliveries_keep_stream_order(self, backend):
         """The sink sees the same delivery *sequence*, not just the same set.
@@ -233,34 +112,11 @@ class TestBackendEquivalence:
         round at 400 and the checkpoints at 0, 250 and 650, whose fences
         settle the window in flight first.
         """
-        from test_chaos import make_chaos_workload  # imports this module
-
-        require_backend(backend)
-        plan, tuples = make_chaos_workload()
-
-        def deliveries(backend):
-            delivered = []
-            config = ClusterConfig(
-                num_dispatchers=2, num_workers=4, backend=backend, checkpoint_every=250,
-                sink=SinkSpec(
-                    kind="callback",
-                    callback=lambda result: delivered.append((result.query_id, result.object_id)),
-                ),
-            )
-            with Cluster(plan, config) as cluster:
-                report = cluster.run_batched(
-                    tuples, batch_size=64, adjust_every=400,
-                    local_adjuster=LocalLoadAdjuster(GreedySelector(), sigma=1.2),
-                )
-            return report, delivered
-
-        ref_report, reference = deliveries("inprocess")
+        ref_report, reference = ordered_deliveries("inprocess")
         assert ref_report.deletions_processed > 0, "stream must exercise deletions"
         assert ref_report.recovery.checkpoints_taken == 4
         assert len(reference) > 1000
-        report, delivered = deliveries(backend)
-        assert delivered == reference
-        assert_identical(ref_report, report)
+        assert ordered_deliveries(backend) == (ref_report, reference)
 
     @pytest.mark.parametrize("backend", REMOTE_BACKENDS)
     def test_direct_windows_interleave_with_per_tuple_calls(self, backend):
@@ -268,51 +124,15 @@ class TestBackendEquivalence:
         in flight; ``process``, ``drain_sinks`` and ``report`` settle it
         first, so driving the cluster by hand keeps the request/reply
         pairing and the delivery order of the in-process run."""
-        from test_chaos import make_chaos_workload  # imports this module
-
-        require_backend(backend)
-        plan, tuples = make_chaos_workload()
-
-        def interleaved(backend):
-            config = ClusterConfig(
-                num_dispatchers=2, num_workers=4, backend=backend, sink=SinkSpec(kind="memory"),
-            )
-            drained = []
-            with Cluster(plan, config) as cluster:
-                for index, start in enumerate(range(0, len(tuples), 97)):
-                    window = tuples[start:start + 97]
-                    if index % 2 == 0:
-                        cluster.process_batch(window)
-                    else:
-                        drained.append(("process", [sorted(cluster.process(i)) for i in window]))
-                    if index % 3 == 2:
-                        drained.append(("sinks", [
-                            (result.query_id, result.object_id)
-                            for _, results in sorted(cluster.drain_sinks().items())
-                            for result in results
-                        ]))
-                return cluster.report(), drained
-
         ref_report, reference = interleaved("inprocess")
         assert sum(len(chunk) for kind, chunk in reference if kind == "sinks") > 500
-        report, drained = interleaved(backend)
-        assert drained == reference
-        assert_identical(ref_report, report)
-
-    def test_global_adjuster_repartition_identical(self):
-        """Dual-routing drain + finalise reconcile worker state identically."""
-        plan, tuples = global_scenario()
-        ref_report, ref_history = run_global_scenario(plan, tuples, "inprocess")
-        mp_report, mp_history = run_global_scenario(plan, tuples, "multiprocess")
-        assert any(repartitioned for _, repartitioned, _ in ref_history)
-        assert mp_history == ref_history
-        assert_identical(ref_report, mp_report)
+        assert interleaved(backend) == (ref_report, reference)
 
     def test_explicit_migration_between_processes(self):
         """migrate_cells ships assignments between worker processes."""
         plan, tuples = make_workload(num_objects=400)
 
-        def run(backend):
+        def migrate(backend):
             config = ClusterConfig(num_dispatchers=2, num_workers=4, backend=backend)
             with Cluster(plan, config) as cluster:
                 cluster.run_batched(tuples, batch_size=128)
@@ -328,11 +148,7 @@ class TestBackendEquivalence:
                 }
             return record, report, populations
 
-        ref_record, ref_report, ref_pop = run("inprocess")
-        mp_record, mp_report, mp_pop = run("multiprocess")
-        assert mp_record == ref_record
-        assert mp_pop == ref_pop
-        assert_identical(ref_report, mp_report)
+        assert migrate("multiprocess") == migrate("inprocess")
 
 
 class TestControlPlane:
@@ -371,8 +187,8 @@ class TestControlPlane:
         when adjusters and migration reached through ``worker.index``)."""
         plan, tuples = local_scenario()
         with counted_worker_sends() as sends:
-            _, migrations, triggered = run_local_scenario(plan, tuples, "multiprocess")
-        assert triggered > 0 and migrations
+            history = run_local_scenario(plan, tuples, "multiprocess")
+        assert any(entry.triggered and entry.records for entry in history)
         control = control_sends(sends)
         assert sum(control.values()) <= 19, control
         assert set(control) == {
@@ -381,7 +197,7 @@ class TestControlPlane:
 
         plan, tuples = global_scenario()
         with counted_worker_sends() as sends:
-            _, history = run_global_scenario(plan, tuples, "multiprocess")
+            history = run_global_scenario(plan, tuples, "multiprocess")
         finalized = sum(1 for _, _, done in history if done)
         assert finalized > 0
         assert sum(control_sends(sends).values()) <= 32, control_sends(sends)
@@ -500,7 +316,6 @@ class TestTransportMechanics:
         one ``Observe`` of the closing ``report()`` — where per-segment
         shipping sent 8.
         """
-        require_backend(backend)
         plan, tuples = make_workload()
         windows = -(-len(tuples) // 256)
         assert windows == 4

@@ -17,8 +17,8 @@ branch —
 the executor: inline routing, ``inprocess`` dispatch shards (1 and 4), as
 one window and as windows of one — and requires the per-tuple driver
 (``Cluster.process``) to ship, op type for op type, what windows of one
-ship.  Delivered ``(query, object)`` pairs must equal a brute-force
-``STSQuery.matches`` replay in stream order.
+ship.  Delivered ``(query, object)`` pairs must equal the brute-force
+oracle (``harness.brute_force``).
 
 On every worker backend the segments of a window travel together: one
 submission per window whose per-worker ops are the window's segments,
@@ -27,11 +27,12 @@ concatenated in flush order.
 
 import pytest
 
-from repro.core import Point, Rect, STSQuery, SpatioTextualObject, StreamTuple, TupleKind
+from repro.core import Point, Rect, STSQuery, SpatioTextualObject, StreamTuple
 from repro.partitioning.base import PartitionPlan, PartitionUnit
 from repro.runtime import Cluster, ClusterConfig, SinkSpec
 from repro.runtime.transport import DeleteById, InsertPairs, MatchObjects
-from test_chaos import needs_cores
+
+from harness import brute_force, needs_cores
 
 BOUNDS = Rect(0.0, 0.0, 100.0, 100.0)
 GRANULARITY = 4  # 25 x 25 cells; worker 0 owns columns 0-1, worker 1 columns 2-3
@@ -97,28 +98,6 @@ def make_stream():
         ],
     }
     return stream, [one_window]
-
-
-def brute_force(stream, live=None):
-    """Delivered pairs of a sequential replay: the semantics of record.
-
-    ``live`` (query id -> query) carries the registered population across
-    calls and is updated in place.
-    """
-    live = {} if live is None else live
-    pairs = set()
-    for item in stream:
-        if item.kind is TupleKind.OBJECT:
-            pairs.update(
-                (query.query_id, item.payload.object_id)
-                for query in live.values()
-                if query.matches(item.payload)
-            )
-        elif item.kind is TupleKind.INSERT:
-            live[item.payload.query.query_id] = item.payload.query
-        else:
-            live.pop(item.payload.query.query_id, None)
-    return pairs
 
 
 def describe(op):

@@ -30,8 +30,7 @@ from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.transport import InsertPairs, MatchObjects, RouteBatch
 from repro.runtime.worker import QueryAssignment
 
-from test_chaos import needs_cores
-from test_transport import assert_identical, make_workload
+from harness import make_workload, needs_cores
 
 KIB = 1024
 
@@ -190,7 +189,7 @@ class TestOutOfProcess:
         assert windows_with_inserts >= 20
         reference, _, local_wire = replay(plan, tuples, "inprocess")
         report, snapshot, wire = replay(plan, tuples, "multiprocess")
-        assert_identical(reference, report)
+        assert report == reference
 
         # The checkpoint path: workers pickle their resident queries back.
         live = {a.query.query_id for assignments in snapshot.values() for a in assignments}
