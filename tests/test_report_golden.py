@@ -39,10 +39,11 @@ of that change:
 
 A **twin row** (:data:`TWIN_ROWS`) has its twin's digest, replayed in
 the same session.  Twin rows run the dense alpha/beta workload, where
-the merger really deduplicates, and put each tier out of process; they
-also assert that each row exercises what it claims (deletions,
-duplicates, checkpoints, triggered rounds, a finalised repartition,
-traced windows and lifecycle marks).
+the merger really deduplicates, and put each tier out of process, the
+dispatch and merger backends crossed with in-process and out-of-process
+workers; they also assert that each row exercises what it claims
+(deletions, duplicates, checkpoints, triggered rounds, a finalised
+repartition, traced batched windows and lifecycle marks).
 
 To add an axis, give the row grammar one more field (or one more value of
 a field), map it onto :func:`harness.run` in :func:`replay`, keep its
@@ -121,24 +122,45 @@ GOLDEN_ROWS = [
     "us-Q1-hybrid/batched/multiprocess/both/on/workers+mergers",
 ]
 
+SHARDS = ("inprocess", "multiprocess", "socket")
+
 TWIN_ROWS = [
     "alphabeta-OR-metric/" + row
     for row in (
-        # Worker processes and sockets: both drivers, checkpointed, closed loop.
-        "tuple/inline/none/off/workers",
-        "batched/inline/none/on/workers",
-        "tuple/inline/none/off/workers:socket",
-        "batched/inline/none/on/workers:socket",
-        "batched/inline/local/off/workers:socket",
-        # Dispatch shards in process, in processes and behind sockets.
-        "tuple/inprocess/none/off",
-        "batched/inprocess/local/on/workers+mergers",
-        "tuple/multiprocess/none/off",
+        # Worker processes and sockets: both drivers, checkpointed, closed
+        # loop, repartition.
+        *(
+            f"{driver}/inline/{adjuster}/{checkpoints}/workers{backend}"
+            for driver, adjuster, checkpoints in (
+                ("tuple", "none", "off"),
+                ("batched", "none", "off"),
+                ("batched", "none", "on"),
+                ("batched", "local", "off"),
+                ("batched", "both", "off"),
+            )
+            for backend in ("", ":socket")
+        ),
+        # Dispatch shards in process, in processes and behind sockets: over
+        # in-process and worker processes, and through both adjusters.
+        *(f"{driver}/{dispatch}/none/off" for driver in ("tuple", "batched") for dispatch in SHARDS),
+        *(f"tuple/{dispatch}/none/off/workers" for dispatch in SHARDS),
+        *(
+            f"batched/{dispatch}/local/off{workers}"
+            for dispatch in SHARDS
+            for workers in ("", "/workers")
+        ),
+        *(f"batched/{dispatch}/both/off" for dispatch in SHARDS[:2]),
         "batched/socket/both/on",
-        # Merger processes and sockets, the results relayed by the coordinator.
-        "tuple/inline/none/off/mergers",
-        "batched/inline/local/off/mergers:socket",
+        "batched/inprocess/local/on/workers+mergers",
+        # Merger processes and sockets, over in-process and worker processes.
+        *(
+            f"{driver}/inline/{adjuster}/off/{workers}mergers{backend}"
+            for driver, adjuster in (("tuple", "none"), ("batched", "none"), ("batched", "local"))
+            for workers in ("", "workers+")
+            for backend in ("", ":socket")
+        ),
         # Telemetry on: in process, and with every tier out of process.
+        "tuple/inline/none/off/-/telemetry",
         "batched/inline/local/on/-/telemetry",
         "batched/multiprocess/both/on/workers+mergers/telemetry",
         "batched/socket/none/off/workers:socket+mergers:socket/telemetry",
@@ -248,7 +270,7 @@ def test_twin_row(row):
     assert report.deletions_processed > 0
     assert report.matches_produced > report.matches_delivered
     assert sum(report.merger_duplicates.values()) > 0
-    _, _, _, adjuster, checkpoints, *rest = row.split("/")
+    _, driver, _, adjuster, checkpoints, *rest = row.split("/")
     if checkpoints == "on":
         assert report.recovery.checkpoints_taken > 1 and report.recovery.events == ()
     if adjuster != "none":
@@ -259,7 +281,8 @@ def test_twin_row(row):
         assert any(entry.repartitioned for entry in global_)
         assert any(entry.finalized for entry in global_)
     if rest[1:] == ["telemetry"]:
-        assert any(isinstance(event, WindowSpan) for event in outcome.events)
+        # Only a batched window is traced as a span.
+        assert any(isinstance(event, WindowSpan) for event in outcome.events) == (driver == "batched")
         tiers = {event.tier for event in outcome.events if isinstance(event, GaugeSample)}
         assert tiers == {"dispatcher", "worker", "merger", "coordinator"}
         kinds = {event.kind for event in outcome.events if isinstance(event, LifecycleEvent)}
