@@ -196,38 +196,55 @@ def golden_workload(name):
 # ----------------------------------------------------------------------
 # One replay
 # ----------------------------------------------------------------------
-def run(plan, tuples, *, batch_size=0, workers=4, dispatchers=2,
-        backend="inprocess", dispatch="inline", merger="inprocess",
-        checkpoint_every=0, fault=None, telemetry=None, **replay):
-    """Replay ``tuples`` on one deployment (2 merger shards) into a memory sink.
+@contextlib.contextmanager
+def replayed(plan, tuples, *, batch_size=0, workers=4, dispatchers=2, mergers=2,
+             backend="inprocess", dispatch="inline", merger="inprocess",
+             granularity=ClusterConfig.granularity, sink=SinkSpec(kind="memory"),
+             checkpoint_every=0, fault=None, telemetry=None, prepare=None, **replay):
+    """Replay ``tuples`` on one deployment and yield
+    ``(cluster, report)`` while the cluster is still up.
 
-    ``batch_size`` 0 or 1 runs the per-tuple driver; ``replay`` carries
-    ``adjust_every`` and the adjusters.  Returns ``(report, delivered)``:
-    every ``(query id, object id)`` the sinks received, duplicates kept.
+    ``batch_size`` 0 or 1 runs the per-tuple driver; ``prepare(cluster)``,
+    if given, runs before the replay; ``replay`` carries ``adjust_every``
+    and the adjusters.
     """
     config = ClusterConfig(
         num_dispatchers=dispatchers,
         num_workers=workers,
+        num_mergers=mergers,
+        granularity=granularity,
         backend=backend,
         dispatch_backend=dispatch,
         merger_backend=merger,
-        sink=SinkSpec(kind="memory"),
+        sink=sink,
         checkpoint_every=checkpoint_every,
         fault_plan=FaultPlan((fault,)) if fault is not None else None,
         telemetry=telemetry,
     )
     with Cluster(plan, config) as cluster:
+        if prepare is not None:
+            prepare(cluster)
         if batch_size > 1:
             report = cluster.run_batched(tuples, batch_size=batch_size, **replay)
         else:
             report = cluster.run(tuples, **replay)
-        drained = cluster.drain_sinks()
-    delivered = [
+        yield cluster, report
+
+
+def delivered_pairs(cluster):
+    """Drain the sinks: every ``(query id, object id)``, duplicates kept."""
+    return [
         (result.query_id, result.object_id)
-        for _, results in sorted(drained.items())
+        for _, results in sorted(cluster.drain_sinks().items())
         for result in results
     ]
-    return report, delivered
+
+
+def run(plan, tuples, **deployment):
+    """:func:`replayed` into a memory sink; returns ``(report, delivered
+    pairs)``."""
+    with replayed(plan, tuples, **deployment) as (cluster, report):
+        return report, delivered_pairs(cluster)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.runtime import (
     SinkSpec,
 )
 
-from harness import available_backends, make_alpha_beta_workload, run
+from harness import available_backends, make_alpha_beta_workload, replayed, run
 
 MERGE_BACKENDS = available_backends(["inprocess", "multiprocess", "socket"])
 
@@ -32,21 +32,6 @@ MERGE_BACKENDS = available_backends(["inprocess", "multiprocess", "socket"])
 def _exploding_sink(result):
     """Module-level (hence picklable) callback that always fails."""
     raise RuntimeError("sink exploded")
-
-
-def run_cluster(plan, tuples, *, merger="inprocess", worker_backend="inprocess",
-                batch_size=128, sink=None):
-    """One run on 2 merger shards; returns (report, result hops, sinks drained)."""
-    config = ClusterConfig(
-        num_dispatchers=2, num_workers=4, num_mergers=2, backend=worker_backend,
-        merger_backend=merger, **({"sink": sink} if sink is not None else {}),
-    )
-    with Cluster(plan, config) as cluster:
-        if batch_size > 1:
-            report = cluster.run_batched(tuples, batch_size=batch_size)
-        else:
-            report = cluster.run(tuples)
-        return report, cluster.result_hops, cluster.drain_sinks() if sink is not None else None
 
 
 def test_delivery_latency_accounted():
@@ -65,18 +50,19 @@ class TestDirectShipping:
     def test_full_multiprocess_skips_coordinator(self):
         """Workers ship results straight to the merger shards: zero hops."""
         plan, tuples = make_alpha_beta_workload()
-        report, hops, _ = run_cluster(
-            plan, tuples, merger="multiprocess", worker_backend="multiprocess",
-        )
+        with replayed(
+            plan, tuples, batch_size=128, merger="multiprocess", backend="multiprocess",
+        ) as (cluster, report):
+            hops = cluster.result_hops
         assert report.matches_delivered > 0
         assert hops == 0, "full multiprocess mode must not relay results"
 
     def test_per_tuple_path_also_ships_directly(self):
         plan, tuples = make_alpha_beta_workload(num_objects=150)
-        report, hops, _ = run_cluster(
-            plan, tuples, merger="multiprocess", worker_backend="multiprocess",
-            batch_size=0,
-        )
+        with replayed(plan, tuples, merger="multiprocess", backend="multiprocess") as (
+            cluster, report,
+        ):
+            hops = cluster.result_hops
         assert report.matches_delivered > 0
         assert hops == 0
 
@@ -84,26 +70,24 @@ class TestDirectShipping:
         """Only the *full* multiprocess deployment short-circuits the hop:
         every other one relays each produced result through the coordinator."""
         plan, tuples = make_alpha_beta_workload(num_objects=150)
-        for merger, worker_backend in [
+        for merger, backend in [
             ("inprocess", "inprocess"),
             ("multiprocess", "inprocess"),
             ("inprocess", "multiprocess"),
         ]:
-            report, hops, _ = run_cluster(
-                plan, tuples, merger=merger, worker_backend=worker_backend,
-            )
-            assert hops == report.matches_produced > 0
+            with replayed(
+                plan, tuples, batch_size=128, merger=merger, backend=backend,
+            ) as (cluster, report):
+                assert cluster.result_hops == report.matches_produced > 0
 
 
 class TestSubscriberSinks:
     @pytest.mark.parametrize("merger", MERGE_BACKENDS)
     def test_memory_sink_collects_exactly_the_deliveries(self, merger):
         plan, tuples = make_alpha_beta_workload()
-        report, _, drained = run_cluster(
-            plan, tuples, merger=merger,
-            sink=SinkSpec(kind="memory"),
-        )
-        assert drained is not None and set(drained) == {0, 1}
+        with replayed(plan, tuples, batch_size=128, merger=merger) as (cluster, report):
+            drained = cluster.drain_sinks()
+        assert set(drained) == {0, 1}
         for merger_id, delivered in report.merger_delivered.items():
             assert len(drained[merger_id]) == delivered
             # Sharding invariant: a shard only sees its own queries...
@@ -118,8 +102,8 @@ class TestSubscriberSinks:
     def test_jsonl_sink_writes_per_shard_files(self, merger, tmp_path):
         plan, tuples = make_alpha_beta_workload()
         path = str(tmp_path / ("deliveries-%s.jsonl" % merger))
-        report, _, _ = run_cluster(
-            plan, tuples, merger=merger,
+        report, _ = run(
+            plan, tuples, batch_size=128, merger=merger,
             sink=SinkSpec(kind="jsonl", path=path),
         )
         for merger_id, delivered in report.merger_delivered.items():
@@ -132,17 +116,17 @@ class TestSubscriberSinks:
     def test_callback_sink_invoked_per_delivery(self):
         plan, tuples = make_alpha_beta_workload(num_objects=150)
         seen = []
-        report, _, _ = run_cluster(
-            plan, tuples,
+        report, _ = run(
+            plan, tuples, batch_size=128,
             sink=SinkSpec(kind="callback", callback=seen.append),
         )
         assert len(seen) == report.matches_delivered > 0
 
     def test_sink_never_changes_the_report(self, tmp_path):
         plan, tuples = make_alpha_beta_workload(num_objects=150)
-        bare, _, _ = run_cluster(plan, tuples)
-        sunk, _, _ = run_cluster(
-            plan, tuples,
+        bare, _ = run(plan, tuples, batch_size=128, sink=SinkSpec())
+        sunk, _ = run(
+            plan, tuples, batch_size=128,
             sink=SinkSpec(kind="jsonl", path=str(tmp_path / "out.jsonl")),
         )
         assert sunk == bare
@@ -222,9 +206,7 @@ class TestMergerMechanics:
     def test_merger_stats_sorted_by_id(self):
         plan, tuples = make_alpha_beta_workload(num_objects=150)
         for merger in MERGE_BACKENDS:
-            config = ClusterConfig(num_workers=4, num_mergers=3, merger_backend=merger)
-            with Cluster(plan, config) as cluster:
-                cluster.run_batched(tuples, batch_size=128)
+            with replayed(plan, tuples, batch_size=128, mergers=3, merger=merger) as (cluster, _):
                 stats = cluster.merger_stats()
             assert list(stats) == [0, 1, 2]
             assert all(stats[m].endpoint_id == m for m in stats)
@@ -291,9 +273,7 @@ class TestMergerMechanics:
     def test_reset_period_clears_merger_counters(self):
         plan, tuples = make_alpha_beta_workload(num_objects=150)
         for merger in MERGE_BACKENDS:
-            config = ClusterConfig(num_workers=4, merger_backend=merger)
-            with Cluster(plan, config) as cluster:
-                cluster.run_batched(tuples, batch_size=128)
+            with replayed(plan, tuples, batch_size=128, merger=merger) as (cluster, _):
                 assert sum(s.delivered for s in cluster.merger_stats().values()) > 0
                 cluster.reset_period()
                 stats = cluster.merger_stats()

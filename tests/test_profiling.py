@@ -29,7 +29,6 @@ from repro.core import MatchResult, TupleKind
 from repro.indexes import GI2Index, GridTIndex
 from repro.partitioning import HybridPartitioner
 from repro.runtime import Cluster, ClusterConfig, MergerNode
-from repro.runtime.merge import SinkSpec
 from repro.runtime.profiling import (
     DedupProfile,
     MatchProfile,
@@ -38,30 +37,7 @@ from repro.runtime.profiling import (
     profile_text,
 )
 
-from harness import BOUNDS, global_scenario, make_alpha_beta_workload, needs_cores
-
-
-def run_once(
-    plan,
-    tuples,
-    *,
-    backend="inprocess",
-    dispatch_backend="inline",
-    merger_backend="inprocess",
-):
-    """One batched run; returns (report, profile-report)."""
-    config = ClusterConfig(
-        num_dispatchers=2,
-        num_workers=4,
-        backend=backend,
-        dispatch_backend=dispatch_backend,
-        merger_backend=merger_backend,
-        sink=SinkSpec(kind="memory"),
-    )
-    with Cluster(plan, config) as cluster:
-        report = cluster.run_batched(tuples, batch_size=64)
-        profile = cluster.profile_report()
-    return report, profile
+from harness import BOUNDS, global_scenario, make_alpha_beta_workload, needs_cores, replayed
 
 
 def object_count(tuples):
@@ -79,7 +55,8 @@ def workload():
 class TestCounterInvariants:
     def test_match_counters(self, workload):
         plan, tuples = workload
-        _, profile = run_once(plan, tuples)
+        with replayed(plan, tuples, batch_size=64) as (cluster, _):
+            profile = cluster.profile_report()
         assert len(profile.matchers) == 4
         for event in profile.matchers:
             assert isinstance(event, MatchProfile)
@@ -88,7 +65,8 @@ class TestCounterInvariants:
 
     def test_inline_route_counters(self, workload):
         plan, tuples = workload
-        _, profile = run_once(plan, tuples)
+        with replayed(plan, tuples, batch_size=64) as (cluster, _):
+            profile = cluster.profile_report()
         inline = [event for event in profile.routers if event.endpoint_id == -1]
         assert len(inline) == 1
         event = inline[0]
@@ -97,8 +75,10 @@ class TestCounterInvariants:
 
     def test_sharded_route_counters(self, workload):
         plan, tuples = workload
-        _, inline_profile = run_once(plan, tuples)
-        _, sharded_profile = run_once(plan, tuples, dispatch_backend="inprocess")
+        with replayed(plan, tuples, batch_size=64) as (cluster, _):
+            inline_profile = cluster.profile_report()
+        with replayed(plan, tuples, batch_size=64, dispatch="inprocess") as (cluster, _):
+            sharded_profile = cluster.profile_report()
         shards = [
             event for event in sharded_profile.routers if event.endpoint_id >= 0
         ]
@@ -113,7 +93,8 @@ class TestCounterInvariants:
 
     def test_dedup_counters(self, workload):
         plan, tuples = workload
-        report, profile = run_once(plan, tuples)
+        with replayed(plan, tuples, batch_size=64) as (cluster, report):
+            profile = cluster.profile_report()
         assert len(profile.mergers) == 2
         for event in profile.mergers:
             assert isinstance(event, DedupProfile)
@@ -132,10 +113,12 @@ class TestCountersAreState:
     @needs_cores
     def test_counters_are_backend_invariant(self, workload):
         plan, tuples = workload
-        report, local = run_once(plan, tuples)
-        remote_report, remote = run_once(
-            plan, tuples, backend="multiprocess", merger_backend="multiprocess"
-        )
+        with replayed(plan, tuples, batch_size=64) as (cluster, report):
+            local = cluster.profile_report()
+        with replayed(
+            plan, tuples, batch_size=64, backend="multiprocess", merger="multiprocess",
+        ) as (cluster, remote_report):
+            remote = cluster.profile_report()
         assert remote_report == report
         assert remote.matchers == local.matchers
         assert remote.mergers == local.mergers
@@ -188,11 +171,9 @@ class TestCountersAreState:
     def test_inline_router_counts_each_object_once_through_a_global_repartition(self):
         plan, tuples = global_scenario()
         adjuster = GlobalAdjuster(HybridPartitioner(), improvement_threshold=0.01)
-        config = ClusterConfig(num_dispatchers=2, num_workers=4)
-        with Cluster(plan, config) as cluster:
-            cluster.run_batched(
-                tuples, batch_size=100, adjust_every=250, global_adjuster=adjuster
-            )
+        with replayed(
+            plan, tuples, batch_size=100, adjust_every=250, global_adjuster=adjuster,
+        ) as (cluster, _):
             routers = cluster.profile_report().routers
         # Both swaps happened: into the dual index (drain) and out of it.
         assert any(entry.repartitioned for entry in adjuster.history)
@@ -229,7 +210,8 @@ class TestCountersAreState:
 class TestProfileText:
     def test_renders_all_sections_and_inline_label(self, workload):
         plan, tuples = workload
-        _, profile = run_once(plan, tuples)
+        with replayed(plan, tuples, batch_size=64) as (cluster, _):
+            profile = cluster.profile_report()
         text = profile_text(profile)
         assert "GI2 matching" in text
         assert "GridT routing" in text

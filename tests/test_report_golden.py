@@ -3,7 +3,8 @@
 A row is ``workload/driver/dispatch/adjuster/checkpoints[/tiers[/telemetry]]``:
 
 * ``workload`` — a key of :data:`WORKLOADS`, which also fixes the window,
-  the adjustment and checkpoint cadences and the local adjuster's sigma;
+  the adjustment and checkpoint cadences, the local adjuster's sigma, the
+  number of dispatcher shards and the grid granularity;
 * ``driver`` — ``tuple`` (``Cluster.run``) or ``batched`` (``run_batched``);
 * ``dispatch`` — ``inline`` or the shard backend (``inprocess``,
   ``multiprocess``, ``socket``);
@@ -94,15 +95,22 @@ class Workload(NamedTuple):
     checkpoint_every: int
     #: The local adjuster's trigger ratio.
     sigma: float
+    #: Dispatcher shards (inline routing keeps one ledger per shard).
+    dispatchers: int
+    #: Cells per side of the routing and GI2 grids.
+    granularity: int
 
 
-#: No cadence divides another or the window, so every clip happens.
+#: No cadence divides another or the window, so every clip happens.  The
+#: alpha/beta queries each cover a fifth of the space; a 32-cell grid keeps
+#: their insertion (about 15 x 15 cells per query, on every dispatcher
+#: replica and worker) cheap enough for the twin rows' many deployments.
 WORKLOADS = {
     **{
-        name: Workload(functools.partial(golden_workload, name), 256, 900, 700, 2.0)
+        name: Workload(functools.partial(golden_workload, name), 256, 900, 700, 2.0, 2, 64)
         for name in ("us-Q1-hybrid", "us-Q3-metric")
     },
-    "alphabeta-OR-metric": Workload(make_alpha_beta_workload, 64, 200, 150, 1.2),
+    "alphabeta-OR-metric": Workload(make_alpha_beta_workload, 64, 200, 150, 1.2, 4, 32),
 }
 
 GOLDEN_ROWS = [
@@ -215,6 +223,8 @@ def replay(row):
             plan,
             tuples,
             batch_size=workload.batch_size if driver == "batched" else 0,
+            dispatchers=workload.dispatchers,
+            granularity=workload.granularity,
             dispatch=dispatch,
             backend=backends["workers"],
             merger=backends["mergers"],
@@ -270,13 +280,14 @@ def test_twin_row(row):
     assert report.deletions_processed > 0
     assert report.matches_produced > report.matches_delivered
     assert sum(report.merger_duplicates.values()) > 0
-    _, driver, _, adjuster, checkpoints, *rest = row.split("/")
+    name, driver, _, adjuster, checkpoints, *rest = row.split("/")
     if checkpoints == "on":
         assert report.recovery.checkpoints_taken > 1 and report.recovery.events == ()
     if adjuster != "none":
         assert any(entry.triggered for entry in local)
     for entry in local:  # a round reads both sharded tiers at its fence
-        assert set(entry.dispatcher_memory_bytes) == set(entry.merger_delivered) == {0, 1}
+        assert set(entry.dispatcher_memory_bytes) == set(range(WORKLOADS[name].dispatchers))
+        assert set(entry.merger_delivered) == {0, 1}
     if adjuster == "both":
         assert any(entry.repartitioned for entry in global_)
         assert any(entry.finalized for entry in global_)

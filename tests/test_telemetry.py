@@ -23,8 +23,7 @@ import pytest
 from repro.adjustment import DualRoutingIndex, GreedySelector, LocalLoadAdjuster
 from repro.cli import main as cli_main
 from repro.runtime import Cluster, ClusterConfig
-from repro.runtime.fabric import FaultPlan, FaultSpec, Fleet
-from repro.runtime.merge import SinkSpec
+from repro.runtime.fabric import FaultSpec, Fleet
 from repro.runtime.profiling import ProfilingSpec
 from repro.runtime.telemetry import (
     GaugeSample,
@@ -41,51 +40,7 @@ from repro.runtime.telemetry import (
     render_timeline,
 )
 
-from harness import make_alpha_beta_workload, needs_cores
-
-
-def run_once(
-    plan,
-    tuples,
-    *,
-    telemetry=None,
-    backend="inprocess",
-    fault=None,
-    checkpoint_every=0,
-    adjust_every=0,
-    local_adjuster=None,
-    batch_size=64,
-    dual_drain=False,
-):
-    """One batched run; returns (report, delivered-set, telemetry events)."""
-    config = ClusterConfig(
-        num_dispatchers=2,
-        num_workers=4,
-        backend=backend,
-        sink=SinkSpec(kind="memory"),
-        checkpoint_every=checkpoint_every,
-        fault_plan=FaultPlan((fault,)) if fault is not None else None,
-        telemetry=telemetry,
-    )
-    with Cluster(plan, config) as cluster:
-        if dual_drain:
-            cluster.replace_routing_index(
-                DualRoutingIndex(cluster.routing_index, plan.to_gridt(config.granularity))
-            )
-        report = cluster.run_batched(
-            tuples,
-            batch_size=batch_size,
-            adjust_every=adjust_every,
-            local_adjuster=local_adjuster,
-        )
-        drained = cluster.drain_sinks()
-        events = cluster.telemetry_events()
-    delivered = {
-        (result.query_id, result.object_id)
-        for results in drained.values()
-        for result in results
-    }
-    return report, delivered, events
+from harness import delivered_pairs, make_alpha_beta_workload, needs_cores, replayed, run
 
 
 def timeseries(events):
@@ -237,12 +192,17 @@ class TestClusterTelemetry:
     def test_every_window_traced_with_all_three_hops(self, tmp_path, dual_drain):
         plan, tuples = make_alpha_beta_workload()
         path = str(tmp_path / "t.jsonl")
-        report, _, events = run_once(
-            plan,
-            tuples,
-            telemetry=TelemetrySpec(path=path),
-            dual_drain=dual_drain,
-        )
+
+        def dual(cluster):
+            cluster.replace_routing_index(DualRoutingIndex(
+                cluster.routing_index, plan.to_gridt(cluster.config.granularity)
+            ))
+
+        with replayed(
+            plan, tuples, batch_size=64, telemetry=TelemetrySpec(path=path),
+            prepare=dual if dual_drain else None,
+        ) as (cluster, _):
+            events = cluster.telemetry_events()
         spans = [event for event in events if isinstance(event, WindowSpan)]
         expected_windows = -(-len(tuples) // 64)  # ceil(len / batch_size)
         assert len(spans) == expected_windows
@@ -264,7 +224,8 @@ class TestClusterTelemetry:
 
     def test_every_closed_window_drains_every_endpoint(self):
         plan, tuples = make_alpha_beta_workload()
-        _, _, events = run_once(plan, tuples, telemetry=TelemetrySpec())
+        with replayed(plan, tuples, batch_size=64, telemetry=TelemetrySpec()) as (cluster, _):
+            events = cluster.telemetry_events()
         spans = [event for event in events if isinstance(event, WindowSpan)]
         drained = {}
         for event in events:
@@ -278,19 +239,12 @@ class TestClusterTelemetry:
 
     def test_disabled_cluster_has_no_telemetry_surface(self):
         plan, tuples = make_alpha_beta_workload()
-        config = ClusterConfig(num_dispatchers=2, num_workers=4)
-        with Cluster(plan, config) as cluster:
-            cluster.run_batched(tuples, batch_size=64)
+        with replayed(plan, tuples, batch_size=64) as (cluster, _):
             assert cluster.telemetry_events() == []
 
     def test_timeseries_queryable_at_adjustment_fence(self):
         plan, tuples = make_alpha_beta_workload()
-        telemetry = TelemetrySpec()
-        config = ClusterConfig(
-            num_dispatchers=2, num_workers=4, telemetry=telemetry
-        )
-        with Cluster(plan, config) as cluster:
-            cluster.run_batched(tuples, batch_size=64)
+        with replayed(plan, tuples, batch_size=64, telemetry=TelemetrySpec()) as (cluster, _):
             cluster.run_adjustment(
                 local_adjuster=LocalLoadAdjuster(GreedySelector(), sigma=1.2)
             )
@@ -317,14 +271,15 @@ class TestPerturbationFreedom:
             action="kill", role="worker", endpoint_id=1,
             message_type="RouteBatch", after_sends=4,
         )
-        kwargs = dict(backend="multiprocess", checkpoint_every=150)
-        off = run_once(plan, tuples, fault=fault, **kwargs)
+        runs = []
+        for telemetry in (None, TelemetrySpec(path=str(tmp_path / "chaos.jsonl"))):
+            with replayed(
+                plan, tuples, batch_size=64, backend="multiprocess", checkpoint_every=150,
+                fault=fault, telemetry=telemetry,
+            ) as (cluster, report):
+                runs.append((report, set(delivered_pairs(cluster)), cluster.telemetry_events()))
+        off, on = runs
         assert off[0].recovery is not None and len(off[0].recovery.events) == 1
-        on = run_once(
-            plan, tuples, fault=fault,
-            telemetry=TelemetrySpec(path=str(tmp_path / "chaos.jsonl")),
-            **kwargs,
-        )
         assert on[:2] == off[:2]
         # The same fault fired at the same send: one identical recovery.
         assert on[0].recovery == off[0].recovery
@@ -449,8 +404,8 @@ class TestReportCLI:
     def test_report_renders_run_timeline(self, tmp_path):
         plan, tuples = make_alpha_beta_workload()
         path = str(tmp_path / "run.jsonl")
-        run_once(
-            plan, tuples,
+        run(
+            plan, tuples, batch_size=64,
             telemetry=TelemetrySpec(path=path),
             adjust_every=200,
             checkpoint_every=200,

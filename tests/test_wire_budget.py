@@ -30,7 +30,7 @@ from repro.runtime import Cluster, ClusterConfig
 from repro.runtime.transport import InsertPairs, MatchObjects, RouteBatch
 from repro.runtime.worker import QueryAssignment
 
-from harness import make_workload, needs_cores
+from harness import make_workload, needs_cores, replayed
 
 KIB = 1024
 
@@ -170,14 +170,6 @@ class TestMemosStayLocal:
             pickle.loads(payload)
 
 
-def replay(plan, tuples, backend):
-    config = ClusterConfig(num_dispatchers=2, num_workers=2, backend=backend)
-    with Cluster(plan, config) as cluster:
-        report = cluster.run_batched(tuples, batch_size=32)
-        snapshot = cluster.transport.snapshot_assignments()
-        return report, snapshot, cluster.wire_stats()
-
-
 @needs_cores
 class TestOutOfProcess:
     def test_snapshot_and_channel_bytes_stay_in_budget(self):
@@ -187,8 +179,13 @@ class TestOutOfProcess:
             for start in range(0, len(tuples), 32)
         )
         assert windows_with_inserts >= 20
-        reference, _, local_wire = replay(plan, tuples, "inprocess")
-        report, snapshot, wire = replay(plan, tuples, "multiprocess")
+        with replayed(plan, tuples, batch_size=32, workers=2) as (cluster, reference):
+            local_wire = cluster.wire_stats()
+        with replayed(
+            plan, tuples, batch_size=32, workers=2, backend="multiprocess",
+        ) as (cluster, report):
+            snapshot = cluster.transport.snapshot_assignments()
+            wire = cluster.wire_stats()
         assert report == reference
 
         # The checkpoint path: workers pickle their resident queries back.
