@@ -241,8 +241,8 @@ def delivered_pairs(cluster):
 
 
 def run(plan, tuples, **deployment):
-    """:func:`replayed` into a memory sink; returns ``(report, delivered
-    pairs)``."""
+    """:func:`replayed`, then drain the sinks; returns ``(report, delivered
+    pairs)`` (only the default ``memory`` sink keeps pairs to drain)."""
     with replayed(plan, tuples, **deployment) as (cluster, report):
         return report, delivered_pairs(cluster)
 
