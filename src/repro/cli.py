@@ -8,7 +8,7 @@ Seven subcommands cover the workflows a downstream user needs most often::
     python -m repro serve   --role worker --listen 0.0.0.0:7411
     python -m repro report  telemetry.jsonl
     python -m repro profile --mu 2000 --stacks-path stacks.txt
-    python -m repro lint    --json
+    python -m repro lint    --list-rules
 
 * ``run`` — build one workload, partition it with one strategy, replay the
   stream on the simulated cluster and print the run report.
@@ -32,7 +32,8 @@ Seven subcommands cover the workflows a downstream user needs most often::
   with ``--stacks-path`` also run the sampling profiler and write
   collapsed-stack lines for flamegraph tooling.
 * ``lint`` — run the RL00x static-analysis suite over the source tree
-  (rule catalog: ``docs/STATIC_ANALYSIS.md``); exit 0 means clean.
+  (rule catalog: ``docs/STATIC_ANALYSIS.md``); exit 0 means clean.  Its
+  arguments go unparsed to :func:`repro.lint.runner.main`.
 
 All numbers are simulated (see DESIGN.md); the CLI is a convenience wrapper
 around :mod:`repro.bench`.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from .bench import (
     ExperimentConfig,
@@ -269,21 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", dest="as_json",
         help="emit the profile report as JSON instead of the table")
 
-    lint_parser = subparsers.add_parser(
-        "lint", help="run the RL00x static-analysis suite")
-    lint_parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to lint (default: src/repro and tools, "
-             "resolved from the repo root)")
-    lint_parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as JSON instead of human-readable lines")
-    lint_parser.add_argument(
-        "--rules", default=None, metavar="RL00x[,RL00y]",
-        help="comma-separated subset of rule ids to run (default: all)")
-    lint_parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit")
+    # Listed for --help only: main() hands everything after "lint" to the
+    # linter's own parser (repro/lint/runner.py).
+    subparsers.add_parser(
+        "lint", add_help=False, help="run the RL00x static-analysis suite")
     return parser
 
 
@@ -540,22 +530,14 @@ def _command_profile(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace, out) -> int:
-    from .lint.runner import main as lint_main
-
-    argv: List[str] = list(args.paths)
-    if args.as_json:
-        argv.append("--json")
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv, out)
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """Entry point used by ``python -m repro`` and the tests."""
     out = out if out is not None else sys.stdout
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        from .lint.runner import main as lint_main
+
+        return lint_main(argv[1:], out)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -578,7 +560,5 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return _command_report(args, out)
     if args.command == "profile":
         return _command_profile(args, out)
-    if args.command == "lint":
-        return _command_lint(args, out)
     parser.error("unknown command %r" % args.command)
     return 2

@@ -34,7 +34,7 @@ _E = TypeVar("_E", bound="ProfileEvent")
 
 @dataclass(slots=True)
 class ProfileEvent:
-    """Base of the per-tier counters (lint rule RL006 anchors here).
+    """Base of the per-tier counters (lint rule RL003 walks its subclasses).
 
     ``endpoint_id`` is ``-1`` on a live holder and on the coordinator's
     inline routing; :meth:`event` stamps the real one.

@@ -404,7 +404,7 @@ class GI2Index:
         empty = MatchOutcome((), 0)
         outcomes: List[MatchOutcome] = []
         stale_terms: Set[str] = set()
-        # Deterministic counts only (RL007 keeps wall-clock out of this
+        # Deterministic counts only (a CI grep keeps wall-clock out of this
         # file entirely), kept in locals and flushed once per batch.
         scanned = candidates = matches = 0
         for (_, x, y, terms), cell in zip(rows, cells):

@@ -10,6 +10,10 @@ and line.  The framework owns everything the rules share —
   module-level type alias (``WorkerOp = Union[...]``), every class and
   function, keyed by bare name (rules resolve cross-module references
   through it without importing anything);
+* the protocol registry (:mod:`repro.runtime.protocol`) read once as
+  literals, and the one union of its classification tables
+  (:meth:`Project.registry_names`);
+* the transitive subclass walk (:meth:`Project.subclasses`);
 * per-line suppressions: a ``# repro-lint: disable=RL003`` (or
   ``disable=RL001,RL002``, or ``disable=all``) comment on the flagged
   line — or on the opening line of the statement it anchors to —
@@ -28,6 +32,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
+    "WIRE_TABLES",
     "Finding",
     "Project",
     "Rule",
@@ -37,6 +42,11 @@ __all__ = [
     "iter_rule_suppressions",
     "suppressed_rules",
 ]
+
+#: The registry tables whose entries name a dataclass crossing a process
+#: boundary, and every classification table (the wire ones + internal).
+WIRE_TABLES = ("MESSAGE_ROUTING", "REPLY_MESSAGES", "PAYLOAD_DATACLASSES", "FABRIC_MESSAGES")
+CLASSIFIED_TABLES = WIRE_TABLES + ("INTERNAL_DATACLASSES",)
 
 #: ``# repro-lint: disable=RL001,RL002`` (or ``disable=all``).
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -150,14 +160,47 @@ def _is_dataclass_def(node: ast.ClassDef) -> bool:
     return any(decorator_name(decorator) == "dataclass" for decorator in node.decorator_list)
 
 
+def _literal_tables(source: SourceFile) -> Dict[str, object]:
+    """Top-level literal assignments of a module, by name."""
+    tables: Dict[str, object] = {}
+    for node in source.tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        try:
+            literal = ast.literal_eval(value)
+        except (ValueError, SyntaxError):
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                tables[target.id] = literal
+    return tables
+
+
+def _base_names(class_def: ast.ClassDef) -> Set[str]:
+    """Trailing names of every base class expression."""
+    names = (dotted_name(base) for base in class_def.bases)
+    return {name.rpartition(".")[2] for name in names if name is not None}
+
+
 class Project:
     """Every parsed target file plus the cross-file symbol index."""
 
     def __init__(self, files: Sequence[SourceFile]) -> None:
         self.files: List[SourceFile] = list(files)
         self.symbols = _SymbolIndex()
+        #: The registry module (the file defining ``MESSAGE_ROUTING``) and
+        #: its literal tables, or ``None`` when no scanned file is one.
+        self.registry: Optional[Tuple[SourceFile, Dict[str, object]]] = None
         for source in self.files:
             self._index(source)
+            if self.registry is None:
+                tables = _literal_tables(source)
+                if "MESSAGE_ROUTING" in tables:
+                    self.registry = (source, tables)
 
     def _index(self, source: SourceFile) -> None:
         for node in source.tree.body:
@@ -188,6 +231,38 @@ class Project:
 
     def alias(self, name: str) -> Optional[Tuple[SourceFile, ast.expr]]:
         return self.symbols.aliases.get(name)
+
+    def registry_names(self, tables: Sequence[str] = CLASSIFIED_TABLES) -> Set[str]:
+        """Every class name the registry lists in ``tables``."""
+        names: Set[str] = set()
+        if self.registry is None:
+            return names
+        for table in tables:
+            entries = self.registry[1].get(table, ())
+            if isinstance(entries, dict):
+                entries = [name for group in entries.values() for name in group]
+            if isinstance(entries, (tuple, list)):
+                names.update(str(entry) for entry in entries)
+        return names
+
+    def subclasses(self, *bases: str) -> List[Tuple[SourceFile, ast.ClassDef]]:
+        """Every class deriving from a class named in ``bases``, directly or
+        through any chain of scanned classes (matched by trailing name)."""
+        pending = [
+            (source, node)
+            for source in self.files
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.ClassDef)
+        ]
+        names = set(bases)
+        found: List[Tuple[SourceFile, ast.ClassDef]] = []
+        while True:
+            matched = [entry for entry in pending if _base_names(entry[1]) & names]
+            if not matched:
+                return found
+            found.extend(matched)
+            names.update(node.name for _, node in matched)
+            pending = [entry for entry in pending if entry not in matched]
 
 
 class Rule:

@@ -26,38 +26,11 @@ defines ``MESSAGE_ROUTING`` at top level), reads its literal tables, and
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set
 
-from .framework import Finding, Project, Rule, SourceFile, dotted_name
+from .framework import Finding, Project, Rule, dotted_name
 
 __all__ = ["ProtocolCompletenessRule"]
-
-
-def _literal(node: ast.expr) -> object:
-    try:
-        return ast.literal_eval(node)
-    except (ValueError, SyntaxError):
-        return None
-
-
-def _registry_tables(source: SourceFile) -> Dict[str, object]:
-    """Top-level literal assignments of the registry module, by name."""
-    tables: Dict[str, object] = {}
-    for node in source.tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if value is None:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                literal = _literal(value)
-                if literal is not None:
-                    tables[target.id] = literal
-    return tables
 
 
 def _dispatched_names(handle: ast.AST) -> Set[str]:
@@ -97,34 +70,23 @@ class ProtocolCompletenessRule(Rule):
     summary = "every registered message is dispatched by its role host"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        registry = self._find_registry(project)
-        if registry is None:
+        if project.registry is None:
             return
-        source, tables = registry
-        routing = tables.get("MESSAGE_ROUTING")
+        source, tables = project.registry
+        routing = tables["MESSAGE_ROUTING"]
         if not isinstance(routing, dict):
-            yield self.finding(
-                source.tree, source, "MESSAGE_ROUTING is not a literal mapping"
-            )  # pragma: no cover - registry is authored as a literal
+            yield self.finding(source, source.tree, "MESSAGE_ROUTING is not a literal mapping")
             return
         role_hosts = tables.get("ROLE_HOSTS")
         role_hosts = role_hosts if isinstance(role_hosts, dict) else {}
-
-        classified: Set[str] = set()
-        for messages in routing.values():
-            classified.update(messages)
-        for table_name in ("FABRIC_MESSAGES", "REPLY_MESSAGES", "PAYLOAD_DATACLASSES",
-                           "INTERNAL_DATACLASSES"):
-            extra = tables.get(table_name)
-            if isinstance(extra, (tuple, list)):
-                classified.update(extra)
+        classified = project.registry_names()
 
         # 1. every registry entry resolves to a dataclass in the tree.
         for message in sorted(classified):
             if project.dataclass(message) is None:
                 yield self.finding(
-                    source.tree,
                     source,
+                    source.tree,
                     "registry names %r but no dataclass of that name exists "
                     "in the scanned tree" % message,
                 )
@@ -134,14 +96,14 @@ class ProtocolCompletenessRule(Rule):
             host_name = role_hosts.get(role)
             if host_name is None:
                 yield self.finding(
-                    source.tree, source,
+                    source, source.tree,
                     "role %r has routed messages but no ROLE_HOSTS entry" % role,
                 )
                 continue
             resolved = project.class_def(str(host_name))
             if resolved is None:
                 yield self.finding(
-                    source.tree, source,
+                    source, source.tree,
                     "role host %r (role %r) not found in the scanned tree"
                     % (host_name, role),
                 )
@@ -149,23 +111,18 @@ class ProtocolCompletenessRule(Rule):
             host_source, host_def = resolved
             handle = _find_method(host_def, "handle")
             if handle is None:
-                yield Finding(
-                    rule=self.rule_id,
-                    path=host_source.display_path,
-                    line=host_def.lineno,
-                    column=host_def.col_offset + 1,
-                    message="role host %s has no handle() method" % host_def.name,
+                yield self.finding(
+                    host_source, host_def,
+                    "role host %s has no handle() method" % host_def.name,
                 )
                 continue
             dispatched = _dispatched_names(handle)
             for message in messages:
                 if message not in dispatched:
-                    yield Finding(
-                        rule=self.rule_id,
-                        path=host_source.display_path,
-                        line=handle.lineno,
-                        column=handle.col_offset + 1,
-                        message="%s.handle does not dispatch %s (routed to role %r "
+                    yield self.finding(
+                        host_source,
+                        handle,
+                        "%s.handle does not dispatch %s (routed to role %r "
                         "in MESSAGE_ROUTING)" % (host_def.name, message, role),
                     )
 
@@ -182,32 +139,11 @@ class ProtocolCompletenessRule(Rule):
                     if project.dataclass(node.name) is None:
                         continue
                     if node.name not in classified:
-                        yield Finding(
-                            rule=self.rule_id,
-                            path=module.display_path,
-                            line=node.lineno,
-                            column=node.col_offset + 1,
-                            message="message dataclass %s is not classified in the "
+                        yield self.finding(
+                            module,
+                            node,
+                            "message dataclass %s is not classified in the "
                             "protocol registry (add it to MESSAGE_ROUTING, "
                             "REPLY_MESSAGES, PAYLOAD_DATACLASSES, FABRIC_MESSAGES "
                             "or INTERNAL_DATACLASSES)" % node.name,
                         )
-
-    @staticmethod
-    def _find_registry(
-        project: Project,
-    ) -> Optional[Tuple[SourceFile, Dict[str, object]]]:
-        for source in project.files:
-            tables = _registry_tables(source)
-            if "MESSAGE_ROUTING" in tables:
-                return source, tables
-        return None
-
-    def finding(self, tree: ast.AST, source: SourceFile, message: str) -> Finding:  # type: ignore[override]
-        return Finding(
-            rule=self.rule_id,
-            path=source.display_path,
-            line=1,
-            column=1,
-            message=message,
-        )

@@ -1,13 +1,21 @@
 """RL003 — pickle/frame safety of the wire vocabulary.
 
 Invariant: every dataclass that crosses a process boundary — the request
-messages of ``MESSAGE_ROUTING``, the ``REPLY_MESSAGES`` and the
-``PAYLOAD_DATACLASSES`` that ride inside them — must be *transitively*
-picklable.  The fabric frames every message with pickle protocol 5
+messages of ``MESSAGE_ROUTING``, the ``REPLY_MESSAGES``, the
+``PAYLOAD_DATACLASSES`` that ride inside them and the
+``FABRIC_MESSAGES`` — must be *transitively* picklable.  The fabric
+frames every message with pickle protocol 5
 (:func:`repro.runtime.fabric.dump_message`); a field holding a lambda, a
 lock, a live socket, an open file or a generator does not fail at the
 definition site but deep inside ``pickle.dumps`` in whichever process
 first ships the message, with a traceback that names none of this.
+
+So must every transitive subclass of ``TelemetryEvent`` and
+``ProfileEvent``: profile snapshots ride ``Observation`` replies, and
+every telemetry event (spans and lifecycle marks included, though the
+registry lists them as internal) is serialised into the telemetry JSONL
+sink.  That they are classified in the registry at all is RL001's part 3
+(their modules are ``PROTOCOL_MODULES``).
 
 Mechanics: the rule resolves each wire dataclass from the registry,
 walks its field annotations, and follows every referenced name it can
@@ -38,8 +46,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set
 
-from .framework import Finding, Project, Rule, SourceFile, dotted_name
-from .rl001_protocol import _registry_tables
+from .framework import WIRE_TABLES, Finding, Project, Rule, SourceFile, dotted_name
 
 __all__ = ["PickleSafetyRule"]
 
@@ -69,6 +76,10 @@ _UNPICKLABLE = {
     "Thread": "threads are process-local",
     "Process": "process handles are process-local",
 }
+
+#: Event vocabularies: every subclass is serialised (over the fabric in an
+#: ``Observation`` reply, or into the telemetry JSONL sink) like a message.
+_EVENT_BASES = ("TelemetryEvent", "ProfileEvent")
 
 #: Methods that take over what a class pickles.
 _STATE_HOOKS = ("__getstate__", "__reduce__", "__reduce_ex__")
@@ -102,29 +113,13 @@ def _atom_names(node: ast.expr) -> Set[str]:
 
 class PickleSafetyRule(Rule):
     rule_id = "RL003"
-    summary = "wire-crossing dataclasses pickle transitively and ship declared fields only"
+    summary = "wire-crossing dataclasses and events pickle transitively and ship declared fields only"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        wire_names = self._wire_dataclasses(project)
+        events = {node.name for _, node in project.subclasses(*_EVENT_BASES)}
         visited: Set[str] = set()
-        for name in sorted(wire_names):
+        for name in sorted(project.registry_names(WIRE_TABLES) | events):
             yield from self._check_dataclass(project, name, name, visited)
-
-    @staticmethod
-    def _wire_dataclasses(project: Project) -> Set[str]:
-        names: Set[str] = set()
-        for source in project.files:
-            tables = _registry_tables(source)
-            routing = tables.get("MESSAGE_ROUTING")
-            if not isinstance(routing, dict):
-                continue
-            for messages in routing.values():
-                names.update(messages)
-            for table_name in ("REPLY_MESSAGES", "PAYLOAD_DATACLASSES", "FABRIC_MESSAGES"):
-                extra = tables.get(table_name)
-                if isinstance(extra, (tuple, list)):
-                    names.update(str(entry) for entry in extra)
-        return names
 
     def _check_dataclass(
         self, project: Project, name: str, root: str, visited: Set[str]

@@ -10,21 +10,21 @@ converts a failure the fabric would have reported (as a
 :class:`~repro.runtime.fabric.RemoteError` reply, or parked error for
 fire-and-forget messages) into a silently wrong report.
 
-Flagged, inside any class whose bases include ``RoleHost`` (and inside
-its whole method surface, since ``handle`` fans out to helpers on the
-same class):
+Flagged, inside any class deriving from ``RoleHost``, directly or through
+another host class (and inside its whole method surface, since
+``handle`` fans out to helpers on the same class):
 
 * calls on the blocking deny list — ``time.sleep``, ``input``,
   ``select.select``, ``socket.create_connection``, ``os.system``, any
   ``subprocess.*`` — the serve loop's only legitimate wait is the
   channel ``recv`` the fabric itself performs;
-* a bare ``except:`` — it catches ``KeyboardInterrupt``/``SystemExit``
-  and keeps a doomed endpoint limping;
 * an ``except``-and-drop — a handler whose except body is only ``pass``
   / ``continue`` / ``...`` — which must instead let the exception
   propagate so the serve loop reports it (fire-and-forget failures are
   parked and answer the next control request; that *is* the fabric's
   error-parking path, and dropping the exception bypasses it).
+
+A bare ``except:`` is ruff's E722, enforced repo-wide.
 """
 
 from __future__ import annotations
@@ -48,16 +48,6 @@ _BLOCKING_CALLS = {
 _BLOCKING_MODULES = {"subprocess": "spawning processes blocks for the child's lifetime"}
 
 
-def _role_host_classes(source: SourceFile) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(source.tree):
-        if isinstance(node, ast.ClassDef):
-            for base in node.bases:
-                base_name = dotted_name(base)
-                if base_name is not None and base_name.rpartition(".")[2] == "RoleHost":
-                    yield node
-                    break
-
-
 def _is_drop_only(body: List[ast.stmt]) -> bool:
     """Whether an except body only drops the error (pass/continue/...)."""
     for statement in body:
@@ -74,9 +64,8 @@ class ServeLoopDisciplineRule(Rule):
     summary = "role-host handlers never block or swallow errors"
 
     def check(self, project: Project) -> Iterator[Finding]:
-        for source in project.files:
-            for class_def in _role_host_classes(source):
-                yield from self._check_host(source, class_def)
+        for source, class_def in project.subclasses("RoleHost"):
+            yield from self._check_host(source, class_def)
 
     def _check_host(self, source: SourceFile, class_def: ast.ClassDef) -> Iterator[Finding]:
         for node in ast.walk(class_def):
@@ -109,15 +98,6 @@ class ServeLoopDisciplineRule(Rule):
     def _check_handler(
         self, source: SourceFile, class_def: ast.ClassDef, node: ast.ExceptHandler
     ) -> Iterator[Finding]:
-        if node.type is None:
-            yield self.finding(
-                source,
-                node,
-                "bare except inside role host %s catches KeyboardInterrupt/"
-                "SystemExit and keeps a doomed endpoint limping; name the "
-                "exceptions" % class_def.name,
-            )
-            return
         if _is_drop_only(node.body):
             yield self.finding(
                 source,

@@ -1,10 +1,9 @@
 """``repro lint`` — run the RL00x rule suite over a file tree.
 
-Usage (also reachable as ``python -m repro.lint``)::
+Usage::
 
     repro lint                  # lint the default roots (src/repro, tools)
     repro lint src tools tests  # explicit roots (files or directories)
-    repro lint --json           # machine-readable findings
     repro lint --list-rules     # print the rule catalog
 
 Exit codes are stable so CI and scripts can branch on them:
@@ -23,7 +22,6 @@ rule catalog with one worked example per rule lives in
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, TextIO
@@ -34,8 +32,6 @@ from .rl002_determinism import DeterminismRule
 from .rl003_pickle import PickleSafetyRule
 from .rl004_serve import ServeLoopDisciplineRule
 from .rl005_fence import FenceDisciplineRule
-from .rl006_telemetry import TelemetryProtocolRule
-from .rl007_profiling import ProfilingDisciplineRule
 from .rl008_callers import CallerRule
 
 __all__ = ["ALL_RULES", "build_project", "collect_files", "main", "run_lint"]
@@ -47,8 +43,6 @@ ALL_RULES: Sequence[Rule] = (
     PickleSafetyRule(),
     ServeLoopDisciplineRule(),
     FenceDisciplineRule(),
-    TelemetryProtocolRule(),
-    ProfilingDisciplineRule(),
     CallerRule(),
 )
 
@@ -131,23 +125,6 @@ def _print_human(findings: Sequence[Finding], checked: int, out: TextIO) -> None
         out.write("repro lint: %d file(s) clean\n" % checked)
 
 
-def _print_json(findings: Sequence[Finding], checked: int, out: TextIO) -> None:
-    payload = {
-        "files_checked": checked,
-        "findings": [
-            {
-                "rule": finding.rule,
-                "path": finding.path,
-                "line": finding.line,
-                "column": finding.column,
-                "message": finding.message,
-            }
-            for finding in findings
-        ],
-    }
-    out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _list_rules(out: TextIO) -> None:
     for rule in ALL_RULES:
         out.write("%s  %s\n" % (rule.rule_id, rule.summary))
@@ -165,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "repo root)" % ", ".join(DEFAULT_ROOTS),
     )
     parser.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit findings as JSON instead of human-readable lines",
-    )
-    parser.add_argument(
-        "--rules", default=None, metavar="RL00x[,RL00y]",
-        help="comma-separated subset of rule ids to run (default: all)",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit",
     )
@@ -185,14 +154,6 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
     if args.list_rules:
         _list_rules(out)
         return 0
-    rules: Sequence[Rule] = ALL_RULES
-    if args.rules:
-        wanted = {token.strip().upper() for token in args.rules.split(",") if token.strip()}
-        unknown = wanted - {rule.rule_id for rule in ALL_RULES}
-        if unknown:
-            out.write("unknown rule id(s): %s\n" % ", ".join(sorted(unknown)))
-            return 2
-        rules = [rule for rule in ALL_RULES if rule.rule_id in wanted]
     root = repo_root()
     if args.paths:
         paths = [Path(path) for path in args.paths]
@@ -208,9 +169,6 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[TextIO] = None) -> 
     except SyntaxError as exc:
         out.write("repro lint: cannot parse %s: %s\n" % (exc.filename, exc.msg))
         return 2
-    findings = run_lint(project, rules)
-    if args.as_json:
-        _print_json(findings, len(files), out)
-    else:
-        _print_human(findings, len(files), out)
+    findings = run_lint(project)
+    _print_human(findings, len(files), out)
     return 1 if findings else 0

@@ -21,7 +21,7 @@ and ``MergerNode`` owns its holder (``.profile``, defined in
 run, the lean way docs/PROFILING.md measured — one increment per routed
 object, locals flushed once per matched / merged batch.  They are
 **deterministic pure counts** — no wall clock anywhere near a hot loop
-(lint rule RL007 bans timing calls inside ``gi2.py`` / ``gridt.py``) —
+(a CI grep bans timing calls inside ``gi2.py`` / ``gridt.py``) —
 so two runs of the same stream produce identical profiles on every
 backend.  They reach the coordinator as the ``profile`` field of each
 endpoint's :class:`~repro.runtime.telemetry.Observation` — the same

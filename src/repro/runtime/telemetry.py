@@ -91,8 +91,8 @@ TIERS: Tuple[str, ...] = ("dispatcher", "worker", "merger", "coordinator")
 class TelemetryEvent:
     """Base class of every telemetry event type.
 
-    Lint rule RL006 enforces that every subclass is classified in the
-    protocol registry (:mod:`repro.runtime.protocol`) and is
+    Lint rules RL001 and RL003 enforce that every subclass is classified
+    in the protocol registry (:mod:`repro.runtime.protocol`) and is
     transitively pickle-safe — every event must encode to the JSONL
     sink ``repro report`` reads back.
     """

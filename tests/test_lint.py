@@ -2,7 +2,7 @@
 
 Each RL00x rule is proven twice — it *flags* a known-bad fixture and it
 *passes* the fixture's known-good twin — plus suppression handling, the
-CLI surface (exit codes, ``--json``) and two meta-checks that keep the
+CLI surface (exit codes, ``--list-rules``) and two meta-checks that keep the
 suite honest: the linter must be clean on this repository, and the
 declarative registry in :mod:`repro.runtime.protocol` (which the linter
 reads as literals) must match the real runtime modules (which this test
@@ -12,9 +12,9 @@ imports for real), so the two views cannot drift apart silently.
 import dataclasses
 import importlib
 import io
-import json
 import textwrap
 
+import pytest
 
 from repro.cli import main as cli_main
 from repro.lint import build_project, collect_files, run_lint
@@ -23,16 +23,15 @@ from repro.lint.rl002_determinism import DeterminismRule
 from repro.lint.rl003_pickle import PickleSafetyRule
 from repro.lint.rl004_serve import ServeLoopDisciplineRule
 from repro.lint.rl005_fence import FenceDisciplineRule
-from repro.lint.rl006_telemetry import TelemetryProtocolRule
-from repro.lint.rl007_profiling import ProfilingDisciplineRule
 from repro.lint import rl008_callers
 from repro.lint.runner import main as lint_main, repo_root
 from repro.runtime import WorkerNode, protocol
 
 
 def lint_source(tmp_path, source, rules, name="fixture.py"):
-    """Write ``source`` to a file and run ``rules`` over it."""
+    """Write ``source`` to ``tmp_path / name`` and run ``rules`` over it."""
     path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(source))
     project = build_project([path], root=tmp_path)
     return run_lint(project, rules)
@@ -378,6 +377,62 @@ class TestRL003:
         assert self._lint_memo(tmp_path, declared="width: int = 0; _keys: object = None") == []
 
 
+# Telemetry and profile events: RL001 part 3 holds every event class in a
+# PROTOCOL_MODULES module to the registry, and RL003 walks every transitive
+# subclass of the two event bases, wire tables or not (spans are internal,
+# yet serialised into the telemetry JSONL sink).
+_EVENTS = """
+    from dataclasses import dataclass
+    from typing import Callable, Tuple
+
+    MESSAGE_ROUTING = {}
+    PROTOCOL_MODULES = ("events",)
+    INTERNAL_DATACLASSES = ("Good", %(nested)r%(registered)s)
+
+    class %(base)s:
+        __slots__ = ()
+
+    @dataclass(frozen=True)
+    class Good(%(base)s):
+        stage: str
+
+    @dataclass(frozen=True)
+    class %(nested)s(Good):
+        hops: %(hops)s = ()
+
+    @dataclass(frozen=True)
+    class %(rogue)s(%(base)s):
+        seq: int
+"""
+
+
+@pytest.mark.parametrize("base, nested, rogue", [
+    ("TelemetryEvent", "NestedSpan", "RogueEvent"),
+    ("ProfileEvent", "NestedProfile", "RogueProfile"),
+])
+class TestEvents:
+    RULES = (ProtocolCompletenessRule(), PickleSafetyRule())
+
+    def lint_events(self, tmp_path, registered, hops, **names):
+        source = _EVENTS % dict(names, registered=registered, hops=hops)
+        return lint_source(tmp_path, source, self.RULES, name="src/events.py")
+
+    def test_flags_unregistered_and_unpicklable_events(self, tmp_path, base, nested, rogue):
+        findings = self.lint_events(
+            tmp_path, "", "Callable[[], None]", base=base, nested=nested, rogue=rogue
+        )
+        assert [(finding.rule, finding.message.split(" is ")[0]) for finding in findings] == [
+            ("RL003", "field %s.hops" % nested),
+            ("RL001", "message dataclass %s" % rogue),
+        ]
+
+    def test_passes_registered_picklable_events(self, tmp_path, base, nested, rogue):
+        findings = self.lint_events(
+            tmp_path, ", %r" % rogue, "Tuple[int, ...]", base=base, nested=nested, rogue=rogue
+        )
+        assert findings == []
+
+
 # ----------------------------------------------------------------------
 # RL004 — serve-loop discipline
 # ----------------------------------------------------------------------
@@ -394,10 +449,6 @@ _RL004_BAD = """
                 return self._apply(message)
             except ValueError:
                 pass
-            try:
-                return self._apply(message)
-            except:
-                return None
 """
 
 _RL004_GOOD = """
@@ -419,10 +470,31 @@ class TestRL004:
     def test_flags_blocking_and_swallowing(self, tmp_path):
         findings = lint_source(tmp_path, _RL004_BAD, self.RULES)
         messages = [finding.message for finding in findings]
-        assert len(findings) == 3
+        assert len(findings) == 2
         assert any("time.sleep" in message for message in messages)
         assert any("except-and-drop" in message for message in messages)
-        assert any("bare except" in message for message in messages)
+
+    def test_flags_indirect_role_host(self, tmp_path):
+        source = """
+            import time
+
+            class RoleHost:
+                pass
+
+            class BaseHost(RoleHost):
+                pass
+
+            class SleepyHost(BaseHost):
+                def handle(self, message):
+                    time.sleep(1)
+                    try:
+                        return message.apply()
+                    except ValueError:
+                        pass
+        """
+        findings = lint_source(tmp_path, source, self.RULES)
+        assert len(findings) == 2
+        assert all("role host SleepyHost" in finding.message for finding in findings)
 
     def test_passes_propagating_handler(self, tmp_path):
         assert lint_source(tmp_path, _RL004_GOOD, self.RULES) == []
@@ -510,213 +582,11 @@ class TestRL005:
 
 
 # ----------------------------------------------------------------------
-# RL006 — telemetry and profile events registered and pickle-safe
-# ----------------------------------------------------------------------
-_RL006_BAD = """
-    from dataclasses import dataclass
-    from typing import Callable
-
-    MESSAGE_ROUTING = {"worker": ()}
-    INTERNAL_DATACLASSES = ("GoodSpan",)
-
-    class TelemetryEvent:
-        __slots__ = ()
-
-    @dataclass(frozen=True)
-    class GoodSpan(TelemetryEvent):
-        stage: str
-        callback: Callable[[], None]
-
-    @dataclass(frozen=True)
-    class RogueEvent(TelemetryEvent):
-        seq: int
-"""
-
-_RL006_GOOD = """
-    from dataclasses import dataclass
-    from typing import Tuple
-
-    MESSAGE_ROUTING = {"worker": ()}
-    INTERNAL_DATACLASSES = ("GoodSpan", "NestedSpan")
-
-    class TelemetryEvent:
-        __slots__ = ()
-
-    @dataclass(frozen=True)
-    class GoodSpan(TelemetryEvent):
-        stage: str
-        elapsed_ms: float
-
-    @dataclass(frozen=True)
-    class NestedSpan(GoodSpan):
-        hops: Tuple[int, ...] = ()
-"""
-
-
-_RL006_PROFILE_BAD = """
-    from dataclasses import dataclass
-    from typing import Callable
-
-    MESSAGE_ROUTING = {"worker": ()}
-    PAYLOAD_DATACLASSES = ("GoodProfile",)
-
-    class ProfileEvent:
-        __slots__ = ()
-
-    @dataclass(frozen=True)
-    class GoodProfile(ProfileEvent):
-        endpoint_id: int
-        on_flush: Callable[[], None]
-
-    @dataclass(frozen=True)
-    class RogueProfile(ProfileEvent):
-        endpoint_id: int
-"""
-
-_RL006_PROFILE_GOOD = """
-    from dataclasses import dataclass
-
-    MESSAGE_ROUTING = {"worker": ()}
-    PAYLOAD_DATACLASSES = ("GoodProfile", "NestedProfile")
-
-    class ProfileEvent:
-        __slots__ = ()
-
-    @dataclass(frozen=True)
-    class GoodProfile(ProfileEvent):
-        endpoint_id: int
-        matches: int
-
-    @dataclass(frozen=True)
-    class NestedProfile(GoodProfile):
-        candidates: int = 0
-"""
-
-
-class TestRL006:
-    RULES = (TelemetryProtocolRule(),)
-
-    def test_flags_unregistered_and_unpicklable_events(self, tmp_path):
-        findings = lint_source(tmp_path, _RL006_BAD, self.RULES)
-        assert len(findings) == 2
-        messages = " ".join(finding.message for finding in findings)
-        assert "RogueEvent is not classified" in messages
-        assert "GoodSpan.callback" in messages
-        assert all(finding.rule == "RL006" for finding in findings)
-
-    def test_passes_registered_picklable_events(self, tmp_path):
-        # Also proves transitive subclasses (NestedSpan via GoodSpan)
-        # are discovered by the base-name closure.
-        assert lint_source(tmp_path, _RL006_GOOD, self.RULES) == []
-
-    def test_flags_unregistered_and_unpicklable_profile_events(self, tmp_path):
-        findings = lint_source(tmp_path, _RL006_PROFILE_BAD, self.RULES)
-        assert len(findings) == 2
-        messages = " ".join(finding.message for finding in findings)
-        assert "RogueProfile is not classified" in messages
-        assert "GoodProfile.on_flush" in messages
-        assert all(finding.rule == "RL006" for finding in findings)
-
-    def test_passes_registered_picklable_profile_events(self, tmp_path):
-        # Also proves transitive subclasses (NestedProfile via
-        # GoodProfile) are discovered by the base-name closure.
-        assert lint_source(tmp_path, _RL006_PROFILE_GOOD, self.RULES) == []
-
-    def test_ignores_projects_without_telemetry(self, tmp_path):
-        assert lint_source(tmp_path, "X = 1\n", self.RULES) == []
-
-    def test_real_telemetry_events_are_registered(self):
-        # Drift guard against the real tree: every TelemetryEvent
-        # subclass the runtime defines must be classified and clean.
-        import repro.runtime.telemetry as telemetry_module
-
-        names = {
-            name
-            for name, value in vars(telemetry_module).items()
-            if isinstance(value, type)
-            and issubclass(value, telemetry_module.TelemetryEvent)
-            and value is not telemetry_module.TelemetryEvent
-        }
-        assert names == {"SpanHop", "WindowSpan", "GaugeSample", "LifecycleEvent"}
-        registered = (
-            set(protocol.REPLY_MESSAGES)
-            | set(protocol.PAYLOAD_DATACLASSES)
-            | set(protocol.INTERNAL_DATACLASSES)
-        )
-        assert names <= registered
-
-    def test_real_profiling_events_are_registered(self):
-        # Drift guard against the real tree: every ProfileEvent subclass
-        # the runtime defines must be classified in the registry.
-        import repro.runtime.profiling as profiling_module
-
-        names = {
-            name
-            for name, value in vars(profiling_module).items()
-            if isinstance(value, type)
-            and issubclass(value, profiling_module.ProfileEvent)
-            and value is not profiling_module.ProfileEvent
-        }
-        assert names == {"MatchProfile", "RouteProfile", "DedupProfile"}
-        registered = (
-            set(protocol.REPLY_MESSAGES)
-            | set(protocol.PAYLOAD_DATACLASSES)
-            | set(protocol.INTERNAL_DATACLASSES)
-        )
-        assert names <= registered
-
-
-# ----------------------------------------------------------------------
-# RL007 — index hot loops timer-free
-# ----------------------------------------------------------------------
-class TestRL007:
-    RULES = (ProfilingDisciplineRule(),)
-
-    def test_flags_timer_in_hot_loop_file(self, tmp_path):
-        source = """
-            import time
-
-            def match_batch(objects):
-                started = time.perf_counter()
-                return time.perf_counter() - started
-        """
-        findings = lint_source(tmp_path, source, self.RULES, name="gi2.py")
-        assert len(findings) == 2
-        assert all(finding.rule == "RL007" for finding in findings)
-        assert "time.perf_counter" in findings[0].message
-
-    def test_flags_from_imported_timer_in_gridt(self, tmp_path):
-        source = """
-            from time import monotonic
-
-            def route_object_batch(objects):
-                return monotonic()
-        """
-        findings = lint_source(tmp_path, source, self.RULES, name="gridt.py")
-        assert len(findings) == 1
-        assert "monotonic" in findings[0].message
-
-    def test_timers_allowed_outside_hot_loop_files(self, tmp_path):
-        source = """
-            import time
-
-            def stamp():
-                return time.perf_counter()
-        """
-        assert lint_source(tmp_path, source, self.RULES, name="harness.py") == []
-
-    def test_ignores_projects_without_profiling(self, tmp_path):
-        assert lint_source(tmp_path, "X = 1\n", self.RULES) == []
-
-
-# ----------------------------------------------------------------------
 # RL008 — every def has a caller
 # ----------------------------------------------------------------------
 def lint_package(tmp_path, source, rules):
     """Lint ``source`` as a module of the ``repro`` package (RL008's scope)."""
-    package = tmp_path / "src" / "repro"
-    package.mkdir(parents=True)
-    return lint_source(package, source, rules, name="module.py")
+    return lint_source(tmp_path, source, rules, name="src/repro/module.py")
 
 
 class TestRL008:
@@ -884,30 +754,11 @@ class TestRunner:
         assert code == 2
         assert "cannot parse" in output
 
-    def test_json_output_is_machine_readable(self, tmp_path):
-        path = tmp_path / "bad.py"
-        path.write_text("SHARD = hash('a')\n")
-        code, output = run_lint_cli(["--json", str(path)])
-        assert code == 1
-        payload = json.loads(output)
-        assert payload["files_checked"] == 1
-        assert payload["findings"][0]["rule"] == "RL002"
-        assert payload["findings"][0]["line"] == 1
-
-    def test_rules_subset_and_unknown_rule(self, tmp_path):
-        path = tmp_path / "bad.py"
-        path.write_text("SHARD = hash('a')\n")
-        code, _ = run_lint_cli(["--rules", "RL004", str(path)])
-        assert code == 0  # RL002 finding filtered out by the subset
-        code, output = run_lint_cli(["--rules", "RL999", str(path)])
-        assert code == 2
-        assert "unknown rule" in output
-
-    def test_list_rules(self):
-        code, output = run_lint_cli(["--list-rules"])
-        assert code == 0
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008"):
-            assert rule_id in output
+    def test_list_rules_through_repro_cli(self):
+        buffer = io.StringIO()
+        assert cli_main(["lint", "--list-rules"], out=buffer) == 0
+        listed = [line.split()[0] for line in buffer.getvalue().splitlines()]
+        assert listed == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL008"]
 
     def test_repro_cli_lint_subcommand(self, tmp_path):
         path = tmp_path / "bad.py"
@@ -924,12 +775,6 @@ class TestRepoIsClean:
     def test_default_roots_are_clean(self):
         code, output = run_lint_cli([])
         assert code == 0, "repro lint found violations in the repo:\n" + output
-
-    def test_tests_directory_parses_and_lints(self):
-        # The test tree is not part of the default roots (fixtures in
-        # docstrings would trip the rules), but it must at least parse.
-        tests_dir = repo_root() / "tests"
-        assert tests_dir.is_dir()
 
 
 class TestRegistryMatchesRuntime:
@@ -955,6 +800,30 @@ class TestRegistryMatchesRuntime:
         names += list(protocol.PAYLOAD_DATACLASSES)
         for name in names:
             assert dataclasses.is_dataclass(self._resolve(name)), name
+
+    def test_real_events_are_classified(self):
+        """RL001 part 3 sees the event classes only because their modules
+        are PROTOCOL_MODULES; hold the live subclasses to the registry."""
+        from repro.runtime import profiling, telemetry
+
+        classified = (
+            set(protocol.REPLY_MESSAGES)
+            | set(protocol.PAYLOAD_DATACLASSES)
+            | set(protocol.INTERNAL_DATACLASSES)
+        )
+        for base, expected in (
+            (telemetry.TelemetryEvent, {"SpanHop", "WindowSpan", "GaugeSample", "LifecycleEvent"}),
+            (profiling.ProfileEvent, {"MatchProfile", "RouteProfile", "DedupProfile"}),
+        ):
+            assert base.__module__ in protocol.PROTOCOL_MODULES
+            module = importlib.import_module(base.__module__)
+            names = {
+                name
+                for name, value in vars(module).items()
+                if isinstance(value, type) and issubclass(value, base) and value is not base
+            }
+            assert names == expected
+            assert names <= classified
 
     def test_role_hosts_exist_and_are_role_hosts(self):
         from repro.runtime.fabric import RoleHost
