@@ -12,6 +12,8 @@ imports for real), so the two views cannot drift apart silently.
 import dataclasses
 import importlib
 import io
+import re
+import subprocess
 import textwrap
 
 import pytest
@@ -582,6 +584,128 @@ class TestRL005:
 
 
 # ----------------------------------------------------------------------
+# Timer-free index hot loops: a grep step of the CI lint job
+# ----------------------------------------------------------------------
+_HOT_LOOP_FILES = ("src/repro/indexes/gi2.py", "src/repro/indexes/gridt.py")
+
+
+def _ci_step_script(step_name):
+    """The ``run: |`` block of the lint-job step whose name starts with
+    ``step_name``, read from the CI workflow as text."""
+    lines = (repo_root() / ".github" / "workflows" / "ci.yml").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith("- name: " + step_name))
+    run = next(i for i in range(start + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    script = []
+    for line in lines[run + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        script.append(line.strip())
+    return "\n".join(script)
+
+
+class TestTimerFreeHotLoops:
+    """The step fails on a clock read in gi2.py or gridt.py, in the
+    attribute and the from-import form, and when either file moves."""
+
+    SCRIPT = _ci_step_script("index hot loops are timer-free")
+
+    def run_step(self, root):
+        # GitHub's ``shell: bash`` runs a step as ``bash -eo pipefail``.
+        command = ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", self.SCRIPT]
+        return subprocess.run(command, cwd=root, capture_output=True, text=True).returncode
+
+    def copy_tree(self, tmp_path, seeds=None):
+        for relative in _HOT_LOOP_FILES:
+            target = tmp_path / relative
+            target.parent.mkdir(parents=True, exist_ok=True)
+            text = (repo_root() / relative).read_text()
+            target.write_text(text + (seeds or {}).get(relative, ""))
+        return tmp_path
+
+    def test_passes_on_the_tree(self):
+        assert self.run_step(repo_root()) == 0
+
+    def test_flags_attribute_timer_in_gi2(self, tmp_path):
+        seeded = {_HOT_LOOP_FILES[0]: "\nimport time\n_T0 = time.perf_counter()\n"}
+        assert self.run_step(self.copy_tree(tmp_path)) == 0
+        assert self.run_step(self.copy_tree(tmp_path, seeded)) != 0
+
+    def test_flags_from_imported_timer_in_gridt(self, tmp_path):
+        seeded = {_HOT_LOOP_FILES[1]: "\nfrom time import monotonic\n_T0 = monotonic()\n"}
+        assert self.run_step(self.copy_tree(tmp_path, seeded)) != 0
+
+    def test_timers_allowed_outside_hot_loop_files(self, tmp_path):
+        self.copy_tree(tmp_path)
+        (tmp_path / "src/repro/indexes/harness.py").write_text(
+            "import time\n\ndef stamp():\n    return time.perf_counter()\n"
+        )
+        assert self.run_step(tmp_path) == 0
+
+    def test_fails_when_a_hot_loop_file_moves(self, tmp_path):
+        self.copy_tree(tmp_path)
+        (tmp_path / _HOT_LOOP_FILES[0]).unlink()
+        assert self.run_step(tmp_path) != 0
+
+
+def test_ruff_enforces_bare_except():
+    """RL004 leaves bare ``except:`` to ruff's E722: the ruff config must
+    keep selecting it (through ``E7``) and must not ignore it."""
+    text = (repo_root() / "pyproject.toml").read_text()
+    section = text.split("[tool.ruff.lint]", 1)[1].split("\n[", 1)[0]
+    select = re.search(r"select\s*=\s*\[(.*?)\]", section, re.S).group(1)
+    ignore = re.search(r"ignore\s*=\s*\[(.*?)\]", section, re.S)
+    selected = set(re.findall(r'"([A-Z]+[0-9]*)"', select))
+    ignored = set(re.findall(r'"([A-Z]+[0-9]*)"', ignore.group(1) if ignore else ""))
+    assert selected & {"E", "E7", "E72", "E722"}
+    assert not ignored & {"E", "E7", "E72", "E722"}
+
+
+# ----------------------------------------------------------------------
+# Framework helpers shared by the rules
+# ----------------------------------------------------------------------
+_HIERARCHY = """
+    MESSAGE_ROUTING = {"worker": ("Ping",), "merger": ("Merge", "Ping")}
+    REPLY_MESSAGES = ("Pong",)
+    INTERNAL_DATACLASSES = ("Span",)
+
+    class RoleHost:
+        pass
+
+    class BaseHost(RoleHost):
+        pass
+
+    class LeafHost(BaseHost):
+        pass
+
+    class OtherHost(module.RoleHost):
+        pass
+
+    class Unrelated:
+        pass
+"""
+
+
+class TestFramework:
+    def project(self, tmp_path, source):
+        path = tmp_path / "fixture.py"
+        path.write_text(textwrap.dedent(source))
+        return build_project([path], root=tmp_path)
+
+    def test_subclasses_follow_every_chain(self, tmp_path):
+        found = self.project(tmp_path, _HIERARCHY).subclasses("RoleHost")
+        assert sorted(node.name for _, node in found) == ["BaseHost", "LeafHost", "OtherHost"]
+
+    def test_registry_names_union_the_tables(self, tmp_path):
+        project = self.project(tmp_path, _HIERARCHY)
+        assert project.registry_names() == {"Ping", "Merge", "Pong", "Span"}
+        assert project.registry_names(("REPLY_MESSAGES",)) == {"Pong"}
+
+    def test_registry_names_without_a_registry(self, tmp_path):
+        assert self.project(tmp_path, "X = 1\n").registry_names() == set()
+
+
+# ----------------------------------------------------------------------
 # RL008 — every def has a caller
 # ----------------------------------------------------------------------
 def lint_package(tmp_path, source, rules):
@@ -801,29 +925,30 @@ class TestRegistryMatchesRuntime:
         for name in names:
             assert dataclasses.is_dataclass(self._resolve(name)), name
 
-    def test_real_events_are_classified(self):
+    @pytest.mark.parametrize("module_name, base_name, expected", [
+        ("repro.runtime.telemetry", "TelemetryEvent",
+         {"SpanHop", "WindowSpan", "GaugeSample", "LifecycleEvent"}),
+        ("repro.runtime.profiling", "ProfileEvent",
+         {"MatchProfile", "RouteProfile", "DedupProfile"}),
+    ])
+    def test_real_events_are_classified(self, module_name, base_name, expected):
         """RL001 part 3 sees the event classes only because their modules
         are PROTOCOL_MODULES; hold the live subclasses to the registry."""
-        from repro.runtime import profiling, telemetry
-
         classified = (
             set(protocol.REPLY_MESSAGES)
             | set(protocol.PAYLOAD_DATACLASSES)
             | set(protocol.INTERNAL_DATACLASSES)
         )
-        for base, expected in (
-            (telemetry.TelemetryEvent, {"SpanHop", "WindowSpan", "GaugeSample", "LifecycleEvent"}),
-            (profiling.ProfileEvent, {"MatchProfile", "RouteProfile", "DedupProfile"}),
-        ):
-            assert base.__module__ in protocol.PROTOCOL_MODULES
-            module = importlib.import_module(base.__module__)
-            names = {
-                name
-                for name, value in vars(module).items()
-                if isinstance(value, type) and issubclass(value, base) and value is not base
-            }
-            assert names == expected
-            assert names <= classified
+        module = importlib.import_module(module_name)
+        base = getattr(module, base_name)
+        assert base.__module__ in protocol.PROTOCOL_MODULES
+        names = {
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, base) and value is not base
+        }
+        assert names == expected
+        assert names <= classified
 
     def test_role_hosts_exist_and_are_role_hosts(self):
         from repro.runtime.fabric import RoleHost
