@@ -18,7 +18,10 @@ inverted index of STS queries per cell:
 
 Matching an incoming object probes only the cell containing the object's
 location and only the posting lists of the object's own terms, then runs
-the full region + boolean-expression check on each candidate.
+the region + boolean-expression check on each candidate.  An
+all-singleton DNF query (every OR query, every one-keyword query) needs
+no text check once its posting list is reached: its posting key is one of
+its clauses, and the object holds that term.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..core.text import TermStatistics
 from .grid import CellCoord, UniformGrid
 from .inverted import InvertedIndex
 
-__all__ = ["GI2Index", "CellStats", "MatchOutcome"]
+__all__ = ["GI2Index", "CellStats", "MatchOutcome", "SUBSCRIBER"]
 
 
 @dataclass(frozen=True)
@@ -76,11 +79,21 @@ class MatchOutcome(NamedTuple):
 
 
 Pair = Tuple[CellCoord, str]
-#: A query-table value: the query, then what a candidate check reads —
-#: its region flattened to ``min_x, max_x, min_y, max_y`` and its clause
-#: when the expression is a single conjunction (``None`` for OR queries,
-#: which go through :meth:`BooleanExpression.matches`).
-QueryRecord = Tuple[STSQuery, float, float, float, float, Optional[FrozenSet[str]]]
+#: A query-table value ``(query, min_x, max_x, min_y, max_y, clause,
+#: subscriber_id)``: the query, what a candidate check reads — its region
+#: flattened and its text check ``clause <= terms`` — and what a result
+#: row carries.  ``clause`` is empty when every DNF clause is a single
+#: keyword: a posting key is always a member of one of the query's
+#: clauses, so an all-singleton DNF query needs no text check once its
+#: posting list is reached.  A conjunction of several keywords keeps its
+#: clause; mixed DNF holds ``None`` and goes through
+#: :meth:`BooleanExpression.matches`.
+QueryRecord = Tuple[STSQuery, float, float, float, float, Optional[FrozenSet[str]], int]
+#: The position of ``subscriber_id`` in a :data:`QueryRecord`.
+SUBSCRIBER = 6
+
+#: The ``clause`` of a query whose posting list implies its text.
+_POSTING_IMPLIES_TEXT: FrozenSet[str] = frozenset()
 
 
 class GI2Index:
@@ -154,7 +167,8 @@ class GI2Index:
 
     def records(self) -> Dict[int, QueryRecord]:
         """The query table itself (read-only for callers), query first —
-        the worker reads ``subscriber_id`` of a batch's matches off it."""
+        the worker reads a match's ``subscriber_id`` off it (field
+        :data:`SUBSCRIBER`)."""
         return self._queries
 
     # ------------------------------------------------------------------
@@ -219,13 +233,18 @@ class GI2Index:
             self._cell_query_counts[cell] += 1
         region = query.region
         clauses = query.expression.clauses
+        if all(len(keywords) == 1 for keywords in clauses):
+            clause: Optional[FrozenSet[str]] = _POSTING_IMPLIES_TEXT
+        else:
+            clause = clauses[0] if len(clauses) == 1 else None
         self._queries[query_id] = (
             query,
             region.min_x,
             region.max_x,
             region.min_y,
             region.max_y,
-            clauses[0] if len(clauses) == 1 else None,
+            clause,
+            query.subscriber_id,
         )
         self._query_bytes += query.size_bytes()
         self._query_cells[query_id] = used_cells
@@ -391,8 +410,17 @@ class GI2Index:
         posting lists of its own terms.  A candidate costs one table
         lookup: a miss is a stale posting (skipped, and its list rewritten
         once the object's lists are traversed), a hit yields the flat
-        record the region + expression check reads.  ``cells`` may carry
-        the objects' precomputed grid cells.
+        record the region + text check reads.  ``cells`` may carry the
+        objects' precomputed grid cells.
+
+        No set deduplicates candidates: a query posted twice in the cell
+        (two of its clauses share a posting key, or the object holds the
+        keys of two clauses) is checked at each posting.  The check is a
+        pure function of record and object, so a matching id enters the
+        found list once per posting; sorting drops the repeats and each
+        one gives back the check a dedup set would have skipped —
+        ``query_ids`` and ``checks`` are those of a loop that skips ids
+        already matched.
         """
         if cells is None:
             cell_at = self._grid.cell_at
@@ -402,6 +430,7 @@ class GI2Index:
         table_get = table.get
         object_counts = self._cell_object_counts
         empty = MatchOutcome((), 0)
+        new_tuple = tuple.__new__
         outcomes: List[MatchOutcome] = []
         stale_terms: Set[str] = set()
         # Deterministic counts only (a CI grep keeps wall-clock out of this
@@ -419,20 +448,18 @@ class GI2Index:
             if not hits:
                 outcomes.append(empty)
                 continue
-            matched: Set[int] = set()
+            found: List[int] = []
             checks = 0
             for term in hits:
                 postings = postings_map[term]
                 scanned += len(postings)
                 for query_id in postings:
-                    if query_id in matched:
-                        continue
                     record = table_get(query_id)
                     if record is None:
                         stale_terms.add(term)
                         continue
                     checks += 1
-                    query, min_x, max_x, min_y, max_y, clause = record
+                    query, min_x, max_x, min_y, max_y, clause, _ = record
                     if (
                         min_x <= x <= max_x
                         and min_y <= y <= max_y
@@ -442,7 +469,7 @@ class GI2Index:
                             else query.expression.matches(terms)
                         )
                     ):
-                        matched.add(query_id)
+                        found.append(query_id)
             if stale_terms:
                 for term in stale_terms:
                     # Stale postings do not count as scanned.
@@ -452,11 +479,13 @@ class GI2Index:
                 stale_terms.clear()
                 if not postings_map:
                     del cells_map[cell]
+            if len(found) > 1:
+                unique = set(found)
+                checks -= len(found) - len(unique)  # one per dropped repeat
+                found = sorted(unique)
             candidates += checks
-            matches += len(matched)
-            outcomes.append(
-                MatchOutcome(tuple(sorted(matched) if len(matched) > 1 else matched), checks)
-            )
+            matches += len(found)
+            outcomes.append(new_tuple(MatchOutcome, (tuple(found), checks)))
         counters = self.profile
         counters.cells_probed += len(set(cells))
         counters.postings_scanned += scanned

@@ -15,7 +15,7 @@ from ..core.costmodel import COST_MODEL, WorkerLoadCounters
 from ..core.geometry import Rect
 from ..core.objects import MatchResult, ObjectRow, SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
-from ..indexes.gi2 import CellStats, GI2Index
+from ..indexes.gi2 import SUBSCRIBER, CellStats, GI2Index
 from ..indexes.grid import CellCoord
 
 __all__ = ["QueryAssignment", "WorkerNode"]
@@ -123,20 +123,25 @@ class WorkerNode:
         total_checks = 0
         total_matches = 0
         results_append = results.append
-        for row, outcome in zip(rows, outcomes):
-            query_ids, checks = outcome
+        new_tuple = tuple.__new__
+        subscriber = SUBSCRIBER
+        for row, (query_ids, checks) in zip(rows, outcomes):
             total_checks += checks
-            total_matches += len(query_ids)
             cost = object_handling + match_check * checks
             total_cost += cost
             costs.append(cost)
-            object_id = row[0]
-            for query_id in query_ids:
-                results_append(
-                    MatchResult(
-                        query_id, object_id, records[query_id][0].subscriber_id, worker_id
+            if query_ids:
+                total_matches += len(query_ids)
+                object_id = row[0]
+                # One tuple build per result: the namedtuple's ``__new__``
+                # would add a Python frame.
+                for query_id in query_ids:
+                    results_append(
+                        new_tuple(
+                            MatchResult,
+                            (query_id, object_id, records[query_id][subscriber], worker_id),
+                        )
                     )
-                )
         self.counters.record_object_batch(len(rows), total_checks, total_matches)
         self.busy_cost += total_cost
         return results, costs

@@ -13,6 +13,7 @@ import dataclasses
 import importlib
 import io
 import re
+import shutil
 import subprocess
 import textwrap
 
@@ -604,6 +605,13 @@ def _ci_step_script(step_name):
     return "\n".join(script)
 
 
+def _run_ci_step(script, root):
+    """Exit code of a step script run in ``root`` as GitHub's ``shell:
+    bash`` runs it (``bash -eo pipefail``)."""
+    command = ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script]
+    return subprocess.run(command, cwd=root, capture_output=True, text=True).returncode
+
+
 class TestTimerFreeHotLoops:
     """The step fails on a clock read in gi2.py or gridt.py, in the
     attribute and the from-import form, and when either file moves."""
@@ -611,9 +619,7 @@ class TestTimerFreeHotLoops:
     SCRIPT = _ci_step_script("index hot loops are timer-free")
 
     def run_step(self, root):
-        # GitHub's ``shell: bash`` runs a step as ``bash -eo pipefail``.
-        command = ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", self.SCRIPT]
-        return subprocess.run(command, cwd=root, capture_output=True, text=True).returncode
+        return _run_ci_step(self.SCRIPT, root)
 
     def copy_tree(self, tmp_path, seeds=None):
         for relative in _HOT_LOOP_FILES:
@@ -646,6 +652,55 @@ class TestTimerFreeHotLoops:
         self.copy_tree(tmp_path)
         (tmp_path / _HOT_LOOP_FILES[0]).unlink()
         assert self.run_step(tmp_path) != 0
+
+
+#: Lint-job steps whose negated greps name files by path, with those
+#: paths (a glob stands for every file it matches).  ``! grep`` on a
+#: missing file exits 0, so each step lists its files first.
+_STEP_FILES = {
+    "deployment said once": (
+        "src/repro/runtime/transport.py",
+        "src/repro/runtime/dispatch.py",
+        "src/repro/runtime/merge.py",
+    ),
+    "where an endpoint lives is decided once": (
+        "src/repro/runtime/transport.py",
+        "src/repro/runtime/dispatch.py",
+        "src/repro/runtime/merge.py",
+        "src/repro/runtime/cluster.py",
+    ),
+    "one worker control plane": ("src/repro/adjustment/*.py", "src/repro/runtime/migration.py"),
+    "counters are state": ("src/repro/runtime/merger.py",),
+    "the latency trace is priced per signature": ("src/repro/runtime/metrics.py",),
+    "derived state is kept where it pays": (
+        "src/repro/indexes/gi2.py",
+        "src/repro/indexes/gridt.py",
+    ),
+}
+
+
+class TestGrepStepsNeedTheirFiles:
+    """Each step passes on the tree and fails on a copy of it missing any
+    one of the files its negated grep names."""
+
+    @pytest.mark.parametrize("step", sorted(_STEP_FILES))
+    def test_passes_on_the_tree(self, step):
+        assert _run_ci_step(_ci_step_script(step), repo_root()) == 0
+
+    @pytest.mark.parametrize(
+        "step, pattern",
+        [(step, pattern) for step in sorted(_STEP_FILES) for pattern in _STEP_FILES[step]],
+    )
+    def test_fails_when_a_named_file_is_gone(self, tmp_path, step, pattern):
+        ignore = shutil.ignore_patterns("__pycache__")
+        for top in ("src", "tests", "tools"):
+            shutil.copytree(repo_root() / top, tmp_path / top, ignore=ignore)
+        assert _run_ci_step(_ci_step_script(step), tmp_path) == 0
+        removed = list(tmp_path.glob(pattern))
+        assert removed
+        for path in removed:
+            path.unlink()
+        assert _run_ci_step(_ci_step_script(step), tmp_path) != 0
 
 
 def test_ruff_enforces_bare_except():

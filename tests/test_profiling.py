@@ -37,7 +37,14 @@ from repro.runtime.profiling import (
     profile_text,
 )
 
-from harness import BOUNDS, global_scenario, make_alpha_beta_workload, needs_cores, replayed
+from harness import (
+    BOUNDS,
+    global_scenario,
+    golden_workload,
+    make_alpha_beta_workload,
+    needs_cores,
+    replayed,
+)
 
 
 def object_count(tuples):
@@ -202,6 +209,48 @@ class TestCountersAreState:
         for before, after in zip(first[1:], second[1:]):
             assert after.probes >= before.probes
             assert after.fallback_routes >= before.fallback_routes
+
+
+# ----------------------------------------------------------------------
+# Pinned counts: a hot-loop rewrite must do the same work
+# ----------------------------------------------------------------------
+class TestPinnedCounts:
+    """The summed counters of fixed replays, recorded before the GI2 match
+    kernel stopped calling ``BooleanExpression.matches`` for all-singleton
+    queries and dropped its dedup set for single-list objects.  A faster
+    kernel must leave every count equal: the counters measure the work the
+    paper's algorithm does, not how the loop is written.
+
+    ``us-Q1-hybrid`` is a golden workload (AND and OR queries); the
+    alpha/beta workload puts both keys of an OR query in one cell, so an
+    object walks two lists holding the same id and the merger drops
+    replicas.  ``cells_probed`` counts distinct cells per batch, hence the
+    two drivers differ there and nowhere else.
+    """
+
+    #: ``(cells_probed, postings_scanned, candidates, matches)``,
+    #: ``(probes, fallback_routes)``, ``(lookups, duplicates)``.
+    PINNED = {
+        ("us-Q1-hybrid", 0): ((272, 421, 420, 35), (1038, 462), (35, 0)),
+        ("us-Q1-hybrid", 64): ((246, 421, 420, 35), (1038, 462), (35, 0)),
+        ("alphabeta", 0): ((742, 2274, 2120, 1988), (584, 16), (1988, 917)),
+        ("alphabeta", 64): ((740, 2274, 2120, 1988), (584, 16), (1988, 917)),
+    }
+
+    @pytest.mark.parametrize("name, batch_size", sorted(PINNED))
+    def test_counts_equal_the_recorded_ones(self, workload, name, batch_size):
+        plan, tuples = workload if name == "alphabeta" else golden_workload(name)
+        with replayed(plan, tuples, batch_size=batch_size) as (cluster, _):
+            profile = cluster.profile_report()
+
+        def summed(events, *fields):
+            return tuple(sum(getattr(event, field) for event in events) for field in fields)
+
+        assert (
+            summed(profile.matchers, "cells_probed", "postings_scanned", "candidates", "matches"),
+            summed(profile.routers, "probes", "fallback_routes"),
+            summed(profile.mergers, "lookups", "duplicates"),
+        ) == self.PINNED[name, batch_size]
 
 
 # ----------------------------------------------------------------------
