@@ -68,6 +68,13 @@ class UniformGrid:
             row = self.rows - 1
         return (col, row)
 
+    def frame(self) -> Tuple[float, float, float, float, int, int]:
+        """``(min_x, min_y, cell width, cell height, last column, last row)``:
+        what a hot loop needs to compute :meth:`cell_at` inline."""
+        bounds = self.bounds
+        return (bounds.min_x, bounds.min_y, self.cell_width, self.cell_height,
+                self.columns - 1, self.rows - 1)
+
     def cell_rect(self, cell: CellCoord) -> Rect:
         """The spatial extent of ``cell``."""
         col, row = cell

@@ -349,14 +349,7 @@ class GridTIndex:
         self, objects: Sequence[SpatioTextualObject]
     ) -> List[Tuple[int, ...]]:
         """One :meth:`route_cell` decision per object of a run, in order."""
-        grid = self._grid
-        bounds = grid.bounds
-        min_x = bounds.min_x
-        min_y = bounds.min_y
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        max_col = grid.columns - 1
-        max_row = grid.rows - 1
+        min_x, min_y, cell_w, cell_h, max_col, max_row = self._grid.frame()
         route_cell = self.route_cell
         decisions: List[Tuple[int, ...]] = []
         append = decisions.append
@@ -419,16 +412,26 @@ class GridTIndex:
         Equivalent to :meth:`posting_assignments` + :meth:`apply_insertion`
         with the assignments grouped by worker.
         """
+        return self._plan_apply(query, True)
+
+    def deletion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
+        """Deletion twin of :meth:`insertion_plan_apply`: the same scan
+        drops the H2 postings instead.
+
+        The plan equals :meth:`posting_assignments` grouped by worker: the
+        keyword choice is deterministic and every H1 mutation carries the
+        H2 postings it reassigns along, so it names exactly the pairs H2
+        holds for the query.
+        """
+        return self._plan_apply(query, False)
+
+    def _plan_apply(self, query: STSQuery, insert: bool) -> Tuple[WorkerPlan, int]:
+        """The one cell/keyword/worker resolution loop of both update plans;
+        ``insert`` is the direction of the H2 change (a deletion leaves an
+        uncovered cell uncreated: it holds no posting to drop)."""
         posting_keys = query.expression.posting_keywords(self._statistics)
-        grid = self._grid
-        bounds = grid.bounds
         region = query.region
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        max_col = grid.columns - 1
-        max_row = grid.rows - 1
-        min_x = bounds.min_x
-        min_y = bounds.min_y
+        min_x, min_y, cell_w, cell_h, max_col, max_row = self._grid.frame()
         lo_col = int((region.min_x - min_x) / cell_w)
         lo_row = int((region.min_y - min_y) / cell_h)
         hi_col = int((region.max_x - min_x) / cell_w)
@@ -444,7 +447,7 @@ class GridTIndex:
         # posting_assignments); the single-key fast path needs no sort.
         single_key = next(iter(posting_keys)) if len(posting_keys) == 1 else None
         keys_tuple = (single_key,) if single_key is not None else tuple(sorted(posting_keys))
-        grown = 0
+        delta = 0
         for row in range(lo_row, hi_row + 1):
             for col in range(lo_col, hi_col + 1):
                 coord = (col, row)
@@ -463,40 +466,41 @@ class GridTIndex:
                         worker = self._fallback_worker(key)
                         if worker is None:
                             continue
-                    if cell is None:
-                        cell = GridTCell()
-                        cells_map[coord] = cell
-                    owners = cell.h2.get(key)
-                    if owners is None:
-                        cell.h2[key] = {worker: 1}
-                        grown += _ENTRY_BYTES + len(key) + _OWNER_BYTES
-                    else:
-                        count = owners.get(worker)
-                        if count is None:
-                            owners[worker] = 1
-                            grown += _OWNER_BYTES
+                    if insert:
+                        if cell is None:
+                            cell = GridTCell()
+                            cells_map[coord] = cell
+                        owners = cell.h2.get(key)
+                        if owners is None:
+                            cell.h2[key] = {worker: 1}
+                            delta += _ENTRY_BYTES + len(key) + _OWNER_BYTES
                         else:
-                            owners[worker] = count + 1
+                            count = owners.get(worker)
+                            if count is None:
+                                owners[worker] = 1
+                                delta += _OWNER_BYTES
+                            else:
+                                owners[worker] = count + 1
+                    elif cell is not None:
+                        h2 = cell.h2
+                        owners = h2.get(key)
+                        if owners:
+                            count = owners.get(worker, 0)
+                            if count > 1:
+                                owners[worker] = count - 1
+                            elif owners.pop(worker, None) is not None:
+                                if owners:
+                                    delta -= _OWNER_BYTES
+                                else:
+                                    del h2[key]
+                                    delta -= _ENTRY_BYTES + len(key) + _OWNER_BYTES
                     pairs = per_worker.get(worker)
                     if pairs is None:
                         per_worker[worker] = [(coord, key)]
                     else:
                         pairs.append((coord, key))
-        self._h2_bytes += grown
+        self._h2_bytes += delta
         cells = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
-        return per_worker, cells
-
-    def deletion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
-        """Deletion twin of :meth:`insertion_plan_apply`: plan, then drop H2.
-
-        The plan is :meth:`posting_assignments` grouped by worker: the
-        keyword choice is deterministic and every H1 mutation carries the
-        H2 postings it reassigns along, so it names exactly the pairs H2
-        holds for the query.
-        """
-        triples, cells = self.posting_assignments(query)
-        per_worker = group_triples(triples)
-        self.apply_deletion_pairs(per_worker)
         return per_worker, cells
 
     def apply_deletion_pairs(self, per_worker: WorkerPlan) -> None:
@@ -526,6 +530,32 @@ class GridTIndex:
                         del h2[key]
                         freed += _ENTRY_BYTES + len(key) + _OWNER_BYTES
         self._h2_bytes -= freed
+
+    def apply_insertion_pairs(self, per_worker: WorkerPlan) -> None:
+        """Record H2 postings for a per-worker plan: the insertion twin of
+        :meth:`apply_deletion_pairs` (:meth:`GridTCell.add_posting` per
+        pair, inlined)."""
+        cells_map = self._cells
+        cells_get = cells_map.get
+        grown = 0
+        for worker, pairs in per_worker.items():
+            for coord, key in pairs:
+                cell = cells_get(coord)
+                if cell is None:
+                    cell = cells_map[coord] = GridTCell()
+                h2 = cell.h2
+                owners = h2.get(key)
+                if owners is None:
+                    h2[key] = {worker: 1}
+                    grown += _ENTRY_BYTES + len(key) + _OWNER_BYTES
+                else:
+                    count = owners.get(worker)
+                    if count is None:
+                        owners[worker] = 1
+                        grown += _OWNER_BYTES
+                    else:
+                        owners[worker] = count + 1
+        self._h2_bytes += grown
 
     def apply_insertion(self, assignments: Iterable[Tuple[CellCoord, str, int]]) -> Set[int]:
         """Record H2 postings for precomputed assignments; returns the workers."""

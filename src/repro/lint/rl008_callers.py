@@ -32,7 +32,9 @@ ALLOWED: Dict[str, str] = {
     "handle_object": "e2e tracer target: the per-tuple worker match op",
     "insertion_assignments": "e2e tracer target: the per-tuple insertion plan",
     "route_deletion": "e2e tracer target: per-tuple deletion routing",
+    "route_object": "single-object routing: the tests' oracle of route_cell, an e2e tracer target",
     # Called from benchmarks/.
+    "route_object_batch": "bench.py's isolated re-route of the body (gridt.route_probe_s)",
     "report_at": "fig08 reads each experiment's report at a common input rate",
     "RQIndex": "the worker-index ablation's alternative to GI2",
     "to_kdt_tree": "the routing ablation builds the kdt-tree from a plan",

@@ -482,14 +482,7 @@ class Cluster:
         routing = self.routing_index
         num_dispatchers = len(self.dispatchers)
 
-        grid = routing.grid
-        bounds = grid.bounds
-        min_x = bounds.min_x
-        min_y = bounds.min_y
-        cell_w = grid.cell_width
-        cell_h = grid.cell_height
-        max_col = grid.columns - 1
-        max_row = grid.rows - 1
+        min_x, min_y, cell_w, cell_h, max_col, max_row = routing.grid.frame()
 
         window = _WindowRun(items, base, num_dispatchers, trace)
         trace_costs = window.trace_costs
@@ -604,11 +597,7 @@ class Cluster:
                 else:
                     is_insert, per_worker, cells = plans[position]
                     if is_insert:
-                        routing.apply_insertion(
-                            (coord, key, worker)
-                            for worker, pairs in per_worker.items()
-                            for coord, key in pairs
-                        )
+                        routing.apply_insertion_pairs(per_worker)
                     else:
                         routing.apply_deletion_pairs(per_worker)
                 pending_updates.append(

@@ -14,7 +14,10 @@ its slice on its **own replica** of the routing index:
   holds a full copy of the routing structure;
 * each shard routes only its *own* objects — the expensive part of
   dispatch (per-term H2 probes, worker-set unions) — and returns one
-  position-tagged decision per object;
+  position-tagged decision per object.  One pass merges the object rows
+  and the updates in stream order, computing each object's cell as the
+  coordinator's window scan does and calling ``route_cell`` on it, so a
+  shard pays what inline routing of its slice would;
 * the coordinator merges the shard replies by stream position into one
   :class:`RoutedWindow` and replays the deferred-barrier segmentation of
   the batched engine over it, so each worker receives exactly the same
@@ -65,7 +68,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.counters import RouteProfile
-from ..core.geometry import Point
 from ..core.objects import ObjectRow, StreamTuple, TupleKind
 from ..indexes.gridt import WorkerPlan
 from .fabric import Fleet, RoleHost, TierBackend, TransportError, make_fleet, register_role
@@ -90,21 +92,6 @@ __all__ = [
 #: one row shape: the worker hop's :data:`~repro.core.objects.ObjectRow`
 #: holds the object id where the probe holds the window position.
 ObjectProbe = ObjectRow
-
-
-class _RoutingProbe:
-    """Lightweight stand-in exposing the two fields routing reads.
-
-    ``GridTIndex.route_object(_batch)`` only touches ``location`` and
-    ``terms``; reconstructing this probe on the shard (in parallel) is
-    cheaper than pickling whole objects on the coordinator (serially).
-    """
-
-    __slots__ = ("location", "terms")
-
-    def __init__(self, location: Point, terms: Any) -> None:
-        self.location = location
-        self.terms = terms
 
 
 # ----------------------------------------------------------------------
@@ -266,46 +253,48 @@ class _ShardRouter:
         List[Tuple[int, Tuple[int, ...]]],
         List[Tuple[int, bool, WorkerPlan, int]],
     ]:
-        """Route one window slice in stream order.
+        """Route one window slice in stream order, in one pass.
 
         Every update is applied to the replica at its stream position so
-        later objects observe its H2 effect; runs of owned objects between
-        updates are routed through ``route_object_batch`` (the same
-        ``route_cell`` rule the serial batched engine uses).
+        later objects observe its H2 effect; each owned object between
+        them is routed by ``route_cell`` on the cell the coordinator's
+        window scan computes (the same clamp to the grid), straight from
+        its row.
         """
         index = self.index
         if index is None:
             raise TransportError("dispatch shard %d routed before sync" % self.shard_id)
+        min_x, min_y, cell_w, cell_h, max_col, max_row = index.grid.frame()
+        route_cell = index.route_cell
         decisions: List[Tuple[int, Tuple[int, ...]]] = []
+        decide = decisions.append
         plans: List[Tuple[int, bool, WorkerPlan, int]] = []
-        route_batch = index.route_object_batch
         oi = 0
         total = len(objects)
-        for upos, item in updates:
-            start = oi
-            while oi < total and objects[oi][0] < upos:
+        # A sentinel update past every position routes the objects after
+        # the last real update.
+        for upos, item in (*updates, (float("inf"), None)):
+            while oi < total:
+                position, x, y, terms = objects[oi]
+                if position > upos:
+                    break
                 oi += 1
-            if oi > start:
-                run = objects[start:oi]
-                for (position, _, _, _), decision in zip(
-                    run,
-                    route_batch(
-                        [_RoutingProbe(Point(x, y), terms) for _, x, y, terms in run]
-                    ),
-                ):
-                    decisions.append((position, decision))
+                col = int((x - min_x) / cell_w)
+                row = int((y - min_y) / cell_h)
+                if col < 0:
+                    col = 0
+                elif col > max_col:
+                    col = max_col
+                if row < 0:
+                    row = 0
+                elif row > max_row:
+                    row = max_row
+                decide((position, route_cell((col, row), terms)))
+            if item is None:
+                break
             is_insert, per_worker, cells = plan_update(index, item)
             if (base + upos) % self.num_shards == self.shard_id:
                 plans.append((upos, is_insert, per_worker, cells))
-        if oi < total:
-            run = objects[oi:]
-            for (position, _, _, _), decision in zip(
-                run,
-                route_batch(
-                    [_RoutingProbe(Point(x, y), terms) for _, x, y, terms in run]
-                ),
-            ):
-                decisions.append((position, decision))
         return decisions, plans
 
     def memory_bytes(self) -> int:

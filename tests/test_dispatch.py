@@ -9,13 +9,27 @@ that worker-observable outcomes do not depend on the shard *count*, and
 the shards' own mechanics.
 """
 
+import copy
+import pickle
+
 import pytest
 
+from repro.core import Point, Rect, SpatioTextualObject, STSQuery, TermStatistics
+from repro.core.objects import StreamTuple, TupleKind
+from repro.indexes.gridt import GridTIndex
 from repro.runtime import (
     Cluster,
     ClusterConfig,
     InProcessDispatch,
     TransportError,
+)
+
+from repro.runtime.dispatch import (
+    DispatchHost,
+    RouteWindow,
+    SyncRoutingIndex,
+    _split_window,
+    plan_update,
 )
 
 from harness import make_workload, run
@@ -127,3 +141,72 @@ class TestDispatchMechanics:
         router = _ShardRouter(0, 2)
         with pytest.raises(TransportError, match="before sync"):
             router.route_window([], [], 0)
+
+
+class TestShardRowLoop:
+    """The shard's one pass over object rows and updates, held to the
+    sequential rules on a copy of the index."""
+
+    def test_clamped_uncovered_and_interleaved_updates(self):
+        stats = TermStatistics()
+        stats.add_document(["kobe"] * 5 + ["jazz"] * 3 + ["music"])
+        # Left half space-partitioned, a text square top right; the bottom
+        # right quarter is uncovered (fallback).
+        index = GridTIndex.from_assignments(
+            Rect(0, 0, 100, 100),
+            [(Rect(0, 0, 50, 100), None, 0),
+             (Rect(50, 50, 100, 100), {"kobe": 1, "jazz": 2, "music": 2}, 1)],
+            granularity=10, term_statistics=stats, object_filtering=True,
+        )
+        resident = STSQuery.create("kobe OR music", Rect(0, 0, 100, 100))
+        index.insertion_plan_apply(resident)
+        early = STSQuery.create("jazz", Rect(60, 5, 95, 40))    # uncovered cells
+        late = STSQuery.create("jazz AND kobe", Rect(0, 80, 100, 100))
+
+        def obj(text, x, y):
+            return StreamTuple.object(SpatioTextualObject.create(text, Point(x, y)))
+
+        items = [
+            StreamTuple.insert(early),
+            obj("jazz", 70, 20),           # uncovered cell, fallback posting
+            obj("kobe", -30, 120),         # outside the bounds: clamped
+            obj("music", 250, -4),         # clamped into an uncovered corner
+            StreamTuple.delete(resident),
+            obj("kobe music", 20, 20),
+            obj("jazz", 99.99, 5),
+            StreamTuple.insert(late),
+            obj("jazz kobe", 75, 90),
+            obj("jazz", 70, 20),
+            StreamTuple.delete(early),
+            StreamTuple.insert(resident),
+        ]
+        base, num_shards = 1, 2
+        oracle = copy.deepcopy(index)
+        expected_decisions, expected_plans = {}, {}
+        for position, item in enumerate(items):
+            if item.kind is TupleKind.OBJECT:
+                location = item.payload.location
+                cell = oracle.grid.cell_at(location.x, location.y)
+                expected_decisions[position] = oracle.route_cell(cell, item.payload.terms)
+            else:
+                expected_plans[position] = plan_update(oracle, item)
+        assert any(expected_decisions.values()) and not all(expected_decisions.values())
+
+        payload = pickle.dumps(index)
+        object_slices, updates = _split_window(items, base, num_shards)
+        decisions, plans = {}, {}
+        for shard_id in range(num_shards):
+            host = DispatchHost(shard_id, {"num_shards": num_shards})
+            host.handle(SyncRoutingIndex(payload, 1))
+            reply = host.handle(RouteWindow(1, base, object_slices[shard_id], updates))
+            for position, decision in reply.decisions:
+                decisions[position] = decision
+            for position, is_insert, per_worker, cells in reply.plans:
+                plans[position] = (is_insert, per_worker, cells)
+            replica = host.router.index
+            assert replica.memory_bytes() == oracle.memory_bytes()
+            assert {c: cell.h2 for c, cell in replica.cells().items()} == {
+                c: cell.h2 for c, cell in oracle.cells().items()
+            }
+        assert decisions == expected_decisions
+        assert plans == expected_plans

@@ -1,11 +1,13 @@
 """Unit tests for the gridt dispatcher routing index (Section IV-C)."""
 
+import copy
 from zlib import crc32
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import Point, Rect, STSQuery, SpatioTextualObject, TermStatistics
-from repro.indexes.gridt import GridTIndex, group_triples
+from repro.indexes.gridt import _CELL_BYTES, GridTIndex, group_triples
 
 
 BOUNDS = Rect(0, 0, 100, 100)
@@ -278,3 +280,69 @@ class TestDynamicAdjustmentHooks:
         assert index.route_cell(cell, terms) == (5,)
         index.apply_deletion_pairs({5: [(cell, "music")]})
         assert index.route_cell(cell, terms) == ()
+
+
+def _h2(index):
+    """Every non-empty H2 map, copied."""
+    return {
+        coord: {key: dict(owners) for key, owners in cell.h2.items()}
+        for coord, cell in index.cells().items()
+        if cell.h2
+    }
+
+
+_TEXTS = ["kobe", "music OR jazz", "kobe AND retired", "jazz AND music",
+          "retired OR kobe OR music", "blues"]
+_QUERIES = st.builds(
+    lambda text, x, y, w, h: STSQuery.create(text, Rect(x, y, x + w, y + h)),
+    st.sampled_from(_TEXTS),
+    st.floats(-20, 110), st.floats(-20, 110), st.floats(0, 45), st.floats(0, 45),
+)
+
+
+class TestOnePassDeletion:
+    """``deletion_plan_apply`` shares the insertion's resolution loop: its
+    plan is the grouped ``posting_assignments`` read, in order, and its H2
+    effect that of ``apply_deletion_pairs`` on that plan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        resident=st.lists(_QUERIES, min_size=1, max_size=12),
+        fresh=_QUERIES,
+        migrated=st.tuples(st.integers(0, 9), st.integers(0, 5)),
+        data=st.data(),
+    )
+    def test_plan_and_h2_match_the_three_pass_deletion(self, resident, fresh, migrated, data):
+        stats = TermStatistics()
+        stats.add_document(["kobe"] * 10 + ["retired"] * 2 + ["music"] * 8 + ["jazz"])
+        # Space on the left, text bottom right, the top-right corner uncovered.
+        index = GridTIndex.from_assignments(
+            BOUNDS,
+            [(Rect(0, 0, 50, 100), None, 0),
+             (Rect(50, 0, 100, 60), {"kobe": 1, "retired": 1, "music": 2, "jazz": 2}, 1)],
+            granularity=10,
+            term_statistics=stats,
+        )
+        for query in resident:
+            index.insertion_plan_apply(query)
+        index.migrate_cells([migrated], index.cells()[migrated].default_worker, 3)
+
+        h2, memory, cells = _h2(index), index.memory_bytes(), len(index.cells())
+        inserted = index.insertion_plan_apply(fresh)
+        deleted = index.deletion_plan_apply(fresh)
+        assert list(deleted[0].items()) == list(inserted[0].items())
+        assert deleted[1] == inserted[1]
+        assert _h2(index) == h2
+        # Only the empty cells an uncovered insertion created stay behind.
+        assert index.memory_bytes() == memory + _CELL_BYTES * (len(index.cells()) - cells)
+
+        twin = copy.deepcopy(index)
+        for query in data.draw(st.permutations(resident)):
+            triples, probed = index.posting_assignments(query)
+            expected = group_triples(triples)
+            plan, cells = index.deletion_plan_apply(query)
+            assert list(plan.items()) == list(expected.items())
+            assert cells == probed
+            twin.apply_deletion_pairs(expected)
+            assert _h2(index) == _h2(twin)
+            assert index.memory_bytes() == twin.memory_bytes()
