@@ -104,6 +104,11 @@ class DualRoutingIndex:
         self.new_index.migrate_cells(coords, from_worker, to_worker)
         self.old_index.migrate_cells(coords, from_worker, to_worker)
 
+    def replace_fallback_worker(self, worker_id: int, target: int) -> None:
+        """A recovery during a drain remaps both fallback tables."""
+        self.new_index.replace_fallback_worker(worker_id, target)
+        self.old_index.replace_fallback_worker(worker_id, target)
+
     def split_cell_by_text(self, coord, term_assignment, default_worker=None) -> None:
         """A Phase I split during a drain must hit both structures.
 

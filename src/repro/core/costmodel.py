@@ -120,12 +120,6 @@ class WorkerLoadCounters:
         self.match_checks += checks
         self.matches += matches
 
-    def record_insertion(self, count: int = 1) -> None:
-        self.insertions += count
-
-    def record_deletion(self, count: int = 1) -> None:
-        self.deletions += count
-
     def reset(self) -> None:
         self.objects = 0
         self.insertions = 0

@@ -109,19 +109,20 @@ class BooleanExpression:
             result |= clause
         return result
 
-    def posting_keywords(self, statistics: Optional[TermStatistics] = None) -> Set[str]:
+    def posting_keywords(self, statistics: Optional[TermStatistics] = None) -> Tuple[str, ...]:
         """Keywords under which the query should be posted in an inverted index.
 
         One keyword per clause: the least frequent one according to
         ``statistics`` (Section IV-C / IV-D).  Without statistics the
         lexicographically smallest keyword is used, which is deterministic
         and still correct (any member of the clause is a valid posting key).
+        Returned sorted and without repeats, so the posting *sequence* is
+        the same in every process (a set's iteration order is not).
 
         The term statistics are frozen at partitioning time, so the choice
         is deterministic per statistics object; it is memoised on the
         expression (the hot routing/indexing paths recompute it for every
-        insertion, deletion and posting otherwise).  Callers must treat the
-        returned set as read-only.
+        insertion, deletion and posting otherwise).
 
         The memo is process-local: it never crosses a pickle (see
         :meth:`__reduce__`), so a received expression recomputes it on
@@ -138,10 +139,11 @@ class BooleanExpression:
                 chosen = min(clause)
             if chosen is not None:
                 keys.add(chosen)
+        ordered = tuple(sorted(keys))
         # The dataclass is frozen; the memo is not a field, so equality and
         # hashing are unaffected.
-        object.__setattr__(self, "_posting_cache", (statistics, keys))
-        return keys
+        object.__setattr__(self, "_posting_cache", (statistics, ordered))
+        return ordered
 
     def __reduce__(self) -> Tuple[Any, ...]:
         """Pickle the declared fields positionally (the fabric's wire contract).

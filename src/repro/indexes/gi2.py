@@ -131,7 +131,10 @@ class GI2Index:
         self._tombstones: Dict[int, List[Pair]] = {}
         self._unswept_deletions = 0
         self._statistics = term_statistics
-        self._cell_query_counts: Counter = Counter()
+        #: Definition-3 inputs per cell: live queries posted there (a plain
+        #: dict: the update path reads it with ``get``), and objects
+        #: matched there in the period.
+        self._cell_query_counts: Dict[CellCoord, int] = {}
         self._cell_object_counts: Counter = Counter()
         #: What :meth:`match_batch` did so far (:mod:`repro.core.counters`):
         #: always counting, flushed once per batch.
@@ -208,33 +211,27 @@ class GI2Index:
         cells_map = self._cells
         used_cells: Set[CellCoord] = set()
         last_coord: Optional[CellCoord] = None
-        inverted: Optional[InvertedIndex] = None
-        postings: Optional[Dict[str, List[int]]] = None
-        run = 0
-        created = 0
+        inverted: InvertedIndex  # bound at the first pair: its coord is new
+        postings: Dict[str, List[int]] = {}
         for coord, key in pairs:
             if coord != last_coord:
-                if run:
-                    inverted.note_appended(run)
-                    run = 0
-                inverted = cells_map.get(coord)
-                if inverted is None:
-                    inverted = InvertedIndex()
-                    cells_map[coord] = inverted
-                postings = inverted.postings_map()
+                found = cells_map.get(coord)
+                if found is None:
+                    found = cells_map[coord] = InvertedIndex()
+                inverted = found
+                postings = inverted.by_term
                 last_coord = coord
                 used_cells.add(coord)
             postings[key].append(query_id)
-            run += 1
-            created += 1
-        if run:
-            inverted.note_appended(run)
+            inverted.entry_count += 1
+        counts = self._cell_query_counts
         for cell in used_cells:
-            self._cell_query_counts[cell] += 1
+            counts[cell] = counts.get(cell, 0) + 1
         region = query.region
         clauses = query.expression.clauses
-        if all(len(keywords) == 1 for keywords in clauses):
-            clause: Optional[FrozenSet[str]] = _POSTING_IMPLIES_TEXT
+        clause: Optional[FrozenSet[str]]
+        if max(map(len, clauses)) == 1:
+            clause = _POSTING_IMPLIES_TEXT
         else:
             clause = clauses[0] if len(clauses) == 1 else None
         self._queries[query_id] = (
@@ -249,7 +246,7 @@ class GI2Index:
         self._query_bytes += query.size_bytes()
         self._query_cells[query_id] = used_cells
         self._query_postings[query_id] = list(pairs)
-        return created
+        return len(pairs)
 
     def add_pairs(self, query: STSQuery, pairs: Sequence[Pair]) -> int:
         """Merge ``(cell, posting keyword)`` registrations into the index.
@@ -268,6 +265,7 @@ class GI2Index:
         recorded = self._query_postings[query_id]
         cells = self._query_cells[query_id]
         cells_map = self._cells
+        counts = self._cell_query_counts
         created = 0
         for coord, key in pairs:
             inverted = cells_map.get(coord)
@@ -278,7 +276,7 @@ class GI2Index:
             recorded.append((coord, key))
             if coord not in cells:
                 cells.add(coord)
-                self._cell_query_counts[coord] += 1
+                counts[coord] = counts.get(coord, 0) + 1
             created += 1
         return created
 
@@ -377,8 +375,9 @@ class GI2Index:
         """One live query fewer in each of ``cells`` (Definition-3 counts)."""
         counts = self._cell_query_counts
         for cell in cells:
-            if counts[cell] > 0:
-                counts[cell] -= 1
+            count = counts.get(cell, 0)
+            if count > 0:
+                counts[cell] = count - 1
 
     def _drop_postings(self, query_id: int, pairs: Iterable[Pair]) -> None:
         """Physically remove ``query_id`` from the lists of ``pairs``; an
@@ -442,7 +441,7 @@ class GI2Index:
             if inverted is None:
                 outcomes.append(empty)
                 continue
-            postings_map = inverted.postings_map()
+            postings_map = inverted.by_term
             # Intersect at C speed: only resident terms are probed.
             hits = terms & postings_map.keys()
             if not hits:

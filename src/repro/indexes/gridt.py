@@ -160,6 +160,8 @@ class GridTIndex:
         object's terms.
         """
         self._grid = UniformGrid(bounds, granularity, granularity)
+        #: :meth:`UniformGrid.frame`, read by every update plan.
+        self._frame = self._grid.frame()
         self._cells: Dict[CellCoord, GridTCell] = {}
         self._statistics = term_statistics
         self.object_filtering = object_filtering
@@ -169,6 +171,10 @@ class GridTIndex:
         #: ``(H1 bytes, sorted H1 owners)``, derived on demand and dropped
         #: by every H1 mutator (:meth:`_h1_state`).
         self._h1: Optional[Tuple[int, Tuple[int, ...]]] = None
+        #: What a term in an uncovered cell is hashed over
+        #: (:meth:`fallback_workers`): the H1 owners once the cells are
+        #: assigned, kept through every later H1 change.
+        self._fallback: Optional[Tuple[int, ...]] = None
         #: What :meth:`route_cell` did so far (:mod:`repro.core.counters`):
         #: always counting, one increment per call.  A fresh index counts
         #: into its own holder; whoever replaces an index mid-run (a shard
@@ -203,7 +209,7 @@ class GridTIndex:
         cell = self.cell(coord)
         cell.default_worker = worker_id
         cell.term_workers = None
-        self._h1 = None
+        self._h1 = self._fallback = None
 
     def set_cell_term_map(
         self,
@@ -223,7 +229,7 @@ class GridTIndex:
         cell = self.cell(coord)
         cell.term_workers = term_workers if share else dict(term_workers)
         cell.default_worker = default_worker
-        self._h1 = None
+        self._h1 = self._fallback = None
 
     @classmethod
     def from_assignments(
@@ -377,13 +383,14 @@ class GridTIndex:
         statistics are frozen at partitioning time).  The cell count — grid
         cells overlapping the region — is what the dispatcher is charged for.
 
-        Posting keywords are visited in sorted order so the assignment
-        *sequence* (not just its content) is identical on every replica of
-        this index — sharded dispatch compares per-worker plans computed
-        in different OS processes, where raw set iteration order diverges.
+        Posting keywords are visited in their sorted order so the
+        assignment *sequence* (not just its content) is identical on every
+        replica of this index — sharded dispatch compares per-worker plans
+        computed in different OS processes, where set iteration order
+        diverges.
         """
         assignments: List[Tuple[CellCoord, str, int]] = []
-        posting_keys = sorted(query.expression.posting_keywords(self._statistics))
+        posting_keys = query.expression.posting_keywords(self._statistics)
         coords = self._grid.cells_overlapping(query.region)
         cells_get = self._cells.get
         for coord in coords:
@@ -431,7 +438,7 @@ class GridTIndex:
         uncovered cell uncreated: it holds no posting to drop)."""
         posting_keys = query.expression.posting_keywords(self._statistics)
         region = query.region
-        min_x, min_y, cell_w, cell_h, max_col, max_row = self._grid.frame()
+        min_x, min_y, cell_w, cell_h, max_col, max_row = self._frame
         lo_col = int((region.min_x - min_x) / cell_w)
         lo_row = int((region.min_y - min_y) / cell_h)
         hi_col = int((region.max_x - min_x) / cell_w)
@@ -443,36 +450,37 @@ class GridTIndex:
         cells_map = self._cells
         cells_get = cells_map.get
         per_worker: WorkerPlan = {}
-        # Sorted keys keep the plan sequence replica-independent (see
-        # posting_assignments); the single-key fast path needs no sort.
-        single_key = next(iter(posting_keys)) if len(posting_keys) == 1 else None
-        keys_tuple = (single_key,) if single_key is not None else tuple(sorted(posting_keys))
         delta = 0
+        term_workers: Optional[Mapping[str, int]]
+        default: Optional[int]
+        h2: Optional[Dict[str, Dict[int, int]]]
         for row in range(lo_row, hi_row + 1):
             for col in range(lo_col, hi_col + 1):
                 coord = (col, row)
                 cell = cells_get(coord)
-                for key in keys_tuple:
-                    if cell is not None:
-                        term_workers = cell.term_workers
-                        worker = (
-                            term_workers.get(key) if term_workers is not None else None
-                        )
-                        if worker is None:
-                            worker = cell.default_worker
-                    else:
-                        worker = None
+                if cell is None:
+                    term_workers = default = h2 = None
+                else:
+                    term_workers = cell.term_workers
+                    default = cell.default_worker
+                    h2 = cell.h2
+                # Sorted keys keep the plan sequence replica-independent
+                # (see posting_assignments).
+                for key in posting_keys:
+                    worker = term_workers.get(key) if term_workers is not None else None
                     if worker is None:
-                        worker = self._fallback_worker(key)
+                        worker = default
                         if worker is None:
-                            continue
+                            worker = self._fallback_worker(key)
+                            if worker is None:
+                                continue
                     if insert:
-                        if cell is None:
-                            cell = GridTCell()
-                            cells_map[coord] = cell
-                        owners = cell.h2.get(key)
+                        if h2 is None:
+                            cell = cells_map[coord] = GridTCell()
+                            h2 = cell.h2
+                        owners = h2.get(key)
                         if owners is None:
-                            cell.h2[key] = {worker: 1}
+                            h2[key] = {worker: 1}
                             delta += _ENTRY_BYTES + len(key) + _OWNER_BYTES
                         else:
                             count = owners.get(worker)
@@ -481,8 +489,7 @@ class GridTIndex:
                                 delta += _OWNER_BYTES
                             else:
                                 owners[worker] = count + 1
-                    elif cell is not None:
-                        h2 = cell.h2
+                    elif h2 is not None:
                         owners = h2.get(key)
                         if owners:
                             count = owners.get(worker, 0)
@@ -595,14 +602,29 @@ class GridTIndex:
         return workers[crc32(term.encode("utf-8")) % len(workers)]
 
     def fallback_workers(self) -> Tuple[int, ...]:
-        """The workers H1 assigns anything to, sorted: what a term in an
-        uncovered cell is hashed over.
+        """The table a term in an uncovered cell is hashed over: the
+        workers H1 assigns anything to, sorted, as the cells were assigned
+        (:meth:`set_cell_worker`, :meth:`set_cell_term_map`).
 
-        H1 only — H2 changes with every update, and a fallback that
-        followed it could send a query's deletion to another worker than
-        its insertion.
+        Fixed from then on.  A deletion re-plans from the index, so a
+        table that followed the adjusters' H1 changes (a worker gaining or
+        losing its last cell) would name another worker than the one its
+        insertion posted to, and the real holder would keep the query.
+        Only a recovery changes it (:meth:`replace_fallback_worker`); the
+        adjusters' mutators pin it before they touch H1.
         """
-        return self._h1_state()[1]
+        table = self._fallback
+        if table is None:
+            table = self._fallback = self._h1_state()[1]
+        return table
+
+    def replace_fallback_worker(self, worker_id: int, target: int) -> None:
+        """Recovery's remap: ``target`` takes ``worker_id``'s slot of the
+        fallback table, so what hashed to the dead worker — and was moved
+        to ``target`` with its cells — re-plans to ``target``."""
+        self._fallback = tuple(
+            target if worker == worker_id else worker for worker in self.fallback_workers()
+        )
 
     def _h1_state(self) -> Tuple[int, Tuple[int, ...]]:
         """``(H1 bytes, sorted H1 owners)`` — shared term maps once — derived
@@ -645,6 +667,7 @@ class GridTIndex:
         cell instead of privatising one copy per cell — both faster and
         memory-preserving under the dispatcher's shared-map accounting.
         """
+        self.fallback_workers()  # pinned before H1 changes
         rewritten: Dict[int, Optional[Dict[str, int]]] = {}
         cells_get = self._cells.get
         merged = 0
@@ -698,6 +721,7 @@ class GridTIndex:
         Used by Phase I of the local load adjustment when splitting a hot
         cell between the overloaded and the underloaded worker.
         """
+        self.fallback_workers()  # pinned before H1 changes
         cell = self.cell(coord)
         if default_worker is None:
             default_worker = cell.default_worker

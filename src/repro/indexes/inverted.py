@@ -25,42 +25,39 @@ class InvertedIndex(Generic[T]):
     them (:meth:`rewrite`).
     """
 
+    __slots__ = ("by_term", "entry_count")
+
     def __init__(self) -> None:
-        self._postings: Dict[str, List[T]] = defaultdict(list)
-        self._entry_count = 0
+        #: Term -> posting list.  Read-only for callers, except that the
+        #: GI2 index appends to it directly, settling ``entry_count``
+        #: itself (one dict lookup per posting, no method call).
+        self.by_term: Dict[str, List[T]] = defaultdict(list)
+        #: Total number of postings across all terms.
+        self.entry_count = 0
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
     def add(self, term: str, posting: T) -> None:
         """Append ``posting`` to the list of ``term``."""
-        self._postings[term].append(posting)
-        self._entry_count += 1
-
-    def note_appended(self, count: int) -> None:
-        """Fix the entry count after direct appends via :meth:`postings_map`.
-
-        The batched insertion path appends postings straight into the map
-        (skipping one method call per posting) and settles the count once
-        per run with this method.
-        """
-        self._entry_count += count
+        self.by_term[term].append(posting)
+        self.entry_count += 1
 
     def remove(self, term: str, posting: T) -> bool:
         """Eagerly remove one occurrence of ``posting`` from ``term``'s list.
 
         Returns ``True`` when an entry was removed.
         """
-        postings = self._postings.get(term)
+        postings = self.by_term.get(term)
         if not postings:
             return False
         try:
             postings.remove(posting)
         except ValueError:
             return False
-        self._entry_count -= 1
+        self.entry_count -= 1
         if not postings:
-            del self._postings[term]
+            del self.by_term[term]
         return True
 
     def purge(self, term: str, is_stale: Callable[[T], bool]) -> int:
@@ -69,7 +66,7 @@ class InvertedIndex(Generic[T]):
         Returns the number of removed entries.  The GI2 index sweeps the
         lists of its deleted queries with this (:meth:`GI2Index.compact`).
         """
-        postings = self._postings.get(term)
+        postings = self.by_term.get(term)
         if not postings:
             return 0
         return self.rewrite(term, [posting for posting in postings if not is_stale(posting)])
@@ -81,49 +78,36 @@ class InvertedIndex(Generic[T]):
         number of removed entries.  Lazy deletion ends here: GI2 matching
         calls it on a list in which the traversal met a stale posting.
         """
-        removed = len(self._postings[term]) - len(kept)
+        removed = len(self.by_term[term]) - len(kept)
         if removed:
-            self._entry_count -= removed
+            self.entry_count -= removed
             if kept:
-                self._postings[term] = kept
+                self.by_term[term] = kept
             else:
-                del self._postings[term]
+                del self.by_term[term]
         return removed
 
     def clear(self) -> None:
-        self._postings.clear()
-        self._entry_count = 0
+        self.by_term.clear()
+        self.entry_count = 0
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
     def postings(self, term: str) -> List[T]:
         """The posting list of ``term`` (empty list when absent)."""
-        return self._postings.get(term, [])
-
-    def postings_map(self) -> Dict[str, List[T]]:
-        """The internal term -> posting-list dict (read-only for callers).
-
-        Exposed so batched matching can intersect an object's terms with
-        the resident terms at C speed instead of probing term by term.
-        """
-        return self._postings
+        return self.by_term.get(term, [])
 
     def terms(self) -> Iterator[str]:
-        return iter(self._postings)
+        return iter(self.by_term)
 
     def __contains__(self, term: str) -> bool:
-        return term in self._postings
+        return term in self.by_term
 
     def __len__(self) -> int:
         """Number of distinct terms with at least one posting."""
-        return len(self._postings)
-
-    @property
-    def entry_count(self) -> int:
-        """Total number of postings across all terms."""
-        return self._entry_count
+        return len(self.by_term)
 
     def memory_bytes(self, per_entry: int = 16, per_term: int = 64) -> int:
         """Rough memory footprint estimate used by the benches."""
-        return per_term * len(self._postings) + per_entry * self._entry_count
+        return per_term * len(self.by_term) + per_entry * self.entry_count

@@ -31,7 +31,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.costmodel import COST_MODEL
 from ..core.geometry import Rect
@@ -70,7 +70,7 @@ class _Node:
     ``terms is None`` for spatial nodes; text-split children carry the term
     subset they own.  Objects and queries are the sampled tuples that the
     node would receive under Definition-2 routing; ``query_keys[i]`` is the
-    posting-key set of ``queries[i]`` (the expression's own memo, read
+    sorted posting keys of ``queries[i]`` (the expression's own memo, read
     only), looked up once for the root and handed down to every child.
 
     Everything Algorithm 1 derives from a node depends on the node alone,
@@ -104,13 +104,13 @@ class _Node:
         statistics: Optional[TermStatistics] = None,
         terms: Optional[FrozenSet[str]] = None,
         depth: int = 0,
-        query_keys: Optional[List[AbstractSet[str]]] = None,
+        query_keys: Optional[List[Tuple[str, ...]]] = None,
     ) -> None:
         self.region = region
         self.terms = terms
         self.objects = objects
         self.queries = queries
-        self.query_keys: List[AbstractSet[str]] = (
+        self.query_keys: List[Tuple[str, ...]] = (
             query_keys
             if query_keys is not None
             else [query.expression.posting_keywords(statistics) for query in queries]
@@ -455,7 +455,7 @@ class HybridPartitioner(Partitioner):
             # filtering, Section IV-C); counting them this way makes the
             # space-vs-text load comparison reflect the deployed system.
             objects = [obj for obj, hits in posted if not hits.isdisjoint(terms)]
-            kept = [pair for pair in keyed_queries if not pair[1].isdisjoint(terms)]
+            kept = [pair for pair in keyed_queries if not terms.isdisjoint(pair[1])]
             children.append(
                 _Node(
                     node.region,

@@ -36,7 +36,7 @@ from ..core.geometry import Rect
 from ..core.objects import STSQuery, StreamTuple, TupleKind
 from .fabric import TransportError
 from .protocol import barrier_context, mutates_routing
-from .transport import DeleteById, RouteBatch
+from .transport import DeleteById, InsertPairs, RouteBatch
 from .worker import QueryAssignment
 
 if TYPE_CHECKING:
@@ -273,9 +273,10 @@ class Recovery:
         self._update_log: List[Tuple[int, Any]] = []
 
     def log_update(self, worker_id: int, entry: Any) -> None:
-        """Note one update shipped to ``worker_id``: a :class:`QueryAssignment`
+        """Note one update shipped to ``worker_id``: the
+        :class:`~repro.runtime.transport.InsertPairs` op of an insertion
         (replayed via ``install_queries``, which extends an existing
-        registration) for an insertion, the query id for a deletion."""
+        registration), the query id of a deletion."""
         self._update_log.append((worker_id, entry))
 
     def report(self) -> RecoveryReport:
@@ -366,7 +367,8 @@ class Recovery:
         postings), replay the update log entries addressed to the dead
         worker since that checkpoint, and point every routing cell the
         dead worker owned — H1 defaults, text-split term owners and H2
-        posting owners alike — at the target.  Idempotent: recovering an
+        posting owners alike — and its slot of the fallback table at the
+        target.  Idempotent: recovering an
         already-recovered (or never-known) worker returns ``None``.
         Without a survivor nothing is discarded: the worker stays
         registered and the call raises.
@@ -401,8 +403,10 @@ class Recovery:
                 new_log.append((owner, entry))
                 continue
             replayed += 1
-            if isinstance(entry, QueryAssignment):
-                target_worker.install_queries([entry])
+            if isinstance(entry, InsertPairs):
+                target_worker.install_queries(
+                    [QueryAssignment(entry.query, tuple(entry.pairs), True)]
+                )
             else:
                 cluster.transport.exchange({target: RouteBatch((DeleteById(entry),))})
             new_log.append((target, entry))
@@ -415,6 +419,7 @@ class Recovery:
             coord for coord, cell in routing.cells().items() if worker_id in cell.workers()
         ]
         routing.migrate_cells(coords, worker_id, target)
+        routing.replace_fallback_worker(worker_id, target)
         cluster.invalidate_routing_caches()
         event = RecoveryEvent(
             worker_id=worker_id,

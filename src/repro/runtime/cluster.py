@@ -24,7 +24,7 @@ from ..core.geometry import Rect
 from ..core.objects import MatchResult, ObjectRow, StreamTuple, TupleKind
 from ..indexes.gi2 import CellStats
 from ..indexes.grid import CellCoord
-from ..indexes.gridt import GridTIndex, WorkerPlan
+from ..indexes.gridt import GridTIndex
 from ..partitioning.base import PartitionPlan
 from . import driver, metrics, migration
 from .checkpoint import Recovery, RecoveryEvent
@@ -52,7 +52,6 @@ from .transport import (
     WorkerProxy,
     make_transport,
 )
-from .worker import QueryAssignment
 
 __all__ = ["Cluster"]
 
@@ -241,94 +240,129 @@ class Cluster:
         assert self._dispatch is not None
         return base, self._dispatch.submit_window(items, base)
 
-    def _process_on_shards(self, item: StreamTuple, trace: bool) -> Set[int]:
-        """Per-tuple replay on the dispatch shards: a window of one.
-
-        The tuple rides the window protocol and the window executor, so
-        the shards need no per-tuple wire protocol.  Returns the workers
-        that handled it.
-        """
-        slot, seq = self._submit((item,))
-        assert self._dispatch is not None and seq is not None
-        routed = self._dispatch.collect_window(seq)
-        self._execute_window((item,), slot, routed, trace)
-        self._settle()
-        if item.kind is TupleKind.OBJECT:
-            return self.workers.keys() & routed.decisions[0]
-        return self.workers.keys() & routed.plans[0][1]
-
     # ------------------------------------------------------------------
     # Tuple processing (per-tuple driver)
     # ------------------------------------------------------------------
     def process(self, item: StreamTuple, *, trace: bool = True) -> Set[int]:
-        """Run one tuple through dispatcher, workers and mergers.
+        """Run one tuple through dispatcher, workers and mergers: a run of
+        one (:meth:`_run`).  Returns the set of workers that handled it."""
+        return self._run((item,), trace)[1]
 
-        The per-tuple driver: no window bookkeeping, but the same two
-        routing rules and worker ops as
-        :meth:`_execute_window` — each worker receives exactly the
-        ``RouteBatch`` a window of one would ship.  Returns the set of
-        workers that handled the tuple.
+    def _run(self, items: Iterable[StreamTuple], trace: bool) -> Tuple[int, Set[int]]:
+        """The per-tuple driver: each tuple routed, shipped, matched and
+        delivered before the next is pulled off ``items``, by the routing
+        rules and worker ops of :meth:`_execute_window` (each worker gets
+        the ``RouteBatch`` a window of one would ship; on dispatch shards
+        a tuple *is* one).  No barrier fires inside a run, so the routing
+        state is read once.  Returns the tuples taken and the workers that
+        handled the last; a ``TransportError`` leaves with ``progress`` set.
         """
-        self._settle()
-        if self._sharded_routing():
-            return self._process_on_shards(item, trace)
-        slot = self._next_dispatcher
-        self._next_dispatcher = (slot + 1) % len(self.dispatchers)
-        dispatcher = self.dispatchers[slot]
-        totals = self.totals
-        routing = self.routing_index
-        workers_map = self.workers
-        payload = item.payload
-        worker_costs: List[Tuple[int, float]] = []
-        if item.kind is TupleKind.OBJECT:
-            row = payload.row()
-            _, x, y, terms = row
-            cell = routing.grid.cell_at(x, y)
-            decision = routing.route_cell(cell, terms)
-            cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, len(terms))
-            dispatcher.busy_cost += cost
-            batches: Dict[int, RouteBatch] = {}
-            if decision:
-                batch = RouteBatch((MatchObjects((row,), (cell,)),))
-                batches = {w: batch for w in decision if w in workers_map}
-            if batches:
-                results: List[MatchResult] = []
-                produced = 0
-                for worker_id, replies in self.transport.exchange(batches).items():
-                    reply = replies[0]
-                    assert reply is not None
-                    results.extend(reply.results)
-                    produced += reply.produced_count
-                    worker_costs.append((worker_id, reply.costs[0]))
-                self._deliver_results(results, produced)
-            totals.objects += 1
-            totals.object_fanout += len(batches)
-        else:
-            is_insert, per_worker, cells = plan_update(routing, item)
-            # Idle shard replicas (dual drain) no longer match H2.
-            self.invalidate_routing_caches()
-            cost = DispatcherLedger.TUPLE_COST + DispatcherLedger.PROBE_COST * max(1, cells)
-            dispatcher.busy_cost += cost
-            handling = COST_MODEL.insert_handling if is_insert else COST_MODEL.delete_handling
-            # A deletion's workers share its one DeleteById batch.
-            batches = {}
-            batch: Optional[RouteBatch] = None
-            for worker_id, op in self._update_ops(is_insert, payload, per_worker).items():
-                if is_insert or batch is None:
-                    batch = RouteBatch((op,))
-                batches[worker_id] = batch
-                worker_costs.append((worker_id, handling))
-            if batches:
-                self.transport.exchange(batches)
-            if is_insert:
-                totals.insertions += 1
-                totals.query_fanout += len(batches)
-            else:
-                totals.deletions += 1
-        totals.tuples += 1
-        if trace:
-            self._traces.append(dispatcher.dispatcher_id, cost, worker_costs)
-        return set(batches)
+        taken = 0
+        item: Optional[StreamTuple] = None
+        batches: Dict[int, RouteBatch] = {}
+        try:
+            self._settle()
+            if self._sharded_routing():
+                handled: Set[int] = set()
+                for item in items:
+                    taken += 1
+                    slot, seq = self._submit((item,))
+                    assert self._dispatch is not None and seq is not None
+                    routed = self._dispatch.collect_window(seq)
+                    self._execute_window((item,), slot, routed, trace)
+                    self._settle()
+                    is_object = item.kind is TupleKind.OBJECT
+                    handled = set(routed.decisions[0] if is_object else routed.plans[0][1])
+                return taken, handled & self.workers.keys()
+            routing = self.routing_index
+            route_cell = routing.route_cell
+            insertion_plan_apply = routing.insertion_plan_apply
+            deletion_plan_apply = routing.deletion_plan_apply
+            min_x, min_y, cell_w, cell_h, max_col, max_row = routing.grid.frame()
+            dispatchers = self.dispatchers
+            num_dispatchers = len(dispatchers)
+            totals = self.totals
+            workers_map = self.workers
+            exchange = self.transport.exchange
+            log = self.recovery.log_update if self.recovery is not None else None
+            signature = self._traces.signatures.get
+            intern = self._traces.intern
+            record = self._traces.ids.append
+            object_kind = TupleKind.OBJECT
+            insert_kind = TupleKind.INSERT
+            tuple_cost = DispatcherLedger.TUPLE_COST
+            probe_cost = DispatcherLedger.PROBE_COST
+            insert_cost = COST_MODEL.insert_handling
+            delete_cost = COST_MODEL.delete_handling
+            for item in items:
+                taken += 1
+                slot = self._next_dispatcher
+                self._next_dispatcher = (slot + 1) % num_dispatchers
+                dispatcher = dispatchers[slot]
+                worker_costs: List[Tuple[int, float]] = []
+                kind = item.kind
+                batches = {}
+                if kind is object_kind:
+                    obj = item.payload
+                    x, y, terms = obj.location.x, obj.location.y, obj.terms
+                    col = int((x - min_x) / cell_w)
+                    row = int((y - min_y) / cell_h)
+                    coord = (0 if col < 0 else (max_col if col > max_col else col),
+                             0 if row < 0 else (max_row if row > max_row else row))
+                    cost = tuple_cost + probe_cost * (len(terms) or 1)
+                    dispatcher.busy_cost += cost
+                    decision = route_cell(coord, terms)
+                    if decision:
+                        match = MatchObjects(((obj.object_id, x, y, terms),), (coord,))
+                        batch = RouteBatch((match,))
+                        batches = {w: batch for w in decision if w in workers_map}
+                    if batches:
+                        results: List[MatchResult] = []
+                        produced = 0
+                        for worker_id, replies in exchange(batches).items():
+                            reply = replies[0]
+                            assert reply is not None
+                            results.extend(reply.results)
+                            produced += reply.produced_count
+                            worker_costs.append((worker_id, reply.costs[0]))
+                        self._deliver_results(results, produced)
+                    totals.objects += 1
+                    totals.object_fanout += len(batches)
+                else:
+                    query = item.payload.query
+                    is_insert = kind is insert_kind
+                    plan = insertion_plan_apply if is_insert else deletion_plan_apply
+                    per_worker, cells = plan(query)
+                    self._routing_version += 1  # idle shard replicas (dual drain) are stale
+                    cost = tuple_cost + probe_cost * (cells if cells > 1 else 1)
+                    dispatcher.busy_cost += cost
+                    # The ops and log entries of _flush_fast, one batch per
+                    # worker; a deletion's workers share its one batch.
+                    handling = insert_cost if is_insert else delete_cost
+                    shared = None if is_insert else RouteBatch((DeleteById(query.query_id),))
+                    for worker_id, pairs in per_worker.items():
+                        if worker_id in workers_map:
+                            batch = shared or RouteBatch((InsertPairs(query, pairs),))
+                            if log is not None:
+                                log(worker_id, batch.ops[0] if is_insert else query.query_id)
+                            batches[worker_id] = batch
+                            worker_costs.append((worker_id, handling))
+                    if batches:
+                        exchange(batches)
+                    if is_insert:
+                        totals.insertions += 1
+                        totals.query_fanout += len(batches)
+                    else:
+                        totals.deletions += 1
+                totals.tuples += 1
+                if trace:
+                    key = (dispatcher.dispatcher_id, cost, *worker_costs)
+                    sid = signature(key)
+                    record(intern(key) if sid is None else sid)
+            return taken, set(batches)
+        except TransportError as exc:
+            exc.progress = (taken, (item,) if item is not None else ())
+            raise
 
     def run(
         self,
@@ -715,7 +749,8 @@ class Cluster:
         first, then the deferred updates in stream order — appended to
         the window's per-worker lists, which :meth:`_execute_window` ships
         all at once and :meth:`_settle` settles segment by segment.  The
-        update accounting below and the update log stay at flush time.
+        update accounting and the recovery update log stay at flush time;
+        a deletion's workers share one ``DeleteById``.
         """
         workers_map = self.workers
         totals = self.totals
@@ -725,93 +760,58 @@ class Cluster:
         base = window.base
         trace_costs = window.trace_costs
         trace_workers = window.trace_workers
-
-        batch_ops: Dict[int, List[WorkerOp]] = {}
+        log = self.recovery.log_update if self.recovery is not None else None
+        shipped = window.ops
+        touched = set(groups)  # the workers this segment gives an op
         if groups:
+            offsets: Dict[int, int] = {}
             for worker_id, locals_ in groups.items():
-                batch_ops[worker_id] = [
-                    MatchObjects(
-                        [rows[local] for local in locals_],
-                        [coords[local] for local in locals_],
-                    )
-                ]
-        for _, is_insert, payload, per_worker, _ in updates:
-            for worker_id, op in self._update_ops(is_insert, payload, per_worker).items():
-                batch_ops.setdefault(worker_id, []).append(op)
-        span = self._telemetry.span if self._telemetry is not None else None
-        if span is not None and len(batch_ops) > span.match_endpoints:
-            span.match_endpoints = len(batch_ops)
-        offsets: Dict[int, int] = {}
-        for worker_id, ops in batch_ops.items():
-            shipped = window.ops.setdefault(worker_id, [])
-            offsets[worker_id] = len(shipped)
-            shipped.extend(ops)
-        if groups:
+                ops = shipped.setdefault(worker_id, [])
+                offsets[worker_id] = len(ops)
+                selected = [rows[local] for local in locals_]
+                ops.append(MatchObjects(selected, [coords[local] for local in locals_]))
             window.segments.append((positions, groups, offsets))
 
-        # Coordinator-side accounting of the deferred updates.  Their
+        # The deferred updates' ops and coordinator-side accounting.  Their
         # worker-side effect (GI2 postings, load counters, busy time) is
-        # applied by the ops built above; the per-tuple costs are the
-        # fixed Definition-1 constants, so traces need no round trip.
+        # applied by the ops; the per-tuple costs are the fixed
+        # Definition-1 constants, so traces need no round trip.
         insert_cost = COST_MODEL.insert_handling
         delete_cost = COST_MODEL.delete_handling
         for position, is_insert, payload, per_worker, cells in updates:
             slot = (base + position) % num_dispatchers
             cost = tuple_cost + probe_cost * (cells if cells > 1 else 1)
             window.update_costs[slot] += cost
-            worker_items: Optional[List[Tuple[int, float]]] = (
-                [] if trace_workers is not None else None
-            )
-            handled = 0
+            worker_items: List[Tuple[int, float]] = []
             if is_insert:
-                for worker_id in per_worker:
-                    if worker_id not in workers_map:
-                        continue
-                    handled += 1
-                    if worker_items is not None:
+                query = payload.query
+                for worker_id, pairs in per_worker.items():
+                    if worker_id in workers_map:
+                        insertion = InsertPairs(query, pairs)
+                        if log is not None:
+                            log(worker_id, insertion)
+                        shipped.setdefault(worker_id, []).append(insertion)
                         worker_items.append((worker_id, insert_cost))
                 totals.insertions += 1
-                totals.query_fanout += handled
+                totals.query_fanout += len(worker_items)
             else:
+                op = DeleteById(payload.query_id)
                 for worker_id in per_worker:
-                    if worker_id not in workers_map:
-                        continue
-                    if worker_items is not None:
+                    if worker_id in workers_map:
+                        if log is not None:
+                            log(worker_id, op.query_id)
+                        shipped.setdefault(worker_id, []).append(op)
                         worker_items.append((worker_id, delete_cost))
                 totals.deletions += 1
+            touched.update(worker_id for worker_id, _ in worker_items)
             totals.tuples += 1
             if trace_costs is not None:
                 trace_costs[position] = cost
                 assert trace_workers is not None
                 trace_workers[position] = worker_items
-
-    def _update_ops(
-        self, is_insert: bool, payload: Any, per_worker: WorkerPlan
-    ) -> Dict[int, WorkerOp]:
-        """One planned update's op per live destination worker, in plan order.
-
-        Shared by both drivers.  The same loop notes each op in the
-        recovery update log (when checkpointing) for replay onto a
-        recovery target; a deletion's workers share one ``DeleteById``.
-        """
-        workers_map = self.workers
-        log = self.recovery.log_update if self.recovery is not None else None
-        ops: Dict[int, WorkerOp] = {}
-        if is_insert:
-            query = payload.query
-            for worker_id, pairs in per_worker.items():
-                if worker_id in workers_map:
-                    if log is not None:
-                        log(worker_id, QueryAssignment(query, tuple(pairs), True))
-                    ops[worker_id] = InsertPairs(query, pairs)
-        else:
-            op = DeleteById(payload.query_id)
-            for worker_id in per_worker:
-                if worker_id in workers_map:
-                    if log is not None:
-                        log(worker_id, op.query_id)
-                    ops[worker_id] = op
-        return ops
+        span = self._telemetry.span if self._telemetry is not None else None
+        if span is not None and len(touched) > span.match_endpoints:
+            span.match_endpoints = len(touched)
 
     def _settle_segment(
         self,

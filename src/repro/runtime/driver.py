@@ -4,11 +4,14 @@
 :meth:`Cluster.run_batched`; on a concurrent dispatch fleet the shards
 route the next window while the workers match the current one, and each
 window is left in flight while the loop fills the next (on a remote
-worker fleet the workers match it meanwhile).  It steps
-the cluster through ``process`` / ``process_batch`` and ``run_adjustment``
-/ ``checkpoint_now``, reaching past them only to stage the lookahead and
-to settle the window in flight (``Cluster._settle``), and hands a worker
-death to :class:`~repro.runtime.checkpoint.Recovery`.
+worker fleet the workers match it meanwhile).  Windows of one go to the
+per-tuple driver as runs: the stream up to the next barrier is one
+``Cluster._run``, which takes each tuple through the cluster before it
+pulls the next.  The loop steps the cluster through ``_run`` /
+``process_batch`` and ``run_adjustment`` / ``checkpoint_now``, reaching
+past them only to stage the lookahead and to settle the window in flight
+(``Cluster._settle``), and hands a worker death to
+:class:`~repro.runtime.checkpoint.Recovery`.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ class PeriodSampleCollector:
             elif len(deletions) < max_queries:
                 deletions.append(item.payload.query)
 
+    def passing(self, item: StreamTuple) -> StreamTuple:
+        """Record one tuple and hand it on (a per-tuple run's feed)."""
+        self.observe((item,))
+        return item
+
     def sample(self) -> Optional[WorkloadSample]:
         """The period's sample, or ``None`` when nothing was observed."""
         if not self._objects and not self._insertions:
@@ -153,14 +161,16 @@ def replay(
 ) -> None:
     """Replay ``tuples`` in windows of ``size``, firing the barriers between.
 
-    One loop for both drivers: ``size == 1`` steps tuple by tuple through
-    :meth:`Cluster.process`, larger sizes through
-    :meth:`Cluster.process_batch` with windows clipped at the next
-    barrier, so a barrier fires at the same stream position under either
-    driver.  Two cadences set the barriers: every ``adjust_every`` tuples
-    (when positive) one Section V round (:func:`run_adjustment`) on the
-    period's sample; on a checkpointed cluster a checkpoint at stream
-    start (if the store is empty) and every ``checkpoint_every`` tuples.
+    One loop for both drivers: ``size == 1`` hands the per-tuple driver
+    the stream up to the next barrier as one run (``Cluster._run``; with a
+    global adjuster each tuple passes the period sample on its way in),
+    larger sizes go through :meth:`Cluster.process_batch` with windows
+    clipped at the next barrier, so a barrier fires at the same stream
+    position under either driver.  Two cadences set the barriers: every
+    ``adjust_every`` tuples (when positive) one Section V round
+    (:func:`run_adjustment`) on the period's sample; on a checkpointed
+    cluster a checkpoint at stream start (if the store is empty) and every
+    ``checkpoint_every`` tuples.
     An adjustment round doubles as a checkpoint and restarts that cadence
     — the adjusters may have migrated assignments, so the pre-round
     snapshot is stale anyway.
@@ -184,7 +194,9 @@ def replay(
     worker death surfaces as a ``TransportError`` with ``died=True``,
     :meth:`~repro.runtime.checkpoint.Recovery.recover_from` re-installs
     the dead partition (or re-raises what it cannot recover) and the run
-    resumes with the next step.  At most the windows in flight are lost
+    resumes with the next step.  A run of the per-tuple driver loses the
+    tuple it was taking through (``TransportError.progress``), which
+    counts towards the cadences.  At most the windows in flight are lost
     — the one settling, and the one that shipped behind it if the death
     surfaced only at its tail — and the one routed ahead is routed again
     on the re-synced replicas.  A barrier settles the window in flight
@@ -196,7 +208,6 @@ def replay(
     checkpoint_every = cluster.config.checkpoint_every
     collector = PeriodSampleCollector(cluster.bounds) if global_adjuster is not None else None
     iterator = iter(tuples)
-    singles = zip(iterator)  # windows of one, built at C speed
     position = 0  # tuples taken off the stream
     next_adjustment = adjust_every if adjust_every > 0 else _NEVER
     next_checkpoint = _NEVER
@@ -238,13 +249,27 @@ def replay(
                     cluster.checkpoint_now()
                 lookahead = concurrent and cluster._sharded_routing()
                 continue
+            if size == 1:
+                # Windows of one: the stream up to the barrier is one run.
+                limit = barrier - position
+                run: Iterator[StreamTuple] = islice(iterator, limit)
+                if collector is not None:
+                    run = map(collector.passing, run)
+                try:
+                    taken = cluster._run(run, trace)[0]
+                except TransportError as exc:
+                    # A tuple lost to a recovery still counts towards the cadences.
+                    taken, window = exc.progress
+                    position += taken
+                    raise
+                position += taken
+                if taken < limit:  # the stream has ended
+                    break
+                continue
             if ahead:
                 window, ahead = ahead, ()
             else:
-                if size > 1:
-                    window = _fill(cluster, iterator, min(size, barrier - position), recovery)
-                else:
-                    window = next(singles, ())
+                window = _fill(cluster, iterator, min(size, barrier - position), recovery)
                 if not window:
                     cluster._settle()
                     break
@@ -252,9 +277,6 @@ def replay(
                 position += len(window)
             if collector is not None:
                 collector.observe(window)
-            if size == 1:
-                cluster.process(window[0], trace=trace)
-                continue
             if lookahead and position < barrier:
                 ahead = _fill(cluster, iterator, min(size, barrier - position), recovery)
                 cluster._lookahead = ahead

@@ -150,6 +150,9 @@ class TransportError(RuntimeError):
     endpoint_id: Optional[int] = None
     #: True when the endpoint process/connection died (not a remote error).
     died: bool = False
+    #: Set by the per-tuple run loop it broke off: ``(tuples the run took,
+    #: the failed one included; that tuple as a window)``.
+    progress: Tuple[int, Tuple[Any, ...]] = (0, ())
 
 
 class FrameTruncated(ConnectionError):

@@ -146,7 +146,7 @@ class TraceStore:
         key = (dispatcher_id, dispatcher_cost, *worker_items)
         sid = self.signatures.get(key)
         if sid is None:
-            sid = self._intern(key)
+            sid = self.intern(key)
         self.ids.append(sid)
 
     def extend(
@@ -157,7 +157,7 @@ class TraceStore:
     ) -> None:
         """Bulk-append one window of traces (batched engine)."""
         lookup = self.signatures.get
-        intern = self._intern
+        intern = self.intern
         record = self.ids.append
         for dispatcher_id, dispatcher_cost, items in zip(
             dispatcher_ids, dispatcher_costs, worker_items_per_tuple
@@ -168,7 +168,8 @@ class TraceStore:
                 sid = intern(key)
             record(sid)
 
-    def _intern(self, key: Tuple[Any, ...]) -> int:
+    def intern(self, key: Tuple[Any, ...]) -> int:
+        """Add the new signature ``key``; returns its id."""
         # A new signature keeps earlier signatures' equal (worker, cost)
         # pairs, not copies: pairs and their floats fill most of the table.
         signatures = self.signatures

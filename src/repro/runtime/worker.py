@@ -87,13 +87,13 @@ class WorkerNode:
             self.index.insert(query)
         else:
             self.index.insert_pairs(query, assignment)
-        self.counters.record_insertion()
+        self.counters.insertions += 1
         self.busy_cost += COST_MODEL.insert_handling
 
     def handle_deletion(self, query_id: int) -> None:
         """(2) Query deletion: lazily remove the STS query from the index."""
         self.index.delete(query_id)
-        self.counters.record_deletion()
+        self.counters.deletions += 1
         self.busy_cost += COST_MODEL.delete_handling
 
     def handle_object(self, obj: SpatioTextualObject) -> List[MatchResult]:

@@ -91,9 +91,14 @@ def test_the_replay_loop_goes_through_the_entry_points_the_tracer_wraps(monkeypa
     """``tracer._wrap`` patches class attributes of ``Cluster``; a replay
     loop that reached the window or barrier code any other way would
     silently zero ``cluster.windows`` / ``adjustment.rounds`` /
-    ``checkpoint.count`` in a traced run."""
+    ``checkpoint.count`` in a traced run.
+
+    The per-tuple driver is the exception: it replays the stream between
+    two barriers as one run of ``Cluster._run``, which the tracer does not
+    wrap (it wraps ``process``, a run of one), so a traced per-tuple
+    replay counts no windows until the tracer wraps the run loop."""
     calls = Counter()
-    for name in ("process", "process_batch", "run_adjustment", "checkpoint_now", "report"):
+    for name in ("process", "_run", "process_batch", "run_adjustment", "checkpoint_now", "report"):
         original = getattr(Cluster, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -111,10 +116,10 @@ def test_the_replay_loop_goes_through_the_entry_points_the_tracer_wraps(monkeypa
         cluster.run(
             tuples, adjust_every=adjust_every, local_adjuster=LocalLoadAdjuster(GreedySelector())
         )
-    windows, adjustments, checkpoints = schedule(total, 1, adjust_every, 150)
-    assert windows == total
+    runs, adjustments, checkpoints = schedule(total, total, adjust_every, 150)
+    assert runs == 7  # clipped at 150, 200, 350, 400, 550 and 600
     assert calls == {
-        "process": total, "run_adjustment": adjustments, "checkpoint_now": checkpoints, "report": 1,
+        "_run": runs, "run_adjustment": adjustments, "checkpoint_now": checkpoints, "report": 1,
     }
 
     calls.clear()

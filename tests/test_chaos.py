@@ -122,6 +122,45 @@ class TestKillWorkerMidRun:
         ref_set, rec_set = converged(reference, delivered, event)
         assert rec_set == ref_set
 
+    @pytest.mark.parametrize("backend", WORKER_BACKENDS)
+    def test_per_tuple_driver_loses_only_the_tuple_in_progress(self, backend, monkeypatch):
+        """Windows of one run under the same recovery guard: the death
+        surfaces in the exchange of the tuple that killed the worker, that
+        tuple alone is lost, and it still counts towards the cadences."""
+        if backend == "socket":
+            require_loopback()
+        positions = []
+        checkpoint_now = Cluster.checkpoint_now
+
+        def recorded(cluster):
+            # The stream position: every tuple processed, plus each one lost.
+            positions.append(cluster.totals.tuples + cluster.recovery.report().lost_tuples)
+            checkpoint_now(cluster)
+
+        monkeypatch.setattr(Cluster, "checkpoint_now", recorded)
+        plan, tuples = make_alpha_beta_workload()
+        reference = brute_force(tuples)
+        fault = FaultSpec(
+            action="kill", role="worker", endpoint_id=1,
+            message_type="RouteBatch", after_sends=100,
+        )
+        report, delivered = run(
+            plan, tuples, backend=backend, batch_size=1, fault=fault, checkpoint_every=150
+        )
+        recovery = report.recovery
+        assert recovery is not None and len(recovery.events) == 1
+        event = recovery.events[0]
+        assert event.worker_id == 1
+        assert event.worker_id != event.target_worker
+        assert event.lost_tuples == 1
+        assert len(event.lost_object_ids) + len(event.lost_query_ids) == 1
+        assert not event.during_adjustment
+        ref_set, rec_set = converged(reference, delivered, event)
+        assert rec_set == ref_set
+        # Checkpoints fire where a fault-free run's do; the recovery adds one.
+        assert positions == [0, 150, 300, 450, 600]
+        assert recovery.checkpoints_taken == len(positions) + 1
+
     def test_truncate_fault_surfaces_as_death_and_recovers(self):
         """A mid-frame truncation on the socket backend == endpoint death."""
         require_loopback()

@@ -1,16 +1,18 @@
 """Unit and integration tests for the simulated cluster."""
 
 import multiprocessing
+from zlib import crc32
 
 import pytest
 
-from repro.core import Rect, STSQuery, StreamTuple, TupleKind
+from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
+from repro.core import Point, Rect, SpatioTextualObject, STSQuery, StreamTuple, TupleKind
 from repro.indexes.gridt import GridTIndex
 from repro.partitioning import HybridPartitioner, KDTreeSpacePartitioner
 from repro.partitioning.base import PartitionPlan, PartitionUnit
-from repro.runtime import Cluster, ClusterConfig
+from repro.runtime import Cluster, ClusterConfig, SinkSpec
 
-from harness import brute_force
+from harness import brute_force, delivered_pairs, golden_workload, replayed
 
 
 def build_cluster(stream, partitioner=None, num_workers=4, sample_objects=500, **config_kwargs):
@@ -210,6 +212,51 @@ class TestMigration:
         assert live_query_ids(cluster, 0) == {spanning.query_id}
         assert live_query_ids(cluster, 1) == {inside.query_id, spanning.query_id}
 
+    @pytest.mark.parametrize("batch_size", [0, 64])
+    def test_deleted_query_in_an_uncovered_cell_stays_deleted(self, batch_size):
+        """Regression: the fallback hashed over the *current* H1 owners, so
+        a migration that took worker 2's last cell re-planned the deletion
+        of a query it held in an uncovered cell onto another worker — the
+        holder kept it and the next object there was delivered to it."""
+        bounds = Rect(0.0, 0.0, 100.0, 100.0)
+        plan = PartitionPlan(
+            units=[
+                PartitionUnit(Rect(0, 0, 30, 100), None, 0),
+                PartitionUnit(Rect(30, 0, 60, 100), None, 1),
+                PartitionUnit(Rect(60, 0, 70, 100), None, 2),
+            ],
+            num_workers=3,
+            bounds=bounds,
+            object_filtering=True,  # PS2Stream: objects route through H2
+        )
+        # Worker 2 of the built table (0, 1, 2), not of (0, 1) left after it.
+        term = next(
+            "term%d" % i for i in range(100)
+            if crc32(b"term%d" % i) % 3 == 2 and crc32(b"term%d" % i) % 2 == 0
+        )
+        query = STSQuery.create(term, Rect(80, 80, 85, 85), query_id=1)  # x > 70: uncovered
+        objects = [
+            StreamTuple.object(SpatioTextualObject(
+                object_id=index, text="", location=Point(82, 82), terms=frozenset({term}),
+            ))
+            for index in (1, 2)
+        ]
+        before = [StreamTuple.insert(query), objects[0]]
+        after = [StreamTuple.delete(query), objects[1]]
+        config = ClusterConfig(
+            num_dispatchers=1, num_workers=3, granularity=10, sink=SinkSpec(kind="memory")
+        )
+        with Cluster(plan, config) as cluster:
+            cluster.run_batched(before, batch_size=batch_size)
+            assert live_query_ids(cluster, 2) == {1}
+            cluster.migrate_cells(2, 1, [(6, row) for row in range(10)])
+            assert cluster.routing_index.fallback_workers() == (0, 1, 2)
+            cluster.run_batched(after, batch_size=batch_size)
+            delivered = delivered_pairs(cluster)
+            assert live_query_ids(cluster, 2) == set()
+        assert delivered == [(1, 1)]
+        assert set(delivered) == brute_force(before + after)
+
     def test_processing_continues_after_migration(self, small_stream):
         cluster = build_cluster(small_stream, num_workers=4)
         warm = list(small_stream.tuples(200))
@@ -247,3 +294,50 @@ class TestReplaceRoutingIndex:
         assert report.tuples_processed == len(tuples)
         # A structure over the cluster's own grid is accepted.
         cluster.replace_routing_index(cluster.plan.to_gridt(cluster.config.granularity))
+
+
+class TestRunLoop:
+    """The per-tuple driver replays the stream between two barriers as one
+    run of ``Cluster._run``; ``process`` is a run of one.  Both must be the
+    same engine, barriers and the global adjuster's period sample included."""
+
+    @staticmethod
+    def _replay(plan, tuples):
+        local = LocalLoadAdjuster(GreedySelector(), sigma=2.0)
+        global_ = GlobalAdjuster(HybridPartitioner())
+        with replayed(
+            plan, tuples, checkpoint_every=700, adjust_every=900,
+            local_adjuster=local, global_adjuster=global_,
+        ) as (cluster, report):
+            traces = cluster._traces
+            by_id = {sid: signature for signature, sid in traces.signatures.items()}
+            signatures = [by_id[sid] for sid in traces.ids]
+            rounds = (len(local.history), [entry.checked for entry in global_.history])
+            return repr(report), delivered_pairs(cluster), signatures, rounds
+
+    def test_runs_between_barriers_equal_one_process_call_per_tuple(self, monkeypatch):
+        plan, tuples = golden_workload("us-Q3-metric")
+        report, delivered, signatures, rounds = self._replay(plan, tuples)
+
+        handled = []
+        run_loop = Cluster._run
+
+        def one_call_per_tuple(cluster, items, trace):
+            if isinstance(items, tuple):  # process(): a run of one
+                return run_loop(cluster, items, trace)
+            taken, last = 0, set()
+            for item in items:
+                last = cluster.process(item, trace=trace)
+                handled.append(last)
+                taken += 1
+            return taken, last
+
+        monkeypatch.setattr(Cluster, "_run", one_call_per_tuple)
+        assert self._replay(plan, tuples) == (report, delivered, signatures, rounds)
+        assert len(handled) == len(signatures) == len(tuples)
+        # A tuple's trace names the workers that handled it.
+        assert handled == [{worker for worker, _ in entry[2:]} for entry in signatures]
+        assert set(delivered) == brute_force(tuples)
+        # Barriers crossed: 4 local rounds, and each global round read a
+        # period sample (a skipped sample leaves the check undone).
+        assert rounds == (4, [True, True, True, True])

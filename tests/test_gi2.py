@@ -176,7 +176,7 @@ def _posted(index, query_id):
     return sum(
         posting_list.count(query_id)
         for inverted in index._cells.values()
-        for posting_list in inverted.postings_map().values()
+        for posting_list in inverted.by_term.values()
     )
 
 

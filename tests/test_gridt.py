@@ -116,7 +116,10 @@ class TestQueryRouting:
         """Regression: the fallback hashed over H1 *and* H2 owners, so a
         worker that had lost its last H1 cell still drew fallback postings
         while it held H2 ones — and once those went, a recomputed deletion
-        plan named another worker than the insertion had."""
+        plan named another worker than the insertion had.  Hashing over
+        the *current* H1 owners had the same flaw one step earlier: the
+        migration below changes that set.  The table is the H1 owners as
+        the cells were assigned, whatever H1 does after."""
         index = GridTIndex.from_assignments(
             BOUNDS,
             [(Rect(0, 0, 10, 10), None, 0), (Rect(10, 0, 20, 10), None, 1),
@@ -129,7 +132,8 @@ class TestQueryRouting:
 
         terms = ["term%d" % i for i in range(100)]
         # ``first`` hashes onto worker 2 of (0, 1, 2); ``second`` onto
-        # another worker of (0, 1, 2) than of (0, 1).
+        # another worker of (0, 1, 2) than of (0, 1), the H1 owners after
+        # the migration.
         first = next(term for term in terms if hashed(term, 3) == 2)
         second = next(
             term for term in terms if hashed(term, 3) != 2 and hashed(term, 3) != hashed(term, 2)
@@ -141,11 +145,32 @@ class TestQueryRouting:
         index.migrate_cells([(2, 0)], 2, 1)  # worker 2 keeps only H2 postings
         late = STSQuery.create(second, uncovered)
         late_plan = index.insertion_plan_apply(late)
-        index.apply_deletion_pairs(early_plan)
+        # The deletion re-plans to worker 2, which holds the query.
+        assert index.deletion_plan_apply(early)[0] == early_plan
         triples, cells = index.posting_assignments(late)
         assert (group_triples(triples), cells) == late_plan
-        assert index.fallback_workers() == (0, 1)
-        assert list(late_plan[0]) == [(0, 1)[hashed(second, 2)]]
+        assert index.fallback_workers() == (0, 1, 2)
+        assert list(late_plan[0]) == [hashed(second, 3)]
+
+
+    def test_fallback_table_is_fixed_when_the_cells_are_assigned(self, stats):
+        """Adjusters' H1 changes pin the table first, even before any query
+        has fallen back; a recovery puts its target in the dead worker's
+        slot; assigning cells anew re-derives it."""
+        index = GridTIndex.from_assignments(
+            BOUNDS,
+            [(Rect(0, 0, 10, 10), None, 0), (Rect(10, 0, 20, 10), None, 1),
+             (Rect(20, 0, 30, 10), None, 2)],
+            granularity=10,
+            term_statistics=stats,
+        )
+        index.migrate_cells([(2, 0)], 2, 1)
+        index.split_cell_by_text((1, 0), {"kobe": 3})
+        assert index.fallback_workers() == (0, 1, 2)
+        index.replace_fallback_worker(2, 0)
+        assert index.fallback_workers() == (0, 1, 0)
+        index.set_cell_worker((5, 5), 4)
+        assert index.fallback_workers() == (0, 1, 3, 4)
 
 
 class TestObjectRouting:
@@ -346,3 +371,6 @@ class TestOnePassDeletion:
             twin.apply_deletion_pairs(expected)
             assert _h2(index) == _h2(twin)
             assert index.memory_bytes() == twin.memory_bytes()
+        # Every posting went with its query: the fallback table did not
+        # move under the migration, so each re-plan named the holder.
+        assert _h2(index) == {}

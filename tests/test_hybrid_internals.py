@@ -46,7 +46,7 @@ def definition_one_load(partitioner, sample, objects, queries):
     statistics, model = sample.term_statistics, COST_MODEL
     posted = set()
     for q in queries:
-        posted |= q.expression.posting_keywords(statistics)
+        posted.update(q.expression.posting_keywords(statistics))
     hits = [sum(1 for term in o.terms if term in posted) for o in objects]
     return (
         model.match_check * sum(hits)

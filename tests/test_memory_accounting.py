@@ -61,7 +61,7 @@ def gi2_walk(index):
     query_bytes = sum(record[0].size_bytes() for record in index.records().values())
     posting_bytes = 0
     for inverted in index._cells.values():
-        postings = inverted.postings_map()
+        postings = inverted.by_term
         posting_bytes += 64 * len(postings) + 16 * sum(map(len, postings.values()))
     return query_bytes + posting_bytes + 96 * len(index._cells)
 
@@ -194,6 +194,10 @@ class GridTMemory(RuleBasedStateMachine):
         self.routing = fresh_gridt()
         self.placed = {}
         self.routed = []
+        #: Per structure, the fallback table it must hash over: the H1
+        #: owners as its cells were last assigned (construction), remapped
+        #: only by a recovery.
+        self.tables = [h1_owners(self.routing)]
 
     @property
     def current(self):
@@ -277,6 +281,7 @@ class GridTMemory(RuleBasedStateMachine):
         )
         cell = data.draw(st.sampled_from(text_cells) if text_cells else cells)
         self.current.set_cell_worker(cell, worker)
+        self.tables[-1] = h1_owners(self.current)
 
     @rule(
         cell=cells,
@@ -286,6 +291,16 @@ class GridTMemory(RuleBasedStateMachine):
     )
     def set_cell_term_map(self, cell, term_map, default, share):
         self.current.set_cell_term_map(cell, term_map, default, share=share)
+        self.tables[-1] = h1_owners(self.current)
+
+    @rule(dead=workers, successor=workers)
+    def replace_fallback_worker(self, dead, successor):
+        """A recovery's remap of the dead worker's slot."""
+        self.routing.replace_fallback_worker(dead, successor)
+        self.tables = [
+            tuple(successor if worker == dead else worker for worker in table)
+            for table in self.tables
+        ]
 
     @rule()
     def clear_h2(self):
@@ -297,8 +312,10 @@ class GridTMemory(RuleBasedStateMachine):
         """Start a dual-routing drain, or end one on its new strategy."""
         if isinstance(self.routing, DualRoutingIndex):
             self.routing = self.routing.new_index
+            self.tables = self.tables[-1:]
         else:
             self.routing = DualRoutingIndex(self.routing, fresh_gridt())
+            self.tables = [self.tables[0], h1_owners(self.routing.new_index)]
         self.placed.clear()
         self.routed.clear()
 
@@ -310,9 +327,9 @@ class GridTMemory(RuleBasedStateMachine):
     @invariant()
     def memory_is_the_walk(self):
         structures = self._structures()
-        for index in structures:
+        for index, table in zip(structures, self.tables):
             assert index.memory_bytes() == gridt_walk(index)
-            assert index.fallback_workers() == h1_owners(index)
+            assert index.fallback_workers() == table
         assert self.routing.memory_bytes() == sum(map(gridt_walk, structures))
 
 

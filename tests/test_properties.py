@@ -103,7 +103,7 @@ def test_posting_keyword_completeness(clauses, text_terms):
     stats.add_document(["kobe"] * 7 + ["music"] * 5 + ["storm"] * 2)
     expression = BooleanExpression.from_clauses(clauses)
     if expression.matches(text_terms):
-        assert text_terms & expression.posting_keywords(stats)
+        assert not text_terms.isdisjoint(expression.posting_keywords(stats))
 
 
 @given(st.dictionaries(words, st.floats(min_value=0.0, max_value=100.0), max_size=8),
