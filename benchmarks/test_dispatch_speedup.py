@@ -125,14 +125,14 @@ def _time_dispatch(plan, warmup, bodies, dispatch_backend):
     )
     best = None
     with Cluster(plan, config) as cluster:
-        cluster.run_batched(warmup, batch_size=4096, trace=False)
+        cluster.run_batched(warmup, batch_size=4096)
         # Page-warm the whole pipeline (and, for sharded dispatch, ship
         # the replica snapshots) outside the clock.
-        cluster.run_batched(bodies[0][:BATCH_SIZE], batch_size=BATCH_SIZE, trace=False)
+        cluster.run_batched(bodies[0][:BATCH_SIZE], batch_size=BATCH_SIZE)
         for body in bodies:
             cluster.reset_period()
             started = time.perf_counter()
-            cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
+            cluster.run_batched(body, batch_size=BATCH_SIZE)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
     return best

@@ -139,14 +139,14 @@ def _time_merge(plan, warmup, warm_body, bodies, merger_backend):
     best_rate = 0.0
     total_delivered = 0
     with Cluster(plan, config) as cluster:
-        cluster.run_batched(warmup, batch_size=4096, trace=False)
+        cluster.run_batched(warmup, batch_size=4096)
         # Page-warm the whole pipeline (worker and merger processes,
         # posting lists, pickle paths) outside the clock.
-        cluster.run_batched(warm_body, batch_size=BATCH_SIZE, trace=False)
+        cluster.run_batched(warm_body, batch_size=BATCH_SIZE)
         for body in bodies:
             cluster.reset_period()
             started = time.perf_counter()
-            cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
+            cluster.run_batched(body, batch_size=BATCH_SIZE)
             # A multiprocess merger may still be deduplicating shipped
             # results; the stats fetch rides the inboxes, so it fences
             # the measurement on full delivery.

@@ -66,11 +66,11 @@ def _time_mode(plan, warmup, body, checkpoint_every):
     best = None
     checkpoints = 0
     with Cluster(plan, config) as cluster:
-        cluster.run_batched(warmup, batch_size=4096, trace=False)
+        cluster.run_batched(warmup, batch_size=4096)
         for _ in range(REPEATS):
             cluster.reset_period()
             started = time.perf_counter()
-            cluster.run_batched(body, batch_size=BATCH_SIZE, trace=False)
+            cluster.run_batched(body, batch_size=BATCH_SIZE)
             elapsed = time.perf_counter() - started
             best = elapsed if best is None else min(best, elapsed)
         if cluster.recovery is not None:

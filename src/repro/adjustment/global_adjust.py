@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.objects import STSQuery
 from ..indexes.grid import CellCoord
-from ..indexes.gridt import GridTIndex, WorkerPlan, group_triples
+from ..indexes.gridt import GridTIndex, WorkerPlan
 from ..partitioning.base import PartitionPlan, Partitioner, WorkloadSample
 from ..runtime.cluster import Cluster
 from ..runtime.migration import MigrationRecord
@@ -82,8 +82,8 @@ class DualRoutingIndex:
             self._new_query_ids.discard(query.query_id)
             owner, other = other, owner
         per_worker, cells = owner.deletion_plan_apply(query)
-        for coord, key, worker in other.posting_assignments(query)[0]:
-            per_worker.setdefault(worker, []).append((coord, key))
+        for worker, pairs in other.posting_assignments(query)[0].items():
+            per_worker.setdefault(worker, []).extend(pairs)
         return per_worker, cells
 
     # -- surface compatibility ----------------------------------------------
@@ -220,26 +220,21 @@ class GlobalAdjuster:
             return report
         new_index = routing.new_index
         # 1. Snapshot every worker in bulk — its live queries and their
-        #    exact (cell, posting keyword) registrations — and compute the
-        #    new strategy's assignment of every live query once.
-        plans: Dict[
-            int,
-            Tuple[STSQuery, List[Tuple[CellCoord, str, int]], Dict[int, List[Tuple[CellCoord, str]]]],
-        ] = {}
+        #    exact (cell, posting keyword) registrations.
+        snapshot = cluster.transport.snapshot_assignments()
+        # 2. Place every live query once under the new strategy: its one
+        #    plan, counted into the new index's H2, rebuilt from scratch.
+        new_index.clear_h2()
+        plans: Dict[int, Tuple[STSQuery, WorkerPlan]] = {}
         holders: Dict[int, List[int]] = {}
         worker_pairs: Dict[int, Dict[int, Tuple[Tuple[CellCoord, str], ...]]] = {}
-        for worker_id, assignments in cluster.transport.snapshot_assignments().items():
+        for worker_id, assignments in snapshot.items():
             worker_pairs[worker_id] = {a.query.query_id: a.pairs for a in assignments}
             for assignment in assignments:
                 query = assignment.query
                 holders.setdefault(query.query_id, []).append(worker_id)
                 if query.query_id not in plans:
-                    triples, _ = new_index.posting_assignments(query)
-                    plans[query.query_id] = (query, triples, group_triples(triples))
-        # 2. Rebuild the new index's H2 from scratch out of those plans.
-        new_index.clear_h2()
-        for _, triples, _ in plans.values():
-            new_index.apply_insertion(triples)
+                    plans[query.query_id] = (query, new_index.insertion_plan_apply(query)[0])
         # 3. Build one reconciliation plan per worker: every replica ends
         #    at exactly its per-worker pairs, workers gaining a query
         #    receive only those pairs.
@@ -254,7 +249,7 @@ class GlobalAdjuster:
         shipped_bytes = 0
         shipped_count = 0
         rehomed_queries = 0
-        for query_id, (query, _, per_worker) in plans.items():
+        for query_id, (query, per_worker) in plans.items():
             holding = holders.get(query_id, [])
             for worker_id in holding:
                 expected = per_worker.get(worker_id)

@@ -43,7 +43,7 @@ from ..core.objects import SpatioTextualObject, STSQuery
 from ..core.text import TermStatistics
 from .grid import CellCoord, UniformGrid
 
-__all__ = ["GridTIndex", "GridTCell", "WorkerPlan", "group_triples"]
+__all__ = ["GridTIndex", "GridTCell", "WorkerPlan"]
 
 #: Sentinel distinguishing "not computed yet" from "no rewrite needed".
 _UNSET = object()
@@ -63,19 +63,12 @@ class GridTCell:
 
     #: Worker owning the whole cell (space-partitioned cells).
     default_worker: Optional[int] = None
-    #: H1: explicit term-to-worker map (text-partitioned cells).
-    term_workers: Optional[Dict[str, int]] = None
+    #: H1: explicit term-to-worker map (text-partitioned cells), possibly
+    #: shared with other cells (:meth:`GridTIndex.set_cell_term_map`).
+    term_workers: Optional[Mapping[str, int]] = None
     #: H2: posting keyword -> worker id -> number of live queries posted
     #: under that keyword for that worker in this cell.
     h2: Dict[str, Dict[int, int]] = field(default_factory=dict)
-
-    def lookup_h1(self, term: str) -> Optional[int]:
-        """The worker owning ``term`` in this cell according to H1."""
-        if self.term_workers is not None:
-            worker = self.term_workers.get(term)
-            if worker is not None:
-                return worker
-        return self.default_worker
 
     def workers(self) -> Set[int]:
         """Every worker this cell can currently route to (H1 and H2)."""
@@ -88,54 +81,12 @@ class GridTCell:
             result.update(owners)
         return result
 
-    def add_posting(self, term: str, worker: int) -> int:
-        """Count one more posting of ``worker`` under ``term``; returns the
-        H2 bytes it added (:meth:`GridTIndex.memory_bytes`)."""
-        owners = self.h2.get(term)
-        if owners is None:
-            self.h2[term] = {worker: 1}
-            return _ENTRY_BYTES + len(term) + _OWNER_BYTES
-        count = owners.get(worker)
-        if count is None:
-            owners[worker] = 1
-            return _OWNER_BYTES
-        owners[worker] = count + 1
-        return 0
-
-    def remove_posting(self, term: str, worker: int) -> int:
-        """Count one posting fewer; returns the H2 bytes it freed."""
-        owners = self.h2.get(term)
-        if not owners:
-            return 0
-        count = owners.get(worker, 0)
-        if count > 1:
-            owners[worker] = count - 1
-            return 0
-        if owners.pop(worker, None) is None:
-            return 0
-        if owners:
-            return _OWNER_BYTES
-        del self.h2[term]
-        return _ENTRY_BYTES + len(term) + _OWNER_BYTES
-
     def h2_entry_count(self) -> int:
         return sum(len(owners) for owners in self.h2.values())
 
 
 #: One update's per-worker ``(cell, posting keyword)`` routing plan.
 WorkerPlan = Dict[int, List[Tuple[CellCoord, str]]]
-
-
-def group_triples(triples: Iterable[Tuple[CellCoord, str, int]]) -> WorkerPlan:
-    """Group ``(cell, keyword, worker)`` triples into a per-worker plan."""
-    per_worker: WorkerPlan = {}
-    for coord, key, worker in triples:
-        pairs = per_worker.get(worker)
-        if pairs is None:
-            per_worker[worker] = [(coord, key)]
-        else:
-            pairs.append((coord, key))
-    return per_worker
 
 
 class GridTIndex:
@@ -155,9 +106,8 @@ class GridTIndex:
         through H2 in every cell and discarded when no registered query's
         posting keyword appears in them.  With filtering off (the
         behaviour of the evaluated baselines), a space-partitioned cell
-        forwards every object to its owner and a text-partitioned cell
-        routes objects through H1, i.e. to every worker owning one of the
-        object's terms.
+        forwards every object to its owner; a text-partitioned cell and a
+        cell without an owner still route through H2 (:meth:`route_cell`).
         """
         self._grid = UniformGrid(bounds, granularity, granularity)
         #: :meth:`UniformGrid.frame`, read by every update plan.
@@ -216,18 +166,15 @@ class GridTIndex:
         coord: CellCoord,
         term_workers: Mapping[str, int],
         default_worker: Optional[int] = None,
-        *,
-        share: bool = False,
     ) -> None:
         """Assign a term-to-worker map to the cell (text partitioning).
 
-        When ``share`` is true the mapping object is stored by reference so
-        that a single global text partition shared by every cell is only
-        held in memory once (this is how the pure text-partitioning
-        baselines keep the dispatcher footprint reasonable).
+        The map is stored by reference, so one text partition shared by
+        many cells is held — and charged by :meth:`memory_bytes` — once;
+        the H1 mutators copy a map before they change it.
         """
         cell = self.cell(coord)
-        cell.term_workers = term_workers if share else dict(term_workers)
+        cell.term_workers = term_workers
         cell.default_worker = default_worker
         self._h1 = self._fallback = None
 
@@ -239,7 +186,6 @@ class GridTIndex:
         granularity: int = 64,
         term_statistics: Optional[TermStatistics] = None,
         *,
-        share_term_maps: bool = True,
         object_filtering: bool = False,
     ) -> "GridTIndex":
         """Build a gridt index from partition units.
@@ -263,9 +209,10 @@ class GridTIndex:
             [RTreeEntry(region, position) for position, (region, _, _) in enumerate(assignments)],
             capacity=16,
         )
-        # Cells covered by the same set of text units share one merged term
-        # map, so a pure text partition costs one map, not one per cell.
-        merged_cache: Dict[Tuple[int, ...], Dict[str, int]] = {}
+        # Cells covered by the same set of text units share one term map
+        # (a lone unit's own), so a pure text partition costs one map, not
+        # one per cell.
+        merged_cache: Dict[Tuple[int, ...], Mapping[str, int]] = {}
         for coord in index._grid.all_cells():
             center = index._grid.cell_center(coord)
             covering_ids = sorted(entry.payload for entry in lookup.search_point(center))
@@ -286,21 +233,19 @@ class GridTIndex:
                         break
                 if default is None and space_units:
                     default = space_units[0][2]
-                if len(text_units) == 1 and share_term_maps:
-                    _, (_, term_map, _) = text_units[0]
-                    assert term_map is not None
-                    index.set_cell_term_map(coord, term_map, default, share=True)
-                else:
-                    cache_key = tuple(position for position, _ in text_units)
-                    merged = merged_cache.get(cache_key) if share_term_maps else None
-                    if merged is None:
-                        merged = {}
-                        for _, (_, term_map, _) in text_units:
-                            assert term_map is not None
+                cache_key = tuple(position for position, _ in text_units)
+                shared = merged_cache.get(cache_key)
+                if shared is None:
+                    maps = [term_map for _, (_, term_map, _) in text_units if term_map is not None]
+                    if len(maps) == 1:
+                        shared = maps[0]
+                    else:
+                        merged: Dict[str, int] = {}
+                        for term_map in maps:
                             merged.update(term_map)
-                        if share_term_maps:
-                            merged_cache[cache_key] = merged
-                    index.set_cell_term_map(coord, merged, default, share=share_term_maps)
+                        shared = merged
+                    merged_cache[cache_key] = shared
+                index.set_cell_term_map(coord, shared, default)
             elif space_units:
                 worker_id = space_units[0][2]
                 if worker_id is not None:
@@ -326,16 +271,20 @@ class GridTIndex:
         cell, and discarded otherwise.  Content-based routing applies to
         text-partitioned cells always — that is what "routing by text"
         means for the baselines — and to space-partitioned cells only
-        when filtering is enabled (see :meth:`__init__`).
+        when filtering is enabled (see :meth:`__init__`).  A cell no unit
+        covers has no owner to forward to, so it routes through H2 either
+        way: the postings the fallback table placed there are its only
+        holders.
         """
         cell = self._cells.get(coord)
         if cell is None:
             self.profile.fallback_routes += 1
             return ()
         if cell.term_workers is None and not self.object_filtering:
-            self.profile.fallback_routes += 1
             default = cell.default_worker
-            return (default,) if default is not None else ()
+            if default is not None:
+                self.profile.fallback_routes += 1
+                return (default,)
         h2 = cell.h2
         if not h2:
             self.profile.fallback_routes += 1
@@ -374,68 +323,53 @@ class GridTIndex:
             append(route_cell((col, row), obj.terms))
         return decisions
 
-    def posting_assignments(
-        self, query: STSQuery
-    ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
-        """``(cell, posting keyword, worker)`` triples plus the probed cell count.
+    def posting_assignments(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
+        """Where ``query``'s postings go, H2 untouched: the read-only pass
+        of :meth:`_plan_apply`."""
+        return self._plan_apply(query, 0)
 
-        Shared by insertion and deletion routing (deterministic: the term
-        statistics are frozen at partitioning time).  The cell count — grid
-        cells overlapping the region — is what the dispatcher is charged for.
-
-        Posting keywords are visited in their sorted order so the
-        assignment *sequence* (not just its content) is identical on every
-        replica of this index — sharded dispatch compares per-worker plans
-        computed in different OS processes, where set iteration order
-        diverges.
-        """
-        assignments: List[Tuple[CellCoord, str, int]] = []
-        posting_keys = query.expression.posting_keywords(self._statistics)
-        coords = self._grid.cells_overlapping(query.region)
-        cells_get = self._cells.get
-        for coord in coords:
-            cell = cells_get(coord)
-            for key in posting_keys:
-                worker = cell.lookup_h1(key) if cell is not None else None
-                if worker is None:
-                    worker = self._fallback_worker(key)
-                if worker is not None:
-                    assignments.append((coord, key, worker))
-        return assignments, len(coords)
-
-    def insertion_assignments(
-        self, query: STSQuery
-    ) -> Tuple[List[Tuple[CellCoord, str, int]], int]:
-        """Where a *new* query is placed: :meth:`posting_assignments` under
-        its insertion-side name (kept for callers that wrap it by name)."""
+    def insertion_assignments(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
+        """:meth:`posting_assignments` under its insertion-side name."""
         return self.posting_assignments(query)
 
     def insertion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
-        """One-pass insertion routing fused with the H2 update (fast path).
-
-        Computes the per-worker ``(cell, posting keyword)`` plan and records
-        the H2 postings in the same cell scan; returns the plan plus the
-        overlapping-cell count the dispatcher cost model charges for.
-        Equivalent to :meth:`posting_assignments` + :meth:`apply_insertion`
-        with the assignments grouped by worker.
-        """
-        return self._plan_apply(query, True)
+        """Place a new query and count its postings into H2."""
+        return self._plan_apply(query, 1)
 
     def deletion_plan_apply(self, query: STSQuery) -> Tuple[WorkerPlan, int]:
-        """Deletion twin of :meth:`insertion_plan_apply`: the same scan
-        drops the H2 postings instead.
+        """Re-plan a deleted query and count its postings out of H2.
 
-        The plan equals :meth:`posting_assignments` grouped by worker: the
-        keyword choice is deterministic and every H1 mutation carries the
-        H2 postings it reassigns along, so it names exactly the pairs H2
-        holds for the query.
+        The plan is the one its insertion made: the keyword choice is
+        deterministic and every H1 mutation carries the H2 postings it
+        reassigns along, so it names exactly the pairs H2 holds for the
+        query.
         """
-        return self._plan_apply(query, False)
+        return self._plan_apply(query, -1)
 
-    def _plan_apply(self, query: STSQuery, insert: bool) -> Tuple[WorkerPlan, int]:
-        """The one cell/keyword/worker resolution loop of both update plans;
-        ``insert`` is the direction of the H2 change (a deletion leaves an
-        uncovered cell uncreated: it holds no posting to drop)."""
+    def route_insertion(self, query: STSQuery) -> Set[int]:
+        """The workers :meth:`insertion_plan_apply` posts ``query`` to."""
+        return set(self.insertion_plan_apply(query)[0])
+
+    def route_deletion(self, query: STSQuery) -> Set[int]:
+        """The workers :meth:`deletion_plan_apply` drops ``query`` from."""
+        return set(self.deletion_plan_apply(query)[0])
+
+    def _plan_apply(self, query: STSQuery, direction: int) -> Tuple[WorkerPlan, int]:
+        """The H1 placement rule: the one resolution loop of every plan.
+
+        In every cell the region overlaps, each posting keyword goes to the
+        cell's H1 owner of the keyword, else the cell's owner, else — a
+        cell no unit covers — the worker the keyword hashes to in
+        :meth:`fallback_workers`.  ``direction`` counts the postings into
+        H2 (+1, an insertion), out of it (-1, a deletion: an uncovered cell
+        stays uncreated, it holds nothing to drop) or not at all (0, a
+        read).  Returns the per-worker plan and the overlapped-cell count
+        the dispatcher cost model charges for.  Cells are visited
+        row-major and keywords sorted, so the plan *sequence* is the same
+        on every replica of this index (sharded dispatch compares plans
+        computed in different OS processes, where set order diverges).
+        """
+        insert = direction > 0
         posting_keys = query.expression.posting_keywords(self._statistics)
         region = query.region
         min_x, min_y, cell_w, cell_h, max_col, max_row = self._frame
@@ -463,17 +397,16 @@ class GridTIndex:
                 else:
                     term_workers = cell.term_workers
                     default = cell.default_worker
-                    h2 = cell.h2
-                # Sorted keys keep the plan sequence replica-independent
-                # (see posting_assignments).
+                    h2 = cell.h2 if direction else None
                 for key in posting_keys:
                     worker = term_workers.get(key) if term_workers is not None else None
                     if worker is None:
                         worker = default
                         if worker is None:
-                            worker = self._fallback_worker(key)
-                            if worker is None:
+                            table = self.fallback_workers()
+                            if not table:
                                 continue
+                            worker = table[crc32(key.encode("utf-8")) % len(table)]
                     if insert:
                         if h2 is None:
                             cell = cells_map[coord] = GridTCell()
@@ -510,108 +443,73 @@ class GridTIndex:
         cells = (hi_col - lo_col + 1) * (hi_row - lo_row + 1)
         return per_worker, cells
 
-    def apply_deletion_pairs(self, per_worker: WorkerPlan) -> None:
-        """Remove H2 postings for a per-worker plan (fast path).
-
-        Same effect as :meth:`GridTCell.remove_posting` per pair, with the
-        per-posting work inlined.
-        """
-        cells_get = self._cells.get
-        freed = 0
-        for worker, pairs in per_worker.items():
-            for coord, key in pairs:
-                cell = cells_get(coord)
-                if cell is None:
-                    continue
-                h2 = cell.h2
-                owners = h2.get(key)
-                if not owners:
-                    continue
-                count = owners.get(worker, 0)
-                if count > 1:
-                    owners[worker] = count - 1
-                elif owners.pop(worker, None) is not None:
-                    if owners:
-                        freed += _OWNER_BYTES
-                    else:
-                        del h2[key]
-                        freed += _ENTRY_BYTES + len(key) + _OWNER_BYTES
-        self._h2_bytes -= freed
-
-    def apply_insertion_pairs(self, per_worker: WorkerPlan) -> None:
-        """Record H2 postings for a per-worker plan: the insertion twin of
-        :meth:`apply_deletion_pairs` (:meth:`GridTCell.add_posting` per
-        pair, inlined)."""
+    def apply_plan(self, per_worker: WorkerPlan, direction: int) -> None:
+        """Count a plan made elsewhere into H2 (``direction`` +1) or out of
+        it (-1): the H2 count of :meth:`_plan_apply` without the placement,
+        for a dispatch shard's plan or a repartition's rebuild."""
         cells_map = self._cells
         cells_get = cells_map.get
-        grown = 0
+        delta = 0
         for worker, pairs in per_worker.items():
             for coord, key in pairs:
                 cell = cells_get(coord)
-                if cell is None:
-                    cell = cells_map[coord] = GridTCell()
-                h2 = cell.h2
-                owners = h2.get(key)
-                if owners is None:
-                    h2[key] = {worker: 1}
-                    grown += _ENTRY_BYTES + len(key) + _OWNER_BYTES
-                else:
-                    count = owners.get(worker)
-                    if count is None:
-                        owners[worker] = 1
-                        grown += _OWNER_BYTES
+                if direction > 0:
+                    if cell is None:
+                        cell = cells_map[coord] = GridTCell()
+                    h2 = cell.h2
+                    owners = h2.get(key)
+                    if owners is None:
+                        h2[key] = {worker: 1}
+                        delta += _ENTRY_BYTES + len(key) + _OWNER_BYTES
                     else:
-                        owners[worker] = count + 1
-        self._h2_bytes += grown
+                        count = owners.get(worker)
+                        if count is None:
+                            owners[worker] = 1
+                            delta += _OWNER_BYTES
+                        else:
+                            owners[worker] = count + 1
+                elif cell is not None:
+                    h2 = cell.h2
+                    owners = h2.get(key)
+                    if owners:
+                        count = owners.get(worker, 0)
+                        if count > 1:
+                            owners[worker] = count - 1
+                        elif owners.pop(worker, None) is not None:
+                            if owners:
+                                delta -= _OWNER_BYTES
+                            else:
+                                del h2[key]
+                                delta -= _ENTRY_BYTES + len(key) + _OWNER_BYTES
+        self._h2_bytes += delta
 
-    def apply_insertion(self, assignments: Iterable[Tuple[CellCoord, str, int]]) -> Set[int]:
-        """Record H2 postings for precomputed assignments; returns the workers."""
-        workers: Set[int] = set()
-        grown = 0
-        for coord, key, worker in assignments:
-            grown += self.cell(coord).add_posting(key, worker)
-            workers.add(worker)
-        self._h2_bytes += grown
-        return workers
+    def apply_insertion(self, per_worker: WorkerPlan) -> None:
+        """Count a plan's postings into H2 (:meth:`apply_plan`)."""
+        self.apply_plan(per_worker, 1)
 
-    def apply_deletion(self, assignments: Iterable[Tuple[CellCoord, str, int]]) -> Set[int]:
-        """Remove H2 postings for precomputed assignments; returns the workers."""
-        workers: Set[int] = set()
-        cells_get = self._cells.get
-        freed = 0
-        for coord, key, worker in assignments:
-            cell = cells_get(coord)
-            if cell is not None:
-                freed += cell.remove_posting(key, worker)
-            workers.add(worker)
-        self._h2_bytes -= freed
-        return workers
+    def apply_deletion(self, per_worker: WorkerPlan) -> None:
+        """Count a plan's postings out of H2 (:meth:`apply_plan`)."""
+        self.apply_plan(per_worker, -1)
 
-    def _fallback_worker(self, term: str) -> Optional[int]:
-        """Deterministic destination for terms in uncovered cells.
-
-        Falls back to hashing the term over :meth:`fallback_workers` so a
-        query is never silently dropped.  The hash must be stable across
-        interpreter processes (``PYTHONHASHSEED`` randomises ``hash(str)``
-        per process): sharded dispatch routes on per-process replicas of
-        this index, and every replica must fall back identically.
-        """
-        workers = self.fallback_workers()
-        if not workers:
-            return None
-        return workers[crc32(term.encode("utf-8")) % len(workers)]
+    def apply_deletion_pairs(self, per_worker: WorkerPlan) -> None:
+        """:meth:`apply_deletion` under its shard-replay name."""
+        self.apply_plan(per_worker, -1)
 
     def fallback_workers(self) -> Tuple[int, ...]:
         """The table a term in an uncovered cell is hashed over: the
         workers H1 assigns anything to, sorted, as the cells were assigned
         (:meth:`set_cell_worker`, :meth:`set_cell_term_map`).
 
-        Fixed from then on.  A deletion re-plans from the index, so a
-        table that followed the adjusters' H1 changes (a worker gaining or
-        losing its last cell) would name another worker than the one its
-        insertion posted to, and the real holder would keep the query.
-        Only a recovery changes it (:meth:`replace_fallback_worker`); the
-        adjusters' mutators pin it before they touch H1.
+        A query is never silently dropped, and the hash (``crc32``) is
+        stable across interpreter processes, unlike ``hash(str)``: sharded
+        dispatch routes on per-process replicas of this index, and every
+        replica must fall back identically.  The table is fixed from then
+        on.  A deletion re-plans from the index, so a table that followed
+        the adjusters' H1 changes (a worker gaining or losing its last
+        cell) would name another worker than the one its insertion posted
+        to, and the real holder would keep the query.  Only a recovery
+        changes it (:meth:`replace_fallback_worker`); the adjusters'
+        mutators pin it before they touch H1.
         """
         table = self._fallback
         if table is None:
@@ -645,14 +543,6 @@ class GridTIndex:
             state = self._h1 = (total, tuple(sorted(owners)))
         return state
 
-    def route_insertion(self, query: STSQuery) -> Set[int]:
-        """Route a query insertion and update H2; returns target workers."""
-        return self.apply_insertion(self.posting_assignments(query)[0])
-
-    def route_deletion(self, query: STSQuery) -> Set[int]:
-        """Route a query deletion and update H2; returns target workers."""
-        return self.apply_deletion(self.posting_assignments(query)[0])
-
     # ------------------------------------------------------------------
     # Dynamic adjustment support (Section V)
     # ------------------------------------------------------------------
@@ -662,7 +552,7 @@ class GridTIndex:
         """Repoint a batch of cells from one worker to another (Section V).
 
         The H1 rewrite is shared per distinct term map: cells of a text
-        partition usually alias one map (``share_term_maps``), so the
+        partition alias one map (:meth:`set_cell_term_map`), so the
         rewritten copy is computed once and re-shared by every migrated
         cell instead of privatising one copy per cell — both faster and
         memory-preserving under the dispatcher's shared-map accounting.
@@ -731,7 +621,8 @@ class GridTIndex:
         h2 = cell.h2
         merged = 0
         for term, owners in list(h2.items()):
-            target = cell.lookup_h1(term)
+            # Each posting moves to where _plan_apply now places its term.
+            target = term_assignment.get(term, default_worker)
             if target is None:
                 continue
             merged += _OWNER_BYTES * (len(owners) - 1)

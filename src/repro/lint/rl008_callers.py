@@ -30,8 +30,9 @@ ALLOWED: Dict[str, str] = {
     # Pinned by benchmarks/e2e/tracer.py (TARGETS) until ROADMAP 1(b)
     # retires the per-tuple entry points it wraps.
     "handle_object": "e2e tracer target: the per-tuple worker match op",
-    "insertion_assignments": "e2e tracer target: the per-tuple insertion plan",
-    "route_deletion": "e2e tracer target: per-tuple deletion routing",
+    "insertion_assignments": "e2e tracer target: one-line delegation to posting_assignments",
+    "route_deletion": "e2e tracer target: one-line delegation to deletion_plan_apply",
+    "apply_deletion_pairs": "e2e tracer target: one-line delegation to apply_plan",
     "route_object": "single-object routing: the tests' oracle of route_cell, an e2e tracer target",
     # Called from benchmarks/.
     "route_object_batch": "bench.py's isolated re-route of the body (gridt.route_probe_s)",

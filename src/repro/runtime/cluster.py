@@ -68,19 +68,15 @@ class _WindowRun:
     span and seq) until settled.
     """
 
-    def __init__(
-        self, items: Sequence[StreamTuple], base: int, num_dispatchers: int, trace: bool
-    ) -> None:
+    def __init__(self, items: Sequence[StreamTuple], base: int, num_dispatchers: int) -> None:
         count = len(items)
         self.items = items
         self.base = base
         self.update_costs = [0.0] * num_dispatchers
         self.dispatcher_costs = [0.0] * num_dispatchers
         self.objects = self.fanout = 0
-        self.trace_costs: Optional[List[float]] = [0.0] * count if trace else None
-        self.trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]] = (
-            [None] * count if trace else None
-        )
+        self.trace_costs = [0.0] * count
+        self.trace_workers: List[Optional[List[Tuple[int, float]]]] = [None] * count
         self.ops: Dict[int, List[WorkerOp]] = {}
         self.segments: List[Tuple[List[int], Dict[int, List[int]], Dict[int, int]]] = []
         self.submitted = Submitted([], None)
@@ -243,12 +239,12 @@ class Cluster:
     # ------------------------------------------------------------------
     # Tuple processing (per-tuple driver)
     # ------------------------------------------------------------------
-    def process(self, item: StreamTuple, *, trace: bool = True) -> Set[int]:
+    def process(self, item: StreamTuple) -> Set[int]:
         """Run one tuple through dispatcher, workers and mergers: a run of
         one (:meth:`_run`).  Returns the set of workers that handled it."""
-        return self._run((item,), trace)[1]
+        return self._run((item,))[1]
 
-    def _run(self, items: Iterable[StreamTuple], trace: bool) -> Tuple[int, Set[int]]:
+    def _run(self, items: Iterable[StreamTuple]) -> Tuple[int, Set[int]]:
         """The per-tuple driver: each tuple routed, shipped, matched and
         delivered before the next is pulled off ``items``, by the routing
         rules and worker ops of :meth:`_execute_window` (each worker gets
@@ -269,7 +265,7 @@ class Cluster:
                     slot, seq = self._submit((item,))
                     assert self._dispatch is not None and seq is not None
                     routed = self._dispatch.collect_window(seq)
-                    self._execute_window((item,), slot, routed, trace)
+                    self._execute_window((item,), slot, routed)
                     self._settle()
                     is_object = item.kind is TupleKind.OBJECT
                     handled = set(routed.decisions[0] if is_object else routed.plans[0][1])
@@ -355,10 +351,9 @@ class Cluster:
                     else:
                         totals.deletions += 1
                 totals.tuples += 1
-                if trace:
-                    key = (dispatcher.dispatcher_id, cost, *worker_costs)
-                    sid = signature(key)
-                    record(intern(key) if sid is None else sid)
+                key = (dispatcher.dispatcher_id, cost, *worker_costs)
+                sid = signature(key)
+                record(intern(key) if sid is None else sid)
             return taken, set(batches)
         except TransportError as exc:
             exc.progress = (taken, (item,) if item is not None else ())
@@ -368,7 +363,6 @@ class Cluster:
         self,
         tuples: Iterable[StreamTuple],
         *,
-        trace: bool = True,
         adjust_every: int = 0,
         local_adjuster: Optional[driver.LocalAdjusterLike] = None,
         global_adjuster: Optional[driver.GlobalAdjusterLike] = None,
@@ -380,7 +374,7 @@ class Cluster:
         every ``adjust_every`` tuples, and a checkpointed cluster snapshots
         worker assignments at its barriers and recovers dead workers.
         """
-        driver.replay(self, tuples, 1, trace, adjust_every, local_adjuster, global_adjuster)
+        driver.replay(self, tuples, 1, adjust_every, local_adjuster, global_adjuster)
         return self.report()
 
     def run_batched(
@@ -388,7 +382,6 @@ class Cluster:
         tuples: Iterable[StreamTuple],
         *,
         batch_size: int = 256,
-        trace: bool = True,
         adjust_every: int = 0,
         local_adjuster: Optional[driver.LocalAdjusterLike] = None,
         global_adjuster: Optional[driver.GlobalAdjusterLike] = None,
@@ -403,8 +396,7 @@ class Cluster:
         the current one; every barrier drains that lookahead first.
         """
         driver.replay(
-            self, tuples, max(1, batch_size), trace,
-            adjust_every, local_adjuster, global_adjuster,
+            self, tuples, max(1, batch_size), adjust_every, local_adjuster, global_adjuster
         )
         return self.report()
 
@@ -442,7 +434,7 @@ class Cluster:
     # ------------------------------------------------------------------
     # The window executor (batched driver)
     # ------------------------------------------------------------------
-    def process_batch(self, items: Sequence[StreamTuple], *, trace: bool = True) -> None:
+    def process_batch(self, items: Sequence[StreamTuple]) -> None:
         """Process one window of tuples through the batched engine.
 
         Updates are *deferred* within the window: an update only acts as a
@@ -468,7 +460,7 @@ class Cluster:
         if following:
             self._ahead = self._submit(following)
         try:
-            self._execute_window(items, base, routed, trace)
+            self._execute_window(items, base, routed)
         except BaseException:
             self._discard_ahead()
             raise
@@ -487,7 +479,6 @@ class Cluster:
         items: Sequence[StreamTuple],
         base: int,
         routed: Optional[RoutedWindow],
-        trace: bool,
     ) -> None:
         """Deferred-barrier window execution.
 
@@ -518,7 +509,7 @@ class Cluster:
 
         min_x, min_y, cell_w, cell_h, max_col, max_row = routing.grid.frame()
 
-        window = _WindowRun(items, base, num_dispatchers, trace)
+        window = _WindowRun(items, base, num_dispatchers)
         trace_costs = window.trace_costs
         dispatcher_costs = window.dispatcher_costs
 
@@ -572,8 +563,7 @@ class Cluster:
                 n_terms = len(terms)
                 cost = tuple_cost + probe_cost * (n_terms if n_terms > 1 else 1)
                 dispatcher_costs[slot] += cost
-                if trace_costs is not None:
-                    trace_costs[position] = cost
+                trace_costs[position] = cost
                 decision = (
                     route_cell(coord, terms) if decisions is None else decisions[position]
                 )
@@ -631,9 +621,9 @@ class Cluster:
                 else:
                     is_insert, per_worker, cells = plans[position]
                     if is_insert:
-                        routing.apply_insertion_pairs(per_worker)
+                        routing.apply_insertion(per_worker)
                     else:
-                        routing.apply_deletion_pairs(per_worker)
+                        routing.apply_deletion(per_worker)
                 pending_updates.append(
                     (position, is_insert, item.payload, per_worker, cells)
                 )
@@ -717,19 +707,17 @@ class Cluster:
             # pinned by tests/test_report_golden.py.
             dispatchers[slot].busy_cost += window.dispatcher_costs[slot]
             dispatchers[slot].busy_cost += window.update_costs[slot]
-        if window.trace_costs is not None:
-            assert window.trace_workers is not None
-            # Dispatcher ids repeat cyclically from ``base``; emit the whole
-            # window's worth at C speed.
-            rotated = [
-                dispatchers[(window.base + offset) % num_dispatchers].dispatcher_id
-                for offset in range(num_dispatchers)
-            ]
-            self._traces.extend(
-                islice(cycle(rotated), len(window.trace_costs)),
-                window.trace_costs,
-                window.trace_workers,
-            )
+        # Dispatcher ids repeat cyclically from ``base``; emit the whole
+        # window's worth at C speed.
+        rotated = [
+            dispatchers[(window.base + offset) % num_dispatchers].dispatcher_id
+            for offset in range(num_dispatchers)
+        ]
+        self._traces.extend(
+            islice(cycle(rotated), len(window.trace_costs)),
+            window.trace_costs,
+            window.trace_workers,
+        )
         self._span_close()
 
     def _flush_fast(
@@ -805,10 +793,8 @@ class Cluster:
                 totals.deletions += 1
             touched.update(worker_id for worker_id, _ in worker_items)
             totals.tuples += 1
-            if trace_costs is not None:
-                trace_costs[position] = cost
-                assert trace_workers is not None
-                trace_workers[position] = worker_items
+            trace_costs[position] = cost
+            trace_workers[position] = worker_items
         span = self._telemetry.span if self._telemetry is not None else None
         if span is not None and len(touched) > span.match_endpoints:
             span.match_endpoints = len(touched)
@@ -819,7 +805,7 @@ class Cluster:
         positions: List[int],
         groups: Dict[int, List[int]],
         offsets: Dict[int, int],
-        trace_workers: Optional[List[Optional[List[Tuple[int, float]]]]],
+        trace_workers: List[Optional[List[Tuple[int, float]]]],
     ) -> None:
         """Merge one flushed object run's match replies, in group order.
 
@@ -834,14 +820,13 @@ class Cluster:
             if reply.results:
                 all_results.extend(reply.results)
             produced += reply.produced_count
-            if trace_workers is not None:
-                for local, cost in zip(locals_, reply.costs):
-                    position = positions[local]
-                    entry = trace_workers[position]
-                    if entry is None:
-                        trace_workers[position] = [(worker_id, cost)]
-                    else:
-                        entry.append((worker_id, cost))
+            for local, cost in zip(locals_, reply.costs):
+                position = positions[local]
+                entry = trace_workers[position]
+                if entry is None:
+                    trace_workers[position] = [(worker_id, cost)]
+                else:
+                    entry.append((worker_id, cost))
         if all_results or produced:
             self._deliver_results(all_results, produced)
 

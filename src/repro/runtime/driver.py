@@ -154,7 +154,6 @@ def replay(
     cluster: "Cluster",
     tuples: Iterable[StreamTuple],
     size: int,
-    trace: bool,
     adjust_every: int = 0,
     local_adjuster: Optional[LocalAdjusterLike] = None,
     global_adjuster: Optional[GlobalAdjusterLike] = None,
@@ -256,7 +255,7 @@ def replay(
                 if collector is not None:
                     run = map(collector.passing, run)
                 try:
-                    taken = cluster._run(run, trace)[0]
+                    taken = cluster._run(run)[0]
                 except TransportError as exc:
                     # A tuple lost to a recovery still counts towards the cadences.
                     taken, window = exc.progress
@@ -281,7 +280,7 @@ def replay(
                 ahead = _fill(cluster, iterator, min(size, barrier - position), recovery)
                 cluster._lookahead = ahead
                 position += len(ahead)
-            cluster.process_batch(window, trace=trace)
+            cluster.process_batch(window)
         except TransportError as exc:
             if recovery is None:
                 raise

@@ -8,11 +8,11 @@ import pytest
 from repro.adjustment import GlobalAdjuster, GreedySelector, LocalLoadAdjuster
 from repro.core import Point, Rect, SpatioTextualObject, STSQuery, StreamTuple, TupleKind
 from repro.indexes.gridt import GridTIndex
-from repro.partitioning import HybridPartitioner, KDTreeSpacePartitioner
+from repro.partitioning import HybridPartitioner, KDTreeSpacePartitioner, RTreeSpacePartitioner
 from repro.partitioning.base import PartitionPlan, PartitionUnit
 from repro.runtime import Cluster, ClusterConfig, SinkSpec
 
-from harness import brute_force, delivered_pairs, golden_workload, replayed
+from harness import brute_force, delivered_pairs, golden_workload, make_workload, replayed
 
 
 def build_cluster(stream, partitioner=None, num_workers=4, sample_objects=500, **config_kwargs):
@@ -271,6 +271,49 @@ class TestMigration:
         assert more.objects_processed >= 400
 
 
+class TestUncoveredCells:
+    """Regression: with object filtering off (every space baseline) a cell
+    no unit covers forwarded no object, while an insertion there posted
+    its query to a fallback worker — the query could never match.  Such a
+    cell routes through H2 like a text cell."""
+
+    @pytest.mark.parametrize("batch_size", [0, 64])
+    def test_a_query_in_an_uncovered_cell_matches_without_filtering(self, batch_size):
+        bounds = Rect(0.0, 0.0, 100.0, 100.0)
+        plan = PartitionPlan(
+            units=[
+                PartitionUnit(Rect(0, 0, 30, 100), None, 0),
+                PartitionUnit(Rect(30, 0, 60, 100), None, 1),
+                PartitionUnit(Rect(60, 0, 70, 100), None, 2),
+            ],
+            num_workers=3,
+            bounds=bounds,
+            object_filtering=False,
+        )
+        query = STSQuery.create("kobe", Rect(80, 80, 85, 85), query_id=1)  # x > 70: uncovered
+        stream = [
+            StreamTuple.insert(query),
+            StreamTuple.object(SpatioTextualObject.create("kobe", Point(82, 82), object_id=1)),
+            StreamTuple.object(SpatioTextualObject.create("jazz", Point(82, 82), object_id=2)),
+        ]
+        with replayed(plan, stream, batch_size=batch_size, workers=3, granularity=10) as (
+            cluster, report,
+        ):
+            delivered = delivered_pairs(cluster)
+        assert delivered == [(1, 1)]
+        assert set(delivered) == brute_force(stream)
+        assert report.object_fanout == 0.5  # "kobe" reaches one worker, "jazz" none
+
+    def test_an_rtree_plan_delivers_the_oracle(self):
+        plan, tuples = make_workload(partitioner=RTreeSpacePartitioner(), num_objects=1500)
+        assert not plan.object_filtering
+        index = plan.to_gridt(ClusterConfig.granularity)
+        assert len(index.cells()) < index.grid.columns * index.grid.rows  # cells left uncovered
+        with replayed(plan, tuples, batch_size=256) as (cluster, _):
+            delivered = delivered_pairs(cluster)
+        assert set(delivered) == brute_force(tuples)
+
+
 class TestReplaceRoutingIndex:
     @pytest.mark.parametrize(
         "bounds, granularity",
@@ -322,12 +365,12 @@ class TestRunLoop:
         handled = []
         run_loop = Cluster._run
 
-        def one_call_per_tuple(cluster, items, trace):
+        def one_call_per_tuple(cluster, items):
             if isinstance(items, tuple):  # process(): a run of one
-                return run_loop(cluster, items, trace)
+                return run_loop(cluster, items)
             taken, last = 0, set()
             for item in items:
-                last = cluster.process(item, trace=trace)
+                last = cluster.process(item)
                 handled.append(last)
                 taken += 1
             return taken, last

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Point, Rect, STSQuery, SpatioTextualObject, TermStatistics
-from repro.indexes.gridt import _CELL_BYTES, GridTIndex, group_triples
+from repro.indexes.gridt import _CELL_BYTES, GridTIndex
 
 
 BOUNDS = Rect(0, 0, 100, 100)
@@ -147,8 +147,7 @@ class TestQueryRouting:
         late_plan = index.insertion_plan_apply(late)
         # The deletion re-plans to worker 2, which holds the query.
         assert index.deletion_plan_apply(early)[0] == early_plan
-        triples, cells = index.posting_assignments(late)
-        assert (group_triples(triples), cells) == late_plan
+        assert index.posting_assignments(late) == late_plan
         assert index.fallback_workers() == (0, 1, 2)
         assert list(late_plan[0]) == [hashed(second, 3)]
 
@@ -326,9 +325,10 @@ _QUERIES = st.builds(
 
 
 class TestOnePassDeletion:
-    """``deletion_plan_apply`` shares the insertion's resolution loop: its
-    plan is the grouped ``posting_assignments`` read, in order, and its H2
-    effect that of ``apply_deletion_pairs`` on that plan."""
+    """Every update plan comes out of one resolution loop: the read-only
+    ``posting_assignments`` pass is the plan ``insertion_plan_apply`` and
+    ``deletion_plan_apply`` make, in dict and pair order, and the pair
+    loop (``apply_insertion`` / ``apply_deletion``) has their H2 effect."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -353,22 +353,36 @@ class TestOnePassDeletion:
         index.migrate_cells([migrated], index.cells()[migrated].default_worker, 3)
 
         h2, memory, cells = _h2(index), index.memory_bytes(), len(index.cells())
+        read = index.posting_assignments(fresh)
+        # The read-only pass leaves H2, the cells and the memory count alone.
+        assert _h2(index) == h2
+        assert index.memory_bytes() == memory and len(index.cells()) == cells
+        replica = copy.deepcopy(index)
+        assert replica.insertion_plan_apply(fresh) == read
         inserted = index.insertion_plan_apply(fresh)
         deleted = index.deletion_plan_apply(fresh)
-        assert list(deleted[0].items()) == list(inserted[0].items())
-        assert deleted[1] == inserted[1]
+        assert list(inserted[0].items()) == list(read[0].items())
+        assert list(deleted[0].items()) == list(read[0].items())
+        assert deleted[1] == inserted[1] == read[1]
         assert _h2(index) == h2
         # Only the empty cells an uncovered insertion created stay behind.
-        assert index.memory_bytes() == memory + _CELL_BYTES * (len(index.cells()) - cells)
+        created = _CELL_BYTES * (len(index.cells()) - cells)
+        assert index.memory_bytes() == memory + created
+        # The pair loop counts the same plan in and out again.
+        index.apply_insertion(read[0])
+        assert _h2(index) == _h2(replica)
+        assert index.memory_bytes() == replica.memory_bytes()
+        index.apply_deletion(read[0])
+        assert _h2(index) == h2
+        assert index.memory_bytes() == memory + created
 
         twin = copy.deepcopy(index)
         for query in data.draw(st.permutations(resident)):
-            triples, probed = index.posting_assignments(query)
-            expected = group_triples(triples)
+            expected, probed = index.posting_assignments(query)
             plan, cells = index.deletion_plan_apply(query)
             assert list(plan.items()) == list(expected.items())
             assert cells == probed
-            twin.apply_deletion_pairs(expected)
+            twin.apply_deletion(expected)
             assert _h2(index) == _h2(twin)
             assert index.memory_bytes() == twin.memory_bytes()
         # Every posting went with its query: the fallback table did not

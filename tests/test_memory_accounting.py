@@ -31,10 +31,10 @@ cells = st.tuples(
     st.integers(0, GRANULARITY - 1), st.integers(0, GRANULARITY - 1)
 )
 workers = st.sampled_from(WORKERS)
-#: ``(cell, keyword, worker)`` postings of one keyword of one cell by
-#: several workers — which routing through H1 alone rarely produces.
-triples = st.builds(
-    lambda cell, key, owners: [(cell, key, worker) for worker in owners],
+#: A per-worker plan posting one keyword of one cell by several workers —
+#: which routing through H1 alone rarely produces.
+plans = st.builds(
+    lambda cell, key, owners: {worker: [(cell, key)] for worker in owners},
     cells,
     st.sampled_from(WORDS),
     st.lists(workers, min_size=1, max_size=4),
@@ -233,11 +233,11 @@ class GridTMemory(RuleBasedStateMachine):
             query_id = data.draw(st.sampled_from(sorted(self.placed)))
             self.routing.deletion_plan_apply(self.placed.pop(query_id))
 
-    @rule(posted=triples)
+    @rule(posted=plans)
     def apply_insertion(self, posted):
         self.current.apply_insertion(posted)
 
-    @rule(posted=triples)
+    @rule(posted=plans)
     def apply_deletion(self, posted):
         self.current.apply_deletion(posted)
 
@@ -287,10 +287,9 @@ class GridTMemory(RuleBasedStateMachine):
         cell=cells,
         term_map=st.dictionaries(st.sampled_from(WORDS), workers, max_size=5),
         default=st.one_of(st.none(), workers),
-        share=st.booleans(),
     )
-    def set_cell_term_map(self, cell, term_map, default, share):
-        self.current.set_cell_term_map(cell, term_map, default, share=share)
+    def set_cell_term_map(self, cell, term_map, default):
+        self.current.set_cell_term_map(cell, term_map, default)
         self.tables[-1] = h1_owners(self.current)
 
     @rule(dead=workers, successor=workers)

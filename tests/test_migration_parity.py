@@ -81,9 +81,8 @@ def expected_assignments(cluster):
     queries = live_queries(cluster)
     expected = {}
     for query in queries.values():
-        triples, _ = routing.posting_assignments(query)
-        for coord, key, worker_id in triples:
-            expected.setdefault((worker_id, query.query_id), set()).add((coord, key))
+        for worker_id, pairs in routing.posting_assignments(query)[0].items():
+            expected.setdefault((worker_id, query.query_id), set()).update(pairs)
     return expected
 
 
