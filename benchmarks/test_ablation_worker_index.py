@@ -20,9 +20,9 @@ from repro.workload import QueryGenerator, make_dataset
 @pytest.fixture(scope="module")
 def workload():
     tweets = make_dataset("us", seed=21)
-    queries = QueryGenerator(tweets, seed=22).generate_q1(1500)
+    queries = QueryGenerator(tweets, seed=22).generate("Q1", 1500)
     objects = tweets.generate(1500)
-    churn = QueryGenerator(tweets, seed=23).generate_q1(500)
+    churn = QueryGenerator(tweets, seed=23).generate("Q1", 500)
     stats = TermStatistics()
     for obj in objects:
         stats.add_document(obj.terms)

@@ -43,7 +43,7 @@ def main() -> None:
         STSQuery.create("%s AND %s" % (vocabulary[0], vocabulary[5]), new_york, subscriber_id=1),
         STSQuery.create("%s OR %s" % (vocabulary[10], vocabulary[20]), bay_area, subscriber_id=2),
     ]
-    synthetic_queries = QueryGenerator(tweets, seed=11).generate_q1(500)
+    synthetic_queries = QueryGenerator(tweets, seed=11).generate("Q1", 500)
     queries = manual_queries + synthetic_queries
 
     # ------------------------------------------------------------------

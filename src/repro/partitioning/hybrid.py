@@ -28,9 +28,8 @@ Phase 2 (producing exactly ``m`` balanced partitions)
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..core.costmodel import COST_MODEL
@@ -43,8 +42,8 @@ from .text import balanced_term_assignment
 
 __all__ = ["HybridPartitioner", "HybridConfig"]
 
-#: ``(term weights, [(object, its posted terms)])`` — see :attr:`_Node.text_inputs`.
-_TextInputs = Tuple[Dict[str, float], List[Tuple[SpatioTextualObject, FrozenSet[str]]]]
+#: ``(weights, term -> object positions, term -> query positions)``: :attr:`_Node.text_inputs`.
+_TextInputs = Tuple[Dict[str, float], Dict[str, List[int]], Dict[str, List[int]]]
 
 
 @dataclass(frozen=True)
@@ -159,26 +158,30 @@ class _Node:
         """What a text split of this node needs, whatever the number of parts.
 
         The term weights handed to :func:`balanced_term_assignment` and,
-        per object, its *posted* terms: an object without any is forwarded
-        to no text slice (the dispatcher's H2 filtering, Section IV-C) and
-        is dropped here once.
+        per posting key, the ascending positions of the objects holding it
+        and of the queries posted under it: a text slice receives exactly
+        those (the dispatcher's H2 filtering, Section IV-C).
         """
         if self._text_inputs is None:
             object_counter = self.object_counter
             vocabulary: Set[str] = set(object_counter) | set(self.query_counter)
             if self.terms is not None:
                 vocabulary &= self.terms
-            posting_counts = Counter(chain.from_iterable(self.query_keys))
+            queries: Dict[str, List[int]] = defaultdict(list)
+            for position, keys in enumerate(self.query_keys):
+                for key in keys:
+                    queries[key].append(position)
             weights: Dict[str, float] = {}
             for term in vocabulary:
                 frequency = float(object_counter.get(term, 0))
-                postings = float(posting_counts.get(term, 0))
+                postings = float(len(queries.get(term, ())))
                 weights[term] = frequency * (postings + 1.0) + frequency + postings + 1.0
-            posting_keys = frozenset(posting_counts)
-            posted = [
-                (obj, hits) for obj in self.objects if (hits := obj.terms & posting_keys)
-            ]
-            self._text_inputs = (weights, posted)
+            posting_keys = frozenset(queries)
+            objects: Dict[str, List[int]] = defaultdict(list)
+            for position, obj in enumerate(self.objects):
+                for term in obj.terms & posting_keys:
+                    objects[term].append(position)
+            self._text_inputs = (weights, objects, queries)
         return self._text_inputs
 
     @property
@@ -439,31 +442,28 @@ class HybridPartitioner(Partitioner):
         if children is not None:
             return children
         children = node._text_children[parts] = []
-        weights, posted = node.text_inputs
+        weights, object_positions, query_positions = node.text_inputs
         if not weights:
             return children
-        groups: List[Set[str]] = [set() for _ in range(parts)]
+        groups: List[List[str]] = [[] for _ in range(parts)]
         for term, index in balanced_term_assignment(weights, parts).items():
-            groups[index].add(term)
-        keyed_queries = list(zip(node.queries, node.query_keys))
+            groups[index].append(term)
+        objects, queries, keys = node.objects, node.queries, node.query_keys
         for group in groups:
             if not group:
                 continue
-            terms = frozenset(group)
-            # Objects are only forwarded to a text slice when they contain a
-            # *posted* keyword owned by the slice (the dispatcher's H2
-            # filtering, Section IV-C); counting them this way makes the
-            # space-vs-text load comparison reflect the deployed system.
-            objects = [obj for obj, hits in posted if not hits.isdisjoint(terms)]
-            kept = [pair for pair in keyed_queries if not terms.isdisjoint(pair[1])]
+            # Every object holding one of the slice's posting keys and
+            # every query posted under one of them, in sample order.
+            held = sorted(set().union(*[object_positions.get(term, ()) for term in group]))
+            posted = sorted(set().union(*[query_positions.get(term, ()) for term in group]))
             children.append(
                 _Node(
                     node.region,
-                    objects,
-                    [query for query, _ in kept],
-                    terms=terms,
+                    [objects[position] for position in held],
+                    [queries[position] for position in posted],
+                    terms=frozenset(group),
                     depth=node.depth + 1,
-                    query_keys=[keys for _, keys in kept],
+                    query_keys=[keys[position] for position in posted],
                 )
             )
         return children

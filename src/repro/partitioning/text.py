@@ -86,7 +86,7 @@ def balanced_term_assignment(
                         best_score = weighted
                         candidate = worker
         if candidate is None:
-            candidate = min(range(num_workers), key=lambda worker: loads[worker])
+            candidate = loads.index(min(loads))
         loads[candidate] += weight
         assignment[term] = candidate
     return assignment
@@ -176,7 +176,7 @@ class HypergraphTextPartitioner(Partitioner):
                     candidate = worker
                     break
             if candidate is None:
-                candidate = min(range(num_workers), key=lambda worker: loads[worker])
+                candidate = loads.index(min(loads))
             loads[candidate] += weight
             assignment[term] = candidate
         return _plan_from_assignment(assignment, sample, num_workers, self.name)

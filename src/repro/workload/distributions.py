@@ -17,10 +17,10 @@ assembles them into object streams.
 
 from __future__ import annotations
 
-import bisect
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from ..core.geometry import Point, Rect
 
@@ -57,6 +57,7 @@ class ZipfVocabulary:
         for weight in weights:
             running += weight / total
             self._cumulative.append(running)
+        # random() < 1.0, so bisect_left(_cumulative, random()) is an index.
         self._cumulative[-1] = 1.0
 
     def __len__(self) -> int:
@@ -64,9 +65,7 @@ class ZipfVocabulary:
 
     def sample(self, rng: random.Random) -> str:
         """Draw one term according to the Zipf weights."""
-        position = bisect.bisect_left(self._cumulative, rng.random())
-        position = min(position, len(self.terms) - 1)
-        return self.terms[position]
+        return self.terms[bisect_left(self._cumulative, rng.random())]
 
     def head(self, fraction: float) -> List[str]:
         """The most frequent ``fraction`` of the vocabulary (by rank)."""
@@ -127,31 +126,33 @@ class SpatialClusterModel:
         for cluster in clusters:
             running += cluster.weight / total
             self._cumulative.append(running)
+        # random() < 1.0, so bisect_left(_cumulative, random()) is an index.
         self._cumulative[-1] = 1.0
 
     @property
     def clusters(self) -> Sequence[_Cluster]:
         return self._clusters
 
-    def cluster_index(self, rng: random.Random) -> int:
-        position = bisect.bisect_left(self._cumulative, rng.random())
-        return min(position, len(self._clusters) - 1)
+    def sampler(self, rng: random.Random) -> Callable[[], Tuple[float, float, int]]:
+        """``draw() -> (x, y, cluster_index)`` on ``rng``; index -1 is uniform noise.
 
-    def sample(self, rng: random.Random) -> Tuple[Point, int]:
-        """Draw ``(location, cluster_index)``; index is -1 for uniform noise."""
-        if rng.random() < self.uniform_fraction:
-            point = Point(
-                rng.uniform(self.bounds.min_x, self.bounds.max_x),
-                rng.uniform(self.bounds.min_y, self.bounds.max_y),
-            )
-            return point, -1
-        index = self.cluster_index(rng)
-        cluster = self._clusters[index]
-        x = rng.gauss(cluster.center.x, cluster.spread_x)
-        y = rng.gauss(cluster.center.y, cluster.spread_y)
-        x = min(max(x, self.bounds.min_x), self.bounds.max_x)
-        y = min(max(y, self.bounds.min_y), self.bounds.max_y)
-        return Point(x, y), index
+        The model and ``rng`` are read once here, not once per draw.
+        """
+        random_, uniform, gauss = rng.random, rng.uniform, rng.gauss
+        min_x, min_y, max_x, max_y = self.bounds.as_tuple()
+        fraction, cumulative = self.uniform_fraction, self._cumulative
+        shapes = [(c.center.x, c.spread_x, c.center.y, c.spread_y) for c in self._clusters]
+
+        def draw() -> Tuple[float, float, int]:
+            if random_() < fraction:
+                return uniform(min_x, max_x), uniform(min_y, max_y), -1
+            index = bisect_left(cumulative, random_())
+            center_x, spread_x, center_y, spread_y = shapes[index]
+            x = gauss(center_x, spread_x)
+            y = gauss(center_y, spread_y)
+            return min(max(x, min_x), max_x), min(max(y, min_y), max_y), index
+
+        return draw
 
 
 class TopicModel:
@@ -189,8 +190,25 @@ class TopicModel:
             return []
         return self._topics[cluster_index % len(self._topics)]
 
-    def sample_term(self, rng: random.Random, cluster_index: int) -> str:
-        terms = self.topic_terms(cluster_index)
-        if terms and rng.random() < self.topical_fraction:
-            return rng.choice(terms)
-        return self.vocabulary.sample(rng)
+    def sampler(self, rng: random.Random) -> Callable[[int, int], List[str]]:
+        """``draw(count, cluster_index)``: ``count`` terms of one tweet, on ``rng``.
+
+        A term is a topic term of the cluster with probability
+        ``topical_fraction``, else a :meth:`ZipfVocabulary.sample` draw
+        (inlined: this loop is most of a stream's generation).
+        """
+        random_, choice, topic_terms = rng.random, rng.choice, self.topic_terms
+        terms, cumulative = self.vocabulary.terms, self.vocabulary._cumulative
+        fraction = self.topical_fraction
+
+        def draw(count: int, cluster_index: int) -> List[str]:
+            topic = topic_terms(cluster_index)
+            if not topic:
+                return [terms[bisect_left(cumulative, random_())] for _ in range(count)]
+            return [
+                choice(topic) if random_() < fraction
+                else terms[bisect_left(cumulative, random_())]
+                for _ in range(count)
+            ]
+
+        return draw

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from ..core.expression import BooleanExpression
 from ..core.geometry import Point, Rect, km_to_degrees
@@ -39,13 +39,12 @@ class QueryGroup:
     max_side_km: float
     require_infrequent_keyword: bool
 
-    @classmethod
-    def q1(cls) -> "QueryGroup":
-        return cls(name="Q1", min_side_km=1.0, max_side_km=50.0, require_infrequent_keyword=False)
 
-    @classmethod
-    def q2(cls) -> "QueryGroup":
-        return cls(name="Q2", min_side_km=1.0, max_side_km=100.0, require_infrequent_keyword=True)
+#: The two recipes by name; Q3 picks one of them per region.
+GROUPS: Dict[str, QueryGroup] = {
+    "Q1": QueryGroup("Q1", min_side_km=1.0, max_side_km=50.0, require_infrequent_keyword=False),
+    "Q2": QueryGroup("Q2", min_side_km=1.0, max_side_km=100.0, require_infrequent_keyword=True),
+}
 
 
 class RegionalStyleMap:
@@ -97,6 +96,8 @@ class QueryGenerator:
     def __init__(self, tweets: TweetGenerator, seed: int = 7) -> None:
         self.tweets = tweets
         self._rng = random.Random(seed)
+        self._draw_location = tweets.spatial.sampler(self._rng)
+        self._draw_terms = tweets.topics.sampler(self._rng)
         self._frequent: Set[str] = set(tweets.frequent_terms(0.01))
         self._infrequent_pool: List[str] = tweets.infrequent_terms(0.7)
         self._style_map: Optional[RegionalStyleMap] = None
@@ -119,89 +120,60 @@ class QueryGenerator:
         count = rng.randint(1, 3)
         keywords: List[str] = []
         attempts = 0
+        # The first attempt always lands, so ``keywords`` is never empty.
         while len(keywords) < count and attempts < 20 * count:
             if group.require_infrequent_keyword and rng.random() < self.INFREQUENT_KEYWORD_BIAS:
                 term = rng.choice(self._infrequent_pool)
             else:
-                term = self.tweets.topics.sample_term(rng, cluster)
+                term = self._draw_terms(1, cluster)[0]
             attempts += 1
             if term not in keywords:
                 keywords.append(term)
-        if not keywords:
-            keywords.append(self.tweets.vocabulary.sample(rng))
         if group.require_infrequent_keyword and all(k in self._frequent for k in keywords):
             keywords[rng.randrange(len(keywords))] = rng.choice(self._infrequent_pool)
         return keywords
 
-    def _build_expression(self, keywords: Sequence[str]) -> BooleanExpression:
-        rng = self._rng
-        if len(keywords) == 1:
-            return BooleanExpression.conjunction(keywords)
-        connector = "AND" if rng.random() < 0.5 else "OR"
-        if connector == "AND":
-            return BooleanExpression.conjunction(keywords)
-        return BooleanExpression.disjunction(keywords)
+    def make_query(
+        self, group_name: str, timestamp: float = 0.0, style_map: Optional[RegionalStyleMap] = None
+    ) -> STSQuery:
+        """One query of group ``"Q1"``, ``"Q2"`` or ``"Q3"``.
 
-    def _build_region(self, center: Point, group: QueryGroup) -> Rect:
+        A Q3 query takes the recipe of the region its centre falls in, on
+        ``style_map`` (default: :meth:`style_map`).
+        """
         rng = self._rng
-        side_km = rng.uniform(group.min_side_km, group.max_side_km)
-        d_lon, d_lat = km_to_degrees(side_km, latitude_deg=center.y)
-        return Rect.from_center(center, d_lon, d_lat)
-
-    def _make_query(self, group: QueryGroup, timestamp: float = 0.0) -> STSQuery:
-        location, cluster = self.tweets.spatial.sample(self._rng)
+        x, y, cluster = self._draw_location()
+        center = Point(x, y)
+        if group_name == "Q3":
+            style_map = style_map if style_map is not None else self.style_map()
+            group = GROUPS[style_map.style_at(center)]
+        else:
+            group = GROUPS[group_name]
         keywords = self._sample_keywords(cluster, group)
-        expression = self._build_expression(keywords)
-        region = self._build_region(location, group)
-        return STSQuery.create(expression, region, timestamp=timestamp,
-                               subscriber_id=self._rng.randrange(1, 1_000_000))
+        if len(keywords) == 1 or rng.random() < 0.5:
+            expression = BooleanExpression.conjunction(keywords)
+        else:
+            expression = BooleanExpression.disjunction(keywords)
+        side_km = rng.uniform(group.min_side_km, group.max_side_km)
+        d_lon, d_lat = km_to_degrees(side_km, latitude_deg=y)
+        return STSQuery.create(
+            expression,
+            Rect.from_center(center, d_lon, d_lat),
+            timestamp=timestamp,
+            subscriber_id=rng.randrange(1, 1_000_000),
+        )
 
     # ------------------------------------------------------------------
     # Public recipes
     # ------------------------------------------------------------------
-    def generate_q1(self, count: int) -> List[STSQuery]:
-        """STS-*-Q1: frequent keywords, 1–50 km ranges."""
-        group = QueryGroup.q1()
-        return [self._make_query(group, timestamp=float(i)) for i in range(count)]
-
-    def generate_q2(self, count: int) -> List[STSQuery]:
-        """STS-*-Q2: at least one infrequent keyword, 1–100 km ranges."""
-        group = QueryGroup.q2()
-        return [self._make_query(group, timestamp=float(i)) for i in range(count)]
-
-    def generate_q3(self, count: int, style_map: Optional[RegionalStyleMap] = None) -> List[STSQuery]:
-        """STS-*-Q3: per-region mixture of the Q1 and Q2 recipes."""
-        if style_map is None:
-            style_map = self.style_map()
-        queries: List[STSQuery] = []
-        q1 = QueryGroup.q1()
-        q2 = QueryGroup.q2()
-        for index in range(count):
-            location, cluster = self.tweets.spatial.sample(self._rng)
-            group = q1 if style_map.style_at(location) == "Q1" else q2
-            keywords = self._sample_keywords(cluster, group)
-            expression = self._build_expression(keywords)
-            region = self._build_region(location, group)
-            queries.append(
-                STSQuery.create(
-                    expression,
-                    region,
-                    timestamp=float(index),
-                    subscriber_id=self._rng.randrange(1, 1_000_000),
-                )
-            )
-        return queries
-
-    def generate(self, group_name: str, count: int) -> List[STSQuery]:
+    def generate(
+        self, group_name: str, count: int, style_map: Optional[RegionalStyleMap] = None
+    ) -> List[STSQuery]:
         """Generate by group name: ``"Q1"``, ``"Q2"`` or ``"Q3"``."""
         key = group_name.strip().upper()
-        if key == "Q1":
-            return self.generate_q1(count)
-        if key == "Q2":
-            return self.generate_q2(count)
-        if key == "Q3":
-            return self.generate_q3(count)
-        raise ValueError("unknown query group %r" % group_name)
+        if key not in ("Q1", "Q2", "Q3"):
+            raise ValueError("unknown query group %r" % group_name)
+        return [self.make_query(key, float(index), style_map) for index in range(count)]
 
     def style_map(self) -> RegionalStyleMap:
         """The (lazily created) 10x10 regional style map used by Q3."""

@@ -61,6 +61,8 @@ class WorkloadStream:
         self.config = config
         self._rng = random.Random(seed)
         self._style_map = style_map
+        group = config.group.upper()
+        self._group = group if group in ("Q2", "Q3") else "Q1"
         self._clock = 0.0
         self._inserted_count = 0
         # Priority queue of (expiry_insertion_index, query_id, query).
@@ -78,13 +80,7 @@ class WorkloadStream:
         return max(1, int(round(self._rng.gauss(mu, sigma))))
 
     def _new_query(self) -> STSQuery:
-        group = self.config.group.upper()
-        if group == "Q3":
-            query = self.queries.generate_q3(1, style_map=self._style_map)[0]
-        elif group == "Q2":
-            query = self.queries.generate_q2(1)[0]
-        else:
-            query = self.queries.generate_q1(1)[0]
+        query = self.queries.make_query(self._group, style_map=self._style_map)
         self._inserted_count += 1
         expiry = self._inserted_count + self._lifetime()
         heapq.heappush(self._expiry_heap, (expiry, query.query_id, query))
@@ -160,9 +156,9 @@ class WorkloadStream:
         while produced_objects < num_objects:
             for _ in range(min(block, num_objects - produced_objects)):
                 self._clock += 1.0
-                obj = self.tweets.generate_one(timestamp=self._clock)
+                obj = self.tweets.generate_one(self._clock)
                 produced_objects += 1
-                yield StreamTuple.object(obj, arrival_time=self._clock)
+                yield StreamTuple.object(obj, self._clock)
             for _ in range(updates_per_block):
                 self._clock += 1.0
                 if next_is_insert:

@@ -11,8 +11,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from ..core.geometry import Rect
+from ..core.geometry import Point, Rect
 from ..core.objects import SpatioTextualObject
+from ..core.text import tokenize
 from .distributions import (
     UK_BOUNDS,
     US_BOUNDS,
@@ -52,7 +53,14 @@ class TweetGenerator:
         self.vocabulary = ZipfVocabulary(spec.vocabulary_size, spec.zipf_exponent)
         self.spatial = SpatialClusterModel(spec.bounds, spec.num_clusters, seed)
         self.topics = TopicModel(self.vocabulary, spec.num_clusters, seed)
+        # Objects take their terms from the draw instead of tokenising the
+        # joined text: sound only while every term is one token of its own,
+        # i.e. while the joined vocabulary tokenises back to itself.
+        if tokenize(" ".join(self.vocabulary.terms)) != self.vocabulary.terms:
+            raise ValueError("every vocabulary term must tokenise to itself")
         self._rng = random.Random(seed)
+        self._draw_location = self.spatial.sampler(self._rng)
+        self._draw_terms = self.topics.sampler(self._rng)
         self._generated = 0
 
     # ------------------------------------------------------------------
@@ -60,12 +68,13 @@ class TweetGenerator:
     # ------------------------------------------------------------------
     def generate_one(self, timestamp: float = 0.0) -> SpatioTextualObject:
         """Produce the next tweet in the stream."""
-        rng = self._rng
-        location, cluster = self.spatial.sample(rng)
-        term_count = rng.randint(self.spec.min_terms, self.spec.max_terms)
-        terms = [self.topics.sample_term(rng, cluster) for _ in range(term_count)]
+        x, y, cluster = self._draw_location()
+        spec = self.spec
+        terms = self._draw_terms(self._rng.randint(spec.min_terms, spec.max_terms), cluster)
         self._generated += 1
-        return SpatioTextualObject.create(" ".join(terms), location, timestamp=timestamp)
+        return SpatioTextualObject.create(
+            " ".join(terms), Point(x, y), timestamp=timestamp, terms=terms
+        )
 
     def generate(self, count: int, start_time: float = 0.0, time_step: float = 1.0) -> List[SpatioTextualObject]:
         """Produce ``count`` tweets with increasing timestamps."""

@@ -111,7 +111,7 @@ class TestConfigKnobs:
         # delta = 1 sends everything towards Nt; with fewer nodes than
         # workers, the DP then splits nodes by text.
         objects = tweet_generator.generate(600)
-        queries = query_generator.generate_q2(300)
+        queries = query_generator.generate("Q2", 300)
         sample = WorkloadSample(objects=objects, insertions=queries, bounds=tweet_generator.bounds)
         config = HybridConfig(text_similarity_threshold=1.01, max_depth=0)
         plan = HybridPartitioner(config).partition(sample, 4)
@@ -136,7 +136,7 @@ class TestRegionalWorkloads:
         """On a Q3-style workload the hybrid plan's total load is at least as
         good as the better of the two pure baselines."""
         objects = tweet_generator.generate(800)
-        queries = query_generator.generate_q3(400)
+        queries = query_generator.generate("Q3", 400)
         sample = WorkloadSample(objects=objects, insertions=queries, bounds=tweet_generator.bounds)
         hybrid = HybridPartitioner().partition(sample, 8)
         kd = KDTreeSpacePartitioner().partition(sample, 8)

@@ -9,8 +9,8 @@ from repro.core import TupleKind
 from repro.workload import QueryGenerator, StreamConfig, WorkloadStream, make_dataset
 
 
-def make_stream(mu=100, group="Q1", objects_per_update=5, seed=21):
-    tweets = make_dataset("us", seed=seed)
+def make_stream(mu=100, group="Q1", objects_per_update=5, seed=21, dataset="us"):
+    tweets = make_dataset(dataset, seed=seed)
     queries = QueryGenerator(tweets, seed=seed + 1)
     config = StreamConfig(mu=mu, group=group, objects_per_update=objects_per_update)
     return WorkloadStream(tweets, queries, config, seed=seed + 2)
@@ -113,13 +113,37 @@ def stream_digest(stream, num_objects):
     )
 
 
+def content_digest(stream, num_objects):
+    """SHA-256 of everything the generators draw, tuple by tuple.
+
+    :func:`stream_digest` names a query by its ordinal alone; here an
+    object also carries its sorted terms and timestamp and an insertion
+    its expression, region and subscriber, so a moved keyword, range or
+    subscriber draw changes the digest.
+    """
+    ordinals = {}
+    rows = []
+    for item in stream.tuples(num_objects):
+        if item.kind is TupleKind.OBJECT:
+            obj = item.payload
+            name = (sorted(obj.terms), obj.text, obj.location.x, obj.location.y, obj.timestamp)
+        else:
+            query = item.payload.query
+            name = ordinals.setdefault(query.query_id, len(ordinals))
+            if item.kind is TupleKind.INSERT:
+                name = (name, str(query.expression), query.region.as_tuple(), query.subscriber_id)
+        rows.append((item.kind.value, name, item.arrival_time))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
 class TestStreamDigest:
     """The generated stream is pinned element for element.
 
     Every benchmark workload and seeded test is a function of this
     sequence, so a generator optimisation must leave it — and the
-    ``live_queries()`` order — exactly as it was (the digests predate
-    the O(1) deletion in ``_expired_query``).
+    ``live_queries()`` order — exactly as it was (the shape digests
+    predate the O(1) deletion in ``_expired_query``, the content digests
+    the one-loop object generation and the single query recipe).
     """
 
     @pytest.mark.parametrize(
@@ -132,3 +156,20 @@ class TestStreamDigest:
     def test_stream_matches_pinned_digest(self, group, objects_per_update, expected):
         stream = make_stream(mu=300, group=group, objects_per_update=objects_per_update)
         assert stream_digest(stream, 1500) == expected
+
+    @pytest.mark.parametrize(
+        "dataset, group, objects_per_update, expected",
+        [
+            ("us", "Q1", 5, "03e9bf0c0d38754e"),
+            ("us", "Q2", 5, "9839358dbb28232e"),
+            ("us", "Q3", 1, "820bad1a7e3b7ea4"),
+            ("uk", "Q1", 5, "0d5c0d55ef877914"),
+        ],
+    )
+    def test_stream_content_matches_pinned_digest(
+        self, dataset, group, objects_per_update, expected
+    ):
+        stream = make_stream(
+            mu=300, group=group, objects_per_update=objects_per_update, dataset=dataset
+        )
+        assert content_digest(stream, 1500) == expected

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+import repro.workload.tweets as tweets_module
+from repro.core import Point
+from repro.core.text import tokenize
 from repro.workload import (
     RegionalStyleMap,
     SpatialClusterModel,
@@ -51,16 +54,16 @@ class TestZipfVocabulary:
 class TestSpatialClusterModel:
     def test_points_inside_bounds(self):
         model = SpatialClusterModel(US_BOUNDS, num_clusters=10, seed=4)
-        rng = random.Random(5)
+        draw = model.sampler(random.Random(5))
         for _ in range(500):
-            point, cluster = model.sample(rng)
-            assert US_BOUNDS.contains_point(point)
+            x, y, cluster = draw()
+            assert US_BOUNDS.contains_point(Point(x, y))
             assert -1 <= cluster < 10
 
     def test_clustered_density(self):
         model = SpatialClusterModel(US_BOUNDS, num_clusters=5, seed=6, uniform_fraction=0.0)
-        rng = random.Random(7)
-        points = [model.sample(rng)[0] for _ in range(2000)]
+        draw = model.sampler(random.Random(7))
+        points = [Point(x, y) for x, y, _ in (draw() for _ in range(2000))]
         # Most points should be close to one of the five cluster centres.
         close = 0
         for point in points:
@@ -81,7 +84,7 @@ class TestSpatialClusterModel:
     def test_deterministic_given_seed(self):
         a = SpatialClusterModel(UK_BOUNDS, num_clusters=4, seed=9)
         b = SpatialClusterModel(UK_BOUNDS, num_clusters=4, seed=9)
-        assert a.sample(random.Random(1)) == b.sample(random.Random(1))
+        assert a.sampler(random.Random(1))() == b.sampler(random.Random(1))()
 
 
 class TestTopicModel:
@@ -98,9 +101,9 @@ class TestTopicModel:
     def test_sampled_terms_belong_to_vocabulary(self):
         vocab = ZipfVocabulary(300)
         topics = TopicModel(vocab, num_clusters=3, seed=2)
-        rng = random.Random(8)
-        for _ in range(200):
-            assert topics.sample_term(rng, 1) in set(vocab.terms)
+        draw = topics.sampler(random.Random(8))
+        for cluster in (1, -1):
+            assert set(draw(200, cluster)) <= set(vocab.terms)
 
 
 class TestTweetGenerator:
@@ -133,6 +136,19 @@ class TestTweetGenerator:
         assert [obj.text for obj in a] == [obj.text for obj in b]
         assert [obj.location for obj in a] == [obj.location for obj in b]
 
+    @pytest.mark.parametrize("name", ["us", "uk"])
+    def test_terms_are_the_texts_tokens(self, name):
+        for obj in make_dataset(name, seed=5).generate(2000):
+            assert obj.terms == frozenset(tokenize(obj.text))
+
+    def test_vocabulary_that_does_not_tokenise_to_itself_is_rejected(self, monkeypatch):
+        def upper_case(size, exponent):
+            return ZipfVocabulary(size, exponent, prefix="Term")
+
+        monkeypatch.setattr(tweets_module, "ZipfVocabulary", upper_case)
+        with pytest.raises(ValueError, match="tokenise"):
+            make_dataset("us")
+
     def test_frequent_and_infrequent_terms(self, tweet_generator):
         frequent = tweet_generator.frequent_terms(0.01)
         infrequent = tweet_generator.infrequent_terms(0.5)
@@ -164,7 +180,7 @@ class TestRegionalStyleMap:
 
 class TestQueryGenerator:
     def test_q1_properties(self, query_generator, tweet_generator):
-        queries = query_generator.generate_q1(100)
+        queries = query_generator.generate("Q1", 100)
         assert len(queries) == 100
         for query in queries:
             assert 1 <= len(query.keywords()) <= 3
@@ -173,17 +189,17 @@ class TestQueryGenerator:
             assert query.region.width < 1.0
 
     def test_q2_ranges_can_be_larger(self, query_generator):
-        q1 = query_generator.generate_q1(200)
-        q2 = query_generator.generate_q2(200)
+        q1 = query_generator.generate("Q1", 200)
+        q2 = query_generator.generate("Q2", 200)
         assert max(q.region.width for q in q2) > max(q.region.width for q in q1) * 0.9
 
     def test_q2_contains_infrequent_keyword(self, query_generator, tweet_generator):
         frequent = set(tweet_generator.frequent_terms(0.01))
-        for query in query_generator.generate_q2(100):
+        for query in query_generator.generate("Q2", 100):
             assert any(keyword not in frequent for keyword in query.keywords())
 
     def test_q3_uses_style_map(self, query_generator):
-        queries = query_generator.generate_q3(100)
+        queries = query_generator.generate("Q3", 100)
         assert len(queries) == 100
         assert query_generator.style_map() is query_generator.style_map()
 
@@ -196,5 +212,5 @@ class TestQueryGenerator:
 
     def test_queries_keywords_drawn_from_vocabulary(self, query_generator, tweet_generator):
         vocabulary = set(tweet_generator.vocabulary.terms)
-        for query in query_generator.generate_q1(50):
+        for query in query_generator.generate("Q1", 50):
             assert query.keywords() <= vocabulary
