@@ -52,20 +52,17 @@ class ZipfVocabulary:
         self.terms: List[str] = ["%s%05d" % (prefix, rank) for rank in range(1, size + 1)]
         weights = [1.0 / (rank ** exponent) for rank in range(1, size + 1)]
         total = sum(weights)
-        self._cumulative: List[float] = []
+        #: ``terms[bisect_left(cumulative, rng.random())]`` is one Zipf draw.
+        self.cumulative: List[float] = []
         running = 0.0
         for weight in weights:
             running += weight / total
-            self._cumulative.append(running)
-        # random() < 1.0, so bisect_left(_cumulative, random()) is an index.
-        self._cumulative[-1] = 1.0
+            self.cumulative.append(running)
+        # random() < 1.0, so bisect_left(cumulative, random()) is an index.
+        self.cumulative[-1] = 1.0
 
     def __len__(self) -> int:
         return len(self.terms)
-
-    def sample(self, rng: random.Random) -> str:
-        """Draw one term according to the Zipf weights."""
-        return self.terms[bisect_left(self._cumulative, rng.random())]
 
     def head(self, fraction: float) -> List[str]:
         """The most frequent ``fraction`` of the vocabulary (by rank)."""
@@ -133,8 +130,8 @@ class SpatialClusterModel:
     def clusters(self) -> Sequence[_Cluster]:
         return self._clusters
 
-    def sampler(self, rng: random.Random) -> Callable[[], Tuple[float, float, int]]:
-        """``draw() -> (x, y, cluster_index)`` on ``rng``; index -1 is uniform noise.
+    def sampler(self, rng: random.Random) -> Callable[[], Tuple[Point, int]]:
+        """``draw() -> (location, cluster_index)`` on ``rng``; index -1 is uniform noise.
 
         The model and ``rng`` are read once here, not once per draw.
         """
@@ -143,14 +140,14 @@ class SpatialClusterModel:
         fraction, cumulative = self.uniform_fraction, self._cumulative
         shapes = [(c.center.x, c.spread_x, c.center.y, c.spread_y) for c in self._clusters]
 
-        def draw() -> Tuple[float, float, int]:
+        def draw() -> Tuple[Point, int]:
             if random_() < fraction:
-                return uniform(min_x, max_x), uniform(min_y, max_y), -1
+                return Point(uniform(min_x, max_x), uniform(min_y, max_y)), -1
             index = bisect_left(cumulative, random_())
             center_x, spread_x, center_y, spread_y = shapes[index]
             x = gauss(center_x, spread_x)
             y = gauss(center_y, spread_y)
-            return min(max(x, min_x), max_x), min(max(y, min_y), max_y), index
+            return Point(min(max(x, min_x), max_x), min(max(y, min_y), max_y)), index
 
         return draw
 
@@ -194,19 +191,18 @@ class TopicModel:
         """``draw(count, cluster_index)``: ``count`` terms of one tweet, on ``rng``.
 
         A term is a topic term of the cluster with probability
-        ``topical_fraction``, else a :meth:`ZipfVocabulary.sample` draw
-        (inlined: this loop is most of a stream's generation).
+        ``topical_fraction``, else a Zipf draw over the whole vocabulary
+        (this loop is most of a stream's generation).  Uniform noise
+        (index -1) has no topic, so its terms are all Zipf draws.
         """
         random_, choice, topic_terms = rng.random, rng.choice, self.topic_terms
-        terms, cumulative = self.vocabulary.terms, self.vocabulary._cumulative
+        terms, cumulative = self.vocabulary.terms, self.vocabulary.cumulative
         fraction = self.topical_fraction
 
         def draw(count: int, cluster_index: int) -> List[str]:
             topic = topic_terms(cluster_index)
-            if not topic:
-                return [terms[bisect_left(cumulative, random_())] for _ in range(count)]
             return [
-                choice(topic) if random_() < fraction
+                choice(topic) if topic and random_() < fraction
                 else terms[bisect_left(cumulative, random_())]
                 for _ in range(count)
             ]

@@ -142,8 +142,7 @@ class QueryGenerator:
         ``style_map`` (default: :meth:`style_map`).
         """
         rng = self._rng
-        x, y, cluster = self._draw_location()
-        center = Point(x, y)
+        center, cluster = self._draw_location()
         if group_name == "Q3":
             style_map = style_map if style_map is not None else self.style_map()
             group = GROUPS[style_map.style_at(center)]
@@ -155,7 +154,7 @@ class QueryGenerator:
         else:
             expression = BooleanExpression.disjunction(keywords)
         side_km = rng.uniform(group.min_side_km, group.max_side_km)
-        d_lon, d_lat = km_to_degrees(side_km, latitude_deg=y)
+        d_lon, d_lat = km_to_degrees(side_km, latitude_deg=center.y)
         return STSQuery.create(
             expression,
             Rect.from_center(center, d_lon, d_lat),
@@ -166,14 +165,12 @@ class QueryGenerator:
     # ------------------------------------------------------------------
     # Public recipes
     # ------------------------------------------------------------------
-    def generate(
-        self, group_name: str, count: int, style_map: Optional[RegionalStyleMap] = None
-    ) -> List[STSQuery]:
+    def generate(self, group_name: str, count: int) -> List[STSQuery]:
         """Generate by group name: ``"Q1"``, ``"Q2"`` or ``"Q3"``."""
         key = group_name.strip().upper()
         if key not in ("Q1", "Q2", "Q3"):
             raise ValueError("unknown query group %r" % group_name)
-        return [self.make_query(key, float(index), style_map) for index in range(count)]
+        return [self.make_query(key, float(index)) for index in range(count)]
 
     def style_map(self) -> RegionalStyleMap:
         """The (lazily created) 10x10 regional style map used by Q3."""

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional
 
-from ..core.geometry import Point, Rect
+from ..core.geometry import Rect
 from ..core.objects import SpatioTextualObject
 from ..core.text import tokenize
 from .distributions import (
@@ -68,12 +68,12 @@ class TweetGenerator:
     # ------------------------------------------------------------------
     def generate_one(self, timestamp: float = 0.0) -> SpatioTextualObject:
         """Produce the next tweet in the stream."""
-        x, y, cluster = self._draw_location()
+        location, cluster = self._draw_location()
         spec = self.spec
         terms = self._draw_terms(self._rng.randint(spec.min_terms, spec.max_terms), cluster)
         self._generated += 1
         return SpatioTextualObject.create(
-            " ".join(terms), Point(x, y), timestamp=timestamp, terms=terms
+            " ".join(terms), location, timestamp=timestamp, terms=terms
         )
 
     def generate(self, count: int, start_time: float = 0.0, time_step: float = 1.0) -> List[SpatioTextualObject]:

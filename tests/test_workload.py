@@ -5,7 +5,6 @@ import random
 import pytest
 
 import repro.workload.tweets as tweets_module
-from repro.core import Point
 from repro.core.text import tokenize
 from repro.workload import (
     RegionalStyleMap,
@@ -30,10 +29,10 @@ class TestZipfVocabulary:
 
     def test_sampling_is_power_law_like(self):
         vocab = ZipfVocabulary(500, exponent=1.0)
-        rng = random.Random(1)
+        # Uniform noise (cluster -1) has no topic: every term is a Zipf draw.
+        draw = TopicModel(vocab, num_clusters=1).sampler(random.Random(1))
         counts = {}
-        for _ in range(20000):
-            term = vocab.sample(rng)
+        for term in draw(20000, -1):
             counts[term] = counts.get(term, 0) + 1
         head = counts.get(vocab.terms[0], 0)
         tail = counts.get(vocab.terms[-1], 0)
@@ -46,9 +45,9 @@ class TestZipfVocabulary:
         assert set(vocab.head(0.1)).isdisjoint(vocab.tail(0.1))
 
     def test_deterministic_given_seeded_rng(self):
-        vocab = ZipfVocabulary(200)
-        first, second = random.Random(3), random.Random(3)
-        assert [vocab.sample(first) for _ in range(20)] == [vocab.sample(second) for _ in range(20)]
+        topics = TopicModel(ZipfVocabulary(200), num_clusters=1)
+        first, second = topics.sampler(random.Random(3)), topics.sampler(random.Random(3))
+        assert first(20, -1) == second(20, -1)
 
 
 class TestSpatialClusterModel:
@@ -56,14 +55,14 @@ class TestSpatialClusterModel:
         model = SpatialClusterModel(US_BOUNDS, num_clusters=10, seed=4)
         draw = model.sampler(random.Random(5))
         for _ in range(500):
-            x, y, cluster = draw()
-            assert US_BOUNDS.contains_point(Point(x, y))
+            point, cluster = draw()
+            assert US_BOUNDS.contains_point(point)
             assert -1 <= cluster < 10
 
     def test_clustered_density(self):
         model = SpatialClusterModel(US_BOUNDS, num_clusters=5, seed=6, uniform_fraction=0.0)
         draw = model.sampler(random.Random(7))
-        points = [Point(x, y) for x, y, _ in (draw() for _ in range(2000))]
+        points = [draw()[0] for _ in range(2000)]
         # Most points should be close to one of the five cluster centres.
         close = 0
         for point in points:
